@@ -14,10 +14,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from coupledchains.harness import main as harness_main
+from coupledchains.harness import KINDS, main as harness_main
 
 CONFIG_DIR = Path(__file__).parent / "configs"
-KINDS = ("gamma", "audit", "reconstruct", "vershik", "extend", "stitch")
 
 
 def main() -> int:

@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 from .kernels import (
     CapExceededError,
     IIDKernel,
+    Kernel,
     LongMemoryKernel,
     MarkovKernel,
     builtin_kernels,
@@ -53,6 +54,7 @@ __all__ = [
     "CouplingEngine",
     "GeneratorConfig",
     "IIDKernel",
+    "Kernel",
     "LongMemoryKernel",
     "MarkovKernel",
     "builtin_kernels",

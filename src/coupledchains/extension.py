@@ -14,17 +14,20 @@ recovered within any tolerance schedule.
 
 Time convention: a run over [N; 0] takes |N|+1 steps; the step landing
 at time t uses the orientation table at depth -t + 1 (depth |N|+1 first,
-depth 1 last).  Contexts are integer words, most recent symbol at bit 0.
+depth 1 last).  Contexts are integer words, most recent symbol at bit 0,
+kept to the table length L.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .innovation import AuditReport, innovation_audit
 from .kernels import CapExceededError, Kernel, conditional_prob, stationary_ctx_vector
+from .reconstruction import coupled_step
 from .rng import stream_rng
 from .vershik import (
     GeneratorConfig,
@@ -110,14 +113,17 @@ class CouplingEngine:
         gen = generator_table(self.config.depth)
         return gen[np.asarray(ctx) & ((1 << (self.config.depth + 1)) - 1)]
 
+    @cached_property
+    def prob0(self) -> np.ndarray:
+        """P(0 | context) for every L-bit context."""
+        return self.kernel.prob0_over(self.length)
 
-def _step_prob0(kernel: Kernel, ctx):
-    table = kernel.prob0_table
-    m = kernel.memory
-    if m == 0:
-        ctx = np.asarray(ctx)
-        return np.full(ctx.shape, table[0]) if ctx.ndim else float(table[0])
-    return table[np.asarray(ctx) & ((1 << m) - 1)]
+    def step(self, depth: int, v, ctx_true, ctx_hat, v_is_u: bool = False):
+        """One re-encoding step at the given depth on L-bit contexts,
+        oriented by that depth's optimal couplings (see
+        :func:`coupled_step`)."""
+        lam = self.tables[depth].orientation[ctx_true, ctx_hat]
+        return coupled_step(self.prob0, ctx_true, ctx_hat, v, lam, v_is_u)
 
 
 def coupled_run(
@@ -140,24 +146,12 @@ def coupled_run(
         raise ValueError("innovation array does not match the window")
     if steps > engine.p_max:
         raise ValueError("engine tables too shallow for this window")
-    kernel = engine.kernel
-    ctx_true = np.array(ctx_true, dtype=np.int64)
-    ctx_hat = np.array(ctx_hat, dtype=np.int64)
+    mask = (1 << engine.length) - 1
+    ctx_true = np.asarray(ctx_true, dtype=np.int64) & mask
+    ctx_hat = np.asarray(ctx_hat, dtype=np.int64) & mask
     u = np.empty_like(w)
     for t in range(steps):
-        depth = steps - t
-        lam = engine.orientations(depth, ctx_true, ctx_hat)
-        wt = w[:, t]
-        ut = np.where(lam == -1, wt, 1.0 - wt)
-        f_true = _step_prob0(kernel, ctx_true)
-        f_hat = _step_prob0(kernel, ctx_hat)
-        # True chain: X = 1(W > f); in terms of u that is
-        # 1(u > f) for lam = -1 and 1(1 - u > f) for lam = +1.
-        x_true = (wt > f_true).astype(np.int64)
-        x_hat = (ut > f_hat).astype(np.int64)
-        ctx_true = (ctx_true << 1) | x_true
-        ctx_hat = (ctx_hat << 1) | x_hat
-        u[:, t] = ut
+        u[:, t], ctx_true, ctx_hat = engine.step(steps - t, w[:, t], ctx_true, ctx_hat)
     return u, ctx_true, ctx_hat
 
 
@@ -178,22 +172,17 @@ def reconstruct_from_u(
     steps = u.shape[1]
     if steps > engine.p_max:
         raise ValueError("engine tables too shallow for this window")
-    kernel = engine.kernel
-    ctx_true = np.array(np.atleast_1d(ctx_true), dtype=np.int64)
-    ctx_hat = np.array(np.atleast_1d(ctx_hat), dtype=np.int64)
+    mask = (1 << engine.length) - 1
+    ctx_true = np.atleast_1d(np.asarray(ctx_true, dtype=np.int64)) & mask
+    ctx_hat = np.atleast_1d(np.asarray(ctx_hat, dtype=np.int64)) & mask
     x_out = np.empty(u.shape, dtype=np.int64)
     xhat_out = np.empty(u.shape, dtype=np.int64)
     for t in range(steps):
-        depth = steps - t
-        lam = engine.orientations(depth, ctx_true, ctx_hat)
-        ut = u[:, t]
-        wt = np.where(lam == -1, ut, 1.0 - ut)
-        x_true = (wt > _step_prob0(kernel, ctx_true)).astype(np.int64)
-        x_hat = (ut > _step_prob0(kernel, ctx_hat)).astype(np.int64)
-        ctx_true = (ctx_true << 1) | x_true
-        ctx_hat = (ctx_hat << 1) | x_hat
-        x_out[:, t] = x_true
-        xhat_out[:, t] = x_hat
+        _, ctx_true, ctx_hat = engine.step(
+            steps - t, u[:, t], ctx_true, ctx_hat, v_is_u=True
+        )
+        x_out[:, t] = ctx_true & 1
+        xhat_out[:, t] = ctx_hat & 1
     return x_out, xhat_out
 
 
@@ -248,7 +237,8 @@ def joint_step_law(
     anchor_int = word_to_int(as_word(anchor))
     L = engine.length
     mask = (1 << L) - 1
-    kernel = engine.kernel
+    table = engine.kernel.prob0_table.tolist()
+    kmask = len(table) - 1
 
     # States: (ctx_true, ctx_hat, path_true, path_hat) -> prob.
     states_dp: dict[tuple, float] = {}
@@ -263,8 +253,8 @@ def joint_step_law(
         for states, use_interval in ((states_dp, True), (states_prod, False)):
             new: dict[tuple, float] = {}
             for (cx, ch, px, ph), prob in states.items():
-                f_true = float(_step_prob0(kernel, np.int64(cx)))
-                f_hat = float(_step_prob0(kernel, np.int64(ch)))
+                f_true = table[cx & kmask]
+                f_hat = table[ch & kmask]
                 lam = int(engine.orientations(depth, cx, ch))
                 if use_interval:
                     joint = _interval_joint(f_true, f_hat, lam)
@@ -304,7 +294,7 @@ def joint_step_law(
     for _ in range(window):
         new: dict[tuple[int, int], float] = {}
         for (c, path), prob in chain.items():
-            f = float(_step_prob0(kernel, np.int64(c)))
+            f = table[c & kmask]
             for a, pa in ((0, f), (1, 1.0 - f)):
                 key = (((c << 1) | a) & mask, (path << 1) | a)
                 new[key] = new.get(key, 0.0) + prob * pa
@@ -502,60 +492,42 @@ def stitch_blocks(
         anchors.append(anchor)
         m.append(m[j] + n_j - 1)
 
-    # Simulation phase: one pass over absolute times M_{J+1} .. 0.
+    # Simulation phase: one pass over absolute times M_{J+1} .. 0.  Block
+    # j is a coupled run over [N_j; 0] whose hat chain starts from its
+    # anchor; blocks run from the earliest (j = J) to block 0.
     t_min = m[n_blocks]
-    steps = -t_min + 1
     rng = stream_rng(seed, "stitch", kernel.label, f"J{n_blocks - 1}")
     ctx_true = np.array(
         rng.choice(engine.pi.size, p=engine.pi, size=trials), dtype=np.int64
     )
-    w = rng.random((trials, steps))
-    u_all = np.empty((trials, steps))
-    hat_before = np.empty((steps, trials), dtype=np.int64)  # hat ctx up to t-1
-    true_before = np.empty((steps + 1, trials), dtype=np.int64)
-    block_of = np.empty(steps, dtype=np.int64)
-    ctx_hat = None
-    for t in range(t_min, 1):
-        idx = t - t_min
-        j = next(i for i in range(n_blocks) if m[i + 1] <= t <= m[i] - 1)
-        block_of[idx] = j
-        if t == m[j + 1]:  # block start: hat chain restarts from anchor
-            ctx_hat = np.full(trials, word_to_int(anchors[j]), dtype=np.int64)
-        true_before[idx] = ctx_true
-        hat_before[idx] = ctx_hat
-        depth = m[j] - t
-        lam = engine.orientations(depth, ctx_true, ctx_hat)
-        wt = w[:, idx]
-        ut = np.where(lam == -1, wt, 1.0 - wt)
-        x_true = (wt > _step_prob0(kernel, ctx_true)).astype(np.int64)
-        x_hat = (ut > _step_prob0(kernel, ctx_hat)).astype(np.int64)
-        ctx_true = (ctx_true << 1) | x_true
-        ctx_hat = (ctx_hat << 1) | x_hat
-        u_all[:, idx] = ut
-    true_before[steps] = ctx_true
+    w = rng.random((trials, 1 - t_min))
+    u_all = np.empty_like(w)
+    cols = [slice(m[j + 1] - t_min, m[j] - t_min) for j in range(n_blocks)]
+    hats = [np.full(trials, word_to_int(a), dtype=np.int64) for a in anchors]
+    for j in reversed(range(n_blocks)):
+        if j == 0:
+            ctx_before_0 = ctx_true
+        u_all[:, cols[j]], ctx_true, _ = coupled_run(
+            engine, n_starts[j], ctx_true, hats[j], w[:, cols[j]]
+        )
     r_true = engine.generator_values(ctx_true)
 
-    # Per-block recovery of the truncated generator.
+    # Per-block recovery of the truncated generator: replay blocks
+    # j-1 .. 0 from u (block 0 alone for j = 0), each block's hat chain
+    # regenerated from its anchor.
     rows = []
     for j, delta in enumerate(deltas):
-        if j == 0:
-            # Replay from the true context before the block: exact round trip.
-            seed_ctx = true_before[m[1] - t_min]
-        else:
-            # Replay from block j's hat window [K_j; M_j - 1].
-            seed_ctx = hat_before[m[j] - t_min] & ((1 << L) - 1)
-        ctx_replay = np.array(seed_ctx, dtype=np.int64)
-        start = m[j] if j else m[1]
-        for t in range(start, 1):
-            idx = t - t_min
-            i = int(block_of[idx])
-            depth = m[i] - t
-            lam = engine.orientations(depth, ctx_replay, hat_before[idx])
-            ut = u_all[:, idx]
-            wt = np.where(lam == -1, ut, 1.0 - ut)
-            x = (wt > _step_prob0(kernel, ctx_replay)).astype(np.int64)
-            ctx_replay = (ctx_replay << 1) | x
-        s_j = engine.generator_values(ctx_replay)
+        # Block 0 replays from the true context before it: an exact round
+        # trip.  Block j >= 1 replays from block j-1's anchor word.
+        ctx = ctx_before_0 if j == 0 else hats[j - 1]
+        for i in reversed(range(max(j, 1))):
+            ctx_hat, steps = hats[i], 1 - n_starts[i]
+            for t in range(steps):
+                _, ctx, ctx_hat = engine.step(
+                    steps - t, u_all[:, cols[i].start + t], ctx, ctx_hat,
+                    v_is_u=True,
+                )
+        s_j = engine.generator_values(ctx)
         exceed = np.abs(s_j - r_true) > delta
         freq = float(exceed.mean())
         stderr = float(np.sqrt(freq * (1.0 - freq) / trials))

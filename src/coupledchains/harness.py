@@ -43,7 +43,19 @@ from .reports import emit_csv, emit_pretty
 from .vershik import GeneratorConfig, alpha_sequence, alpha_sequence_mc, alpha_sup_bound
 from .words import parse_word
 
-KINDS = ("gamma", "audit", "reconstruct", "vershik", "extend", "stitch")
+# Every experiment parameter of each kind, with its default.  None marks
+# a default worked out from the kernel (gamma's p_max) or the engine
+# (extend's all-zero anchor).  A key outside its kind's table is a
+# configuration error.
+PARAMS = {
+    "gamma": {"p_max": None, "tail": {"kind": "unknown"}},
+    "audit": {"steps": 100_000},
+    "reconstruct": {"n_list": [-10], "k": 2, "trials": 10_000},
+    "vershik": {"p_max": 8, "depth": 6, "mode": "exact", "trials": 100_000},
+    "extend": {"n": -6, "trials": 100_000, "depth": 6, "anchor": None},
+    "stitch": {"deltas": [0.2, 0.1, 0.05], "trials": 10_000, "depth": 6},
+}
+KINDS = tuple(PARAMS)
 
 
 class ConfigError(ValueError):
@@ -63,6 +75,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
+        unknown = sorted(set(self.params) - set(PARAMS[self.kind]))
+        if unknown:
+            raise ConfigError(
+                f"unknown {self.kind} parameter(s): {', '.join(unknown)}"
+            )
+
+    @property
+    def settings(self) -> dict:
+        """Every parameter of the kind: the config's values over the defaults."""
+        return {**PARAMS[self.kind], **self.params}
 
 
 def load_config(path: str, kind: str, seed_override=None, out_override=None):
@@ -77,8 +99,8 @@ def load_config(path: str, kind: str, seed_override=None, out_override=None):
         raise ConfigError(
             f"{path}: config kind {cfg_kind!r} does not match subcommand {kind!r}"
         )
-    kernel = raw.get("kernel")
-    if not isinstance(kernel, dict):
+    spec = raw.get("kernel")
+    if not isinstance(spec, dict):
         raise ConfigError(f"{path}: missing 'kernel' object")
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
@@ -87,7 +109,7 @@ def load_config(path: str, kind: str, seed_override=None, out_override=None):
     params = {
         k: v for k, v in raw.items() if k not in ("kind", "kernel", "seed", "out")
     }
-    return ExperimentConfig(kind, kernel, int(seed), str(out), params)
+    return ExperimentConfig(kind, spec, int(seed), str(out), params)
 
 
 def build_kernel(spec: dict) -> Kernel:
@@ -118,8 +140,7 @@ def build_kernel(spec: dict) -> Kernel:
     raise ConfigError(f"unknown kernel variant {variant!r}")
 
 
-def _build_tail(params: dict):
-    tail = params.get("tail", {"kind": "unknown"})
+def _build_tail(tail: dict):
     kind = tail.get("kind", "unknown")
     if kind == "eventually-zero":
         return eventually_zero()
@@ -132,22 +153,15 @@ def _build_tail(params: dict):
     raise ConfigError(f"unknown tail kind {kind!r}")
 
 
-def _generator_config(params: dict) -> GeneratorConfig:
-    depth = int(params.get("depth", 6))
-    if depth > 12:
-        raise ConfigError("generator depth capped at 12")
-    return GeneratorConfig(depth)
-
-
 # ---------------------------------------------------------------------------
 # Experiment runners: each returns (header, rows, verdicts)
 
 
 def _run_gamma(kernel, config):
-    p = config.params
-    p_max = int(p.get("p_max", max(kernel.memory, 4)))
+    p = config.settings
+    p_max = int(p["p_max"]) if p["p_max"] is not None else max(kernel.memory, 4)
     prof = gamma_profile(kernel, p_max)
-    report = regime_check(prof, _build_tail(p))
+    report = regime_check(prof, _build_tail(p["tail"]))
     header = ("p", "gamma_p", "certified")
     rows = [(i, g, c) for i, (g, c) in enumerate(zip(prof.values, prof.certified))]
     verdicts = [("regime", report.regime, report.regime != "undetermined")]
@@ -155,8 +169,7 @@ def _run_gamma(kernel, config):
 
 
 def _run_audit(kernel, config):
-    p = config.params
-    steps = int(p.get("steps", 100_000))
+    steps = int(config.settings["steps"])
     sample = simulate_path(kernel, steps, config.seed)
     report = innovation_audit(sample.w)
     header = ("statistic", "value", "threshold", "verdict")
@@ -173,10 +186,10 @@ def _run_audit(kernel, config):
 
 
 def _run_reconstruct(kernel, config):
-    p = config.params
-    n_list = [int(n) for n in p.get("n_list", [-10])]
-    k = int(p.get("k", 2))
-    trials = int(p.get("trials", 10_000))
+    p = config.settings
+    n_list = [int(n) for n in p["n_list"]]
+    k = int(p["k"])
+    trials = int(p["trials"])
     header = ("N", "K", "trials", "freq", "stderr", "dp_bound", "verdict")
     rows, verdicts = [], []
     for n in n_list:
@@ -188,37 +201,35 @@ def _run_reconstruct(kernel, config):
 
 
 def _run_vershik(kernel, config):
-    p = config.params
-    p_max = int(p.get("p_max", 8))
-    gen = _generator_config(p)
-    mode = p.get("mode", "exact")
+    p = config.settings
+    p_max = int(p["p_max"])
+    gen = GeneratorConfig(int(p["depth"]))
+    mode = p["mode"]
     if mode == "exact":
         seq = alpha_sequence(kernel, p_max, gen)
     elif mode == "monte-carlo":
-        seq = alpha_sequence_mc(
-            kernel, p_max, int(p.get("trials", 100_000)), config.seed, gen
-        )
+        seq = alpha_sequence_mc(kernel, p_max, int(p["trials"]), config.seed, gen)
     else:
         raise ConfigError(f"unknown vershik mode {mode!r}")
     header = ("p", "alpha", "mode", "stderr", "bound")
     rows = []
     for i, a in enumerate(seq.values):
         stderr = seq.stderr[i] if seq.stderr else ""
-        bound = alpha_sup_bound(gen, i) if isinstance(kernel, IIDKernel) else ""
+        bound = alpha_sup_bound(gen, i) if kernel.memory == 0 else ""
         rows.append((i, a, seq.mode, stderr, bound))
     decayed = seq.values[-1] <= seq.values[0] or len(seq.values) == 1
-    verdicts = [("alpha_decay", "ok" if decayed else "flat", True)]
+    verdicts = [("alpha_decay", "ok" if decayed else "flat", decayed)]
     return header, rows, verdicts
 
 
 def _run_extend(kernel, config):
-    p = config.params
-    n = int(p.get("n", -6))
-    trials = int(p.get("trials", 100_000))
-    gen = _generator_config(p)
+    p = config.settings
+    n = int(p["n"])
+    trials = int(p["trials"])
+    gen = GeneratorConfig(int(p["depth"]))
     engine = CouplingEngine.build(kernel, -n + 1, gen)
     anchor = (
-        parse_word(p["anchor"]) if "anchor" in p
+        parse_word(p["anchor"]) if p["anchor"] is not None
         else tuple([0] * engine.length)
     )
     r = generator_error_check(engine, n, anchor, trials, config.seed)
@@ -231,10 +242,10 @@ def _run_extend(kernel, config):
 
 
 def _run_stitch(kernel, config):
-    p = config.params
-    deltas = tuple(float(d) for d in p.get("deltas", (0.2, 0.1, 0.05)))
-    trials = int(p.get("trials", 10_000))
-    gen = _generator_config(p)
+    p = config.settings
+    deltas = tuple(float(d) for d in p["deltas"])
+    trials = int(p["trials"])
+    gen = GeneratorConfig(int(p["depth"]))
     report = stitch_blocks(kernel, deltas, trials, config.seed, gen)
     header = ("j", "N_j", "M_j", "K_j", "delta_j", "alpha_used", "anchor",
               "exceed_freq", "stderr", "verdict")
@@ -261,8 +272,9 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config: ExperimentConfig) -> int:
-    """Run one experiment: write CSV + manifest, return the exit code."""
+def run_experiment(config: ExperimentConfig) -> tuple[int, tuple, list]:
+    """Run one experiment and write CSV + manifest; return the exit code
+    together with the header and rows written."""
     kernel = build_kernel(config.kernel)
     header, rows, verdicts = _RUNNERS[config.kind](kernel, config)
     out_dir = Path(config.out)
@@ -287,8 +299,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     failed = [name for name, _, ok in verdicts if not ok]
     if failed:
         print(f"verdict failure: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+        return 1, header, rows
+    return 0, header, rows
 
 
 def main(argv=None) -> int:
@@ -308,10 +320,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, args.command, args.seed, args.out)
-        kernel = build_kernel(config.kernel)  # validate before any output
-        code = run_experiment(config)
+        code, header, rows = run_experiment(config)
         if args.pretty:
-            header, rows, _ = _RUNNERS[config.kind](kernel, config)
             print(emit_pretty(header, rows), end="")
         return code
     except (ConfigError, CapExceededError, ValueError) as exc:

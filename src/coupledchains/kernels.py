@@ -1,19 +1,22 @@
 """Process kernels: conditional laws, memory-decay coefficients, lower
 envelopes, regime classification and exact stationary word laws.
 
-Every kernel here has finite effective memory ``m``: the conditional
-probability of the next symbol depends only on the last ``m`` symbols of
-the past (older symbols are zero-padded away).  All "exact" quantities
-are computed by exhaustive enumeration over the 2^m relevant contexts.
+Every kernel is one :class:`Kernel` of finite memory ``m``: the
+conditional probability of the next symbol depends only on the last ``m``
+symbols of the past (older symbols are zero-padded away), and is held
+exactly, as a rational table over the 2^m contexts.  A truncated
+long-memory kernel is such an order-m chain like any other.  All "exact"
+quantities are computed by exhaustive enumeration over those contexts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -32,134 +35,127 @@ class CapExceededError(ValueError):
 
 
 @dataclass(frozen=True)
-class IIDKernel:
-    """Context-free kernel: P(0 | anything) = p0."""
+class Kernel:
+    """Binary kernel of finite memory m: P(0 | past) depends only on the
+    last m symbols of the past.
 
-    p0: float
+    The exact table is ``numerators[c] / denominator`` = P(0 | context
+    with integer code c), over all 2^m codes; :attr:`prob0_table` is its
+    float view.  ``label`` names the kernel in every random stream
+    derived for it.  Build kernels with :func:`IIDKernel`,
+    :func:`MarkovKernel` or :func:`LongMemoryKernel`.
+    """
 
-    def __post_init__(self):
-        if not 0.0 < self.p0 < 1.0:
-            raise ValueError(f"p0 must lie strictly in (0,1), got {self.p0}")
-
-    @property
-    def memory(self) -> int:
-        return 0
-
-    @property
-    def label(self) -> str:
-        return f"iid(p0={self.p0})"
+    memory: int
+    label: str
+    numerators: tuple[int, ...]
+    denominator: int
 
     @cached_property
     def prob0_table(self) -> np.ndarray:
-        table = np.array([self.p0])
+        """P(0 | context) as floats, each exact entry rounded once."""
+        d = self.denominator
+        table = np.array([n / d for n in self.numerators])
         table.flags.writeable = False
         return table
 
+    def prob0_over(self, length: int) -> np.ndarray:
+        """P(0 | context) for every `length`-bit context code; bits
+        beyond the memory do not matter."""
+        return self.prob0_table[np.arange(1 << length) & ((1 << self.memory) - 1)]
 
-@dataclass(frozen=True)
-class MarkovKernel:
+
+def _as_fraction(x: float) -> Fraction:
+    """Exact rational for a float parameter, interpreted as the decimal
+    number it prints as (str gives the shortest round-trip repr, so a
+    parameter written as 0.7 means 7/10, not its binary neighbour)."""
+    return Fraction(Decimal(str(x)))
+
+
+def _over_common_denominator(terms: list[Fraction]) -> tuple[list[int], int]:
+    d = math.lcm(*(f.denominator for f in terms))
+    return [f.numerator * (d // f.denominator) for f in terms], d
+
+
+def IIDKernel(p0: float) -> Kernel:
+    """Context-free kernel: P(0 | anything) = p0."""
+    if not 0.0 < p0 < 1.0:
+        raise ValueError(f"p0 must lie strictly in (0,1), got {p0}")
+    f = _as_fraction(float(p0))
+    return Kernel(0, f"iid(p0={p0})", (f.numerator,), f.denominator)
+
+
+def MarkovKernel(order: int, probs: tuple[float, ...]) -> Kernel:
     """Order-k kernel given by the full table of P(0 | last k symbols).
 
     ``probs[c]`` is P(0 | context with integer code c); use
-    :meth:`from_table` to build one from words.
+    ``MarkovKernel.from_table`` to build one from words.
     """
-
-    order: int
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("markov order must be >= 1")
-        if self.order > MAX_MARKOV_ORDER:
-            raise CapExceededError(
-                f"markov order {self.order} exceeds cap {MAX_MARKOV_ORDER}"
-            )
-        if len(self.probs) != 1 << self.order:
-            raise ValueError(
-                f"need {1 << self.order} entries for order {self.order}, "
-                f"got {len(self.probs)}"
-            )
-        for p in self.probs:
-            if not 0.0 < p < 1.0:
-                raise ValueError(f"conditional probability {p} not in (0,1)")
-
-    @classmethod
-    def from_table(cls, order: int, table: Mapping) -> "MarkovKernel":
-        probs = [None] * (1 << order)
-        for key, p in table.items():
-            word = as_word(key) if not isinstance(key, str) else as_word(
-                int(c) for c in key
-            )
-            if len(word) != order:
-                raise ValueError(f"context {word!r} does not have length {order}")
-            probs[word_to_int(word)] = float(p)
-        if any(p is None for p in probs):
-            raise ValueError("markov table must cover every length-k context")
-        return cls(order, tuple(probs))
-
-    @property
-    def memory(self) -> int:
-        return self.order
-
-    @property
-    def label(self) -> str:
-        return f"markov(order={self.order})"
-
-    @cached_property
-    def prob0_table(self) -> np.ndarray:
-        table = np.array(self.probs)
-        table.flags.writeable = False
-        return table
+    if order < 1:
+        raise ValueError("markov order must be >= 1")
+    if order > MAX_MARKOV_ORDER:
+        raise CapExceededError(f"markov order {order} exceeds cap {MAX_MARKOV_ORDER}")
+    if len(probs) != 1 << order:
+        raise ValueError(
+            f"need {1 << order} entries for order {order}, got {len(probs)}"
+        )
+    for p in probs:
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"conditional probability {p} not in (0,1)")
+    nums, d = _over_common_denominator([_as_fraction(float(p)) for p in probs])
+    return Kernel(order, f"markov(order={order})", tuple(nums), d)
 
 
-@dataclass(frozen=True)
-class LongMemoryKernel:
+def _markov_from_table(order: int, table: Mapping) -> Kernel:
+    """Order-k kernel from a mapping of every length-k context (a word,
+    or a 0/1 string written oldest symbol first) to P(0 | context)."""
+    probs = [None] * (1 << order)
+    for key, p in table.items():
+        word = as_word(key) if not isinstance(key, str) else as_word(
+            int(c) for c in key
+        )
+        if len(word) != order:
+            raise ValueError(f"context {word!r} does not have length {order}")
+        probs[word_to_int(word)] = float(p)
+    if any(p is None for p in probs):
+        raise ValueError("markov table must cover every length-k context")
+    return MarkovKernel(order, tuple(probs))
+
+
+MarkovKernel.from_table = _markov_from_table
+
+
+def LongMemoryKernel(c: float, weights: tuple[float, ...]) -> Kernel:
     """Additive long-memory kernel, truncated at depth len(weights):
 
         P(0 | past) = c + sum_p weights[p-1] * 1(x_{-p} = 0),
 
     with symbols beyond the truncation depth (and beyond the available
     context) zero-padded, hence counted as 0.  The truncated object *is*
-    the kernel; there is no hidden infinite tail.
+    the kernel, an ordinary chain of order len(weights); there is no
+    hidden infinite tail.
     """
-
-    c: float
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(t) for t in self.weights))
-        if len(self.weights) > MAX_MEMORY_DEPTH:
-            raise CapExceededError(
-                f"truncation depth {len(self.weights)} exceeds cap {MAX_MEMORY_DEPTH}"
-            )
-        if self.c <= 0.0:
-            raise ValueError("base probability c must be positive")
-        if any(t < 0.0 for t in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if self.c + sum(self.weights) >= 1.0:
-            raise ValueError("c + sum(weights) must stay below 1")
-
-    @property
-    def memory(self) -> int:
-        return len(self.weights)
-
-    @property
-    def label(self) -> str:
-        return f"long_memory(c={self.c}, depth={len(self.weights)})"
-
-    @cached_property
-    def prob0_table(self) -> np.ndarray:
-        m = self.memory
-        ctx = np.arange(1 << m)
-        table = np.full(1 << m, self.c)
-        for p in range(1, m + 1):
-            bit = (ctx >> (p - 1)) & 1
-            table += self.weights[p - 1] * (1 - bit)
-        table.flags.writeable = False
-        return table
-
-
-Kernel = Union[IIDKernel, MarkovKernel, LongMemoryKernel]
+    weights = tuple(float(t) for t in weights)
+    if len(weights) > MAX_MEMORY_DEPTH:
+        raise CapExceededError(
+            f"truncation depth {len(weights)} exceeds cap {MAX_MEMORY_DEPTH}"
+        )
+    if c <= 0.0:
+        raise ValueError("base probability c must be positive")
+    if any(t < 0.0 for t in weights):
+        raise ValueError("weights must be nonnegative")
+    if c + sum(weights) >= 1.0:
+        raise ValueError("c + sum(weights) must stay below 1")
+    (base, *lags), d = _over_common_denominator(
+        [_as_fraction(c)] + [_as_fraction(t) for t in weights]
+    )
+    # After lag p the table covers all p-bit codes; the half with bit p-1
+    # clear (symbol 0 at lag p) gains that lag's weight.
+    nums = [base]
+    for weight in lags:
+        nums = [n + weight for n in nums] + nums
+    return Kernel(len(weights), f"long_memory(c={c}, depth={len(weights)})",
+                  tuple(nums), d)
 
 
 def min_prob(kernel: Kernel) -> float:
@@ -180,9 +176,7 @@ def conditional_prob(kernel: Kernel, context: Iterable[int]) -> float:
     """P(0 | context).  Shorter contexts are zero-padded on the left, so
     every context (including the empty one) is admissible."""
     ctx = word_to_int(context)
-    m = kernel.memory
-    mask = (1 << m) - 1 if m else 0
-    return float(kernel.prob0_table[ctx & mask])
+    return float(kernel.prob0_table[ctx & ((1 << kernel.memory) - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -211,26 +205,9 @@ class GammaProfile:
         return self.values[p] if p < len(self.values) else 0.0
 
 
-def _as_fraction(x: float) -> Fraction:
-    """Exact rational for a float parameter, interpreted as the decimal
-    number it prints as (str gives the shortest round-trip repr, so a
-    parameter written as 0.7 means 7/10, not its binary neighbour)."""
-    return Fraction(Decimal(str(x)))
-
-
 def prob0_fractions(kernel: Kernel) -> list[Fraction]:
     """The conditional-probability table as exact rationals."""
-    if isinstance(kernel, LongMemoryKernel):
-        m = kernel.memory
-        out = []
-        for ctx in range(1 << m):
-            f = _as_fraction(kernel.c)
-            for p in range(1, m + 1):
-                if not (ctx >> (p - 1)) & 1:
-                    f += _as_fraction(kernel.weights[p - 1])
-            out.append(f)
-        return out
-    return [_as_fraction(p) for p in kernel.prob0_table.tolist()]
+    return [Fraction(n, kernel.denominator) for n in kernel.numerators]
 
 
 def gamma_profile(kernel: Kernel, p_max: int) -> GammaProfile:
@@ -243,8 +220,9 @@ def gamma_profile(kernel: Kernel, p_max: int) -> GammaProfile:
     m = kernel.memory
     if m > MAX_MEMORY_DEPTH:
         raise CapExceededError(f"memory {m} exceeds cap {MAX_MEMORY_DEPTH}")
-    p0 = prob0_fractions(kernel)
-    p1 = [1 - f for f in p0]
+    # Ratios of exact probabilities are ratios of their numerators.
+    p0 = kernel.numerators
+    p1 = [kernel.denominator - n for n in p0]
     values = []
     for p in range(p_max + 1):
         if p >= m:
@@ -255,7 +233,7 @@ def gamma_profile(kernel: Kernel, p_max: int) -> GammaProfile:
         for probs in (p0, p1):
             for residue in range(1 << p):
                 group = probs[residue :: 1 << p]
-                worst = min(worst, min(group) / max(group))
+                worst = min(worst, Fraction(min(group), max(group)))
         values.append(float(1 - worst))
     return GammaProfile(tuple(values), ("exact",) * (p_max + 1))
 
@@ -269,7 +247,7 @@ def lower_envelope(kernel: Kernel, i: int, z: Iterable[int]) -> float:
     m = kernel.memory
     table = kernel.prob0_table if i == 0 else 1.0 - kernel.prob0_table
     if p >= m:
-        return float(table[word_to_int(z) & ((1 << m) - 1 if m else 0)])
+        return float(table[word_to_int(z) & ((1 << m) - 1)])
     zint = word_to_int(z)
     free = np.arange(1 << (m - p))
     return float(table[(free << p) | zint].min())
@@ -369,30 +347,20 @@ def regime_check(
 
 
 # ---------------------------------------------------------------------------
-# Stationary word laws (iid / markov only)
-
-
-def _require_enumerable(kernel: Kernel) -> None:
-    if isinstance(kernel, LongMemoryKernel):
-        raise ValueError(
-            "stationary word law is exact only for iid/markov kernels; "
-            "use burn-in initialization for long-memory kernels"
-        )
+# Stationary word laws
 
 
 def stationary_ctx_vector(kernel: Kernel, length: int) -> np.ndarray:
     """Exact stationary distribution over integer-coded words of the
     given length, by power iteration on the word shift chain."""
-    _require_enumerable(kernel)
     if length > MAX_WORD_LENGTH:
         raise CapExceededError(f"word length {length} exceeds cap {MAX_WORD_LENGTH}")
     m = kernel.memory
     s = max(m, length, 1)
     size = 1 << s
     mask = size - 1
-    kmask = (1 << m) - 1 if m else 0
     idx = np.arange(size)
-    p0 = kernel.prob0_table[idx & kmask]
+    p0 = kernel.prob0_over(s)
     next0 = ((idx << 1) & mask)
     next1 = next0 | 1
     pi = np.full(size, 1.0 / size)

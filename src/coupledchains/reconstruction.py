@@ -2,10 +2,15 @@
 the renewal (reset-chain) bound on reconstruction error.
 
 A stationary path is carried as a numpy int array together with the
-innovation stream that generated it.  Reconstruction replays the
-innovations through the decoder starting from an all-zero prehistory;
-the renewal bound controls how far back the replay must start for the
-final window to agree with the truth.
+innovation stream that generated it; it starts from a context drawn from
+the exact stationary law.  Reconstruction replays the innovations
+through the decoder starting from an all-zero prehistory; the renewal
+bound controls how far back the replay must start for the final window
+to agree with the truth.
+
+Two stepping primitives serve every chain in the package: the serial
+:func:`advance` along one path, and :func:`coupled_step`, one step of a
+true chain and a companion chain across trials.
 """
 
 from __future__ import annotations
@@ -18,14 +23,11 @@ from .innovation import encode_w
 from .kernels import (
     CapExceededError,
     Kernel,
-    LongMemoryKernel,
     MAX_WORD_LENGTH,
     gamma_profile,
     stationary_ctx_vector,
 )
 from .rng import stream_rng
-
-_BURN_IN = 4096
 
 
 @dataclass(frozen=True)
@@ -38,21 +40,61 @@ class PathSample:
     init_ctx: int  # integer-coded context preceding x[0]
 
 
-def _init_context(kernel: Kernel, rng: np.random.Generator) -> int:
-    """Draw a stationary starting context (burn-in for long-memory)."""
+def _stationary_start(kernel: Kernel, rng: np.random.Generator, size=None):
+    """Contexts of the last m symbols drawn from the exact stationary
+    law (one, or an array of `size`); memoryless kernels draw nothing."""
     m = kernel.memory
     if m == 0:
-        return 0
-    if isinstance(kernel, LongMemoryKernel):
-        table = kernel.prob0_table
-        mask = (1 << m) - 1
-        ctx = 0
-        for u in rng.random(_BURN_IN):
-            x = 1 if u > table[ctx] else 0
-            ctx = ((ctx << 1) | x) & mask
-        return ctx
+        return 0 if size is None else np.zeros(size, dtype=np.int64)
     pi = stationary_ctx_vector(kernel, m)
-    return int(rng.choice(pi.size, p=pi))
+    return rng.choice(pi.size, p=pi, size=size)
+
+
+def advance(kernel: Kernel, ctx: int, u) -> tuple[np.ndarray, np.ndarray]:
+    """Run the chain serially from context `ctx`: symbol t is
+    1(u[t] > f_t) with f_t = P(0 | past), and is then shifted into the
+    past.  Returns the symbols and the f_t used."""
+    table = kernel.prob0_table.tolist()
+    mask = len(table) - 1
+    ctx &= mask
+    u = np.ascontiguousarray(u, dtype=float)
+    x = np.empty(u.size, dtype=np.int64)
+    f = np.empty(u.size)
+    # A memoryview yields plain floats one at a time: fast to compare,
+    # and no list of the whole stream is held.
+    for t, ut in enumerate(memoryview(u)):
+        ft = table[ctx]
+        xt = ut > ft
+        x[t] = xt
+        f[t] = ft
+        ctx = ((ctx << 1) | xt) & mask
+    return x, f
+
+
+def coupled_step(table: np.ndarray, ctx_true, ctx_hat, v, lam=None,
+                 v_is_u: bool = False):
+    """One step of a true chain and a companion (hat) chain sharing one
+    uniform per trial, vectorized over trials.
+
+    ``table[c]`` is P(0 | c) for every context code c the chains carry
+    (see :meth:`Kernel.prob0_over`); contexts lie in [0, len(table)) and
+    stay there.  The true chain thresholds w and the hat chain u, each
+    against its own context, where u = w for orientation lam = -1 and
+    u = 1 - w for lam = +1; without `lam`, u = w (plain replay on shared
+    innovations).  `v` is w, or u when `v_is_u` (the flip is its own
+    inverse).  Returns (the other uniform, new true contexts, new hat
+    contexts).
+    """
+    other = v if lam is None else np.where(lam == -1, v, 1.0 - v)
+    w, u = (other, v) if v_is_u else (v, other)
+    mask = table.size - 1
+    new_true = ctx_true << 1
+    new_true |= w > table[ctx_true]
+    new_true &= mask
+    new_hat = ctx_hat << 1
+    new_hat |= u > table[ctx_hat]
+    new_hat &= mask
+    return other, new_true, new_hat
 
 
 def simulate_path(kernel: Kernel, steps: int, seed: int) -> PathSample:
@@ -64,39 +106,17 @@ def simulate_path(kernel: Kernel, steps: int, seed: int) -> PathSample:
     (path, auxiliary randomness), not uniforms drawn directly.
     """
     rng = stream_rng(seed, "simulate", kernel.label)
-    init_ctx = _init_context(kernel, rng)
-    m = kernel.memory
-    mask = (1 << m) - 1 if m else 0
-    table = kernel.prob0_table
+    init_ctx = int(_stationary_start(kernel, rng))
     u = rng.random(steps)
     v = rng.random(steps)
-    x = np.empty(steps, dtype=np.int64)
-    f = np.empty(steps)
-    ctx = init_ctx
-    for t in range(steps):
-        ft = table[ctx & mask] if m else table[0]
-        xt = 1 if u[t] > ft else 0
-        x[t] = xt
-        f[t] = ft
-        ctx = ((ctx << 1) | xt) & mask
-    w = encode_w(x, v, f)
-    return PathSample(x=x, w=w, f=f, init_ctx=init_ctx)
+    x, f = advance(kernel, init_ctx, u)
+    return PathSample(x=x, w=encode_w(x, v, f), f=f, init_ctx=init_ctx)
 
 
 def window_reconstruct(kernel: Kernel, w: np.ndarray, start_ctx: int = 0) -> np.ndarray:
     """Replay innovations through the decoder from the given context
     (default: all-zero prehistory), returning the reconstructed symbols."""
-    m = kernel.memory
-    mask = (1 << m) - 1 if m else 0
-    table = kernel.prob0_table
-    x = np.empty(len(w), dtype=np.int64)
-    ctx = start_ctx & mask if m else 0
-    for t, wt in enumerate(np.asarray(w, dtype=float)):
-        ft = table[ctx & mask] if m else table[0]
-        xt = 1 if wt > ft else 0
-        x[t] = xt
-        ctx = ((ctx << 1) | xt) & mask
-    return x
+    return advance(kernel, start_ctx, w)[0]
 
 
 def agreement_length(x: np.ndarray, xhat: np.ndarray) -> int:
@@ -191,36 +211,12 @@ def _coupled_replay_words(
     contexts (true, replay)."""
     steps = -n_start + 1
     rng = stream_rng(seed, "replay", kernel.label, f"N{n_start}")
-    m = kernel.memory
-    mask = (1 << m) - 1 if m else 0
-    table = kernel.prob0_table
-
-    # Stationary initial contexts for the true chain.
-    if isinstance(kernel, LongMemoryKernel):
-        ctx_true = np.array(
-            [
-                _init_context(kernel, stream_rng(seed, "init", str(t)))
-                for t in range(trials)
-            ],
-            dtype=np.int64,
-        )
-    elif m:
-        pi = stationary_ctx_vector(kernel, m)
-        ctx_true = np.array(rng.choice(pi.size, p=pi, size=trials), dtype=np.int64)
-    else:
-        ctx_true = np.zeros(trials, dtype=np.int64)
+    ctx_true = np.asarray(_stationary_start(kernel, rng, trials), dtype=np.int64)
     ctx_hat = np.zeros(trials, dtype=np.int64)
-
     w = rng.random((trials, steps))
-    keep = (1 << keep_bits) - 1
+    table = kernel.prob0_over(keep_bits)
     for t in range(steps):
-        wt = w[:, t]
-        f_true = table[ctx_true & mask] if m else np.full(trials, table[0])
-        f_hat = table[ctx_hat & mask] if m else f_true
-        x_true = (wt > f_true).astype(np.int64)
-        x_hat = (wt > f_hat).astype(np.int64)
-        ctx_true = ((ctx_true << 1) | x_true) & keep
-        ctx_hat = ((ctx_hat << 1) | x_hat) & keep
+        _, ctx_true, ctx_hat = coupled_step(table, ctx_true, ctx_hat, w[:, t])
     return ctx_true, ctx_hat
 
 

@@ -39,10 +39,3 @@ def emit_pretty(header: Sequence[str], rows: Iterable[Sequence]) -> str:
             out.append("  ".join("-" * w for w in widths))
     return "\n".join(out) + "\n"
 
-
-def emit_report(header: Sequence[str], rows: Iterable[Sequence], format: str) -> str:
-    if format == "csv":
-        return emit_csv(header, rows)
-    if format == "pretty":
-        return emit_pretty(header, rows)
-    raise ValueError(f"unknown report format {format!r}")

@@ -181,8 +181,6 @@ def rho_step(kernel: Kernel, table: MetricTable) -> MetricTable:
         raise ValueError("table length must cover the kernel memory")
     size = 1 << length
     mask = size - 1
-    kmask = (1 << kernel.memory) - 1 if kernel.memory else 0
-    p0 = kernel.prob0_table
     idx = np.arange(size)
     succ0 = (idx << 1) & mask
     succ1 = succ0 | 1
@@ -192,7 +190,7 @@ def rho_step(kernel: Kernel, table: MetricTable) -> MetricTable:
     c01 = old[np.ix_(succ0, succ1)]
     c10 = old[np.ix_(succ1, succ0)]
     c11 = old[np.ix_(succ1, succ1)]
-    f = p0[idx & kmask] if kernel.memory else np.full(size, p0[0])
+    f = kernel.prob0_over(length)
     fu = f[:, None]
     gv = f[None, :]
 

@@ -55,7 +55,8 @@ def test_u_step_validates():
 
 
 def test_round_trip_reconstruction():
-    engine = make_engine(MARKOV1)
+    # Depth 7 gives contexts of L = 8 bits, enough for the whole window.
+    engine = make_engine(MARKOV1, depth=7)
     rng = stream_rng(31, "t")
     trials, n = 50, -7
     ctx_true = rng.choice(engine.pi.size, p=engine.pi, size=trials)
@@ -68,6 +69,16 @@ def test_round_trip_reconstruction():
     for t in range(steps):
         assert np.array_equal(x[:, t], (end_true >> (steps - 1 - t)) & 1)
         assert np.array_equal(xhat[:, t], (end_hat >> (steps - 1 - t)) & 1)
+
+
+def test_coupled_run_contexts_stay_within_table_width():
+    engine = make_engine(MARKOV1).extend(101)
+    trials, steps = 200, 100
+    w = stream_rng(32, "width").random((trials, steps))
+    zeros = np.zeros(trials, dtype=np.int64)
+    _, end_true, end_hat = coupled_run(engine, -(steps - 1), zeros, zeros, w)
+    for ctx in (end_true, end_hat):
+        assert ctx.min() >= 0 and ctx.max() < 1 << engine.length
 
 
 def test_iid_orientation_all_monotone():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from coupledchains import harness
 from coupledchains.harness import (
     ConfigError,
     ExperimentConfig,
@@ -10,8 +11,8 @@ from coupledchains.harness import (
     main,
     run_experiment,
 )
-from coupledchains.kernels import IIDKernel, LongMemoryKernel, MarkovKernel
 from coupledchains.reports import emit_csv, emit_pretty
+from coupledchains.vershik import AlphaSequence
 
 
 def write_config(tmp_path, name, payload):
@@ -34,14 +35,17 @@ GAMMA_CFG = {
 
 
 def test_build_kernels():
-    assert isinstance(build_kernel({"variant": "iid", "p0": 0.5}), IIDKernel)
+    iid = build_kernel({"variant": "iid", "p0": 0.5})
+    assert (iid.memory, iid.label) == (0, "iid(p0=0.5)")
+    assert iid.prob0_table.tolist() == [0.5]
     mk = build_kernel(
         {"variant": "markov", "order": 1, "table": {"0": 0.7, "1": 0.4}}
     )
-    assert isinstance(mk, MarkovKernel)
-    assert mk.probs == (0.7, 0.4)
+    assert (mk.memory, mk.label) == (1, "markov(order=1)")
+    assert mk.prob0_table.tolist() == [0.7, 0.4]
     lm = build_kernel({"variant": "long_memory", "c": 0.3, "weights": [0.2, 0.1]})
-    assert isinstance(lm, LongMemoryKernel)
+    assert (lm.memory, lm.label) == (2, "long_memory(c=0.3, depth=2)")
+    assert lm.prob0_table.tolist() == [0.6, 0.4, 0.5, 0.3]
 
 
 def test_build_kernel_rejects_unknown():
@@ -108,7 +112,7 @@ def test_gamma_run_writes_outputs(tmp_path):
         "gamma", GAMMA_CFG["kernel"], 11, str(tmp_path),
         {"p_max": 3, "tail": {"kind": "eventually-zero"}},
     )
-    assert run_experiment(cfg) == 0
+    assert run_experiment(cfg)[0] == 0
     csv = (tmp_path / "gamma.csv").read_text()
     assert csv.splitlines()[0] == "p,gamma_p,certified"
     assert csv.splitlines()[1] == "0,0.5,exact"
@@ -175,3 +179,76 @@ def test_cli_csv_headers(tmp_path):
         out = tmp_path / f"out_{kind}"
         assert main([kind, "--config", path, "--out", str(out)]) == 0
         assert (out / f"{kind}.csv").read_text().splitlines()[0] == header
+
+
+def test_cli_rejects_unknown_parameter(tmp_path):
+    cfg = {
+        "kind": "reconstruct",
+        "kernel": {"variant": "builtin", "name": "markov1-demo"},
+        "seed": 5,
+        "trails": 50,
+    }
+    path = write_config(tmp_path, "typo.json", cfg)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(ConfigError):
+        ExperimentConfig("reconstruct", cfg["kernel"], 5, params={"trails": 50})
+
+
+def test_alpha_decay_verdict_can_fail(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        harness, "alpha_sequence",
+        lambda kernel, p_max, config: AlphaSequence((0.1, 0.2, 0.3), "exact"),
+    )
+    cfg = {
+        "kind": "vershik",
+        "kernel": {"variant": "builtin", "name": "markov1-demo"},
+        "seed": 3,
+        "p_max": 2,
+        "depth": 4,
+    }
+    path = write_config(tmp_path, "v.json", cfg)
+    out = tmp_path / "out"
+    assert main(["vershik", "--config", path, "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verdicts"] == [
+        {"check": "alpha_decay", "passed": False, "result": "flat"}
+    ]
+
+
+def test_cli_pretty_runs_experiment_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    runner = harness._RUNNERS["gamma"]
+
+    def counting(kernel, config):
+        calls.append(config.kind)
+        return runner(kernel, config)
+
+    monkeypatch.setitem(harness._RUNNERS, "gamma", counting)
+    path = write_config(tmp_path, "g.json", GAMMA_CFG)
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", path, "--out", str(out), "--pretty"]) == 0
+    assert calls == ["gamma"]
+    assert capsys.readouterr().out.splitlines()[0].split() == [
+        "p", "gamma_p", "certified"
+    ]
+
+
+def test_cli_long_memory_needs_stationary_law(tmp_path):
+    # vershik and extend integrate against the exact stationary law,
+    # which a truncated long-memory kernel has like any finite-order chain.
+    cases = {
+        "vershik": {"p_max": 4, "depth": 4},
+        "extend": {"n": -4, "trials": 2000, "depth": 4},
+    }
+    for kind, params in cases.items():
+        cfg = {
+            "kind": kind,
+            "kernel": {"variant": "builtin", "name": "long-memory-demo"},
+            "seed": 13,
+            **params,
+        }
+        path = write_config(tmp_path, f"{kind}.json", cfg)
+        out = tmp_path / f"out_{kind}"
+        assert main([kind, "--config", path, "--out", str(out)]) == 0

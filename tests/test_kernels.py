@@ -52,6 +52,21 @@ def test_long_memory_table():
     assert conditional_prob(LONGMEM, (1, 1)) == pytest.approx(0.3)
 
 
+def test_long_memory_table_exact():
+    # Oracle: the defining sum in exact rationals, context by context;
+    # the float view rounds each exact entry once.
+    c, weights = 0.25, (0.08, 0.06, 0.05, 0.015, 0.005)
+    kernel = LongMemoryKernel(c, weights)
+    exact = [
+        Fraction(str(c)) + sum(
+            Fraction(str(t)) for p, t in enumerate(weights) if not (ctx >> p) & 1
+        )
+        for ctx in range(1 << len(weights))
+    ]
+    assert prob0_fractions(kernel) == exact
+    assert kernel.prob0_table.tolist() == [float(f) for f in exact]
+
+
 def test_iid_ignores_context():
     assert conditional_prob(IID, ()) == 0.5
     assert conditional_prob(IID, (1, 0, 1)) == 0.5
@@ -230,9 +245,12 @@ def test_stationary_iid():
     assert np.allclose(pi, 1 / 8, atol=1e-12)
 
 
-def test_stationary_rejects_long_memory():
-    with pytest.raises(ValueError):
-        stationary_ctx_vector(LONGMEM, 2)
+def test_stationary_long_memory_exact():
+    # A truncated long-memory kernel is an ordinary order-m chain.
+    pi = stationary_ctx_vector(LONGMEM, 2)
+    assert np.allclose(pi, _stationary_oracle(LONGMEM, 2), atol=1e-12)
+    # Taking expectations of c + sum_p w_p 1(X_{-p} = 0): pi0 = c / (1 - W).
+    assert float(pi @ LONGMEM.prob0_table) == pytest.approx(3 / 7, abs=1e-12)
 
 
 def test_prob0_fractions_decimal_interpretation():
