@@ -39,6 +39,9 @@ from .vershik import (
 from .words import Word, as_word, int_to_word, word_to_int
 
 
+_MAX_BLOCK_DEPTH = 200
+
+
 class AnchorSelectionError(RuntimeError):
     """No candidate anchor meets the requested integral bound."""
 
@@ -364,26 +367,17 @@ def generator_error_check(
 
 
 def choose_anchor(
-    engine: CouplingEngine,
-    n_start: int,
-    delta: float,
-    candidates: int | None = None,
+    engine: CouplingEngine, n_start: int, delta: float
 ) -> tuple[Word, float]:
     """Argmin anchor for the exact generator-gap integral over [n_start; 0].
 
-    All 2^L words are scanned (L is capped small); `candidates` may
-    restrict the scan to the highest-probability words.  Raises
-    AnchorSelectionError when no candidate achieves the bound."""
+    All 2^L words are scanned (L is capped small); ties go to the
+    smallest word code.  Raises AnchorSelectionError when no anchor
+    achieves the bound."""
     p = -n_start + 1
     engine = engine.extend(p)
     integrals = engine.anchor_integrals(p)
-    order = np.argsort(integrals, kind="stable")
-    if candidates is not None:
-        by_mass = np.argsort(-engine.pi, kind="stable")[:candidates]
-        allowed = np.zeros(integrals.size, dtype=bool)
-        allowed[by_mass] = True
-        order = [v for v in order if allowed[v]]
-    best = int(order[0])
+    best = int(np.argmin(integrals))
     value = float(integrals[best])
     if value >= delta:
         raise AnchorSelectionError(
@@ -422,9 +416,7 @@ class StitchReport:
         return all(r.verdict == "ok" for r in self.rows) and self.audit.passed
 
 
-def _plan_block(
-    engine: CouplingEngine, threshold: float, p_min: int, p_cap: int = 200
-):
+def _plan_block(engine: CouplingEngine, threshold: float, p_min: int):
     """Smallest window depth p >= p_min with alpha_p below the threshold
     and a feasible anchor; returns (engine, p, alpha_p, anchor, value)."""
     p = p_min
@@ -438,10 +430,10 @@ def _plan_block(
             except AnchorSelectionError:
                 pass
         p += 1
-        if p > p_cap:
+        if p > _MAX_BLOCK_DEPTH:
             raise RuntimeError(
                 f"coupling-distance threshold {threshold:.3g} not reached "
-                f"within depth {p_cap}; need deeper metric tables"
+                f"within depth {_MAX_BLOCK_DEPTH}; need deeper metric tables"
             )
 
 

@@ -3,7 +3,8 @@ CSV + manifest emission.
 
 One subcommand per experiment kind (gamma, audit, reconstruct, vershik,
 extend, stitch); flags --config PATH, --seed N (overrides the config),
---out DIR.  Exit codes: 0 success, 1 verdict failure, 2 config error.
+--out DIR.  Exit codes: 0 success, 1 verdict failure, 2 config error,
+3 internal error (with a traceback).
 The environment variable COUPLEDCHAINS_MAX_THREADS caps numeric library
 threads (reports are computed with deterministic reductions regardless).
 """
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +25,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from . import __version__
 from .extension import CouplingEngine, generator_error_check, stitch_blocks
-from .innovation import innovation_audit
+from .innovation import AUDIT_LEVEL, innovation_audit
 from .kernels import (
     CapExceededError,
     IIDKernel,
@@ -45,8 +47,8 @@ from .words import parse_word
 
 # Every experiment parameter of each kind, with its default.  None marks
 # a default worked out from the kernel (gamma's p_max) or the engine
-# (extend's all-zero anchor).  A key outside its kind's table is a
-# configuration error.
+# (extend's all-zero anchor).  A key outside its kind's table, or a value
+# of another JSON type than its default, is a configuration error.
 PARAMS = {
     "gamma": {"p_max": None, "tail": {"kind": "unknown"}},
     "audit": {"steps": 100_000},
@@ -56,10 +58,29 @@ PARAMS = {
     "stitch": {"deltas": [0.2, 0.1, 0.05], "trials": 10_000, "depth": 6},
 }
 KINDS = tuple(PARAMS)
+# The JSON type a parameter with a None default takes when given.
+_NONE_DEFAULT_TYPES = {"p_max": "number", "anchor": "string"}
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _json_type(value) -> str | None:
+    """'number' (not a bool), 'string', 'list of numbers' or 'object';
+    None for anything else."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, list):
+        numbers = all(_json_type(v) == "number" for v in value)
+        return "list of numbers" if numbers else None
+    if isinstance(value, dict):
+        return "object"
+    return None
 
 
 @dataclass(frozen=True)
@@ -80,6 +101,18 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown {self.kind} parameter(s): {', '.join(unknown)}"
             )
+        for key, value in self.params.items():
+            default = PARAMS[self.kind][key]
+            if default is None and value is None:
+                continue
+            expected = (
+                _NONE_DEFAULT_TYPES[key] if default is None else _json_type(default)
+            )
+            if _json_type(value) != expected:
+                raise ConfigError(
+                    f"{self.kind} parameter {key!r} must be a JSON {expected}, "
+                    f"got {value!r}"
+                )
 
     @property
     def settings(self) -> dict:
@@ -142,14 +175,17 @@ def build_kernel(spec: dict) -> Kernel:
 
 def _build_tail(tail: dict):
     kind = tail.get("kind", "unknown")
-    if kind == "eventually-zero":
-        return eventually_zero()
-    if kind == "rational-decay":
-        return rational_decay(float(tail["a"]), float(tail["b"]))
-    if kind == "one-minus-geometric":
-        return one_minus_geometric(float(tail["amp"]), float(tail["ratio"]))
-    if kind == "unknown":
-        return unknown_tail()
+    try:
+        if kind == "eventually-zero":
+            return eventually_zero()
+        if kind == "rational-decay":
+            return rational_decay(float(tail["a"]), float(tail["b"]))
+        if kind == "one-minus-geometric":
+            return one_minus_geometric(float(tail["amp"]), float(tail["ratio"]))
+        if kind == "unknown":
+            return unknown_tail()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid tail spec: {exc}") from exc
     raise ConfigError(f"unknown tail kind {kind!r}")
 
 
@@ -178,8 +214,8 @@ def _run_audit(kernel, config):
          "ok" if report.uniform_ok else "fail"),
         ("max_lag_correlation", report.max_lag_corr, report.corr_bound,
          "ok" if report.max_lag_corr <= report.corr_bound else "fail"),
-        ("pair_chi2_pvalue", report.chi2_pvalue, 1e-6,
-         "ok" if report.chi2_pvalue > 1e-6 else "fail"),
+        ("pair_chi2_pvalue", report.chi2_pvalue, AUDIT_LEVEL,
+         "ok" if report.chi2_pvalue > AUDIT_LEVEL else "fail"),
     ]
     verdicts = [(name, v, v == "ok") for name, _, _, v in rows]
     return header, rows, verdicts
@@ -327,6 +363,9 @@ def main(argv=None) -> int:
     except (ConfigError, CapExceededError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,14 +12,29 @@ so that (X, V) can be recovered from (W, f):
 
 The map is measure preserving: W is uniform on (0,1) and independent of
 the past that produced f.
+
+The audit is one fixed test: every check runs at level AUDIT_LEVEL
+(1e-6), lag correlations cover lags 1..AUDIT_LAGS (5), and the pair
+chi-square counts consecutive pairs on an AUDIT_BINS x AUDIT_BINS
+(16 x 16) grid, hence 255 degrees of freedom.  Both tail functions
+therefore have closed forms and need no statistics library.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
+
+AUDIT_LEVEL = 1e-6
+AUDIT_LAGS = 5
+AUDIT_BINS = 16
+
+# Two-sided Gaussian envelope for each lag correlation, Bonferroni over
+# the lags.
+_CORR_QUANTILE = NormalDist().inv_cdf(1.0 - AUDIT_LEVEL / (2 * AUDIT_LAGS))
 
 
 def encode_w(x, v, f):
@@ -64,18 +79,30 @@ class AuditReport:
         return self.uniform_ok and self.independence_ok
 
 
-def innovation_audit(
-    w: np.ndarray,
-    alpha: float = 1e-6,
-    max_lag: int = 5,
-    n_bins: int = 16,
-) -> AuditReport:
+def _pair_chi2_sf(x: float) -> float:
+    """P(chi^2 > x) at the pair test's AUDIT_BINS^2 - 1 (odd) degrees of
+    freedom, in the odd-order closed form (Abramowitz & Stegun 26.4.4):
+    with h = x/2, erfc(sqrt h) + sum_{j<(dof-1)/2} t_j, where
+    t_0 = 2 sqrt(h/pi) e^-h and t_{j+1} = t_j h / (j + 3/2).  e^-h is
+    subnormal for x > 1416, so tails below about 1e-160 lose relative
+    precision, and it underflows for x > 1490, where the tail reads 0;
+    the audit compares the tail with 1e-6 only."""
+    h = x / 2.0
+    term = 2.0 * math.sqrt(h / math.pi) * math.exp(-h)
+    total = math.erfc(math.sqrt(h))
+    for j in range((AUDIT_BINS * AUDIT_BINS - 1) // 2):
+        total += term
+        term *= h / (j + 1.5)
+    return total
+
+
+def innovation_audit(w: np.ndarray) -> AuditReport:
     """Check that an innovation stream looks iid uniform.
 
     Uniformity: the empirical CDF must stay within the DKW envelope
-    sqrt(log(2/alpha) / (2n)) of the identity.  Independence: lagged
-    correlations within a Gaussian envelope, plus a chi-squared test on
-    the (w_t, w_{t+1}) bin grid.
+    sqrt(log(2/AUDIT_LEVEL) / (2n)) of the identity.  Independence:
+    lagged correlations within a Gaussian envelope, plus a chi-squared
+    test on the (w_t, w_{t+1}) bin grid.
     """
     w = np.asarray(w, dtype=float)
     n = w.size
@@ -87,26 +114,25 @@ def innovation_audit(
     srt = np.sort(w)
     grid = np.arange(1, n + 1) / n
     ks = float(np.max(np.maximum(grid - srt, srt - (grid - 1.0 / n))))
-    dkw = float(np.sqrt(np.log(2.0 / alpha) / (2.0 * n)))
+    dkw = float(np.sqrt(np.log(2.0 / AUDIT_LEVEL) / (2.0 * n)))
     uniform_ok = ks <= dkw
 
     centered = w - w.mean()
     denom = float(np.sum(centered * centered))
-    norm_quantile = float(stats.norm.ppf(1.0 - alpha / (2 * max_lag)))
-    corr_bound = norm_quantile / np.sqrt(n)
+    corr_bound = _CORR_QUANTILE / np.sqrt(n)
     max_corr = 0.0
-    for lag in range(1, max_lag + 1):
+    for lag in range(1, AUDIT_LAGS + 1):
         c = float(np.sum(centered[:-lag] * centered[lag:])) / denom
         max_corr = max(max_corr, abs(c))
 
-    bins = np.minimum((w * n_bins).astype(np.int64), n_bins - 1)
-    pair = bins[:-1] * n_bins + bins[1:]
-    counts = np.bincount(pair, minlength=n_bins * n_bins)
-    expected = (n - 1) / (n_bins * n_bins)
+    bins = np.minimum((w * AUDIT_BINS).astype(np.int64), AUDIT_BINS - 1)
+    pair = bins[:-1] * AUDIT_BINS + bins[1:]
+    counts = np.bincount(pair, minlength=AUDIT_BINS * AUDIT_BINS)
+    expected = (n - 1) / (AUDIT_BINS * AUDIT_BINS)
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
-    pvalue = float(stats.chi2.sf(chi2, n_bins * n_bins - 1))
+    pvalue = _pair_chi2_sf(chi2)
 
-    independence_ok = max_corr <= corr_bound and pvalue > alpha
+    independence_ok = max_corr <= corr_bound and pvalue > AUDIT_LEVEL
     return AuditReport(
         n, ks, dkw, max_corr, corr_bound, pvalue, uniform_ok, independence_ok
     )

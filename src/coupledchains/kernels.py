@@ -309,12 +309,10 @@ class RegimeReport:
     regime: str  # diverges-certified | converges-certified | undetermined
     gamma_limit_zero: bool | None
     gamma_summable: bool | None
-    partial_sum: float  # sum_{l<=l_max} prod_{p<=l}(1 - gamma_p)
+    partial_sum: float  # sum_{l<=1000} prod_{p<=l}(1 - gamma_p)
 
 
-def regime_check(
-    profile: GammaProfile, tail: TailDescriptor, l_max: int = 1000
-) -> RegimeReport:
+def regime_check(profile: GammaProfile, tail: TailDescriptor) -> RegimeReport:
     """Classify the renewal-series regime from the analytic tail family;
     also reports whether gamma_p -> 0 and whether sum gamma_p < inf."""
 
@@ -325,7 +323,7 @@ def regime_check(
 
     partial = 0.0
     prod = 1.0
-    for ell in range(l_max + 1):
+    for ell in range(1001):
         g = gamma_at(ell)
         if g != g:  # unknown tail ran out of information
             break
@@ -372,7 +370,10 @@ def stationary_ctx_vector(kernel: Kernel, length: int) -> np.ndarray:
             break
         pi = new
     else:
-        raise RuntimeError("stationary iteration failed to converge")
+        raise CapExceededError(
+            f"stationary law of {kernel.label} not converged within "
+            f"{_STATIONARY_MAX_ITER} power-iteration sweeps"
+        )
     if abs(pi.sum() - 1.0) > 1e-12:
         raise RuntimeError("stationary law does not sum to 1")
     if s == length:

@@ -155,22 +155,24 @@ class ResetChainDist:
 def house_of_cards_dist(gammas, n: int) -> ResetChainDist:
     """Exact law of the reset chain after n steps started at 0.
 
-    ``gammas`` is indexable: gammas[i] = reset probability from state i
-    (a GammaProfile's .gamma works via a small adapter below)."""
-    probs = np.zeros(n + 1)
-    probs[0] = 1.0
-    for _ in range(n):
-        new = np.zeros(n + 1)
-        for i in range(n + 1):
-            p = probs[i]
-            if p == 0.0:
-                continue
-            g = gammas[i] if i < len(gammas) else 0.0
-            new[0] += p * g
-            if i + 1 <= n:
-                new[i + 1] += p * (1.0 - g)
-        probs = new
-    return ResetChainDist(n, probs)
+    ``gammas`` is indexable: gammas[i] = reset probability from state i,
+    zero beyond its length.
+
+    Renewal form: the chain sits at i after n steps iff it last reset at
+    step n - i and then survived i steps, so P(Z_n = i) = r_{n-i} s_i
+    with survival s_i = prod_{p<i} (1 - gamma_p) and renewal sequence
+    r_0 = 1, r_k = P(Z_k = 0) = sum_{i<k} r_{k-1-i} s_i gamma_i."""
+    g = np.zeros(n + 1)
+    known = min(len(gammas), n + 1)
+    g[:known] = [gammas[i] for i in range(known)]
+    survive = np.ones(n + 1)
+    survive[1:] = np.cumprod(1.0 - g[:-1])
+    reset = survive * g
+    r = np.empty(n + 1)
+    r[0] = 1.0
+    for k in range(1, n + 1):
+        r[k] = np.dot(r[k - 1 :: -1], reset[:k])
+    return ResetChainDist(n, r[::-1] * survive)
 
 
 def reconstruction_bound(kernel: Kernel, n_start: int, k_lags: int) -> float:
@@ -226,10 +228,9 @@ def disagreement_experiment(
     k_lags: int,
     trials: int,
     seed: int,
-    slack_sigmas: float = 3.0,
 ) -> DisagreementRow:
     """Estimate P(replay disagrees with the truth on [-k_lags; 0]) and
-    compare with the renewal bound."""
+    compare with the renewal bound, allowing 3 standard errors."""
     if k_lags + 1 > MAX_WORD_LENGTH:
         raise CapExceededError(f"window {k_lags + 1} exceeds cap {MAX_WORD_LENGTH}")
     if k_lags >= -n_start + 1:
@@ -241,7 +242,7 @@ def disagreement_experiment(
     freq = mismatches / trials
     stderr = float(np.sqrt(freq * (1.0 - freq) / trials))
     bound = reconstruction_bound(kernel, n_start, k_lags)
-    ok = freq <= bound + slack_sigmas * stderr
+    ok = freq <= bound + 3.0 * stderr
     return DisagreementRow(
         n_start, k_lags, trials, freq, stderr, bound,
         "within-bound" if ok else "violates-bound",
@@ -264,7 +265,6 @@ def domination_experiment(
     n_start: int,
     trials: int,
     seed: int,
-    slack_sigmas: float = 3.0,
 ) -> list[DominationRow]:
     """Check P(agreement length > M) >= P(Z_{|n_start|} > M) - 3*stderr
     for every M up to |n_start|: the reset chain is stochastically
@@ -284,7 +284,7 @@ def domination_experiment(
         mc = float(np.mean(agree))
         stderr = float(np.sqrt(mc * (1.0 - mc) / trials))
         exact = 1.0 - dist.cdf(m)
-        ok = mc >= exact - slack_sigmas * stderr
+        ok = mc >= exact - 3.0 * stderr
         rows.append(
             DominationRow(
                 n_start, m, trials, mc, stderr, exact,

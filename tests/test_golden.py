@@ -3,6 +3,8 @@ reproduce, byte for byte, the CSV and manifest recorded in
 tests/golden/<kind>/.  A change that alters a demo output on purpose
 regenerates the golden files and says which outputs changed and why."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,3 +23,20 @@ def test_demo_outputs_match_golden(kind, tmp_path):
                  "--out", str(out)]) == 0
     for name in (f"{kind}.csv", "manifest.json"):
         assert (out / name).read_bytes() == (GOLDEN / kind / name).read_bytes(), name
+
+
+def test_audit_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with every scipy import made
+    # to fail, the demo audit still reproduces its golden outputs.
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from coupledchains.harness import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "audit",
+         "--config", str(CONFIGS / "audit.json"), "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("audit.csv", "manifest.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "audit" / name).read_bytes()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coupledchains import harness
+from coupledchains import harness, kernels
 from coupledchains.harness import (
     ConfigError,
     ExperimentConfig,
@@ -11,6 +11,7 @@ from coupledchains.harness import (
     main,
     run_experiment,
 )
+from coupledchains.kernels import CapExceededError
 from coupledchains.reports import emit_csv, emit_pretty
 from coupledchains.vershik import AlphaSequence
 
@@ -194,6 +195,48 @@ def test_cli_rejects_unknown_parameter(tmp_path):
     assert not out.exists()
     with pytest.raises(ConfigError):
         ExperimentConfig("reconstruct", cfg["kernel"], 5, params={"trails": 50})
+    # Known keys with malformed values are configuration errors too.
+    malformed = [
+        ("gamma", {"tail": "eventually-zero"}),
+        ("gamma", {"tail": {"kind": "rational-decay"}}),
+        ("reconstruct", {"n_list": -5}),
+    ]
+    for i, (kind, params) in enumerate(malformed):
+        path = write_config(
+            tmp_path, f"bad{i}.json",
+            {"kind": kind, "kernel": cfg["kernel"], "seed": 5, **params},
+        )
+        out = tmp_path / f"out{i}"
+        assert main([kind, "--config", path, "--out", str(out)]) == 2, params
+        assert not out.exists()
+
+
+def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(kernel, config):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setitem(harness._RUNNERS, "gamma", broken)
+    path = write_config(tmp_path, "g.json", GAMMA_CFG)
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", path, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "RuntimeError: internal fault" in capsys.readouterr().err
+
+
+def test_stationary_budget_is_a_cap(tmp_path, monkeypatch):
+    # A strongly persistent chain needs ~10^7 power-iteration sweeps;
+    # running out of the sweep budget is a cap, reported as exit 2.
+    monkeypatch.setattr(kernels, "_STATIONARY_MAX_ITER", 1000)
+    sticky = {"variant": "markov", "order": 1,
+              "table": {"0": 0.999998, "1": 0.000001}}
+    with pytest.raises(CapExceededError, match="1000 power-iteration sweeps"):
+        kernels.stationary_ctx_vector(build_kernel(sticky), 1)
+    path = write_config(
+        tmp_path, "a.json", {"kind": "audit", "kernel": sticky, "seed": 1}
+    )
+    out = tmp_path / "out"
+    assert main(["audit", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_alpha_decay_verdict_can_fail(tmp_path, monkeypatch):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from coupledchains import innovation
 from coupledchains.innovation import decode_xv, encode_w, innovation_audit
 from coupledchains.kernels import builtin_kernels
 from coupledchains.reconstruction import simulate_path
@@ -88,3 +90,20 @@ def test_audit_rejects_out_of_range():
 def test_audit_needs_samples():
     with pytest.raises(ValueError):
         innovation_audit(np.full(10, 0.5))
+
+
+def test_pair_chi2_tail_matches_scipy():
+    # Closed-form odd-dof tail against scipy's incomplete gamma, from the
+    # body of the law far into the tail (p-values down to ~1e-157).
+    dof = innovation.AUDIT_BINS**2 - 1
+    for x in np.linspace(1.0, 1400.0, 561):
+        expected = stats.chi2.sf(x, dof)
+        assert innovation._pair_chi2_sf(float(x)) == pytest.approx(
+            expected, rel=1e-12
+        ), x
+
+
+def test_correlation_quantile_matches_scipy():
+    level = innovation.AUDIT_LEVEL / (2 * innovation.AUDIT_LAGS)
+    expected = float(stats.norm.ppf(1.0 - level))
+    assert abs(innovation._CORR_QUANTILE - expected) <= math.ulp(expected)

@@ -68,12 +68,15 @@ def _reset_chain_oracle(gammas, n):
 
 
 def test_house_of_cards_matches_matrix_power():
-    gammas = [0.5, 0.3, 0.2, 0.1, 0.05]
-    n = 12
-    dist = house_of_cards_dist(gammas, n)
-    oracle = _reset_chain_oracle(gammas, n)
-    assert np.allclose(dist.probs, oracle, atol=1e-14)
-    assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    cases = [
+        ([0.5, 0.3, 0.2, 0.1, 0.05], 12),
+        (list(np.random.default_rng(8).uniform(0.0, 0.9, 61)), 60),
+    ]
+    for gammas, n in cases:
+        dist = house_of_cards_dist(gammas, n)
+        oracle = _reset_chain_oracle(gammas, n)
+        assert np.allclose(dist.probs, oracle, atol=1e-14)
+        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_house_of_cards_closed_forms():
