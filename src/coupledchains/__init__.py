@@ -5,7 +5,8 @@ Submodules:
   kernels        conditional laws, decay coefficients, stationary laws
   innovation     symbol/uniform codec and iid-uniform audits
   reconstruction path replay from innovations and renewal bounds
-  vershik        optimal couplings, metric recursion, alpha sequence
+  vershik        optimal couplings, metric recursion, coupling engine,
+                 alpha sequence
   extension      orientation-driven innovations and block stitching
   reports        CSV / pretty emission
   harness        CLI and experiment configs
@@ -35,6 +36,7 @@ from .reconstruction import (
     window_reconstruct,
 )
 from .vershik import (
+    CouplingEngine,
     GeneratorConfig,
     alpha_sequence,
     metric_tables,
@@ -42,7 +44,6 @@ from .vershik import (
     truncated_generator,
 )
 from .extension import (
-    CouplingEngine,
     choose_anchor,
     generator_error_check,
     joint_step_law,

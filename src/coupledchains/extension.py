@@ -12,6 +12,9 @@ exact integral against the metric table, and stitching shifted blocks
 of U yields an iid-uniform sequence from which the generator can be
 recovered within any tolerance schedule.
 
+One walk, :func:`coupled_run`, serves both directions: fed W it
+re-encodes to U, fed U it rebuilds the true chain.
+
 Time convention: a run over [N; 0] takes |N|+1 steps; the step landing
 at time t uses the orientation table at depth -t + 1 (depth |N|+1 first,
 depth 1 last).  Contexts are integer words, most recent symbol at bit 0,
@@ -21,21 +24,14 @@ kept to the table length L.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .innovation import AuditReport, innovation_audit
-from .kernels import CapExceededError, Kernel, conditional_prob, stationary_ctx_vector
+from .kernels import CapExceededError, Kernel
 from .reconstruction import coupled_step
 from .rng import stream_rng
-from .vershik import (
-    GeneratorConfig,
-    MetricTable,
-    coupling_table,
-    generator_table,
-    metric_tables,
-)
+from .vershik import CouplingEngine, GeneratorConfig, coupling_table
 from .words import Word, as_word, int_to_word, word_to_int
 
 
@@ -46,147 +42,34 @@ class AnchorSelectionError(RuntimeError):
     """No candidate anchor meets the requested integral bound."""
 
 
-def u_step(w: float, lam: int, xhat_context, kernel: Kernel):
-    """One re-encoded innovation step.
-
-    Returns (u, xhat_next): u = w when lam = -1, u = 1 - w when
-    lam = +1; the hat chain then thresholds u against P(0 | context).
-    """
-    if lam not in (-1, 1):
-        raise ValueError("orientation must be -1 or +1")
-    u = w if lam == -1 else 1.0 - w
-    xhat_next = 1 if u > conditional_prob(kernel, as_word(xhat_context)) else 0
-    return u, xhat_next
-
-
-@dataclass(frozen=True)
-class CouplingEngine:
-    """Precomputed machinery for coupled runs against a fixed kernel:
-    metric tables (values + orientations) up to some depth, plus the
-    exact stationary law on length-L contexts."""
-
-    kernel: Kernel
-    config: GeneratorConfig
-    tables: list[MetricTable]
-    pi: np.ndarray  # stationary law on length-L words
-
-    @classmethod
-    def build(
-        cls, kernel: Kernel, p_max: int, config: GeneratorConfig = GeneratorConfig()
-    ) -> "CouplingEngine":
-        tables = metric_tables(kernel, p_max, config)
-        pi = stationary_ctx_vector(kernel, tables[0].length)
-        return cls(kernel, config, tables, pi)
-
-    @property
-    def length(self) -> int:
-        return self.tables[0].length
-
-    @property
-    def p_max(self) -> int:
-        return len(self.tables) - 1
-
-    def extend(self, p_max: int) -> "CouplingEngine":
-        if p_max <= self.p_max:
-            return self
-        from .vershik import rho_step
-
-        tables = list(self.tables)
-        while len(tables) <= p_max:
-            tables.append(rho_step(self.kernel, tables[-1]))
-        return CouplingEngine(self.kernel, self.config, tables, self.pi)
-
-    def alpha(self, p: int) -> float:
-        t = self.tables[p]
-        return float(np.sum(self.pi[:, None] * self.pi[None, :] * t.values))
-
-    def anchor_integrals(self, p: int) -> np.ndarray:
-        """integral_v -> sum_u pi(u) * rho_tilde_p(u, v), all anchors v."""
-        return np.sum(self.pi[:, None] * self.tables[p].values, axis=0)
-
-    def orientations(self, depth: int, ctx_x, ctx_hat):
-        """Orientation lambda at the given depth for context pairs
-        (vectorized); depth >= 1."""
-        mask = (1 << self.length) - 1
-        orient = self.tables[depth].orientation
-        return orient[np.asarray(ctx_x) & mask, np.asarray(ctx_hat) & mask]
-
-    def generator_values(self, ctx) -> np.ndarray:
-        """Truncated generator from the low depth+1 bits of a context."""
-        gen = generator_table(self.config.depth)
-        return gen[np.asarray(ctx) & ((1 << (self.config.depth + 1)) - 1)]
-
-    @cached_property
-    def prob0(self) -> np.ndarray:
-        """P(0 | context) for every L-bit context."""
-        return self.kernel.prob0_over(self.length)
-
-    def step(self, depth: int, v, ctx_true, ctx_hat, v_is_u: bool = False):
-        """One re-encoding step at the given depth on L-bit contexts,
-        oriented by that depth's optimal couplings (see
-        :func:`coupled_step`)."""
-        lam = self.tables[depth].orientation[ctx_true, ctx_hat]
-        return coupled_step(self.prob0, ctx_true, ctx_hat, v, lam, v_is_u)
-
-
 def coupled_run(
     engine: CouplingEngine,
-    n_start: int,
+    v: np.ndarray,
     ctx_true: np.ndarray,
     ctx_hat: np.ndarray,
-    w: np.ndarray,
+    v_is_u: bool = False,
 ):
-    """Run the re-encoding over [n_start; 0] (|n_start|+1 steps),
-    vectorized over trials.
+    """Re-encode a window of v.shape[1] steps, vectorized over trials.
 
-    ``w`` has shape (trials, |n_start|+1); contexts are integer words
-    for the pasts up to time n_start - 1.  Returns (u, ctx_true,
-    ctx_hat) with u the re-encoded innovations and the contexts now up
-    to time 0.
+    ``v`` has shape (trials, steps) and holds the innovations w of the
+    true chain, or with ``v_is_u`` the re-encoded u, from which the run
+    rebuilds the true chain (the flip is its own inverse).  Contexts are
+    integer words for the pasts before the window.  Returns (the other
+    uniforms, ctx_true, ctx_hat) with the contexts now at the window's
+    end.
     """
-    steps = -n_start + 1
-    if w.shape[1] != steps:
-        raise ValueError("innovation array does not match the window")
-    if steps > engine.p_max:
-        raise ValueError("engine tables too shallow for this window")
+    steps = v.shape[1]
     mask = (1 << engine.length) - 1
     ctx_true = np.asarray(ctx_true, dtype=np.int64) & mask
     ctx_hat = np.asarray(ctx_hat, dtype=np.int64) & mask
-    u = np.empty_like(w)
+    # One row per step, so that each step stores into contiguous memory.
+    other = np.empty((steps, v.shape[0]))
     for t in range(steps):
-        u[:, t], ctx_true, ctx_hat = engine.step(steps - t, w[:, t], ctx_true, ctx_hat)
-    return u, ctx_true, ctx_hat
-
-
-def reconstruct_from_u(
-    engine: CouplingEngine,
-    u: np.ndarray,
-    ctx_true: np.ndarray,
-    ctx_hat: np.ndarray,
-):
-    """Invert :func:`coupled_run`: rebuild the true symbols over [N; 0]
-    from the re-encoded innovations, the true context before the window
-    and the anchor context.  The hat chain is regenerated alongside
-    (it is a plain function of u).
-
-    Returns (x_true, x_hat) symbol arrays of shape (trials, |N|+1).
-    """
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    steps = u.shape[1]
-    if steps > engine.p_max:
-        raise ValueError("engine tables too shallow for this window")
-    mask = (1 << engine.length) - 1
-    ctx_true = np.atleast_1d(np.asarray(ctx_true, dtype=np.int64)) & mask
-    ctx_hat = np.atleast_1d(np.asarray(ctx_hat, dtype=np.int64)) & mask
-    x_out = np.empty(u.shape, dtype=np.int64)
-    xhat_out = np.empty(u.shape, dtype=np.int64)
-    for t in range(steps):
-        _, ctx_true, ctx_hat = engine.step(
-            steps - t, u[:, t], ctx_true, ctx_hat, v_is_u=True
+        lam = engine.table(steps - t).orientation[ctx_true, ctx_hat]
+        other[t], ctx_true, ctx_hat = coupled_step(
+            engine.prob0, ctx_true, ctx_hat, v[:, t], lam, v_is_u
         )
-        x_out[:, t] = ctx_true & 1
-        xhat_out[:, t] = ctx_hat & 1
-    return x_out, xhat_out
+    return other.T, ctx_true, ctx_hat
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +118,10 @@ def joint_step_law(
     """
     if window > 6:
         raise CapExceededError("exact window enumeration capped at 6")
-    engine = engine.extend(window)
 
-    anchor_int = word_to_int(as_word(anchor))
     L = engine.length
     mask = (1 << L) - 1
+    anchor_int = word_to_int(as_word(anchor)) & mask
     table = engine.kernel.prob0_table.tolist()
     kmask = len(table) - 1
 
@@ -252,13 +134,13 @@ def joint_step_law(
             states_prod[(c, anchor_int, 0, 0)] = float(engine.pi[c])
 
     for t in range(window):
-        depth = window - t
+        orient = engine.table(window - t).orientation
         for states, use_interval in ((states_dp, True), (states_prod, False)):
             new: dict[tuple, float] = {}
             for (cx, ch, px, ph), prob in states.items():
                 f_true = table[cx & kmask]
                 f_hat = table[ch & kmask]
-                lam = int(engine.orientations(depth, cx, ch))
+                lam = int(orient[cx, ch])
                 if use_interval:
                     joint = _interval_joint(f_true, f_hat, lam)
                 else:
@@ -330,10 +212,8 @@ class GeneratorGapReport:
 def expected_generator_gap(engine: CouplingEngine, n_start: int, anchor) -> float:
     """Exact E|R_D - R_D(hat)| for a coupled run over [n_start; 0]:
     the metric-table integral against the stationary context law."""
-    p = -n_start + 1
-    engine = engine.extend(p)
     anchor_int = word_to_int(as_word(anchor))
-    return float(np.sum(engine.pi * engine.tables[p].values[:, anchor_int]))
+    return float(np.sum(engine.pi * engine.table(1 - n_start).values[:, anchor_int]))
 
 
 def generator_error_check(
@@ -345,14 +225,12 @@ def generator_error_check(
 ) -> GeneratorGapReport:
     """Monte Carlo the coupled-run generator gap and compare with the
     exact integral; tolerance 3*stderr + one truncation allowance."""
-    p = -n_start + 1
-    engine = engine.extend(p)
     anchor_int = word_to_int(as_word(anchor))
     rng = stream_rng(seed, "generator-gap", engine.kernel.label, f"N{n_start}")
     ctx_true = rng.choice(engine.pi.size, p=engine.pi, size=trials)
     ctx_hat = np.full(trials, anchor_int, dtype=np.int64)
-    w = rng.random((trials, p))
-    _, end_true, end_hat = coupled_run(engine, n_start, ctx_true, ctx_hat, w)
+    w = rng.random((trials, 1 - n_start))
+    _, end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat)
     gaps = np.abs(
         engine.generator_values(end_true) - engine.generator_values(end_hat)
     )
@@ -374,9 +252,7 @@ def choose_anchor(
     All 2^L words are scanned (L is capped small); ties go to the
     smallest word code.  Raises AnchorSelectionError when no anchor
     achieves the bound."""
-    p = -n_start + 1
-    engine = engine.extend(p)
-    integrals = engine.anchor_integrals(p)
+    integrals = engine.anchor_integrals(1 - n_start)
     best = int(np.argmin(integrals))
     value = float(integrals[best])
     if value >= delta:
@@ -418,23 +294,18 @@ class StitchReport:
 
 def _plan_block(engine: CouplingEngine, threshold: float, p_min: int):
     """Smallest window depth p >= p_min with alpha_p below the threshold
-    and a feasible anchor; returns (engine, p, alpha_p, anchor, value)."""
-    p = p_min
-    while True:
-        engine = engine.extend(p)
+    and a feasible anchor; returns (p, alpha_p, anchor)."""
+    for p in range(p_min, _MAX_BLOCK_DEPTH + 1):
         a = engine.alpha(p)
         if a < threshold:
             try:
-                anchor, value = choose_anchor(engine, -(p - 1), threshold)
-                return engine, p, a, anchor, value
+                return p, a, choose_anchor(engine, -(p - 1), threshold)[0]
             except AnchorSelectionError:
                 pass
-        p += 1
-        if p > _MAX_BLOCK_DEPTH:
-            raise RuntimeError(
-                f"coupling-distance threshold {threshold:.3g} not reached "
-                f"within depth {_MAX_BLOCK_DEPTH}; need deeper metric tables"
-            )
+    raise CapExceededError(
+        f"coupling-distance threshold {threshold:.3g} not reached within "
+        f"_MAX_BLOCK_DEPTH = {_MAX_BLOCK_DEPTH} metric-table depths"
+    )
 
 
 def stitch_blocks(
@@ -455,6 +326,11 @@ def stitch_blocks(
     for j >= 1, where K_j = M_j - L pins the exact context window.
     Estimates P(|S_j - R_D| > delta_j) per block and audits the pooled
     stitched innovations.
+
+    S_j is read off an inverse coupled run over the stitched u: block 0
+    replays from the true context before it (an exact round trip), and
+    block j >= 1 replays blocks j-1 .. 0, starting from block j-1's
+    anchor word, each block's hat chain regenerated from its own anchor.
     """
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("tolerance schedule must be strictly decreasing")
@@ -476,7 +352,7 @@ def stitch_blocks(
             threshold = delta
         else:
             threshold = 3.0 ** (k_j - m[j] + 1) * delta / 2.0
-        engine, p, a, anchor, value = _plan_block(engine, threshold, p_min=L)
+        p, a, anchor = _plan_block(engine, threshold, p_min=L)
         n_j = -(p - 1)
         n_starts.append(n_j)
         k_cuts.append(k_j)
@@ -500,25 +376,19 @@ def stitch_blocks(
         if j == 0:
             ctx_before_0 = ctx_true
         u_all[:, cols[j]], ctx_true, _ = coupled_run(
-            engine, n_starts[j], ctx_true, hats[j], w[:, cols[j]]
+            engine, w[:, cols[j]], ctx_true, hats[j]
         )
     r_true = engine.generator_values(ctx_true)
 
-    # Per-block recovery of the truncated generator: replay blocks
-    # j-1 .. 0 from u (block 0 alone for j = 0), each block's hat chain
-    # regenerated from its anchor.
+    # Per-block recovery of the truncated generator (see the docstring
+    # for the replay start of each block).
     rows = []
     for j, delta in enumerate(deltas):
-        # Block 0 replays from the true context before it: an exact round
-        # trip.  Block j >= 1 replays from block j-1's anchor word.
         ctx = ctx_before_0 if j == 0 else hats[j - 1]
         for i in reversed(range(max(j, 1))):
-            ctx_hat, steps = hats[i], 1 - n_starts[i]
-            for t in range(steps):
-                _, ctx, ctx_hat = engine.step(
-                    steps - t, u_all[:, cols[i].start + t], ctx, ctx_hat,
-                    v_is_u=True,
-                )
+            _, ctx, _ = coupled_run(
+                engine, u_all[:, cols[i]], ctx, hats[i], v_is_u=True
+            )
         s_j = engine.generator_values(ctx)
         exceed = np.abs(s_j - r_true) > delta
         freq = float(exceed.mean())

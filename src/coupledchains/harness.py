@@ -24,7 +24,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, os.environ["COUPLEDCHAINS_MAX_THREADS"])
 
 from . import __version__
-from .extension import CouplingEngine, generator_error_check, stitch_blocks
+from .extension import generator_error_check, stitch_blocks
 from .innovation import AUDIT_LEVEL, innovation_audit
 from .kernels import (
     CapExceededError,
@@ -42,13 +42,19 @@ from .kernels import (
 )
 from .reconstruction import disagreement_experiment, simulate_path
 from .reports import emit_csv, emit_pretty
-from .vershik import GeneratorConfig, alpha_sequence, alpha_sequence_mc, alpha_sup_bound
+from .vershik import (
+    CouplingEngine,
+    GeneratorConfig,
+    alpha_sequence,
+    alpha_sequence_mc,
+    alpha_sup_bound,
+)
 from .words import parse_word
 
 # Every experiment parameter of each kind, with its default.  None marks
 # a default worked out from the kernel (gamma's p_max) or the engine
 # (extend's all-zero anchor).  A key outside its kind's table, or a value
-# of another JSON type than its default, is a configuration error.
+# of another type than its default, is a configuration error.
 PARAMS = {
     "gamma": {"p_max": None, "tail": {"kind": "unknown"}},
     "audit": {"steps": 100_000},
@@ -58,29 +64,21 @@ PARAMS = {
     "stitch": {"deltas": [0.2, 0.1, 0.05], "trials": 10_000, "depth": 6},
 }
 KINDS = tuple(PARAMS)
-# The JSON type a parameter with a None default takes when given.
-_NONE_DEFAULT_TYPES = {"p_max": "number", "anchor": "string"}
+# The type a parameter with a None default takes when given.
+_NONE_DEFAULT_TYPES = {"p_max": int, "anchor": str}
+_TYPE_NAMES = {int: "integer", float: "number", str: "string", dict: "object"}
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _json_type(value) -> str | None:
-    """'number' (not a bool), 'string', 'list of numbers' or 'object';
-    None for anything else."""
+def _is(value, typ) -> bool:
+    """Whether a JSON value has the Python type of a default: a float
+    parameter also takes an integer, and no parameter takes a bool."""
     if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, list):
-        numbers = all(_json_type(v) == "number" for v in value)
-        return "list of numbers" if numbers else None
-    if isinstance(value, dict):
-        return "object"
-    return None
+        return False
+    return isinstance(value, (int, float) if typ is float else typ)
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         unknown = sorted(set(self.params) - set(PARAMS[self.kind]))
         if unknown:
@@ -105,10 +103,15 @@ class ExperimentConfig:
             default = PARAMS[self.kind][key]
             if default is None and value is None:
                 continue
-            expected = (
-                _NONE_DEFAULT_TYPES[key] if default is None else _json_type(default)
-            )
-            if _json_type(value) != expected:
+            if isinstance(default, list):
+                item = type(default[0])
+                ok = _is(value, list) and len(value) > 0
+                ok = ok and all(_is(v, item) for v in value)
+                expected = f"non-empty list of {_TYPE_NAMES[item]}s"
+            else:
+                typ = _NONE_DEFAULT_TYPES[key] if default is None else type(default)
+                ok, expected = _is(value, typ), _TYPE_NAMES[typ]
+            if not ok:
                 raise ConfigError(
                     f"{self.kind} parameter {key!r} must be a JSON {expected}, "
                     f"got {value!r}"
@@ -142,7 +145,7 @@ def load_config(path: str, kind: str, seed_override=None, out_override=None):
     params = {
         k: v for k, v in raw.items() if k not in ("kind", "kernel", "seed", "out")
     }
-    return ExperimentConfig(kind, spec, int(seed), str(out), params)
+    return ExperimentConfig(kind, spec, seed, str(out), params)
 
 
 def build_kernel(spec: dict) -> Kernel:
@@ -195,7 +198,7 @@ def _build_tail(tail: dict):
 
 def _run_gamma(kernel, config):
     p = config.settings
-    p_max = int(p["p_max"]) if p["p_max"] is not None else max(kernel.memory, 4)
+    p_max = p["p_max"] if p["p_max"] is not None else max(kernel.memory, 4)
     prof = gamma_profile(kernel, p_max)
     report = regime_check(prof, _build_tail(p["tail"]))
     header = ("p", "gamma_p", "certified")
@@ -205,8 +208,7 @@ def _run_gamma(kernel, config):
 
 
 def _run_audit(kernel, config):
-    steps = int(config.settings["steps"])
-    sample = simulate_path(kernel, steps, config.seed)
+    sample = simulate_path(kernel, config.settings["steps"], config.seed)
     report = innovation_audit(sample.w)
     header = ("statistic", "value", "threshold", "verdict")
     rows = [
@@ -223,13 +225,10 @@ def _run_audit(kernel, config):
 
 def _run_reconstruct(kernel, config):
     p = config.settings
-    n_list = [int(n) for n in p["n_list"]]
-    k = int(p["k"])
-    trials = int(p["trials"])
     header = ("N", "K", "trials", "freq", "stderr", "dp_bound", "verdict")
     rows, verdicts = [], []
-    for n in n_list:
-        r = disagreement_experiment(kernel, n, k, trials, config.seed)
+    for n in p["n_list"]:
+        r = disagreement_experiment(kernel, n, p["k"], p["trials"], config.seed)
         rows.append((r.n_start, r.k_lags, r.trials, r.freq, r.stderr,
                      r.dp_bound, r.verdict))
         verdicts.append((f"N={n}", r.verdict, r.verdict == "within-bound"))
@@ -238,13 +237,12 @@ def _run_reconstruct(kernel, config):
 
 def _run_vershik(kernel, config):
     p = config.settings
-    p_max = int(p["p_max"])
-    gen = GeneratorConfig(int(p["depth"]))
+    gen = GeneratorConfig(p["depth"])
     mode = p["mode"]
     if mode == "exact":
-        seq = alpha_sequence(kernel, p_max, gen)
+        seq = alpha_sequence(kernel, p["p_max"], gen)
     elif mode == "monte-carlo":
-        seq = alpha_sequence_mc(kernel, p_max, int(p["trials"]), config.seed, gen)
+        seq = alpha_sequence_mc(kernel, p["p_max"], p["trials"], config.seed, gen)
     else:
         raise ConfigError(f"unknown vershik mode {mode!r}")
     header = ("p", "alpha", "mode", "stderr", "bound")
@@ -260,15 +258,13 @@ def _run_vershik(kernel, config):
 
 def _run_extend(kernel, config):
     p = config.settings
-    n = int(p["n"])
-    trials = int(p["trials"])
-    gen = GeneratorConfig(int(p["depth"]))
-    engine = CouplingEngine.build(kernel, -n + 1, gen)
+    n = p["n"]
+    engine = CouplingEngine.build(kernel, -n + 1, GeneratorConfig(p["depth"]))
     anchor = (
         parse_word(p["anchor"]) if p["anchor"] is not None
         else tuple([0] * engine.length)
     )
-    r = generator_error_check(engine, n, anchor, trials, config.seed)
+    r = generator_error_check(engine, n, anchor, p["trials"], config.seed)
     header = ("N", "anchor", "mc_estimate", "stderr", "exact_value",
               "tolerance", "verdict")
     rows = [(r.n_start, r.anchor, r.mc_estimate, r.stderr, r.exact_value,
@@ -280,9 +276,8 @@ def _run_extend(kernel, config):
 def _run_stitch(kernel, config):
     p = config.settings
     deltas = tuple(float(d) for d in p["deltas"])
-    trials = int(p["trials"])
-    gen = GeneratorConfig(int(p["depth"]))
-    report = stitch_blocks(kernel, deltas, trials, config.seed, gen)
+    gen = GeneratorConfig(p["depth"])
+    report = stitch_blocks(kernel, deltas, p["trials"], config.seed, gen)
     header = ("j", "N_j", "M_j", "K_j", "delta_j", "alpha_used", "anchor",
               "exceed_freq", "stderr", "verdict")
     rows = [

@@ -12,11 +12,15 @@ pair of pasts the metric recursion propagates the expected generator
 distance under the optimal one-step coupling of the two conditional
 laws; alpha_p is that distance averaged over two independent stationary
 pasts.  The filtration is standard exactly when alpha_p -> 0.
+:class:`CouplingEngine` holds the tables, deepened on demand, together
+with the stationary law that alpha and the anchor integrals integrate
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -233,6 +237,58 @@ def metric_tables(
 
 
 # ---------------------------------------------------------------------------
+# Coupling engine
+
+
+@dataclass(frozen=True)
+class CouplingEngine:
+    """The metric tables of one kernel, deepened on demand, and the exact
+    stationary law on length-L contexts: everything alpha, the anchor
+    integrals and the coupled runs read."""
+
+    kernel: Kernel
+    config: GeneratorConfig
+    tables: list[MetricTable]  # T_0 .. T_p, appended to by table()
+    pi: np.ndarray  # stationary law on length-L words
+
+    @classmethod
+    def build(
+        cls, kernel: Kernel, p_max: int, config: GeneratorConfig = GeneratorConfig()
+    ) -> "CouplingEngine":
+        tables = metric_tables(kernel, p_max, config)
+        pi = stationary_ctx_vector(kernel, tables[0].length)
+        return cls(kernel, config, tables, pi)
+
+    @property
+    def length(self) -> int:
+        return self.tables[0].length
+
+    def table(self, p: int) -> MetricTable:
+        """T_p, computing the missing depths with :func:`rho_step`."""
+        while len(self.tables) <= p:
+            self.tables.append(rho_step(self.kernel, self.tables[-1]))
+        return self.tables[p]
+
+    def alpha(self, p: int) -> float:
+        outer = self.pi[:, None] * self.pi[None, :]
+        return float(np.sum(outer * self.table(p).values))
+
+    def anchor_integrals(self, p: int) -> np.ndarray:
+        """integral_v -> sum_u pi(u) * rho_tilde_p(u, v), all anchors v."""
+        return np.sum(self.pi[:, None] * self.table(p).values, axis=0)
+
+    def generator_values(self, ctx) -> np.ndarray:
+        """Truncated generator from the low depth+1 bits of a context."""
+        gen = generator_table(self.config.depth)
+        return gen[np.asarray(ctx) & ((1 << (self.config.depth + 1)) - 1)]
+
+    @cached_property
+    def prob0(self) -> np.ndarray:
+        """P(0 | context) for every L-bit context."""
+        return self.kernel.prob0_over(self.length)
+
+
+# ---------------------------------------------------------------------------
 # Alpha sequence
 
 
@@ -253,12 +309,8 @@ def alpha_sequence(
 ) -> AlphaSequence:
     """alpha_p = E rho_p(X, Y) over independent stationary pasts X, Y,
     computed exactly from the metric tables and the stationary word law."""
-    tables = metric_tables(kernel, p_max, config)
-    length = tables[0].length
-    pi = stationary_ctx_vector(kernel, length)
-    outer = pi[:, None] * pi[None, :]
-    values = tuple(float(np.sum(outer * t.values)) for t in tables)
-    return AlphaSequence(values, "exact")
+    engine = CouplingEngine.build(kernel, p_max, config)
+    return AlphaSequence(tuple(engine.alpha(p) for p in range(p_max + 1)), "exact")
 
 
 def alpha_sequence_mc(
@@ -272,14 +324,12 @@ def alpha_sequence_mc(
     stationary context pairs and average the table entries."""
     from .rng import stream_rng
 
-    tables = metric_tables(kernel, p_max, config)
-    length = tables[0].length
-    pi = stationary_ctx_vector(kernel, length)
+    engine = CouplingEngine.build(kernel, p_max, config)
     rng = stream_rng(seed, "alpha-mc", kernel.label)
-    xs = rng.choice(pi.size, p=pi, size=trials)
-    ys = rng.choice(pi.size, p=pi, size=trials)
+    xs = rng.choice(engine.pi.size, p=engine.pi, size=trials)
+    ys = rng.choice(engine.pi.size, p=engine.pi, size=trials)
     vals, errs = [], []
-    for t in tables:
+    for t in engine.tables:
         samples = t.values[xs, ys]
         vals.append(float(samples.mean()))
         errs.append(float(samples.std(ddof=1) / np.sqrt(trials)))

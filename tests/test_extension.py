@@ -9,14 +9,17 @@ from coupledchains.extension import (
     expected_generator_gap,
     generator_error_check,
     joint_step_law,
-    reconstruct_from_u,
     stitch_blocks,
-    u_step,
 )
-from coupledchains.kernels import IIDKernel, builtin_kernels
-from coupledchains.reconstruction import simulate_path, window_reconstruct
+from coupledchains.kernels import (
+    CapExceededError,
+    IIDKernel,
+    MarkovKernel,
+    builtin_kernels,
+)
+from coupledchains.reconstruction import coupled_step, simulate_path, window_reconstruct
 from coupledchains.rng import stream_rng
-from coupledchains.vershik import GeneratorConfig, coupling_table
+from coupledchains.vershik import GeneratorConfig, coupling_table, metric_tables
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
 IID = IIDKernel(0.5)
@@ -26,28 +29,48 @@ def make_engine(kernel, p_max=8, depth=4):
     return CouplingEngine.build(kernel, p_max, GeneratorConfig(depth))
 
 
+def symbols(ctx, steps):
+    """The last `steps` symbols held in context words, oldest first."""
+    return (ctx[:, None] >> np.arange(steps - 1, -1, -1)) & 1
+
+
 # ---------------------------------------------------------------------------
-# Single steps
+# Single steps and the engine's tables
 
 
-def test_u_step_flip():
-    u, _ = u_step(0.2, 1, (0,), MARKOV1)
-    assert u == pytest.approx(0.8)
-    u, _ = u_step(0.2, -1, (0,), MARKOV1)
-    assert u == pytest.approx(0.2)
+def test_coupled_step_flip_and_threshold():
+    # P(0 | context ending in 0) = 0.7.  Orientation +1 flips w = 0.2 to
+    # u = 0.8, which the hat chain thresholds to symbol 1; orientation -1
+    # keeps u = w (0.9 thresholds to 1, 0.5 to 0).
+    table = MARKOV1.prob0_over(1)
+    zeros = np.zeros(3, dtype=np.int64)
+    w = np.array([0.2, 0.9, 0.5])
+    lam = np.array([1, -1, -1], dtype=np.int8)
+    u, true, hat = coupled_step(table, zeros, zeros, w, lam)
+    assert u == pytest.approx([0.8, 0.9, 0.5])
+    assert true.tolist() == [0, 1, 0]
+    assert hat.tolist() == [1, 1, 0]
+    # The flip is its own inverse: stepping on u gives back w and the
+    # same contexts.
+    w_back, true_back, hat_back = coupled_step(table, zeros, zeros, u, lam, True)
+    assert w_back == pytest.approx(w)
+    assert np.array_equal(true_back, true) and np.array_equal(hat_back, hat)
 
 
-def test_u_step_threshold():
-    # P(0 | context ending in 0) = 0.7: u = 0.9 thresholds to symbol 1.
-    u, xhat = u_step(0.9, -1, (0,), MARKOV1)
-    assert (u, xhat) == (0.9, 1)
-    _, xhat = u_step(0.5, -1, (0,), MARKOV1)
-    assert xhat == 0
-
-
-def test_u_step_validates():
-    with pytest.raises(ValueError):
-        u_step(0.5, 0, (0,), MARKOV1)
+@pytest.mark.parametrize("name", ["markov1-demo", "long-memory-demo"])
+def test_engine_table_deepens_like_metric_tables(name):
+    kernel = builtin_kernels()[name]
+    engine = make_engine(kernel, p_max=2)
+    deep = engine.table(9)
+    reference = metric_tables(kernel, 9, GeneratorConfig(4))
+    assert deep is engine.tables[9] and len(engine.tables) == 10
+    for ours, ref in zip(engine.tables, reference):
+        assert ours.depth == ref.depth
+        assert np.array_equal(ours.values, ref.values)
+        if ref.orientation is None:
+            assert ours.orientation is None
+        else:
+            assert np.array_equal(ours.orientation, ref.orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -58,25 +81,48 @@ def test_round_trip_reconstruction():
     # Depth 7 gives contexts of L = 8 bits, enough for the whole window.
     engine = make_engine(MARKOV1, depth=7)
     rng = stream_rng(31, "t")
-    trials, n = 50, -7
+    trials, steps = 50, 8
     ctx_true = rng.choice(engine.pi.size, p=engine.pi, size=trials)
     ctx_hat = np.zeros(trials, dtype=np.int64)
-    w = rng.random((trials, -n + 1))
-    u, end_true, end_hat = coupled_run(engine, n, ctx_true, ctx_hat, w)
-    x, xhat = reconstruct_from_u(engine, u, ctx_true, ctx_hat)
-    # The reconstruction reproduces the true symbols bit for bit.
-    steps = -n + 1
-    for t in range(steps):
-        assert np.array_equal(x[:, t], (end_true >> (steps - 1 - t)) & 1)
-        assert np.array_equal(xhat[:, t], (end_hat >> (steps - 1 - t)) & 1)
+    w = rng.random((trials, steps))
+    u, end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat)
+    w_back, x_end, xhat_end = coupled_run(engine, u, ctx_true, ctx_hat, v_is_u=True)
+    # The inverse run reproduces the true and hat symbols bit for bit.
+    assert np.array_equal(symbols(x_end, steps), symbols(end_true, steps))
+    assert np.array_equal(symbols(xhat_end, steps), symbols(end_hat, steps))
+    assert np.allclose(w_back, w, rtol=0.0, atol=2.0**-52)
+
+
+# Every orientation of the markov1 demo is monotone (u = w).  The
+# order-2 kernel has antitone orientations at depth 2, which flip some
+# steps of an 8-step window; over 100 steps its chains meet first.
+@pytest.mark.parametrize(
+    "kernel, steps, flips",
+    [(MARKOV1, 100, False), (MarkovKernel(2, (0.81, 0.3, 0.25, 0.63)), 8, True)],
+)
+def test_inverse_run_longer_than_table_width(kernel, steps, flips):
+    # Windows longer than L = 5: the inverse run still recovers w and
+    # both end contexts exactly.
+    engine = make_engine(kernel)
+    rng = stream_rng(33, "inverse")
+    trials = 500
+    ctx_true = rng.choice(engine.pi.size, p=engine.pi, size=trials)
+    ctx_hat = np.zeros(trials, dtype=np.int64)
+    w = rng.random((trials, steps))
+    u, end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat)
+    assert np.any(u != w) == flips
+    w_back, x_end, xhat_end = coupled_run(engine, u, ctx_true, ctx_hat, v_is_u=True)
+    assert np.allclose(w_back, w, rtol=0.0, atol=2.0**-52)
+    assert np.array_equal(x_end, end_true)
+    assert np.array_equal(xhat_end, end_hat)
 
 
 def test_coupled_run_contexts_stay_within_table_width():
-    engine = make_engine(MARKOV1).extend(101)
+    engine = make_engine(MARKOV1)
     trials, steps = 200, 100
     w = stream_rng(32, "width").random((trials, steps))
     zeros = np.zeros(trials, dtype=np.int64)
-    _, end_true, end_hat = coupled_run(engine, -(steps - 1), zeros, zeros, w)
+    _, end_true, end_hat = coupled_run(engine, w, zeros, zeros)
     for ctx in (end_true, end_hat):
         assert ctx.min() >= 0 and ctx.max() < 1 << engine.length
 
@@ -90,18 +136,18 @@ def test_iid_orientation_all_monotone():
 def test_iid_u_equals_w_and_matches_plain_replay():
     # With orientation identically -1, U = W and the orientation-driven
     # reconstruction coincides with the plain innovation replay.
-    engine = make_engine(IID, p_max=10)
-    sample = simulate_path(IID, 10, 41)
+    engine = make_engine(IID, p_max=10, depth=7)
+    steps = engine.length
+    sample = simulate_path(IID, steps, 41)
     w = sample.w.reshape(1, -1)
-    u, end_true, _ = coupled_run(
-        engine, -9, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), w
-    )
+    zeros = np.zeros(1, dtype=np.int64)
+    u, _, _ = coupled_run(engine, w, zeros, zeros)
     assert np.array_equal(u, w)
     plain = window_reconstruct(IID, sample.w)
-    x, _ = reconstruct_from_u(engine, u, np.zeros(1, dtype=np.int64),
-                              np.zeros(1, dtype=np.int64))
-    assert np.array_equal(x[0], plain)
-    assert np.array_equal(x[0], sample.x)
+    _, x_end, _ = coupled_run(engine, u, zeros, zeros, v_is_u=True)
+    x = symbols(x_end, steps)[0]
+    assert np.array_equal(x, plain)
+    assert np.array_equal(x, sample.x)
 
 
 def test_joint_one_step_law_matches_coupling_table():
@@ -113,8 +159,8 @@ def test_joint_one_step_law_matches_coupling_table():
     ctx_true = np.zeros(trials, dtype=np.int64)  # true context ends in 0
     ctx_hat = np.ones(trials, dtype=np.int64)  # anchor context ends in 1
     w = rng.random((trials, 1))
-    lam = int(engine.orientations(1, 0, 1))
-    _, end_true, end_hat = coupled_run(engine, 0, ctx_true, ctx_hat, w)
+    lam = int(engine.tables[1].orientation[0, 1])
+    _, end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat)
     table = coupling_table(0.7, 0.4, lam)
     for a in (0, 1):
         for b in (0, 1):
@@ -142,14 +188,12 @@ def test_joint_window_law_iid_never_disagrees():
     ctx = rng.integers(0, engine.pi.size, trials)
     anchor = np.zeros(trials, dtype=np.int64)
     w = rng.random((trials, steps))
-    _, end_true, end_hat = coupled_run(engine, -(steps - 1), ctx, anchor, w)
+    _, end_true, end_hat = coupled_run(engine, w, ctx, anchor)
     assert np.all(((end_true ^ end_hat) & ((1 << steps) - 1)) == 0)
 
 
 def test_joint_window_cap():
     engine = make_engine(MARKOV1, p_max=2)
-    from coupledchains.kernels import CapExceededError
-
     with pytest.raises(CapExceededError):
         joint_step_law(engine, 7, (0,) * engine.length)
 
@@ -179,7 +223,7 @@ def _gap_oracle(engine, n_start, anchor_int):
                 if p == 0.0:
                     continue
                 g = table[ch & kmask] if kernel.memory else table[0]
-                lam = int(engine.orientations(depth, cx, ch))
+                lam = int(engine.tables[depth].orientation[cx, ch])
                 if lam == -1:
                     masses = {
                         (0, 0): min(f, g),

@@ -80,6 +80,9 @@ def test_experiment_config_validates():
         ExperimentConfig("unknown-kind", {}, 1)
     with pytest.raises(ConfigError):
         ExperimentConfig("gamma", {}, -1)
+    for seed in (7.5, True):
+        with pytest.raises(ConfigError):
+            ExperimentConfig("gamma", {}, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +203,14 @@ def test_cli_rejects_unknown_parameter(tmp_path):
         ("gamma", {"tail": "eventually-zero"}),
         ("gamma", {"tail": {"kind": "rational-decay"}}),
         ("reconstruct", {"n_list": -5}),
+        # Integer parameters take no fractional numbers, and list
+        # parameters are never empty.
+        ("reconstruct", {"n_list": [-8.7]}),
+        ("reconstruct", {"k": 2.9}),
+        ("reconstruct", {"trials": 1500.5}),
+        ("gamma", {"p_max": 3.5}),
+        ("stitch", {"deltas": []}),
+        ("reconstruct", {"n_list": []}),
     ]
     for i, (kind, params) in enumerate(malformed):
         path = write_config(
@@ -209,6 +220,24 @@ def test_cli_rejects_unknown_parameter(tmp_path):
         out = tmp_path / f"out{i}"
         assert main([kind, "--config", path, "--out", str(out)]) == 2, params
         assert not out.exists()
+
+
+def test_cli_stitch_depth_cap_exits_2(tmp_path, capsys):
+    # A chain this persistent keeps alpha_p above the block thresholds
+    # out to the planner's depth cap: a cap, reported as exit 2.
+    cfg = {
+        "kind": "stitch",
+        "kernel": {"variant": "markov", "order": 1,
+                   "table": {"0": 0.995, "1": 0.005}},
+        "seed": 1,
+        "deltas": [0.2, 0.1],
+        "depth": 6,
+    }
+    path = write_config(tmp_path, "s.json", cfg)
+    out = tmp_path / "out"
+    assert main(["stitch", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "_MAX_BLOCK_DEPTH" in capsys.readouterr().err
 
 
 def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
