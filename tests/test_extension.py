@@ -38,10 +38,30 @@ def symbols(ctx, steps):
 # Single steps and the engine's tables
 
 
-def test_coupled_step_flip_and_threshold():
-    # P(0 | context ending in 0) = 0.7.  Orientation +1 flips w = 0.2 to
-    # u = 0.8, which the hat chain thresholds to symbol 1; orientation -1
-    # keeps u = w (0.9 thresholds to 1, 0.5 to 0).
+# The u step is `coupled_step`: it maps w to u through the orientation and
+# thresholds u against the hat context's table.  P(0 | context ending in 0)
+# = 0.7 under markov1-demo.
+
+
+def test_u_step_flip():
+    # Orientation +1 flips w = 0.2 to u = 0.8; orientation -1 keeps u = w.
+    table = MARKOV1.prob0_over(1)
+    zeros = np.zeros(3, dtype=np.int64)
+    w = np.array([0.2, 0.2, 0.5])
+    lam = np.array([1, -1, -1], dtype=np.int8)
+    u, true, hat = coupled_step(table, zeros, zeros, w, lam)
+    assert u == pytest.approx([0.8, 0.2, 0.5])
+    # The flip is its own inverse: stepping on u gives back w and the
+    # same contexts.
+    w_back, true_back, hat_back = coupled_step(table, zeros, zeros, u, lam, True)
+    assert w_back == pytest.approx(w)
+    assert np.array_equal(true_back, true) and np.array_equal(hat_back, hat)
+
+
+def test_u_step_threshold():
+    # The true chain thresholds w, the hat chain thresholds u: w = 0.2 under
+    # orientation +1 gives true symbol 0 and hat symbol 1; under -1,
+    # u = 0.9 thresholds to 1 and u = 0.5 to 0 in both chains.
     table = MARKOV1.prob0_over(1)
     zeros = np.zeros(3, dtype=np.int64)
     w = np.array([0.2, 0.9, 0.5])
@@ -50,11 +70,6 @@ def test_coupled_step_flip_and_threshold():
     assert u == pytest.approx([0.8, 0.9, 0.5])
     assert true.tolist() == [0, 1, 0]
     assert hat.tolist() == [1, 1, 0]
-    # The flip is its own inverse: stepping on u gives back w and the
-    # same contexts.
-    w_back, true_back, hat_back = coupled_step(table, zeros, zeros, u, lam, True)
-    assert w_back == pytest.approx(w)
-    assert np.array_equal(true_back, true) and np.array_equal(hat_back, hat)
 
 
 @pytest.mark.parametrize("name", ["markov1-demo", "long-memory-demo"])
