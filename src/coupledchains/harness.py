@@ -66,7 +66,16 @@ PARAMS = {
 KINDS = tuple(PARAMS)
 # The type a parameter with a None default takes when given.
 _NONE_DEFAULT_TYPES = {"p_max": int, "anchor": str}
-_TYPE_NAMES = {int: "integer", float: "number", str: "string", dict: "object"}
+_TYPE_NAMES = {int: "integer", float: "number", str: "string", dict: "object",
+               list: "list"}
+# The fields of each kernel variant and their types, under the same rule;
+# the entries of a markov table and of a weights list are numbers.
+KERNEL_FIELDS = {
+    "builtin": {"name": str},
+    "iid": {"p0": float},
+    "markov": {"order": int, "table": dict},
+    "long_memory": {"c": float, "weights": list},
+}
 
 
 class ConfigError(ValueError):
@@ -150,30 +159,38 @@ def load_config(path: str, kind: str, seed_override=None, out_override=None):
 
 def build_kernel(spec: dict) -> Kernel:
     variant = spec.get("variant")
-    try:
-        if variant == "builtin":
-            kernels = builtin_kernels()
-            name = spec.get("name")
-            if name not in kernels:
-                raise ConfigError(f"unknown builtin kernel {name!r}")
-            return kernels[name]
-        if variant == "iid":
-            return IIDKernel(float(spec["p0"]))
-        if variant == "markov":
-            table = {
-                tuple(int(c) for c in key): float(p)
-                for key, p in spec["table"].items()
-            }
-            return MarkovKernel.from_table(int(spec["order"]), table)
-        if variant == "long_memory":
-            return LongMemoryKernel(
-                float(spec["c"]), tuple(float(t) for t in spec["weights"])
+    fields = KERNEL_FIELDS.get(variant) if _is(variant, str) else None
+    if fields is None:
+        raise ConfigError(f"unknown kernel variant {variant!r}")
+    unknown = sorted(set(spec) - {"variant", *fields})
+    if unknown:
+        raise ConfigError(f"unknown {variant} kernel field(s): {', '.join(unknown)}")
+    for key, typ in fields.items():
+        value = spec.get(key)
+        ok, expected = _is(value, typ), _TYPE_NAMES[typ]
+        if typ in (dict, list):
+            expected += " of numbers"
+            if ok:
+                entries = value.values() if typ is dict else value
+                ok = all(_is(v, float) for v in entries)
+        if not ok:
+            raise ConfigError(
+                f"{variant} kernel field {key!r} must be a JSON {expected}, "
+                f"got {value!r}"
             )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    if variant == "builtin":
+        kernels = builtin_kernels()
+        if spec["name"] not in kernels:
+            raise ConfigError(f"unknown builtin kernel {spec['name']!r}")
+        return kernels[spec["name"]]
+    try:
+        if variant == "iid":
+            return IIDKernel(spec["p0"])
+        if variant == "markov":
+            return MarkovKernel.from_table(spec["order"], spec["table"])
+        return LongMemoryKernel(spec["c"], tuple(spec["weights"]))
+    except ValueError as exc:
         raise ConfigError(f"invalid kernel spec: {exc}") from exc
-    raise ConfigError(f"unknown kernel variant {variant!r}")
 
 
 def _build_tail(tail: dict):
@@ -264,6 +281,11 @@ def _run_extend(kernel, config):
         parse_word(p["anchor"]) if p["anchor"] is not None
         else tuple([0] * engine.length)
     )
+    if len(anchor) > engine.length:
+        raise ConfigError(
+            f"extend anchor {p['anchor']!r} is longer than the table "
+            f"length {engine.length}"
+        )
     r = generator_error_check(engine, n, anchor, p["trials"], config.seed)
     header = ("N", "anchor", "mc_estimate", "stderr", "exact_value",
               "tolerance", "verdict")

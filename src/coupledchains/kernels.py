@@ -91,10 +91,7 @@ def MarkovKernel(order: int, probs: tuple[float, ...]) -> Kernel:
     ``probs[c]`` is P(0 | context with integer code c); use
     ``MarkovKernel.from_table`` to build one from words.
     """
-    if order < 1:
-        raise ValueError("markov order must be >= 1")
-    if order > MAX_MARKOV_ORDER:
-        raise CapExceededError(f"markov order {order} exceeds cap {MAX_MARKOV_ORDER}")
+    _check_markov_order(order)
     if len(probs) != 1 << order:
         raise ValueError(
             f"need {1 << order} entries for order {order}, got {len(probs)}"
@@ -106,9 +103,17 @@ def MarkovKernel(order: int, probs: tuple[float, ...]) -> Kernel:
     return Kernel(order, f"markov(order={order})", tuple(nums), d)
 
 
+def _check_markov_order(order: int) -> None:
+    if order < 1:
+        raise ValueError("markov order must be >= 1")
+    if order > MAX_MARKOV_ORDER:
+        raise CapExceededError(f"markov order {order} exceeds cap {MAX_MARKOV_ORDER}")
+
+
 def _markov_from_table(order: int, table: Mapping) -> Kernel:
     """Order-k kernel from a mapping of every length-k context (a word,
     or a 0/1 string written oldest symbol first) to P(0 | context)."""
+    _check_markov_order(order)  # before sizing the table by it
     probs = [None] * (1 << order)
     for key, p in table.items():
         word = as_word(key) if not isinstance(key, str) else as_word(
@@ -229,12 +234,16 @@ def gamma_profile(kernel: Kernel, p_max: int) -> GammaProfile:
             values.append(0.0)
             continue
         # Contexts sharing their low p bits form one comparison group.
-        worst = Fraction(1)
+        # The worst ratio lo/hi is kept as an integer pair and compared
+        # by cross-multiplying.
+        lo, hi = 1, 1
         for probs in (p0, p1):
             for residue in range(1 << p):
                 group = probs[residue :: 1 << p]
-                worst = min(worst, Fraction(min(group), max(group)))
-        values.append(float(1 - worst))
+                a, b = min(group), max(group)
+                if a * hi < lo * b:
+                    lo, hi = a, b
+        values.append(float(1 - Fraction(lo, hi)))
     return GammaProfile(tuple(values), ("exact",) * (p_max + 1))
 
 

@@ -8,9 +8,13 @@ through the decoder starting from an all-zero prehistory; the renewal
 bound controls how far back the replay must start for the final window
 to agree with the truth.
 
-Two stepping primitives serve every chain in the package: the serial
+Two stepping primitives serve every chain in the package:
 :func:`advance` along one path, and :func:`coupled_step`, one step of a
-true chain and a companion chain across trials.
+true chain and a companion chain across trials.  :func:`advance` is a
+chunked speculative scan, byte-identical to the serial loop: chunks
+stepped at once from a guessed context are repaired serially until the
+true chain meets them, and the renewal (reset) chain bounds the length
+of each repair.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from .kernels import (
     stationary_ctx_vector,
 )
 from .rng import stream_rng
+
+# Chunk length of the speculative scan in `advance`.
+CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -51,24 +58,102 @@ def _stationary_start(kernel: Kernel, rng: np.random.Generator, size=None):
 
 
 def advance(kernel: Kernel, ctx: int, u) -> tuple[np.ndarray, np.ndarray]:
-    """Run the chain serially from context `ctx`: symbol t is
-    1(u[t] > f_t) with f_t = P(0 | past), and is then shifted into the
-    past.  Returns the symbols and the f_t used."""
-    table = kernel.prob0_table.tolist()
-    mask = len(table) - 1
-    ctx &= mask
+    """Run the chain from context `ctx`: symbol t is 1(u[t] > f_t) with
+    f_t = P(0 | past), and is then shifted into the past.  Returns the
+    symbols and the f_t used.
+
+    Computed by a chunked speculative scan (:func:`_scan`), byte-identical
+    to stepping the chain serially; the steps it re-runs serially are
+    bounded by the reset chain."""
     u = np.ascontiguousarray(u, dtype=float)
     x = np.empty(u.size, dtype=np.int64)
     f = np.empty(u.size)
-    # A memoryview yields plain floats one at a time: fast to compare,
-    # and no list of the whole stream is held.
-    for t, ut in enumerate(memoryview(u)):
-        ft = table[ctx]
-        xt = ut > ft
-        x[t] = xt
-        f[t] = ft
-        ctx = ((ctx << 1) | xt) & mask
+    _scan(kernel.prob0_table, ctx, u, x, f)
     return x, f
+
+
+def _scan(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
+          f: np.ndarray) -> int:
+    """Fill `x` and `f` with the chain run over `u` from context `ctx`;
+    return the number of steps re-run serially to repair speculation.
+
+    A stream of at least 2 CHUNK steps is cut into CHUNK-step chunks, and
+    one vectorized pass steps every chunk at once: chunk 0 from `ctx`,
+    every other chunk from the guessed context 0.  Then each chunk is
+    re-run serially from the true exit of the chunk before, until the
+    true context equals the speculative one; from there on the
+    speculative symbols, f values and exit are already right.  Two
+    chains on the same uniforms agree once their last m symbols do, so
+    the expected repair per chunk is at most sum_{n < CHUNK} P(Z_n < m)
+    for the reset chain Z, however large 2^m is.  Every symbol comes from
+    the same float comparison u > table[ctx] as in the serial loop.  The
+    tail after the last whole chunk runs serially."""
+    probs = table.tolist()
+    mask = len(probs) - 1
+    ctx = int(ctx) & mask
+    n_chunks = u.size // CHUNK if u.size >= 2 * CHUNK else 0
+    head = n_chunks * CHUNK
+    # Memoryviews read and write plain Python scalars one at a time: fast
+    # to compare, and no list of the whole stream is held.
+    uv, xv, fv = memoryview(u), memoryview(x), memoryview(f)
+    repaired = 0
+    if n_chunks:
+        exits = _speculate(table, ctx, *(
+            a[:head].reshape(n_chunks, CHUNK) for a in (u, x, f)))
+        ctx = exits[0]
+        for i in range(1, n_chunks):
+            steps, ctx = _repair(probs, mask, ctx, uv, xv, fv, i * CHUNK)
+            repaired += steps
+            if ctx is None:
+                ctx = exits[i]
+    for k in range(head, u.size):
+        ft = probs[ctx]
+        xt = uv[k] > ft
+        xv[k] = xt
+        fv[k] = ft
+        ctx = ((ctx << 1) | xt) & mask
+    return repaired
+
+
+def _speculate(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
+               f: np.ndarray) -> list[int]:
+    """Step every row of the (chunks, CHUNK) views at once, one column
+    per step: row 0 from `ctx`, every other row from context 0.  Writes
+    the symbols and f values into `x` and `f`; returns each row's exit
+    context."""
+    mask = table.size - 1
+    c = np.zeros(u.shape[0], dtype=np.int64)
+    c[0] = ctx
+    fj = np.empty(u.shape[0])
+    xj = np.empty(u.shape[0], dtype=bool)
+    for j in range(u.shape[1]):
+        np.take(table, c, out=fj)
+        np.greater(u[:, j], fj, out=xj)
+        f[:, j] = fj
+        x[:, j] = xj
+        c <<= 1
+        c |= xj
+        c &= mask
+    return c.tolist()
+
+
+def _repair(probs: list, mask: int, ctx: int, uv, xv, fv, start: int):
+    """Re-run the chunk at `start`, speculated from context 0, serially
+    from its true entry context `ctx`.  Each speculative symbol is folded
+    into the speculative context before it is overwritten, and the run
+    stops where the two contexts meet.  Returns the steps re-run and the
+    true exit context, or None for the exit if the contexts met."""
+    spec = 0
+    for k in range(start, start + CHUNK):
+        if ctx == spec:
+            return k - start, None
+        ft = probs[ctx]
+        xt = uv[k] > ft
+        spec = ((spec << 1) | xv[k]) & mask
+        xv[k] = xt
+        fv[k] = ft
+        ctx = ((ctx << 1) | xt) & mask
+    return CHUNK, ctx
 
 
 def coupled_step(table: np.ndarray, ctx_true, ctx_hat, v, lam=None,

@@ -54,6 +54,8 @@ def test_build_kernel_rejects_unknown():
         build_kernel({"variant": "nope"})
     with pytest.raises(ConfigError):
         build_kernel({"variant": "iid"})  # missing p0
+    with pytest.raises(ConfigError):
+        build_kernel({"variant": "long_memory", "c": 0.3, "weights": [0.2, None]})
 
 
 def test_load_config(tmp_path):
@@ -211,6 +213,22 @@ def test_cli_rejects_unknown_parameter(tmp_path):
         ("gamma", {"p_max": 3.5}),
         ("stitch", {"deltas": []}),
         ("reconstruct", {"n_list": []}),
+        # An extend anchor is a word of at most the table length L = 5.
+        ("extend", {"depth": 4, "anchor": "1111111111"}),
+        # Kernel fields obey the same types: a markov order is an
+        # integer, and a spec holds only its variant's fields.
+        ("gamma", {"kernel": {"variant": "markov", "order": 1.9,
+                              "table": {"0": 0.7, "1": 0.4}}}),
+        ("gamma", {"kernel": {"variant": "markov", "order": True,
+                              "table": {"0": 0.7, "1": 0.4}}}),
+        ("gamma", {"kernel": {"variant": "markov", "order": 1,
+                              "table": {"0": "0.7", "1": 0.4}}}),
+        ("gamma", {"kernel": {"variant": "iid", "p0": 0.5, "order": 1}}),
+        ("gamma", {"kernel": {"variant": ["iid"], "p0": 0.5}}),
+        ("gamma", {"kernel": {"variant": "markov", "order": 1,
+                              "table": [0.7, 0.4]}}),
+        ("gamma", {"kernel": {"variant": "long_memory", "c": 0.3,
+                              "weights": 0.2}}),
     ]
     for i, (kind, params) in enumerate(malformed):
         path = write_config(

@@ -9,6 +9,7 @@ from coupledchains.kernels import (
     CapExceededError,
     IIDKernel,
     LongMemoryKernel,
+    MAX_MARKOV_ORDER,
     MarkovKernel,
     builtin_kernels,
     conditional_prob,
@@ -86,6 +87,9 @@ def test_validation():
         LongMemoryKernel(0.5, (0.4, 0.2))  # exceeds 1
     with pytest.raises(CapExceededError):
         MarkovKernel(13, tuple([0.5] * (1 << 13)))
+    # The cap is checked before a table of 2^order contexts is made.
+    with pytest.raises(CapExceededError):
+        MarkovKernel.from_table(MAX_MARKOV_ORDER + 1, {})
     with pytest.raises(CapExceededError):
         LongMemoryKernel(0.1, tuple([0.01] * 17))
 

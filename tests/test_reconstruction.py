@@ -1,9 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupledchains.innovation import decode_xv
-from coupledchains.kernels import builtin_kernels, gamma_profile
+from coupledchains.kernels import (
+    IIDKernel,
+    LongMemoryKernel,
+    MAX_MARKOV_ORDER,
+    MAX_MEMORY_DEPTH,
+    MarkovKernel,
+    builtin_kernels,
+    gamma_profile,
+)
 from coupledchains.reconstruction import (
+    CHUNK,
+    _scan,
+    advance,
     agreement_length,
     disagreement_experiment,
     domination_experiment,
@@ -15,6 +28,97 @@ from coupledchains.reconstruction import (
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
 IID = builtin_kernels()["iid-half"]
+# The depth-12 kernel of the benchmark's long-memory audit.
+LONG_MEMORY_12 = LongMemoryKernel(
+    0.3, (0.1, 0.08, 0.06, 0.05, 0.04, 0.03, 0.02, 0.02, 0.01, 0.01, 0.01, 0.01)
+)
+PERSISTENT = MarkovKernel(1, (0.999, 0.001))
+
+
+# ---------------------------------------------------------------------------
+# The speculative scan.  Oracle: the chain stepped one symbol at a time.
+
+
+def serial_advance(kernel, ctx, u):
+    table = kernel.prob0_table.tolist()
+    mask = len(table) - 1
+    ctx &= mask
+    u = np.ascontiguousarray(u, dtype=float)
+    x = np.empty(u.size, dtype=np.int64)
+    f = np.empty(u.size)
+    for t, ut in enumerate(memoryview(u)):
+        ft = table[ctx]
+        xt = ut > ft
+        x[t] = xt
+        f[t] = ft
+        ctx = ((ctx << 1) | xt) & mask
+    return x, f
+
+
+def assert_matches_serial(kernel, ctx, u):
+    x, f = advance(kernel, ctx, u)
+    x_ref, f_ref = serial_advance(kernel, ctx, u)
+    assert x.tobytes() == x_ref.tobytes()
+    assert f.tobytes() == f_ref.tobytes()
+
+
+@st.composite
+def kernels(draw):
+    """Kernels of memory 0..16: iid, Markov up to its order cap, and
+    long memory up to its depth cap, with tables drawn from a seed."""
+    memory = draw(st.integers(0, MAX_MEMORY_DEPTH))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if memory == 0:
+        return IIDKernel(round(rng.uniform(0.01, 0.99), 4))
+    if memory <= MAX_MARKOV_ORDER and draw(st.booleans()):
+        probs = np.round(rng.uniform(0.001, 0.999, 1 << memory), 4)
+        return MarkovKernel(memory, tuple(probs.tolist()))
+    c = round(rng.uniform(0.01, 0.3), 4)
+    weights = rng.dirichlet(np.ones(memory)) * rng.uniform(0.0, 0.9 - c)
+    return LongMemoryKernel(c, tuple(np.round(weights, 4).tolist()))
+
+
+stream_lengths = st.one_of(
+    st.integers(0, 2 * CHUNK - 1),
+    st.integers(2, 6).map(lambda k: k * CHUNK),
+    st.integers(2 * CHUNK, 6 * CHUNK),
+)
+
+
+@given(kernels(), st.integers(0, 2**70), stream_lengths,
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_advance_matches_serial_loop(kernel, ctx, steps, seed):
+    # Start contexts wider than the mask are cut to the kernel memory.
+    u = np.random.default_rng(seed).random(steps)
+    assert_matches_serial(kernel, ctx, u)
+
+
+@pytest.mark.parametrize("ctx", [0, 1])
+def test_advance_persistent_kernel(ctx):
+    # Two pasts rarely meet under this kernel, so many repairs run to
+    # the end of their chunk and hand on their own exit.
+    u = np.random.default_rng(31).random(100 * CHUNK + 3)
+    assert_matches_serial(PERSISTENT, ctx, u)
+    x, f = np.empty(u.size, dtype=np.int64), np.empty(u.size)
+    assert _scan(PERSISTENT.prob0_table, ctx, u, x, f) / 99 > CHUNK / 10
+
+
+def test_repair_within_renewal_bound():
+    # A repair runs until the true and speculated chains share their
+    # last m symbols, which fails after n steps with probability at most
+    # P(Z_n < m) for the reset chain Z.  So the mean repair per chunk is
+    # at most sum_{n < CHUNK} P(Z_n < m): about 201 at depth 12.
+    kernel = LONG_MEMORY_12
+    m = kernel.memory
+    gammas = gamma_profile(kernel, m).values
+    bound = sum(house_of_cards_dist(gammas, n).cdf(m - 1) for n in range(CHUNK))
+    chunks = 256
+    u = np.random.default_rng(32).random(chunks * CHUNK)
+    x, f = np.empty(u.size, dtype=np.int64), np.empty(u.size)
+    mean_repair = _scan(kernel.prob0_table, 0, u, x, f) / (chunks - 1)
+    assert 0 < mean_repair <= bound
+    assert_matches_serial(kernel, 0, u)
 
 
 # ---------------------------------------------------------------------------
