@@ -29,7 +29,7 @@ import numpy as np
 
 from .innovation import AuditReport, innovation_audit
 from .kernels import CapExceededError, Kernel
-from .reconstruction import coupled_step
+from .reconstruction import coupled_walk
 from .rng import stream_rng
 from .vershik import CouplingEngine, GeneratorConfig, coupling_table
 from .words import Word, as_word, int_to_word, word_to_int
@@ -56,20 +56,19 @@ def coupled_run(
     rebuilds the true chain (the flip is its own inverse).  Contexts are
     integer words for the pasts before the window.  Returns (the other
     uniforms, ctx_true, ctx_hat) with the contexts now at the window's
-    end.
+    end.  The steps run through :func:`coupled_walk`, one block of
+    trials at a time; each depth's orientation table becomes a flip
+    table over context pairs once per run.
     """
     steps = v.shape[1]
     mask = (1 << engine.length) - 1
     ctx_true = np.asarray(ctx_true, dtype=np.int64) & mask
     ctx_hat = np.asarray(ctx_hat, dtype=np.int64) & mask
-    # One row per step, so that each step stores into contiguous memory.
-    other = np.empty((steps, v.shape[0]))
-    for t in range(steps):
-        lam = engine.table(steps - t).orientation[ctx_true, ctx_hat]
-        other[t], ctx_true, ctx_hat = coupled_step(
-            engine.prob0, ctx_true, ctx_hat, v[:, t], lam, v_is_u
-        )
-    return other.T, ctx_true, ctx_hat
+    flips = [
+        engine.table(steps - t).orientation.ravel() != -1 for t in range(steps)
+    ]
+    other = coupled_walk(engine.prob0, v, ctx_true, ctx_hat, flips, v_is_u)
+    return other, ctx_true, ctx_hat
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +377,7 @@ def stitch_blocks(
         u_all[:, cols[j]], ctx_true, _ = coupled_run(
             engine, w[:, cols[j]], ctx_true, hats[j]
         )
+    del w  # the recovery and the audit read only u_all
     r_true = engine.generator_values(ctx_true)
 
     # Per-block recovery of the truncated generator (see the docstring

@@ -76,6 +76,13 @@ KERNEL_FIELDS = {
     "markov": {"order": int, "table": dict},
     "long_memory": {"c": float, "weights": list},
 }
+# The fields of each gamma tail kind, under the same rule.
+TAIL_FIELDS = {
+    "eventually-zero": {},
+    "rational-decay": {"a": float, "b": float},
+    "one-minus-geometric": {"amp": float, "ratio": float},
+    "unknown": {},
+}
 
 
 class ConfigError(ValueError):
@@ -157,14 +164,17 @@ def load_config(path: str, kind: str, seed_override=None, out_override=None):
     return ExperimentConfig(kind, spec, seed, str(out), params)
 
 
-def build_kernel(spec: dict) -> Kernel:
-    variant = spec.get("variant")
-    fields = KERNEL_FIELDS.get(variant) if _is(variant, str) else None
+def _check_fields(spec: dict, tag: str, tables: dict, what: str) -> None:
+    """Check a spec whose `tag` field names its entry in `tables`: every
+    other field belongs to that entry and has its type, and the entries
+    of an object or list field are numbers."""
+    name = spec.get(tag)
+    fields = tables.get(name) if _is(name, str) else None
     if fields is None:
-        raise ConfigError(f"unknown kernel variant {variant!r}")
-    unknown = sorted(set(spec) - {"variant", *fields})
+        raise ConfigError(f"unknown {what} {tag} {name!r}")
+    unknown = sorted(set(spec) - {tag, *fields})
     if unknown:
-        raise ConfigError(f"unknown {variant} kernel field(s): {', '.join(unknown)}")
+        raise ConfigError(f"unknown {name} {what} field(s): {', '.join(unknown)}")
     for key, typ in fields.items():
         value = spec.get(key)
         ok, expected = _is(value, typ), _TYPE_NAMES[typ]
@@ -175,9 +185,14 @@ def build_kernel(spec: dict) -> Kernel:
                 ok = all(_is(v, float) for v in entries)
         if not ok:
             raise ConfigError(
-                f"{variant} kernel field {key!r} must be a JSON {expected}, "
+                f"{name} {what} field {key!r} must be a JSON {expected}, "
                 f"got {value!r}"
             )
+
+
+def build_kernel(spec: dict) -> Kernel:
+    _check_fields(spec, "variant", KERNEL_FIELDS, "kernel")
+    variant = spec["variant"]
     if variant == "builtin":
         kernels = builtin_kernels()
         if spec["name"] not in kernels:
@@ -194,19 +209,19 @@ def build_kernel(spec: dict) -> Kernel:
 
 
 def _build_tail(tail: dict):
-    kind = tail.get("kind", "unknown")
+    tail = {"kind": "unknown", **tail}
+    _check_fields(tail, "kind", TAIL_FIELDS, "tail")
+    kind = tail["kind"]
     try:
         if kind == "eventually-zero":
             return eventually_zero()
         if kind == "rational-decay":
-            return rational_decay(float(tail["a"]), float(tail["b"]))
+            return rational_decay(tail["a"], tail["b"])
         if kind == "one-minus-geometric":
-            return one_minus_geometric(float(tail["amp"]), float(tail["ratio"]))
-        if kind == "unknown":
-            return unknown_tail()
-    except (KeyError, TypeError, ValueError) as exc:
+            return one_minus_geometric(tail["amp"], tail["ratio"])
+        return unknown_tail()
+    except ValueError as exc:
         raise ConfigError(f"invalid tail spec: {exc}") from exc
-    raise ConfigError(f"unknown tail kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ AUDIT_BINS = 16
 # Two-sided Gaussian envelope for each lag correlation, Bonferroni over
 # the lags.
 _CORR_QUANTILE = NormalDist().inv_cdf(1.0 - AUDIT_LEVEL / (2 * AUDIT_LAGS))
+# Samples per block of the KS maximum in `innovation_audit`.
+_KS_BLOCK = 1 << 16
 
 
 def encode_w(x, v, f):
@@ -103,30 +105,48 @@ def innovation_audit(w: np.ndarray) -> AuditReport:
     sqrt(log(2/AUDIT_LEVEL) / (2n)) of the identity.  Independence:
     lagged correlations within a Gaussian envelope, plus a chi-squared
     test on the (w_t, w_{t+1}) bin grid.
+
+    Besides the centered stream, the only full-length float array is the
+    sort buffer: the KS maximum is taken block by block, and each product
+    of the correlations is written into the buffer before its sum.  Every
+    sum is the same np.sum over the same contiguous values as with fresh
+    arrays, so the report is byte-identical to the whole-array form.
     """
     w = np.asarray(w, dtype=float)
     n = w.size
     if n < 100:
         raise ValueError("audit needs at least 100 samples")
-    if np.any(w <= 0.0) or np.any(w >= 1.0):
+    srt = np.sort(w)
+    if srt[0] <= 0.0 or srt[-1] >= 1.0:
         return AuditReport(n, np.inf, 0.0, np.inf, 0.0, 0.0, False, False)
 
-    srt = np.sort(w)
-    grid = np.arange(1, n + 1) / n
-    ks = float(np.max(np.maximum(grid - srt, srt - (grid - 1.0 / n))))
+    # KS distance block by block: the grid values (b0+1 .. b1)/n and the
+    # max are the same as over the whole array at once.
+    ks = -np.inf
+    for b0 in range(0, n, _KS_BLOCK):
+        s = srt[b0:b0 + _KS_BLOCK]
+        grid = np.arange(b0 + 1, b0 + s.size + 1) / n
+        ks = max(ks, float(np.max(grid - s)), float(np.max(s - (grid - 1.0 / n))))
     dkw = float(np.sqrt(np.log(2.0 / AUDIT_LEVEL) / (2.0 * n)))
     uniform_ok = ks <= dkw
 
+    # From here on the sort buffer holds each product before its sum.
     centered = w - w.mean()
-    denom = float(np.sum(centered * centered))
+    denom = float(np.sum(np.multiply(centered, centered, out=srt)))
     corr_bound = _CORR_QUANTILE / np.sqrt(n)
     max_corr = 0.0
     for lag in range(1, AUDIT_LAGS + 1):
-        c = float(np.sum(centered[:-lag] * centered[lag:])) / denom
+        prod = np.multiply(centered[:-lag], centered[lag:], out=srt[:-lag])
+        c = float(np.sum(prod)) / denom
         max_corr = max(max_corr, abs(c))
 
-    bins = np.minimum((w * AUDIT_BINS).astype(np.int64), AUDIT_BINS - 1)
-    pair = bins[:-1] * AUDIT_BINS + bins[1:]
+    # Bin of each sample, floor(w * AUDIT_BINS) capped at AUDIT_BINS - 1,
+    # and the code bins[t] * AUDIT_BINS + bins[t + 1] of each pair: all
+    # AUDIT_BINS^2 codes fit in a byte.
+    bins = np.multiply(w, AUDIT_BINS, out=srt).astype(np.uint8)
+    np.minimum(bins, AUDIT_BINS - 1, out=bins)
+    pair = bins[:-1] * np.uint8(AUDIT_BINS)
+    pair += bins[1:]
     counts = np.bincount(pair, minlength=AUDIT_BINS * AUDIT_BINS)
     expected = (n - 1) / (AUDIT_BINS * AUDIT_BINS)
     chi2 = float(np.sum((counts - expected) ** 2) / expected)

@@ -14,7 +14,10 @@ true chain and a companion chain across trials.  :func:`advance` is a
 chunked speculative scan, byte-identical to the serial loop: chunks
 stepped at once from a guessed context are repaired serially until the
 true chain meets them, and the renewal (reset) chain bounds the length
-of each repair.
+of each repair.  :func:`coupled_walk` runs :func:`coupled_step` over a
+window one block of TRIAL_BLOCK trials at a time, so each step works on
+contiguous, cache-resident rows; it is byte-identical to stepping all
+trials at once, one column per step.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .rng import stream_rng
 
 # Chunk length of the speculative scan in `advance`.
 CHUNK = 1024
+# Trials per block of the across-trials walk in `coupled_walk`.
+TRIAL_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -156,30 +161,77 @@ def _repair(probs: list, mask: int, ctx: int, uv, xv, fv, start: int):
     return CHUNK, ctx
 
 
-def coupled_step(table: np.ndarray, ctx_true, ctx_hat, v, lam=None,
-                 v_is_u: bool = False):
+def coupled_step(table: np.ndarray, ctx_true: np.ndarray, ctx_hat: np.ndarray,
+                 v: np.ndarray, flip=None, v_is_u: bool = False, other=None,
+                 scratch=None) -> None:
     """One step of a true chain and a companion (hat) chain sharing one
-    uniform per trial, vectorized over trials.
+    uniform per trial, vectorized over trials; both contexts are updated
+    in place.
 
     ``table[c]`` is P(0 | c) for every context code c the chains carry
     (see :meth:`Kernel.prob0_over`); contexts lie in [0, len(table)) and
     stay there.  The true chain thresholds w and the hat chain u, each
-    against its own context, where u = w for orientation lam = -1 and
-    u = 1 - w for lam = +1; without `lam`, u = w (plain replay on shared
-    innovations).  `v` is w, or u when `v_is_u` (the flip is its own
-    inverse).  Returns (the other uniform, new true contexts, new hat
-    contexts).
+    against its own context.  ``flip`` is a bool table over the pair code
+    (ctx_true << L) | ctx_hat, L the bit width of `table`: where it is
+    set, u = 1 - w (antitone orientation), elsewhere u = w.  `v` is w, or
+    u when `v_is_u` (the flip is its own inverse); the other uniform is
+    written into `other`.  Without `flip`, u = w (plain replay on shared
+    innovations) and `other` is not used.  ``scratch`` holds a float, a
+    bool and an int64 buffer of the trials' size, reused between steps.
     """
-    other = v if lam is None else np.where(lam == -1, v, 1.0 - v)
-    w, u = (other, v) if v_is_u else (v, other)
+    f, x, pair = _step_scratch(v.size) if scratch is None else scratch
+    w = u = v
+    if flip is not None:
+        np.left_shift(ctx_true, table.size.bit_length() - 1, out=pair)
+        pair |= ctx_hat
+        flip.take(pair, out=x)
+        np.copyto(other, v)
+        np.subtract(1.0, v, out=other, where=x)
+        w, u = (other, v) if v_is_u else (v, other)
     mask = table.size - 1
-    new_true = ctx_true << 1
-    new_true |= w > table[ctx_true]
-    new_true &= mask
-    new_hat = ctx_hat << 1
-    new_hat |= u > table[ctx_hat]
-    new_hat &= mask
-    return other, new_true, new_hat
+    for ctx, s in ((ctx_true, w), (ctx_hat, u)):
+        table.take(ctx, out=f)
+        np.greater(s, f, out=x)
+        ctx <<= 1
+        ctx |= x
+        ctx &= mask
+
+
+def _step_scratch(size: int):
+    """The float, bool and int64 buffers :func:`coupled_step` reuses."""
+    return (np.empty(size), np.empty(size, dtype=bool),
+            np.empty(size, dtype=np.int64))
+
+
+def coupled_walk(table: np.ndarray, v: np.ndarray, ctx_true: np.ndarray,
+                 ctx_hat: np.ndarray, flips=None, v_is_u: bool = False):
+    """Run :func:`coupled_step` over every column of `v` (shape (trials,
+    steps), any strides), one block of TRIAL_BLOCK trials at a time.
+
+    ``flips[t]`` is the flip table of step t, or `flips` is None for a
+    plain replay.  The int64 context arrays are updated in place.  Each
+    block's uniforms are copied once into a (steps, block) buffer, so
+    every step reads and writes contiguous rows that stay in cache; the
+    scratch memory is O(TRIAL_BLOCK x steps).  Every value is the same
+    elementwise operation as stepping all trials at once, so the result
+    is byte-identical to the per-column loop.  Returns the other
+    uniforms, shape (trials, steps), or None without `flips`."""
+    trials, steps = v.shape
+    other = None if flips is None else np.empty((trials, steps))
+    step_flips = [None] * steps if flips is None else flips
+    size = min(trials, TRIAL_BLOCK)
+    vb, ob = np.empty((2, steps, size))
+    scratch = _step_scratch(size)
+    for b0 in range(0, trials, TRIAL_BLOCK):
+        n = min(TRIAL_BLOCK, trials - b0)
+        vb[:, :n] = v[b0:b0 + n].T
+        buf = tuple(a[:n] for a in scratch)
+        ct, ch = ctx_true[b0:b0 + n], ctx_hat[b0:b0 + n]
+        for t, flip in enumerate(step_flips):
+            coupled_step(table, ct, ch, vb[t, :n], flip, v_is_u, ob[t, :n], buf)
+        if other is not None:
+            other[b0:b0 + n] = ob[:, :n].T
+    return other
 
 
 def simulate_path(kernel: Kernel, steps: int, seed: int) -> PathSample:
@@ -301,9 +353,7 @@ def _coupled_replay_words(
     ctx_true = np.asarray(_stationary_start(kernel, rng, trials), dtype=np.int64)
     ctx_hat = np.zeros(trials, dtype=np.int64)
     w = rng.random((trials, steps))
-    table = kernel.prob0_over(keep_bits)
-    for t in range(steps):
-        _, ctx_true, ctx_hat = coupled_step(table, ctx_true, ctx_hat, w[:, t])
+    coupled_walk(kernel.prob0_over(keep_bits), w, ctx_true, ctx_hat)
     return ctx_true, ctx_hat
 
 

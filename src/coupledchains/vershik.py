@@ -326,11 +326,15 @@ def alpha_sequence_mc(
 
     engine = CouplingEngine.build(kernel, p_max, config)
     rng = stream_rng(seed, "alpha-mc", kernel.label)
-    xs = rng.choice(engine.pi.size, p=engine.pi, size=trials)
-    ys = rng.choice(engine.pi.size, p=engine.pi, size=trials)
+    # Code x * size + y of each sampled pair (x, y) of contexts, to index
+    # the flattened tables.
+    size = engine.pi.size
+    flat = rng.choice(size, p=engine.pi, size=trials) * size
+    flat += rng.choice(size, p=engine.pi, size=trials)
+    samples = np.empty(trials)
     vals, errs = [], []
     for t in engine.tables:
-        samples = t.values[xs, ys]
+        np.take(t.values.ravel(), flat, out=samples)
         vals.append(float(samples.mean()))
         errs.append(float(samples.std(ddof=1) / np.sqrt(trials)))
     return AlphaSequence(tuple(vals), "monte-carlo", tuple(errs))

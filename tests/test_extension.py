@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupledchains.extension import (
     AnchorSelectionError,
@@ -17,12 +19,22 @@ from coupledchains.kernels import (
     MarkovKernel,
     builtin_kernels,
 )
-from coupledchains.reconstruction import coupled_step, simulate_path, window_reconstruct
+from coupledchains import reconstruction
+from coupledchains.reconstruction import (
+    TRIAL_BLOCK,
+    coupled_step,
+    disagreement_experiment,
+    domination_experiment,
+    simulate_path,
+    window_reconstruct,
+)
 from coupledchains.rng import stream_rng
 from coupledchains.vershik import GeneratorConfig, coupling_table, metric_tables
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
 IID = IIDKernel(0.5)
+# Order 2, with antitone orientations at depth 2.
+ANTITONE = MarkovKernel(2, (0.81, 0.3, 0.25, 0.63))
 
 
 def make_engine(kernel, p_max=8, depth=4):
@@ -40,20 +52,30 @@ def symbols(ctx, steps):
 
 # The u step is `coupled_step`: it maps w to u through the orientation and
 # thresholds u against the hat context's table.  P(0 | context ending in 0)
-# = 0.7 under markov1-demo.
+# = 0.7 under markov1-demo.  The orientation is a table over context pairs,
+# so the three trials below step from their own pairs (0, 0), (2, 0) and
+# (2, 2): on 2-bit contexts, 0 and 2 both end in 0, and only the pair
+# (0, 0) is antitone (lam = +1, the others lam = -1).
+
+
+def u_step(v, v_is_u=False):
+    table = MARKOV1.prob0_over(2)
+    true, hat = np.array([0, 2, 2]), np.array([0, 0, 2])
+    flip = np.zeros(table.size**2, dtype=bool)
+    flip[0] = True
+    other = np.empty(3)
+    coupled_step(table, true, hat, v, flip, v_is_u, other)
+    return other, true, hat
 
 
 def test_u_step_flip():
     # Orientation +1 flips w = 0.2 to u = 0.8; orientation -1 keeps u = w.
-    table = MARKOV1.prob0_over(1)
-    zeros = np.zeros(3, dtype=np.int64)
     w = np.array([0.2, 0.2, 0.5])
-    lam = np.array([1, -1, -1], dtype=np.int8)
-    u, true, hat = coupled_step(table, zeros, zeros, w, lam)
+    u, true, hat = u_step(w)
     assert u == pytest.approx([0.8, 0.2, 0.5])
     # The flip is its own inverse: stepping on u gives back w and the
     # same contexts.
-    w_back, true_back, hat_back = coupled_step(table, zeros, zeros, u, lam, True)
+    w_back, true_back, hat_back = u_step(u, True)
     assert w_back == pytest.approx(w)
     assert np.array_equal(true_back, true) and np.array_equal(hat_back, hat)
 
@@ -62,11 +84,8 @@ def test_u_step_threshold():
     # The true chain thresholds w, the hat chain thresholds u: w = 0.2 under
     # orientation +1 gives true symbol 0 and hat symbol 1; under -1,
     # u = 0.9 thresholds to 1 and u = 0.5 to 0 in both chains.
-    table = MARKOV1.prob0_over(1)
-    zeros = np.zeros(3, dtype=np.int64)
     w = np.array([0.2, 0.9, 0.5])
-    lam = np.array([1, -1, -1], dtype=np.int8)
-    u, true, hat = coupled_step(table, zeros, zeros, w, lam)
+    u, true, hat = u_step(w)
     assert u == pytest.approx([0.8, 0.9, 0.5])
     assert true.tolist() == [0, 1, 0]
     assert hat.tolist() == [1, 1, 0]
@@ -86,6 +105,107 @@ def test_engine_table_deepens_like_metric_tables(name):
             assert ours.orientation is None
         else:
             assert np.array_equal(ours.orientation, ref.orientation)
+
+
+# ---------------------------------------------------------------------------
+# The blocked walk.  Oracle: every trial stepped at once, one column of v
+# per step, the orientation read by a 2-D index.
+
+
+def serial_coupled_run(engine, v, ctx_true, ctx_hat, v_is_u=False):
+    steps = v.shape[1]
+    table = engine.prob0
+    mask = (1 << engine.length) - 1
+    ctx_true = np.asarray(ctx_true, dtype=np.int64) & mask
+    ctx_hat = np.asarray(ctx_hat, dtype=np.int64) & mask
+    other = np.empty((steps, v.shape[0]))
+    for t in range(steps):
+        lam = engine.table(steps - t).orientation[ctx_true, ctx_hat]
+        other[t] = np.where(lam == -1, v[:, t], 1.0 - v[:, t])
+        w, u = (other[t], v[:, t]) if v_is_u else (v[:, t], other[t])
+        ctx_true = ((ctx_true << 1) | (w > table[ctx_true])) & mask
+        ctx_hat = ((ctx_hat << 1) | (u > table[ctx_hat])) & mask
+    return other.T, ctx_true, ctx_hat
+
+
+def serial_replay_words(kernel, n_start, trials, seed, keep_bits):
+    """The unblocked zero-prehistory replay, same random streams."""
+    steps = -n_start + 1
+    rng = stream_rng(seed, "replay", kernel.label, f"N{n_start}")
+    ctx_true = np.asarray(
+        reconstruction._stationary_start(kernel, rng, trials), dtype=np.int64
+    )
+    ctx_hat = np.zeros(trials, dtype=np.int64)
+    w = rng.random((trials, steps))
+    table = kernel.prob0_over(keep_bits)
+    mask = table.size - 1
+    for t in range(steps):
+        ctx_true = ((ctx_true << 1) | (w[:, t] > table[ctx_true])) & mask
+        ctx_hat = ((ctx_hat << 1) | (w[:, t] > table[ctx_hat])) & mask
+    return ctx_true, ctx_hat
+
+
+WALK_ENGINES = [
+    make_engine(MARKOV1, p_max=1, depth=2),
+    make_engine(ANTITONE, p_max=1, depth=2),
+    make_engine(builtin_kernels()["long-memory-demo"], p_max=1, depth=3),
+    make_engine(MarkovKernel(3, (0.7, 0.45, 0.6, 0.35, 0.65, 0.4, 0.55, 0.3)),
+                p_max=1, depth=1),
+]
+WALK_TRIALS = [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK + 5]
+
+
+def assert_walk_matches_serial(engine, v, ctx_true, ctx_hat):
+    for v_is_u in (False, True):
+        got = coupled_run(engine, v, ctx_true, ctx_hat, v_is_u)
+        ref = serial_coupled_run(engine, v, ctx_true, ctx_hat, v_is_u)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+@given(
+    st.sampled_from(WALK_ENGINES),
+    st.sampled_from(WALK_TRIALS),
+    st.integers(0, 20),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_coupled_run_matches_serial_loop(engine, trials, steps, seed):
+    # Start contexts up to 2^62, wider than any mask, and v a column slice
+    # of a wider array, as the stitch passes u_all[:, cols[i]].
+    rng = np.random.default_rng(seed)
+    ctx_true = rng.integers(0, 2**62, trials)
+    ctx_hat = rng.integers(0, 2**62, trials)
+    v = rng.random((trials, steps + 3))[:, 1 : steps + 1]
+    assert_walk_matches_serial(engine, v, ctx_true, ctx_hat)
+
+
+def test_coupled_run_blocks_flip():
+    # Stationary starts and the all-zero anchor: some steps of this window
+    # flip, in the first block and in the last, partial one.
+    engine = WALK_ENGINES[1]
+    rng = stream_rng(41, "t")
+    trials = 3 * TRIAL_BLOCK + 5
+    ctx_true = rng.choice(engine.pi.size, p=engine.pi, size=trials)
+    ctx_hat = np.zeros(trials, dtype=np.int64)
+    w = rng.random((trials, 8))
+    u, _, _ = coupled_run(engine, w, ctx_true, ctx_hat)
+    flipped = u != w
+    assert flipped[:TRIAL_BLOCK].any() and flipped[3 * TRIAL_BLOCK:].any()
+    assert_walk_matches_serial(engine, w, ctx_true, ctx_hat)
+
+
+@pytest.mark.parametrize("kernel", [MARKOV1, ANTITONE])
+def test_replay_experiments_match_unblocked_replay(kernel, monkeypatch):
+    trials = 3 * TRIAL_BLOCK + 5
+    blocked = (disagreement_experiment(kernel, -8, 2, trials, 43),
+               domination_experiment(kernel, -8, trials, 44))
+    monkeypatch.setattr(reconstruction, "_coupled_replay_words",
+                        serial_replay_words)
+    serial = (disagreement_experiment(kernel, -8, 2, trials, 43),
+              domination_experiment(kernel, -8, trials, 44))
+    assert blocked == serial
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +233,7 @@ def test_round_trip_reconstruction():
 # steps of an 8-step window; over 100 steps its chains meet first.
 @pytest.mark.parametrize(
     "kernel, steps, flips",
-    [(MARKOV1, 100, False), (MarkovKernel(2, (0.81, 0.3, 0.25, 0.63)), 8, True)],
+    [(MARKOV1, 100, False), (ANTITONE, 8, True)],
 )
 def test_inverse_run_longer_than_table_width(kernel, steps, flips):
     # Windows longer than L = 5: the inverse run still recovers w and

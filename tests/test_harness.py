@@ -229,6 +229,14 @@ def test_cli_rejects_unknown_parameter(tmp_path):
                               "table": [0.7, 0.4]}}),
         ("gamma", {"kernel": {"variant": "long_memory", "c": 0.3,
                               "weights": 0.2}}),
+        # Tail fields too: numbers are not strings or bools, and a tail
+        # holds only its kind's fields.
+        ("gamma", {"tail": {"kind": "rational-decay", "a": "1.5", "b": "3"}}),
+        ("gamma", {"tail": {"kind": "rational-decay", "a": True, "b": 3}}),
+        ("gamma", {"tail": {"kind": "one-minus-geometric", "amp": 0.5,
+                            "ratio": "0.5"}}),
+        ("gamma", {"tail": {"kind": "eventually-zero", "a": 1.5}}),
+        ("gamma", {"tail": {"kind": ["unknown"]}}),
     ]
     for i, (kind, params) in enumerate(malformed):
         path = write_config(

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from coupledchains import innovation
-from coupledchains.innovation import decode_xv, encode_w, innovation_audit
+from coupledchains.innovation import (
+    AUDIT_BINS,
+    AUDIT_LAGS,
+    AUDIT_LEVEL,
+    AuditReport,
+    decode_xv,
+    encode_w,
+    innovation_audit,
+)
 from coupledchains.kernels import builtin_kernels
 from coupledchains.reconstruction import simulate_path
 from coupledchains.rng import stream_rng
@@ -85,6 +93,58 @@ def test_audit_rejects_correlated():
 
 def test_audit_rejects_out_of_range():
     assert not innovation_audit(np.linspace(0, 1, 1000)).passed
+
+
+def reference_audit(w):
+    """The audit computed over whole-length arrays in one pass each."""
+    w = np.asarray(w, dtype=float)
+    n = w.size
+    if np.any(w <= 0.0) or np.any(w >= 1.0):
+        return AuditReport(n, np.inf, 0.0, np.inf, 0.0, 0.0, False, False)
+    srt = np.sort(w)
+    grid = np.arange(1, n + 1) / n
+    ks = float(np.max(np.maximum(grid - srt, srt - (grid - 1.0 / n))))
+    dkw = float(np.sqrt(np.log(2.0 / AUDIT_LEVEL) / (2.0 * n)))
+    centered = w - w.mean()
+    denom = float(np.sum(centered * centered))
+    corr_bound = innovation._CORR_QUANTILE / np.sqrt(n)
+    max_corr = 0.0
+    for lag in range(1, AUDIT_LAGS + 1):
+        c = float(np.sum(centered[:-lag] * centered[lag:])) / denom
+        max_corr = max(max_corr, abs(c))
+    bins = np.minimum((w * AUDIT_BINS).astype(np.int64), AUDIT_BINS - 1)
+    pair = bins[:-1] * AUDIT_BINS + bins[1:]
+    counts = np.bincount(pair, minlength=AUDIT_BINS * AUDIT_BINS)
+    expected = (n - 1) / (AUDIT_BINS * AUDIT_BINS)
+    chi2 = float(np.sum((counts - expected) ** 2) / expected)
+    pvalue = innovation._pair_chi2_sf(chi2)
+    independence_ok = max_corr <= corr_bound and pvalue > AUDIT_LEVEL
+    return AuditReport(
+        n, ks, dkw, max_corr, corr_bound, pvalue, ks <= dkw, independence_ok
+    )
+
+
+def audit_streams():
+    rng = stream_rng(5, "oracle")
+    odd = 3 * innovation._KS_BLOCK + 17  # not a multiple of the KS block
+    raw = rng.random(odd + 1)
+    yield rng.random(100)
+    yield rng.random(odd)
+    yield rng.random(odd) ** 2  # fails uniformity
+    yield (raw[:-1] + raw[1:]) / 2  # fails independence
+    yield np.round(rng.random(odd), 3).clip(0.001, 0.999)  # many ties
+    # A 0.0 or a 1.0 anywhere gives the failing report.
+    for value, at in ((0.0, 0), (0.0, 57), (1.0, 99), (1.0, 3)):
+        w = rng.random(100)
+        w[at] = value
+        yield w
+
+
+def test_audit_matches_reference():
+    for w in audit_streams():
+        report = innovation_audit(w)
+        assert report == reference_audit(w)
+    assert not report.passed and report.ks_stat == np.inf
 
 
 def test_audit_needs_samples():

@@ -17,6 +17,7 @@ from coupledchains.vershik import (
     rho_step,
     truncated_generator,
 )
+from coupledchains.rng import stream_rng
 from coupledchains.words import word_to_int
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
@@ -204,6 +205,22 @@ def test_alpha_exact_vs_monte_carlo():
     mc = alpha_sequence_mc(MARKOV1, 4, 40_000, 9, GeneratorConfig(4))
     for a, b, se in zip(exact.values, mc.values, mc.stderr):
         assert abs(a - b) <= 4 * se + 1e-12
+
+
+def test_alpha_monte_carlo_matches_table_index():
+    # Oracle: each table indexed by the sampled context pairs directly.
+    kernel = builtin_kernels()["long-memory-demo"]
+    config = GeneratorConfig(4)
+    mc = alpha_sequence_mc(kernel, 5, 30_001, 11, config)
+    tables = metric_tables(kernel, 5, config)
+    pi = stationary_ctx_vector(kernel, tables[0].length)
+    rng = stream_rng(11, "alpha-mc", kernel.label)
+    xs = rng.choice(pi.size, p=pi, size=30_001)
+    ys = rng.choice(pi.size, p=pi, size=30_001)
+    for t, value, err in zip(tables, mc.values, mc.stderr, strict=True):
+        samples = t.values[xs, ys]
+        assert value == float(samples.mean())
+        assert err == float(samples.std(ddof=1) / np.sqrt(30_001))
 
 
 def test_alpha_iid_brackets():
