@@ -78,36 +78,86 @@ def coupled_run(
 @dataclass(frozen=True)
 class JointLawReport:
     window: int
-    tv_gap: float  # DP via u-interval arithmetic vs coupling-table product
+    tv_gap: float  # u-interval pushforward vs coupling-table product
     hat_marginal_gap: float  # hat window law vs kernel chain from anchor
     anchor: Word
 
 
-def _interval_joint(f_true: float, f_hat: float, lam: int) -> np.ndarray:
-    """Joint law of (X, X-hat) from the uniform u by interval overlap:
-    X-hat = 1(u > f_hat); X = 1(u > f_true) for lam = -1 and
-    X = 1(u >= 1 - f_true... strictly: 1(1-u > f_true)) for lam = +1."""
-    out = np.empty((2, 2))
-    if lam == -1:
-        lo, hi = min(f_true, f_hat), max(f_true, f_hat)
-        out[0, 0] = lo
-        out[0, 1] = (f_true - f_hat) if f_true > f_hat else 0.0
-        out[1, 0] = (f_hat - f_true) if f_hat > f_true else 0.0
-        out[1, 1] = 1.0 - hi
-    else:
-        # X = 0 iff u >= 1 - f_true; X-hat = 0 iff u <= f_hat.
-        out[0, 0] = max(0.0, f_hat - (1.0 - f_true))
-        out[0, 1] = min(f_true, 1.0 - f_hat)
-        out[1, 0] = min(1.0 - f_true, f_hat)
-        out[1, 1] = max(0.0, (1.0 - f_hat) - f_true)
-    return out
+def _interval_joint(f_true, f_hat, lam) -> np.ndarray:
+    """Joint law of (X, X-hat) from one uniform u by interval overlap.
+
+    X-hat = 0 on u <= f_hat.  X = 0 on u <= f_true for lam = -1, and on
+    1 - u <= f_true for lam = +1.  Broadcasts over arrays of (f_true,
+    f_hat, lam); entry [a, b] of the result, of shape (2, 2, ...), is
+    P(X = a, X-hat = b) for each triple."""
+    f, g = f_true, f_hat
+    mono = np.array(
+        [
+            [np.minimum(f, g), np.maximum(f - g, 0.0)],
+            [np.maximum(g - f, 0.0), 1.0 - np.maximum(f, g)],
+        ]
+    )
+    anti = np.array(
+        [
+            [np.maximum(g - (1.0 - f), 0.0), np.minimum(f, 1.0 - g)],
+            [np.minimum(1.0 - f, g), np.maximum((1.0 - g) - f, 0.0)],
+        ]
+    )
+    return np.where(lam == -1, mono, anti)
+
+
+def _push(law: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """One step of a law over context pairs: the mass at (c, d) moves to
+    ((c << 1 | a) & mask, (d << 1 | b) & mask) with weight
+    joint[a, b][c, d].  The shift drops each context's top bit, so the
+    new law sums over the two dropped bits."""
+    size = law.shape[0]
+    half = size // 2
+    moved = (joint * law).reshape(2, 2, 2, half, 2, half).sum(axis=(2, 4))
+    return moved.transpose(2, 0, 3, 1).reshape(size, size)
+
+
+def _window_laws(engine: CouplingEngine, window: int, anchor_int: int):
+    """Exact laws of a coupled run over `window` steps from the
+    stationary true context and the anchor: the joint law of the (true,
+    hat) windows stepped by interval overlap, the same law stepped by
+    the coupling tables, and the law of the kernel chain's window from
+    the anchor.  Windows are integer codes, most recent symbol at bit 0.
+
+    Contexts carry max(L, window) bits, so each window is the low
+    `window` bits of its context at the end.
+    """
+    L = engine.length
+    bits = max(L, window)
+    size = 1 << bits
+    low = np.arange(size) & ((1 << L) - 1)
+    f = engine.kernel.prob0_over(bits)
+    f_true, f_hat = f[:, None], f[None, :]
+    interval = np.zeros((size, size))
+    interval[: 1 << L, anchor_int] = engine.pi
+    product = interval
+    for t in range(window):
+        lam = engine.table(window - t).orientation[np.ix_(low, low)]
+        interval = _push(interval, _interval_joint(f_true, f_hat, lam))
+        product = _push(product, coupling_table(f_true, f_hat, lam))
+    chain = np.zeros(size)
+    chain[anchor_int] = 1.0
+    for _ in range(window):
+        moved = np.array([chain * f, chain * (1.0 - f)])
+        chain = moved.reshape(2, 2, size // 2).sum(axis=1).T.ravel()
+    paths, rest = 1 << window, size >> window
+    return (
+        interval.reshape(rest, paths, rest, paths).sum(axis=(0, 2)),
+        product.reshape(rest, paths, rest, paths).sum(axis=(0, 2)),
+        chain.reshape(rest, paths).sum(axis=0),
+    )
 
 
 def joint_step_law(
     engine: CouplingEngine, window: int, anchor
 ) -> JointLawReport:
-    """Exact joint law of (X[window], X-hat[window]) by dynamic
-    programming, against the product of optimal coupling tables.
+    """Exact joint law of (X[window], X-hat[window]), pushed forward over
+    context pairs, against the product of optimal coupling tables.
 
     Both sides are pushed forward step by step from the stationary law
     on true contexts and the fixed anchor context; the report carries
@@ -117,79 +167,11 @@ def joint_step_law(
     """
     if window > 6:
         raise CapExceededError("exact window enumeration capped at 6")
-
     L = engine.length
-    mask = (1 << L) - 1
-    anchor_int = word_to_int(as_word(anchor)) & mask
-    table = engine.kernel.prob0_table.tolist()
-    kmask = len(table) - 1
-
-    # States: (ctx_true, ctx_hat, path_true, path_hat) -> prob.
-    states_dp: dict[tuple, float] = {}
-    states_prod: dict[tuple, float] = {}
-    for c in range(1 << L):
-        if engine.pi[c] > 0.0:
-            states_dp[(c, anchor_int, 0, 0)] = float(engine.pi[c])
-            states_prod[(c, anchor_int, 0, 0)] = float(engine.pi[c])
-
-    for t in range(window):
-        orient = engine.table(window - t).orientation
-        for states, use_interval in ((states_dp, True), (states_prod, False)):
-            new: dict[tuple, float] = {}
-            for (cx, ch, px, ph), prob in states.items():
-                f_true = table[cx & kmask]
-                f_hat = table[ch & kmask]
-                lam = int(orient[cx, ch])
-                if use_interval:
-                    joint = _interval_joint(f_true, f_hat, lam)
-                else:
-                    joint = coupling_table(f_true, f_hat, lam)
-                for a in (0, 1):
-                    for b in (0, 1):
-                        p = prob * float(joint[a, b])
-                        if p <= 0.0:
-                            continue
-                        key = (
-                            ((cx << 1) | a) & mask,
-                            ((ch << 1) | b) & mask,
-                            (px << 1) | a,
-                            (ph << 1) | b,
-                        )
-                        new[key] = new.get(key, 0.0) + p
-            states.clear()
-            states.update(new)
-
-    def path_law(states):
-        law: dict[tuple[int, int], float] = {}
-        for (cx, ch, px, ph), prob in states.items():
-            law[(px, ph)] = law.get((px, ph), 0.0) + prob
-        return law
-
-    law_dp = path_law(states_dp)
-    law_prod = path_law(states_prod)
-    keys = set(law_dp) | set(law_prod)
-    tv = 0.5 * sum(abs(law_dp.get(k, 0.0) - law_prod.get(k, 0.0)) for k in keys)
-
-    # Hat marginal vs the kernel chain run from the anchor context.
-    hat_dp: dict[int, float] = {}
-    for (px, ph), prob in law_dp.items():
-        hat_dp[ph] = hat_dp.get(ph, 0.0) + prob
-    chain: dict[tuple[int, int], float] = {(anchor_int, 0): 1.0}
-    for _ in range(window):
-        new: dict[tuple[int, int], float] = {}
-        for (c, path), prob in chain.items():
-            f = table[c & kmask]
-            for a, pa in ((0, f), (1, 1.0 - f)):
-                key = (((c << 1) | a) & mask, (path << 1) | a)
-                new[key] = new.get(key, 0.0) + prob * pa
-        chain = new
-    hat_chain: dict[int, float] = {}
-    for (c, path), prob in chain.items():
-        hat_chain[path] = hat_chain.get(path, 0.0) + prob
-    keys = set(hat_dp) | set(hat_chain)
-    hat_gap = 0.5 * sum(
-        abs(hat_dp.get(k, 0.0) - hat_chain.get(k, 0.0)) for k in keys
-    )
+    anchor_int = word_to_int(as_word(anchor)) & ((1 << L) - 1)
+    interval, product, chain = _window_laws(engine, window, anchor_int)
+    tv = 0.5 * float(np.abs(interval - product).sum())
+    hat_gap = 0.5 * float(np.abs(interval.sum(axis=0) - chain).sum())
     return JointLawReport(window, tv, hat_gap, int_to_word(anchor_int, L))
 
 

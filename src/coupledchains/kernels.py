@@ -22,7 +22,6 @@ import numpy as np
 
 from .words import Word, as_word, int_to_word, word_to_int
 
-MAX_MARKOV_ORDER = 12
 MAX_MEMORY_DEPTH = 16
 MAX_WORD_LENGTH = 16
 
@@ -106,8 +105,8 @@ def MarkovKernel(order: int, probs: tuple[float, ...]) -> Kernel:
 def _check_markov_order(order: int) -> None:
     if order < 1:
         raise ValueError("markov order must be >= 1")
-    if order > MAX_MARKOV_ORDER:
-        raise CapExceededError(f"markov order {order} exceeds cap {MAX_MARKOV_ORDER}")
+    if order > MAX_MEMORY_DEPTH:
+        raise CapExceededError(f"markov order {order} exceeds cap {MAX_MEMORY_DEPTH}")
 
 
 def _markov_from_table(order: int, table: Mapping) -> Kernel:
@@ -190,12 +189,10 @@ def conditional_prob(kernel: Kernel, context: Iterable[int]) -> float:
 
 @dataclass(frozen=True)
 class GammaProfile:
-    """Decay coefficients gamma_0..gamma_{p_max} with per-entry
-    certification flags and a regime verdict (filled by regime_check)."""
+    """Decay coefficients gamma_0..gamma_{p_max}, each exact up to one
+    final rounding."""
 
     values: tuple[float, ...]
-    certified: tuple[str, ...]
-    regime: str = "undetermined"
 
     def __post_init__(self):
         for g in self.values:
@@ -244,7 +241,7 @@ def gamma_profile(kernel: Kernel, p_max: int) -> GammaProfile:
                 if a * hi < lo * b:
                     lo, hi = a, b
         values.append(float(1 - Fraction(lo, hi)))
-    return GammaProfile(tuple(values), ("exact",) * (p_max + 1))
+    return GammaProfile(tuple(values))
 
 
 def lower_envelope(kernel: Kernel, i: int, z: Iterable[int]) -> float:

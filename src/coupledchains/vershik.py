@@ -89,20 +89,22 @@ def lambda_sign(costs: np.ndarray) -> int:
     return -1 if s <= 0 else 1
 
 
-def coupling_table(f: float, g: float, orientation: int) -> np.ndarray:
+def coupling_table(f, g, orientation) -> np.ndarray:
     """The extreme coupling table of Bernoulli(1-f) and Bernoulli(1-g)
     for a fixed orientation: monotone (-1) puts the minima on the
-    diagonal, antitone (+1) on the anti-diagonal."""
-    if orientation == -1:
-        d00 = min(f, g)
-        table = np.array([[d00, f - d00], [g - d00, 1.0 - f - g + d00]])
-    else:
-        table = np.array(
-            [
-                [f + g - 1.0, min(f, 1.0 - g)],
-                [min(1.0 - f, g), 1.0 - f - g],
-            ]
-        )
+    diagonal, antitone (+1) on the anti-diagonal.
+
+    Broadcasts over arrays of (f, g, orientation): entry [i, j] of the
+    result, of shape (2, 2, ...), is Lambda(i, j) of each triple."""
+    d00 = np.minimum(f, g)
+    mono = np.array([[d00, f - d00], [g - d00, 1.0 - f - g + d00]])
+    anti = np.array(
+        [
+            [f + g - 1.0, np.minimum(f, 1.0 - g)],
+            [np.minimum(1.0 - f, g), 1.0 - f - g],
+        ]
+    )
+    table = np.where(orientation == -1, mono, anti)
     return np.maximum(table, 0.0)  # clip float dust at the boundary
 
 

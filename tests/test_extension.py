@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from coupledchains.extension import (
     AnchorSelectionError,
     CouplingEngine,
+    _interval_joint,
+    _window_laws,
     choose_anchor,
     coupled_run,
     expected_generator_gap,
@@ -18,6 +20,7 @@ from coupledchains.kernels import (
     IIDKernel,
     MarkovKernel,
     builtin_kernels,
+    stationary_word_law,
 )
 from coupledchains import reconstruction
 from coupledchains.reconstruction import (
@@ -30,11 +33,14 @@ from coupledchains.reconstruction import (
 )
 from coupledchains.rng import stream_rng
 from coupledchains.vershik import GeneratorConfig, coupling_table, metric_tables
+from coupledchains.words import word_to_int
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
 IID = IIDKernel(0.5)
 # Order 2, with antitone orientations at depth 2.
 ANTITONE = MarkovKernel(2, (0.81, 0.3, 0.25, 0.63))
+# The order-3 kernel of the benchmark.
+ORDER3 = MarkovKernel(3, (0.7, 0.45, 0.6, 0.35, 0.65, 0.4, 0.55, 0.3))
 
 
 def make_engine(kernel, p_max=8, depth=4):
@@ -149,8 +155,7 @@ WALK_ENGINES = [
     make_engine(MARKOV1, p_max=1, depth=2),
     make_engine(ANTITONE, p_max=1, depth=2),
     make_engine(builtin_kernels()["long-memory-demo"], p_max=1, depth=3),
-    make_engine(MarkovKernel(3, (0.7, 0.45, 0.6, 0.35, 0.65, 0.4, 0.55, 0.3)),
-                p_max=1, depth=1),
+    make_engine(ORDER3, p_max=1, depth=1),
 ]
 WALK_TRIALS = [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK + 5]
 
@@ -304,7 +309,118 @@ def test_joint_one_step_law_matches_coupling_table():
 
 
 # ---------------------------------------------------------------------------
-# Exact window law
+# Exact window law.  Oracle: the dict-of-states DP over (true context, hat
+# context, true path, hat path), one step law per state, with the scalar
+# step laws written out.
+
+
+def reference_interval_joint(f_true, f_hat, lam):
+    out = np.empty((2, 2))
+    if lam == -1:
+        lo, hi = min(f_true, f_hat), max(f_true, f_hat)
+        out[0, 0] = lo
+        out[0, 1] = (f_true - f_hat) if f_true > f_hat else 0.0
+        out[1, 0] = (f_hat - f_true) if f_hat > f_true else 0.0
+        out[1, 1] = 1.0 - hi
+    else:
+        out[0, 0] = max(0.0, f_hat - (1.0 - f_true))
+        out[0, 1] = min(f_true, 1.0 - f_hat)
+        out[1, 0] = min(1.0 - f_true, f_hat)
+        out[1, 1] = max(0.0, (1.0 - f_hat) - f_true)
+    return out
+
+
+def reference_coupling_table(f, g, orientation):
+    if orientation == -1:
+        d00 = min(f, g)
+        table = np.array([[d00, f - d00], [g - d00, 1.0 - f - g + d00]])
+    else:
+        table = np.array(
+            [[f + g - 1.0, min(f, 1.0 - g)], [min(1.0 - f, g), 1.0 - f - g]]
+        )
+    return np.maximum(table, 0.0)
+
+
+def reference_joint_law(engine, window, anchor_int):
+    """The (true path, hat path) laws stepped by interval overlap and by
+    the coupling tables, as dense arrays indexed by path codes."""
+    L = engine.length
+    mask = (1 << L) - 1
+    table = engine.kernel.prob0_table.tolist()
+    kmask = len(table) - 1
+    laws = []
+    for step_law in (reference_interval_joint, reference_coupling_table):
+        states = {
+            (c, anchor_int, 0, 0): float(engine.pi[c])
+            for c in range(1 << L) if engine.pi[c] > 0.0
+        }
+        for t in range(window):
+            orient = engine.table(window - t).orientation
+            new = {}
+            for (cx, ch, px, ph), prob in states.items():
+                joint = step_law(table[cx & kmask], table[ch & kmask],
+                                 int(orient[cx, ch]))
+                for a in (0, 1):
+                    for b in (0, 1):
+                        p = prob * float(joint[a, b])
+                        if p <= 0.0:
+                            continue
+                        key = (((cx << 1) | a) & mask, ((ch << 1) | b) & mask,
+                               (px << 1) | a, (ph << 1) | b)
+                        new[key] = new.get(key, 0.0) + p
+            states = new
+        law = np.zeros((1 << window, 1 << window))
+        for (_, _, px, ph), prob in states.items():
+            law[px, ph] += prob
+        laws.append(law)
+    return laws
+
+
+# (kernel, generator depth, window, anchor): window 6 > L = 3 for the
+# order-3 kernel, and L = 2 for the iid kernel.  Only the order-2 kernel
+# has antitone orientations (at depth 2 of L = 3), so only its window
+# depends on the orientation.
+WINDOW_CASES = [
+    (MARKOV1, 6, 4, (0,)),
+    (builtin_kernels()["long-memory-demo"], 3, 6, (1, 0, 1)),
+    (ORDER3, 1, 6, (0,)),
+    (IID, 1, 5, (0,)),
+    (ANTITONE, 2, 5, (0,)),
+]
+
+
+@pytest.mark.parametrize("kernel, depth, window, anchor", WINDOW_CASES)
+def test_window_laws_match_reference_dp(kernel, depth, window, anchor):
+    engine = make_engine(kernel, p_max=1, depth=depth)
+    anchor_int = word_to_int(anchor)
+    interval, product, chain = _window_laws(engine, window, anchor_int)
+    ref_interval, ref_product = reference_joint_law(engine, window, anchor_int)
+    assert np.allclose(interval, ref_interval, rtol=0.0, atol=1e-15)
+    assert np.allclose(product, ref_product, rtol=0.0, atol=1e-15)
+    # The true window is stationary, which neither reported gap checks.
+    stationary = np.zeros(1 << window)
+    for word, p in stationary_word_law(kernel, window).items():
+        stationary[word_to_int(word)] = p
+    assert np.allclose(interval.sum(axis=1), stationary, rtol=0.0, atol=1e-12)
+    assert np.allclose(product.sum(axis=1), stationary, rtol=0.0, atol=1e-12)
+    report = joint_step_law(engine, window, anchor)
+    assert report.tv_gap < 1e-12 and report.hat_marginal_gap < 1e-12
+
+
+def test_step_laws_broadcast_like_scalar_calls():
+    grid = np.array([0.01, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.99])
+    f, g, lam = np.meshgrid(grid, grid, [-1, 1], indexing="ij")
+    for step_law, reference in (
+        (_interval_joint, reference_interval_joint),
+        (coupling_table, reference_coupling_table),
+    ):
+        tables = step_law(f, g, lam)
+        assert tables.shape == (2, 2) + f.shape
+        for i in np.ndindex(f.shape):
+            expected = reference(float(f[i]), float(g[i]), int(lam[i]))
+            assert np.array_equal(tables[(...,) + i], expected)
+            assert np.array_equal(step_law(float(f[i]), float(g[i]), int(lam[i])),
+                                  expected)
 
 
 def test_joint_window_law_tv():

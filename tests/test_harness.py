@@ -237,6 +237,16 @@ def test_cli_rejects_unknown_parameter(tmp_path):
                             "ratio": "0.5"}}),
         ("gamma", {"tail": {"kind": "eventually-zero", "a": 1.5}}),
         ("gamma", {"tail": {"kind": ["unknown"]}}),
+        # Counts below their lower bound: a standard error needs two
+        # trials, and lag counts and depths are nonnegative.
+        ("reconstruct", {"trials": 0}),
+        ("stitch", {"trials": 0}),
+        ("vershik", {"p_max": -1}),
+        ("reconstruct", {"k": -1}),
+        ("extend", {"trials": 0}),
+        ("extend", {"trials": 1}),
+        ("vershik", {"mode": "monte-carlo", "trials": 0}),
+        ("vershik", {"mode": "monte-carlo", "trials": 1}),
     ]
     for i, (kind, params) in enumerate(malformed):
         path = write_config(

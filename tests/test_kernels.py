@@ -9,7 +9,7 @@ from coupledchains.kernels import (
     CapExceededError,
     IIDKernel,
     LongMemoryKernel,
-    MAX_MARKOV_ORDER,
+    MAX_MEMORY_DEPTH,
     MarkovKernel,
     builtin_kernels,
     conditional_prob,
@@ -85,13 +85,17 @@ def test_validation():
         MarkovKernel.from_table(1, {(0,): 0.7})  # incomplete table
     with pytest.raises(ValueError):
         LongMemoryKernel(0.5, (0.4, 0.2))  # exceeds 1
+    # Markov and long-memory kernels share one cap on the memory.
+    deepest = MarkovKernel(MAX_MEMORY_DEPTH, (0.5,) * (1 << MAX_MEMORY_DEPTH))
+    assert deepest.memory == MAX_MEMORY_DEPTH
+    too_deep = MAX_MEMORY_DEPTH + 1
     with pytest.raises(CapExceededError):
-        MarkovKernel(13, tuple([0.5] * (1 << 13)))
+        MarkovKernel(too_deep, tuple([0.5] * (1 << too_deep)))
     # The cap is checked before a table of 2^order contexts is made.
     with pytest.raises(CapExceededError):
-        MarkovKernel.from_table(MAX_MARKOV_ORDER + 1, {})
+        MarkovKernel.from_table(too_deep, {})
     with pytest.raises(CapExceededError):
-        LongMemoryKernel(0.1, tuple([0.01] * 17))
+        LongMemoryKernel(0.1, tuple([0.01] * too_deep))
 
 
 # ---------------------------------------------------------------------------

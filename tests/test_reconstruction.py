@@ -7,7 +7,6 @@ from coupledchains.innovation import decode_xv
 from coupledchains.kernels import (
     IIDKernel,
     LongMemoryKernel,
-    MAX_MARKOV_ORDER,
     MAX_MEMORY_DEPTH,
     MarkovKernel,
     builtin_kernels,
@@ -62,15 +61,20 @@ def assert_matches_serial(kernel, ctx, u):
     assert f.tobytes() == f_ref.tobytes()
 
 
+# Markov draws stop at order 12: a full table of 2^16 rationals costs
+# test time and covers no other code.
+MAX_DRAWN_MARKOV_ORDER = 12
+
+
 @st.composite
 def kernels(draw):
-    """Kernels of memory 0..16: iid, Markov up to its order cap, and
-    long memory up to its depth cap, with tables drawn from a seed."""
+    """Kernels of memory 0..16: iid, Markov up to order 12, and long
+    memory up to the depth cap, with tables drawn from a seed."""
     memory = draw(st.integers(0, MAX_MEMORY_DEPTH))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if memory == 0:
         return IIDKernel(round(rng.uniform(0.01, 0.99), 4))
-    if memory <= MAX_MARKOV_ORDER and draw(st.booleans()):
+    if memory <= MAX_DRAWN_MARKOV_ORDER and draw(st.booleans()):
         probs = np.round(rng.uniform(0.001, 0.999, 1 << memory), 4)
         return MarkovKernel(memory, tuple(probs.tolist()))
     c = round(rng.uniform(0.01, 0.3), 4)
