@@ -29,8 +29,8 @@ import numpy as np
 
 from .innovation import AuditReport, innovation_audit
 from .kernels import CapExceededError, Kernel
-from .reconstruction import coupled_walk
-from .rng import stream_rng
+from .reconstruction import _walk
+from .rng import sample_index, stream_rng
 from .vershik import CouplingEngine, GeneratorConfig, coupling_table
 from .words import Word, as_word, int_to_word, word_to_int
 
@@ -60,6 +60,14 @@ def coupled_run(
     trials at a time; each depth's orientation table becomes a flip
     table over context pairs once per run.
     """
+    other = np.empty(v.shape)
+    return (other, *_run(engine, v, ctx_true, ctx_hat, v_is_u, other))
+
+
+def _run(engine, v, ctx_true, ctx_hat, v_is_u, other):
+    """The run of :func:`coupled_run`, writing the other uniforms into
+    `other` (any strides), or nowhere when it is None; returns the end
+    contexts."""
     steps = v.shape[1]
     mask = (1 << engine.length) - 1
     ctx_true = np.asarray(ctx_true, dtype=np.int64) & mask
@@ -67,8 +75,8 @@ def coupled_run(
     flips = [
         engine.table(steps - t).orientation.ravel() != -1 for t in range(steps)
     ]
-    other = coupled_walk(engine.prob0, v, ctx_true, ctx_hat, flips, v_is_u)
-    return other, ctx_true, ctx_hat
+    _walk(engine.prob0, v, ctx_true, ctx_hat, flips, v_is_u, other)
+    return ctx_true, ctx_hat
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +216,7 @@ def generator_error_check(
     exact integral; tolerance 3*stderr + one truncation allowance."""
     anchor_int = word_to_int(as_word(anchor))
     rng = stream_rng(seed, "generator-gap", engine.kernel.label, f"N{n_start}")
-    ctx_true = rng.choice(engine.pi.size, p=engine.pi, size=trials)
+    ctx_true = sample_index(rng, engine.pi, trials)
     ctx_hat = np.full(trials, anchor_int, dtype=np.int64)
     w = rng.random((trials, 1 - n_start))
     _, end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat)
@@ -346,9 +354,7 @@ def stitch_blocks(
     # anchor; blocks run from the earliest (j = J) to block 0.
     t_min = m[n_blocks]
     rng = stream_rng(seed, "stitch", kernel.label, f"J{n_blocks - 1}")
-    ctx_true = np.array(
-        rng.choice(engine.pi.size, p=engine.pi, size=trials), dtype=np.int64
-    )
+    ctx_true = sample_index(rng, engine.pi, trials)
     w = rng.random((trials, 1 - t_min))
     u_all = np.empty_like(w)
     cols = [slice(m[j + 1] - t_min, m[j] - t_min) for j in range(n_blocks)]
@@ -356,9 +362,8 @@ def stitch_blocks(
     for j in reversed(range(n_blocks)):
         if j == 0:
             ctx_before_0 = ctx_true
-        u_all[:, cols[j]], ctx_true, _ = coupled_run(
-            engine, w[:, cols[j]], ctx_true, hats[j]
-        )
+        ctx_true, _ = _run(engine, w[:, cols[j]], ctx_true, hats[j],
+                           v_is_u=False, other=u_all[:, cols[j]])
     del w  # the recovery and the audit read only u_all
     r_true = engine.generator_values(ctx_true)
 
@@ -368,9 +373,8 @@ def stitch_blocks(
     for j, delta in enumerate(deltas):
         ctx = ctx_before_0 if j == 0 else hats[j - 1]
         for i in reversed(range(max(j, 1))):
-            _, ctx, _ = coupled_run(
-                engine, u_all[:, cols[i]], ctx, hats[i], v_is_u=True
-            )
+            ctx, _ = _run(engine, u_all[:, cols[i]], ctx, hats[i],
+                          v_is_u=True, other=None)
         s_j = engine.generator_values(ctx)
         exceed = np.abs(s_j - r_true) > delta
         freq = float(exceed.mean())

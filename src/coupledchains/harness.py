@@ -67,6 +67,9 @@ KINDS = tuple(PARAMS)
 # Lower bounds of integer parameters, by name in every kind: a standard
 # error needs two trials.
 _MINIMUM = {"trials": 2, "k": 0, "p_max": 0}
+# Upper bounds, under the same rule and for each entry of a list: a
+# window [N; 0] starts at or before time 0.
+_MAXIMUM = {"n": 0, "n_list": 0}
 # The type a parameter with a None default takes when given.
 _NONE_DEFAULT_TYPES = {"p_max": int, "anchor": str}
 _TYPE_NAMES = {int: "integer", float: "number", str: "string", dict: "object",
@@ -135,9 +138,15 @@ class ExperimentConfig:
                     f"{self.kind} parameter {key!r} must be a JSON {expected}, "
                     f"got {value!r}"
                 )
-            if key in _MINIMUM and value < _MINIMUM[key]:
+            entries = value if isinstance(value, list) else [value]
+            if key in _MINIMUM and min(entries) < _MINIMUM[key]:
                 raise ConfigError(
                     f"{self.kind} parameter {key!r} must be >= {_MINIMUM[key]}, "
+                    f"got {value!r}"
+                )
+            if key in _MAXIMUM and max(entries) > _MAXIMUM[key]:
+                raise ConfigError(
+                    f"{self.kind} parameter {key!r} must be <= {_MAXIMUM[key]}, "
                     f"got {value!r}"
                 )
 

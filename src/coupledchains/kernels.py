@@ -148,11 +148,11 @@ def LongMemoryKernel(c: float, weights: tuple[float, ...]) -> Kernel:
         raise ValueError("base probability c must be positive")
     if any(t < 0.0 for t in weights):
         raise ValueError("weights must be nonnegative")
-    if c + sum(weights) >= 1.0:
-        raise ValueError("c + sum(weights) must stay below 1")
     (base, *lags), d = _over_common_denominator(
         [_as_fraction(c)] + [_as_fraction(t) for t in weights]
     )
+    if base + sum(lags) >= d:  # exact: the numerators are integers
+        raise ValueError("c + sum(weights) must stay below 1")
     # After lag p the table covers all p-bit codes; the half with bit p-1
     # clear (symbol 0 at lag p) gains that lag's weight.
     nums = [base]
@@ -355,8 +355,9 @@ def regime_check(profile: GammaProfile, tail: TailDescriptor) -> RegimeReport:
 
 
 def stationary_ctx_vector(kernel: Kernel, length: int) -> np.ndarray:
-    """Exact stationary distribution over integer-coded words of the
-    given length, by power iteration on the word shift chain."""
+    """Stationary distribution over integer-coded words of the given
+    length, by power iteration on the word shift chain, stopped once no
+    entry moves by _STATIONARY_TOL in a sweep."""
     if length > MAX_WORD_LENGTH:
         raise CapExceededError(f"word length {length} exceeds cap {MAX_WORD_LENGTH}")
     m = kernel.memory

@@ -34,7 +34,7 @@ from .kernels import (
     gamma_profile,
     stationary_ctx_vector,
 )
-from .rng import stream_rng
+from .rng import sample_index, stream_rng
 
 # Chunk length of the speculative scan in `advance`.
 CHUNK = 1024
@@ -59,7 +59,7 @@ def _stationary_start(kernel: Kernel, rng: np.random.Generator, size=None):
     if m == 0:
         return 0 if size is None else np.zeros(size, dtype=np.int64)
     pi = stationary_ctx_vector(kernel, m)
-    return rng.choice(pi.size, p=pi, size=size)
+    return sample_index(rng, pi, size)
 
 
 def advance(kernel: Kernel, ctx: int, u) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +216,15 @@ def coupled_walk(table: np.ndarray, v: np.ndarray, ctx_true: np.ndarray,
     elementwise operation as stepping all trials at once, so the result
     is byte-identical to the per-column loop.  Returns the other
     uniforms, shape (trials, steps), or None without `flips`."""
+    other = None if flips is None else np.empty(v.shape)
+    _walk(table, v, ctx_true, ctx_hat, flips, v_is_u, other)
+    return other
+
+
+def _walk(table, v, ctx_true, ctx_hat, flips, v_is_u, other) -> None:
+    """The walk of :func:`coupled_walk`, writing the other uniforms into
+    `other` (shape of `v`, any strides), or nowhere when it is None."""
     trials, steps = v.shape
-    other = None if flips is None else np.empty((trials, steps))
     step_flips = [None] * steps if flips is None else flips
     size = min(trials, TRIAL_BLOCK)
     vb, ob = np.empty((2, steps, size))
@@ -231,7 +238,6 @@ def coupled_walk(table: np.ndarray, v: np.ndarray, ctx_true: np.ndarray,
             coupled_step(table, ct, ch, vb[t, :n], flip, v_is_u, ob[t, :n], buf)
         if other is not None:
             other[b0:b0 + n] = ob[:, :n].T
-    return other
 
 
 def simulate_path(kernel: Kernel, steps: int, seed: int) -> PathSample:

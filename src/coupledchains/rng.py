@@ -1,12 +1,21 @@
 """Seeding discipline: every operation derives its generator from the
 master seed plus a fixed stream label, so results never depend on call
-order or parallel schedule."""
+order or parallel schedule.
+
+:func:`sample_index` draws from a finite law with the values and the
+stream use of ``Generator.choice``, by guide-table lookup (Chen & Asau
+1974; Devroye 1986, section III.2) instead of one binary search per
+draw."""
 
 from __future__ import annotations
 
 import zlib
 
 import numpy as np
+
+# The guide table splits [0, 1) into 2^_GUIDE_BITS equal buckets.
+_GUIDE_BITS = 14
+_SUM_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 def stream_rng(seed: int, *labels) -> np.random.Generator:
@@ -18,3 +27,37 @@ def stream_rng(seed: int, *labels) -> np.random.Generator:
         else:
             entropy.append(zlib.crc32(str(label).encode()))
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def sample_index(rng: np.random.Generator, p, size=None):
+    """Indices drawn from the law `p`: the same int64 values (a Python
+    int when `size` is None) as ``rng.choice(p.size, p=p, size=size)``,
+    from the same uniforms, so the stream is left in the same state.
+
+    ``choice`` returns #{cdf <= u} for each uniform u, by binary search.
+    Here [0, 1) is cut into G = 2^_GUIDE_BITS equal buckets; a bucket
+    with no cdf point strictly inside has one answer for all its u,
+    tabulated once, and a uniform finds its bucket as floor(u * G),
+    exact because G is a power of 2.  Only draws in the few buckets
+    that hold a cdf point fall back to the binary search."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("p must be a non-empty 1-dimensional law")
+    if np.any(p < 0):
+        raise ValueError("probabilities are not non-negative")
+    if not abs(p.sum() - 1.0) <= _SUM_TOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    if size is None:
+        return int(cdf.searchsorted(u, side="right"))
+    buckets = 1 << _GUIDE_BITS
+    edges = np.arange(buckets + 1) / buckets
+    below = cdf.searchsorted(edges[:-1], side="right")  # #{cdf <= b/G}
+    before = cdf.searchsorted(edges[1:], side="left")  # #{cdf < (b+1)/G}
+    guide = np.where(below == before, below, -1).astype(np.int64)
+    idx = guide[(u * buckets).astype(np.intp)]
+    miss = idx < 0
+    idx[miss] = cdf.searchsorted(u[miss], side="right")
+    return idx

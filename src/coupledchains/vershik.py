@@ -20,7 +20,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,16 +51,25 @@ class GeneratorConfig:
 def truncated_generator(word_int: int, depth: int) -> float:
     """R_D of the past whose present symbol is bit 0 of word_int; lags
     0..depth contribute with weights 3^-lag."""
-    return sum(
-        3.0 ** (-n) * ((word_int >> n) & 1) for n in range(depth + 1)
-    )
+    total = 0.0  # left to right, as generator_table adds its terms
+    for n in range(depth + 1):
+        total += 3.0 ** (-n) * ((word_int >> n) & 1)
+    return total
 
 
+@lru_cache(maxsize=MAX_TABLE_LENGTH)
 def generator_table(depth: int) -> np.ndarray:
-    """R_D for every (depth+1)-bit word, indexed by integer code."""
-    vals = np.array(
-        [truncated_generator(v, depth) for v in range(1 << (depth + 1))]
-    )
+    """R_D for every (depth+1)-bit word, indexed by integer code; built
+    once per depth and read-only.
+
+    The terms are added from lag 0 to lag D, one rounding each, as a
+    plain left-to-right loop would: builtin sum() compensates its
+    rounding since Python 3.12, so it would give other last bits
+    there."""
+    words = np.arange(1 << (depth + 1))
+    vals = np.zeros(words.size)
+    for n in range(depth + 1):
+        vals += 3.0 ** (-n) * ((words >> n) & 1)
     vals.flags.writeable = False
     return vals
 
@@ -174,6 +183,16 @@ def _base_table(config: GeneratorConfig, length: int) -> MetricTable:
     return MetricTable(0, length, values, None)
 
 
+def _effective_length(depth: int, length: int, memory: int) -> int:
+    """Bits e_p = max(L - p, m, 1) of each context that the depth-p table
+    of the recursion depends on.
+
+    T_0 reads the low D + 1 <= L bits.  A step reads the previous table
+    at the successors (u << 1 | a), which needs e_{p-1} - 1 bits of u,
+    and the kernel at u, which needs its memory m."""
+    return max(length - depth, memory, 1)
+
+
 def rho_step(kernel: Kernel, table: MetricTable) -> MetricTable:
     """One backward step of the metric recursion.
 
@@ -181,14 +200,22 @@ def rho_step(kernel: Kernel, table: MetricTable) -> MetricTable:
     coupling average of the four successor distances; the successor at
     symbol a of context u is (u << 1 | a) truncated to `length` bits,
     which stays a true context because length >= kernel memory.
+
+    `table` must come from the recursion (:func:`metric_tables`, or
+    :func:`rho_step` applied to such a table): its entries then depend
+    only on the low :func:`_effective_length` bits of each context.  The
+    step therefore reads the top-left 2^e_{p-1} block, computes the
+    2^e_p x 2^e_p block, and tiles values and orientation out to
+    `length` bits; every entry is the one the full-size step gives.
     """
     length = table.length
     if length < kernel.memory:
         raise ValueError("table length must cover the kernel memory")
-    size = 1 << length
-    mask = size - 1
-    idx = np.arange(size)
-    succ0 = (idx << 1) & mask
+    depth = table.depth + 1
+    bits = _effective_length(depth, length, kernel.memory)
+    old_mask = (1 << _effective_length(table.depth, length, kernel.memory)) - 1
+    idx = np.arange(1 << bits)
+    succ0 = (idx << 1) & old_mask
     succ1 = succ0 | 1
 
     old = table.values
@@ -196,7 +223,7 @@ def rho_step(kernel: Kernel, table: MetricTable) -> MetricTable:
     c01 = old[np.ix_(succ0, succ1)]
     c10 = old[np.ix_(succ1, succ0)]
     c11 = old[np.ix_(succ1, succ1)]
-    f = kernel.prob0_over(length)
+    f = kernel.prob0_over(bits)
     fu = f[:, None]
     gv = f[None, :]
 
@@ -219,8 +246,10 @@ def rho_step(kernel: Kernel, table: MetricTable) -> MetricTable:
         + np.maximum(1.0 - fu - gv, 0.0) * c11
     )
     values = np.where(orientation == -1, mono, anti)
+    reps = (1 << (length - bits),) * 2
+    values = np.tile(values, reps)
     values.flags.writeable = False
-    return MetricTable(table.depth + 1, length, values, orientation)
+    return MetricTable(depth, length, values, np.tile(orientation, reps))
 
 
 def metric_tables(
@@ -324,15 +353,15 @@ def alpha_sequence_mc(
 ) -> AlphaSequence:
     """Monte Carlo estimate of the same sequence: sample independent
     stationary context pairs and average the table entries."""
-    from .rng import stream_rng
+    from .rng import sample_index, stream_rng
 
     engine = CouplingEngine.build(kernel, p_max, config)
     rng = stream_rng(seed, "alpha-mc", kernel.label)
     # Code x * size + y of each sampled pair (x, y) of contexts, to index
     # the flattened tables.
     size = engine.pi.size
-    flat = rng.choice(size, p=engine.pi, size=trials) * size
-    flat += rng.choice(size, p=engine.pi, size=trials)
+    flat = sample_index(rng, engine.pi, trials) * size
+    flat += sample_index(rng, engine.pi, trials)
     samples = np.empty(trials)
     vals, errs = [], []
     for t in engine.tables:
@@ -346,4 +375,7 @@ def alpha_sup_bound(config: GeneratorConfig, p: int) -> float:
     """For context-free kernels the depth-p distance only sees symbols
     at lags >= p, so alpha_p <= sum_{n=p}^{D} 3^-n.  Not certified for
     context-dependent kernels (coupled symbols need not agree)."""
-    return float(sum(3.0 ** (-n) for n in range(p, config.depth + 1)))
+    total = 0.0  # left to right, as generator_table adds its terms
+    for n in range(p, config.depth + 1):
+        total += 3.0 ** (-n)
+    return total

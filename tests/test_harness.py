@@ -247,6 +247,12 @@ def test_cli_rejects_unknown_parameter(tmp_path):
         ("extend", {"trials": 1}),
         ("vershik", {"mode": "monte-carlo", "trials": 0}),
         ("vershik", {"mode": "monte-carlo", "trials": 1}),
+        # Window starts after time 0: [1; 0] is empty, and [3; 0] would
+        # have a negative number of steps.
+        ("extend", {"n": 1}),
+        ("extend", {"n": 3}),
+        ("reconstruct", {"n_list": [1]}),
+        ("reconstruct", {"n_list": [-5, 2]}),
     ]
     for i, (kind, params) in enumerate(malformed):
         path = write_config(
@@ -256,6 +262,17 @@ def test_cli_rejects_unknown_parameter(tmp_path):
         out = tmp_path / f"out{i}"
         assert main([kind, "--config", path, "--out", str(out)]) == 2, params
         assert not out.exists()
+
+
+def test_window_start_bound_names_parameter():
+    kernel = {"variant": "builtin", "name": "markov1-demo"}
+    with pytest.raises(ConfigError, match="'n' must be <= 0"):
+        ExperimentConfig("extend", kernel, 5, params={"n": 1})
+    with pytest.raises(ConfigError, match="'n_list' must be <= 0"):
+        ExperimentConfig("reconstruct", kernel, 5, params={"n_list": [-3, 1]})
+    # Time 0 itself is a window of one step.
+    ExperimentConfig("extend", kernel, 5, params={"n": 0})
+    ExperimentConfig("reconstruct", kernel, 5, params={"n_list": [0, -4]})
 
 
 def test_cli_stitch_depth_cap_exits_2(tmp_path, capsys):

@@ -85,6 +85,9 @@ def test_validation():
         MarkovKernel.from_table(1, {(0,): 0.7})  # incomplete table
     with pytest.raises(ValueError):
         LongMemoryKernel(0.5, (0.4, 0.2))  # exceeds 1
+    with pytest.raises(ValueError):
+        # Exactly 1, though 0.1 + (0.2 + 0.7) rounds below 1 in floats.
+        LongMemoryKernel(0.1, (0.2, 0.7))
     # Markov and long-memory kernels share one cap on the memory.
     deepest = MarkovKernel(MAX_MEMORY_DEPTH, (0.5,) * (1 << MAX_MEMORY_DEPTH))
     assert deepest.memory == MAX_MEMORY_DEPTH

@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupledchains.kernels import IIDKernel, builtin_kernels, stationary_ctx_vector
+from coupledchains.kernels import (
+    IIDKernel,
+    MarkovKernel,
+    builtin_kernels,
+    stationary_ctx_vector,
+)
 from coupledchains.vershik import (
     GeneratorConfig,
+    MetricTable,
     alpha_sequence,
     alpha_sequence_mc,
     alpha_sup_bound,
@@ -46,6 +52,23 @@ def test_generator_separation():
             diff = a ^ b
             k = (diff & -diff).bit_length() - 1  # most recent differing lag
             assert abs(gen[a] - gen[b]) >= 3.0**-k / 2 - 1e-12
+
+
+def test_generator_table_matches_explicit_loop():
+    # Oracle: R_D added up lag by lag, left to right, in plain Python;
+    # the table must hold these bytes under every Python version.
+    for depth in range(1, 8):
+        loop = []
+        for word in range(1 << (depth + 1)):
+            total = 0.0
+            for n in range(depth + 1):
+                total += 3.0 ** (-n) * ((word >> n) & 1)
+            loop.append(total)
+        table = generator_table(depth)
+        assert table.tobytes() == np.array(loop).tobytes()
+        assert not table.flags.writeable
+        assert generator_table(depth) is table  # built once per depth
+        assert [truncated_generator(w, depth) for w in range(table.size)] == loop
 
 
 def test_truncation_error_bound():
@@ -233,6 +256,91 @@ def test_alpha_iid_brackets():
 def test_alpha_markov_decays():
     seq = alpha_sequence(MARKOV1, 8, GeneratorConfig(6))
     assert seq.values[8] / seq.values[0] < 0.05
+
+
+# ---------------------------------------------------------------------------
+# rho_step at the effective context length.  Oracle: the full-length
+# step on the whole 2^L x 2^L table.
+
+
+def reference_rho_step(kernel, table: MetricTable) -> MetricTable:
+    length = table.length
+    size = 1 << length
+    mask = size - 1
+    idx = np.arange(size)
+    succ0 = (idx << 1) & mask
+    succ1 = succ0 | 1
+    old = table.values
+    c00 = old[np.ix_(succ0, succ0)]
+    c01 = old[np.ix_(succ0, succ1)]
+    c10 = old[np.ix_(succ1, succ0)]
+    c11 = old[np.ix_(succ1, succ1)]
+    f = kernel.prob0_over(length)
+    fu = f[:, None]
+    gv = f[None, :]
+    orient_stat = c00 + c11 - c01 - c10
+    orientation = np.where(orient_stat <= 0, -1, 1).astype(np.int8)
+    d00 = np.minimum(fu, gv)
+    mono = (
+        d00 * c00
+        + (fu - d00) * c01
+        + (gv - d00) * c10
+        + (1.0 - fu - gv + d00) * c11
+    )
+    anti = (
+        np.maximum(fu + gv - 1.0, 0.0) * c00
+        + np.minimum(fu, 1.0 - gv) * c01
+        + np.minimum(1.0 - fu, gv) * c10
+        + np.maximum(1.0 - fu - gv, 0.0) * c11
+    )
+    values = np.where(orientation == -1, mono, anti)
+    return MetricTable(table.depth + 1, length, values, orientation)
+
+
+def assert_tables_match_reference(kernel, config, p_max):
+    tables = metric_tables(kernel, p_max, config)
+    ref = tables[0]
+    for table in tables[1:]:
+        ref = reference_rho_step(kernel, ref)
+        assert (table.depth, table.length) == (ref.depth, ref.length)
+        assert table.values.shape == ref.values.shape
+        assert table.values.tobytes() == ref.values.tobytes()
+        assert table.orientation.tobytes() == ref.orientation.tobytes()
+
+
+ORDER3 = MarkovKernel.from_table(3, {
+    "000": 0.7, "001": 0.45, "010": 0.6, "011": 0.35,
+    "100": 0.65, "101": 0.4, "110": 0.55, "111": 0.3,
+})
+
+
+@pytest.mark.parametrize(
+    "kernel, depth, p_max",
+    [
+        (ORDER3, 7, 40),
+        (MARKOV1, 7, 13),
+        (builtin_kernels()["long-memory-demo"], 6, 12),
+        (IID, 5, 10),  # m = 0
+        # m = L = 6 > D + 1: the step never shrinks.
+        (MarkovKernel(6, tuple(np.linspace(0.05, 0.95, 64).round(4))), 4, 6),
+    ],
+)
+def test_rho_step_matches_full_length_step(kernel, depth, p_max):
+    assert_tables_match_reference(kernel, GeneratorConfig(depth), p_max)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    order=st.integers(1, 6),
+    depth=st.integers(1, 7),
+    p_max=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rho_step_matches_full_length_step_drawn(order, depth, p_max, seed):
+    rng = np.random.default_rng(seed)
+    probs = np.round(rng.uniform(0.01, 0.99, 1 << order), 4)
+    kernel = MarkovKernel(order, tuple(probs.tolist()))
+    assert_tables_match_reference(kernel, GeneratorConfig(depth), p_max)
 
 
 def test_rho_step_increments_depth():
