@@ -13,7 +13,10 @@ of U yields an iid-uniform sequence from which the generator can be
 recovered within any tolerance schedule.
 
 One walk, :func:`coupled_run`, serves both directions: fed W it
-re-encodes to U, fed U it rebuilds the true chain.
+re-encodes to U, fed U it rebuilds the true chain.  It returns the end
+contexts, writes the other uniforms only into a buffer it is given (the
+forward stitch passes its columns of the stitched U), and steps through
+:func:`.reconstruction.coupled_walk`.
 
 Time convention: a run over [N; 0] takes |N|+1 steps; the step landing
 at time t uses the orientation table at depth -t + 1 (depth |N|+1 first,
@@ -29,7 +32,7 @@ import numpy as np
 
 from .innovation import AuditReport, innovation_audit
 from .kernels import CapExceededError, Kernel
-from .reconstruction import _walk
+from .reconstruction import coupled_walk
 from .rng import sample_index, stream_rng
 from .vershik import CouplingEngine, GeneratorConfig, coupling_table
 from .words import Word, as_word, int_to_word, word_to_int
@@ -48,26 +51,20 @@ def coupled_run(
     ctx_true: np.ndarray,
     ctx_hat: np.ndarray,
     v_is_u: bool = False,
+    other=None,
 ):
     """Re-encode a window of v.shape[1] steps, vectorized over trials.
 
     ``v`` has shape (trials, steps) and holds the innovations w of the
     true chain, or with ``v_is_u`` the re-encoded u, from which the run
     rebuilds the true chain (the flip is its own inverse).  Contexts are
-    integer words for the pasts before the window.  Returns (the other
-    uniforms, ctx_true, ctx_hat) with the contexts now at the window's
-    end.  The steps run through :func:`coupled_walk`, one block of
-    trials at a time; each depth's orientation table becomes a flip
-    table over context pairs once per run.
+    integer words for the pasts before the window.  Returns (ctx_true,
+    ctx_hat), the contexts at the window's end, and writes the other
+    uniforms into `other` (shape of `v`, any strides) when it is given.
+    The steps run through :func:`coupled_walk`, one block of trials at a
+    time; each depth's orientation table becomes a flip table over
+    context pairs once per run.
     """
-    other = np.empty(v.shape)
-    return (other, *_run(engine, v, ctx_true, ctx_hat, v_is_u, other))
-
-
-def _run(engine, v, ctx_true, ctx_hat, v_is_u, other):
-    """The run of :func:`coupled_run`, writing the other uniforms into
-    `other` (any strides), or nowhere when it is None; returns the end
-    contexts."""
     steps = v.shape[1]
     mask = (1 << engine.length) - 1
     ctx_true = np.asarray(ctx_true, dtype=np.int64) & mask
@@ -75,7 +72,7 @@ def _run(engine, v, ctx_true, ctx_hat, v_is_u, other):
     flips = [
         engine.table(steps - t).orientation.ravel() != -1 for t in range(steps)
     ]
-    _walk(engine.prob0, v, ctx_true, ctx_hat, flips, v_is_u, other)
+    coupled_walk(engine.prob0, v, ctx_true, ctx_hat, flips, v_is_u, other)
     return ctx_true, ctx_hat
 
 
@@ -219,7 +216,7 @@ def generator_error_check(
     ctx_true = sample_index(rng, engine.pi, trials)
     ctx_hat = np.full(trials, anchor_int, dtype=np.int64)
     w = rng.random((trials, 1 - n_start))
-    _, end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat)
+    end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat)
     gaps = np.abs(
         engine.generator_values(end_true) - engine.generator_values(end_hat)
     )
@@ -362,8 +359,8 @@ def stitch_blocks(
     for j in reversed(range(n_blocks)):
         if j == 0:
             ctx_before_0 = ctx_true
-        ctx_true, _ = _run(engine, w[:, cols[j]], ctx_true, hats[j],
-                           v_is_u=False, other=u_all[:, cols[j]])
+        ctx_true, _ = coupled_run(engine, w[:, cols[j]], ctx_true, hats[j],
+                                  other=u_all[:, cols[j]])
     del w  # the recovery and the audit read only u_all
     r_true = engine.generator_values(ctx_true)
 
@@ -373,8 +370,8 @@ def stitch_blocks(
     for j, delta in enumerate(deltas):
         ctx = ctx_before_0 if j == 0 else hats[j - 1]
         for i in reversed(range(max(j, 1))):
-            ctx, _ = _run(engine, u_all[:, cols[i]], ctx, hats[i],
-                          v_is_u=True, other=None)
+            ctx, _ = coupled_run(engine, u_all[:, cols[i]], ctx, hats[i],
+                                 v_is_u=True)
         s_j = engine.generator_values(ctx)
         exceed = np.abs(s_j - r_true) > delta
         freq = float(exceed.mean())

@@ -65,8 +65,8 @@ PARAMS = {
 }
 KINDS = tuple(PARAMS)
 # Lower bounds of integer parameters, by name in every kind: a standard
-# error needs two trials.
-_MINIMUM = {"trials": 2, "k": 0, "p_max": 0}
+# error needs two trials, and the audit's tests need 100 samples.
+_MINIMUM = {"trials": 2, "k": 0, "p_max": 0, "steps": 100}
 # Upper bounds, under the same rule and for each entry of a list: a
 # window [N; 0] starts at or before time 0.
 _MAXIMUM = {"n": 0, "n_list": 0}
@@ -114,8 +114,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if not _is(self.seed, int) or self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        # The random streams read the seed as 64 bits (rng.stream_rng).
+        if not _is(self.seed, int) or not 0 <= self.seed < 1 << 64:
+            raise ConfigError(
+                f"seed must be an integer in [0, 2^64), got {self.seed!r}"
+            )
         unknown = sorted(set(self.params) - set(PARAMS[self.kind]))
         if unknown:
             raise ConfigError(
@@ -249,10 +252,10 @@ def _run_gamma(kernel, config):
     p = config.settings
     p_max = p["p_max"] if p["p_max"] is not None else max(kernel.memory, 4)
     prof = gamma_profile(kernel, p_max)
-    report = regime_check(prof, _build_tail(p["tail"]))
+    regime = regime_check(_build_tail(p["tail"]))
     header = ("p", "gamma_p", "certified")
     rows = [(i, g, "exact") for i, g in enumerate(prof.values)]
-    verdicts = [("regime", report.regime, report.regime != "undetermined")]
+    verdicts = [("regime", regime, regime != "undetermined")]
     return header, rows, verdicts
 
 

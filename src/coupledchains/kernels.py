@@ -278,15 +278,6 @@ class TailDescriptor:
     amp: float = 0.0
     ratio: float = 0.0
 
-    def gamma(self, p: int) -> float:
-        if self.kind == "eventually-zero":
-            return 0.0
-        if self.kind == "rational-decay":
-            return self.a / (p + self.b)
-        if self.kind == "one-minus-geometric":
-            return 1.0 - self.amp * self.ratio**p
-        raise ValueError(f"no formula for tail kind {self.kind!r}")
-
 
 def eventually_zero() -> TailDescriptor:
     return TailDescriptor("eventually-zero")
@@ -310,44 +301,18 @@ def unknown_tail() -> TailDescriptor:
     return TailDescriptor("unknown")
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    regime: str  # diverges-certified | converges-certified | undetermined
-    gamma_limit_zero: bool | None
-    gamma_summable: bool | None
-    partial_sum: float  # sum_{l<=1000} prod_{p<=l}(1 - gamma_p)
-
-
-def regime_check(profile: GammaProfile, tail: TailDescriptor) -> RegimeReport:
-    """Classify the renewal-series regime from the analytic tail family;
-    also reports whether gamma_p -> 0 and whether sum gamma_p < inf."""
-
-    def gamma_at(p: int) -> float:
-        if p < len(profile.values):
-            return profile.values[p]
-        return tail.gamma(p) if tail.kind != "unknown" else float("nan")
-
-    partial = 0.0
-    prod = 1.0
-    for ell in range(1001):
-        g = gamma_at(ell)
-        if g != g:  # unknown tail ran out of information
-            break
-        prod *= 1.0 - g
-        partial += prod
-        if prod == 0.0:
-            break
-
+def regime_check(tail: TailDescriptor) -> str:
+    """Classify the renewal-series regime from the analytic tail family:
+    diverges-certified, converges-certified or undetermined."""
     if tail.kind == "eventually-zero":
         # Partial products are eventually constant and positive.
-        return RegimeReport("diverges-certified", True, True, partial)
+        return "diverges-certified"
     if tail.kind == "rational-decay":
-        regime = "diverges-certified" if tail.a <= 1.0 else "converges-certified"
-        return RegimeReport(regime, True, False, partial)
+        return "diverges-certified" if tail.a <= 1.0 else "converges-certified"
     if tail.kind == "one-minus-geometric":
         # Partial products shrink super-geometrically; tail sums bounded.
-        return RegimeReport("converges-certified", False, False, partial)
-    return RegimeReport("undetermined", None, None, partial)
+        return "converges-certified"
+    return "undetermined"
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ true chain and a companion chain across trials.  :func:`advance` is a
 chunked speculative scan, byte-identical to the serial loop: chunks
 stepped at once from a guessed context are repaired serially until the
 true chain meets them, and the renewal (reset) chain bounds the length
-of each repair.  :func:`coupled_walk` runs :func:`coupled_step` over a
-window one block of TRIAL_BLOCK trials at a time, so each step works on
-contiguous, cache-resident rows; it is byte-identical to stepping all
-trials at once, one column per step.
+of each repair.  :func:`coupled_walk`, the one across-trials walk (the
+replay here, every coupled run of :mod:`.extension`), runs
+:func:`coupled_step` over a window one block of TRIAL_BLOCK trials at a
+time, so each step works on contiguous, cache-resident rows; it is
+byte-identical to stepping all trials at once, one column per step, and
+writes the other uniforms only into a buffer it is given.
 """
 
 from __future__ import annotations
@@ -177,9 +179,13 @@ def coupled_step(table: np.ndarray, ctx_true: np.ndarray, ctx_hat: np.ndarray,
     u when `v_is_u` (the flip is its own inverse); the other uniform is
     written into `other`.  Without `flip`, u = w (plain replay on shared
     innovations) and `other` is not used.  ``scratch`` holds a float, a
-    bool and an int64 buffer of the trials' size, reused between steps.
+    bool and an int64 buffer of the trials' size, reused between steps
+    by :func:`coupled_walk`; a lone step allocates its own.
     """
-    f, x, pair = _step_scratch(v.size) if scratch is None else scratch
+    if scratch is None:
+        scratch = (np.empty(v.size), np.empty(v.size, dtype=bool),
+                   np.empty(v.size, dtype=np.int64))
+    f, x, pair = scratch
     w = u = v
     if flip is not None:
         np.left_shift(ctx_true, table.size.bit_length() - 1, out=pair)
@@ -197,38 +203,27 @@ def coupled_step(table: np.ndarray, ctx_true: np.ndarray, ctx_hat: np.ndarray,
         ctx &= mask
 
 
-def _step_scratch(size: int):
-    """The float, bool and int64 buffers :func:`coupled_step` reuses."""
-    return (np.empty(size), np.empty(size, dtype=bool),
-            np.empty(size, dtype=np.int64))
-
-
 def coupled_walk(table: np.ndarray, v: np.ndarray, ctx_true: np.ndarray,
-                 ctx_hat: np.ndarray, flips=None, v_is_u: bool = False):
+                 ctx_hat: np.ndarray, flips=None, v_is_u: bool = False,
+                 other=None) -> None:
     """Run :func:`coupled_step` over every column of `v` (shape (trials,
     steps), any strides), one block of TRIAL_BLOCK trials at a time.
 
     ``flips[t]`` is the flip table of step t, or `flips` is None for a
-    plain replay.  The int64 context arrays are updated in place.  Each
-    block's uniforms are copied once into a (steps, block) buffer, so
-    every step reads and writes contiguous rows that stay in cache; the
-    scratch memory is O(TRIAL_BLOCK x steps).  Every value is the same
-    elementwise operation as stepping all trials at once, so the result
-    is byte-identical to the per-column loop.  Returns the other
-    uniforms, shape (trials, steps), or None without `flips`."""
-    other = None if flips is None else np.empty(v.shape)
-    _walk(table, v, ctx_true, ctx_hat, flips, v_is_u, other)
-    return other
-
-
-def _walk(table, v, ctx_true, ctx_hat, flips, v_is_u, other) -> None:
-    """The walk of :func:`coupled_walk`, writing the other uniforms into
-    `other` (shape of `v`, any strides), or nowhere when it is None."""
+    plain replay.  The int64 context arrays are updated in place, and
+    the other uniforms are written into `other` (shape of `v`, any
+    strides) when it is given.  Each block's uniforms are copied once
+    into a (steps, block) buffer, so every step reads and writes
+    contiguous rows that stay in cache; the scratch memory is
+    O(TRIAL_BLOCK x steps).  Every value is the same elementwise
+    operation as stepping all trials at once, so the result is
+    byte-identical to the per-column loop."""
     trials, steps = v.shape
     step_flips = [None] * steps if flips is None else flips
     size = min(trials, TRIAL_BLOCK)
     vb, ob = np.empty((2, steps, size))
-    scratch = _step_scratch(size)
+    scratch = (np.empty(size), np.empty(size, dtype=bool),
+               np.empty(size, dtype=np.int64))
     for b0 in range(0, trials, TRIAL_BLOCK):
         n = min(TRIAL_BLOCK, trials - b0)
         vb[:, :n] = v[b0:b0 + n].T

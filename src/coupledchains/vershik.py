@@ -91,11 +91,14 @@ class Coupling2x2:
         return float(np.sum(self.table * costs))
 
 
-def lambda_sign(costs: np.ndarray) -> int:
+def lambda_sign(costs: np.ndarray):
     """Orientation of the optimal coupling for a 2x2 transport cost:
-    -1 when c00 + c11 <= c01 + c10 (ties favor the monotone table)."""
+    -1 when c00 + c11 <= c01 + c10 (ties favor the monotone table).
+
+    Broadcasts over costs of shape (2, 2, ...), returning int8 -1/+1 of
+    the trailing shape (an int8 scalar for one 2x2 table)."""
     s = costs[0, 0] + costs[1, 1] - costs[0, 1] - costs[1, 0]
-    return -1 if s <= 0 else 1
+    return np.where(s <= 0, -1, 1).astype(np.int8)[()]
 
 
 def coupling_table(f, g, orientation) -> np.ndarray:
@@ -125,7 +128,7 @@ def optimal_coupling(f: float, g: float, costs: np.ndarray) -> Coupling2x2:
     an endpoint, which is the monotone table for orientation -1 and the
     antitone table for orientation +1.
     """
-    orient = lambda_sign(costs)
+    orient = int(lambda_sign(costs))
     return Coupling2x2(f, g, coupling_table(f, g, orient), orient)
 
 
@@ -196,8 +199,10 @@ def _effective_length(depth: int, length: int, memory: int) -> int:
 def rho_step(kernel: Kernel, table: MetricTable) -> MetricTable:
     """One backward step of the metric recursion.
 
-    For each pair of contexts (u, v) the new value is the optimal-
-    coupling average of the four successor distances; the successor at
+    For each pair of contexts (u, v) the new value is the average of
+    the four successor distances under the optimal coupling: the
+    :func:`coupling_table` of the two conditional laws at the orientation
+    :func:`lambda_sign` picks for those distances.  The successor at
     symbol a of context u is (u << 1 | a) truncated to `length` bits,
     which stays a true context because length >= kernel memory.
 
@@ -214,38 +219,14 @@ def rho_step(kernel: Kernel, table: MetricTable) -> MetricTable:
     depth = table.depth + 1
     bits = _effective_length(depth, length, kernel.memory)
     old_mask = (1 << _effective_length(table.depth, length, kernel.memory)) - 1
-    idx = np.arange(1 << bits)
-    succ0 = (idx << 1) & old_mask
-    succ1 = succ0 | 1
-
-    old = table.values
-    c00 = old[np.ix_(succ0, succ0)]
-    c01 = old[np.ix_(succ0, succ1)]
-    c10 = old[np.ix_(succ1, succ0)]
-    c11 = old[np.ix_(succ1, succ1)]
+    succ0 = (np.arange(1 << bits) << 1) & old_mask
+    succ = np.stack([succ0, succ0 | 1])
+    # costs[a, b, u, v]: distance between the successors at symbols a, b.
+    costs = table.values[succ[:, None, :, None], succ[None, :, None, :]]
     f = kernel.prob0_over(bits)
-    fu = f[:, None]
-    gv = f[None, :]
-
-    orient_stat = c00 + c11 - c01 - c10
-    orientation = np.where(orient_stat <= 0, -1, 1).astype(np.int8)
-
-    # Monotone endpoint: diagonal mass min(f, g).
-    d00 = np.minimum(fu, gv)
-    mono = (
-        d00 * c00
-        + (fu - d00) * c01
-        + (gv - d00) * c10
-        + (1.0 - fu - gv + d00) * c11
-    )
-    # Antitone endpoint: minima on the anti-diagonal.
-    anti = (
-        np.maximum(fu + gv - 1.0, 0.0) * c00
-        + np.minimum(fu, 1.0 - gv) * c01
-        + np.minimum(1.0 - fu, gv) * c10
-        + np.maximum(1.0 - fu - gv, 0.0) * c11
-    )
-    values = np.where(orientation == -1, mono, anti)
+    orientation = lambda_sign(costs)
+    coupling = coupling_table(f[:, None], f[None, :], orientation)
+    values = np.sum(coupling * costs, axis=(0, 1))
     reps = (1 << (length - bits),) * 2
     values = np.tile(values, reps)
     values.flags.writeable = False

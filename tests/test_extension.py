@@ -162,9 +162,13 @@ WALK_TRIALS = [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK
 
 def assert_walk_matches_serial(engine, v, ctx_true, ctx_hat):
     for v_is_u in (False, True):
-        got = coupled_run(engine, v, ctx_true, ctx_hat, v_is_u)
+        other = np.empty(v.shape)
+        got = (other, *coupled_run(engine, v, ctx_true, ctx_hat, v_is_u, other))
         ref = serial_coupled_run(engine, v, ctx_true, ctx_hat, v_is_u)
-        for a, b in zip(got, ref):
+        # Without a buffer for the other uniforms (the inverse replays and
+        # the generator-gap check), the run ends in the same contexts.
+        got_ends = coupled_run(engine, v, ctx_true, ctx_hat, v_is_u)
+        for a, b in zip(got + got_ends, ref + ref[1:]):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
 
@@ -195,7 +199,8 @@ def test_coupled_run_blocks_flip():
     ctx_true = rng.choice(engine.pi.size, p=engine.pi, size=trials)
     ctx_hat = np.zeros(trials, dtype=np.int64)
     w = rng.random((trials, 8))
-    u, _, _ = coupled_run(engine, w, ctx_true, ctx_hat)
+    u = np.empty(w.shape)
+    coupled_run(engine, w, ctx_true, ctx_hat, other=u)
     flipped = u != w
     assert flipped[:TRIAL_BLOCK].any() and flipped[3 * TRIAL_BLOCK:].any()
     assert_walk_matches_serial(engine, w, ctx_true, ctx_hat)
@@ -225,8 +230,10 @@ def test_round_trip_reconstruction():
     ctx_true = rng.choice(engine.pi.size, p=engine.pi, size=trials)
     ctx_hat = np.zeros(trials, dtype=np.int64)
     w = rng.random((trials, steps))
-    u, end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat)
-    w_back, x_end, xhat_end = coupled_run(engine, u, ctx_true, ctx_hat, v_is_u=True)
+    u, w_back = np.empty((2,) + w.shape)
+    end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat, other=u)
+    x_end, xhat_end = coupled_run(engine, u, ctx_true, ctx_hat, v_is_u=True,
+                                  other=w_back)
     # The inverse run reproduces the true and hat symbols bit for bit.
     assert np.array_equal(symbols(x_end, steps), symbols(end_true, steps))
     assert np.array_equal(symbols(xhat_end, steps), symbols(end_hat, steps))
@@ -249,9 +256,11 @@ def test_inverse_run_longer_than_table_width(kernel, steps, flips):
     ctx_true = rng.choice(engine.pi.size, p=engine.pi, size=trials)
     ctx_hat = np.zeros(trials, dtype=np.int64)
     w = rng.random((trials, steps))
-    u, end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat)
+    u, w_back = np.empty((2,) + w.shape)
+    end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat, other=u)
     assert np.any(u != w) == flips
-    w_back, x_end, xhat_end = coupled_run(engine, u, ctx_true, ctx_hat, v_is_u=True)
+    x_end, xhat_end = coupled_run(engine, u, ctx_true, ctx_hat, v_is_u=True,
+                                  other=w_back)
     assert np.allclose(w_back, w, rtol=0.0, atol=2.0**-52)
     assert np.array_equal(x_end, end_true)
     assert np.array_equal(xhat_end, end_hat)
@@ -262,7 +271,7 @@ def test_coupled_run_contexts_stay_within_table_width():
     trials, steps = 200, 100
     w = stream_rng(32, "width").random((trials, steps))
     zeros = np.zeros(trials, dtype=np.int64)
-    _, end_true, end_hat = coupled_run(engine, w, zeros, zeros)
+    end_true, end_hat = coupled_run(engine, w, zeros, zeros)
     for ctx in (end_true, end_hat):
         assert ctx.min() >= 0 and ctx.max() < 1 << engine.length
 
@@ -281,10 +290,11 @@ def test_iid_u_equals_w_and_matches_plain_replay():
     sample = simulate_path(IID, steps, 41)
     w = sample.w.reshape(1, -1)
     zeros = np.zeros(1, dtype=np.int64)
-    u, _, _ = coupled_run(engine, w, zeros, zeros)
+    u = np.empty(w.shape)
+    coupled_run(engine, w, zeros, zeros, other=u)
     assert np.array_equal(u, w)
     plain = window_reconstruct(IID, sample.w)
-    _, x_end, _ = coupled_run(engine, u, zeros, zeros, v_is_u=True)
+    x_end, _ = coupled_run(engine, u, zeros, zeros, v_is_u=True)
     x = symbols(x_end, steps)[0]
     assert np.array_equal(x, plain)
     assert np.array_equal(x, sample.x)
@@ -300,7 +310,7 @@ def test_joint_one_step_law_matches_coupling_table():
     ctx_hat = np.ones(trials, dtype=np.int64)  # anchor context ends in 1
     w = rng.random((trials, 1))
     lam = int(engine.tables[1].orientation[0, 1])
-    _, end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat)
+    end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat)
     table = coupling_table(0.7, 0.4, lam)
     for a in (0, 1):
         for b in (0, 1):
@@ -439,7 +449,7 @@ def test_joint_window_law_iid_never_disagrees():
     ctx = rng.integers(0, engine.pi.size, trials)
     anchor = np.zeros(trials, dtype=np.int64)
     w = rng.random((trials, steps))
-    _, end_true, end_hat = coupled_run(engine, w, ctx, anchor)
+    end_true, end_hat = coupled_run(engine, w, ctx, anchor)
     assert np.all(((end_true ^ end_hat) & ((1 << steps) - 1)) == 0)
 
 

@@ -25,18 +25,19 @@ def test_demo_outputs_match_golden(kind, tmp_path):
         assert (out / name).read_bytes() == (GOLDEN / kind / name).read_bytes(), name
 
 
-def test_audit_runs_without_scipy(tmp_path):
+@pytest.mark.parametrize("kind", KINDS)
+def test_runs_without_scipy(kind, tmp_path):
     # numpy is the only runtime dependency: with every scipy import made
-    # to fail, the demo audit still reproduces its golden outputs.
+    # to fail, each demo config still reproduces its golden outputs.
     code = (
         "import sys; sys.modules['scipy'] = None; "
         "from coupledchains.harness import main; sys.exit(main(sys.argv[1:]))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, "audit",
-         "--config", str(CONFIGS / "audit.json"), "--out", str(tmp_path)],
+        [sys.executable, "-c", code, kind,
+         "--config", str(CONFIGS / f"{kind}.json"), "--out", str(tmp_path)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    for name in ("audit.csv", "manifest.json"):
-        assert (tmp_path / name).read_bytes() == (GOLDEN / "audit" / name).read_bytes()
+    for name in (f"{kind}.csv", "manifest.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / kind / name).read_bytes()

@@ -85,6 +85,17 @@ def test_experiment_config_validates():
     for seed in (7.5, True):
         with pytest.raises(ConfigError):
             ExperimentConfig("gamma", {}, seed)
+    # The random streams read 64 bits of the seed: a larger seed would
+    # give the same outputs as a smaller one.
+    for seed in (2**64, 2**64 + 7):
+        with pytest.raises(ConfigError, match=r"seed must be .* \[0, 2\^64\)"):
+            ExperimentConfig("gamma", {}, seed)
+    ExperimentConfig("gamma", {}, 2**64 - 1)
+    # The audit's count has its bound checked like every other count.
+    for steps in (-5, 50):
+        with pytest.raises(ConfigError, match="'steps' must be >= 100"):
+            ExperimentConfig("audit", {}, 1, params={"steps": steps})
+    ExperimentConfig("audit", {}, 1, params={"steps": 100})
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +264,10 @@ def test_cli_rejects_unknown_parameter(tmp_path):
         ("extend", {"n": 3}),
         ("reconstruct", {"n_list": [1]}),
         ("reconstruct", {"n_list": [-5, 2]}),
+        # The audit needs 100 samples, and a seed fits in 64 bits.
+        ("audit", {"steps": -5}),
+        ("audit", {"steps": 50}),
+        ("reconstruct", {"seed": 2**64 + 7}),
     ]
     for i, (kind, params) in enumerate(malformed):
         path = write_config(
@@ -262,6 +277,15 @@ def test_cli_rejects_unknown_parameter(tmp_path):
         out = tmp_path / f"out{i}"
         assert main([kind, "--config", path, "--out", str(out)]) == 2, params
         assert not out.exists()
+    # --seed goes through the same check.
+    path = write_config(
+        tmp_path, "seeded.json",
+        {"kind": "reconstruct", "kernel": cfg["kernel"], "seed": 5},
+    )
+    out = tmp_path / "out-seed"
+    assert main(["reconstruct", "--config", path, "--seed", str(2**64 + 7),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_window_start_bound_names_parameter():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,17 @@ def test_lambda_sign_cases():
     assert lambda_sign(np.array([[1.0, 0.0], [0.0, 1.0]])) == 1
     assert lambda_sign(np.array([[0.0, 1.0], [1.0, 0.0]])) == -1
     assert lambda_sign(np.zeros((2, 2))) == -1  # tie -> monotone
+    # Broadcast over a grid of cost tables, many of them exact ties
+    # (c00 + c11 == c01 + c10): each entry is the scalar call's.
+    grid = np.array(list(itertools.product([0.0, 0.25, 0.5, 1.0], repeat=4)))
+    costs = grid.T.reshape(2, 2, 16, 16)
+    signs = lambda_sign(costs)
+    assert signs.shape == (16, 16) and signs.dtype == np.int8
+    for i in np.ndindex(signs.shape):
+        assert signs[i] == lambda_sign(costs[(...,) + i])
+    ties = costs[0, 0] + costs[1, 1] == costs[0, 1] + costs[1, 0]
+    assert ties.any() and np.all(signs[ties] == -1)
+    assert set(np.unique(signs)) == {-1, 1}
 
 
 def test_equal_marginals_monotone_is_diagonal():
