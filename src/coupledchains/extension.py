@@ -62,16 +62,15 @@ def coupled_run(
     ctx_hat), the contexts at the window's end, and writes the other
     uniforms into `other` (shape of `v`, any strides) when it is given.
     The steps run through :func:`coupled_walk`, one block of trials at a
-    time; each depth's orientation table becomes a flip table over
-    context pairs once per run.
+    time, each with the flip table of its depth
+    (:attr:`.vershik.MetricTable.flip`); a depth without antitone entries
+    steps as a plain replay, u = w.
     """
     steps = v.shape[1]
     mask = (1 << engine.length) - 1
     ctx_true = np.asarray(ctx_true, dtype=np.int64) & mask
     ctx_hat = np.asarray(ctx_hat, dtype=np.int64) & mask
-    flips = [
-        engine.table(steps - t).orientation.ravel() != -1 for t in range(steps)
-    ]
+    flips = [engine.table(steps - t).flip for t in range(steps)]
     coupled_walk(engine.prob0, v, ctx_true, ctx_hat, flips, v_is_u, other)
     return ctx_true, ctx_hat
 
@@ -294,6 +293,48 @@ def _plan_block(engine: CouplingEngine, threshold: float, p_min: int):
     )
 
 
+def _replay_ends(engine, u, cols, anchors, ctx_before_0, hat_ends):
+    """End contexts of the inverse runs of every stitch row over the
+    stitched u: row 0 replays block 0 (columns `cols[0]`) from
+    `ctx_before_0`, and row j >= 1 replays blocks j-1 .. 0 from the
+    anchor word of block j-1, each block i with its hat chain at
+    `anchors[i]`.
+
+    Row j is carried as lane j, one context array, through the blocks
+    in time order; two shortcuts make this exact work once per lane.
+    Every metric table has value 0 and orientation -1 on its diagonal,
+    so a lane that starts a block with true = hat never flips and
+    retraces the block's forward hat chain: lane j leaves block j-1 at
+    `hat_ends[j-1]` without a run.  And a run is a function of its entry
+    context per trial, so a trial that enters a block in the same
+    context as lane j-1 ends in lane j-1's context; only the other trials
+    of lane j are replayed.  Lane j therefore replays block j-2 in full,
+    and few trials afterwards.  While more than half of a lane's trials
+    are live it runs them all, since gathering the live rows of u costs
+    more than stepping the merged ones; their ends are overwritten.
+    """
+    def run(i, ctx, rows):
+        hat = np.full(len(ctx), anchors[i], dtype=np.int64)
+        return coupled_run(engine, u[rows, cols[i]], ctx, hat, v_is_u=True)[0]
+
+    lanes = []  # lanes 1, 2, ... at the current block boundary
+    for i in reversed(range(len(cols) - 1)):
+        # Lane i+1 enters block i at anchors[i]; the older lanes enter it
+        # at their contexts, merged where they meet the next newer lane.
+        entries = [anchors[i]] + lanes
+        merged = [ctx == entry for ctx, entry in zip(lanes, entries)]
+        newer_end = hat_ends[i]
+        for ctx, same in zip(lanes, merged):
+            live = np.flatnonzero(~same)
+            rows = slice(None) if 2 * live.size > len(ctx) else live
+            if live.size:
+                ctx[rows] = run(i, ctx[rows], rows)
+            np.copyto(ctx, newer_end, where=same)
+            newer_end = ctx
+        lanes.insert(0, hat_ends[i])
+    return [run(0, ctx_before_0, slice(None))] + lanes
+
+
 def stitch_blocks(
     kernel: Kernel,
     deltas: tuple[float, ...],
@@ -313,10 +354,14 @@ def stitch_blocks(
     Estimates P(|S_j - R_D| > delta_j) per block and audits the pooled
     stitched innovations.
 
-    S_j is read off an inverse coupled run over the stitched u: block 0
-    replays from the true context before it (an exact round trip), and
-    block j >= 1 replays blocks j-1 .. 0, starting from block j-1's
+    S_j is read off an inverse coupled run over the stitched u: row 0
+    replays block 0 from the true context before it (an exact round
+    trip), and row j >= 1 replays blocks j-1 .. 0 from block j-1's
     anchor word, each block's hat chain regenerated from its own anchor.
+    :func:`_replay_ends` computes these ends byte-identically with less
+    work: row j takes block j-1 from the forward hat chain without a run,
+    and past block j-2 it replays only its trials that have not met row
+    j-1 at a block boundary.
     """
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("tolerance schedule must be strictly decreasing")
@@ -355,24 +400,23 @@ def stitch_blocks(
     w = rng.random((trials, 1 - t_min))
     u_all = np.empty_like(w)
     cols = [slice(m[j + 1] - t_min, m[j] - t_min) for j in range(n_blocks)]
-    hats = [np.full(trials, word_to_int(a), dtype=np.int64) for a in anchors]
+    anchor_ints = [word_to_int(a) for a in anchors]
+    hat_ends = [None] * n_blocks
     for j in reversed(range(n_blocks)):
         if j == 0:
             ctx_before_0 = ctx_true
-        ctx_true, _ = coupled_run(engine, w[:, cols[j]], ctx_true, hats[j],
-                                  other=u_all[:, cols[j]])
+        hat = np.full(trials, anchor_ints[j], dtype=np.int64)
+        ctx_true, hat_ends[j] = coupled_run(engine, w[:, cols[j]], ctx_true,
+                                            hat, other=u_all[:, cols[j]])
     del w  # the recovery and the audit read only u_all
     r_true = engine.generator_values(ctx_true)
 
-    # Per-block recovery of the truncated generator (see the docstring
-    # for the replay start of each block).
+    # Per-block recovery of the truncated generator.
+    ends = _replay_ends(engine, u_all, cols, anchor_ints, ctx_before_0,
+                        hat_ends)
     rows = []
     for j, delta in enumerate(deltas):
-        ctx = ctx_before_0 if j == 0 else hats[j - 1]
-        for i in reversed(range(max(j, 1))):
-            ctx, _ = coupled_run(engine, u_all[:, cols[i]], ctx, hats[i],
-                                 v_is_u=True)
-        s_j = engine.generator_values(ctx)
+        s_j = engine.generator_values(ends[j])
         exceed = np.abs(s_j - r_true) > delta
         freq = float(exceed.mean())
         stderr = float(np.sqrt(freq * (1.0 - freq) / trials))
@@ -384,5 +428,6 @@ def stitch_blocks(
             )
         )
 
+    del ends, hat_ends, ctx_before_0  # the audit sets the peak memory
     audit = innovation_audit(u_all.ravel())
     return StitchReport(rows, audit, trials)

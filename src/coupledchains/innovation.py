@@ -35,8 +35,9 @@ AUDIT_BINS = 16
 # Two-sided Gaussian envelope for each lag correlation, Bonferroni over
 # the lags.
 _CORR_QUANTILE = NormalDist().inv_cdf(1.0 - AUDIT_LEVEL / (2 * AUDIT_LAGS))
-# Samples per block of the KS maximum in `innovation_audit`.
-_KS_BLOCK = 1 << 16
+# Samples per block of the KS maximum and of the pair count in
+# `innovation_audit`.
+_BLOCK = 1 << 16
 
 
 def encode_w(x, v, f):
@@ -98,6 +99,21 @@ def _pair_chi2_sf(x: float) -> float:
     return total
 
 
+def _pair_counts(bins: np.ndarray) -> np.ndarray:
+    """Counts of the codes bins[t] * AUDIT_BINS + bins[t + 1] of the
+    consecutive pairs of uint8 bins; all AUDIT_BINS^2 codes fit in a
+    byte.  np.bincount casts its input to intp, so it runs on blocks of
+    _BLOCK codes and the integer counts are added: the counts of one
+    whole-array call, without its full-length intp copy."""
+    pair = bins[:-1] * np.uint8(AUDIT_BINS)
+    pair += bins[1:]
+    counts = np.zeros(AUDIT_BINS * AUDIT_BINS, dtype=np.intp)
+    for b0 in range(0, pair.size, _BLOCK):
+        counts += np.bincount(pair[b0:b0 + _BLOCK],
+                              minlength=AUDIT_BINS * AUDIT_BINS)
+    return counts
+
+
 def innovation_audit(w: np.ndarray) -> AuditReport:
     """Check that an innovation stream looks iid uniform.
 
@@ -107,10 +123,11 @@ def innovation_audit(w: np.ndarray) -> AuditReport:
     test on the (w_t, w_{t+1}) bin grid.
 
     Besides the centered stream, the only full-length float array is the
-    sort buffer: the KS maximum is taken block by block, and each product
-    of the correlations is written into the buffer before its sum.  Every
-    sum is the same np.sum over the same contiguous values as with fresh
-    arrays, so the report is byte-identical to the whole-array form.
+    sort buffer: the KS maximum and the pair counts are taken block by
+    block, and each product of the correlations is written into the
+    buffer before its sum.  Every sum is the same np.sum over the same
+    contiguous values as with fresh arrays, and integer counts add
+    exactly, so the report is byte-identical to the whole-array form.
     """
     w = np.asarray(w, dtype=float)
     n = w.size
@@ -123,8 +140,8 @@ def innovation_audit(w: np.ndarray) -> AuditReport:
     # KS distance block by block: the grid values (b0+1 .. b1)/n and the
     # max are the same as over the whole array at once.
     ks = -np.inf
-    for b0 in range(0, n, _KS_BLOCK):
-        s = srt[b0:b0 + _KS_BLOCK]
+    for b0 in range(0, n, _BLOCK):
+        s = srt[b0:b0 + _BLOCK]
         grid = np.arange(b0 + 1, b0 + s.size + 1) / n
         ks = max(ks, float(np.max(grid - s)), float(np.max(s - (grid - 1.0 / n))))
     dkw = float(np.sqrt(np.log(2.0 / AUDIT_LEVEL) / (2.0 * n)))
@@ -140,14 +157,10 @@ def innovation_audit(w: np.ndarray) -> AuditReport:
         c = float(np.sum(prod)) / denom
         max_corr = max(max_corr, abs(c))
 
-    # Bin of each sample, floor(w * AUDIT_BINS) capped at AUDIT_BINS - 1,
-    # and the code bins[t] * AUDIT_BINS + bins[t + 1] of each pair: all
-    # AUDIT_BINS^2 codes fit in a byte.
+    # Bin of each sample, floor(w * AUDIT_BINS) capped at AUDIT_BINS - 1.
     bins = np.multiply(w, AUDIT_BINS, out=srt).astype(np.uint8)
     np.minimum(bins, AUDIT_BINS - 1, out=bins)
-    pair = bins[:-1] * np.uint8(AUDIT_BINS)
-    pair += bins[1:]
-    counts = np.bincount(pair, minlength=AUDIT_BINS * AUDIT_BINS)
+    counts = _pair_counts(bins)
     expected = (n - 1) / (AUDIT_BINS * AUDIT_BINS)
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
     pvalue = _pair_chi2_sf(chi2)

@@ -177,23 +177,26 @@ def coupled_step(table: np.ndarray, ctx_true: np.ndarray, ctx_hat: np.ndarray,
     (ctx_true << L) | ctx_hat, L the bit width of `table`: where it is
     set, u = 1 - w (antitone orientation), elsewhere u = w.  `v` is w, or
     u when `v_is_u` (the flip is its own inverse); the other uniform is
-    written into `other`.  Without `flip`, u = w (plain replay on shared
-    innovations) and `other` is not used.  ``scratch`` holds a float, a
+    written into `other`, or into scratch when `other` is None.  Without
+    `flip`, u = w (plain replay on shared innovations), copied into
+    `other` when it is given.  ``scratch`` holds two float buffers, a
     bool and an int64 buffer of the trials' size, reused between steps
     by :func:`coupled_walk`; a lone step allocates its own.
     """
     if scratch is None:
-        scratch = (np.empty(v.size), np.empty(v.size, dtype=bool),
-                   np.empty(v.size, dtype=np.int64))
-    f, x, pair = scratch
+        scratch = _step_scratch(v.size)
+    f, spare, x, pair = scratch
     w = u = v
     if flip is not None:
+        other = spare if other is None else other
         np.left_shift(ctx_true, table.size.bit_length() - 1, out=pair)
         pair |= ctx_hat
         flip.take(pair, out=x)
         np.copyto(other, v)
         np.subtract(1.0, v, out=other, where=x)
         w, u = (other, v) if v_is_u else (v, other)
+    elif other is not None:
+        np.copyto(other, v)
     mask = table.size - 1
     for ctx, s in ((ctx_true, w), (ctx_hat, u)):
         table.take(ctx, out=f)
@@ -203,35 +206,43 @@ def coupled_step(table: np.ndarray, ctx_true: np.ndarray, ctx_hat: np.ndarray,
         ctx &= mask
 
 
+def _step_scratch(size: int) -> tuple:
+    """The buffers one :func:`coupled_step` over `size` trials works in."""
+    return (np.empty(size), np.empty(size), np.empty(size, dtype=bool),
+            np.empty(size, dtype=np.int64))
+
+
 def coupled_walk(table: np.ndarray, v: np.ndarray, ctx_true: np.ndarray,
                  ctx_hat: np.ndarray, flips=None, v_is_u: bool = False,
                  other=None) -> None:
     """Run :func:`coupled_step` over every column of `v` (shape (trials,
     steps), any strides), one block of TRIAL_BLOCK trials at a time.
 
-    ``flips[t]`` is the flip table of step t, or `flips` is None for a
-    plain replay.  The int64 context arrays are updated in place, and
-    the other uniforms are written into `other` (shape of `v`, any
-    strides) when it is given.  Each block's uniforms are copied once
-    into a (steps, block) buffer, so every step reads and writes
-    contiguous rows that stay in cache; the scratch memory is
-    O(TRIAL_BLOCK x steps).  Every value is the same elementwise
-    operation as stepping all trials at once, so the result is
-    byte-identical to the per-column loop."""
+    ``flips[t]`` is the flip table of step t (None where the step keeps
+    u = w), or `flips` is None for a plain replay.  The int64 context
+    arrays are updated in place, and the other uniforms are written into
+    `other` (shape of `v`, any strides) when it is given.  Each block's
+    uniforms are copied once into a (steps, block) buffer, so every step
+    reads and writes contiguous rows that stay in cache; the scratch
+    memory is O(TRIAL_BLOCK x steps), doubled only when `other` is
+    given.  Every value is the same elementwise operation as stepping
+    all trials at once, so the result is byte-identical to the
+    per-column loop."""
     trials, steps = v.shape
     step_flips = [None] * steps if flips is None else flips
     size = min(trials, TRIAL_BLOCK)
-    vb, ob = np.empty((2, steps, size))
-    scratch = (np.empty(size), np.empty(size, dtype=bool),
-               np.empty(size, dtype=np.int64))
+    vb = np.empty((steps, size))
+    ob = None if other is None else np.empty((steps, size))
+    scratch = _step_scratch(size)
     for b0 in range(0, trials, TRIAL_BLOCK):
         n = min(TRIAL_BLOCK, trials - b0)
         vb[:, :n] = v[b0:b0 + n].T
         buf = tuple(a[:n] for a in scratch)
         ct, ch = ctx_true[b0:b0 + n], ctx_hat[b0:b0 + n]
         for t, flip in enumerate(step_flips):
-            coupled_step(table, ct, ch, vb[t, :n], flip, v_is_u, ob[t, :n], buf)
-        if other is not None:
+            ot = None if ob is None else ob[t, :n]
+            coupled_step(table, ct, ch, vb[t, :n], flip, v_is_u, ot, buf)
+        if ob is not None:
             other[b0:b0 + n] = ob[:, :n].T
 
 

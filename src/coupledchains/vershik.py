@@ -157,6 +157,16 @@ class MetricTable:
     values: np.ndarray  # shape (2^length, 2^length)
     orientation: np.ndarray | None  # lambda used to step *into* this table
 
+    @cached_property
+    def flip(self) -> np.ndarray | None:
+        """The antitone entries of `orientation` as a bool table over the
+        pair code (u << length) | v, built once; None when the table has
+        no antitone entry, so a coupled step into it keeps u = w."""
+        if self.orientation is None:
+            return None
+        antitone = self.orientation.ravel() == 1
+        return antitone if antitone.any() else None
+
     def rho_tilde(self, x_int: int, y_int: int) -> float:
         """Distance for pasts coded with the present at bit 0."""
         return float(self.values[x_int >> self.depth, y_int >> self.depth])

@@ -15,6 +15,7 @@ from coupledchains.extension import (
     joint_step_law,
     stitch_blocks,
 )
+from coupledchains import extension
 from coupledchains.kernels import (
     CapExceededError,
     IIDKernel,
@@ -32,7 +33,12 @@ from coupledchains.reconstruction import (
     window_reconstruct,
 )
 from coupledchains.rng import stream_rng
-from coupledchains.vershik import GeneratorConfig, coupling_table, metric_tables
+from coupledchains.vershik import (
+    GeneratorConfig,
+    MetricTable,
+    coupling_table,
+    metric_tables,
+)
 from coupledchains.words import word_to_int
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
@@ -203,6 +209,26 @@ def test_coupled_run_blocks_flip():
     coupled_run(engine, w, ctx_true, ctx_hat, other=u)
     flipped = u != w
     assert flipped[:TRIAL_BLOCK].any() and flipped[3 * TRIAL_BLOCK:].any()
+    assert_walk_matches_serial(engine, w, ctx_true, ctx_hat)
+
+
+def test_one_antitone_entry_flips():
+    # Every orientation of markov1-demo is monotone; give each table one
+    # antitone entry, at the pair (0, 1) where every trial starts.
+    base = make_engine(MARKOV1, p_max=3, depth=2)
+    tables = base.tables[:1]
+    for t in base.tables[1:]:
+        orientation = t.orientation.copy()
+        orientation[0, 1] = 1
+        tables.append(MetricTable(t.depth, t.length, t.values, orientation))
+    engine = CouplingEngine(MARKOV1, base.config, tables, base.pi)
+    trials = TRIAL_BLOCK + 5
+    ctx_true = np.zeros(trials, dtype=np.int64)
+    ctx_hat = np.ones(trials, dtype=np.int64)
+    w = stream_rng(47, "one-entry").random((trials, 3))
+    u = np.empty(w.shape)
+    coupled_run(engine, w, ctx_true, ctx_hat, other=u)
+    assert np.array_equal(u[:, 0], 1.0 - w[:, 0])
     assert_walk_matches_serial(engine, w, ctx_true, ctx_hat)
 
 
@@ -599,3 +625,113 @@ def test_stitch_validates_schedule():
         stitch_blocks(MARKOV1, (0.1, 0.2), 100, 1)
     with pytest.raises(ValueError):
         stitch_blocks(MARKOV1, (0.2, 1e-6), 100, 1, GeneratorConfig(4))
+
+
+# A stitch whose forward and inverse runs flip: ANTITONE is antitone at
+# depth 2, the second-last step of every block.  Rows (N_j, anchor,
+# exceedances out of the trials) and the audit statistics were recorded
+# with the nested per-row replay, which reran blocks j-1 .. 0 for every
+# row j.
+ANTITONE_STITCH_ROWS = [
+    (-3, (0, 0, 1, 1), 0),
+    (-17, (0, 0, 1, 1), 2258),
+    (-20, (0, 0, 1, 1), 21),
+    (-22, (0, 0, 1, 1), 0),
+]
+ANTITONE_STITCH_AUDIT = (
+    541002, 0.0007843151010132887, 0.0036721731648816807, 0.7568158173944256
+)
+
+
+def test_stitch_flip_path_pinned():
+    trials = TRIAL_BLOCK + 5
+    report = stitch_blocks(ANTITONE, (0.3, 0.2, 0.1, 0.05), trials, 83,
+                           GeneratorConfig(3))
+    assert [(r.n_j, r.anchor, r.exceed_freq) for r in report.rows] == [
+        (n, anchor, count / trials) for n, anchor, count in ANTITONE_STITCH_ROWS
+    ]
+    audit = report.audit
+    assert (audit.n, audit.ks_stat, audit.max_lag_corr,
+            audit.chi2_pvalue) == ANTITONE_STITCH_AUDIT
+
+
+# The stitch replay.  Oracle: every row replayed on its own, row j >= 1
+# over blocks j-1 .. 0 from block j-1's anchor word, row 0 over block 0
+# from the true context before it.
+
+
+def nested_replay_ends(engine, u, cols, anchors, ctx_before_0, hat_ends):
+    ends = []
+    for j in range(len(cols)):
+        if j == 0:
+            ctx = ctx_before_0
+        else:
+            ctx = np.full(u.shape[0], anchors[j - 1], dtype=np.int64)
+        for i in reversed(range(max(j, 1))):
+            hat = np.full(u.shape[0], anchors[i], dtype=np.int64)
+            ctx, _ = coupled_run(engine, u[:, cols[i]], ctx, hat, v_is_u=True)
+        ends.append(ctx)
+    return ends
+
+
+def drawn_markov(order):
+    rng = np.random.default_rng(100 + order)
+    probs = np.round(rng.uniform(0.05, 0.95, 1 << order), 4)
+    return MarkovKernel(order, tuple(probs.tolist()))
+
+
+# (kernel, tolerance schedule, generator depth).  ANTITONE flips at depth
+# 2; the drawn kernels of orders 3 and 5 at every depth from 2 on.
+STITCH_CASES = [
+    (MARKOV1, (0.2, 0.1, 0.05, 0.02), 4),
+    (ANTITONE, (0.3, 0.2, 0.1, 0.05), 3),
+] + [(drawn_markov(order), (0.3, 0.2, 0.1, 0.05), 3) for order in (2, 3, 4, 5)]
+
+
+@pytest.fixture
+def inverse_runs(monkeypatch):
+    """The (trials, steps) shape of every inverse run the stitch makes."""
+    shapes = []
+
+    def counted_run(engine, v, *args, **kwargs):
+        if kwargs.get("v_is_u"):
+            shapes.append(v.shape)
+        return coupled_run(engine, v, *args, **kwargs)
+
+    monkeypatch.setattr(extension, "coupled_run", counted_run)
+    return shapes
+
+
+@pytest.mark.parametrize("kernel, deltas, depth", STITCH_CASES)
+def test_stitch_replay_matches_nested_replay(kernel, deltas, depth,
+                                             monkeypatch, inverse_runs):
+    trials = 2 * TRIAL_BLOCK + 5
+    config = GeneratorConfig(depth)
+    lanes = extension._replay_ends
+
+    def checked(*args):
+        expected = nested_replay_ends(*args)
+        ends = lanes(*args)
+        for got, ref in zip(ends, expected, strict=True):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        return ends
+
+    monkeypatch.setattr(extension, "_replay_ends", checked)
+    report = stitch_blocks(kernel, deltas, trials, 89, config)
+    # Some trials of the oldest lane merged, and some were replayed
+    # further, each in a partial block of TRIAL_BLOCK trials.
+    assert any(0 < n < TRIAL_BLOCK for n, _ in inverse_runs)
+    monkeypatch.setattr(extension, "_replay_ends", nested_replay_ends)
+    assert report == stitch_blocks(kernel, deltas, trials, 89, config)
+
+
+def test_stitch_replays_each_block_once_per_lane(inverse_runs):
+    # The schedule of the benchmark's stitch.  The nested replay ran
+    # block 0 for row 0 and blocks j-1 .. 0 for every row j >= 1.
+    trials = 3 * TRIAL_BLOCK + 5
+    report = stitch_blocks(MARKOV1, (0.2, 0.1, 0.05, 0.02, 0.01, 0.005),
+                           trials, 29, GeneratorConfig(7))
+    widths = [1 - r.n_j for r in report.rows]
+    nested = trials * (widths[0] + sum(sum(widths[:j])
+                                       for j in range(1, len(widths))))
+    assert sum(n * steps for n, steps in inverse_runs) <= 0.4 * nested

@@ -126,7 +126,7 @@ def reference_audit(w):
 
 def audit_streams():
     rng = stream_rng(5, "oracle")
-    odd = 3 * innovation._KS_BLOCK + 17  # not a multiple of the KS block
+    odd = 3 * innovation._BLOCK + 17  # not a multiple of the audit block
     raw = rng.random(odd + 1)
     yield rng.random(100)
     yield rng.random(odd)
@@ -167,3 +167,18 @@ def test_correlation_quantile_matches_scipy():
     level = innovation.AUDIT_LEVEL / (2 * innovation.AUDIT_LAGS)
     expected = float(stats.norm.ppf(1.0 - level))
     assert abs(innovation._CORR_QUANTILE - expected) <= math.ulp(expected)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+def test_pair_counts_match_whole_array_bincount(blocks, offset):
+    # Pair counts summed over blocks of _BLOCK codes against one bincount
+    # of every code, for pair counts on either side of the block edges.
+    pairs = max(blocks * innovation._BLOCK + offset, 1)
+    rng = stream_rng(9, "pairs", str(pairs))
+    bins = rng.integers(0, AUDIT_BINS, pairs + 1).astype(np.uint8)
+    whole = np.bincount(bins[:-1].astype(np.intp) * AUDIT_BINS + bins[1:],
+                        minlength=AUDIT_BINS * AUDIT_BINS)
+    counts = innovation._pair_counts(bins)
+    assert counts.dtype == whole.dtype
+    assert np.array_equal(counts, whole)

@@ -361,3 +361,40 @@ def test_rho_step_increments_depth():
     t2 = rho_step(MARKOV1, tables[1])
     assert t2.depth == 2
     assert t2.orientation is not None
+
+
+# ---------------------------------------------------------------------------
+# The diagonal and the flip tables.  Equal pasts are coupled on the
+# diagonal at every depth, which the stitch replay relies on.
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    order=st.integers(1, 6),
+    depth=st.integers(1, 7),
+    p_max=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_metric_table_diagonal_is_zero_and_monotone(order, depth, p_max, seed):
+    rng = np.random.default_rng(seed)
+    probs = np.round(rng.uniform(0.01, 0.99, 1 << order), 4)
+    kernel = MarkovKernel(order, tuple(probs.tolist()))
+    tables = metric_tables(kernel, p_max, GeneratorConfig(depth))
+    assert np.all(np.diag(tables[0].values) == 0.0)
+    for t in tables[1:]:
+        assert np.all(np.diag(t.values) == 0.0)
+        assert np.all(np.diag(t.orientation) == -1)
+
+
+def test_flip_table_marks_antitone_entries():
+    values = np.zeros((4, 4))
+    orientation = np.full((4, 4), -1, dtype=np.int8)
+    assert MetricTable(1, 2, values, orientation).flip is None
+    assert MetricTable(0, 2, values, None).flip is None
+    # One antitone entry is enough for a flip table, at pair code
+    # (u << length) | v.
+    orientation[2, 1] = 1
+    table = MetricTable(1, 2, values, orientation)
+    flip = table.flip
+    assert flip is not None and flip is table.flip
+    assert flip.dtype == bool and np.flatnonzero(flip).tolist() == [(2 << 2) | 1]
