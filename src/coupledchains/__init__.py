@@ -24,7 +24,6 @@ from .kernels import (
     conditional_prob,
     gamma_profile,
     lower_envelope,
-    regime_check,
     stationary_word_law,
 )
 from .innovation import decode_xv, encode_w, innovation_audit
@@ -73,7 +72,6 @@ __all__ = [
     "lower_envelope",
     "metric_tables",
     "optimal_coupling",
-    "regime_check",
     "simulate_path",
     "stationary_word_law",
     "stitch_blocks",

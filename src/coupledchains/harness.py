@@ -5,6 +5,10 @@ One subcommand per experiment kind (gamma, audit, reconstruct, vershik,
 extend, stitch); flags --config PATH, --seed N (overrides the config),
 --out DIR.  Exit codes: 0 success, 1 verdict failure, 2 config error,
 3 internal error (with a traceback).
+The renewal regime that gamma reports comes from the kernel: its finite
+memory m makes gamma_p = 0 for p >= m, so the regime is always
+diverges-certified.  A gamma `tail` may say the same (`eventually-zero`)
+or nothing (`unknown`); any other tail contradicts the kernel.
 The environment variable COUPLEDCHAINS_MAX_THREADS caps numeric library
 threads (reports are computed with deterministic reductions regardless).
 """
@@ -33,12 +37,7 @@ from .kernels import (
     LongMemoryKernel,
     MarkovKernel,
     builtin_kernels,
-    eventually_zero,
     gamma_profile,
-    one_minus_geometric,
-    rational_decay,
-    regime_check,
-    unknown_tail,
 )
 from .reconstruction import disagreement_experiment, simulate_path
 from .reports import emit_csv, emit_pretty
@@ -82,13 +81,9 @@ KERNEL_FIELDS = {
     "markov": {"order": int, "table": dict},
     "long_memory": {"c": float, "weights": list},
 }
-# The fields of each gamma tail kind, under the same rule.
-TAIL_FIELDS = {
-    "eventually-zero": {},
-    "rational-decay": {"a": float, "b": float},
-    "one-minus-geometric": {"amp": float, "ratio": float},
-    "unknown": {},
-}
+# The gamma tail kinds, which have no fields.  Every other tail family
+# is positive at every lag, against gamma_p = 0 for p >= m.
+_TAIL_KINDS = {"eventually-zero": {}, "unknown": {}}
 
 
 class ConfigError(ValueError):
@@ -228,34 +223,26 @@ def build_kernel(spec: dict) -> Kernel:
         raise ConfigError(f"invalid kernel spec: {exc}") from exc
 
 
-def _build_tail(tail: dict):
-    tail = {"kind": "unknown", **tail}
-    _check_fields(tail, "kind", TAIL_FIELDS, "tail")
-    kind = tail["kind"]
-    try:
-        if kind == "eventually-zero":
-            return eventually_zero()
-        if kind == "rational-decay":
-            return rational_decay(tail["a"], tail["b"])
-        if kind == "one-minus-geometric":
-            return one_minus_geometric(tail["amp"], tail["ratio"])
-        return unknown_tail()
-    except ValueError as exc:
-        raise ConfigError(f"invalid tail spec: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Experiment runners: each returns (header, rows, verdicts)
 
 
 def _run_gamma(kernel, config):
     p = config.settings
+    tail = {"kind": "unknown", **p["tail"]}
+    if _is(tail["kind"], str) and tail["kind"] not in _TAIL_KINDS:
+        raise ConfigError(
+            f"tail {tail['kind']!r} contradicts the kernel: {kernel.label} "
+            f"has gamma_p = 0 for p >= {kernel.memory}"
+        )
+    _check_fields(tail, "kind", _TAIL_KINDS, "tail")
     p_max = p["p_max"] if p["p_max"] is not None else max(kernel.memory, 4)
     prof = gamma_profile(kernel, p_max)
-    regime = regime_check(_build_tail(p["tail"]))
     header = ("p", "gamma_p", "certified")
     rows = [(i, g, "exact") for i, g in enumerate(prof.values)]
-    verdicts = [("regime", regime, regime != "undetermined")]
+    # Finite memory m means gamma_p = 0 for p >= m: the partial products
+    # of the renewal series end up constant and positive, so it diverges.
+    verdicts = [("regime", "diverges-certified", True)]
     return header, rows, verdicts
 
 

@@ -1,5 +1,5 @@
 """Process kernels: conditional laws, memory-decay coefficients, lower
-envelopes, regime classification and exact stationary word laws.
+envelopes and stationary word laws.
 
 Every kernel is one :class:`Kernel` of finite memory ``m``: the
 conditional probability of the next symbol depends only on the last ``m``
@@ -7,6 +7,8 @@ symbols of the past (older symbols are zero-padded away), and is held
 exactly, as a rational table over the 2^m contexts.  A truncated
 long-memory kernel is such an order-m chain like any other.  All "exact"
 quantities are computed by exhaustive enumeration over those contexts.
+Finite memory also fixes the renewal regime: gamma_p = 0 for p >= m, so
+every kernel's memory decay is summable.
 """
 
 from __future__ import annotations
@@ -257,62 +259,6 @@ def lower_envelope(kernel: Kernel, i: int, z: Iterable[int]) -> float:
     zint = word_to_int(z)
     free = np.arange(1 << (m - p))
     return float(table[(free << p) | zint].min())
-
-
-# ---------------------------------------------------------------------------
-# Regime classification
-
-
-@dataclass(frozen=True)
-class TailDescriptor:
-    """Analytic description of gamma_p beyond the tabulated range.
-
-    Divergence of the series sum_l prod_{p<=l}(1 - gamma_p) cannot be
-    decided from finitely many values, so classification requires one of
-    the recognized analytic families (or stays undetermined).
-    """
-
-    kind: str
-    a: float = 0.0
-    b: float = 0.0
-    amp: float = 0.0
-    ratio: float = 0.0
-
-
-def eventually_zero() -> TailDescriptor:
-    return TailDescriptor("eventually-zero")
-
-
-def rational_decay(a: float, b: float) -> TailDescriptor:
-    """gamma_p = a / (p + b)."""
-    if a <= 0 or b <= 0 or a / b >= 1:
-        raise ValueError("need a, b > 0 with a/b < 1")
-    return TailDescriptor("rational-decay", a=a, b=b)
-
-
-def one_minus_geometric(amp: float, ratio: float) -> TailDescriptor:
-    """gamma_p = 1 - amp * ratio**p."""
-    if not 0 < amp <= 1 or not 0 < ratio < 1:
-        raise ValueError("need 0 < amp <= 1 and 0 < ratio < 1")
-    return TailDescriptor("one-minus-geometric", amp=amp, ratio=ratio)
-
-
-def unknown_tail() -> TailDescriptor:
-    return TailDescriptor("unknown")
-
-
-def regime_check(tail: TailDescriptor) -> str:
-    """Classify the renewal-series regime from the analytic tail family:
-    diverges-certified, converges-certified or undetermined."""
-    if tail.kind == "eventually-zero":
-        # Partial products are eventually constant and positive.
-        return "diverges-certified"
-    if tail.kind == "rational-decay":
-        return "diverges-certified" if tail.a <= 1.0 else "converges-certified"
-    if tail.kind == "one-minus-geometric":
-        # Partial products shrink super-geometrically; tail sums bounded.
-        return "converges-certified"
-    return "undetermined"
 
 
 # ---------------------------------------------------------------------------

@@ -330,10 +330,8 @@ def reconstruction_bound(kernel: Kernel, n_start: int, k_lags: int) -> float:
     chain runs |n_start| steps (state 0 after the first replay symbol)
     and the bound is P(Z_{|n_start|} <= k_lags)."""
     n = -n_start
-    prof = gamma_profile(kernel, max(kernel.memory, 1))
-    gammas = [prof.gamma(p) for p in range(n + 1)]
-    dist = house_of_cards_dist(gammas, n)
-    return dist.cdf(k_lags)
+    gammas = gamma_profile(kernel, max(kernel.memory, 1)).values
+    return house_of_cards_dist(gammas, n).cdf(k_lags)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +419,8 @@ def domination_experiment(
     keep = max(keep, kernel.memory)
     end_true, end_hat = _coupled_replay_words(kernel, n_start, trials, seed, keep)
     max_m = min(n, keep - 1)
-    prof = gamma_profile(kernel, max(kernel.memory, 1))
-    dist = house_of_cards_dist([prof.gamma(p) for p in range(n + 1)], n)
+    gammas = gamma_profile(kernel, max(kernel.memory, 1)).values
+    dist = house_of_cards_dist(gammas, n)
     # Agreement length = common low-bit run of the two final contexts.
     diff = end_true ^ end_hat
     rows = []

@@ -25,6 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .kernels import CapExceededError, Kernel, stationary_ctx_vector
+from .rng import sample_index, stream_rng
 from .words import int_to_word, word_str
 
 MAX_TABLE_LENGTH = 8
@@ -344,8 +345,6 @@ def alpha_sequence_mc(
 ) -> AlphaSequence:
     """Monte Carlo estimate of the same sequence: sample independent
     stationary context pairs and average the table entries."""
-    from .rng import sample_index, stream_rng
-
     engine = CouplingEngine.build(kernel, p_max, config)
     rng = stream_rng(seed, "alpha-mc", kernel.label)
     # Code x * size + y of each sampled pair (x, y) of contexts, to index

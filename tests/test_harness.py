@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +141,58 @@ def test_gamma_run_writes_outputs(tmp_path):
     assert all(v["passed"] for v in manifest["verdicts"])
 
 
+def test_cli_contradicting_tail_exits_2(tmp_path, capsys):
+    # Every kernel has finite memory m, so gamma_p = 0 for p >= m; a tail
+    # family that stays positive at every lag is a configuration error.
+    tails = [
+        {"kind": "one-minus-geometric", "amp": 0.5, "ratio": 0.5},
+        {"kind": "rational-decay", "a": 0.9, "b": 2.0},
+    ]
+    for i, tail in enumerate(tails):
+        path = write_config(tmp_path, f"t{i}.json", {**GAMMA_CFG, "tail": tail})
+        out = tmp_path / f"out{i}"
+        assert main(["gamma", "--config", path, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert repr(tail["kind"]) in err
+        assert "gamma_p = 0 for p >= 1" in err
+
+
+def test_cli_gamma_regime_comes_from_kernel(tmp_path):
+    cfg = {k: v for k, v in GAMMA_CFG.items() if k != "tail"}
+    path = write_config(tmp_path, "g.json", cfg)
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verdicts"] == [
+        {"check": "regime", "passed": True, "result": "diverges-certified"}
+    ]
+
+
+def test_demo_and_benchmark_configs_load(tmp_path, monkeypatch):
+    # Every config the demo scripts and the benchmark workloads send must
+    # parse and build its kernel; gamma configs also pass the tail check.
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    configs = [json.loads(p.read_text())
+               for p in sorted((root / "scripts" / "configs").glob("*.json"))]
+    for build in workloads.WORKLOADS.values():
+        configs += [inv.config for inv in build(1)]
+    assert {cfg["kind"] for cfg in configs} == set(harness.KINDS)
+    for i, cfg in enumerate(configs):
+        path = write_config(tmp_path, f"c{i}.json", cfg)
+        out = str(tmp_path / f"out{i}")
+        config = load_config(path, cfg["kind"], out_override=out)
+        build_kernel(config.kernel)
+        if config.kind == "gamma":
+            assert run_experiment(config)[0] == 0
+
+
 def test_cli_round_trip(tmp_path):
     path = write_config(tmp_path, "g.json", GAMMA_CFG)
     out = tmp_path / "out"
@@ -240,8 +295,8 @@ def test_cli_rejects_unknown_parameter(tmp_path):
                               "table": [0.7, 0.4]}}),
         ("gamma", {"kernel": {"variant": "long_memory", "c": 0.3,
                               "weights": 0.2}}),
-        # Tail fields too: numbers are not strings or bools, and a tail
-        # holds only its kind's fields.
+        # A tail family other than eventually-zero or unknown contradicts
+        # every kernel, and those two kinds have no fields.
         ("gamma", {"tail": {"kind": "rational-decay", "a": "1.5", "b": "3"}}),
         ("gamma", {"tail": {"kind": "rational-decay", "a": True, "b": 3}}),
         ("gamma", {"tail": {"kind": "one-minus-geometric", "amp": 0.5,

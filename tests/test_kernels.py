@@ -13,17 +13,12 @@ from coupledchains.kernels import (
     MarkovKernel,
     builtin_kernels,
     conditional_prob,
-    eventually_zero,
     gamma_profile,
     lower_envelope,
     min_prob,
-    one_minus_geometric,
     prob0_fractions,
-    rational_decay,
-    regime_check,
     stationary_ctx_vector,
     stationary_word_law,
-    unknown_tail,
 )
 from coupledchains.words import int_to_word
 
@@ -190,28 +185,6 @@ def test_envelope_inequality_all_builtins():
                 z = int_to_word(code, p)
                 total = lower_envelope(kernel, 0, z) + lower_envelope(kernel, 1, z)
                 assert total >= 1.0 - prof.gamma(p) - 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Regime classification
-
-
-def test_regime_families():
-    assert regime_check(eventually_zero()) == "diverges-certified"
-    assert regime_check(unknown_tail()) == "undetermined"
-    slow = rational_decay(0.9, 2.0)
-    assert regime_check(slow) == "diverges-certified"
-    fast = rational_decay(2.0, 3.0)
-    assert regime_check(fast) == "converges-certified"
-    geo = one_minus_geometric(0.9, 0.5)
-    assert regime_check(geo) == "converges-certified"
-
-
-def test_tail_validation():
-    with pytest.raises(ValueError):
-        rational_decay(2.0, 1.0)  # a/b >= 1
-    with pytest.raises(ValueError):
-        one_minus_geometric(1.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
