@@ -15,8 +15,8 @@ recovered within any tolerance schedule.
 One walk, :func:`coupled_run`, serves both directions: fed W it
 re-encodes to U, fed U it rebuilds the true chain.  It returns the end
 contexts, writes the other uniforms only into a buffer it is given (the
-forward stitch passes its columns of the stitched U), and steps through
-:func:`.reconstruction.coupled_walk`.
+forward stitch passes the same columns as input and buffer, re-encoding
+W into U in place), and steps through :func:`.reconstruction.coupled_walk`.
 
 Time convention: a run over [N; 0] takes |N|+1 steps; the step landing
 at time t uses the orientation table at depth -t + 1 (depth |N|+1 first,
@@ -60,7 +60,7 @@ def coupled_run(
     rebuilds the true chain (the flip is its own inverse).  Contexts are
     integer words for the pasts before the window.  Returns (ctx_true,
     ctx_hat), the contexts at the window's end, and writes the other
-    uniforms into `other` (shape of `v`, any strides) when it is given.
+    uniforms into `other` (shape of `v`, any strides; it may be `v`).
     The steps run through :func:`coupled_walk`, one block of trials at a
     time, each with the flip table of its depth
     (:attr:`.vershik.MetricTable.flip`); a depth without antitone entries
@@ -397,8 +397,8 @@ def stitch_blocks(
     t_min = m[n_blocks]
     rng = stream_rng(seed, "stitch", kernel.label, f"J{n_blocks - 1}")
     ctx_true = sample_index(rng, engine.pi, trials)
-    w = rng.random((trials, 1 - t_min))
-    u_all = np.empty_like(w)
+    # w, re-encoded into u in place one block at a time.
+    u = rng.random((trials, 1 - t_min))
     cols = [slice(m[j + 1] - t_min, m[j] - t_min) for j in range(n_blocks)]
     anchor_ints = [word_to_int(a) for a in anchors]
     hat_ends = [None] * n_blocks
@@ -406,14 +406,12 @@ def stitch_blocks(
         if j == 0:
             ctx_before_0 = ctx_true
         hat = np.full(trials, anchor_ints[j], dtype=np.int64)
-        ctx_true, hat_ends[j] = coupled_run(engine, w[:, cols[j]], ctx_true,
-                                            hat, other=u_all[:, cols[j]])
-    del w  # the recovery and the audit read only u_all
+        ctx_true, hat_ends[j] = coupled_run(engine, u[:, cols[j]], ctx_true,
+                                            hat, other=u[:, cols[j]])
     r_true = engine.generator_values(ctx_true)
 
     # Per-block recovery of the truncated generator.
-    ends = _replay_ends(engine, u_all, cols, anchor_ints, ctx_before_0,
-                        hat_ends)
+    ends = _replay_ends(engine, u, cols, anchor_ints, ctx_before_0, hat_ends)
     rows = []
     for j, delta in enumerate(deltas):
         s_j = engine.generator_values(ends[j])
@@ -429,5 +427,5 @@ def stitch_blocks(
         )
 
     del ends, hat_ends, ctx_before_0  # the audit sets the peak memory
-    audit = innovation_audit(u_all.ravel())
+    audit = innovation_audit(u.ravel())
     return StitchReport(rows, audit, trials)

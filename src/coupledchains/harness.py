@@ -9,23 +9,16 @@ The renewal regime that gamma reports comes from the kernel: its finite
 memory m makes gamma_p = 0 for p >= m, so the regime is always
 diverges-certified.  A gamma `tail` may say the same (`eventually-zero`)
 or nothing (`unknown`); any other tail contradicts the kernel.
-The environment variable COUPLEDCHAINS_MAX_THREADS caps numeric library
-threads (reports are computed with deterministic reductions regardless).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    if "COUPLEDCHAINS_MAX_THREADS" in os.environ:
-        os.environ.setdefault(_var, os.environ["COUPLEDCHAINS_MAX_THREADS"])
 
 from . import __version__
 from .extension import generator_error_check, stitch_blocks
@@ -172,7 +165,11 @@ def load_config(path: str, kind: str, seed_override=None, out_override=None):
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
         raise ConfigError(f"{path}: missing 'seed'")
-    out = out_override if out_override is not None else raw.get("out", ".")
+    out = raw.get("out", ".")
+    if not _is(out, str):
+        raise ConfigError(f"{path}: 'out' must be a JSON string, got {out!r}")
+    if out_override is not None:
+        out = out_override
     params = {
         k: v for k, v in raw.items() if k not in ("kind", "kernel", "seed", "out")
     }

@@ -19,7 +19,7 @@ replay here, every coupled run of :mod:`.extension`), runs
 :func:`coupled_step` over a window one block of TRIAL_BLOCK trials at a
 time, so each step works on contiguous, cache-resident rows; it is
 byte-identical to stepping all trials at once, one column per step, and
-writes the other uniforms only into a buffer it is given.
+re-encodes each block in place, copying it out only into a buffer it is given.
 """
 
 from __future__ import annotations
@@ -128,20 +128,26 @@ def _speculate(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
     per step: row 0 from `ctx`, every other row from context 0.  Writes
     the symbols and f values into `x` and `f`; returns each row's exit
     context."""
-    mask = table.size - 1
     c = np.zeros(u.shape[0], dtype=np.int64)
     c[0] = ctx
     fj = np.empty(u.shape[0])
     xj = np.empty(u.shape[0], dtype=bool)
     for j in range(u.shape[1]):
-        np.take(table, c, out=fj)
-        np.greater(u[:, j], fj, out=xj)
+        _threshold(table, c, u[:, j], fj, xj)
         f[:, j] = fj
         x[:, j] = xj
-        c <<= 1
-        c |= xj
-        c &= mask
     return c.tolist()
+
+
+def _threshold(table: np.ndarray, ctx: np.ndarray, s: np.ndarray,
+               f: np.ndarray, x: np.ndarray) -> None:
+    """Step the chains in `ctx` on the uniforms `s`: f = table[ctx], x =
+    1(s > f), and x is shifted into `ctx`, kept to the table's bit width."""
+    table.take(ctx, out=f)
+    np.greater(s, f, out=x)
+    ctx <<= 1
+    ctx |= x
+    ctx &= table.size - 1
 
 
 def _repair(probs: list, mask: int, ctx: int, uv, xv, fv, start: int):
@@ -164,52 +170,42 @@ def _repair(probs: list, mask: int, ctx: int, uv, xv, fv, start: int):
 
 
 def coupled_step(table: np.ndarray, ctx_true: np.ndarray, ctx_hat: np.ndarray,
-                 v: np.ndarray, flip=None, v_is_u: bool = False, other=None,
+                 v: np.ndarray, flip=None, v_is_u: bool = False,
                  scratch=None) -> None:
     """One step of a true chain and a companion (hat) chain sharing one
-    uniform per trial, vectorized over trials; both contexts are updated
-    in place.
+    uniform per trial, vectorized over trials; both contexts and `v` are
+    updated in place.
 
     ``table[c]`` is P(0 | c) for every context code c the chains carry
     (see :meth:`Kernel.prob0_over`); contexts lie in [0, len(table)) and
     stay there.  The true chain thresholds w and the hat chain u, each
     against its own context.  ``flip`` is a bool table over the pair code
-    (ctx_true << L) | ctx_hat, L the bit width of `table`: where it is
-    set, u = 1 - w (antitone orientation), elsewhere u = w.  `v` is w, or
-    u when `v_is_u` (the flip is its own inverse); the other uniform is
-    written into `other`, or into scratch when `other` is None.  Without
-    `flip`, u = w (plain replay on shared innovations), copied into
-    `other` when it is given.  ``scratch`` holds two float buffers, a
-    bool and an int64 buffer of the trials' size, reused between steps
-    by :func:`coupled_walk`; a lone step allocates its own.
+    (ctx_true << L) | ctx_hat before the step, L the bit width of `table`:
+    where it is set, u = 1 - w (antitone orientation), elsewhere u = w.
+    `v` holds w, or u when `v_is_u`, and on return the other uniform (the
+    flip is its own inverse); without `flip`, u = w (plain replay on
+    shared innovations).  ``scratch`` holds a float, two bool and an
+    int64 buffer of the trials' size, reused between steps by
+    :func:`coupled_walk`; a lone step allocates its own.
     """
     if scratch is None:
         scratch = _step_scratch(v.size)
-    f, spare, x, pair = scratch
-    w = u = v
+    f, flipped, x, pair = scratch
+    first, second = (ctx_hat, ctx_true) if v_is_u else (ctx_true, ctx_hat)
     if flip is not None:
-        other = spare if other is None else other
         np.left_shift(ctx_true, table.size.bit_length() - 1, out=pair)
         pair |= ctx_hat
-        flip.take(pair, out=x)
-        np.copyto(other, v)
-        np.subtract(1.0, v, out=other, where=x)
-        w, u = (other, v) if v_is_u else (v, other)
-    elif other is not None:
-        np.copyto(other, v)
-    mask = table.size - 1
-    for ctx, s in ((ctx_true, w), (ctx_hat, u)):
-        table.take(ctx, out=f)
-        np.greater(s, f, out=x)
-        ctx <<= 1
-        ctx |= x
-        ctx &= mask
+        flip.take(pair, out=flipped)
+    _threshold(table, first, v, f, x)
+    if flip is not None:
+        np.subtract(1.0, v, out=v, where=flipped)
+    _threshold(table, second, v, f, x)
 
 
 def _step_scratch(size: int) -> tuple:
     """The buffers one :func:`coupled_step` over `size` trials works in."""
-    return (np.empty(size), np.empty(size), np.empty(size, dtype=bool),
-            np.empty(size, dtype=np.int64))
+    return (np.empty(size), np.empty(size, dtype=bool),
+            np.empty(size, dtype=bool), np.empty(size, dtype=np.int64))
 
 
 def coupled_walk(table: np.ndarray, v: np.ndarray, ctx_true: np.ndarray,
@@ -220,19 +216,17 @@ def coupled_walk(table: np.ndarray, v: np.ndarray, ctx_true: np.ndarray,
 
     ``flips[t]`` is the flip table of step t (None where the step keeps
     u = w), or `flips` is None for a plain replay.  The int64 context
-    arrays are updated in place, and the other uniforms are written into
-    `other` (shape of `v`, any strides) when it is given.  Each block's
-    uniforms are copied once into a (steps, block) buffer, so every step
-    reads and writes contiguous rows that stay in cache; the scratch
-    memory is O(TRIAL_BLOCK x steps), doubled only when `other` is
-    given.  Every value is the same elementwise operation as stepping
-    all trials at once, so the result is byte-identical to the
-    per-column loop."""
+    arrays are updated in place.  Each block's uniforms are copied once
+    into a (steps, block) buffer, which the steps re-encode in place,
+    one contiguous, cache-resident row each; the block is then copied
+    out into `other` (shape of `v`, any strides; it may be `v` itself)
+    when it is given.  The scratch memory is O(TRIAL_BLOCK x steps).
+    Every value is the same elementwise operation as stepping all trials
+    at once, so the result is byte-identical to the per-column loop."""
     trials, steps = v.shape
     step_flips = [None] * steps if flips is None else flips
     size = min(trials, TRIAL_BLOCK)
     vb = np.empty((steps, size))
-    ob = None if other is None else np.empty((steps, size))
     scratch = _step_scratch(size)
     for b0 in range(0, trials, TRIAL_BLOCK):
         n = min(TRIAL_BLOCK, trials - b0)
@@ -240,10 +234,9 @@ def coupled_walk(table: np.ndarray, v: np.ndarray, ctx_true: np.ndarray,
         buf = tuple(a[:n] for a in scratch)
         ct, ch = ctx_true[b0:b0 + n], ctx_hat[b0:b0 + n]
         for t, flip in enumerate(step_flips):
-            ot = None if ob is None else ob[t, :n]
-            coupled_step(table, ct, ch, vb[t, :n], flip, v_is_u, ot, buf)
-        if ob is not None:
-            other[b0:b0 + n] = ob[:, :n].T
+            coupled_step(table, ct, ch, vb[t, :n], flip, v_is_u, buf)
+        if other is not None:
+            other[b0:b0 + n] = vb[:, :n].T
 
 
 def simulate_path(kernel: Kernel, steps: int, seed: int) -> PathSample:

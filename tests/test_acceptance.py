@@ -239,11 +239,11 @@ def test_criterion_11_determinism(tmp_path):
     with _Timer() as t:
         outputs = {}
         for threads in ("1", "4"):
+            # The standard variables, read when numpy loads its libraries.
             env = dict(os.environ)
-            env["COUPLEDCHAINS_MAX_THREADS"] = threads
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                         "MKL_NUM_THREADS"):
-                env.pop(var, None)
+                env[var] = threads
             for kind, params in ACCEPTANCE_CONFIGS.items():
                 cfg = {
                     "kind": kind,

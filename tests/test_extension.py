@@ -75,8 +75,9 @@ def u_step(v, v_is_u=False):
     true, hat = np.array([0, 2, 2]), np.array([0, 0, 2])
     flip = np.zeros(table.size**2, dtype=bool)
     flip[0] = True
-    other = np.empty(3)
-    coupled_step(table, true, hat, v, flip, v_is_u, other)
+    # The step re-encodes its uniforms in place, so it gets a copy.
+    other = np.array(v, dtype=float)
+    coupled_step(table, true, hat, other, flip, v_is_u)
     return other, true, hat
 
 
@@ -174,7 +175,14 @@ def assert_walk_matches_serial(engine, v, ctx_true, ctx_hat):
         # Without a buffer for the other uniforms (the inverse replays and
         # the generator-gap check), the run ends in the same contexts.
         got_ends = coupled_run(engine, v, ctx_true, ctx_hat, v_is_u)
-        for a, b in zip(got + got_ends, ref + ref[1:]):
+        # A strided copy of v as both input and buffer (the forward stitch
+        # re-encodes its columns in place) gives the same uniforms.
+        aliased = np.zeros((v.shape[0], v.shape[1] + 2))[:, 1:-1]
+        aliased[...] = v
+        got_aliased = (aliased,
+                       *coupled_run(engine, aliased, ctx_true, ctx_hat, v_is_u,
+                                    aliased))
+        for a, b in zip(got + got_ends + got_aliased, ref + ref[1:] + ref):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
 

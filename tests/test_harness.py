@@ -253,7 +253,7 @@ def test_cli_csv_headers(tmp_path):
         assert (out / f"{kind}.csv").read_text().splitlines()[0] == header
 
 
-def test_cli_rejects_unknown_parameter(tmp_path):
+def test_cli_rejects_unknown_parameter(tmp_path, monkeypatch):
     cfg = {
         "kind": "reconstruct",
         "kernel": {"variant": "builtin", "name": "markov1-demo"},
@@ -332,6 +332,17 @@ def test_cli_rejects_unknown_parameter(tmp_path):
         out = tmp_path / f"out{i}"
         assert main([kind, "--config", path, "--out", str(out)]) == 2, params
         assert not out.exists()
+    # An `out` that is not a string is an error, even under --out, and
+    # nothing is written where it points.
+    monkeypatch.chdir(tmp_path)
+    valid = {"kind": "reconstruct", "kernel": cfg["kernel"], "seed": 5,
+             "n_list": [-2], "trials": 2}
+    for i, out in enumerate([None, ["x"]]):
+        path = write_config(tmp_path, f"out{i}.json", {**valid, "out": out})
+        for flags in ([], ["--out", str(tmp_path / f"given{i}")]):
+            before = set(tmp_path.iterdir())
+            assert main(["reconstruct", "--config", path, *flags]) == 2, out
+            assert set(tmp_path.iterdir()) == before
     # --seed goes through the same check.
     path = write_config(
         tmp_path, "seeded.json",
