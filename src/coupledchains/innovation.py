@@ -18,6 +18,13 @@ The audit is one fixed test: every check runs at level AUDIT_LEVEL
 chi-square counts consecutive pairs on an AUDIT_BINS x AUDIT_BINS
 (16 x 16) grid, hence 255 degrees of freedom.  Both tail functions
 therefore have closed forms and need no statistics library.
+
+The audit streams: one pass counts the pair grid and a histogram of
+2^16 buckets, the histogram bounds the KS distance within each bucket,
+and a second pass gathers and sorts only the values of the few buckets
+that can hold the maximum; the correlation sums follow np.sum's own
+pairwise tree over cache-sized leaves.  The report is bit for bit that
+of sorting and summing the whole stream, without a full-length copy.
 """
 
 from __future__ import annotations
@@ -35,9 +42,18 @@ AUDIT_BINS = 16
 # Two-sided Gaussian envelope for each lag correlation, Bonferroni over
 # the lags.
 _CORR_QUANTILE = NormalDist().inv_cdf(1.0 - AUDIT_LEVEL / (2 * AUDIT_LAGS))
-# Samples per block of the KS maximum and of the pair count in
-# `innovation_audit`.
+# Values per block of the audit's two streaming passes, and the most
+# values of a leaf of its correlation sums: a block of floats or of
+# bucket indices (512 KiB) stays in cache.
 _BLOCK = 1 << 16
+# KS buckets [j, j+1) / _BUCKETS: floor(w * _BUCKETS) is exact because
+# the scale is a power of two, and the pair chi-square bin
+# floor(w * AUDIT_BINS) is the bucket shifted right by _BIN_SHIFT.
+_BUCKETS = 1 << 16
+_BIN_SHIFT = _BUCKETS.bit_length() - AUDIT_BINS.bit_length()
+# Slack of the KS pruning: far above the float rounding of the bucket
+# bounds (~1e-16), far below a bucket's width 1/_BUCKETS.
+_KS_MARGIN = 1e-12
 
 
 def encode_w(x, v, f):
@@ -99,19 +115,118 @@ def _pair_chi2_sf(x: float) -> float:
     return total
 
 
-def _pair_counts(bins: np.ndarray) -> np.ndarray:
-    """Counts of the codes bins[t] * AUDIT_BINS + bins[t + 1] of the
-    consecutive pairs of uint8 bins; all AUDIT_BINS^2 codes fit in a
-    byte.  np.bincount casts its input to intp, so it runs on blocks of
-    _BLOCK codes and the integer counts are added: the counts of one
-    whole-array call, without its full-length intp copy."""
-    pair = bins[:-1] * np.uint8(AUDIT_BINS)
-    pair += bins[1:]
-    counts = np.zeros(AUDIT_BINS * AUDIT_BINS, dtype=np.intp)
-    for b0 in range(0, pair.size, _BLOCK):
-        counts += np.bincount(pair[b0:b0 + _BLOCK],
-                              minlength=AUDIT_BINS * AUDIT_BINS)
-    return counts
+def _stream_counts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pass 1 of the audit: the histogram of the KS buckets
+    floor(w * _BUCKETS) and the counts of the pair codes
+    bin[t] * AUDIT_BINS + bin[t + 1] of the chi-square bins
+    bin = floor(w * AUDIT_BINS), for w in (0, 1).  Each block reads one
+    value past its end for its last pair; integer counts add exactly, so
+    both equal one whole-array np.bincount."""
+    hist = np.zeros(_BUCKETS, dtype=np.intp)
+    pairs = np.zeros(AUDIT_BINS * AUDIT_BINS, dtype=np.intp)
+    j = np.empty(_BLOCK + 1, dtype=np.intp)
+    bins = np.empty(_BLOCK + 1, dtype=np.intp)
+    codes = np.empty(_BLOCK, dtype=np.intp)
+    for b0 in range(0, w.size, _BLOCK):
+        block = w[b0:b0 + _BLOCK + 1]
+        m = block.size
+        np.multiply(block, _BUCKETS, out=j[:m], casting="unsafe")
+        hist += np.bincount(j[:min(m, _BLOCK)], minlength=_BUCKETS)
+        np.right_shift(j[:m], _BIN_SHIFT, out=bins[:m])
+        np.multiply(bins[:m - 1], AUDIT_BINS, out=codes[:m - 1])
+        codes[:m - 1] += bins[1:m]
+        pairs += np.bincount(codes[:m - 1], minlength=AUDIT_BINS * AUDIT_BINS)
+    return hist, pairs
+
+
+def _ks_stat(w: np.ndarray, hist: np.ndarray) -> float:
+    """max_i max(i/n - s_(i), s_(i) - (i/n - 1/n)) over the order
+    statistics s_(i) of w, from the bucket histogram and a sort of the
+    values of the buckets that can hold the maximum (see
+    :func:`innovation_audit`)."""
+    n = w.size
+    upto = np.cumsum(hist)  # C_j: values in buckets 0..j
+    before = upto - hist  # C_{j-1}
+    lower = np.arange(_BUCKETS) / _BUCKETS
+    upper = lower + 1.0 / _BUCKETS
+    hi = np.maximum(upto / n - lower, upper - before / n)
+    lo = np.maximum(upto / n - upper, lower - before / n)
+    keep = hi >= np.max(lo[hist > 0]) - _KS_MARGIN
+    # The kept buckets usually form one short run: a range test on each
+    # block leaves few values to look up bucket by bucket.
+    first, last = np.flatnonzero(keep)[[0, -1]]
+    low, high = first / _BUCKETS, (last + 1) / _BUCKETS
+    kept = []
+    for b0 in range(0, n, _BLOCK):
+        block = w[b0:b0 + _BLOCK]
+        near = block[(block >= low) & (block < high)]
+        kept.append(near[keep[(near * _BUCKETS).astype(np.intp)]])
+    s = np.sort(np.concatenate(kept))
+    # Rank of s[p]: the values below its bucket, plus its place among the
+    # kept values of that bucket.
+    kept_hist = np.where(keep, hist, 0)
+    offset = before - (np.cumsum(kept_hist) - kept_hist)
+    rank = offset[(s * _BUCKETS).astype(np.intp)] + np.arange(1, s.size + 1)
+    grid = rank / n
+    return max(float(np.max(grid - s)), float(np.max(s - (grid - 1.0 / n))))
+
+
+def _left(m: int) -> int:
+    """Length of the left part when np.sum's pairwise summation splits
+    m > 128 contiguous float64 values: half, rounded down to a multiple
+    of 8."""
+    half = m // 2
+    return half - half % 8
+
+
+def _tree_leaves(m: int, leaf: int = _BLOCK) -> list[tuple[int, int]]:
+    """The pieces [a, b) of np.sum's pairwise tree over m values that
+    hold at most `leaf` (>= 128) values, left to right."""
+    if m <= leaf:
+        return [(0, m)]
+    half = _left(m)
+    right = _tree_leaves(m - half, leaf)
+    return _tree_leaves(half, leaf) + [(a + half, b + half) for a, b in right]
+
+
+def _tree_sum(leaf_sums, m: int, leaf: int = _BLOCK) -> float:
+    """np.sum of m values, bit for bit, from the np.sum of each piece of
+    _tree_leaves(m, leaf), given in that order: np.sum over a contiguous
+    float64 array halves each piece of more than 128 values at _left and
+    adds the two halves' sums."""
+    sums = iter(leaf_sums)
+
+    def piece(m: int) -> float:
+        if m <= leaf:
+            return float(next(sums))
+        half = _left(m)
+        return piece(half) + piece(m - half)
+
+    return piece(m)
+
+
+def _lag_sums(w: np.ndarray, mean: float) -> list[float]:
+    """np.sum of (w[t] - mean) * (w[t + lag] - mean) over t < n - lag for
+    lag = 0..AUDIT_LAGS, bit for bit, without a full-length centered
+    array.  The leaves of the six sums are visited by their start: each
+    leaf starting in [k, k + 1) * _BLOCK lies in the window
+    [k * _BLOCK, (k + 2) * _BLOCK + AUDIT_LAGS), centered once for all."""
+    n = w.size
+    span = 2 * _BLOCK + AUDIT_LAGS
+    window = np.empty(span)
+    prod = np.empty(_BLOCK)
+    sums = [[] for _ in range(AUDIT_LAGS + 1)]
+    leaves = sorted((a, b, lag) for lag in range(AUDIT_LAGS + 1)
+                    for a, b in _tree_leaves(n - lag))
+    start = -1
+    for a, b, lag in leaves:
+        if a - a % _BLOCK != start:
+            start = a - a % _BLOCK
+            part = w[start:start + span]
+            centered = np.subtract(part, mean, out=window[:part.size])
+        x = centered[a - start:b + lag - start]
+        sums[lag].append(np.sum(np.multiply(x[:b - a], x[lag:], out=prod[:b - a])))
+    return [_tree_sum(s, n - lag) for lag, s in enumerate(sums)]
 
 
 def innovation_audit(w: np.ndarray) -> AuditReport:
@@ -120,47 +235,43 @@ def innovation_audit(w: np.ndarray) -> AuditReport:
     Uniformity: the empirical CDF must stay within the DKW envelope
     sqrt(log(2/AUDIT_LEVEL) / (2n)) of the identity.  Independence:
     lagged correlations within a Gaussian envelope, plus a chi-squared
-    test on the (w_t, w_{t+1}) bin grid.
+    test on the (w_t, w_{t+1}) bin grid.  Any value outside (0, 1), NaN
+    included, fails both.
 
-    Besides the centered stream, the only full-length float array is the
-    sort buffer: the KS maximum and the pair counts are taken block by
-    block, and each product of the correlations is written into the
-    buffer before its sum.  Every sum is the same np.sum over the same
-    contiguous values as with fresh arrays, and integer counts add
-    exactly, so the report is byte-identical to the whole-array form.
+    The audit streams over w in blocks of _BLOCK values and allocates no
+    full-length array; the report is bit for bit that of sorting w and
+    summing whole-length arrays.  KS distance: with K = _BUCKETS and C_j
+    the number of values in buckets [0, (j+1)/K), an order statistic
+    s_(i) in bucket j has i/n - s_(i) in [C_j/n - (j+1)/K, C_j/n - j/K]
+    and s_(i) - (i-1)/n in [j/K - C_{j-1}/n, (j+1)/K - C_{j-1}/n].  So
+    a bucket whose upper bound lies below the largest lower bound of a
+    non-empty bucket cannot hold the maximum; only the values of the
+    other buckets are gathered and sorted, and each gets its exact
+    global rank C_{j-1} + 1 + its place in its bucket.  On uniform
+    streams of 6.8e6 values one to a few 1e4 survive; a stream packed
+    into a few buckets keeps them all, and the sort is then as large as
+    the stream.  Correlations: each of the six sums follows np.sum's
+    pairwise tree down to leaves of at most _BLOCK products, formed in
+    cache-sized buffers (see :func:`_lag_sums`).
     """
     w = np.asarray(w, dtype=float)
     n = w.size
     if n < 100:
         raise ValueError("audit needs at least 100 samples")
-    srt = np.sort(w)
-    if srt[0] <= 0.0 or srt[-1] >= 1.0:
+    if not (w.min() > 0.0 and w.max() < 1.0):
         return AuditReport(n, np.inf, 0.0, np.inf, 0.0, 0.0, False, False)
 
-    # KS distance block by block: the grid values (b0+1 .. b1)/n and the
-    # max are the same as over the whole array at once.
-    ks = -np.inf
-    for b0 in range(0, n, _BLOCK):
-        s = srt[b0:b0 + _BLOCK]
-        grid = np.arange(b0 + 1, b0 + s.size + 1) / n
-        ks = max(ks, float(np.max(grid - s)), float(np.max(s - (grid - 1.0 / n))))
+    hist, counts = _stream_counts(w)
+    ks = _ks_stat(w, hist)
     dkw = float(np.sqrt(np.log(2.0 / AUDIT_LEVEL) / (2.0 * n)))
     uniform_ok = ks <= dkw
 
-    # From here on the sort buffer holds each product before its sum.
-    centered = w - w.mean()
-    denom = float(np.sum(np.multiply(centered, centered, out=srt)))
+    denom, *lagged = _lag_sums(w, w.mean())
     corr_bound = _CORR_QUANTILE / np.sqrt(n)
     max_corr = 0.0
-    for lag in range(1, AUDIT_LAGS + 1):
-        prod = np.multiply(centered[:-lag], centered[lag:], out=srt[:-lag])
-        c = float(np.sum(prod)) / denom
-        max_corr = max(max_corr, abs(c))
+    for total in lagged:
+        max_corr = max(max_corr, abs(total / denom))
 
-    # Bin of each sample, floor(w * AUDIT_BINS) capped at AUDIT_BINS - 1.
-    bins = np.multiply(w, AUDIT_BINS, out=srt).astype(np.uint8)
-    np.minimum(bins, AUDIT_BINS - 1, out=bins)
-    counts = _pair_counts(bins)
     expected = (n - 1) / (AUDIT_BINS * AUDIT_BINS)
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
     pvalue = _pair_chi2_sf(chi2)

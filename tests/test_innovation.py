@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ def reference_audit(w):
     """The audit computed over whole-length arrays in one pass each."""
     w = np.asarray(w, dtype=float)
     n = w.size
-    if np.any(w <= 0.0) or np.any(w >= 1.0):
+    if not np.all((w > 0.0) & (w < 1.0)):
         return AuditReport(n, np.inf, 0.0, np.inf, 0.0, 0.0, False, False)
     srt = np.sort(w)
     grid = np.arange(1, n + 1) / n
@@ -126,24 +127,43 @@ def reference_audit(w):
 
 def audit_streams():
     rng = stream_rng(5, "oracle")
-    odd = 3 * innovation._BLOCK + 17  # not a multiple of the audit block
+    block = innovation._BLOCK
+    odd = 3 * block + 17  # not a multiple of the audit block
     raw = rng.random(odd + 1)
     yield rng.random(100)
     yield rng.random(odd)
     yield rng.random(odd) ** 2  # fails uniformity
+    yield rng.random(odd) ** 3  # KS maximum mid-range
     yield (raw[:-1] + raw[1:]) / 2  # fails independence
     yield np.round(rng.random(odd), 3).clip(0.001, 0.999)  # many ties
-    # A 0.0 or a 1.0 anywhere gives the failing report.
-    for value, at in ((0.0, 0), (0.0, 57), (1.0, 99), (1.0, 3)):
+    # Values on the edges of the KS buckets and of the chi-square bins.
+    yield rng.integers(1, innovation._BUCKETS, odd) / innovation._BUCKETS
+    yield rng.integers(1, AUDIT_BINS, odd) / AUDIT_BINS
+    # Three values on bucket edges, symmetric about 1/2: the largest D+
+    # and D- tie in exact arithmetic but round apart, so pruning the KS
+    # buckets without slack would drop the one that holds the maximum.
+    edge = 1000 / innovation._BUCKETS
+    yield np.repeat([edge, 0.5, 1.0 - edge], 34)
+    # Every value in one KS bucket.
+    yield (12345 + rng.random(odd)) / innovation._BUCKETS
+    yield np.sort(rng.random(odd))[::-1]  # descending, a reversed view
+    # Lengths on either side of one and two audit blocks.
+    for size in (block - 1, block + 1, 2 * block - 1, 2 * block + 1):
+        yield rng.random(size)
+    # A 0.0, a 1.0, an infinity or a NaN anywhere gives the failing report.
+    for value, at in ((0.0, 0), (0.0, 57), (1.0, 99), (1.0, 3),
+                      (np.inf, 20), (-np.inf, 80), (np.nan, 0), (np.nan, 50)):
         w = rng.random(100)
         w[at] = value
         yield w
+    yield np.full(100, np.nan)
 
 
 def test_audit_matches_reference():
     for w in audit_streams():
         report = innovation_audit(w)
-        assert report == reference_audit(w)
+        # repr pins every field's type and, through float repr, its bits.
+        assert repr(report) == repr(reference_audit(w))
     assert not report.passed and report.ks_stat == np.inf
 
 
@@ -172,13 +192,52 @@ def test_correlation_quantile_matches_scipy():
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("blocks", [0, 1, 2])
 def test_pair_counts_match_whole_array_bincount(blocks, offset):
-    # Pair counts summed over blocks of _BLOCK codes against one bincount
-    # of every code, for pair counts on either side of the block edges.
+    # Bucket histogram and pair counts summed over blocks of _BLOCK
+    # values against one bincount of every bucket and every pair code,
+    # for streams on either side of the block edges.
     pairs = max(blocks * innovation._BLOCK + offset, 1)
     rng = stream_rng(9, "pairs", str(pairs))
-    bins = rng.integers(0, AUDIT_BINS, pairs + 1).astype(np.uint8)
-    whole = np.bincount(bins[:-1].astype(np.intp) * AUDIT_BINS + bins[1:],
+    w = rng.random(pairs + 1)
+    buckets = np.floor(w * innovation._BUCKETS).astype(np.intp)
+    bins = np.minimum(np.floor(w * AUDIT_BINS).astype(np.intp), AUDIT_BINS - 1)
+    whole = np.bincount(bins[:-1] * AUDIT_BINS + bins[1:],
                         minlength=AUDIT_BINS * AUDIT_BINS)
-    counts = innovation._pair_counts(bins)
+    hist, counts = innovation._stream_counts(w)
     assert counts.dtype == whole.dtype
     assert np.array_equal(counts, whole)
+    assert np.array_equal(hist, np.bincount(buckets, minlength=innovation._BUCKETS))
+
+
+def test_tree_sum_matches_numpy_sum():
+    # Leaf-split sums against np.sum: with leaves of 128 values (numpy's
+    # own leaf size) on the short lengths, every split of the tree is
+    # taken here rather than inside np.sum.
+    rng = stream_rng(10, "tree")
+    block = innovation._BLOCK
+    for size in [*range(1, 301), block - 1, block + 1, 10**6 + 7, 6_800_000]:
+        x = rng.standard_normal(size)
+        for leaf in (128, block) if size <= block + 1 else (block,):
+            leaves = innovation._tree_leaves(size, leaf)
+            total = innovation._tree_sum([np.sum(x[a:b]) for a, b in leaves],
+                                         size, leaf)
+            assert total == float(np.sum(x)), (
+                f"{size} values, leaves of {leaf}: np.sum no longer splits a "
+                "contiguous float64 array as the audit's leaf sums assume "
+                "(halve above 128 values, the left part rounded down to a "
+                "multiple of 8); a numpy release that changes its pairwise "
+                "split moves the last bits of the audit's correlations"
+            )
+
+
+def test_audit_memory_stays_blockwise():
+    # Beyond its input the audit holds block-sized buffers, a bucket
+    # histogram and the few values that can set the KS maximum: no
+    # full-length sort buffer or centered copy.
+    w = stream_rng(11, "memory").random(6_800_000)
+    tracemalloc.start()
+    try:
+        innovation_audit(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
