@@ -17,6 +17,10 @@ re-encodes to U, fed U it rebuilds the true chain.  It returns the end
 contexts, writes the other uniforms only into a buffer it is given (the
 forward stitch passes the same columns as input and buffer, re-encoding
 W into U in place), and steps through :func:`.reconstruction.coupled_walk`.
+Only the stitch holds its whole (trials, T) array of uniforms: it is the
+stitched sequence, which the replays and the audit read back.  The
+generator-gap check draws its uniforms one block of trials at a time as
+the walk reads them.
 
 Time convention: a run over [N; 0] takes |N|+1 steps; the step landing
 at time t uses the orientation table at depth -t + 1 (depth |N|+1 first,
@@ -32,7 +36,7 @@ import numpy as np
 
 from .innovation import AuditReport, innovation_audit
 from .kernels import CapExceededError, Kernel
-from .reconstruction import coupled_walk
+from .reconstruction import _Uniforms, coupled_walk
 from .rng import sample_index, stream_rng
 from .vershik import CouplingEngine, GeneratorConfig, coupling_table
 from .words import Word, as_word, int_to_word, word_to_int
@@ -57,7 +61,9 @@ def coupled_run(
 
     ``v`` has shape (trials, steps) and holds the innovations w of the
     true chain, or with ``v_is_u`` the re-encoded u, from which the run
-    rebuilds the true chain (the flip is its own inverse).  Contexts are
+    rebuilds the true chain (the flip is its own inverse); it is an
+    array or anything else :func:`coupled_walk` reads, such as the
+    block-by-block draws of the generator-gap check.  Contexts are
     integer words for the pasts before the window.  Returns (ctx_true,
     ctx_hat), the contexts at the window's end, and writes the other
     uniforms into `other` (shape of `v`, any strides; it may be `v`).
@@ -214,11 +220,16 @@ def generator_error_check(
     rng = stream_rng(seed, "generator-gap", engine.kernel.label, f"N{n_start}")
     ctx_true = sample_index(rng, engine.pi, trials)
     ctx_hat = np.full(trials, anchor_int, dtype=np.int64)
-    w = rng.random((trials, 1 - n_start))
+    w = _Uniforms(rng, trials, 1 - n_start)
     end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat)
-    gaps = np.abs(
-        engine.generator_values(end_true) - engine.generator_values(end_hat)
-    )
+    # Each context array is freed once read, so no more than four arrays
+    # of `trials` values are ever held.
+    del ctx_true, ctx_hat
+    gaps = engine.generator_values(end_true)
+    del end_true
+    gaps -= engine.generator_values(end_hat)
+    del end_hat
+    np.abs(gaps, out=gaps)
     mc = float(gaps.mean())
     stderr = float(gaps.std(ddof=1) / np.sqrt(trials))
     exact = expected_generator_gap(engine, n_start, anchor)

@@ -236,7 +236,8 @@ def innovation_audit(w: np.ndarray) -> AuditReport:
     sqrt(log(2/AUDIT_LEVEL) / (2n)) of the identity.  Independence:
     lagged correlations within a Gaussian envelope, plus a chi-squared
     test on the (w_t, w_{t+1}) bin grid.  Any value outside (0, 1), NaN
-    included, fails both.
+    included, fails both; a stream whose values all center to zero (a
+    constant stream with an exact mean) reads max_lag_corr inf.
 
     The audit streams over w in blocks of _BLOCK values and allocates no
     full-length array; the report is bit for bit that of sorting w and
@@ -268,9 +269,10 @@ def innovation_audit(w: np.ndarray) -> AuditReport:
 
     denom, *lagged = _lag_sums(w, w.mean())
     corr_bound = _CORR_QUANTILE / np.sqrt(n)
-    max_corr = 0.0
-    for total in lagged:
-        max_corr = max(max_corr, abs(total / denom))
+    if denom > 0.0:
+        max_corr = max(abs(total / denom) for total in lagged)
+    else:  # a stream without spread has no correlation; it fails
+        max_corr = np.inf
 
     expected = (n - 1) / (AUDIT_BINS * AUDIT_BINS)
     chi2 = float(np.sum((counts - expected) ** 2) / expected)

@@ -20,6 +20,9 @@ replay here, every coupled run of :mod:`.extension`), runs
 time, so each step works on contiguous, cache-resident rows; it is
 byte-identical to stepping all trials at once, one column per step, and
 re-encodes each block in place, copying it out only into a buffer it is given.
+It reads its uniforms one block of trials at a time, so the replay and the
+generator-gap check draw them as it reads them (:class:`_Uniforms`) and
+never hold the whole (trials, steps) array.
 """
 
 from __future__ import annotations
@@ -208,7 +211,25 @@ def _step_scratch(size: int) -> tuple:
             np.empty(size, dtype=bool), np.empty(size, dtype=np.int64))
 
 
-def coupled_walk(table: np.ndarray, v: np.ndarray, ctx_true: np.ndarray,
+class _Uniforms:
+    """The (trials, steps) array ``rng.random((trials, steps))``, drawn
+    as it is read: ``self[b0:b1]`` returns rng.random((b1 - b0, steps)).
+    Rows are read once, in order, so they are the same doubles, and the
+    stream ends in the same state, as drawing the whole array at once."""
+
+    def __init__(self, rng: np.random.Generator, trials: int, steps: int):
+        self.shape = (trials, steps)
+        self._rng = rng
+        self._next = 0
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        if rows.start != self._next:
+            raise ValueError("uniform rows are read once, in order")
+        self._next = rows.stop
+        return self._rng.random((rows.stop - rows.start, self.shape[1]))
+
+
+def coupled_walk(table: np.ndarray, v, ctx_true: np.ndarray,
                  ctx_hat: np.ndarray, flips=None, v_is_u: bool = False,
                  other=None) -> None:
     """Run :func:`coupled_step` over every column of `v` (shape (trials,
@@ -216,13 +237,17 @@ def coupled_walk(table: np.ndarray, v: np.ndarray, ctx_true: np.ndarray,
 
     ``flips[t]`` is the flip table of step t (None where the step keeps
     u = w), or `flips` is None for a plain replay.  The int64 context
-    arrays are updated in place.  Each block's uniforms are copied once
-    into a (steps, block) buffer, which the steps re-encode in place,
-    one contiguous, cache-resident row each; the block is then copied
-    out into `other` (shape of `v`, any strides; it may be `v` itself)
-    when it is given.  The scratch memory is O(TRIAL_BLOCK x steps).
-    Every value is the same elementwise operation as stepping all trials
-    at once, so the result is byte-identical to the per-column loop."""
+    arrays are updated in place.  `v` is read once, by row blocks
+    ``v[b0:b0 + n]`` in trial order, so it may also be a
+    :class:`_Uniforms` that draws each block as it is read: the walk
+    then never holds more than one block of uniforms.  Each block's
+    uniforms are copied once into a (steps, block) buffer, which the
+    steps re-encode in place, one contiguous, cache-resident row each;
+    the block is then copied out into `other` (shape of `v`, any
+    strides; it may be `v` itself) when it is given.  Beyond the
+    contexts, the memory is O(TRIAL_BLOCK x steps).  Every value is the
+    same elementwise operation as stepping all trials at once, so the
+    result is byte-identical to the per-column loop."""
     trials, steps = v.shape
     step_flips = [None] * steps if flips is None else flips
     size = min(trials, TRIAL_BLOCK)
@@ -349,13 +374,13 @@ def _coupled_replay_words(
     innovations over [n_start; 0], vectorized across trials.
 
     The innovations are drawn uniform directly (same joint law as the
-    two-uniform encoder).  Returns the low `keep_bits` bits of the final
-    contexts (true, replay)."""
-    steps = -n_start + 1
+    two-uniform encoder), one block of trials at a time as the walk reads
+    them.  Returns the low `keep_bits` bits of the final contexts (true,
+    replay)."""
     rng = stream_rng(seed, "replay", kernel.label, f"N{n_start}")
     ctx_true = np.asarray(_stationary_start(kernel, rng, trials), dtype=np.int64)
     ctx_hat = np.zeros(trials, dtype=np.int64)
-    w = rng.random((trials, steps))
+    w = _Uniforms(rng, trials, -n_start + 1)
     coupled_walk(kernel.prob0_over(keep_bits), w, ctx_true, ctx_hat)
     return ctx_true, ctx_hat
 
@@ -375,8 +400,11 @@ def disagreement_experiment(
         raise ValueError("compared window cannot exceed the replayed range")
     keep = max(k_lags + 1, kernel.memory)
     end_true, end_hat = _coupled_replay_words(kernel, n_start, trials, seed, keep)
-    wmask = (1 << (k_lags + 1)) - 1
-    mismatches = int(np.sum((end_true & wmask) != (end_hat & wmask)))
+    # The two windows differ where the low k_lags + 1 bits of the end
+    # contexts do, found in place in end_true.
+    end_true ^= end_hat
+    end_true &= (1 << (k_lags + 1)) - 1
+    mismatches = np.count_nonzero(end_true)
     freq = mismatches / trials
     stderr = float(np.sqrt(freq * (1.0 - freq) / trials))
     bound = reconstruction_bound(kernel, n_start, k_lags)

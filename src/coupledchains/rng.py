@@ -15,6 +15,9 @@ import numpy as np
 
 # The guide table splits [0, 1) into 2^_GUIDE_BITS equal buckets.
 _GUIDE_BITS = 14
+# Uniforms drawn and looked up at a time: a block of floats or of bucket
+# indices (512 KiB) stays in cache.
+_DRAW_BLOCK = 1 << 16
 _SUM_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
@@ -39,7 +42,10 @@ def sample_index(rng: np.random.Generator, p, size=None):
     with no cdf point strictly inside has one answer for all its u,
     tabulated once, and a uniform finds its bucket as floor(u * G),
     exact because G is a power of 2.  Only draws in the few buckets
-    that hold a cdf point fall back to the binary search."""
+    that hold a cdf point fall back to the binary search.  The uniforms
+    are drawn and looked up _DRAW_BLOCK at a time, in the order of
+    ``rng.random(size)``, so beyond the result only block-sized buffers
+    are held."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p must be a non-empty 1-dimensional law")
@@ -49,15 +55,23 @@ def sample_index(rng: np.random.Generator, p, size=None):
         raise ValueError("probabilities do not sum to 1")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(size)
     if size is None:
-        return int(cdf.searchsorted(u, side="right"))
+        return int(cdf.searchsorted(rng.random(), side="right"))
     buckets = 1 << _GUIDE_BITS
     edges = np.arange(buckets + 1) / buckets
     below = cdf.searchsorted(edges[:-1], side="right")  # #{cdf <= b/G}
     before = cdf.searchsorted(edges[1:], side="left")  # #{cdf < (b+1)/G}
     guide = np.where(below == before, below, -1).astype(np.int64)
-    idx = guide[(u * buckets).astype(np.intp)]
-    miss = idx < 0
-    idx[miss] = cdf.searchsorted(u[miss], side="right")
+    idx = np.empty(size, dtype=np.int64)
+    flat = idx.reshape(-1)
+    u = np.empty(min(flat.size, _DRAW_BLOCK))
+    j = np.empty(u.size, dtype=np.intp)
+    for b0 in range(0, flat.size, _DRAW_BLOCK):
+        ub, jb = u[:flat.size - b0], j[:flat.size - b0]
+        out = flat[b0:b0 + ub.size]
+        rng.random(out=ub)
+        np.multiply(ub, buckets, out=jb, casting="unsafe")
+        guide.take(jb, out=out)
+        miss = out < 0
+        out[miss] = cdf.searchsorted(ub[miss], side="right")
     return idx

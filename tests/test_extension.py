@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from coupledchains import reconstruction
 from coupledchains.reconstruction import (
     TRIAL_BLOCK,
     coupled_step,
+    coupled_walk,
     disagreement_experiment,
     domination_experiment,
     simulate_path,
@@ -238,6 +241,63 @@ def test_one_antitone_entry_flips():
     coupled_run(engine, w, ctx_true, ctx_hat, other=u)
     assert np.array_equal(u[:, 0], 1.0 - w[:, 0])
     assert_walk_matches_serial(engine, w, ctx_true, ctx_hat)
+
+
+@pytest.mark.parametrize("trials", [1, TRIAL_BLOCK - 1, TRIAL_BLOCK,
+                                    2 * TRIAL_BLOCK + 5])
+@pytest.mark.parametrize("walk", ["replay", "flips", "v_is_u"])
+def test_streamed_walk_matches_array_walk(walk, trials):
+    # Uniforms drawn one block of trials at a time as the walk reads them
+    # against the whole array drawn at once: the same end contexts and
+    # re-encoded uniforms, bit for bit, and the stream left in the same
+    # state.  markov1-demo steps as a plain replay; ANTITONE flips, fed w
+    # or, with v_is_u, u.
+    steps = 9
+    starts = np.random.default_rng(trials).integers(0, 2**62, (2, trials))
+
+    def run(v):
+        ctx_true, ctx_hat = starts & 15
+        if walk == "replay":
+            coupled_walk(MARKOV1.prob0_over(4), v, ctx_true, ctx_hat)
+            return ctx_true, ctx_hat
+        other = np.empty((trials, steps))
+        return (other, *coupled_run(WALK_ENGINES[1], v, *starts,
+                                    walk == "v_is_u", other))
+
+    ref_rng = stream_rng(53, "streamed", str(trials))
+    rng = stream_rng(53, "streamed", str(trials))
+    v = ref_rng.random((trials, steps))
+    ref = run(v)
+    uniforms = reconstruction._Uniforms(rng, trials, steps)
+    got = run(uniforms)
+    for a, b in zip(got, ref, strict=True):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if walk != "replay" and trials > 1:
+        assert (got[0] != v).any()  # some steps flip
+    with pytest.raises(ValueError):
+        uniforms[0:1]  # rows are read once, in order
+
+
+@pytest.mark.parametrize("experiment, bound_mib",
+                         [("disagreement", 24), ("generator-gap", 36)])
+def test_coupled_experiments_draw_uniforms_blockwise(experiment, bound_mib):
+    # 10^6 trials over 9 and 7 steps: the whole uniform array would be
+    # 72 MB and 56 MB.  Drawn one block of trials at a time, what is held
+    # is a few int64 context arrays of 8 MB each.
+    trials = 10**6
+    engine = make_engine(ORDER3, p_max=7, depth=7)
+    tracemalloc.start()
+    try:
+        if experiment == "disagreement":
+            disagreement_experiment(ORDER3, -8, 2, trials, 67)
+        else:
+            generator_error_check(engine, -6, (0,) * engine.length, trials, 71)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, peak
 
 
 @pytest.mark.parametrize("kernel", [MARKOV1, ANTITONE])

@@ -111,7 +111,8 @@ def reference_audit(w):
     corr_bound = innovation._CORR_QUANTILE / np.sqrt(n)
     max_corr = 0.0
     for lag in range(1, AUDIT_LAGS + 1):
-        c = float(np.sum(centered[:-lag] * centered[lag:])) / denom
+        cov = float(np.sum(centered[:-lag] * centered[lag:]))
+        c = cov / denom if denom > 0.0 else np.inf
         max_corr = max(max_corr, abs(c))
     bins = np.minimum((w * AUDIT_BINS).astype(np.int64), AUDIT_BINS - 1)
     pair = bins[:-1] * AUDIT_BINS + bins[1:]
@@ -156,6 +157,12 @@ def audit_streams():
         w = rng.random(100)
         w[at] = value
         yield w
+    # Constant streams: every centered value is 0 where the mean is exact
+    # (the correlations are undefined and read inf), and a tiny constant
+    # where it is not.
+    yield np.full(1000, 0.5)
+    yield np.full(100, 0.25)
+    yield np.full(1000, 0.1)
     yield np.full(100, np.nan)
 
 
@@ -165,6 +172,14 @@ def test_audit_matches_reference():
         # repr pins every field's type and, through float repr, its bits.
         assert repr(report) == repr(reference_audit(w))
     assert not report.passed and report.ks_stat == np.inf
+
+
+@pytest.mark.parametrize("value", [0.5, 0.25])
+def test_audit_fails_constant_stream(value):
+    # The mean is exact, so the correlations' denominator is 0.
+    report = innovation_audit(np.full(1000, value))
+    assert not report.uniform_ok and not report.independence_ok
+    assert report.max_lag_corr == np.inf
 
 
 def test_audit_needs_samples():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupledchains.rng import _GUIDE_BITS, sample_index
+from coupledchains.rng import _DRAW_BLOCK, _GUIDE_BITS, sample_index
 
 BUCKETS = 1 << _GUIDE_BITS
 
@@ -54,7 +54,10 @@ laws = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(
     p=laws,
-    size=st.sampled_from([None, 0, 1, 100_000]),
+    # Sizes on either side of the draw blocks, one of them a tuple.
+    size=st.sampled_from([None, 0, 1, 100_000, _DRAW_BLOCK - 1,
+                          _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 3,
+                          (2, _DRAW_BLOCK + 3)]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sample_index_matches_choice(p, size, seed):
