@@ -64,18 +64,22 @@ def coupled_run(
     rebuilds the true chain (the flip is its own inverse); it is an
     array or anything else :func:`coupled_walk` reads, such as the
     block-by-block draws of the generator-gap check.  Contexts are
-    integer words for the pasts before the window.  Returns (ctx_true,
-    ctx_hat), the contexts at the window's end, and writes the other
-    uniforms into `other` (shape of `v`, any strides; it may be `v`).
-    The steps run through :func:`coupled_walk`, one block of trials at a
-    time, each with the flip table of its depth
-    (:attr:`.vershik.MetricTable.flip`); a depth without antitone entries
-    steps as a plain replay, u = w.
+    integer words for the pasts before the window, int64 arrays that
+    must not share memory.  The run updates them in place, cut to the
+    table length L and then stepped to the window's end, and returns
+    them as (ctx_true, ctx_hat); a caller that needs the start contexts
+    again passes copies.  It writes the other uniforms into `other`
+    (shape of `v`, any strides; it may be `v`).  The steps run through
+    :func:`coupled_walk`, one block of trials at a time, each with the
+    flip table of its depth (:attr:`.vershik.MetricTable.flip`); a depth
+    without antitone entries steps as a plain replay, u = w.
     """
+    if np.may_share_memory(ctx_true, ctx_hat):
+        raise ValueError("ctx_true and ctx_hat must not share memory")
     steps = v.shape[1]
     mask = (1 << engine.length) - 1
-    ctx_true = np.asarray(ctx_true, dtype=np.int64) & mask
-    ctx_hat = np.asarray(ctx_hat, dtype=np.int64) & mask
+    ctx_true &= mask
+    ctx_hat &= mask
     flips = [engine.table(steps - t).flip for t in range(steps)]
     coupled_walk(engine.prob0, v, ctx_true, ctx_hat, flips, v_is_u, other)
     return ctx_true, ctx_hat
@@ -216,19 +220,17 @@ def generator_error_check(
 ) -> GeneratorGapReport:
     """Monte Carlo the coupled-run generator gap and compare with the
     exact integral; tolerance 3*stderr + one truncation allowance."""
-    anchor_int = word_to_int(as_word(anchor))
+    anchor_int = word_to_int(as_word(anchor)) & ((1 << engine.length) - 1)
     rng = stream_rng(seed, "generator-gap", engine.kernel.label, f"N{n_start}")
     ctx_true = sample_index(rng, engine.pi, trials)
     ctx_hat = np.full(trials, anchor_int, dtype=np.int64)
     w = _Uniforms(rng, trials, 1 - n_start)
-    end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat)
-    # Each context array is freed once read, so no more than four arrays
-    # of `trials` values are ever held.
-    del ctx_true, ctx_hat
-    gaps = engine.generator_values(end_true)
-    del end_true
-    gaps -= engine.generator_values(end_hat)
-    del end_hat
+    coupled_run(engine, w, ctx_true, ctx_hat)
+    # The run leaves the end contexts in place; each is freed once read.
+    gaps = engine.generator_values(ctx_true)
+    del ctx_true
+    gaps -= engine.generator_values(ctx_hat)
+    del ctx_hat
     np.abs(gaps, out=gaps)
     mc = float(gaps.mean())
     stderr = float(gaps.std(ddof=1) / np.sqrt(trials))
@@ -415,7 +417,7 @@ def stitch_blocks(
     hat_ends = [None] * n_blocks
     for j in reversed(range(n_blocks)):
         if j == 0:
-            ctx_before_0 = ctx_true
+            ctx_before_0 = ctx_true.copy()  # the run below moves ctx_true
         hat = np.full(trials, anchor_ints[j], dtype=np.int64)
         ctx_true, hat_ends[j] = coupled_run(engine, u[:, cols[j]], ctx_true,
                                             hat, other=u[:, cols[j]])

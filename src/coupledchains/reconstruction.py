@@ -14,7 +14,10 @@ true chain and a companion chain across trials.  :func:`advance` is a
 chunked speculative scan, byte-identical to the serial loop: chunks
 stepped at once from a guessed context are repaired serially until the
 true chain meets them, and the renewal (reset) chain bounds the length
-of each repair.  :func:`coupled_walk`, the one across-trials walk (the
+of each repair.  :func:`simulate_path` encodes the innovations in place
+over the uniforms :func:`advance` has read, so a simulation holds its
+symbols, f values and innovations plus block-sized buffers.
+:func:`coupled_walk`, the one across-trials walk (the
 replay here, every coupled run of :mod:`.extension`), runs
 :func:`coupled_step` over a window one block of TRIAL_BLOCK trials at a
 time, so each step works on contiguous, cache-resident rows; it is
@@ -43,6 +46,8 @@ from .rng import sample_index, stream_rng
 
 # Chunk length of the speculative scan in `advance`.
 CHUNK = 1024
+# Innovations encoded per block by `simulate_path`.
+_BLOCK = 1 << 16
 # Trials per block of the across-trials walk in `coupled_walk`.
 TRIAL_BLOCK = 8192
 
@@ -271,13 +276,22 @@ def simulate_path(kernel: Kernel, steps: int, seed: int) -> PathSample:
     symbol, the other is the auxiliary uniform packed into the
     innovation.  The innovations are therefore a genuine function of
     (path, auxiliary randomness), not uniforms drawn directly.
+
+    The stream holds the `steps` threshold uniforms u, then the `steps`
+    auxiliary uniforms v.  Once :func:`advance` has read u, the
+    innovations are encoded into u's own buffer one block of _BLOCK
+    steps at a time, each block's v drawn as it is encoded: the same
+    doubles as drawing v whole.  So beyond its three outputs x, f and w
+    the simulation holds block-sized buffers only.
     """
     rng = stream_rng(seed, "simulate", kernel.label)
     init_ctx = int(_stationary_start(kernel, rng))
-    u = rng.random(steps)
-    v = rng.random(steps)
-    x, f = advance(kernel, init_ctx, u)
-    return PathSample(x=x, w=encode_w(x, v, f), f=f, init_ctx=init_ctx)
+    w = rng.random(steps)  # u until encoded
+    x, f = advance(kernel, init_ctx, w)
+    for b0 in range(0, steps, _BLOCK):
+        b1 = min(b0 + _BLOCK, steps)
+        w[b0:b1] = encode_w(x[b0:b1], rng.random(b1 - b0), f[b0:b1])
+    return PathSample(x=x, w=w, f=f, init_ctx=init_ctx)
 
 
 def window_reconstruct(kernel: Kernel, w: np.ndarray, start_ctx: int = 0) -> np.ndarray:
@@ -442,11 +456,12 @@ def domination_experiment(
     max_m = min(n, keep - 1)
     gammas = gamma_profile(kernel, max(kernel.memory, 1)).values
     dist = house_of_cards_dist(gammas, n)
-    # Agreement length = common low-bit run of the two final contexts.
-    diff = end_true ^ end_hat
+    # Agreement length = common low-bit run of the two final contexts,
+    # whose XOR is formed in place in end_true.
+    end_true ^= end_hat
     rows = []
     for m in range(max_m + 1):
-        agree = (diff & ((1 << (m + 1)) - 1)) == 0  # suffix length > m
+        agree = (end_true & ((1 << (m + 1)) - 1)) == 0  # suffix length > m
         mc = float(np.mean(agree))
         stderr = float(np.sqrt(mc * (1.0 - mc) / trials))
         exact = 1.0 - dist.cdf(m)

@@ -171,20 +171,26 @@ WALK_TRIALS = [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK
 
 
 def assert_walk_matches_serial(engine, v, ctx_true, ctx_hat):
+    # coupled_run moves the context arrays it is given, so every run
+    # starts from copies.
     for v_is_u in (False, True):
-        other = np.empty(v.shape)
-        got = (other, *coupled_run(engine, v, ctx_true, ctx_hat, v_is_u, other))
         ref = serial_coupled_run(engine, v, ctx_true, ctx_hat, v_is_u)
+        other = np.empty(v.shape)
+        starts = ctx_true.copy(), ctx_hat.copy()
+        got = (other, *coupled_run(engine, v, *starts, v_is_u, other))
+        # The end contexts are the caller's arrays, updated in place.
+        assert got[1] is starts[0] and got[2] is starts[1]
         # Without a buffer for the other uniforms (the inverse replays and
         # the generator-gap check), the run ends in the same contexts.
-        got_ends = coupled_run(engine, v, ctx_true, ctx_hat, v_is_u)
+        got_ends = coupled_run(engine, v, ctx_true.copy(), ctx_hat.copy(),
+                               v_is_u)
         # A strided copy of v as both input and buffer (the forward stitch
         # re-encodes its columns in place) gives the same uniforms.
         aliased = np.zeros((v.shape[0], v.shape[1] + 2))[:, 1:-1]
         aliased[...] = v
         got_aliased = (aliased,
-                       *coupled_run(engine, aliased, ctx_true, ctx_hat, v_is_u,
-                                    aliased))
+                       *coupled_run(engine, aliased, ctx_true.copy(),
+                                    ctx_hat.copy(), v_is_u, aliased))
         for a, b in zip(got + got_ends + got_aliased, ref + ref[1:] + ref):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
@@ -217,7 +223,7 @@ def test_coupled_run_blocks_flip():
     ctx_hat = np.zeros(trials, dtype=np.int64)
     w = rng.random((trials, 8))
     u = np.empty(w.shape)
-    coupled_run(engine, w, ctx_true, ctx_hat, other=u)
+    coupled_run(engine, w, ctx_true.copy(), ctx_hat.copy(), other=u)
     flipped = u != w
     assert flipped[:TRIAL_BLOCK].any() and flipped[3 * TRIAL_BLOCK:].any()
     assert_walk_matches_serial(engine, w, ctx_true, ctx_hat)
@@ -238,7 +244,7 @@ def test_one_antitone_entry_flips():
     ctx_hat = np.ones(trials, dtype=np.int64)
     w = stream_rng(47, "one-entry").random((trials, 3))
     u = np.empty(w.shape)
-    coupled_run(engine, w, ctx_true, ctx_hat, other=u)
+    coupled_run(engine, w, ctx_true.copy(), ctx_hat.copy(), other=u)
     assert np.array_equal(u[:, 0], 1.0 - w[:, 0])
     assert_walk_matches_serial(engine, w, ctx_true, ctx_hat)
 
@@ -261,7 +267,7 @@ def test_streamed_walk_matches_array_walk(walk, trials):
             coupled_walk(MARKOV1.prob0_over(4), v, ctx_true, ctx_hat)
             return ctx_true, ctx_hat
         other = np.empty((trials, steps))
-        return (other, *coupled_run(WALK_ENGINES[1], v, *starts,
+        return (other, *coupled_run(WALK_ENGINES[1], v, *starts.copy(),
                                     walk == "v_is_u", other))
 
     ref_rng = stream_rng(53, "streamed", str(trials))
@@ -325,7 +331,8 @@ def test_round_trip_reconstruction():
     ctx_hat = np.zeros(trials, dtype=np.int64)
     w = rng.random((trials, steps))
     u, w_back = np.empty((2,) + w.shape)
-    end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat, other=u)
+    end_true, end_hat = coupled_run(engine, w, ctx_true.copy(), ctx_hat.copy(),
+                                    other=u)
     x_end, xhat_end = coupled_run(engine, u, ctx_true, ctx_hat, v_is_u=True,
                                   other=w_back)
     # The inverse run reproduces the true and hat symbols bit for bit.
@@ -351,7 +358,8 @@ def test_inverse_run_longer_than_table_width(kernel, steps, flips):
     ctx_hat = np.zeros(trials, dtype=np.int64)
     w = rng.random((trials, steps))
     u, w_back = np.empty((2,) + w.shape)
-    end_true, end_hat = coupled_run(engine, w, ctx_true, ctx_hat, other=u)
+    end_true, end_hat = coupled_run(engine, w, ctx_true.copy(), ctx_hat.copy(),
+                                    other=u)
     assert np.any(u != w) == flips
     x_end, xhat_end = coupled_run(engine, u, ctx_true, ctx_hat, v_is_u=True,
                                   other=w_back)
@@ -364,10 +372,14 @@ def test_coupled_run_contexts_stay_within_table_width():
     engine = make_engine(MARKOV1)
     trials, steps = 200, 100
     w = stream_rng(32, "width").random((trials, steps))
-    zeros = np.zeros(trials, dtype=np.int64)
-    end_true, end_hat = coupled_run(engine, w, zeros, zeros)
+    zeros = np.zeros((2, trials), dtype=np.int64)
+    end_true, end_hat = coupled_run(engine, w, *zeros)
     for ctx in (end_true, end_hat):
         assert ctx.min() >= 0 and ctx.max() < 1 << engine.length
+    # The contexts are updated in place, so the two chains cannot share
+    # one array.
+    with pytest.raises(ValueError):
+        coupled_run(engine, w, zeros[0], zeros[0])
 
 
 def test_iid_orientation_all_monotone():
@@ -383,12 +395,12 @@ def test_iid_u_equals_w_and_matches_plain_replay():
     steps = engine.length
     sample = simulate_path(IID, steps, 41)
     w = sample.w.reshape(1, -1)
-    zeros = np.zeros(1, dtype=np.int64)
     u = np.empty(w.shape)
-    coupled_run(engine, w, zeros, zeros, other=u)
+    coupled_run(engine, w, *np.zeros((2, 1), dtype=np.int64), other=u)
     assert np.array_equal(u, w)
     plain = window_reconstruct(IID, sample.w)
-    x_end, _ = coupled_run(engine, u, zeros, zeros, v_is_u=True)
+    x_end, _ = coupled_run(engine, u, *np.zeros((2, 1), dtype=np.int64),
+                           v_is_u=True)
     x = symbols(x_end, steps)[0]
     assert np.array_equal(x, plain)
     assert np.array_equal(x, sample.x)
@@ -732,7 +744,7 @@ def nested_replay_ends(engine, u, cols, anchors, ctx_before_0, hat_ends):
     ends = []
     for j in range(len(cols)):
         if j == 0:
-            ctx = ctx_before_0
+            ctx = ctx_before_0.copy()
         else:
             ctx = np.full(u.shape[0], anchors[j - 1], dtype=np.int64)
         for i in reversed(range(max(j, 1))):

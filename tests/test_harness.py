@@ -170,8 +170,9 @@ def test_cli_gamma_regime_comes_from_kernel(tmp_path):
 
 
 def test_demo_and_benchmark_configs_load(tmp_path, monkeypatch):
-    # Every config the demo scripts and the benchmark workloads send must
-    # parse and build its kernel; gamma configs also pass the tail check.
+    # Every config the demo scripts, the scaled configs and the benchmark
+    # workloads send must parse and build its kernel; gamma configs also
+    # pass the tail check.
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", root / "perfbench" / "workloads.py"
@@ -180,7 +181,7 @@ def test_demo_and_benchmark_configs_load(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
     spec.loader.exec_module(workloads)
     configs = [json.loads(p.read_text())
-               for p in sorted((root / "scripts" / "configs").glob("*.json"))]
+               for p in sorted((root / "scripts" / "configs").rglob("*.json"))]
     for build in workloads.WORKLOADS.values():
         configs += [inv.config for inv in build(1)]
     assert {cfg["kind"] for cfg in configs} == set(harness.KINDS)

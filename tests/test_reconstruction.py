@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupledchains.innovation import decode_xv
+from coupledchains.innovation import decode_xv, encode_w
 from coupledchains.kernels import (
     IIDKernel,
     LongMemoryKernel,
@@ -15,6 +17,7 @@ from coupledchains.kernels import (
 from coupledchains.reconstruction import (
     CHUNK,
     _scan,
+    _stationary_start,
     advance,
     agreement_length,
     disagreement_experiment,
@@ -24,6 +27,7 @@ from coupledchains.reconstruction import (
     simulate_path,
     window_reconstruct,
 )
+from coupledchains.rng import stream_rng
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
 IID = builtin_kernels()["iid-half"]
@@ -127,6 +131,47 @@ def test_repair_within_renewal_bound():
 
 # ---------------------------------------------------------------------------
 # Simulation and replay
+
+
+def whole_stream_path(kernel, steps, seed):
+    """simulate_path's draws made whole: the start context, then u =
+    rng.random(steps), then v = rng.random(steps); the serial chain over
+    u and one encoding of the whole stream."""
+    rng = stream_rng(seed, "simulate", kernel.label)
+    init_ctx = int(_stationary_start(kernel, rng))
+    u = rng.random(steps)
+    v = rng.random(steps)
+    x, f = serial_advance(kernel, init_ctx, u)
+    return x, encode_w(x, v, f), f, init_ctx
+
+
+@pytest.mark.parametrize("steps", [100, 2 * CHUNK - 1, 2 * CHUNK + 1,
+                                   2**16 - 1, 2**16 + 1, 3 * 2**16 + 5])
+@pytest.mark.parametrize("kernel", [LONG_MEMORY_12, PERSISTENT, IIDKernel(0.3)],
+                         ids=["long-memory-12", "persistent", "iid"])
+def test_simulate_path_matches_whole_stream_draws(kernel, steps):
+    # The innovations are encoded into u's buffer one block at a time,
+    # each block's v drawn as it is encoded: the same path, f values and
+    # innovations, byte for byte.
+    sample = simulate_path(kernel, steps, 19)
+    x, w, f, init_ctx = whole_stream_path(kernel, steps, 19)
+    assert sample.init_ctx == init_ctx
+    for got, ref in ((sample.x, x), (sample.w, w), (sample.f, f)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_simulate_path_memory_holds_its_outputs():
+    # x, f and w take 8 bytes a step each; everything else is block-sized:
+    # the innovations overwrite u as v is drawn block by block, and the
+    # speculative pass holds one column of its (chunks, CHUNK) view.
+    steps = 10**6
+    tracemalloc.start()
+    try:
+        simulate_path(LONG_MEMORY_12, steps, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * steps + 4 * 2**20, peak
 
 
 def test_simulated_path_matches_decoder():
