@@ -19,12 +19,12 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args, get_origin
 
 from . import __version__
 from .extension import generator_error_check, stitch_blocks
 from .innovation import AUDIT_LEVEL, innovation_audit
 from .kernels import (
-    CapExceededError,
     IIDKernel,
     Kernel,
     LongMemoryKernel,
@@ -35,6 +35,7 @@ from .kernels import (
 from .reconstruction import disagreement_experiment, simulate_path
 from .reports import emit_csv, emit_pretty
 from .vershik import (
+    DEFAULT_DEPTH,
     CouplingEngine,
     GeneratorConfig,
     alpha_sequence,
@@ -43,40 +44,11 @@ from .vershik import (
 )
 from .words import parse_word
 
-# Every experiment parameter of each kind, with its default.  None marks
-# a default worked out from the kernel (gamma's p_max) or the engine
-# (extend's all-zero anchor).  A key outside its kind's table, or a value
-# of another type than its default, is a configuration error.
-PARAMS = {
-    "gamma": {"p_max": None, "tail": {"kind": "unknown"}},
-    "audit": {"steps": 100_000},
-    "reconstruct": {"n_list": [-10], "k": 2, "trials": 10_000},
-    "vershik": {"p_max": 8, "depth": 6, "mode": "exact", "trials": 100_000},
-    "extend": {"n": -6, "trials": 100_000, "depth": 6, "anchor": None},
-    "stitch": {"deltas": [0.2, 0.1, 0.05], "trials": 10_000, "depth": 6},
-}
-KINDS = tuple(PARAMS)
-# Lower bounds of integer parameters, by name in every kind: a standard
-# error needs two trials, and the audit's tests need 100 samples.
-_MINIMUM = {"trials": 2, "k": 0, "p_max": 0, "steps": 100}
-# Upper bounds, under the same rule and for each entry of a list: a
-# window [N; 0] starts at or before time 0.
-_MAXIMUM = {"n": 0, "n_list": 0}
-# The type a parameter with a None default takes when given.
-_NONE_DEFAULT_TYPES = {"p_max": int, "anchor": str}
-_TYPE_NAMES = {int: "integer", float: "number", str: "string", dict: "object",
-               list: "list"}
-# The fields of each kernel variant and their types, under the same rule;
-# the entries of a markov table and of a weights list are numbers.
-KERNEL_FIELDS = {
-    "builtin": {"name": str},
-    "iid": {"p0": float},
-    "markov": {"order": int, "table": dict},
-    "long_memory": {"c": float, "weights": list},
-}
-# The gamma tail kinds, which have no fields.  Every other tail family
-# is positive at every lag, against gamma_p = 0 for p >= m.
-_TAIL_KINDS = {"eventually-zero": {}, "unknown": {}}
+_REQUIRED = object()
+# The JSON name of each field type.
+_TYPE_NAMES = {int: "integer", float: "finite number", str: "string", dict: "object",
+               list[int]: "list of integers", list[float]: "list of finite numbers",
+               dict[str, float]: "object of finite numbers"}
 
 
 class ConfigError(ValueError):
@@ -84,11 +56,101 @@ class ConfigError(ValueError):
 
 
 def _is(value, typ) -> bool:
-    """Whether a JSON value has the Python type of a default: a float
-    parameter also takes an integer, and no parameter takes a bool."""
+    """Whether a JSON value has type `typ` (int, float, str, dict, list or
+    a typed list or object such as list[int]): a float is any finite
+    number, integer or not, and no type takes a bool."""
     if isinstance(value, bool):
         return False
-    return isinstance(value, (int, float) if typ is float else typ)
+    if typ is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    origin, args = get_origin(typ), get_args(typ)
+    if origin is None:
+        return isinstance(value, typ)
+    entries = value.values() if isinstance(value, dict) else value
+    return _is(value, origin) and all(_is(v, args[-1]) for v in entries)
+
+
+@dataclass(frozen=True)
+class Field:
+    """One field of a config object: its type, its default (none if the
+    field is required; a None default also takes null), bounds on an
+    integer or each integer entry, the strings it takes, and whether a
+    string or list must be non-empty."""
+
+    type: object
+    default: object = _REQUIRED
+    lo: int | None = None
+    hi: int | None = None
+    choices: tuple[str, ...] = ()
+    nonempty: bool = False
+
+
+_DEPTH = Field(int, DEFAULT_DEPTH)
+# Every field of every config object: the parameters of each experiment
+# kind, the fields of each kernel variant and those of each gamma tail
+# kind.  gamma's p_max defaults to a depth worked out from the kernel,
+# and extend's anchor to the empty word, which pads to all zeros.  A
+# standard error needs two trials, the audit's tests need 100 samples,
+# and a window [N; 0] starts at or before time 0.  The generator depth,
+# the markov order and the probabilities are checked where the
+# generator or the kernel is built.
+FIELDS = {
+    "experiment": {
+        "gamma": {"p_max": Field(int, None, lo=0),
+                  "tail": Field(dict, {"kind": "unknown"})},
+        "audit": {"steps": Field(int, 100_000, lo=100)},
+        "reconstruct": {"n_list": Field(list[int], [-10], hi=0, nonempty=True),
+                        "k": Field(int, 2, lo=0),
+                        "trials": Field(int, 10_000, lo=2)},
+        "vershik": {"p_max": Field(int, 8, lo=0), "depth": _DEPTH,
+                    "mode": Field(str, "exact", choices=("exact", "monte-carlo")),
+                    "trials": Field(int, 100_000, lo=2)},
+        "extend": {"n": Field(int, -6, hi=0), "trials": Field(int, 100_000, lo=2),
+                   "depth": _DEPTH, "anchor": Field(str, None, nonempty=True)},
+        "stitch": {"deltas": Field(list[float], [0.2, 0.1, 0.05], nonempty=True),
+                   "trials": Field(int, 10_000, lo=2), "depth": _DEPTH},
+    },
+    "kernel": {
+        "builtin": {"name": Field(str)},
+        "iid": {"p0": Field(float)},
+        "markov": {"order": Field(int), "table": Field(dict[str, float])},
+        "long_memory": {"c": Field(float), "weights": Field(list[float])},
+    },
+    # Tails have no fields.  Every other tail family is positive at every
+    # lag, against gamma_p = 0 for p >= m.
+    "tail": {"eventually-zero": {}, "unknown": {}},
+}
+KINDS = tuple(FIELDS["experiment"])
+
+
+def check(obj: str, name, given: dict, tag: str | None = None) -> None:
+    """Check the config object `given` against its entry FIELDS[obj][name]:
+    it holds only that entry's fields and `tag`, the key naming the
+    entry, it holds every required field, and each value has its
+    field's type, bounds and strings."""
+    entry = FIELDS[obj].get(name) if _is(name, str) else None
+    if entry is None:
+        raise ConfigError(f"unknown {obj} {tag or 'kind'} {name!r}")
+    unknown = sorted(set(given) - {tag, *entry})
+    if unknown:
+        raise ConfigError(f"unknown {name} {obj} field(s): {', '.join(unknown)}")
+    for key, f in entry.items():
+        what = f"{name} {obj} field {key!r}"
+        if key not in given and f.default is _REQUIRED:
+            raise ConfigError(f"{what} is missing")
+        value = given.get(key)
+        if key not in given or value is None and f.default is None:
+            continue
+        if not _is(value, f.type) or f.nonempty and not value:
+            typ = ("non-empty " if f.nonempty else "") + _TYPE_NAMES[f.type]
+            raise ConfigError(f"{what} must be a JSON {typ}, got {value!r}")
+        if f.choices and value not in f.choices:
+            raise ConfigError(f"{what} must be one of {f.choices}, got {value!r}")
+        ints = value if isinstance(value, list) else [value]
+        if f.lo is not None and min(ints) < f.lo:
+            raise ConfigError(f"{what} must be >= {f.lo}, got {value!r}")
+        if f.hi is not None and max(ints) > f.hi:
+            raise ConfigError(f"{what} must be <= {f.hi}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -100,51 +162,18 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        check("experiment", self.kind, self.params)
         # The random streams read the seed as 64 bits (rng.stream_rng).
         if not _is(self.seed, int) or not 0 <= self.seed < 1 << 64:
             raise ConfigError(
                 f"seed must be an integer in [0, 2^64), got {self.seed!r}"
             )
-        unknown = sorted(set(self.params) - set(PARAMS[self.kind]))
-        if unknown:
-            raise ConfigError(
-                f"unknown {self.kind} parameter(s): {', '.join(unknown)}"
-            )
-        for key, value in self.params.items():
-            default = PARAMS[self.kind][key]
-            if default is None and value is None:
-                continue
-            if isinstance(default, list):
-                item = type(default[0])
-                ok = _is(value, list) and len(value) > 0
-                ok = ok and all(_is(v, item) for v in value)
-                expected = f"non-empty list of {_TYPE_NAMES[item]}s"
-            else:
-                typ = _NONE_DEFAULT_TYPES[key] if default is None else type(default)
-                ok, expected = _is(value, typ), _TYPE_NAMES[typ]
-            if not ok:
-                raise ConfigError(
-                    f"{self.kind} parameter {key!r} must be a JSON {expected}, "
-                    f"got {value!r}"
-                )
-            entries = value if isinstance(value, list) else [value]
-            if key in _MINIMUM and min(entries) < _MINIMUM[key]:
-                raise ConfigError(
-                    f"{self.kind} parameter {key!r} must be >= {_MINIMUM[key]}, "
-                    f"got {value!r}"
-                )
-            if key in _MAXIMUM and max(entries) > _MAXIMUM[key]:
-                raise ConfigError(
-                    f"{self.kind} parameter {key!r} must be <= {_MAXIMUM[key]}, "
-                    f"got {value!r}"
-                )
 
     @property
     def settings(self) -> dict:
         """Every parameter of the kind: the config's values over the defaults."""
-        return {**PARAMS[self.kind], **self.params}
+        fields = FIELDS["experiment"][self.kind]
+        return {**{key: f.default for key, f in fields.items()}, **self.params}
 
 
 def load_config(path: str, kind: str, seed_override=None, out_override=None):
@@ -163,8 +192,6 @@ def load_config(path: str, kind: str, seed_override=None, out_override=None):
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: missing 'kernel' object")
     seed = seed_override if seed_override is not None else raw.get("seed")
-    if seed is None:
-        raise ConfigError(f"{path}: missing 'seed'")
     out = raw.get("out", ".")
     if not _is(out, str):
         raise ConfigError(f"{path}: 'out' must be a JSON string, got {out!r}")
@@ -176,34 +203,8 @@ def load_config(path: str, kind: str, seed_override=None, out_override=None):
     return ExperimentConfig(kind, spec, seed, str(out), params)
 
 
-def _check_fields(spec: dict, tag: str, tables: dict, what: str) -> None:
-    """Check a spec whose `tag` field names its entry in `tables`: every
-    other field belongs to that entry and has its type, and the entries
-    of an object or list field are numbers."""
-    name = spec.get(tag)
-    fields = tables.get(name) if _is(name, str) else None
-    if fields is None:
-        raise ConfigError(f"unknown {what} {tag} {name!r}")
-    unknown = sorted(set(spec) - {tag, *fields})
-    if unknown:
-        raise ConfigError(f"unknown {name} {what} field(s): {', '.join(unknown)}")
-    for key, typ in fields.items():
-        value = spec.get(key)
-        ok, expected = _is(value, typ), _TYPE_NAMES[typ]
-        if typ in (dict, list):
-            expected += " of numbers"
-            if ok:
-                entries = value.values() if typ is dict else value
-                ok = all(_is(v, float) for v in entries)
-        if not ok:
-            raise ConfigError(
-                f"{name} {what} field {key!r} must be a JSON {expected}, "
-                f"got {value!r}"
-            )
-
-
 def build_kernel(spec: dict) -> Kernel:
-    _check_fields(spec, "variant", KERNEL_FIELDS, "kernel")
+    check("kernel", spec.get("variant"), spec, "variant")
     variant = spec["variant"]
     if variant == "builtin":
         kernels = builtin_kernels()
@@ -227,12 +228,12 @@ def build_kernel(spec: dict) -> Kernel:
 def _run_gamma(kernel, config):
     p = config.settings
     tail = {"kind": "unknown", **p["tail"]}
-    if _is(tail["kind"], str) and tail["kind"] not in _TAIL_KINDS:
+    if _is(tail["kind"], str) and tail["kind"] not in FIELDS["tail"]:
         raise ConfigError(
             f"tail {tail['kind']!r} contradicts the kernel: {kernel.label} "
             f"has gamma_p = 0 for p >= {kernel.memory}"
         )
-    _check_fields(tail, "kind", _TAIL_KINDS, "tail")
+    check("tail", tail["kind"], tail, "kind")
     p_max = p["p_max"] if p["p_max"] is not None else max(kernel.memory, 4)
     prof = gamma_profile(kernel, p_max)
     header = ("p", "gamma_p", "certified")
@@ -274,13 +275,10 @@ def _run_reconstruct(kernel, config):
 def _run_vershik(kernel, config):
     p = config.settings
     gen = GeneratorConfig(p["depth"])
-    mode = p["mode"]
-    if mode == "exact":
+    if p["mode"] == "exact":
         seq = alpha_sequence(kernel, p["p_max"], gen)
-    elif mode == "monte-carlo":
-        seq = alpha_sequence_mc(kernel, p["p_max"], p["trials"], config.seed, gen)
     else:
-        raise ConfigError(f"unknown vershik mode {mode!r}")
+        seq = alpha_sequence_mc(kernel, p["p_max"], p["trials"], config.seed, gen)
     header = ("p", "alpha", "mode", "stderr", "bound")
     rows = []
     for i, a in enumerate(seq.values):
@@ -296,10 +294,7 @@ def _run_extend(kernel, config):
     p = config.settings
     n = p["n"]
     engine = CouplingEngine.build(kernel, -n + 1, GeneratorConfig(p["depth"]))
-    anchor = (
-        parse_word(p["anchor"]) if p["anchor"] is not None
-        else tuple([0] * engine.length)
-    )
+    anchor = parse_word(p["anchor"] or "")  # zero-padded to length L
     if len(anchor) > engine.length:
         raise ConfigError(
             f"extend anchor {p['anchor']!r} is longer than the table "
@@ -350,7 +345,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, tuple, list]:
     kernel = build_kernel(config.kernel)
     header, rows, verdicts = _RUNNERS[config.kind](kernel, config)
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot write into 'out' {config.out!r}: {exc}") from exc
     csv_path = out_dir / f"{config.kind}.csv"
     csv_path.write_bytes(emit_csv(header, rows).encode())
     manifest = {
@@ -396,7 +394,7 @@ def main(argv=None) -> int:
         if args.pretty:
             print(emit_pretty(header, rows), end="")
         return code
-    except (ConfigError, CapExceededError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and CapExceededError among them
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -69,8 +68,9 @@ class Kernel:
 def _as_fraction(x: float) -> Fraction:
     """Exact rational for a float parameter, interpreted as the decimal
     number it prints as (str gives the shortest round-trip repr, so a
-    parameter written as 0.7 means 7/10, not its binary neighbour)."""
-    return Fraction(Decimal(str(x)))
+    parameter written as 0.7 means 7/10, not its binary neighbour); inf
+    and nan raise ValueError."""
+    return Fraction(str(x))
 
 
 def _over_common_denominator(terms: list[Fraction]) -> tuple[list[int], int]:

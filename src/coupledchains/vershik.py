@@ -301,9 +301,14 @@ class CouplingEngine:
         return np.sum(self.pi[:, None] * self.table(p).values, axis=0)
 
     def generator_values(self, ctx) -> np.ndarray:
-        """Truncated generator from the low depth+1 bits of a context."""
-        gen = generator_table(self.config.depth)
-        return gen[np.asarray(ctx) & ((1 << (self.config.depth + 1)) - 1)]
+        """Truncated generator of L-bit contexts."""
+        return self.generator.take(ctx)
+
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """R_D for every L-bit context, read from its low depth+1 bits."""
+        mask = (1 << (self.config.depth + 1)) - 1
+        return generator_table(self.config.depth)[np.arange(1 << self.length) & mask]
 
     @cached_property
     def prob0(self) -> np.ndarray:

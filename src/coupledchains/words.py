@@ -44,4 +44,4 @@ def word_str(word: Iterable[int]) -> str:
 
 
 def parse_word(text: str) -> Word:
-    return as_word(int(c) for c in text.strip())
+    return as_word(int(c) for c in text)

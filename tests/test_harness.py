@@ -324,6 +324,15 @@ def test_cli_rejects_unknown_parameter(tmp_path, monkeypatch):
         ("audit", {"steps": -5}),
         ("audit", {"steps": 50}),
         ("reconstruct", {"seed": 2**64 + 7}),
+        # Numbers are finite: JSON's Infinity and NaN are no probability,
+        # and a tolerance of Infinity would make a verdict that cannot fail.
+        ("gamma", {"kernel": {"variant": "long_memory", "c": float("inf"),
+                              "weights": [0.1]}}),
+        ("gamma", {"kernel": {"variant": "long_memory", "c": 0.3,
+                              "weights": [float("inf")]}}),
+        ("stitch", {"deltas": [float("inf")], "trials": 50, "depth": 4}),
+        ("stitch", {"deltas": [0.2, float("nan")], "trials": 50, "depth": 4}),
+        ("vershik", {"mode": "exhaustive"}),
     ]
     for i, (kind, params) in enumerate(malformed):
         path = write_config(
@@ -468,3 +477,57 @@ def test_cli_long_memory_needs_stationary_law(tmp_path):
         path = write_config(tmp_path, f"{kind}.json", cfg)
         out = tmp_path / f"out_{kind}"
         assert main([kind, "--config", path, "--out", str(out)]) == 0
+
+
+# One small valid config per kind, each on another kernel variant, so
+# that every variant's fields are fuzzed too.
+FUZZ_BASE = {
+    "gamma": ({"variant": "long_memory", "c": 0.3, "weights": [0.2, 0.1]},
+              {"p_max": 3, "tail": {"kind": "eventually-zero"}}),
+    "audit": ({"variant": "iid", "p0": 0.4}, {"steps": 200}),
+    "reconstruct": ({"variant": "markov", "order": 1,
+                     "table": {"0": 0.7, "1": 0.4}},
+                    {"n_list": [-3], "k": 1, "trials": 50}),
+    "vershik": ({"variant": "builtin", "name": "markov1-demo"},
+                {"p_max": 2, "depth": 2, "mode": "monte-carlo", "trials": 50}),
+    "extend": ({"variant": "long_memory", "c": 0.3, "weights": [0.2]},
+               {"n": -2, "trials": 50, "depth": 2, "anchor": "01"}),
+    "stitch": ({"variant": "markov", "order": 1, "table": {"0": 0.6, "1": 0.3}},
+               {"deltas": [0.3], "trials": 50, "depth": 3}),
+}
+# Small integers only, so that no run sizes its work from the value.
+FUZZ_VALUES = [-1, 0, 1, 2, 0.5, -0.0, float("nan"), float("inf"), float("-inf"),
+               "", "01", [], [0.5], {}, None, True]
+
+
+def test_cli_fuzzed_field_never_exits_3(tmp_path):
+    # Exit 3 means an internal bug: every config, however malformed, exits
+    # 0, 1 or 2, and exit 2 writes nothing.
+    cases = []
+    for kind, (kernel, params) in FUZZ_BASE.items():
+        for key in params:
+            cases += [(kind, kernel, {**params, key: v}) for v in FUZZ_VALUES]
+        for key in kernel:
+            cases += [(kind, {**kernel, key: v}, params) for v in FUZZ_VALUES]
+    bad = []
+    for i, (kind, kernel, params) in enumerate(cases):
+        path = write_config(tmp_path, f"f{i}.json",
+                            {"kind": kind, "kernel": kernel, "seed": 3, **params})
+        out = tmp_path / f"out{i}"
+        code = main([kind, "--config", path, "--out", str(out)])
+        if code not in (0, 1, 2) or code == 2 and out.exists():
+            bad.append((code, kind, kernel, params))
+    assert not bad
+    # An anchor with no symbols would run the all-zero anchor unasked.
+    kernel, params = FUZZ_BASE["extend"]
+    for anchor in ("", "  "):
+        path = write_config(tmp_path, "a.json", {"kind": "extend", "kernel": kernel,
+                                                 "seed": 3, **params, "anchor": anchor})
+        assert main(["extend", "--config", path, "--out", str(tmp_path / "a")]) == 2
+        assert not (tmp_path / "a").exists()
+    # An output path that names a file, or a path under one, is unusable.
+    path = write_config(tmp_path, "g.json", GAMMA_CFG)
+    (tmp_path / "file").write_text("kept")
+    for out in ("file", "file/sub"):
+        assert main(["gamma", "--config", path, "--out", str(tmp_path / out)]) == 2
+    assert (tmp_path / "file").read_text() == "kept"

@@ -83,6 +83,11 @@ def test_validation():
     with pytest.raises(ValueError):
         # Exactly 1, though 0.1 + (0.2 + 0.7) rounds below 1 in floats.
         LongMemoryKernel(0.1, (0.2, 0.7))
+    # A non-finite parameter is no decimal number.
+    for c, weights in ((float("inf"), ()), (0.1, (float("inf"),)),
+                       (float("nan"), (0.1,))):
+        with pytest.raises(ValueError):
+            LongMemoryKernel(c, weights)
     # Markov and long-memory kernels share one cap on the memory.
     deepest = MarkovKernel(MAX_MEMORY_DEPTH, (0.5,) * (1 << MAX_MEMORY_DEPTH))
     assert deepest.memory == MAX_MEMORY_DEPTH
