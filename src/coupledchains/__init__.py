@@ -36,7 +36,6 @@ from .reconstruction import (
 )
 from .vershik import (
     CouplingEngine,
-    GeneratorConfig,
     alpha_sequence,
     metric_tables,
     optimal_coupling,
@@ -52,7 +51,6 @@ from .extension import (
 __all__ = [
     "CapExceededError",
     "CouplingEngine",
-    "GeneratorConfig",
     "IIDKernel",
     "Kernel",
     "LongMemoryKernel",

@@ -38,7 +38,7 @@ from .innovation import AuditReport, innovation_audit
 from .kernels import CapExceededError, Kernel
 from .reconstruction import _Uniforms, coupled_walk
 from .rng import sample_index, stream_rng
-from .vershik import CouplingEngine, GeneratorConfig, coupling_table
+from .vershik import DEFAULT_DEPTH, CouplingEngine, coupling_table
 from .words import Word, as_word, int_to_word, word_to_int
 
 
@@ -144,14 +144,16 @@ def _window_laws(engine: CouplingEngine, window: int, anchor_int: int):
     L = engine.length
     bits = max(L, window)
     size = 1 << bits
-    low = np.arange(size) & ((1 << L) - 1)
+    codes = np.arange(size)
     f = engine.kernel.prob0_over(bits)
     f_true, f_hat = f[:, None], f[None, :]
     interval = np.zeros((size, size))
     interval[: 1 << L, anchor_int] = engine.pi
     product = interval
     for t in range(window):
-        lam = engine.table(window - t).orientation[np.ix_(low, low)]
+        table = engine.table(window - t)
+        low = codes & table.mask
+        lam = table.orientation[np.ix_(low, low)]
         interval = _push(interval, _interval_joint(f_true, f_hat, lam))
         product = _push(product, coupling_table(f_true, f_hat, lam))
     chain = np.zeros(size)
@@ -208,7 +210,7 @@ def expected_generator_gap(engine: CouplingEngine, n_start: int, anchor) -> floa
     """Exact E|R_D - R_D(hat)| for a coupled run over [n_start; 0]:
     the metric-table integral against the stationary context law."""
     anchor_int = word_to_int(as_word(anchor))
-    return float(np.sum(engine.pi * engine.table(1 - n_start).values[:, anchor_int]))
+    return float(engine.anchor_integrals(1 - n_start)[anchor_int])
 
 
 def generator_error_check(
@@ -235,7 +237,7 @@ def generator_error_check(
     mc = float(gaps.mean())
     stderr = float(gaps.std(ddof=1) / np.sqrt(trials))
     exact = expected_generator_gap(engine, n_start, anchor)
-    tol = 3.0 * stderr + 3.0 ** (-engine.config.depth)
+    tol = 3.0 * stderr + 3.0 ** (-engine.depth)
     verdict = "match" if abs(mc - exact) <= tol else "mismatch"
     return GeneratorGapReport(
         n_start, int_to_word(anchor_int, engine.length), mc, stderr, exact, tol, verdict
@@ -353,7 +355,7 @@ def stitch_blocks(
     deltas: tuple[float, ...],
     trials: int,
     seed: int,
-    config: GeneratorConfig = GeneratorConfig(),
+    depth: int = DEFAULT_DEPTH,
 ) -> StitchReport:
     """Build the stitched innovation sequence over J+1 shifted blocks
     and verify, per block, that the recovered truncated generator stays
@@ -376,15 +378,15 @@ def stitch_blocks(
     and past block j-2 it replays only its trials that have not met row
     j-1 at a block boundary.
     """
+    engine = CouplingEngine.build(kernel, 1, depth)
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("tolerance schedule must be strictly decreasing")
-    if 3.0 ** (-config.depth) > deltas[-1]:
+    if 3.0 ** (-depth) > deltas[-1]:
         raise ValueError(
             "generator depth too small for the final tolerance: need "
             "3^-D <= delta_J"
         )
     n_blocks = len(deltas)
-    engine = CouplingEngine.build(kernel, 1, config)
     L = engine.length
 
     # Deterministic planning phase.

@@ -37,7 +37,6 @@ from .reports import emit_csv, emit_pretty
 from .vershik import (
     DEFAULT_DEPTH,
     CouplingEngine,
-    GeneratorConfig,
     alpha_sequence,
     alpha_sequence_mc,
     alpha_sup_bound,
@@ -92,8 +91,8 @@ _DEPTH = Field(int, DEFAULT_DEPTH)
 # and extend's anchor to the empty word, which pads to all zeros.  A
 # standard error needs two trials, the audit's tests need 100 samples,
 # and a window [N; 0] starts at or before time 0.  The generator depth,
-# the markov order and the probabilities are checked where the
-# generator or the kernel is built.
+# the markov order and the probabilities are checked where the metric
+# tables or the kernel are built.
 FIELDS = {
     "experiment": {
         "gamma": {"p_max": Field(int, None, lo=0),
@@ -274,16 +273,16 @@ def _run_reconstruct(kernel, config):
 
 def _run_vershik(kernel, config):
     p = config.settings
-    gen = GeneratorConfig(p["depth"])
     if p["mode"] == "exact":
-        seq = alpha_sequence(kernel, p["p_max"], gen)
+        seq = alpha_sequence(kernel, p["p_max"], p["depth"])
     else:
-        seq = alpha_sequence_mc(kernel, p["p_max"], p["trials"], config.seed, gen)
+        seq = alpha_sequence_mc(kernel, p["p_max"], p["trials"], config.seed,
+                                p["depth"])
     header = ("p", "alpha", "mode", "stderr", "bound")
     rows = []
     for i, a in enumerate(seq.values):
         stderr = seq.stderr[i] if seq.stderr else ""
-        bound = alpha_sup_bound(gen, i) if kernel.memory == 0 else ""
+        bound = alpha_sup_bound(p["depth"], i) if kernel.memory == 0 else ""
         rows.append((i, a, seq.mode, stderr, bound))
     decayed = seq.values[-1] <= seq.values[0] or len(seq.values) == 1
     verdicts = [("alpha_decay", "ok" if decayed else "flat", decayed)]
@@ -293,7 +292,7 @@ def _run_vershik(kernel, config):
 def _run_extend(kernel, config):
     p = config.settings
     n = p["n"]
-    engine = CouplingEngine.build(kernel, -n + 1, GeneratorConfig(p["depth"]))
+    engine = CouplingEngine.build(kernel, -n + 1, p["depth"])
     anchor = parse_word(p["anchor"] or "")  # zero-padded to length L
     if len(anchor) > engine.length:
         raise ConfigError(
@@ -312,8 +311,7 @@ def _run_extend(kernel, config):
 def _run_stitch(kernel, config):
     p = config.settings
     deltas = tuple(float(d) for d in p["deltas"])
-    gen = GeneratorConfig(p["depth"])
-    report = stitch_blocks(kernel, deltas, p["trials"], config.seed, gen)
+    report = stitch_blocks(kernel, deltas, p["trials"], config.seed, p["depth"])
     header = ("j", "N_j", "M_j", "K_j", "delta_j", "alpha_used", "anchor",
               "exceed_freq", "stderr", "verdict")
     rows = [
@@ -350,6 +348,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, tuple, list]:
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"cannot write into 'out' {config.out!r}: {exc}") from exc
     csv_path = out_dir / f"{config.kind}.csv"
+    manifest_path = out_dir / "manifest.json"
+    for path in (csv_path, manifest_path):  # both outputs or neither
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"cannot write {path}: it exists and is not a file")
     csv_path.write_bytes(emit_csv(header, rows).encode())
     manifest = {
         "kind": config.kind,
@@ -363,7 +365,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, tuple, list]:
             for name, result, ok in verdicts
         ],
     }
-    (out_dir / "manifest.json").write_text(
+    manifest_path.write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
     failed = [name for name, _, ok in verdicts if not ok]

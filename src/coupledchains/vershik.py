@@ -7,7 +7,7 @@ The generator maps a one-sided symbol past (present included) to
     R = sum_{n >= 0} 3^{-n} x_{-n},
 
 truncated at depth D (coordinates at lags 0..D retained) with
-truncation error at most 3^{-D} / 2.  For a
+truncation error at most sum_{n > D} 3^{-n} = 3^{-D} / 2.  For a
 pair of pasts the metric recursion propagates the expected generator
 distance under the optimal one-step coupling of the two conditional
 laws; alpha_p is that distance averaged over two independent stationary
@@ -26,27 +26,10 @@ import numpy as np
 
 from .kernels import CapExceededError, Kernel, stationary_ctx_vector
 from .rng import sample_index, stream_rng
-from .words import int_to_word, word_str
 
 MAX_TABLE_LENGTH = 8
 
 DEFAULT_DEPTH = 6
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    depth: int = DEFAULT_DEPTH
-
-    def __post_init__(self):
-        if not 1 <= self.depth <= MAX_TABLE_LENGTH - 1:
-            raise CapExceededError(
-                f"generator depth must be in 1..{MAX_TABLE_LENGTH - 1}"
-            )
-
-    @property
-    def truncation_error(self) -> float:
-        """Sup over pasts of |R - R_D| = sum_{n > D} 3^-n = 3^-D / 2."""
-        return 3.0 ** (-self.depth) / 2.0
 
 
 def truncated_generator(word_int: int, depth: int) -> float:
@@ -146,65 +129,55 @@ class MetricTable:
     already averaged out the most recent `depth` symbols).  For kernels
     of finite order k with length >= max(k, generator depth - depth),
     every entry is exact: the conditioning contexts never run off the
-    stored word.
+    stored word.  It depends only on the low e bits of u and v (e_p in
+    :func:`rho_step`), so `values` and `orientation` are stored at
+    2^e x 2^e, and an L-bit code c reads them at ``c & mask``.
 
     ``rho_tilde(x, y)`` exposes the distance between full pasts coded up
     to the present: the most recent `depth` symbols of x and y are
-    irrelevant (already averaged), so it reads values[x >> depth, y >> depth].
+    irrelevant (already averaged), so it reads the codes x >> depth and
+    y >> depth.
     """
 
     depth: int
     length: int
-    values: np.ndarray  # shape (2^length, 2^length)
+    values: np.ndarray  # shape (2^e, 2^e), e <= length
     orientation: np.ndarray | None  # lambda used to step *into* this table
+
+    @property
+    def mask(self) -> int:
+        """The low bits of an L-bit code that index the table."""
+        return self.values.shape[0] - 1
 
     @cached_property
     def flip(self) -> np.ndarray | None:
         """The antitone entries of `orientation` as a bool table over the
-        pair code (u << length) | v, built once; None when the table has
-        no antitone entry, so a coupled step into it keeps u = w."""
+        L-bit pair code (u << length) | v, built once; None when the table
+        has no antitone entry, so a coupled step into it keeps u = w."""
         if self.orientation is None:
             return None
-        antitone = self.orientation.ravel() == 1
+        low = np.arange(1 << self.length) & self.mask
+        antitone = self.orientation[np.ix_(low, low)].ravel() == 1
         return antitone if antitone.any() else None
 
     def rho_tilde(self, x_int: int, y_int: int) -> float:
         """Distance for pasts coded with the present at bit 0."""
-        return float(self.values[x_int >> self.depth, y_int >> self.depth])
-
-    def dump(self) -> str:
-        size = 1 << self.length
-        lines = []
-        for u in range(size):
-            su = word_str(int_to_word(u, self.length))
-            for v in range(size):
-                sv = word_str(int_to_word(v, self.length))
-                lines.append(f"{su} {sv} {self.values[u, v]:.17g}")
-        return "\n".join(lines) + "\n"
+        m = self.mask
+        return float(self.values[(x_int >> self.depth) & m, (y_int >> self.depth) & m])
 
 
-def _base_table(config: GeneratorConfig, length: int) -> MetricTable:
+def _base_table(depth: int, length: int) -> MetricTable:
     """Depth-0 table: plain |R_D(x) - R_D(y)| on length-`length` words.
 
-    Requires length >= depth + 1 so no generator coordinate falls
-    outside the stored word."""
-    if length < config.depth + 1:
+    Requires length >= D + 1 (D = `depth`) so no generator coordinate
+    falls outside the stored word."""
+    if length < depth + 1:
         raise ValueError("table length must cover the generator depth + 1")
-    gen = generator_table(config.depth)
-    r = gen[np.arange(1 << length) & ((1 << (config.depth + 1)) - 1)]
+    gen = generator_table(depth)
+    r = gen[np.arange(1 << length) & ((1 << (depth + 1)) - 1)]
     values = np.abs(r[:, None] - r[None, :])
     values.flags.writeable = False
     return MetricTable(0, length, values, None)
-
-
-def _effective_length(depth: int, length: int, memory: int) -> int:
-    """Bits e_p = max(L - p, m, 1) of each context that the depth-p table
-    of the recursion depends on.
-
-    T_0 reads the low D + 1 <= L bits.  A step reads the previous table
-    at the successors (u << 1 | a), which needs e_{p-1} - 1 bits of u,
-    and the kernel at u, which needs its memory m."""
-    return max(length - depth, memory, 1)
 
 
 def rho_step(kernel: Kernel, table: MetricTable) -> MetricTable:
@@ -218,19 +191,20 @@ def rho_step(kernel: Kernel, table: MetricTable) -> MetricTable:
     which stays a true context because length >= kernel memory.
 
     `table` must come from the recursion (:func:`metric_tables`, or
-    :func:`rho_step` applied to such a table): its entries then depend
-    only on the low :func:`_effective_length` bits of each context.  The
-    step therefore reads the top-left 2^e_{p-1} block, computes the
-    2^e_p x 2^e_p block, and tiles values and orientation out to
-    `length` bits; every entry is the one the full-size step gives.
+    :func:`rho_step` applied to such a table), stored at the low bits of
+    each context its entries depend on.  The step computes the 2^e_p x
+    2^e_p table; read at `length` bits, every entry is the one the
+    full-size step gives.
     """
     length = table.length
     if length < kernel.memory:
         raise ValueError("table length must cover the kernel memory")
     depth = table.depth + 1
-    bits = _effective_length(depth, length, kernel.memory)
-    old_mask = (1 << _effective_length(table.depth, length, kernel.memory)) - 1
-    succ0 = (np.arange(1 << bits) << 1) & old_mask
+    # T_p depends on the low e_p = max(L - p, m, 1) bits of each context u:
+    # T_{p-1} at the successors (u << 1 | a) needs e_{p-1} - 1 bits of u,
+    # and the kernel at u its memory m.  T_0 is stored at L bits.
+    bits = max(length - depth, kernel.memory, 1)
+    succ0 = (np.arange(1 << bits) << 1) & table.mask
     succ = np.stack([succ0, succ0 | 1])
     # costs[a, b, u, v]: distance between the successors at symbols a, b.
     costs = table.values[succ[:, None, :, None], succ[None, :, None, :]]
@@ -238,22 +212,25 @@ def rho_step(kernel: Kernel, table: MetricTable) -> MetricTable:
     orientation = lambda_sign(costs)
     coupling = coupling_table(f[:, None], f[None, :], orientation)
     values = np.sum(coupling * costs, axis=(0, 1))
-    reps = (1 << (length - bits),) * 2
-    values = np.tile(values, reps)
     values.flags.writeable = False
-    return MetricTable(depth, length, values, np.tile(orientation, reps))
+    return MetricTable(depth, length, values, orientation)
 
 
 def metric_tables(
-    kernel: Kernel, p_max: int, config: GeneratorConfig = GeneratorConfig()
+    kernel: Kernel, p_max: int, depth: int = DEFAULT_DEPTH
 ) -> list[MetricTable]:
-    """Tables T_0 .. T_{p_max}; T_p holds the depth-p distances."""
-    length = max(kernel.memory, config.depth + 1)
+    """Tables T_0 .. T_{p_max} for generator depth D = `depth`; T_p holds
+    the depth-p distances."""
+    if not 1 <= depth <= MAX_TABLE_LENGTH - 1:
+        raise CapExceededError(
+            f"generator depth must be in 1..{MAX_TABLE_LENGTH - 1}"
+        )
+    length = max(kernel.memory, depth + 1)
     if length > MAX_TABLE_LENGTH:
         raise CapExceededError(
             f"metric table length {length} exceeds cap {MAX_TABLE_LENGTH}"
         )
-    tables = [_base_table(config, length)]
+    tables = [_base_table(depth, length)]
     for _ in range(p_max):
         tables.append(rho_step(kernel, tables[-1]))
     return tables
@@ -270,17 +247,17 @@ class CouplingEngine:
     integrals and the coupled runs read."""
 
     kernel: Kernel
-    config: GeneratorConfig
+    depth: int  # generator depth D
     tables: list[MetricTable]  # T_0 .. T_p, appended to by table()
     pi: np.ndarray  # stationary law on length-L words
 
     @classmethod
     def build(
-        cls, kernel: Kernel, p_max: int, config: GeneratorConfig = GeneratorConfig()
+        cls, kernel: Kernel, p_max: int, depth: int = DEFAULT_DEPTH
     ) -> "CouplingEngine":
-        tables = metric_tables(kernel, p_max, config)
+        tables = metric_tables(kernel, p_max, depth)
         pi = stationary_ctx_vector(kernel, tables[0].length)
-        return cls(kernel, config, tables, pi)
+        return cls(kernel, depth, tables, pi)
 
     @property
     def length(self) -> int:
@@ -292,13 +269,21 @@ class CouplingEngine:
             self.tables.append(rho_step(self.kernel, self.tables[-1]))
         return self.tables[p]
 
+    def _pi_at(self, table: MetricTable) -> np.ndarray:
+        """The stationary law marginalized onto the low bits `table` reads."""
+        low = np.arange(self.pi.size) & table.mask
+        return np.bincount(low, weights=self.pi)
+
     def alpha(self, p: int) -> float:
-        outer = self.pi[:, None] * self.pi[None, :]
-        return float(np.sum(outer * self.table(p).values))
+        t = self.table(p)
+        q = self._pi_at(t)
+        return float(np.sum(q[:, None] * q[None, :] * t.values))
 
     def anchor_integrals(self, p: int) -> np.ndarray:
-        """integral_v -> sum_u pi(u) * rho_tilde_p(u, v), all anchors v."""
-        return np.sum(self.pi[:, None] * self.table(p).values, axis=0)
+        """integral_v -> sum_u pi(u) * rho_tilde_p(u, v), all L-bit anchors v."""
+        t = self.table(p)
+        integrals = np.sum(self._pi_at(t)[:, None] * t.values, axis=0)
+        return integrals[np.arange(self.pi.size) & t.mask]
 
     def generator_values(self, ctx) -> np.ndarray:
         """Truncated generator of L-bit contexts."""
@@ -307,8 +292,8 @@ class CouplingEngine:
     @cached_property
     def generator(self) -> np.ndarray:
         """R_D for every L-bit context, read from its low depth+1 bits."""
-        mask = (1 << (self.config.depth + 1)) - 1
-        return generator_table(self.config.depth)[np.arange(1 << self.length) & mask]
+        mask = (1 << (self.depth + 1)) - 1
+        return generator_table(self.depth)[np.arange(1 << self.length) & mask]
 
     @cached_property
     def prob0(self) -> np.ndarray:
@@ -326,18 +311,13 @@ class AlphaSequence:
     mode: str  # "exact" | "monte-carlo"
     stderr: tuple[float, ...] | None = None
 
-    def alpha(self, p: int) -> float:
-        return self.values[p]
-
 
 def alpha_sequence(
-    kernel: Kernel,
-    p_max: int,
-    config: GeneratorConfig = GeneratorConfig(),
+    kernel: Kernel, p_max: int, depth: int = DEFAULT_DEPTH
 ) -> AlphaSequence:
     """alpha_p = E rho_p(X, Y) over independent stationary pasts X, Y,
     computed exactly from the metric tables and the stationary word law."""
-    engine = CouplingEngine.build(kernel, p_max, config)
+    engine = CouplingEngine.build(kernel, p_max, depth)
     return AlphaSequence(tuple(engine.alpha(p) for p in range(p_max + 1)), "exact")
 
 
@@ -346,31 +326,40 @@ def alpha_sequence_mc(
     p_max: int,
     trials: int,
     seed: int,
-    config: GeneratorConfig = GeneratorConfig(),
+    depth: int = DEFAULT_DEPTH,
 ) -> AlphaSequence:
     """Monte Carlo estimate of the same sequence: sample independent
     stationary context pairs and average the table entries."""
-    engine = CouplingEngine.build(kernel, p_max, config)
+    engine = CouplingEngine.build(kernel, p_max, depth)
     rng = stream_rng(seed, "alpha-mc", kernel.label)
-    # Code x * size + y of each sampled pair (x, y) of contexts, to index
-    # the flattened tables.
-    size = engine.pi.size
-    flat = sample_index(rng, engine.pi, trials) * size
-    flat += sample_index(rng, engine.pi, trials)
+    # L-bit code (x << L) | y of each sampled pair (x, y) of contexts; each
+    # table reads it re-cut to (x & mask) << e | (y & mask), e its bits,
+    # which changes only where e does.
+    L = engine.length
+    flat = sample_index(rng, engine.pi, trials) << L
+    flat |= sample_index(rng, engine.pi, trials)
+    cut = np.empty_like(flat)
+    mask = None
     samples = np.empty(trials)
     vals, errs = [], []
     for t in engine.tables:
-        np.take(t.values.ravel(), flat, out=samples)
+        if t.mask != mask:
+            mask = t.mask
+            np.right_shift(flat, L - mask.bit_length(), out=cut)
+            cut &= mask << mask.bit_length()
+            cut |= flat & mask
+        np.take(t.values.ravel(), cut, out=samples)
         vals.append(float(samples.mean()))
         errs.append(float(samples.std(ddof=1) / np.sqrt(trials)))
     return AlphaSequence(tuple(vals), "monte-carlo", tuple(errs))
 
 
-def alpha_sup_bound(config: GeneratorConfig, p: int) -> float:
+def alpha_sup_bound(depth: int, p: int) -> float:
     """For context-free kernels the depth-p distance only sees symbols
-    at lags >= p, so alpha_p <= sum_{n=p}^{D} 3^-n.  Not certified for
-    context-dependent kernels (coupled symbols need not agree)."""
+    at lags >= p, so alpha_p <= sum_{n=p}^{D} 3^-n, D = `depth`.  Not
+    certified for context-dependent kernels (coupled symbols need not
+    agree)."""
     total = 0.0  # left to right, as generator_table adds its terms
-    for n in range(p, config.depth + 1):
+    for n in range(p, depth + 1):
         total += 3.0 ** (-n)
     return total

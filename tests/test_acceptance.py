@@ -31,7 +31,7 @@ from coupledchains.reconstruction import (
     reconstruction_bound,
     simulate_path,
 )
-from coupledchains.vershik import GeneratorConfig, alpha_sequence, optimal_coupling
+from coupledchains.vershik import alpha_sequence, optimal_coupling
 from coupledchains.words import int_to_word
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
@@ -175,13 +175,12 @@ def test_criterion_06_coupling_optimality():
 
 def test_criterion_07_alpha_decay():
     with _Timer() as t:
-        cfg = GeneratorConfig(6)
-        iid = alpha_sequence(IIDKernel(0.5), 4, cfg)
+        iid = alpha_sequence(IIDKernel(0.5), 4, 6)
         ok = all(
             3.0**-p / 4 <= a <= 1.5 * 3.0**-p
             for p, a in enumerate(iid.values)
         )
-        mk = alpha_sequence(MARKOV1, 8, cfg)
+        mk = alpha_sequence(MARKOV1, 8, 6)
         ratio = mk.values[8] / mk.values[0]
         ok = ok and ratio < 0.05
     _report(7, "coupling-distance sequence decays", ok and t.elapsed < 60,
@@ -190,7 +189,7 @@ def test_criterion_07_alpha_decay():
 
 def test_criterion_08_joint_window_law():
     with _Timer() as t:
-        engine = CouplingEngine.build(MARKOV1, 4, GeneratorConfig(6))
+        engine = CouplingEngine.build(MARKOV1, 4, 6)
         report = joint_step_law(engine, 4, (0,) * engine.length)
         ok = report.tv_gap < 1e-10
     _report(8, "window joint law equals coupling product",
@@ -201,7 +200,7 @@ def test_criterion_08_joint_window_law():
 
 def test_criterion_09_generator_gap_identity():
     with _Timer() as t:
-        engine = CouplingEngine.build(MARKOV1, 7, GeneratorConfig(6))
+        engine = CouplingEngine.build(MARKOV1, 7, 6)
         report = generator_error_check(
             engine, -6, (0,) * engine.length, 100_000, SEED
         )
@@ -214,7 +213,7 @@ def test_criterion_09_generator_gap_identity():
 def test_criterion_10_stitch_pipeline():
     with _Timer() as t:
         report = stitch_blocks(
-            MARKOV1, (0.2, 0.1, 0.05), 10_000, SEED, GeneratorConfig(6)
+            MARKOV1, (0.2, 0.1, 0.05), 10_000, SEED, 6
         )
         ok = all(r.verdict == "ok" for r in report.rows)
         ok = ok and len(report.rows) == 3

@@ -37,7 +37,6 @@ from coupledchains.reconstruction import (
 )
 from coupledchains.rng import stream_rng
 from coupledchains.vershik import (
-    GeneratorConfig,
     MetricTable,
     coupling_table,
     metric_tables,
@@ -53,7 +52,14 @@ ORDER3 = MarkovKernel(3, (0.7, 0.45, 0.6, 0.35, 0.65, 0.4, 0.55, 0.3))
 
 
 def make_engine(kernel, p_max=8, depth=4):
-    return CouplingEngine.build(kernel, p_max, GeneratorConfig(depth))
+    return CouplingEngine.build(kernel, p_max, depth)
+
+
+def orientation_at_length(table):
+    """The orientation of every pair of L-bit contexts: the stored table
+    gathered from the low bits each context reads it at."""
+    low = np.arange(1 << table.length) & table.mask
+    return table.orientation[np.ix_(low, low)]
 
 
 def symbols(ctx, steps):
@@ -112,7 +118,7 @@ def test_engine_table_deepens_like_metric_tables(name):
     kernel = builtin_kernels()[name]
     engine = make_engine(kernel, p_max=2)
     deep = engine.table(9)
-    reference = metric_tables(kernel, 9, GeneratorConfig(4))
+    reference = metric_tables(kernel, 9, 4)
     assert deep is engine.tables[9] and len(engine.tables) == 10
     for ours, ref in zip(engine.tables, reference):
         assert ours.depth == ref.depth
@@ -136,7 +142,7 @@ def serial_coupled_run(engine, v, ctx_true, ctx_hat, v_is_u=False):
     ctx_hat = np.asarray(ctx_hat, dtype=np.int64) & mask
     other = np.empty((steps, v.shape[0]))
     for t in range(steps):
-        lam = engine.table(steps - t).orientation[ctx_true, ctx_hat]
+        lam = orientation_at_length(engine.table(steps - t))[ctx_true, ctx_hat]
         other[t] = np.where(lam == -1, v[:, t], 1.0 - v[:, t])
         w, u = (other[t], v[:, t]) if v_is_u else (v[:, t], other[t])
         ctx_true = ((ctx_true << 1) | (w > table[ctx_true])) & mask
@@ -238,7 +244,7 @@ def test_one_antitone_entry_flips():
         orientation = t.orientation.copy()
         orientation[0, 1] = 1
         tables.append(MetricTable(t.depth, t.length, t.values, orientation))
-    engine = CouplingEngine(MARKOV1, base.config, tables, base.pi)
+    engine = CouplingEngine(MARKOV1, base.depth, tables, base.pi)
     trials = TRIAL_BLOCK + 5
     ctx_true = np.zeros(trials, dtype=np.int64)
     ctx_hat = np.ones(trials, dtype=np.int64)
@@ -471,7 +477,7 @@ def reference_joint_law(engine, window, anchor_int):
             for c in range(1 << L) if engine.pi[c] > 0.0
         }
         for t in range(window):
-            orient = engine.table(window - t).orientation
+            orient = orientation_at_length(engine.table(window - t))
             new = {}
             for (cx, ch, px, ph), prob in states.items():
                 joint = step_law(table[cx & kmask], table[ch & kmask],
@@ -581,7 +587,7 @@ def _gap_oracle(engine, n_start, anchor_int):
     joint = np.zeros((1 << L, 1 << L))
     joint[:, anchor_int] = engine.pi
     for t in range(steps):
-        depth = steps - t
+        orient = orientation_at_length(engine.table(steps - t))
         new = np.zeros_like(joint)
         for cx in range(1 << L):
             f = table[cx & kmask] if kernel.memory else table[0]
@@ -590,7 +596,7 @@ def _gap_oracle(engine, n_start, anchor_int):
                 if p == 0.0:
                     continue
                 g = table[ch & kmask] if kernel.memory else table[0]
-                lam = int(engine.tables[depth].orientation[cx, ch])
+                lam = int(orient[cx, ch])
                 if lam == -1:
                     masses = {
                         (0, 0): min(f, g),
@@ -689,7 +695,7 @@ def test_choose_anchor_failure():
 
 
 def test_stitch_small():
-    report = stitch_blocks(MARKOV1, (0.2, 0.1), 2_000, 71, GeneratorConfig(5))
+    report = stitch_blocks(MARKOV1, (0.2, 0.1), 2_000, 71, 5)
     assert report.passed
     # Sentinel start and block recursion.
     assert report.rows[0].m_j == 1
@@ -704,7 +710,7 @@ def test_stitch_validates_schedule():
     with pytest.raises(ValueError):
         stitch_blocks(MARKOV1, (0.1, 0.2), 100, 1)
     with pytest.raises(ValueError):
-        stitch_blocks(MARKOV1, (0.2, 1e-6), 100, 1, GeneratorConfig(4))
+        stitch_blocks(MARKOV1, (0.2, 1e-6), 100, 1, 4)
 
 
 # A stitch whose forward and inverse runs flip: ANTITONE is antitone at
@@ -726,7 +732,7 @@ ANTITONE_STITCH_AUDIT = (
 def test_stitch_flip_path_pinned():
     trials = TRIAL_BLOCK + 5
     report = stitch_blocks(ANTITONE, (0.3, 0.2, 0.1, 0.05), trials, 83,
-                           GeneratorConfig(3))
+                           3)
     assert [(r.n_j, r.anchor, r.exceed_freq) for r in report.rows] == [
         (n, anchor, count / trials) for n, anchor, count in ANTITONE_STITCH_ROWS
     ]
@@ -786,7 +792,6 @@ def inverse_runs(monkeypatch):
 def test_stitch_replay_matches_nested_replay(kernel, deltas, depth,
                                              monkeypatch, inverse_runs):
     trials = 2 * TRIAL_BLOCK + 5
-    config = GeneratorConfig(depth)
     lanes = extension._replay_ends
 
     def checked(*args):
@@ -797,12 +802,12 @@ def test_stitch_replay_matches_nested_replay(kernel, deltas, depth,
         return ends
 
     monkeypatch.setattr(extension, "_replay_ends", checked)
-    report = stitch_blocks(kernel, deltas, trials, 89, config)
+    report = stitch_blocks(kernel, deltas, trials, 89, depth)
     # Some trials of the oldest lane merged, and some were replayed
     # further, each in a partial block of TRIAL_BLOCK trials.
     assert any(0 < n < TRIAL_BLOCK for n, _ in inverse_runs)
     monkeypatch.setattr(extension, "_replay_ends", nested_replay_ends)
-    assert report == stitch_blocks(kernel, deltas, trials, 89, config)
+    assert report == stitch_blocks(kernel, deltas, trials, 89, depth)
 
 
 def test_stitch_replays_each_block_once_per_lane(inverse_runs):
@@ -810,7 +815,7 @@ def test_stitch_replays_each_block_once_per_lane(inverse_runs):
     # block 0 for row 0 and blocks j-1 .. 0 for every row j >= 1.
     trials = 3 * TRIAL_BLOCK + 5
     report = stitch_blocks(MARKOV1, (0.2, 0.1, 0.05, 0.02, 0.01, 0.005),
-                           trials, 29, GeneratorConfig(7))
+                           trials, 29, 7)
     widths = [1 - r.n_j for r in report.rows]
     nested = trials * (widths[0] + sum(sum(widths[:j])
                                        for j in range(1, len(widths))))

@@ -421,10 +421,23 @@ def test_stationary_budget_is_a_cap(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_cli_output_that_is_no_file_writes_nothing(tmp_path, capsys):
+    # A CSV or manifest path that is there but no file would fail after
+    # the other output was written: exit 2, and nothing new is written.
+    path = write_config(tmp_path, "g.json", GAMMA_CFG)
+    for name in ("manifest.json", "gamma.csv"):
+        out = tmp_path / f"out-{name}"
+        (out / name).mkdir(parents=True)
+        assert main(["gamma", "--config", path, "--out", str(out)]) == 2
+        assert "is not a file" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [name]
+        assert not any((out / name).iterdir())
+
+
 def test_alpha_decay_verdict_can_fail(tmp_path, monkeypatch):
     monkeypatch.setattr(
         harness, "alpha_sequence",
-        lambda kernel, p_max, config: AlphaSequence((0.1, 0.2, 0.3), "exact"),
+        lambda kernel, p_max, depth: AlphaSequence((0.1, 0.2, 0.3), "exact"),
     )
     cfg = {
         "kind": "vershik",

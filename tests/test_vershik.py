@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from coupledchains.kernels import (
     stationary_ctx_vector,
 )
 from coupledchains.vershik import (
-    GeneratorConfig,
+    CouplingEngine,
     MetricTable,
     alpha_sequence,
     alpha_sequence_mc,
@@ -74,7 +76,12 @@ def test_generator_table_matches_explicit_loop():
 
 
 def test_truncation_error_bound():
-    assert GeneratorConfig(6).truncation_error == pytest.approx(3.0**-6 / 2)
+    # sup over pasts of |R - R_D| is the all-ones tail sum_{n > D} 3^-n
+    # = 3^-D / 2; lags past 40 add less than 3^-40.
+    ones = (1 << 41) - 1
+    for depth in range(1, 8):
+        tail = truncated_generator(ones, 40) - truncated_generator(ones, depth)
+        assert tail == pytest.approx(3.0**-depth / 2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +148,24 @@ def test_equal_marginals_monotone_is_diagonal():
 # approximated by a dense scan over both coupling families.
 
 
-def _rho_oracle(kernel, config, length, depth, u, v, grid=401):
+def at_length(table, entries=None):
+    """`entries` (default the values) of `table` at every pair of L-bit
+    codes: the stored table gathered from the low bits each code reads."""
+    low = np.arange(1 << table.length) & table.mask
+    return (table.values if entries is None else entries)[np.ix_(low, low)]
+
+
+def _rho_oracle(kernel, gen_depth, length, depth, u, v, grid=401):
     if depth == 0:
-        gmask = (1 << (config.depth + 1)) - 1
-        gen = generator_table(config.depth)
+        gmask = (1 << (gen_depth + 1)) - 1
+        gen = generator_table(gen_depth)
         return abs(gen[u & gmask] - gen[v & gmask])
     mask = (1 << length) - 1
     f = kernel.prob0_table[u & ((1 << kernel.memory) - 1)] if kernel.memory else kernel.prob0_table[0]
     g = kernel.prob0_table[v & ((1 << kernel.memory) - 1)] if kernel.memory else kernel.prob0_table[0]
     succ = {
         (a, b): _rho_oracle(
-            kernel, config, length, depth - 1,
+            kernel, gen_depth, length, depth - 1,
             ((u << 1) | a) & mask, ((v << 1) | b) & mask, grid,
         )
         for a in (0, 1)
@@ -171,35 +185,34 @@ def _rho_oracle(kernel, config, length, depth, u, v, grid=401):
 
 
 def test_metric_matches_recursive_oracle_iid():
-    config = GeneratorConfig(2)
-    tables = metric_tables(IID, 2, config)
+    tables = metric_tables(IID, 2, 2)
     L = tables[0].length
     for depth in (0, 1, 2):
+        values = at_length(tables[depth])
         for u in range(1 << L):
             for v in range(1 << L):
-                oracle = _rho_oracle(IID, config, L, depth, u, v)
-                assert tables[depth].values[u, v] == pytest.approx(
+                oracle = _rho_oracle(IID, 2, L, depth, u, v)
+                assert values[u, v] == pytest.approx(
                     oracle, abs=1e-6
                 )
 
 
 def test_metric_matches_recursive_oracle_markov():
-    config = GeneratorConfig(2)
-    tables = metric_tables(MARKOV1, 2, config)
+    tables = metric_tables(MARKOV1, 2, 2)
     L = tables[0].length
     rng = np.random.default_rng(5)
     pairs = rng.integers(0, 1 << L, size=(40, 2))
     for depth in (1, 2):
+        values = at_length(tables[depth])
         for u, v in pairs:
-            oracle = _rho_oracle(MARKOV1, config, L, depth, int(u), int(v))
-            assert tables[depth].values[u, v] == pytest.approx(oracle, abs=1e-6)
+            oracle = _rho_oracle(MARKOV1, 2, L, depth, int(u), int(v))
+            assert values[u, v] == pytest.approx(oracle, abs=1e-6)
 
 
 def test_depth_one_forgets_most_recent_symbol():
     # Once one step has been averaged out, the distance between pasts
     # differing only beyond that step is the remaining generator gap.
-    config = GeneratorConfig(2)
-    tables = metric_tables(IID, 1, config)
+    tables = metric_tables(IID, 1, 2)
     x = word_to_int((0, 0, 0))
     y = word_to_int((0, 1, 1))
     assert tables[1].rho_tilde(x, y) == pytest.approx(1 / 3, abs=1e-12)
@@ -208,7 +221,7 @@ def test_depth_one_forgets_most_recent_symbol():
 
 
 def test_metric_axioms():
-    tables = metric_tables(MARKOV1, 3, GeneratorConfig(3))
+    tables = metric_tables(MARKOV1, 3, 3)
     for t in tables:
         assert np.allclose(t.values, t.values.T, atol=1e-14)
         assert np.allclose(np.diag(t.values), 0.0, atol=1e-14)
@@ -217,19 +230,9 @@ def test_metric_axioms():
 
 def test_metric_sup_decay_iid():
     # For context-free kernels the depth-p table only sees lags >= p.
-    config = GeneratorConfig(4)
-    tables = metric_tables(IID, 4, config)
+    tables = metric_tables(IID, 4, 4)
     for p, t in enumerate(tables):
         assert t.values.max() <= sum(3.0**-n for n in range(p, 5)) + 1e-12
-
-
-def test_dump_format():
-    tables = metric_tables(IID, 0, GeneratorConfig(1))
-    dump = tables[0].dump()
-    lines = dump.strip().split("\n")
-    assert len(lines) == 16  # 4 words x 4 words at length 2
-    first = lines[0].split()
-    assert first[0] == "00" and first[1] == "00" and float(first[2]) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +240,8 @@ def test_dump_format():
 
 
 def test_alpha_exact_vs_monte_carlo():
-    exact = alpha_sequence(MARKOV1, 4, GeneratorConfig(4))
-    mc = alpha_sequence_mc(MARKOV1, 4, 40_000, 9, GeneratorConfig(4))
+    exact = alpha_sequence(MARKOV1, 4, 4)
+    mc = alpha_sequence_mc(MARKOV1, 4, 40_000, 9, 4)
     for a, b, se in zip(exact.values, mc.values, mc.stderr):
         assert abs(a - b) <= 4 * se + 1e-12
 
@@ -246,28 +249,27 @@ def test_alpha_exact_vs_monte_carlo():
 def test_alpha_monte_carlo_matches_table_index():
     # Oracle: each table indexed by the sampled context pairs directly.
     kernel = builtin_kernels()["long-memory-demo"]
-    config = GeneratorConfig(4)
-    mc = alpha_sequence_mc(kernel, 5, 30_001, 11, config)
-    tables = metric_tables(kernel, 5, config)
+    mc = alpha_sequence_mc(kernel, 5, 30_001, 11, 4)
+    tables = metric_tables(kernel, 5, 4)
     pi = stationary_ctx_vector(kernel, tables[0].length)
     rng = stream_rng(11, "alpha-mc", kernel.label)
     xs = rng.choice(pi.size, p=pi, size=30_001)
     ys = rng.choice(pi.size, p=pi, size=30_001)
     for t, value, err in zip(tables, mc.values, mc.stderr, strict=True):
-        samples = t.values[xs, ys]
+        samples = at_length(t)[xs, ys]
         assert value == float(samples.mean())
         assert err == float(samples.std(ddof=1) / np.sqrt(30_001))
 
 
 def test_alpha_iid_brackets():
-    seq = alpha_sequence(IID, 4, GeneratorConfig(6))
+    seq = alpha_sequence(IID, 4, 6)
     for p, a in enumerate(seq.values):
         assert 3.0**-p / 4 <= a <= 1.5 * 3.0**-p
-        assert a <= alpha_sup_bound(GeneratorConfig(6), p) + 1e-12
+        assert a <= alpha_sup_bound(6, p) + 1e-12
 
 
 def test_alpha_markov_decays():
-    seq = alpha_sequence(MARKOV1, 8, GeneratorConfig(6))
+    seq = alpha_sequence(MARKOV1, 8, 6)
     assert seq.values[8] / seq.values[0] < 0.05
 
 
@@ -310,15 +312,19 @@ def reference_rho_step(kernel, table: MetricTable) -> MetricTable:
     return MetricTable(table.depth + 1, length, values, orientation)
 
 
-def assert_tables_match_reference(kernel, config, p_max):
-    tables = metric_tables(kernel, p_max, config)
+def assert_tables_match_reference(kernel, depth, p_max):
+    tables = metric_tables(kernel, p_max, depth)
     ref = tables[0]
+    L = ref.length
     for table in tables[1:]:
         ref = reference_rho_step(kernel, ref)
         assert (table.depth, table.length) == (ref.depth, ref.length)
-        assert table.values.shape == ref.values.shape
-        assert table.values.tobytes() == ref.values.tobytes()
-        assert table.orientation.tobytes() == ref.orientation.tobytes()
+        # Stored at e_p = max(L - p, m, 1) bits, read at L bits.
+        bits = max(L - table.depth, kernel.memory, 1)
+        assert table.values.shape == table.orientation.shape == (1 << bits,) * 2
+        assert at_length(table).tobytes() == ref.values.tobytes()
+        assert (at_length(table, table.orientation).tobytes()
+                == ref.orientation.tobytes())
 
 
 ORDER3 = MarkovKernel.from_table(3, {
@@ -339,7 +345,7 @@ ORDER3 = MarkovKernel.from_table(3, {
     ],
 )
 def test_rho_step_matches_full_length_step(kernel, depth, p_max):
-    assert_tables_match_reference(kernel, GeneratorConfig(depth), p_max)
+    assert_tables_match_reference(kernel, depth, p_max)
 
 
 @settings(max_examples=30, deadline=None)
@@ -353,11 +359,11 @@ def test_rho_step_matches_full_length_step_drawn(order, depth, p_max, seed):
     rng = np.random.default_rng(seed)
     probs = np.round(rng.uniform(0.01, 0.99, 1 << order), 4)
     kernel = MarkovKernel(order, tuple(probs.tolist()))
-    assert_tables_match_reference(kernel, GeneratorConfig(depth), p_max)
+    assert_tables_match_reference(kernel, depth, p_max)
 
 
 def test_rho_step_increments_depth():
-    tables = metric_tables(MARKOV1, 1, GeneratorConfig(3))
+    tables = metric_tables(MARKOV1, 1, 3)
     t2 = rho_step(MARKOV1, tables[1])
     assert t2.depth == 2
     assert t2.orientation is not None
@@ -379,7 +385,7 @@ def test_metric_table_diagonal_is_zero_and_monotone(order, depth, p_max, seed):
     rng = np.random.default_rng(seed)
     probs = np.round(rng.uniform(0.01, 0.99, 1 << order), 4)
     kernel = MarkovKernel(order, tuple(probs.tolist()))
-    tables = metric_tables(kernel, p_max, GeneratorConfig(depth))
+    tables = metric_tables(kernel, p_max, depth)
     assert np.all(np.diag(tables[0].values) == 0.0)
     for t in tables[1:]:
         assert np.all(np.diag(t.values) == 0.0)
@@ -398,3 +404,47 @@ def test_flip_table_marks_antitone_entries():
     flip = table.flip
     assert flip is not None and flip is table.flip
     assert flip.dtype == bool and np.flatnonzero(flip).tolist() == [(2 << 2) | 1]
+    # A table stored at fewer bits than its length expands to the L-bit
+    # pair code: the antitone entry (1, 0) on the low bit covers every
+    # pair u = 1, 3 and v = 0, 2.
+    orientation = np.array([[-1, -1], [1, -1]], dtype=np.int8)
+    flip = MetricTable(1, 2, np.zeros((2, 2)), orientation).flip
+    assert flip.size == 16
+    assert np.flatnonzero(flip).tolist() == [(1 << 2) | 0, (1 << 2) | 2,
+                                             (3 << 2) | 0, (3 << 2) | 2]
+
+
+# ---------------------------------------------------------------------------
+# alpha at the stored bits.  Oracle: math.fsum over every pair of L-bit
+# contexts of pi(u) pi(v) T_p(u, v), the table gathered to L bits.
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    order=st.integers(1, 6),
+    depth=st.integers(1, 7),
+    p_max=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_alpha_matches_fsum_over_full_tables(order, depth, p_max, seed):
+    rng = np.random.default_rng(seed)
+    probs = np.round(rng.uniform(0.01, 0.99, 1 << order), 4)
+    kernel = MarkovKernel(order, tuple(probs.tolist()))
+    engine = CouplingEngine.build(kernel, p_max, depth)
+    outer = engine.pi[:, None] * engine.pi[None, :]
+    for p in range(p_max + 1):
+        exact = math.fsum((outer * at_length(engine.table(p))).ravel())
+        assert abs(engine.alpha(p) - exact) <= 1e-14 * exact
+
+
+def test_alpha_sequence_memory_stays_at_stored_bits():
+    # 41 tables of the order-3 kernel at L = 8: tiled out to 256 x 256
+    # they held 24 MiB; at their stored bits, all but five are 8 x 8.
+    alpha_sequence(ORDER3, 1, 7)  # warm the caches
+    tracemalloc.start()
+    try:
+        alpha_sequence(ORDER3, 40, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
