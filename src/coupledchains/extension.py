@@ -17,10 +17,12 @@ re-encodes to U, fed U it rebuilds the true chain.  It returns the end
 contexts, writes the other uniforms only into a buffer it is given (the
 forward stitch passes the same columns as input and buffer, re-encoding
 W into U in place), and steps through :func:`.reconstruction.coupled_walk`.
-Only the stitch holds its whole (trials, T) array of uniforms: it is the
-stitched sequence, which the replays and the audit read back.  The
-generator-gap check draws its uniforms one block of trials at a time as
-the walk reads them.
+No caller holds a whole (trials, T) array of uniforms.  The
+generator-gap check draws them one block of trials at a time as the
+walk reads them.  The stitch draws, re-encodes, replays and audits one
+block of TRIAL_BLOCK trials at a time; of the stitched sequence it keeps
+only a 1-bit mask of the entries re-encoded as 1 - W, from which the
+audit's second pass draws the sequence again.
 
 Time convention: a run over [N; 0] takes |N|+1 steps; the step landing
 at time t uses the orientation table at depth -t + 1 (depth |N|+1 first,
@@ -34,15 +36,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .innovation import AuditReport, innovation_audit
+from .innovation import AuditReport, _audit
 from .kernels import CapExceededError, Kernel
-from .reconstruction import _Uniforms, coupled_walk
+from .reconstruction import TRIAL_BLOCK, _Uniforms, coupled_walk
 from .rng import sample_index, stream_rng
 from .vershik import DEFAULT_DEPTH, CouplingEngine, coupling_table
 from .words import Word, as_word, int_to_word, word_to_int
 
 
 _MAX_BLOCK_DEPTH = 200
+# Values per piece of the stitch audit's second pass, which draws the
+# stitched u again: 1 MiB, small next to a block of trials, and a
+# multiple of 8 so that each piece's bits start a byte of the flip mask.
+_REDRAW = 1 << 17
 
 
 class AnchorSelectionError(RuntimeError):
@@ -377,6 +383,17 @@ def stitch_blocks(
     work: row j takes block j-1 from the forward hat chain without a run,
     and past block j-2 it replays only its trials that have not met row
     j-1 at a block boundary.
+
+    The trials are stitched one block of TRIAL_BLOCK at a time
+    (:func:`_stitch_trials`): draw w, re-encode it into u, replay, and
+    count each row's exceedances.  Beyond the start contexts of all
+    trials and a 1-bit mask of the entries where u = 1 - w, the stitch
+    holds O(TRIAL_BLOCK x T) memory.  The audit reads u twice: its first
+    pass as each block is stitched, its second from w drawn again from
+    the saved generator state with the mask applied, without the coupled
+    runs.  Rows and audit are bit for bit those of stitching all trials
+    at once: the blocks of trials are consecutive rows of the one draw
+    of w, and the exceedances add as integers.
     """
     engine = CouplingEngine.build(kernel, 1, depth)
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
@@ -406,32 +423,45 @@ def stitch_blocks(
         anchors.append(anchor)
         m.append(m[j] + n_j - 1)
 
-    # Simulation phase: one pass over absolute times M_{J+1} .. 0.  Block
-    # j is a coupled run over [N_j; 0] whose hat chain starts from its
-    # anchor; blocks run from the earliest (j = J) to block 0.
+    # Simulation phase: one pass over absolute times M_{J+1} .. 0, one
+    # block of TRIAL_BLOCK trials at a time.  Block j is a coupled run
+    # over [N_j; 0] whose hat chain starts from its anchor; blocks run
+    # from the earliest (j = J) to block 0.
     t_min = m[n_blocks]
+    width = 1 - t_min
     rng = stream_rng(seed, "stitch", kernel.label, f"J{n_blocks - 1}")
     ctx_true = sample_index(rng, engine.pi, trials)
-    # w, re-encoded into u in place one block at a time.
-    u = rng.random((trials, 1 - t_min))
+    drawn = rng.bit_generator.state  # where the draw of w starts
     cols = [slice(m[j + 1] - t_min, m[j] - t_min) for j in range(n_blocks)]
     anchor_ints = [word_to_int(a) for a in anchors]
-    hat_ends = [None] * n_blocks
-    for j in reversed(range(n_blocks)):
-        if j == 0:
-            ctx_before_0 = ctx_true.copy()  # the run below moves ctx_true
-        hat = np.full(trials, anchor_ints[j], dtype=np.int64)
-        ctx_true, hat_ends[j] = coupled_run(engine, u[:, cols[j]], ctx_true,
-                                            hat, other=u[:, cols[j]])
-    r_true = engine.generator_values(ctx_true)
+    far = []  # per trial block, the trials of each row whose S_j is far
+    flips = []  # per trial block, np.packbits of where u = 1 - w
+    starts = range(0, trials, TRIAL_BLOCK)
 
-    # Per-block recovery of the truncated generator.
-    ends = _replay_ends(engine, u, cols, anchor_ints, ctx_before_0, hat_ends)
+    def stitched():
+        for b0 in starts:
+            ctx = ctx_true[b0:b0 + TRIAL_BLOCK]
+            u = rng.random((ctx.size, width))  # w, re-encoded into u in place
+            mask, counts = _stitch_trials(engine, u, ctx, cols, anchor_ints, deltas)
+            flips.append(mask)
+            far.append(counts)
+            yield u.ravel()
+            del u  # freed before the next block is drawn
+
+    def redrawn():
+        rng.bit_generator.state = drawn
+        for b0, mask in zip(starts, flips):
+            size = min(TRIAL_BLOCK, trials - b0) * width
+            for c0 in range(0, size, _REDRAW):
+                yield _redraw(rng, min(_REDRAW, size - c0), mask[c0 // 8:])
+
+    # The audit's first pass stitches the trials; its second draws u again.
+    passes = iter((stitched(), redrawn()))
+    audit = _audit(lambda: next(passes), trials * width)
+
     rows = []
-    for j, delta in enumerate(deltas):
-        s_j = engine.generator_values(ends[j])
-        exceed = np.abs(s_j - r_true) > delta
-        freq = float(exceed.mean())
+    for j, (delta, exceeded) in enumerate(zip(deltas, map(sum, zip(*far)))):
+        freq = exceeded / trials
         stderr = float(np.sqrt(freq * (1.0 - freq) / trials))
         verdict = "ok" if freq <= delta + 3.0 * stderr else "exceeded"
         rows.append(
@@ -440,7 +470,40 @@ def stitch_blocks(
                 anchors[j], freq, stderr, verdict,
             )
         )
-
-    del ends, hat_ends, ctx_before_0  # the audit sets the peak memory
-    audit = innovation_audit(u.ravel())
     return StitchReport(rows, audit, trials)
+
+
+def _redraw(rng: np.random.Generator, size: int, mask: np.ndarray) -> np.ndarray:
+    """The next `size` uniforms w of `rng`, each replaced by 1 - w where
+    its bit of the packed `mask` is set."""
+    w = rng.random(size)
+    bits = mask[:(size + 7) // 8]
+    if not bits.any():
+        return w
+    return np.where(np.unpackbits(bits, count=size).view(bool), 1.0 - w, w)
+
+
+def _stitch_trials(engine, u, ctx_true, cols, anchors, deltas):
+    """Stitch one block of trials: re-encode their innovations `u` (w on
+    entry, shape (trials, width)) in place, block j over columns
+    `cols[j]` from the true contexts `ctx_true` and its hat chain at
+    `anchors[j]`, copying w only for the run over its columns.  Returns
+    np.packbits of the entries re-encoded as 1 - w, and per row j the
+    trials whose S_j is more than `deltas[j]` from R_D."""
+    flipped = np.empty(u.shape, dtype=bool)
+    hat_ends = [None] * len(cols)
+    for j in reversed(range(len(cols))):
+        if j == 0:
+            ctx_before_0 = ctx_true.copy()  # the run below moves ctx_true
+        w = u[:, cols[j]].copy()
+        hat = np.full(len(ctx_true), anchors[j], dtype=np.int64)
+        ctx_true, hat_ends[j] = coupled_run(engine, u[:, cols[j]], ctx_true,
+                                            hat, other=u[:, cols[j]])
+        np.not_equal(u[:, cols[j]], w, out=flipped[:, cols[j]])
+    mask = np.packbits(flipped)
+    del w, flipped  # freed before the replays
+    r_true = engine.generator_values(ctx_true)
+    ends = _replay_ends(engine, u, cols, anchors, ctx_before_0, hat_ends)
+    far = [int(np.count_nonzero(np.abs(engine.generator_values(e) - r_true) > delta))
+           for e, delta in zip(ends, deltas)]
+    return mask, far

@@ -3,8 +3,9 @@ CSV + manifest emission.
 
 One subcommand per experiment kind (gamma, audit, reconstruct, vershik,
 extend, stitch); flags --config PATH, --seed N (overrides the config),
---out DIR.  Exit codes: 0 success, 1 verdict failure, 2 config error,
-3 internal error (with a traceback).
+--out DIR.  Exit codes: 0 success, 1 verdict failure, 2 config error
+(a count too large to allocate among them), 3 internal error (with a
+traceback).
 The renewal regime that gamma reports comes from the kernel: its finite
 memory m makes gamma_p = 0 for p >= m, so the regime is always
 diverges-certified.  A gamma `tail` may say the same (`eventually-zero`)
@@ -396,7 +397,9 @@ def main(argv=None) -> int:
         if args.pretty:
             print(emit_pretty(header, rows), end="")
         return code
-    except ValueError as exc:  # ConfigError and CapExceededError among them
+    # ConfigError and CapExceededError are ValueErrors; a MemoryError is
+    # a count too large to allocate.
+    except (ValueError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception:

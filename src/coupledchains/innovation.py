@@ -19,12 +19,15 @@ chi-square counts consecutive pairs on an AUDIT_BINS x AUDIT_BINS
 (16 x 16) grid, hence 255 degrees of freedom.  Both tail functions
 therefore have closed forms and need no statistics library.
 
-The audit streams: one pass counts the pair grid and a histogram of
-2^16 buckets, the histogram bounds the KS distance within each bucket,
-and a second pass gathers and sorts only the values of the few buckets
-that can hold the maximum; the correlation sums follow np.sum's own
-pairwise tree over cache-sized leaves.  The report is bit for bit that
-of sorting and summing the whole stream, without a full-length copy.
+The audit reads its stream twice from a source of blocks of any size
+(views of an array, or the stitch's blocks of trials, made again for
+the second pass).  The first pass counts the pair grid and a histogram
+of 2^16 buckets and sums the mean; the histogram bounds the KS distance
+within each bucket, and the second pass gathers and sorts only the
+values of the few buckets that can hold the maximum and forms the
+correlation sums.  Every sum follows np.sum's own pairwise tree over
+cache-sized leaves, so the report is bit for bit that of sorting and
+summing the whole stream, without a full-length copy.
 """
 
 from __future__ import annotations
@@ -115,60 +118,104 @@ def _pair_chi2_sf(x: float) -> float:
     return total
 
 
-def _stream_counts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pass 1 of the audit: the histogram of the KS buckets
-    floor(w * _BUCKETS) and the counts of the pair codes
-    bin[t] * AUDIT_BINS + bin[t + 1] of the chi-square bins
-    bin = floor(w * AUDIT_BINS), for w in (0, 1).  Each block reads one
-    value past its end for its last pair; integer counts add exactly, so
-    both equal one whole-array np.bincount."""
+def _cut(blocks, spans):
+    """Yield each span (a, b, ...) of `spans`, in order of a, with the
+    values [a, b) of a stream that the iterator `blocks` yields in
+    consecutive float64 pieces of any size.  A span inside one piece
+    gets a view of it; a span that straddles pieces gets a copy.  Before
+    it reads the next piece, the cut keeps of the held pieces only what
+    the current span still needs (a copy no longer than the span), so a
+    source can free each piece once every span has passed it, provided
+    the caller drops its view too.  A source that yields fewer or more
+    values than the last span's end is an error."""
+    held, base, end = [], 0, 0  # the held pieces cover values [base, end)
+    for span in spans:
+        a, b = span[0], span[1]
+        while True:
+            while held and base + held[0].size <= a:
+                base += held.pop(0).size
+            if end >= b:
+                break
+            if held and base < a:
+                held[0] = held[0][a - base:].copy()
+                base = a
+            held.append(next(blocks, None))
+            if held[-1] is None:
+                raise ValueError(f"the source ended after {end} values")
+            end += held[-1].size
+        if base + held[0].size >= b:
+            yield span, held[0][a - base:b - base]
+        else:  # every piece but the first and the last lies inside [a, b)
+            yield span, np.concatenate(
+                [held[0][a - base:], *held[1:-1], held[-1][:held[-1].size - (end - b)]])
+    if end > b or any(piece.size for piece in blocks):
+        raise ValueError(f"the source holds more than {b} values")
+
+
+def _first_pass(blocks, n: int):
+    """Pass 1 of the audit over the n values that `blocks` yields: the
+    histogram of the KS buckets floor(w * _BUCKETS), the counts of the
+    pair codes bin[t] * AUDIT_BINS + bin[t + 1] of the chi-square bins
+    bin = floor(w * AUDIT_BINS), and the mean; or None if a value lies
+    outside (0, 1), NaN and inf included.  The stream is read along the
+    leaves of the mean's pairwise tree (:func:`_tree_leaves`), each with
+    one value past its end for its last pair: the leaf sums give
+    w.mean() bit for bit, and integer counts add exactly, so both counts
+    equal one whole-array np.bincount.  Each piece is range-checked
+    before it is counted; after a value out of range the rest of the
+    source is read but not counted."""
     hist = np.zeros(_BUCKETS, dtype=np.intp)
     pairs = np.zeros(AUDIT_BINS * AUDIT_BINS, dtype=np.intp)
-    j = np.empty(_BLOCK + 1, dtype=np.intp)
-    bins = np.empty(_BLOCK + 1, dtype=np.intp)
+    j = np.empty(_BLOCK + 1, dtype=np.intp)  # buckets, then bins
     codes = np.empty(_BLOCK, dtype=np.intp)
-    for b0 in range(0, w.size, _BLOCK):
-        block = w[b0:b0 + _BLOCK + 1]
-        m = block.size
-        np.multiply(block, _BUCKETS, out=j[:m], casting="unsafe")
-        hist += np.bincount(j[:min(m, _BLOCK)], minlength=_BUCKETS)
-        np.right_shift(j[:m], _BIN_SHIFT, out=bins[:m])
-        np.multiply(bins[:m - 1], AUDIT_BINS, out=codes[:m - 1])
-        codes[:m - 1] += bins[1:m]
-        pairs += np.bincount(codes[:m - 1], minlength=AUDIT_BINS * AUDIT_BINS)
-    return hist, pairs
+    sums = []
+    in_range = True
+    spans = [(a, min(b + 1, n), b - a) for a, b in _tree_leaves(n)]
+    for (_, _, size), x in _cut(blocks, spans):
+        in_range = in_range and bool(x.min() > 0.0 and x.max() < 1.0)
+        if in_range:
+            sums.append(np.sum(x[:size]))
+            m = x.size
+            np.multiply(x, _BUCKETS, out=j[:m], casting="unsafe")
+            hist += np.bincount(j[:size], minlength=_BUCKETS)
+            np.right_shift(j[:m], _BIN_SHIFT, out=j[:m])
+            np.multiply(j[:m - 1], AUDIT_BINS, out=codes[:m - 1])
+            codes[:m - 1] += j[1:m]
+            pairs += np.bincount(codes[:m - 1], minlength=AUDIT_BINS * AUDIT_BINS)
+        del x  # the source may free its piece before it makes the next
+    if not in_range:
+        return None
+    return hist, pairs, _tree_sum(sums, n) / n
 
 
-def _ks_stat(w: np.ndarray, hist: np.ndarray) -> float:
-    """max_i max(i/n - s_(i), s_(i) - (i/n - 1/n)) over the order
-    statistics s_(i) of w, from the bucket histogram and a sort of the
-    values of the buckets that can hold the maximum (see
-    :func:`innovation_audit`)."""
-    n = w.size
+def _ks_keep(hist: np.ndarray, n: int) -> np.ndarray:
+    """The KS buckets that can hold the maximum (see
+    :func:`innovation_audit`), from the bucket histogram."""
     upto = np.cumsum(hist)  # C_j: values in buckets 0..j
     before = upto - hist  # C_{j-1}
     lower = np.arange(_BUCKETS) / _BUCKETS
     upper = lower + 1.0 / _BUCKETS
     hi = np.maximum(upto / n - lower, upper - before / n)
     lo = np.maximum(upto / n - upper, lower - before / n)
-    keep = hi >= np.max(lo[hist > 0]) - _KS_MARGIN
-    # The kept buckets usually form one short run: a range test on each
-    # block leaves few values to look up bucket by bucket.
-    first, last = np.flatnonzero(keep)[[0, -1]]
-    low, high = first / _BUCKETS, (last + 1) / _BUCKETS
-    kept = []
-    for b0 in range(0, n, _BLOCK):
-        block = w[b0:b0 + _BLOCK]
-        near = block[(block >= low) & (block < high)]
-        kept.append(near[keep[(near * _BUCKETS).astype(np.intp)]])
-    s = np.sort(np.concatenate(kept))
+    return hi >= np.max(lo[hist > 0]) - _KS_MARGIN
+
+
+def _ks_stat(s: np.ndarray, hist: np.ndarray, keep: np.ndarray, n: int) -> float:
+    """max_i max(i/n - s_(i), s_(i) - (i/n - 1/n)) over the order
+    statistics s_(i) of the stream, from the bucket histogram and the
+    sorted values `s` of the buckets in `keep`, _BLOCK values at a time."""
     # Rank of s[p]: the values below its bucket, plus its place among the
     # kept values of that bucket.
+    before = np.cumsum(hist) - hist
     kept_hist = np.where(keep, hist, 0)
     offset = before - (np.cumsum(kept_hist) - kept_hist)
-    rank = offset[(s * _BUCKETS).astype(np.intp)] + np.arange(1, s.size + 1)
-    grid = rank / n
-    return max(float(np.max(grid - s)), float(np.max(s - (grid - 1.0 / n))))
+    ks = -math.inf
+    for p0 in range(0, s.size, _BLOCK):
+        x = s[p0:p0 + _BLOCK]
+        rank = offset[(x * _BUCKETS).astype(np.intp)] + np.arange(p0 + 1, p0 + 1 + x.size)
+        grid = rank / n
+        ks = max(ks, float(np.max(grid - x)), float(np.max(x - (grid - 1.0 / n))))
+    return ks
 
 
 def _left(m: int) -> int:
@@ -205,28 +252,79 @@ def _tree_sum(leaf_sums, m: int, leaf: int = _BLOCK) -> float:
     return piece(m)
 
 
-def _lag_sums(w: np.ndarray, mean: float) -> list[float]:
-    """np.sum of (w[t] - mean) * (w[t + lag] - mean) over t < n - lag for
-    lag = 0..AUDIT_LAGS, bit for bit, without a full-length centered
-    array.  The leaves of the six sums are visited by their start: each
-    leaf starting in [k, k + 1) * _BLOCK lies in the window
-    [k * _BLOCK, (k + 2) * _BLOCK + AUDIT_LAGS), centered once for all."""
-    n = w.size
+def _second_pass(blocks, n: int, hist: np.ndarray, mean: float):
+    """Pass 2 of the audit over the n values that `blocks` yields: the KS
+    distance, and the six sums np.sum of (w[t] - mean) * (w[t + lag] -
+    mean) over t < n - lag for lag = 0..AUDIT_LAGS, bit for bit, without
+    a full-length sort or centered array.  The stream is read in windows
+    [k * _BLOCK, (k + 2) * _BLOCK + AUDIT_LAGS).  The first _BLOCK values
+    of each are scanned for the values of the KS buckets that can hold
+    the maximum; the leaves of the six sums that start in
+    [k, k + 1) * _BLOCK lie in the window, which is centered once for
+    them all."""
+    keep = _ks_keep(hist, n)
+    # The kept buckets usually form one short run: a range test on each
+    # block leaves few values to look up bucket by bucket.
+    first, last = np.flatnonzero(keep)[[0, -1]]
+    low, high = first / _BUCKETS, (last + 1) / _BUCKETS
+    kept = np.empty(int(hist[keep].sum()))
+    filled = 0
     span = 2 * _BLOCK + AUDIT_LAGS
     window = np.empty(span)
     prod = np.empty(_BLOCK)
     sums = [[] for _ in range(AUDIT_LAGS + 1)]
     leaves = sorted((a, b, lag) for lag in range(AUDIT_LAGS + 1)
                     for a, b in _tree_leaves(n - lag))
-    start = -1
-    for a, b, lag in leaves:
-        if a - a % _BLOCK != start:
-            start = a - a % _BLOCK
-            part = w[start:start + span]
-            centered = np.subtract(part, mean, out=window[:part.size])
-        x = centered[a - start:b + lag - start]
-        sums[lag].append(np.sum(np.multiply(x[:b - a], x[lag:], out=prod[:b - a])))
-    return [_tree_sum(s, n - lag) for lag, s in enumerate(sums)]
+    i = 0
+    windows = [(start, min(start + span, n)) for start in range(0, n, _BLOCK)]
+    for (start, _), x in _cut(blocks, windows):
+        block = x[:_BLOCK]
+        near = block[(block >= low) & (block < high)]
+        near = near[keep[(near * _BUCKETS).astype(np.intp)]]
+        kept[filled:filled + near.size] = near
+        filled += near.size
+        centered = np.subtract(x, mean, out=window[:x.size])
+        del x, block  # the source may free its piece before it makes the next
+        while i < len(leaves) and leaves[i][0] < start + _BLOCK:
+            a, b, lag = leaves[i]
+            i += 1
+            y = centered[a - start:b + lag - start]
+            sums[lag].append(np.sum(np.multiply(y[:b - a], y[lag:], out=prod[:b - a])))
+    kept.sort()
+    ks = _ks_stat(kept, hist, keep, n)
+    return ks, [_tree_sum(s, n - lag) for lag, s in enumerate(sums)]
+
+
+def _audit(source, n: int) -> AuditReport:
+    """The audit of a stream of n values: ``source()`` returns an
+    iterable over its consecutive float64 blocks, of any sizes, and is
+    called once per pass, twice at most (see :func:`innovation_audit`).
+    Pass 1 reads the whole source even when a value out of range fails
+    the audit, and pass 2 is then skipped."""
+    if n < 100:
+        raise ValueError("audit needs at least 100 samples")
+    counts = _first_pass(iter(source()), n)
+    if counts is None:
+        return AuditReport(n, np.inf, 0.0, np.inf, 0.0, 0.0, False, False)
+    hist, pairs, mean = counts
+    ks, (denom, *lagged) = _second_pass(iter(source()), n, hist, mean)
+    dkw = float(np.sqrt(np.log(2.0 / AUDIT_LEVEL) / (2.0 * n)))
+    uniform_ok = ks <= dkw
+
+    corr_bound = _CORR_QUANTILE / np.sqrt(n)
+    if denom > 0.0:
+        max_corr = max(abs(total / denom) for total in lagged)
+    else:  # a stream without spread has no correlation; it fails
+        max_corr = np.inf
+
+    expected = (n - 1) / (AUDIT_BINS * AUDIT_BINS)
+    chi2 = float(np.sum((pairs - expected) ** 2) / expected)
+    pvalue = _pair_chi2_sf(chi2)
+
+    independence_ok = max_corr <= corr_bound and pvalue > AUDIT_LEVEL
+    return AuditReport(
+        n, ks, dkw, max_corr, corr_bound, pvalue, uniform_ok, independence_ok
+    )
 
 
 def innovation_audit(w: np.ndarray) -> AuditReport:
@@ -239,46 +337,24 @@ def innovation_audit(w: np.ndarray) -> AuditReport:
     included, fails both; a stream whose values all center to zero (a
     constant stream with an exact mean) reads max_lag_corr inf.
 
-    The audit streams over w in blocks of _BLOCK values and allocates no
-    full-length array; the report is bit for bit that of sorting w and
-    summing whole-length arrays.  KS distance: with K = _BUCKETS and C_j
-    the number of values in buckets [0, (j+1)/K), an order statistic
-    s_(i) in bucket j has i/n - s_(i) in [C_j/n - (j+1)/K, C_j/n - j/K]
-    and s_(i) - (i-1)/n in [j/K - C_{j-1}/n, (j+1)/K - C_{j-1}/n].  So
-    a bucket whose upper bound lies below the largest lower bound of a
-    non-empty bucket cannot hold the maximum; only the values of the
-    other buckets are gathered and sorted, and each gets its exact
-    global rank C_{j-1} + 1 + its place in its bucket.  On uniform
-    streams of 6.8e6 values one to a few 1e4 survive; a stream packed
-    into a few buckets keeps them all, and the sort is then as large as
-    the stream.  Correlations: each of the six sums follows np.sum's
-    pairwise tree down to leaves of at most _BLOCK products, formed in
-    cache-sized buffers (see :func:`_lag_sums`).
+    The audit core (:func:`_audit`) reads the stream in two passes over
+    a source of blocks, here views of w, and allocates no full-length
+    array; the report is bit for bit that of sorting w and summing
+    whole-length arrays.  KS distance: with K = _BUCKETS and C_j the
+    number of values in buckets [0, (j+1)/K), an order statistic s_(i)
+    in bucket j has i/n - s_(i) in [C_j/n - (j+1)/K, C_j/n - j/K] and
+    s_(i) - (i-1)/n in [j/K - C_{j-1}/n, (j+1)/K - C_{j-1}/n].  So a
+    bucket whose upper bound lies below the largest lower bound of a
+    non-empty bucket cannot hold the maximum: pass 1 counts the
+    histogram, and pass 2 gathers and sorts only the values of the
+    other buckets, each of which gets its exact global rank C_{j-1} + 1
+    + its place in its bucket.  On uniform streams of 6.8e6 values one
+    to a few 1e4 survive, and about 3e6 of 6.8e7; a stream packed into a
+    few buckets keeps them all, and the sort is then as large as the
+    stream.  Correlations:
+    the mean and each of the six sums follow np.sum's pairwise tree down
+    to leaves of at most _BLOCK values, formed in cache-sized buffers
+    (see :func:`_first_pass` and :func:`_second_pass`).
     """
     w = np.asarray(w, dtype=float)
-    n = w.size
-    if n < 100:
-        raise ValueError("audit needs at least 100 samples")
-    if not (w.min() > 0.0 and w.max() < 1.0):
-        return AuditReport(n, np.inf, 0.0, np.inf, 0.0, 0.0, False, False)
-
-    hist, counts = _stream_counts(w)
-    ks = _ks_stat(w, hist)
-    dkw = float(np.sqrt(np.log(2.0 / AUDIT_LEVEL) / (2.0 * n)))
-    uniform_ok = ks <= dkw
-
-    denom, *lagged = _lag_sums(w, w.mean())
-    corr_bound = _CORR_QUANTILE / np.sqrt(n)
-    if denom > 0.0:
-        max_corr = max(abs(total / denom) for total in lagged)
-    else:  # a stream without spread has no correlation; it fails
-        max_corr = np.inf
-
-    expected = (n - 1) / (AUDIT_BINS * AUDIT_BINS)
-    chi2 = float(np.sum((counts - expected) ** 2) / expected)
-    pvalue = _pair_chi2_sf(chi2)
-
-    independence_ok = max_corr <= corr_bound and pvalue > AUDIT_LEVEL
-    return AuditReport(
-        n, ks, dkw, max_corr, corr_bound, pvalue, uniform_ok, independence_ok
-    )
+    return _audit(lambda: (w,), w.size)

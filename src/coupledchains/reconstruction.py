@@ -206,7 +206,7 @@ def coupled_step(table: np.ndarray, ctx_true: np.ndarray, ctx_hat: np.ndarray,
         flip.take(pair, out=flipped)
     _threshold(table, first, v, f, x)
     if flip is not None:
-        np.subtract(1.0, v, out=v, where=flipped)
+        v[...] = np.where(flipped, 1.0 - v, v)  # a select, without branches
     _threshold(table, second, v, f, x)
 
 

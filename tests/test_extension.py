@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -820,3 +821,53 @@ def test_stitch_replays_each_block_once_per_lane(inverse_runs):
     nested = trials * (widths[0] + sum(sum(widths[:j])
                                        for j in range(1, len(widths))))
     assert sum(n * steps for n, steps in inverse_runs) <= 0.4 * nested
+
+
+# The stitch of the benchmark: markov1-demo, these tolerances, depth 7.
+BENCH_DELTAS = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005)
+PINNED_TRIALS = (TRIAL_BLOCK - 1, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK + 5)
+# (kernel, tolerance schedule, generator depth, whether u flips), and the
+# first 16 hex digits of the sha256 of repr(stitch_blocks(..., seed 29))
+# at each of PINNED_TRIALS, recorded with the stitch that held u for all
+# trials at once.  repr pins every row and audit field, type and bits.
+PINNED_STITCHES = [
+    ((MARKOV1, BENCH_DELTAS, 7, False),
+     ("10da5d50ea35f4ab", "324b0f4163f973ec", "0dc807a11a79a791")),
+    ((*STITCH_CASES[1], True),
+     ("802cd2d2960553aa", "4b5179bbec4e63ae", "0252a3660d654cf3")),
+    ((*STITCH_CASES[3], True),
+     ("91dfc4260a653897", "38b2d46a465aff02", "34d7889a01a3f9d5")),
+    ((*STITCH_CASES[5], True),
+     ("6d8b9dbf82d0e30b", "a06b6bcaddc7a75c", "c4dfb89a085d6525")),
+]
+
+
+@pytest.mark.parametrize("case, digests", PINNED_STITCHES)
+def test_stitch_blocks_of_trials_pinned(case, digests, monkeypatch):
+    kernel, deltas, depth, flips = case
+    redraw = extension._redraw
+    masked = []
+
+    def spied(rng, size, mask):
+        masked.append(bool(mask[:(size + 7) // 8].any()))
+        return redraw(rng, size, mask)
+
+    monkeypatch.setattr(extension, "_redraw", spied)
+    for trials, digest in zip(PINNED_TRIALS, digests, strict=True):
+        report = stitch_blocks(kernel, deltas, trials, 29, depth)
+        assert hashlib.sha256(repr(report).encode()).hexdigest()[:16] == digest, trials
+    # The audit's second pass re-applies the flips, where there are any.
+    assert any(masked) == flips
+
+
+def test_stitch_memory_stays_blockwise():
+    # Beyond the start contexts and a 1-bit flip mask of all trials, the
+    # stitch holds one block of trials.  Holding u for all 4 blocks of
+    # trials at once, it peaked at 24.6 MiB.
+    tracemalloc.start()
+    try:
+        stitch_blocks(MARKOV1, BENCH_DELTAS, 4 * TRIAL_BLOCK, 29, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * 2**20, peak

@@ -393,6 +393,21 @@ def test_cli_stitch_depth_cap_exits_2(tmp_path, capsys):
     assert "_MAX_BLOCK_DEPTH" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, counts", [
+    ("audit", {"steps": 10**15}),
+    ("stitch", {"deltas": [0.2, 0.1], "trials": 10**15}),
+])
+def test_cli_count_too_large_to_allocate_exits_2(tmp_path, capsys, kind, counts):
+    # An array of 10^15 entries fails at its allocation, before any work.
+    cfg = {"kind": kind, "kernel": {"variant": "builtin", "name": "markov1-demo"},
+           "seed": 1, **counts}
+    path = write_config(tmp_path, "big.json", cfg)
+    out = tmp_path / "out"
+    assert main([kind, "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: Unable to allocate")
+
+
 def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     def broken(kernel, config):
         raise RuntimeError("internal fault")

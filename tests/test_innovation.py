@@ -174,6 +174,50 @@ def test_audit_matches_reference():
     assert not report.passed and report.ks_stat == np.inf
 
 
+def pieces(w, cut, read=None):
+    """A source of the stream w in consecutive pieces of `cut` values;
+    the pieces read are appended to `read`."""
+    def source():
+        for b0 in range(0, w.size, cut):
+            if read is not None:
+                read.append(b0)
+            yield w[b0:b0 + cut]
+    return source
+
+
+@pytest.mark.parametrize("cut", [1, 2**16 - 1, 2**16 + 1, 65521])
+def test_audit_core_matches_on_any_block_cut(cut):
+    # Pieces cut anywhere in the leaves and windows of the two passes
+    # give the report of the whole array.
+    for w in audit_streams():
+        if cut == 1 and w.size > 10**4:
+            continue
+        report = innovation._audit(pieces(w, cut), w.size)
+        assert repr(report) == repr(innovation_audit(w))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, 1.0])
+def test_audit_core_fails_on_a_late_value_out_of_range(value):
+    # A bad value in the last piece: the failing report, no bincount of
+    # it (a NaN or inf cast to an index would warn, an error here), and
+    # the whole source read.
+    w = stream_rng(12, "late").random(3 * innovation._BLOCK + 17)
+    w[-5] = value
+    failing = AuditReport(w.size, np.inf, 0.0, np.inf, 0.0, 0.0, False, False)
+    for cut in (2**16 - 1, w.size):
+        read = []
+        report = innovation._audit(pieces(w, cut, read), w.size)
+        assert repr(report) == repr(failing)
+        assert read == list(range(0, w.size, cut))
+
+
+def test_audit_core_checks_the_source_length():
+    w = stream_rng(13, "length").random(1000)
+    for n in (999, 1001):
+        with pytest.raises(ValueError, match="source"):
+            innovation._audit(pieces(w, 300), n)
+
+
 @pytest.mark.parametrize("value", [0.5, 0.25])
 def test_audit_fails_constant_stream(value):
     # The mean is exact, so the correlations' denominator is 0.
@@ -207,9 +251,10 @@ def test_correlation_quantile_matches_scipy():
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("blocks", [0, 1, 2])
 def test_pair_counts_match_whole_array_bincount(blocks, offset):
-    # Bucket histogram and pair counts summed over blocks of _BLOCK
-    # values against one bincount of every bucket and every pair code,
-    # for streams on either side of the block edges.
+    # Bucket histogram and pair counts summed over the leaves of pass 1
+    # against one bincount of every bucket and every pair code, and its
+    # mean against w.mean(), for streams on either side of the block
+    # edges.
     pairs = max(blocks * innovation._BLOCK + offset, 1)
     rng = stream_rng(9, "pairs", str(pairs))
     w = rng.random(pairs + 1)
@@ -217,7 +262,8 @@ def test_pair_counts_match_whole_array_bincount(blocks, offset):
     bins = np.minimum(np.floor(w * AUDIT_BINS).astype(np.intp), AUDIT_BINS - 1)
     whole = np.bincount(bins[:-1] * AUDIT_BINS + bins[1:],
                         minlength=AUDIT_BINS * AUDIT_BINS)
-    hist, counts = innovation._stream_counts(w)
+    hist, counts, mean = innovation._first_pass(iter((w,)), w.size)
+    assert mean == w.mean()
     assert counts.dtype == whole.dtype
     assert np.array_equal(counts, whole)
     assert np.array_equal(hist, np.bincount(buckets, minlength=innovation._BUCKETS))
