@@ -18,11 +18,12 @@ contexts, writes the other uniforms only into a buffer it is given (the
 forward stitch passes the same columns as input and buffer, re-encoding
 W into U in place), and steps through :func:`.reconstruction.coupled_walk`.
 No caller holds a whole (trials, T) array of uniforms.  The
-generator-gap check draws them one block of trials at a time as the
-walk reads them.  The stitch draws, re-encodes, replays and audits one
-block of TRIAL_BLOCK trials at a time; of the stitched sequence it keeps
-only a 1-bit mask of the entries re-encoded as 1 - W, from which the
-audit's second pass draws the sequence again.
+generator-gap check draws, runs and reduces one block of trials at a
+time (:func:`.reconstruction._trial_blocks`), keeping each trial's end
+pair of contexts as one narrow code.  The stitch draws, re-encodes,
+replays and audits one block of TRIAL_BLOCK trials at a time; of the
+stitched sequence it keeps only a 1-bit mask of the entries re-encoded
+as 1 - W, from which the audit's second pass draws the sequence again.
 
 Time convention: a run over [N; 0] takes |N|+1 steps; the step landing
 at time t uses the orientation table at depth -t + 1 (depth |N|+1 first,
@@ -36,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .innovation import AuditReport, _audit
+from .innovation import AuditReport, _audit, _mean_stderr
 from .kernels import CapExceededError, Kernel
-from .reconstruction import TRIAL_BLOCK, _Uniforms, coupled_walk
+from .reconstruction import TRIAL_BLOCK, _trial_blocks, coupled_walk
 from .rng import sample_index, stream_rng
 from .vershik import DEFAULT_DEPTH, CouplingEngine, coupling_table
 from .words import Word, as_word, int_to_word, word_to_int
@@ -65,20 +66,19 @@ def coupled_run(
 ):
     """Re-encode a window of v.shape[1] steps, vectorized over trials.
 
-    ``v`` has shape (trials, steps) and holds the innovations w of the
-    true chain, or with ``v_is_u`` the re-encoded u, from which the run
-    rebuilds the true chain (the flip is its own inverse); it is an
-    array or anything else :func:`coupled_walk` reads, such as the
-    block-by-block draws of the generator-gap check.  Contexts are
-    integer words for the pasts before the window, int64 arrays that
-    must not share memory.  The run updates them in place, cut to the
-    table length L and then stepped to the window's end, and returns
-    them as (ctx_true, ctx_hat); a caller that needs the start contexts
-    again passes copies.  It writes the other uniforms into `other`
-    (shape of `v`, any strides; it may be `v`).  The steps run through
-    :func:`coupled_walk`, one block of trials at a time, each with the
-    flip table of its depth (:attr:`.vershik.MetricTable.flip`); a depth
-    without antitone entries steps as a plain replay, u = w.
+    ``v`` has shape (trials, steps), any strides, and holds the
+    innovations w of the true chain, or with ``v_is_u`` the re-encoded
+    u, from which the run rebuilds the true chain (the flip is its own
+    inverse).  Contexts are integer words for the pasts before the
+    window, int64 arrays that must not share memory.  The run updates
+    them in place, cut to the table length L and then stepped to the
+    window's end, and returns them as (ctx_true, ctx_hat); a caller
+    that needs the start contexts again passes copies.  It writes the
+    other uniforms into `other` (shape of `v`, any strides; it may be
+    `v`).  The steps run through :func:`coupled_walk`, one block of
+    trials at a time, each with the flip table of its depth
+    (:attr:`.vershik.MetricTable.flip`); a depth without antitone
+    entries steps as a plain replay, u = w.
     """
     if np.may_share_memory(ctx_true, ctx_hat):
         raise ValueError("ctx_true and ctx_hat must not share memory")
@@ -227,21 +227,29 @@ def generator_error_check(
     seed: int,
 ) -> GeneratorGapReport:
     """Monte Carlo the coupled-run generator gap and compare with the
-    exact integral; tolerance 3*stderr + one truncation allowance."""
-    anchor_int = word_to_int(as_word(anchor)) & ((1 << engine.length) - 1)
+    exact integral; tolerance 3*stderr + one truncation allowance.
+
+    The trials run one block at a time (:func:`_trial_blocks`); each
+    keeps only its end pair code (ctx_true << L) | ctx_hat, at the
+    narrowest unsigned dtype (2 bytes at L <= 8).  The mean and standard
+    error of |R_D - R_D(hat)| are read off the codes in two passes
+    (:func:`.innovation._mean_stderr`), bit for bit those of the whole
+    array of gaps."""
+    L = engine.length
+    anchor_int = word_to_int(as_word(anchor)) & ((1 << L) - 1)
     rng = stream_rng(seed, "generator-gap", engine.kernel.label, f"N{n_start}")
-    ctx_true = sample_index(rng, engine.pi, trials)
-    ctx_hat = np.full(trials, anchor_int, dtype=np.int64)
-    w = _Uniforms(rng, trials, 1 - n_start)
-    coupled_run(engine, w, ctx_true, ctx_hat)
-    # The run leaves the end contexts in place; each is freed once read.
-    gaps = engine.generator_values(ctx_true)
-    del ctx_true
-    gaps -= engine.generator_values(ctx_hat)
-    del ctx_hat
-    np.abs(gaps, out=gaps)
-    mc = float(gaps.mean())
-    stderr = float(gaps.std(ddof=1) / np.sqrt(trials))
+    pairs = np.empty(trials, dtype=np.min_scalar_type((1 << 2 * L) - 1))
+    b0 = 0
+    for ctx_true, w in _trial_blocks(rng, engine.pi, trials, 1 - n_start):
+        ctx_hat = np.full(ctx_true.size, anchor_int, dtype=np.int64)
+        coupled_run(engine, w, ctx_true, ctx_hat)
+        ctx_true <<= L
+        ctx_true |= ctx_hat
+        pairs[b0:b0 + ctx_true.size] = ctx_true
+        b0 += ctx_true.size
+    # |R_D(x) - R_D(y)| at every pair code (x << L) | y.
+    gaps = np.abs(np.subtract.outer(engine.generator, engine.generator)).ravel()
+    mc, stderr = _mean_stderr(gaps, pairs)
     exact = expected_generator_gap(engine, n_start, anchor)
     tol = 3.0 * stderr + 3.0 ** (-engine.depth)
     verdict = "match" if abs(mc - exact) <= tol else "mismatch"

@@ -27,7 +27,9 @@ within each bucket, and the second pass gathers and sorts only the
 values of the few buckets that can hold the maximum and forms the
 correlation sums.  Every sum follows np.sum's own pairwise tree over
 cache-sized leaves, so the report is bit for bit that of sorting and
-summing the whole stream, without a full-length copy.
+summing the whole stream, without a full-length copy.  The Monte Carlo
+means and standard errors over trials follow the same tree
+(:func:`_mean_stderr`).
 """
 
 from __future__ import annotations
@@ -250,6 +252,32 @@ def _tree_sum(leaf_sums, m: int, leaf: int = _BLOCK) -> float:
         return piece(half) + piece(m - half)
 
     return piece(m)
+
+
+def _mean_stderr(values: np.ndarray, codes: np.ndarray) -> tuple[float, float]:
+    """The mean and the standard error of the n >= 2 values x =
+    values[codes]: float(x.mean()) and float(x.std(ddof=1) / sqrt(n)),
+    bit for bit, without the full-length x.  Two passes gather x one
+    leaf of np.sum's pairwise tree at a time, as numpy's own variance
+    does: the leaf sums give the mean, then the leaf sums of the squared
+    deviations from it give the variance, divided by n - 1.  The codes
+    must lie in [0, len(values))."""
+    n = codes.size
+    buf = np.empty(min(n, _BLOCK))
+    leaves = _tree_leaves(n)
+
+    def gathered():
+        for a, b in leaves:
+            yield values.take(codes[a:b], out=buf[:b - a], mode="wrap")
+
+    mean = _tree_sum([np.sum(x) for x in gathered()], n) / n
+    squares = []
+    for x in gathered():
+        np.subtract(x, mean, out=x)
+        np.multiply(x, x, out=x)
+        squares.append(np.sum(x))
+    var = _tree_sum(squares, n) / (n - 1)
+    return mean, math.sqrt(var) / math.sqrt(n)
 
 
 def _second_pass(blocks, n: int, hist: np.ndarray, mean: float):

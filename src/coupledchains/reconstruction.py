@@ -23,9 +23,12 @@ replay here, every coupled run of :mod:`.extension`), runs
 time, so each step works on contiguous, cache-resident rows; it is
 byte-identical to stepping all trials at once, one column per step, and
 re-encodes each block in place, copying it out only into a buffer it is given.
-It reads its uniforms one block of trials at a time, so the replay and the
-generator-gap check draw them as it reads them (:class:`_Uniforms`) and
-never hold the whole (trials, steps) array.
+The Monte Carlo experiments over trials (the replay here, the
+generator-gap check of :mod:`.extension`) read their trials from
+:func:`_trial_blocks`, one block at a time: each block's start contexts
+and uniforms are drawn, walked and reduced to counts or codes before the
+next is drawn, so they never hold a whole (trials, steps) array of
+uniforms, nor a full-length array of end contexts.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .kernels import (
     gamma_profile,
     stationary_ctx_vector,
 )
-from .rng import sample_index, stream_rng
+from .rng import ahead, index_sampler, sample_index, stream_rng
 
 # Chunk length of the speculative scan in `advance`.
 CHUNK = 1024
@@ -62,14 +65,13 @@ class PathSample:
     init_ctx: int  # integer-coded context preceding x[0]
 
 
-def _stationary_start(kernel: Kernel, rng: np.random.Generator, size=None):
-    """Contexts of the last m symbols drawn from the exact stationary
-    law (one, or an array of `size`); memoryless kernels draw nothing."""
+def _stationary_start(kernel: Kernel, rng: np.random.Generator) -> int:
+    """The context of the last m symbols drawn from the exact stationary
+    law; memoryless kernels draw nothing."""
     m = kernel.memory
     if m == 0:
-        return 0 if size is None else np.zeros(size, dtype=np.int64)
-    pi = stationary_ctx_vector(kernel, m)
-    return sample_index(rng, pi, size)
+        return 0
+    return sample_index(rng, stationary_ctx_vector(kernel, m))
 
 
 def advance(kernel: Kernel, ctx: int, u) -> tuple[np.ndarray, np.ndarray]:
@@ -150,8 +152,10 @@ def _speculate(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
 def _threshold(table: np.ndarray, ctx: np.ndarray, s: np.ndarray,
                f: np.ndarray, x: np.ndarray) -> None:
     """Step the chains in `ctx` on the uniforms `s`: f = table[ctx], x =
-    1(s > f), and x is shifted into `ctx`, kept to the table's bit width."""
-    table.take(ctx, out=f)
+    1(s > f), and x is shifted into `ctx`, kept to the table's bit width.
+    The contexts lie in [0, len(table)), so the lookup needs no range
+    check (``mode="wrap"``, which also writes `f` without a buffer)."""
+    table.take(ctx, out=f, mode="wrap")
     np.greater(s, f, out=x)
     ctx <<= 1
     ctx |= x
@@ -203,7 +207,7 @@ def coupled_step(table: np.ndarray, ctx_true: np.ndarray, ctx_hat: np.ndarray,
     if flip is not None:
         np.left_shift(ctx_true, table.size.bit_length() - 1, out=pair)
         pair |= ctx_hat
-        flip.take(pair, out=flipped)
+        flip.take(pair, out=flipped, mode="wrap")  # pair < len(flip)
     _threshold(table, first, v, f, x)
     if flip is not None:
         v[...] = np.where(flipped, 1.0 - v, v)  # a select, without branches
@@ -216,24 +220,6 @@ def _step_scratch(size: int) -> tuple:
             np.empty(size, dtype=bool), np.empty(size, dtype=np.int64))
 
 
-class _Uniforms:
-    """The (trials, steps) array ``rng.random((trials, steps))``, drawn
-    as it is read: ``self[b0:b1]`` returns rng.random((b1 - b0, steps)).
-    Rows are read once, in order, so they are the same doubles, and the
-    stream ends in the same state, as drawing the whole array at once."""
-
-    def __init__(self, rng: np.random.Generator, trials: int, steps: int):
-        self.shape = (trials, steps)
-        self._rng = rng
-        self._next = 0
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        if rows.start != self._next:
-            raise ValueError("uniform rows are read once, in order")
-        self._next = rows.stop
-        return self._rng.random((rows.stop - rows.start, self.shape[1]))
-
-
 def coupled_walk(table: np.ndarray, v, ctx_true: np.ndarray,
                  ctx_hat: np.ndarray, flips=None, v_is_u: bool = False,
                  other=None) -> None:
@@ -243,16 +229,19 @@ def coupled_walk(table: np.ndarray, v, ctx_true: np.ndarray,
     ``flips[t]`` is the flip table of step t (None where the step keeps
     u = w), or `flips` is None for a plain replay.  The int64 context
     arrays are updated in place.  `v` is read once, by row blocks
-    ``v[b0:b0 + n]`` in trial order, so it may also be a
-    :class:`_Uniforms` that draws each block as it is read: the walk
-    then never holds more than one block of uniforms.  Each block's
-    uniforms are copied once into a (steps, block) buffer, which the
-    steps re-encode in place, one contiguous, cache-resident row each;
-    the block is then copied out into `other` (shape of `v`, any
-    strides; it may be `v` itself) when it is given.  Beyond the
-    contexts, the memory is O(TRIAL_BLOCK x steps).  Every value is the
-    same elementwise operation as stepping all trials at once, so the
-    result is byte-identical to the per-column loop."""
+    ``v[b0:b0 + n]`` in trial order.  Each block's uniforms are copied
+    once into a (steps, block) buffer, which the steps re-encode in
+    place, one contiguous, cache-resident row each; the block is then
+    copied out into `other` (shape of `v`, any strides; it may be `v`
+    itself) when it is given.  Beyond the contexts, the memory is
+    O(TRIAL_BLOCK x steps).  Every value is the same elementwise
+    operation as stepping all trials at once, so the result is
+    byte-identical to the per-column loop.  The entry contexts must lie
+    in [0, len(table)), checked once here (ValueError), since the steps
+    look the tables up without a range check."""
+    for ctx in (ctx_true, ctx_hat):
+        if ctx.size and not (ctx.min() >= 0 and ctx.max() < table.size):
+            raise ValueError("contexts must lie in [0, len(table))")
     trials, steps = v.shape
     step_flips = [None] * steps if flips is None else flips
     size = min(trials, TRIAL_BLOCK)
@@ -267,6 +256,27 @@ def coupled_walk(table: np.ndarray, v, ctx_true: np.ndarray,
             coupled_step(table, ct, ch, vb[t, :n], flip, v_is_u, buf)
         if other is not None:
             other[b0:b0 + n] = vb[:, :n].T
+
+
+def _trial_blocks(rng: np.random.Generator, law, trials: int, steps: int):
+    """Yield, for one block of TRIAL_BLOCK trials at a time, the block's
+    start contexts, drawn from `law` (all 0 when `law` is None), and its
+    (n, steps) uniforms: the values of drawing every start,
+    ``sample_index(rng, law, trials)``, and then the whole
+    ``rng.random((trials, steps))``.  The starts are drawn from `rng`
+    with a guide table built once, the uniforms from :func:`.rng.ahead`
+    of it past the starts, into one buffer that the next block
+    overwrites: read each block before asking for the next."""
+    if law is None:
+        draw, uniforms = None, rng
+    else:
+        draw, uniforms = index_sampler(law), ahead(rng, trials)
+    buf = np.empty((min(trials, TRIAL_BLOCK), steps))
+    for b0 in range(0, trials, TRIAL_BLOCK):
+        n = min(TRIAL_BLOCK, trials - b0)
+        starts = np.zeros(n, dtype=np.int64) if draw is None else draw(rng, n)
+        uniforms.random(out=buf[:n])
+        yield starts, buf[:n]
 
 
 def simulate_path(kernel: Kernel, steps: int, seed: int) -> PathSample:
@@ -381,22 +391,26 @@ class DisagreementRow:
     verdict: str  # "within-bound" | "violates-bound"
 
 
-def _coupled_replay_words(
-    kernel: Kernel, n_start: int, trials: int, seed: int, keep_bits: int
-):
+def _replay_xors(kernel: Kernel, n_start: int, trials: int, seed: int,
+                 keep_bits: int):
     """Run the true chain and the zero-prehistory replay on shared
-    innovations over [n_start; 0], vectorized across trials.
+    innovations over [n_start; 0], one block of trials at a time from
+    :func:`_trial_blocks`, and yield per block the XOR of their final
+    contexts cut to `keep_bits` bits (true ^ replay; bit k set where
+    the two disagree k steps before the end).
 
     The innovations are drawn uniform directly (same joint law as the
-    two-uniform encoder), one block of trials at a time as the walk reads
-    them.  Returns the low `keep_bits` bits of the final contexts (true,
-    replay)."""
+    two-uniform encoder).  Each yielded array is the block's own and
+    may be changed in place."""
     rng = stream_rng(seed, "replay", kernel.label, f"N{n_start}")
-    ctx_true = np.asarray(_stationary_start(kernel, rng, trials), dtype=np.int64)
-    ctx_hat = np.zeros(trials, dtype=np.int64)
-    w = _Uniforms(rng, trials, -n_start + 1)
-    coupled_walk(kernel.prob0_over(keep_bits), w, ctx_true, ctx_hat)
-    return ctx_true, ctx_hat
+    m = kernel.memory
+    law = stationary_ctx_vector(kernel, m) if m else None
+    table = kernel.prob0_over(keep_bits)
+    for ctx_true, w in _trial_blocks(rng, law, trials, -n_start + 1):
+        ctx_hat = np.zeros_like(ctx_true)
+        coupled_walk(table, w, ctx_true, ctx_hat)
+        ctx_true ^= ctx_hat
+        yield ctx_true
 
 
 def disagreement_experiment(
@@ -413,12 +427,13 @@ def disagreement_experiment(
     if k_lags >= -n_start + 1:
         raise ValueError("compared window cannot exceed the replayed range")
     keep = max(k_lags + 1, kernel.memory)
-    end_true, end_hat = _coupled_replay_words(kernel, n_start, trials, seed, keep)
     # The two windows differ where the low k_lags + 1 bits of the end
-    # contexts do, found in place in end_true.
-    end_true ^= end_hat
-    end_true &= (1 << (k_lags + 1)) - 1
-    mismatches = np.count_nonzero(end_true)
+    # contexts do.
+    window = (1 << (k_lags + 1)) - 1
+    mismatches = 0
+    for diff in _replay_xors(kernel, n_start, trials, seed, keep):
+        diff &= window
+        mismatches += np.count_nonzero(diff)
     freq = mismatches / trials
     stderr = float(np.sqrt(freq * (1.0 - freq) / trials))
     bound = reconstruction_bound(kernel, n_start, k_lags)
@@ -448,21 +463,28 @@ def domination_experiment(
 ) -> list[DominationRow]:
     """Check P(agreement length > M) >= P(Z_{|n_start|} > M) - 3*stderr
     for every M up to |n_start|: the reset chain is stochastically
-    dominated by the true agreement length."""
+    dominated by the true agreement length.
+
+    The counts of agreeing trials add up over the blocks of trials as
+    integers, so count / trials is the mean of the whole bool array bit
+    for bit."""
     n = -n_start
     keep = min(n + 1, MAX_WORD_LENGTH)
     keep = max(keep, kernel.memory)
-    end_true, end_hat = _coupled_replay_words(kernel, n_start, trials, seed, keep)
     max_m = min(n, keep - 1)
     gammas = gamma_profile(kernel, max(kernel.memory, 1)).values
     dist = house_of_cards_dist(gammas, n)
-    # Agreement length = common low-bit run of the two final contexts,
-    # whose XOR is formed in place in end_true.
-    end_true ^= end_hat
+    # Agreement length = common low-bit run of the two final contexts:
+    # it exceeds m where the low m + 1 bits of their XOR are all 0.
+    agree = [0] * (max_m + 1)
+    for diff in _replay_xors(kernel, n_start, trials, seed, keep):
+        bits = np.empty_like(diff)
+        for m in range(max_m + 1):
+            np.bitwise_and(diff, (1 << (m + 1)) - 1, out=bits)
+            agree[m] += diff.size - np.count_nonzero(bits)
     rows = []
     for m in range(max_m + 1):
-        agree = (end_true & ((1 << (m + 1)) - 1)) == 0  # suffix length > m
-        mc = float(np.mean(agree))
+        mc = agree[m] / trials
         stderr = float(np.sqrt(mc * (1.0 - mc) / trials))
         exact = 1.0 - dist.cdf(m)
         ok = mc >= exact - 3.0 * stderr

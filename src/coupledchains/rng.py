@@ -5,7 +5,10 @@ order or parallel schedule.
 :func:`sample_index` draws from a finite law with the values and the
 stream use of ``Generator.choice``, by guide-table lookup (Chen & Asau
 1974; Devroye 1986, section III.2) instead of one binary search per
-draw."""
+draw; :func:`index_sampler` builds the table once for many draws.
+:func:`ahead` splits a stream: a copy advanced past the next n draws,
+so two consecutive stretches of one stream can be read side by side,
+one block of each at a time."""
 
 from __future__ import annotations
 
@@ -32,10 +35,36 @@ def stream_rng(seed: int, *labels) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def sample_index(rng: np.random.Generator, p, size=None):
-    """Indices drawn from the law `p`: the same int64 values (a Python
-    int when `size` is None) as ``rng.choice(p.size, p=p, size=size)``,
-    from the same uniforms, so the stream is left in the same state.
+def ahead(rng: np.random.Generator, n: int) -> np.random.Generator:
+    """A new generator whose draws are those of `rng` after its next n
+    doubles: the bit generator's state is copied and jumped ahead by n
+    steps, each double taking one 64-bit step.  `rng` does not move."""
+    bits = type(rng.bit_generator)()
+    bits.state = rng.bit_generator.state
+    bits.advance(n)
+    return np.random.Generator(bits)
+
+
+def _cdf(p) -> np.ndarray:
+    """The cdf of the law `p`, checked as ``Generator.choice`` checks it."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("p must be a non-empty 1-dimensional law")
+    if np.any(p < 0):
+        raise ValueError("probabilities are not non-negative")
+    if not abs(p.sum() - 1.0) <= _SUM_TOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def index_sampler(p):
+    """The law `p` checked and its guide table built once: returns
+    ``draw(rng, size)``, which is :func:`sample_index` (rng, p, size)
+    for a size that is not None.  Draws of consecutive blocks of n_1,
+    n_2, ... indices give the values, and leave the stream in the state,
+    of one draw of n_1 + n_2 + ... indices.
 
     ``choice`` returns #{cdf <= u} for each uniform u, by binary search.
     Here [0, 1) is cut into G = 2^_GUIDE_BITS equal buckets; a bucket
@@ -46,32 +75,36 @@ def sample_index(rng: np.random.Generator, p, size=None):
     are drawn and looked up _DRAW_BLOCK at a time, in the order of
     ``rng.random(size)``, so beyond the result only block-sized buffers
     are held."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("p must be a non-empty 1-dimensional law")
-    if np.any(p < 0):
-        raise ValueError("probabilities are not non-negative")
-    if not abs(p.sum() - 1.0) <= _SUM_TOL:
-        raise ValueError("probabilities do not sum to 1")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    if size is None:
-        return int(cdf.searchsorted(rng.random(), side="right"))
+    cdf = _cdf(p)
     buckets = 1 << _GUIDE_BITS
     edges = np.arange(buckets + 1) / buckets
     below = cdf.searchsorted(edges[:-1], side="right")  # #{cdf <= b/G}
     before = cdf.searchsorted(edges[1:], side="left")  # #{cdf < (b+1)/G}
     guide = np.where(below == before, below, -1).astype(np.int64)
-    idx = np.empty(size, dtype=np.int64)
-    flat = idx.reshape(-1)
-    u = np.empty(min(flat.size, _DRAW_BLOCK))
-    j = np.empty(u.size, dtype=np.intp)
-    for b0 in range(0, flat.size, _DRAW_BLOCK):
-        ub, jb = u[:flat.size - b0], j[:flat.size - b0]
-        out = flat[b0:b0 + ub.size]
-        rng.random(out=ub)
-        np.multiply(ub, buckets, out=jb, casting="unsafe")
-        guide.take(jb, out=out)
-        miss = out < 0
-        out[miss] = cdf.searchsorted(ub[miss], side="right")
-    return idx
+
+    def draw(rng: np.random.Generator, size) -> np.ndarray:
+        idx = np.empty(size, dtype=np.int64)
+        flat = idx.reshape(-1)
+        u = np.empty(min(flat.size, _DRAW_BLOCK))
+        j = np.empty(u.size, dtype=np.intp)
+        for b0 in range(0, flat.size, _DRAW_BLOCK):
+            ub, jb = u[:flat.size - b0], j[:flat.size - b0]
+            out = flat[b0:b0 + ub.size]
+            rng.random(out=ub)
+            np.multiply(ub, buckets, out=jb, casting="unsafe")
+            guide.take(jb, out=out, mode="wrap")  # 0 <= jb < G
+            miss = out < 0
+            out[miss] = cdf.searchsorted(ub[miss], side="right")
+        return idx
+
+    return draw
+
+
+def sample_index(rng: np.random.Generator, p, size=None):
+    """Indices drawn from the law `p`: the same int64 values (a Python
+    int when `size` is None) as ``rng.choice(p.size, p=p, size=size)``,
+    from the same uniforms, so the stream is left in the same state.
+    See :func:`index_sampler`; one draw needs no guide table."""
+    if size is None:
+        return int(_cdf(p).searchsorted(rng.random(), side="right"))
+    return index_sampler(p)(rng, size)

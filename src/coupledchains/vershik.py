@@ -24,8 +24,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .innovation import _mean_stderr, _tree_leaves
 from .kernels import CapExceededError, Kernel, stationary_ctx_vector
-from .rng import sample_index, stream_rng
+from .rng import ahead, index_sampler, stream_rng
 
 MAX_TABLE_LENGTH = 8
 
@@ -329,28 +330,32 @@ def alpha_sequence_mc(
     depth: int = DEFAULT_DEPTH,
 ) -> AlphaSequence:
     """Monte Carlo estimate of the same sequence: sample independent
-    stationary context pairs and average the table entries."""
+    stationary context pairs and average the table entries.
+
+    The x contexts are the stream's next `trials` stationary draws and
+    the y contexts the `trials` after them, read side by side through
+    :func:`.rng.ahead`, one block at a time, into one array of L-bit pair
+    codes (x << L) | y at the narrowest unsigned dtype.  Each table is
+    spread over the pair codes (entry [x & mask, y & mask]) and read off
+    them in two passes (:func:`.innovation._mean_stderr`), bit for bit
+    the mean and standard error of the whole array of samples."""
     engine = CouplingEngine.build(kernel, p_max, depth)
     rng = stream_rng(seed, "alpha-mc", kernel.label)
-    # L-bit code (x << L) | y of each sampled pair (x, y) of contexts; each
-    # table reads it re-cut to (x & mask) << e | (y & mask), e its bits,
-    # which changes only where e does.
     L = engine.length
-    flat = sample_index(rng, engine.pi, trials) << L
-    flat |= sample_index(rng, engine.pi, trials)
-    cut = np.empty_like(flat)
-    mask = None
-    samples = np.empty(trials)
+    draw, rng_y = index_sampler(engine.pi), ahead(rng, trials)
+    pairs = np.empty(trials, dtype=np.min_scalar_type((1 << 2 * L) - 1))
+    for a, b in _tree_leaves(trials):
+        x = draw(rng, b - a)
+        x <<= L
+        x |= draw(rng_y, b - a)
+        pairs[a:b] = x
+    contexts = np.arange(1 << L)
     vals, errs = [], []
     for t in engine.tables:
-        if t.mask != mask:
-            mask = t.mask
-            np.right_shift(flat, L - mask.bit_length(), out=cut)
-            cut &= mask << mask.bit_length()
-            cut |= flat & mask
-        np.take(t.values.ravel(), cut, out=samples)
-        vals.append(float(samples.mean()))
-        errs.append(float(samples.std(ddof=1) / np.sqrt(trials)))
+        low = contexts & t.mask
+        mc, err = _mean_stderr(t.values[np.ix_(low, low)].ravel(), pairs)
+        vals.append(mc)
+        errs.append(err)
     return AlphaSequence(tuple(vals), "monte-carlo", tuple(errs))
 
 

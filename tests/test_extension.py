@@ -24,6 +24,7 @@ from coupledchains.kernels import (
     IIDKernel,
     MarkovKernel,
     builtin_kernels,
+    stationary_ctx_vector,
     stationary_word_law,
 )
 from coupledchains import reconstruction
@@ -39,6 +40,7 @@ from coupledchains.reconstruction import (
 from coupledchains.rng import stream_rng
 from coupledchains.vershik import (
     MetricTable,
+    alpha_sequence_mc,
     coupling_table,
     metric_tables,
 )
@@ -155,9 +157,11 @@ def serial_replay_words(kernel, n_start, trials, seed, keep_bits):
     """The unblocked zero-prehistory replay, same random streams."""
     steps = -n_start + 1
     rng = stream_rng(seed, "replay", kernel.label, f"N{n_start}")
-    ctx_true = np.asarray(
-        reconstruction._stationary_start(kernel, rng, trials), dtype=np.int64
-    )
+    if kernel.memory:
+        pi = stationary_ctx_vector(kernel, kernel.memory)
+        ctx_true = rng.choice(pi.size, p=pi, size=trials)
+    else:
+        ctx_true = np.zeros(trials, dtype=np.int64)
     ctx_hat = np.zeros(trials, dtype=np.int64)
     w = rng.random((trials, steps))
     table = kernel.prob0_over(keep_bits)
@@ -260,57 +264,92 @@ def test_one_antitone_entry_flips():
                                     2 * TRIAL_BLOCK + 5])
 @pytest.mark.parametrize("walk", ["replay", "flips", "v_is_u"])
 def test_streamed_walk_matches_array_walk(walk, trials):
-    # Uniforms drawn one block of trials at a time as the walk reads them
-    # against the whole array drawn at once: the same end contexts and
-    # re-encoded uniforms, bit for bit, and the stream left in the same
-    # state.  markov1-demo steps as a plain replay; ANTITONE flips, fed w
-    # or, with v_is_u, u.
+    # The trials of _trial_blocks, each block's starts and uniforms walked
+    # on their own, against the whole arrays drawn at once and walked in
+    # one call: the same end contexts and re-encoded uniforms, bit for
+    # bit.  markov1-demo steps as a plain replay from no start law (all
+    # 0); ANTITONE flips, fed w or, with v_is_u, u, from stationary starts.
     steps = 9
-    starts = np.random.default_rng(trials).integers(0, 2**62, (2, trials))
+    engine = WALK_ENGINES[1]
+    law = None if walk == "replay" else engine.pi
+    hats = np.random.default_rng(trials).integers(0, 8, trials)
 
-    def run(v):
-        ctx_true, ctx_hat = starts & 15
+    def run(ctx_true, v, ctx_hat):
         if walk == "replay":
             coupled_walk(MARKOV1.prob0_over(4), v, ctx_true, ctx_hat)
             return ctx_true, ctx_hat
-        other = np.empty((trials, steps))
-        return (other, *coupled_run(WALK_ENGINES[1], v, *starts.copy(),
+        other = np.empty(v.shape)
+        return (other, *coupled_run(engine, v, ctx_true, ctx_hat,
                                     walk == "v_is_u", other))
 
     ref_rng = stream_rng(53, "streamed", str(trials))
-    rng = stream_rng(53, "streamed", str(trials))
+    if law is None:
+        starts = np.zeros(trials, dtype=np.int64)
+    else:
+        starts = ref_rng.choice(law.size, p=law, size=trials)
     v = ref_rng.random((trials, steps))
-    ref = run(v)
-    uniforms = reconstruction._Uniforms(rng, trials, steps)
-    got = run(uniforms)
+    ref = run(starts, v, hats.copy())
+    blocks, b0 = [], 0
+    for ctx, w in reconstruction._trial_blocks(
+            stream_rng(53, "streamed", str(trials)), law, trials, steps):
+        n = ctx.size
+        assert n == min(TRIAL_BLOCK, trials - b0)
+        blocks.append(run(ctx, w, hats[b0:b0 + n].copy()))
+        b0 += n
+    assert b0 == trials
+    got = [np.concatenate(parts) for parts in zip(*blocks)]
     for a, b in zip(got, ref, strict=True):
         assert a.shape == b.shape and a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
     if walk != "replay" and trials > 1:
         assert (got[0] != v).any()  # some steps flip
-    with pytest.raises(ValueError):
-        uniforms[0:1]  # rows are read once, in order
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+@pytest.mark.parametrize("which", ["true", "hat"])
+def test_coupled_walk_rejects_contexts_out_of_range(which, bad):
+    # The steps look the tables up without a range check, so the walk
+    # checks its entry contexts once.
+    table = MARKOV1.prob0_over(4)
+    ctx = {"true": np.zeros(5, dtype=np.int64), "hat": np.zeros(5, dtype=np.int64)}
+    ctx[which][3] = bad
+    with pytest.raises(ValueError, match="contexts"):
+        coupled_walk(table, np.full((5, 2), 0.5), ctx["true"], ctx["hat"])
 
 
 @pytest.mark.parametrize("experiment, bound_mib",
-                         [("disagreement", 24), ("generator-gap", 36)])
+                         [("disagreement", 4), ("domination", 8),
+                          ("generator-gap", 8), ("alpha-mc", 8)])
 def test_coupled_experiments_draw_uniforms_blockwise(experiment, bound_mib):
     # 10^6 trials over 9 and 7 steps: the whole uniform array would be
-    # 72 MB and 56 MB.  Drawn one block of trials at a time, what is held
-    # is a few int64 context arrays of 8 MB each.
+    # 72 MB and 56 MB, and one int64 array of trials 8 MB.  Drawn, walked
+    # and counted one block of trials at a time, the replay holds
+    # block-sized buffers; the generator gap and Monte Carlo alpha hold
+    # one 2-byte pair code per trial.
     trials = 10**6
     engine = make_engine(ORDER3, p_max=7, depth=7)
+    alpha_sequence_mc(ORDER3, 16, 2, 1, 7)  # warm the kernel's caches
     tracemalloc.start()
     try:
         if experiment == "disagreement":
             disagreement_experiment(ORDER3, -8, 2, trials, 67)
-        else:
+        elif experiment == "domination":
+            domination_experiment(ORDER3, -8, trials, 68)
+        elif experiment == "generator-gap":
             generator_error_check(engine, -6, (0,) * engine.length, trials, 71)
+        else:
+            alpha_sequence_mc(ORDER3, 16, trials, 73, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < bound_mib * 2**20, peak
+
+
+def serial_replay_xors(kernel, n_start, trials, seed, keep_bits):
+    """The unblocked replay's end-context XOR, as one block."""
+    end_true, end_hat = serial_replay_words(kernel, n_start, trials, seed,
+                                            keep_bits)
+    yield end_true ^ end_hat
 
 
 @pytest.mark.parametrize("kernel", [MARKOV1, ANTITONE])
@@ -318,11 +357,52 @@ def test_replay_experiments_match_unblocked_replay(kernel, monkeypatch):
     trials = 3 * TRIAL_BLOCK + 5
     blocked = (disagreement_experiment(kernel, -8, 2, trials, 43),
                domination_experiment(kernel, -8, trials, 44))
-    monkeypatch.setattr(reconstruction, "_coupled_replay_words",
-                        serial_replay_words)
+    monkeypatch.setattr(reconstruction, "_replay_xors", serial_replay_xors)
     serial = (disagreement_experiment(kernel, -8, 2, trials, 43),
               domination_experiment(kernel, -8, trials, 44))
     assert blocked == serial
+
+
+# 65536 values make one leaf of the pairwise sums; 300007 make six.
+ESTIMATOR_TRIALS = [2, TRIAL_BLOCK - 1, TRIAL_BLOCK + 1, 65535, 65537, 300_007]
+
+
+@pytest.mark.parametrize("trials", ESTIMATOR_TRIALS)
+@pytest.mark.parametrize("kernel", [IID, ORDER3], ids=["iid", "order3"])
+def test_replay_experiments_match_whole_array_reference(kernel, trials):
+    # Oracle: the whole-array replay, its rows formed from bool arrays
+    # with np.mean, as the unblocked experiments did.
+    n_start, k_lags = -5, 2
+    keep = max(-n_start + 1, kernel.memory)
+    end_true, end_hat = serial_replay_words(kernel, n_start, trials, 29, keep)
+    diff = end_true ^ end_hat
+    row = disagreement_experiment(kernel, n_start, k_lags, trials, 29)
+    assert row.freq == np.count_nonzero(diff & 7) / trials
+    rows = domination_experiment(kernel, n_start, trials, 29)
+    assert len(rows) == -n_start + 1
+    for r in rows:
+        agree = (diff & ((1 << (r.m + 1)) - 1)) == 0
+        assert r.mc_tail == float(np.mean(agree))
+        assert r.stderr == float(np.sqrt(r.mc_tail * (1.0 - r.mc_tail) / trials))
+
+
+@pytest.mark.parametrize("trials", ESTIMATOR_TRIALS)
+@pytest.mark.parametrize("kernel", [IID, ORDER3], ids=["iid", "order3"])
+def test_generator_gap_matches_whole_array_reference(kernel, trials):
+    # Oracle: every trial's start and uniforms drawn whole, the per-column
+    # coupled run, and numpy's mean and std of the whole array of gaps.
+    engine = make_engine(kernel, p_max=2, depth=3)
+    n_start, anchor = -4, (1,) * engine.length
+    report = generator_error_check(engine, n_start, anchor, trials, 37)
+    rng = stream_rng(37, "generator-gap", kernel.label, f"N{n_start}")
+    ctx_true = rng.choice(engine.pi.size, p=engine.pi, size=trials)
+    w = rng.random((trials, 1 - n_start))
+    hat = np.full(trials, word_to_int(anchor), dtype=np.int64)
+    _, end_true, end_hat = serial_coupled_run(engine, w, ctx_true, hat)
+    gen = engine.generator
+    gaps = np.abs(gen[end_true] - gen[end_hat])
+    assert report.mc_estimate == float(gaps.mean())
+    assert report.stderr == float(gaps.std(ddof=1) / np.sqrt(trials))
 
 
 # ---------------------------------------------------------------------------

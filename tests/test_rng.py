@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupledchains.rng import _DRAW_BLOCK, _GUIDE_BITS, sample_index
+from coupledchains.rng import (
+    _DRAW_BLOCK,
+    _GUIDE_BITS,
+    ahead,
+    index_sampler,
+    sample_index,
+    stream_rng,
+)
 
 BUCKETS = 1 << _GUIDE_BITS
 
@@ -96,3 +103,33 @@ def test_sample_index_rejects_what_choice_rejects(p):
         np.random.default_rng(0).choice(max(p.size, 1), p=p, size=3)
     with pytest.raises(ValueError):
         sample_index(np.random.default_rng(0), p, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.integers(0, 3), st.integers(0, 10**6)),
+       seed=st.integers(0, 2**32 - 1))
+def test_ahead_skips_the_next_draws(n, seed):
+    # Oracle: n doubles drawn one after another from a second copy.
+    rng, ref = stream_rng(seed, "ahead"), stream_rng(seed, "ahead")
+    state = rng.bit_generator.state
+    skipped = ahead(rng, n)
+    ref.random(n)
+    assert np.array_equal(skipped.random(50), ref.random(50))
+    assert rng.bit_generator.state == state  # the source does not move
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=laws,
+       blocks=st.lists(st.sampled_from([0, 1, 7, _DRAW_BLOCK - 1, _DRAW_BLOCK,
+                                        _DRAW_BLOCK + 1]), min_size=1,
+                       max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_index_sampler_blocks_match_one_draw(p, blocks, seed):
+    # Consecutive blocks from one sampler: the values of one sample_index
+    # call over their total, and the same end state of the stream.
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = sample_index(ref_rng, p, sum(blocks))
+    draw = index_sampler(p)
+    got = np.concatenate([draw(rng, n) for n in blocks])
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -333,6 +333,25 @@ ORDER3 = MarkovKernel.from_table(3, {
 })
 
 
+@pytest.mark.parametrize("trials", [2, 65535, 65536, 65537, 300_007])
+@pytest.mark.parametrize("kernel, depth", [(IID, 3), (ORDER3, 7)],
+                         ids=["iid-1-byte-codes", "order3-2-byte-codes"])
+def test_alpha_monte_carlo_matches_whole_array_reference(kernel, depth, trials):
+    # Oracle: the x and then the y contexts drawn whole by Generator.choice,
+    # every table indexed by them, and numpy's mean and std of the whole
+    # array of samples; trial counts on both sides of a leaf of the sums.
+    mc = alpha_sequence_mc(kernel, 4, trials, 13, depth)
+    tables = metric_tables(kernel, 4, depth)
+    pi = stationary_ctx_vector(kernel, tables[0].length)
+    rng = stream_rng(13, "alpha-mc", kernel.label)
+    xs = rng.choice(pi.size, p=pi, size=trials)
+    ys = rng.choice(pi.size, p=pi, size=trials)
+    for t, value, err in zip(tables, mc.values, mc.stderr, strict=True):
+        samples = at_length(t)[xs, ys]
+        assert value == float(samples.mean())
+        assert err == float(samples.std(ddof=1) / np.sqrt(trials))
+
+
 @pytest.mark.parametrize(
     "kernel, depth, p_max",
     [
