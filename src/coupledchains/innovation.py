@@ -11,7 +11,8 @@ so that (X, V) can be recovered from (W, f):
     X = 1(W > f),   V = W/f if X = 0 else (1-W)/(1-f).
 
 The map is measure preserving: W is uniform on (0,1) and independent of
-the past that produced f.
+the past that produced f.  Where rounding puts 1 - (1-f)*V at or below
+f, the encoder nudges W to the next float above f.
 
 The audit is one fixed test: every check runs at level AUDIT_LEVEL
 (1e-6), lag correlations cover lags 1..AUDIT_LAGS (5), and the pair
@@ -67,11 +68,13 @@ def encode_w(x, v, f):
     Accepts scalars or aligned arrays.  For x = 1 the exact value
     1 - (1-f)*v lies strictly above f, but the float rounding can land
     on f itself when v is within an ulp of 1; the result is nudged back
-    into the open interval (f, 1) so decoding always recovers x."""
+    into the open interval (f, 1) so decoding always recovers x.  Only
+    values at or below f are nudged; the rest already lie above it."""
     x = np.asarray(x)
     v = np.asarray(v)
     f = np.asarray(f)
-    w1 = np.maximum(1.0 - (1.0 - f) * v, np.nextafter(f, 1.0))
+    w1 = np.asarray(1.0 - (1.0 - f) * v)
+    np.nextafter(f, 1.0, out=w1, where=w1 <= f)
     w = np.where(x == 0, f * v, w1)
     return float(w) if w.ndim == 0 else w
 

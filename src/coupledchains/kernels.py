@@ -9,10 +9,14 @@ long-memory kernel is such an order-m chain like any other.  All "exact"
 quantities are computed by exhaustive enumeration over those contexts.
 Finite memory also fixes the renewal regime: gamma_p = 0 for p >= m, so
 every kernel's memory decay is summable.
+:func:`stationary_ctx_vector` and :func:`gamma_profile` solve once per
+Kernel object and argument, into the object's own ``_memo`` dict; the
+stationary law is returned read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +67,23 @@ class Kernel:
         """P(0 | context) for every `length`-bit context code; bits
         beyond the memory do not matter."""
         return self.prob0_table[np.arange(1 << length) & ((1 << self.memory) - 1)]
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Solved results of this object, by function name and arguments."""
+        return {}
+
+
+def _once_per_kernel(solve):
+    """Run solve(kernel, ...) once per Kernel object and arguments; a
+    solve that raises keeps nothing."""
+    @functools.wraps(solve)
+    def memoized(kernel: Kernel, *args, **kwargs):
+        key = (solve.__name__, *args, *kwargs.items())
+        if key not in kernel._memo:
+            kernel._memo[key] = solve(kernel, *args, **kwargs)
+        return kernel._memo[key]
+    return memoized
 
 
 def _as_fraction(x: float) -> Fraction:
@@ -214,6 +235,7 @@ def prob0_fractions(kernel: Kernel) -> list[Fraction]:
     return [Fraction(n, kernel.denominator) for n in kernel.numerators]
 
 
+@_once_per_kernel
 def gamma_profile(kernel: Kernel, p_max: int) -> GammaProfile:
     """Worst-case relative change of the conditional law when pasts agree
     on the last p symbols.  Exact by enumeration over all context pairs
@@ -224,25 +246,29 @@ def gamma_profile(kernel: Kernel, p_max: int) -> GammaProfile:
     m = kernel.memory
     if m > MAX_MEMORY_DEPTH:
         raise CapExceededError(f"memory {m} exceeds cap {MAX_MEMORY_DEPTH}")
-    # Ratios of exact probabilities are ratios of their numerators.
-    p0 = kernel.numerators
-    p1 = [kernel.denominator - n for n in p0]
+    # Ratios of exact probabilities are ratios of their numerators: int64
+    # below 2^31, where they convert to float exactly and products of two
+    # fit, else Python ints.
+    d = kernel.denominator
+    p0 = np.array(kernel.numerators, dtype=np.int64 if d < 1 << 31 else object)
+    probs = np.stack([p0, d - p0])
     values = []
     for p in range(p_max + 1):
         if p >= m:
             values.append(0.0)
             continue
-        # Contexts sharing their low p bits form one comparison group.
-        # The worst ratio lo/hi is kept as an integer pair and compared
-        # by cross-multiplying.
-        lo, hi = 1, 1
-        for probs in (p0, p1):
-            for residue in range(1 << p):
-                group = probs[residue :: 1 << p]
-                a, b = min(group), max(group)
-                if a * hi < lo * b:
-                    lo, hi = a, b
-        values.append(float(1 - Fraction(lo, hi)))
+        # Contexts sharing their low p bits (a column of this view) form
+        # one comparison group.
+        groups = probs.reshape(2, -1, 1 << p)
+        lo, hi = groups.min(axis=1).ravel(), groups.max(axis=1).ravel()
+        # Rounding a/b is monotone: the worst ratio has the least float
+        # value, and ties are compared exactly, by cross-multiplying.
+        ratio = lo / hi
+        a, b = 1, 1
+        for i in np.flatnonzero(ratio == ratio.min()):
+            if lo[i] * b < a * hi[i]:
+                a, b = int(lo[i]), int(hi[i])
+        values.append(float(1 - Fraction(a, b)))
     return GammaProfile(tuple(values))
 
 
@@ -265,10 +291,11 @@ def lower_envelope(kernel: Kernel, i: int, z: Iterable[int]) -> float:
 # Stationary word laws
 
 
+@_once_per_kernel
 def stationary_ctx_vector(kernel: Kernel, length: int) -> np.ndarray:
     """Stationary distribution over integer-coded words of the given
     length, by power iteration on the word shift chain, stopped once no
-    entry moves by _STATIONARY_TOL in a sweep."""
+    entry moves by _STATIONARY_TOL in a sweep; read-only."""
     if length > MAX_WORD_LENGTH:
         raise CapExceededError(f"word length {length} exceeds cap {MAX_WORD_LENGTH}")
     m = kernel.memory
@@ -294,10 +321,10 @@ def stationary_ctx_vector(kernel: Kernel, length: int) -> np.ndarray:
         )
     if abs(pi.sum() - 1.0) > 1e-12:
         raise RuntimeError("stationary law does not sum to 1")
-    if s == length:
-        return pi
-    # Marginalize onto the most recent `length` symbols.
-    return np.bincount(idx & ((1 << length) - 1), weights=pi, minlength=1 << length)
+    if s != length:  # marginalize onto the most recent `length` symbols
+        pi = np.bincount(idx & ((1 << length) - 1), weights=pi, minlength=1 << length)
+    pi.flags.writeable = False
+    return pi
 
 
 def stationary_word_law(kernel: Kernel, length: int) -> dict[Word, float]:

@@ -14,9 +14,11 @@ true chain and a companion chain across trials.  :func:`advance` is a
 chunked speculative scan, byte-identical to the serial loop: chunks
 stepped at once from a guessed context are repaired serially until the
 true chain meets them, and the renewal (reset) chain bounds the length
-of each repair.  :func:`simulate_path` encodes the innovations in place
-over the uniforms :func:`advance` has read, so a simulation holds its
-symbols, f values and innovations plus block-sized buffers.
+of each repair; its lockstep pass stages a group of columns at a time
+in a transposed, block-sized buffer.  :func:`simulate_path` encodes the
+innovations in place over the uniforms :func:`advance` has read, so a
+simulation holds its symbols, f values and innovations plus block-sized
+buffers.
 :func:`coupled_walk`, the one across-trials walk (the
 replay here, every coupled run of :mod:`.extension`), runs
 :func:`coupled_step` over a window one block of TRIAL_BLOCK trials at a
@@ -49,7 +51,8 @@ from .rng import ahead, index_sampler, sample_index, stream_rng
 
 # Chunk length of the speculative scan in `advance`.
 CHUNK = 1024
-# Innovations encoded per block by `simulate_path`.
+# Innovations encoded per block by `simulate_path`, and values staged per
+# group of columns by the speculative scan.
 _BLOCK = 1 << 16
 # Trials per block of the across-trials walk in `coupled_walk`.
 TRIAL_BLOCK = 8192
@@ -137,15 +140,22 @@ def _speculate(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
     """Step every row of the (chunks, CHUNK) views at once, one column
     per step: row 0 from `ctx`, every other row from context 0.  Writes
     the symbols and f values into `x` and `f`; returns each row's exit
-    context."""
-    c = np.zeros(u.shape[0], dtype=np.int64)
+    context.  The columns go a group at a time through transposed
+    buffers of about _BLOCK values: the steps read and write contiguous
+    rows, and each group is copied in and out once."""
+    rows = u.shape[0]
+    c = np.zeros(rows, dtype=np.int64)
     c[0] = ctx
-    fj = np.empty(u.shape[0])
-    xj = np.empty(u.shape[0], dtype=bool)
-    for j in range(u.shape[1]):
-        _threshold(table, c, u[:, j], fj, xj)
-        f[:, j] = fj
-        x[:, j] = xj
+    group = min(max(_BLOCK // rows, 1), CHUNK)
+    ub, fb = np.empty((group, rows)), np.empty((group, rows))
+    xb = np.empty((group, rows), dtype=bool)
+    for j0 in range(0, CHUNK, group):
+        n = min(group, CHUNK - j0)
+        ub[:n] = u[:, j0:j0 + n].T
+        for k in range(n):
+            _threshold(table, c, ub[k], fb[k], xb[k])
+        f[:, j0:j0 + n] = fb[:n].T
+        x[:, j0:j0 + n] = xb[:n].T
     return c.tolist()
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -192,6 +193,20 @@ def test_demo_and_benchmark_configs_load(tmp_path, monkeypatch):
         build_kernel(config.kernel)
         if config.kind == "gamma":
             assert run_experiment(config)[0] == 0
+
+
+def test_scaled_bench_launcher_reports_exit_and_peak():
+    # scripts/bench_scaled.py reads each run's exit code and its own peak
+    # RSS through a launcher: a child that holds 64 MB and exits 3.
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "bench_scaled", root / "scripts" / "bench_scaled.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    child = "import sys; held = b'x' * (64 << 20); sys.exit(3)"
+    row = bench.launch([sys.executable, "-c", child], dict(os.environ))
+    assert row["exit_code"] == 3
+    assert 64 <= row["peak_rss_mb"] < 200 and row["wall_s"] > 0
 
 
 def test_cli_round_trip(tmp_path):

@@ -49,6 +49,32 @@ def test_round_trip(x, v, f):
     assert v2 == pytest.approx(v, rel=4 * np.finfo(float).eps)
 
 
+def test_encode_ulp_edge():
+    # v one ulp below 1 rounds 1 - (1-f)*v onto f itself for many f; only
+    # those values are nudged, and the result is the nudge-everything
+    # formula bit for bit, for scalar and array inputs alike.
+    v = np.nextafter(1.0, 0.0)
+    tiny = np.finfo(float).tiny
+    f = np.concatenate([
+        [tiny, 1e-300, 2.0**-53, 1e-12, 1e-6],
+        np.linspace(0.01, 0.99, 99),
+        1.0 - np.array([1e-6, 1e-12, 2.0**-52]), [np.nextafter(1.0, 0.0)],
+    ])
+    for x in (0, 1):
+        xs = np.full(f.size, x)
+        nudged = np.maximum(1.0 - (1.0 - f) * v, np.nextafter(f, 1.0))
+        expected = f * v if x == 0 else nudged
+        w = encode_w(xs, np.full(f.size, v), f)
+        assert w.tobytes() == expected.tobytes()
+        assert np.array_equal(decode_xv(w, f)[0], xs)
+        for fi, ei in zip(f, expected):
+            wi = encode_w(x, v, fi)
+            assert type(wi) is float and wi == ei
+            assert decode_xv(wi, fi)[0] == x
+    # The nudge is reached: some values rounded onto f.
+    assert np.count_nonzero(1.0 - (1.0 - f) * v <= f) > 10
+
+
 def test_round_trip_not_always_bit_exact():
     # (f*v)/f != v for a measurable fraction of inputs: document the
     # one-ulp wobble rather than pretending the codec is bit-exact.

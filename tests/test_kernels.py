@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coupledchains import kernels as kernels_module
 from coupledchains.kernels import (
     CapExceededError,
     IIDKernel,
@@ -163,6 +164,36 @@ def test_gamma_monotone_nonincreasing(probs):
         assert b <= a + 1e-12
 
 
+@st.composite
+def decimal_kernels(draw):
+    """Markov kernels of order 1..5 and long-memory kernels of depth
+    1..5, with parameters given to 4 decimals (denominator below 2^31,
+    int64 numerators) or to 10 (denominator at least 2^31, Python ints)."""
+    places = draw(st.sampled_from([4, 10]))
+    memory = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        probs = np.round(rng.uniform(0.001, 0.999, 1 << memory), places)
+        kernel = MarkovKernel(memory, tuple(probs.tolist()))
+    else:
+        c = round(rng.uniform(0.01, 0.3), places)
+        weights = rng.dirichlet(np.ones(memory)) * rng.uniform(0.0, 0.9 - c)
+        kernel = LongMemoryKernel(c, tuple(np.round(weights, places).tolist()))
+    assume((kernel.denominator >= 2**31) == (places == 10))
+    return kernel
+
+
+@given(decimal_kernels())
+@settings(max_examples=60, deadline=None)
+def test_gamma_matches_pairwise_enumeration(kernel):
+    m = kernel.memory
+    table = {int_to_word(c, m): q for c, q in enumerate(prob0_fractions(kernel))}
+    prof = gamma_profile(kernel, m + 2)
+    for p in (0, m - 1, m, m + 2):
+        expected = _gamma_oracle(table, p, m) if p < m else 0.0
+        assert prof.values[p] == expected
+
+
 # ---------------------------------------------------------------------------
 # Lower envelopes and the envelope inequality
 
@@ -244,3 +275,70 @@ def test_stationary_long_memory_exact():
 def test_prob0_fractions_decimal_interpretation():
     fr = prob0_fractions(MARKOV1)
     assert fr == [Fraction(7, 10), Fraction(4, 10)]
+
+
+# ---------------------------------------------------------------------------
+# One solve per kernel object
+
+
+def _count_solves(monkeypatch):
+    """Count stationary solves (each reads the table once through
+    `prob0_over`) and gamma solves (each builds one GammaProfile)."""
+    calls = {"stationary": 0, "gamma": 0}
+    prob0_over, profile = kernels_module.Kernel.prob0_over, kernels_module.GammaProfile
+
+    def counted_prob0_over(kernel, length):
+        calls["stationary"] += 1
+        return prob0_over(kernel, length)
+
+    def counted_profile(values):
+        calls["gamma"] += 1
+        return profile(values)
+
+    monkeypatch.setattr(kernels_module.Kernel, "prob0_over", counted_prob0_over)
+    monkeypatch.setattr(kernels_module, "GammaProfile", counted_profile)
+    return calls
+
+
+def test_second_call_does_not_solve_again(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    kernel = LongMemoryKernel(0.3, (0.2, 0.1))
+    for _ in range(3):
+        pi = stationary_ctx_vector(kernel, 2)
+        prof = gamma_profile(kernel, 3)
+    assert calls == {"stationary": 1, "gamma": 1}
+    assert stationary_ctx_vector(kernel, 2) is pi
+    assert gamma_profile(kernel, 3) is prof
+    # Another argument is another solve.
+    stationary_ctx_vector(kernel, 3)
+    gamma_profile(kernel, 4)
+    assert calls == {"stationary": 2, "gamma": 2}
+
+
+def test_stationary_law_is_read_only():
+    kernel = MarkovKernel(2, (0.7, 0.4, 0.6, 0.2))
+    for length in (1, 2, 3):  # marginal, solved and extended lengths
+        pi = stationary_ctx_vector(kernel, length)
+        with pytest.raises(ValueError, match="read-only"):
+            pi[0] = 0.5
+
+
+def test_equal_kernels_do_not_share_a_solve(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    a, b = MarkovKernel(1, (0.7, 0.4)), MarkovKernel(1, (0.7, 0.4))
+    assert a == b and a is not b
+    assert np.array_equal(stationary_ctx_vector(a, 1), stationary_ctx_vector(b, 1))
+    assert gamma_profile(a, 2) == gamma_profile(b, 2)
+    assert calls == {"stationary": 2, "gamma": 2}
+
+
+def test_failed_solve_is_not_kept(monkeypatch):
+    kernel = MarkovKernel(1, (0.9, 0.2))
+    budget = kernels_module._STATIONARY_MAX_ITER
+    monkeypatch.setattr(kernels_module, "_STATIONARY_MAX_ITER", 1)
+    with pytest.raises(CapExceededError):
+        stationary_ctx_vector(kernel, 1)
+    with pytest.raises(ValueError):
+        gamma_profile(kernel, -1)
+    monkeypatch.setattr(kernels_module, "_STATIONARY_MAX_ITER", budget)
+    assert stationary_ctx_vector(kernel, 1)[0] == pytest.approx(2 / 3, abs=1e-12)

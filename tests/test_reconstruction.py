@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coupledchains.innovation import decode_xv, encode_w
@@ -15,6 +15,7 @@ from coupledchains.kernels import (
     gamma_profile,
 )
 from coupledchains.reconstruction import (
+    _BLOCK,
     CHUNK,
     _scan,
     _stationary_start,
@@ -102,6 +103,34 @@ def test_advance_matches_serial_loop(kernel, ctx, steps, seed):
     assert_matches_serial(kernel, ctx, u)
 
 
+# Beyond 64 chunks the lockstep pass stages fewer than CHUNK columns at
+# a time, so several groups run; at 200 chunks they are 327 columns
+# wide and the last one is partial.
+@given(kernels(), st.integers(0, 2**70),
+       st.integers(65, 300).map(lambda k: k * CHUNK + k % CHUNK),
+       st.integers(0, 2**32 - 1))
+@example(LONG_MEMORY_12, 5, 200 * CHUNK + 17, 0)
+@settings(max_examples=15, deadline=None)
+def test_advance_matches_serial_loop_over_many_groups(kernel, ctx, steps, seed):
+    assert _BLOCK // (steps // CHUNK) < CHUNK
+    u = np.random.default_rng(seed).random(steps)
+    assert_matches_serial(kernel, ctx, u)
+
+
+def test_advance_memory_holds_its_outputs():
+    # Beyond x and f, the lockstep pass stages one group of columns in
+    # buffers of about _BLOCK values each.
+    steps = 4 * 10**6
+    u = np.random.default_rng(33).random(steps)
+    tracemalloc.start()
+    try:
+        advance(LONG_MEMORY_12, 0, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * steps + 2 * 2**20, peak
+
+
 @pytest.mark.parametrize("ctx", [0, 1])
 def test_advance_persistent_kernel(ctx):
     # Two pasts rarely meet under this kernel, so many repairs run to
@@ -163,7 +192,8 @@ def test_simulate_path_matches_whole_stream_draws(kernel, steps):
 def test_simulate_path_memory_holds_its_outputs():
     # x, f and w take 8 bytes a step each; everything else is block-sized:
     # the innovations overwrite u as v is drawn block by block, and the
-    # speculative pass holds one column of its (chunks, CHUNK) view.
+    # speculative pass stages one group of columns of its (chunks, CHUNK)
+    # view in buffers of about _BLOCK values.
     steps = 10**6
     tracemalloc.start()
     try:
