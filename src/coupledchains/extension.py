@@ -495,21 +495,29 @@ def _stitch_trials(engine, u, ctx_true, cols, anchors, deltas):
     """Stitch one block of trials: re-encode their innovations `u` (w on
     entry, shape (trials, width)) in place, block j over columns
     `cols[j]` from the true contexts `ctx_true` and its hat chain at
-    `anchors[j]`, copying w only for the run over its columns.  Returns
-    np.packbits of the entries re-encoded as 1 - w, and per row j the
-    trials whose S_j is more than `deltas[j]` from R_D."""
-    flipped = np.empty(u.shape, dtype=bool)
+    `anchors[j]`, copying w only for the run over its columns, and only
+    when one of the run's depths has antitone entries: elsewhere u = w,
+    and the run writes nothing.  Returns np.packbits of the entries
+    re-encoded as 1 - w, and per row j the trials whose S_j is more than
+    `deltas[j]` from R_D."""
+    flipped = np.zeros(u.shape, dtype=bool)
     hat_ends = [None] * len(cols)
     for j in reversed(range(len(cols))):
         if j == 0:
             ctx_before_0 = ctx_true.copy()  # the run below moves ctx_true
-        w = u[:, cols[j]].copy()
+        block = u[:, cols[j]]
         hat = np.full(len(ctx_true), anchors[j], dtype=np.int64)
-        ctx_true, hat_ends[j] = coupled_run(engine, u[:, cols[j]], ctx_true,
-                                            hat, other=u[:, cols[j]])
-        np.not_equal(u[:, cols[j]], w, out=flipped[:, cols[j]])
+        depths = range(1, block.shape[1] + 1)
+        if all(engine.table(p).flip is None for p in depths):
+            ctx_true, hat_ends[j] = coupled_run(engine, block, ctx_true, hat)
+            continue
+        w = block.copy()
+        ctx_true, hat_ends[j] = coupled_run(engine, block, ctx_true, hat,
+                                            other=block)
+        np.not_equal(block, w, out=flipped[:, cols[j]])
+        del w
     mask = np.packbits(flipped)
-    del w, flipped  # freed before the replays
+    del flipped  # freed before the replays
     r_true = engine.generator_values(ctx_true)
     ends = _replay_ends(engine, u, cols, anchors, ctx_before_0, hat_ends)
     far = [int(np.count_nonzero(np.abs(engine.generator_values(e) - r_true) > delta))

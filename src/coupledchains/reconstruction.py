@@ -15,10 +15,13 @@ chunked speculative scan, byte-identical to the serial loop: chunks
 stepped at once from a guessed context are repaired serially until the
 true chain meets them, and the renewal (reset) chain bounds the length
 of each repair; its lockstep pass stages a group of columns at a time
-in a transposed, block-sized buffer.  :func:`simulate_path` encodes the
-innovations in place over the uniforms :func:`advance` has read, so a
-simulation holds its symbols, f values and innovations plus block-sized
-buffers.
+in a transposed, block-sized buffer.  The scan records, for each step,
+the symbol (uint8) and the context before it (uint16, as the memory is
+at most 16), not the f value: f is ``prob0_table[context]``, looked up
+where it is needed.  :func:`simulate_path` encodes the innovations in
+place over the uniforms :func:`advance` has read, so a simulation holds
+its innovations, symbols and contexts (11 bytes a step) plus
+block-sized buffers.
 :func:`coupled_walk`, the one across-trials walk (the
 replay here, every coupled run of :mod:`.extension`), runs
 :func:`coupled_step` over a window one block of TRIAL_BLOCK trials at a
@@ -60,12 +63,26 @@ TRIAL_BLOCK = 8192
 
 @dataclass(frozen=True)
 class PathSample:
-    """A simulated path with its innovations; index 0 is the earliest step."""
+    """A simulated path with its innovations; index 0 is the earliest step.
 
-    x: np.ndarray  # symbols, shape (steps,)
+    The path is held as its symbols (uint8) and the context before each
+    step (uint16); :attr:`x` and :attr:`f` expand them when read."""
+
     w: np.ndarray  # innovations, shape (steps,)
-    f: np.ndarray  # conditional P(X=0) used at each step
+    symbols: np.ndarray  # uint8 symbols, shape (steps,)
+    contexts: np.ndarray  # uint16 context code before each step
+    table: np.ndarray  # the kernel's prob0_table
     init_ctx: int  # integer-coded context preceding x[0]
+
+    @property
+    def x(self) -> np.ndarray:
+        """The symbols as int64."""
+        return self.symbols.astype(np.int64)
+
+    @property
+    def f(self) -> np.ndarray:
+        """The conditional P(X=0) used at each step."""
+        return self.table.take(self.contexts)
 
 
 def _stationary_start(kernel: Kernel, rng: np.random.Generator) -> int:
@@ -79,30 +96,37 @@ def _stationary_start(kernel: Kernel, rng: np.random.Generator) -> int:
 
 def advance(kernel: Kernel, ctx: int, u) -> tuple[np.ndarray, np.ndarray]:
     """Run the chain from context `ctx`: symbol t is 1(u[t] > f_t) with
-    f_t = P(0 | past), and is then shifted into the past.  Returns the
-    symbols and the f_t used.
+    f_t = P(0 | past) = ``prob0_table[c_t]``, and is then shifted into the
+    past.  Returns the symbols (uint8) and the contexts c_t before each
+    step (uint16).
 
     Computed by a chunked speculative scan (:func:`_scan`), byte-identical
     to stepping the chain serially; the steps it re-runs serially are
-    bounded by the reset chain."""
+    bounded by the reset chain.  A kernel of memory above 16, whose
+    contexts a uint16 cannot hold, raises CapExceededError."""
+    table = kernel.prob0_table
+    if table.size > 1 << 16:
+        raise CapExceededError(
+            f"memory {kernel.memory} exceeds the 16 bits of a recorded context")
     u = np.ascontiguousarray(u, dtype=float)
-    x = np.empty(u.size, dtype=np.int64)
-    f = np.empty(u.size)
-    _scan(kernel.prob0_table, ctx, u, x, f)
-    return x, f
+    x = np.empty(u.size, dtype=np.uint8)
+    c = np.empty(u.size, dtype=np.uint16)
+    _scan(table, ctx, u, x, c)
+    return x, c
 
 
 def _scan(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
-          f: np.ndarray) -> int:
-    """Fill `x` and `f` with the chain run over `u` from context `ctx`;
-    return the number of steps re-run serially to repair speculation.
+          c: np.ndarray) -> int:
+    """Fill `x` with the chain run over `u` from context `ctx`, and `c`
+    with the context before each step; return the number of steps re-run
+    serially to repair speculation.
 
     A stream of at least 2 CHUNK steps is cut into CHUNK-step chunks, and
     one vectorized pass steps every chunk at once: chunk 0 from `ctx`,
     every other chunk from the guessed context 0.  Then each chunk is
     re-run serially from the true exit of the chunk before, until the
-    true context equals the speculative one; from there on the
-    speculative symbols, f values and exit are already right.  Two
+    true context equals the recorded speculative one; from there on the
+    speculative symbols, contexts and exit are already right.  Two
     chains on the same uniforms agree once their last m symbols do, so
     the expected repair per chunk is at most sum_{n < CHUNK} P(Z_n < m)
     for the reset chain Z, however large 2^m is.  Every symbol comes from
@@ -115,48 +139,50 @@ def _scan(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
     head = n_chunks * CHUNK
     # Memoryviews read and write plain Python scalars one at a time: fast
     # to compare, and no list of the whole stream is held.
-    uv, xv, fv = memoryview(u), memoryview(x), memoryview(f)
+    uv, xv, cv = memoryview(u), memoryview(x), memoryview(c)
     repaired = 0
     if n_chunks:
         exits = _speculate(table, ctx, *(
-            a[:head].reshape(n_chunks, CHUNK) for a in (u, x, f)))
+            a[:head].reshape(n_chunks, CHUNK) for a in (u, x, c)))
         ctx = exits[0]
         for i in range(1, n_chunks):
-            steps, ctx = _repair(probs, mask, ctx, uv, xv, fv, i * CHUNK)
+            steps, ctx = _repair(probs, mask, ctx, uv, xv, cv, i * CHUNK)
             repaired += steps
             if ctx is None:
                 ctx = exits[i]
     for k in range(head, u.size):
-        ft = probs[ctx]
-        xt = uv[k] > ft
+        cv[k] = ctx
+        xt = uv[k] > probs[ctx]
         xv[k] = xt
-        fv[k] = ft
         ctx = ((ctx << 1) | xt) & mask
     return repaired
 
 
 def _speculate(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
-               f: np.ndarray) -> list[int]:
+               c: np.ndarray) -> list[int]:
     """Step every row of the (chunks, CHUNK) views at once, one column
     per step: row 0 from `ctx`, every other row from context 0.  Writes
-    the symbols and f values into `x` and `f`; returns each row's exit
-    context.  The columns go a group at a time through transposed
-    buffers of about _BLOCK values: the steps read and write contiguous
-    rows, and each group is copied in and out once."""
+    the symbols and the contexts before each step into `x` and `c`;
+    returns each row's exit context.  The columns go a group at a time
+    through transposed buffers of about _BLOCK values: the steps read
+    and write contiguous rows, and each group is copied in and out once."""
     rows = u.shape[0]
-    c = np.zeros(rows, dtype=np.int64)
-    c[0] = ctx
+    ctx_now = np.zeros(rows, dtype=np.int64)
+    ctx_now[0] = ctx
     group = min(max(_BLOCK // rows, 1), CHUNK)
-    ub, fb = np.empty((group, rows)), np.empty((group, rows))
+    ub = np.empty((group, rows))
+    cb = np.empty((group, rows), dtype=c.dtype)
     xb = np.empty((group, rows), dtype=bool)
+    f = np.empty(rows)
     for j0 in range(0, CHUNK, group):
         n = min(group, CHUNK - j0)
         ub[:n] = u[:, j0:j0 + n].T
         for k in range(n):
-            _threshold(table, c, ub[k], fb[k], xb[k])
-        f[:, j0:j0 + n] = fb[:n].T
+            cb[k] = ctx_now
+            _threshold(table, ctx_now, ub[k], f, xb[k])
+        c[:, j0:j0 + n] = cb[:n].T
         x[:, j0:j0 + n] = xb[:n].T
-    return c.tolist()
+    return ctx_now.tolist()
 
 
 def _threshold(table: np.ndarray, ctx: np.ndarray, s: np.ndarray,
@@ -172,21 +198,17 @@ def _threshold(table: np.ndarray, ctx: np.ndarray, s: np.ndarray,
     ctx &= table.size - 1
 
 
-def _repair(probs: list, mask: int, ctx: int, uv, xv, fv, start: int):
+def _repair(probs: list, mask: int, ctx: int, uv, xv, cv, start: int):
     """Re-run the chunk at `start`, speculated from context 0, serially
-    from its true entry context `ctx`.  Each speculative symbol is folded
-    into the speculative context before it is overwritten, and the run
-    stops where the two contexts meet.  Returns the steps re-run and the
-    true exit context, or None for the exit if the contexts met."""
-    spec = 0
+    from its true entry context `ctx`, until it equals the speculative
+    context recorded at that step.  Returns the steps re-run and the true
+    exit context, or None for the exit if the contexts met."""
     for k in range(start, start + CHUNK):
-        if ctx == spec:
+        if ctx == cv[k]:
             return k - start, None
-        ft = probs[ctx]
-        xt = uv[k] > ft
-        spec = ((spec << 1) | xv[k]) & mask
+        cv[k] = ctx
+        xt = uv[k] > probs[ctx]
         xv[k] = xt
-        fv[k] = ft
         ctx = ((ctx << 1) | xt) & mask
     return CHUNK, ctx
 
@@ -300,34 +322,27 @@ def simulate_path(kernel: Kernel, steps: int, seed: int) -> PathSample:
     The stream holds the `steps` threshold uniforms u, then the `steps`
     auxiliary uniforms v.  Once :func:`advance` has read u, the
     innovations are encoded into u's own buffer one block of _BLOCK
-    steps at a time, each block's v drawn as it is encoded: the same
-    doubles as drawing v whole.  So beyond its three outputs x, f and w
-    the simulation holds block-sized buffers only.
+    steps at a time, each block's v drawn and f looked up from its
+    contexts as it is encoded: the same doubles as drawing v whole.  So
+    beyond its outputs, w (8 bytes a step), the symbols (1) and the
+    contexts (2), the simulation holds block-sized buffers only.
     """
     rng = stream_rng(seed, "simulate", kernel.label)
     init_ctx = int(_stationary_start(kernel, rng))
     w = rng.random(steps)  # u until encoded
-    x, f = advance(kernel, init_ctx, w)
+    x, ctx = advance(kernel, init_ctx, w)
+    table = kernel.prob0_table
     for b0 in range(0, steps, _BLOCK):
-        b1 = min(b0 + _BLOCK, steps)
-        w[b0:b1] = encode_w(x[b0:b1], rng.random(b1 - b0), f[b0:b1])
-    return PathSample(x=x, w=w, f=f, init_ctx=init_ctx)
+        b = slice(b0, min(b0 + _BLOCK, steps))
+        w[b] = encode_w(x[b], rng.random(b.stop - b0), table.take(ctx[b]))
+    return PathSample(w, x, ctx, table, init_ctx)
 
 
 def window_reconstruct(kernel: Kernel, w: np.ndarray, start_ctx: int = 0) -> np.ndarray:
     """Replay innovations through the decoder from the given context
-    (default: all-zero prehistory), returning the reconstructed symbols."""
+    (default: all-zero prehistory), returning the reconstructed symbols
+    (uint8)."""
     return advance(kernel, start_ctx, w)[0]
-
-
-def agreement_length(x: np.ndarray, xhat: np.ndarray) -> int:
-    """Length of the common suffix of the two symbol arrays."""
-    x = np.asarray(x)
-    xhat = np.asarray(xhat)
-    diff = np.nonzero(x != xhat)[0]
-    if diff.size == 0:
-        return len(x)
-    return len(x) - 1 - int(diff[-1])
 
 
 # ---------------------------------------------------------------------------

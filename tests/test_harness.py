@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,33 @@ def test_emit_pretty_aligns():
 
 # ---------------------------------------------------------------------------
 # End-to-end runs
+
+
+# The depth-12 kernel of the benchmark's long-memory audit.
+LONG_MEMORY_12 = {
+    "variant": "long_memory",
+    "c": 0.3,
+    "weights": [0.1, 0.08, 0.06, 0.05, 0.04, 0.03,
+                0.02, 0.02, 0.01, 0.01, 0.01, 0.01],
+}
+
+
+def test_audit_runner_memory_holds_its_path(tmp_path):
+    # The path takes 11 bytes a step: w (8), the symbols (1) and the
+    # contexts before each step (2).  Beyond it, the simulation and the
+    # audit hold block-sized buffers, the audit's histograms and the
+    # few values that can set its KS maximum; a fresh kernel object
+    # solves its stationary law inside the trace too.
+    steps = 10**6
+    cfg = ExperimentConfig("audit", LONG_MEMORY_12, 7, str(tmp_path),
+                           {"steps": steps})
+    tracemalloc.start()
+    try:
+        assert run_experiment(cfg)[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * steps + 8 * 2**20, peak
 
 
 def test_gamma_run_writes_outputs(tmp_path):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from coupledchains.innovation import decode_xv, encode_w
 from coupledchains.kernels import (
+    CapExceededError,
     IIDKernel,
+    Kernel,
     LongMemoryKernel,
     MAX_MEMORY_DEPTH,
     MarkovKernel,
@@ -20,7 +22,6 @@ from coupledchains.reconstruction import (
     _scan,
     _stationary_start,
     advance,
-    agreement_length,
     disagreement_experiment,
     domination_experiment,
     house_of_cards_dist,
@@ -44,26 +45,25 @@ PERSISTENT = MarkovKernel(1, (0.999, 0.001))
 
 
 def serial_advance(kernel, ctx, u):
+    """The symbols (uint8) and the context before each step (uint16)."""
     table = kernel.prob0_table.tolist()
     mask = len(table) - 1
     ctx &= mask
     u = np.ascontiguousarray(u, dtype=float)
-    x = np.empty(u.size, dtype=np.int64)
-    f = np.empty(u.size)
+    x = np.empty(u.size, dtype=np.uint8)
+    c = np.empty(u.size, dtype=np.uint16)
     for t, ut in enumerate(memoryview(u)):
-        ft = table[ctx]
-        xt = ut > ft
+        c[t] = ctx
+        xt = ut > table[ctx]
         x[t] = xt
-        f[t] = ft
         ctx = ((ctx << 1) | xt) & mask
-    return x, f
+    return x, c
 
 
 def assert_matches_serial(kernel, ctx, u):
-    x, f = advance(kernel, ctx, u)
-    x_ref, f_ref = serial_advance(kernel, ctx, u)
-    assert x.tobytes() == x_ref.tobytes()
-    assert f.tobytes() == f_ref.tobytes()
+    got = advance(kernel, ctx, u)
+    for a, ref in zip(got, serial_advance(kernel, ctx, u)):
+        assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
 
 
 # Markov draws stop at order 12: a full table of 2^16 rationals costs
@@ -118,8 +118,9 @@ def test_advance_matches_serial_loop_over_many_groups(kernel, ctx, steps, seed):
 
 
 def test_advance_memory_holds_its_outputs():
-    # Beyond x and f, the lockstep pass stages one group of columns in
-    # buffers of about _BLOCK values each.
+    # Beyond the symbols (1 byte a step) and the contexts (2 bytes), the
+    # lockstep pass stages one group of columns in buffers of about
+    # _BLOCK values each.
     steps = 4 * 10**6
     u = np.random.default_rng(33).random(steps)
     tracemalloc.start()
@@ -128,7 +129,14 @@ def test_advance_memory_holds_its_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * steps + 2 * 2**20, peak
+    assert peak <= 3 * steps + 2 * 2**20, peak
+
+
+def test_advance_rejects_contexts_wider_than_16_bits():
+    # The scan records each context as uint16; a wider one would wrap.
+    kernel = Kernel(17, "raw-17", (1,) * (1 << 17), 2)
+    with pytest.raises(CapExceededError):
+        advance(kernel, 0, np.full(10, 0.5))
 
 
 @pytest.mark.parametrize("ctx", [0, 1])
@@ -137,8 +145,8 @@ def test_advance_persistent_kernel(ctx):
     # the end of their chunk and hand on their own exit.
     u = np.random.default_rng(31).random(100 * CHUNK + 3)
     assert_matches_serial(PERSISTENT, ctx, u)
-    x, f = np.empty(u.size, dtype=np.int64), np.empty(u.size)
-    assert _scan(PERSISTENT.prob0_table, ctx, u, x, f) / 99 > CHUNK / 10
+    x, c = np.empty(u.size, dtype=np.uint8), np.empty(u.size, dtype=np.uint16)
+    assert _scan(PERSISTENT.prob0_table, ctx, u, x, c) / 99 > CHUNK / 10
 
 
 def test_repair_within_renewal_bound():
@@ -152,8 +160,8 @@ def test_repair_within_renewal_bound():
     bound = sum(house_of_cards_dist(gammas, n).cdf(m - 1) for n in range(CHUNK))
     chunks = 256
     u = np.random.default_rng(32).random(chunks * CHUNK)
-    x, f = np.empty(u.size, dtype=np.int64), np.empty(u.size)
-    mean_repair = _scan(kernel.prob0_table, 0, u, x, f) / (chunks - 1)
+    x, c = np.empty(u.size, dtype=np.uint8), np.empty(u.size, dtype=np.uint16)
+    mean_repair = _scan(kernel.prob0_table, 0, u, x, c) / (chunks - 1)
     assert 0 < mean_repair <= bound
     assert_matches_serial(kernel, 0, u)
 
@@ -165,13 +173,15 @@ def test_repair_within_renewal_bound():
 def whole_stream_path(kernel, steps, seed):
     """simulate_path's draws made whole: the start context, then u =
     rng.random(steps), then v = rng.random(steps); the serial chain over
-    u and one encoding of the whole stream."""
+    u and one encoding of the whole stream.  The symbols come back as
+    int64 and f as float64, the dtypes PathSample exposes."""
     rng = stream_rng(seed, "simulate", kernel.label)
     init_ctx = int(_stationary_start(kernel, rng))
     u = rng.random(steps)
     v = rng.random(steps)
-    x, f = serial_advance(kernel, init_ctx, u)
-    return x, encode_w(x, v, f), f, init_ctx
+    x, c = serial_advance(kernel, init_ctx, u)
+    f = kernel.prob0_table[c]
+    return x.astype(np.int64), encode_w(x, v, f), f, init_ctx
 
 
 @pytest.mark.parametrize("steps", [100, 2 * CHUNK - 1, 2 * CHUNK + 1,
@@ -190,10 +200,11 @@ def test_simulate_path_matches_whole_stream_draws(kernel, steps):
 
 
 def test_simulate_path_memory_holds_its_outputs():
-    # x, f and w take 8 bytes a step each; everything else is block-sized:
-    # the innovations overwrite u as v is drawn block by block, and the
-    # speculative pass stages one group of columns of its (chunks, CHUNK)
-    # view in buffers of about _BLOCK values.
+    # w takes 8 bytes a step, the symbols 1 and the contexts 2; everything
+    # else is block-sized: the innovations overwrite u as v is drawn and f
+    # looked up block by block, and the speculative pass stages one group
+    # of columns of its (chunks, CHUNK) view in buffers of about _BLOCK
+    # values.
     steps = 10**6
     tracemalloc.start()
     try:
@@ -201,7 +212,7 @@ def test_simulate_path_memory_holds_its_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * steps + 4 * 2**20, peak
+    assert peak <= 11 * steps + 4 * 2**20, peak
 
 
 def test_simulated_path_matches_decoder():
@@ -222,12 +233,6 @@ def test_replay_iid_is_context_free():
     sample = simulate_path(IID, 300, 13)
     xhat = window_reconstruct(IID, sample.w, start_ctx=0)
     assert np.array_equal(xhat, sample.x)
-
-
-def test_agreement_length():
-    assert agreement_length([0, 1, 1], [0, 1, 1]) == 3
-    assert agreement_length([1, 1, 1], [0, 1, 1]) == 2
-    assert agreement_length([0, 1, 0], [0, 1, 1]) == 0
 
 
 # ---------------------------------------------------------------------------
