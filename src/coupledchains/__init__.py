@@ -21,10 +21,8 @@ from .kernels import (
     LongMemoryKernel,
     MarkovKernel,
     builtin_kernels,
-    conditional_prob,
     gamma_profile,
     lower_envelope,
-    stationary_word_law,
 )
 from .innovation import decode_xv, encode_w, innovation_audit
 from .reconstruction import (
@@ -39,7 +37,6 @@ from .vershik import (
     alpha_sequence,
     metric_tables,
     optimal_coupling,
-    truncated_generator,
 )
 from .extension import (
     choose_anchor,
@@ -57,7 +54,6 @@ __all__ = [
     "MarkovKernel",
     "builtin_kernels",
     "choose_anchor",
-    "conditional_prob",
     "decode_xv",
     "disagreement_experiment",
     "domination_experiment",
@@ -71,9 +67,7 @@ __all__ = [
     "metric_tables",
     "optimal_coupling",
     "simulate_path",
-    "stationary_word_law",
     "stitch_blocks",
-    "truncated_generator",
     "window_reconstruct",
     "__version__",
 ]

@@ -18,12 +18,13 @@ contexts, writes the other uniforms only into a buffer it is given (the
 forward stitch passes the same columns as input and buffer, re-encoding
 W into U in place), and steps through :func:`.reconstruction.coupled_walk`.
 No caller holds a whole (trials, T) array of uniforms.  The
-generator-gap check draws, runs and reduces one block of trials at a
-time (:func:`.reconstruction._trial_blocks`), keeping each trial's end
-pair of contexts as one narrow code.  The stitch draws, re-encodes,
-replays and audits one block of TRIAL_BLOCK trials at a time; of the
-stitched sequence it keeps only a 1-bit mask of the entries re-encoded
-as 1 - W, from which the audit's second pass draws the sequence again.
+generator-gap check and the stitch read their trials one block at a
+time from :func:`.reconstruction._trial_blocks`, whose buffer each block
+overwrites.  The generator-gap check keeps each trial's end pair of
+contexts as one narrow code.  The stitch re-encodes, replays and audits
+each block; of the stitched sequence it keeps only a 1-bit mask of the
+entries re-encoded as 1 - W, from which the audit's second pass draws
+the sequence again.
 
 Time convention: a run over [N; 0] takes |N|+1 steps; the step landing
 at time t uses the orientation table at depth -t + 1 (depth |N|+1 first,
@@ -40,16 +41,12 @@ import numpy as np
 from .innovation import AuditReport, _audit, _mean_stderr
 from .kernels import CapExceededError, Kernel
 from .reconstruction import TRIAL_BLOCK, _trial_blocks, coupled_walk
-from .rng import sample_index, stream_rng
+from .rng import _BLOCK, ahead, stream_rng
 from .vershik import DEFAULT_DEPTH, CouplingEngine, coupling_table
 from .words import Word, as_word, int_to_word, word_to_int
 
 
 _MAX_BLOCK_DEPTH = 200
-# Values per piece of the stitch audit's second pass, which draws the
-# stitched u again: 1 MiB, small next to a block of trials, and a
-# multiple of 8 so that each piece's bits start a byte of the flip mask.
-_REDRAW = 1 << 17
 
 
 class AnchorSelectionError(RuntimeError):
@@ -392,16 +389,18 @@ def stitch_blocks(
     and past block j-2 it replays only its trials that have not met row
     j-1 at a block boundary.
 
-    The trials are stitched one block of TRIAL_BLOCK at a time
-    (:func:`_stitch_trials`): draw w, re-encode it into u, replay, and
-    count each row's exceedances.  Beyond the start contexts of all
-    trials and a 1-bit mask of the entries where u = 1 - w, the stitch
-    holds O(TRIAL_BLOCK x T) memory.  The audit reads u twice: its first
-    pass as each block is stitched, its second from w drawn again from
-    the saved generator state with the mask applied, without the coupled
+    The trials are read one block of TRIAL_BLOCK at a time from
+    :func:`_trial_blocks`; :func:`_stitch_trials` re-encodes each block's
+    w into u in that source's buffer, replays it and counts each row's
+    exceedances.  Beyond a 1-bit mask of the entries where u = 1 - w,
+    allocated for all trials before the first block, the stitch holds
+    O(TRIAL_BLOCK x T) memory.  The audit reads u twice: its first pass
+    as each block is stitched, its second from w drawn again, _BLOCK
+    values at a time into one buffer, from :func:`.rng.ahead` of the
+    stream past the starts, with the mask applied and without the coupled
     runs.  Rows and audit are bit for bit those of stitching all trials
-    at once: the blocks of trials are consecutive rows of the one draw
-    of w, and the exceedances add as integers.
+    at once: the blocks of trials are consecutive rows of the one draw of
+    w, and the exceedances add as integers.
     """
     engine = CouplingEngine.build(kernel, 1, depth)
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
@@ -437,35 +436,37 @@ def stitch_blocks(
     # from the earliest (j = J) to block 0.
     t_min = m[n_blocks]
     width = 1 - t_min
+    n = trials * width
     rng = stream_rng(seed, "stitch", kernel.label, f"J{n_blocks - 1}")
-    ctx_true = sample_index(rng, engine.pi, trials)
-    drawn = rng.bit_generator.state  # where the draw of w starts
+    w_again = ahead(rng, trials)  # the draw of w, past the starts
+    # Bit k is set where u[k] = 1 - w[k]; TRIAL_BLOCK is a multiple of 8,
+    # so each block's bits start a byte.
+    flips = np.zeros((n + 7) // 8, dtype=np.uint8)
     cols = [slice(m[j + 1] - t_min, m[j] - t_min) for j in range(n_blocks)]
     anchor_ints = [word_to_int(a) for a in anchors]
     far = []  # per trial block, the trials of each row whose S_j is far
-    flips = []  # per trial block, np.packbits of where u = 1 - w
-    starts = range(0, trials, TRIAL_BLOCK)
 
     def stitched():
-        for b0 in starts:
-            ctx = ctx_true[b0:b0 + TRIAL_BLOCK]
-            u = rng.random((ctx.size, width))  # w, re-encoded into u in place
-            mask, counts = _stitch_trials(engine, u, ctx, cols, anchor_ints, deltas)
-            flips.append(mask)
-            far.append(counts)
-            yield u.ravel()
-            del u  # freed before the next block is drawn
+        blocks = _trial_blocks(rng, engine.pi, trials, width)
+        for b0, (ctx, u) in zip(range(0, trials, TRIAL_BLOCK), blocks):
+            far.append(_stitch_trials(engine, u, ctx, cols, anchor_ints,
+                                      deltas, flips[b0 * width // 8:]))
+            yield u.ravel()  # w re-encoded into u in place
 
     def redrawn():
-        rng.bit_generator.state = drawn
-        for b0, mask in zip(starts, flips):
-            size = min(TRIAL_BLOCK, trials - b0) * width
-            for c0 in range(0, size, _REDRAW):
-                yield _redraw(rng, min(_REDRAW, size - c0), mask[c0 // 8:])
+        x = np.empty(min(n, _BLOCK))
+        for a in range(0, n, _BLOCK):
+            piece = x[:min(_BLOCK, n - a)]
+            w_again.random(out=piece)
+            bits = flips[a // 8:(a + piece.size + 7) // 8]
+            if bits.any():
+                np.subtract(1.0, piece, out=piece,
+                            where=np.unpackbits(bits, count=piece.size).view(bool))
+            yield piece
 
     # The audit's first pass stitches the trials; its second draws u again.
     passes = iter((stitched(), redrawn()))
-    audit = _audit(lambda: next(passes), trials * width)
+    audit = _audit(lambda: next(passes), n)
 
     rows = []
     for j, (delta, exceeded) in enumerate(zip(deltas, map(sum, zip(*far)))):
@@ -481,25 +482,16 @@ def stitch_blocks(
     return StitchReport(rows, audit, trials)
 
 
-def _redraw(rng: np.random.Generator, size: int, mask: np.ndarray) -> np.ndarray:
-    """The next `size` uniforms w of `rng`, each replaced by 1 - w where
-    its bit of the packed `mask` is set."""
-    w = rng.random(size)
-    bits = mask[:(size + 7) // 8]
-    if not bits.any():
-        return w
-    return np.where(np.unpackbits(bits, count=size).view(bool), 1.0 - w, w)
-
-
-def _stitch_trials(engine, u, ctx_true, cols, anchors, deltas):
+def _stitch_trials(engine, u, ctx_true, cols, anchors, deltas, mask):
     """Stitch one block of trials: re-encode their innovations `u` (w on
     entry, shape (trials, width)) in place, block j over columns
     `cols[j]` from the true contexts `ctx_true` and its hat chain at
     `anchors[j]`, copying w only for the run over its columns, and only
     when one of the run's depths has antitone entries: elsewhere u = w,
-    and the run writes nothing.  Returns np.packbits of the entries
-    re-encoded as 1 - w, and per row j the trials whose S_j is more than
-    `deltas[j]` from R_D."""
+    and the run writes nothing.  Writes np.packbits of the entries
+    re-encoded as 1 - w to the start of `mask` where there are any, and
+    returns per row j the trials whose S_j is more than `deltas[j]` from
+    R_D."""
     flipped = np.zeros(u.shape, dtype=bool)
     hat_ends = [None] * len(cols)
     for j in reversed(range(len(cols))):
@@ -516,10 +508,11 @@ def _stitch_trials(engine, u, ctx_true, cols, anchors, deltas):
                                             other=block)
         np.not_equal(block, w, out=flipped[:, cols[j]])
         del w
-    mask = np.packbits(flipped)
+    if flipped.any():
+        bits = np.packbits(flipped)
+        mask[:bits.size] = bits
     del flipped  # freed before the replays
     r_true = engine.generator_values(ctx_true)
     ends = _replay_ends(engine, u, cols, anchors, ctx_before_0, hat_ends)
-    far = [int(np.count_nonzero(np.abs(engine.generator_values(e) - r_true) > delta))
-           for e, delta in zip(ends, deltas)]
-    return mask, far
+    return [int(np.count_nonzero(np.abs(engine.generator_values(e) - r_true) > delta))
+            for e, delta in zip(ends, deltas)]

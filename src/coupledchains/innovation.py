@@ -21,16 +21,16 @@ chi-square counts consecutive pairs on an AUDIT_BINS x AUDIT_BINS
 therefore have closed forms and need no statistics library.
 
 The audit reads its stream twice from a source of blocks of any size
-(views of an array, or the stitch's blocks of trials, made again for
-the second pass).  The first pass counts the pair grid and a histogram
-of 2^16 buckets and sums the mean; the histogram bounds the KS distance
-within each bucket, and the second pass gathers and sorts only the
-values of the few buckets that can hold the maximum and forms the
-correlation sums.  Every sum follows np.sum's own pairwise tree over
-cache-sized leaves, so the report is bit for bit that of sorting and
-summing the whole stream, without a full-length copy.  The Monte Carlo
-means and standard errors over trials follow the same tree
-(:func:`_mean_stderr`).
+(views of an array, or the stitch's blocks of trials and then its
+redrawn pieces, each source overwriting one buffer).  The first pass
+counts the pair grid and a histogram of 2^16 buckets and sums the mean;
+the histogram bounds the KS distance within each bucket, and the second
+pass gathers and sorts only the values of the few buckets that can hold
+the maximum and forms the correlation sums.  Every sum follows np.sum's
+own pairwise tree over cache-sized leaves, so the report is bit for bit
+that of sorting and summing the whole stream, without a full-length
+copy.  The Monte Carlo means and standard errors over trials follow the
+same tree (:func:`_mean_stderr`).
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .rng import _BLOCK
+
 AUDIT_LEVEL = 1e-6
 AUDIT_LAGS = 5
 AUDIT_BINS = 16
@@ -48,10 +50,6 @@ AUDIT_BINS = 16
 # Two-sided Gaussian envelope for each lag correlation, Bonferroni over
 # the lags.
 _CORR_QUANTILE = NormalDist().inv_cdf(1.0 - AUDIT_LEVEL / (2 * AUDIT_LAGS))
-# Values per block of the audit's two streaming passes, and the most
-# values of a leaf of its correlation sums: a block of floats or of
-# bucket indices (512 KiB) stays in cache.
-_BLOCK = 1 << 16
 # KS buckets [j, j+1) / _BUCKETS: floor(w * _BUCKETS) is exact because
 # the scale is a power of two, and the pair chi-square bin
 # floor(w * AUDIT_BINS) is the bucket shifted right by _BIN_SHIFT.
@@ -127,12 +125,12 @@ def _cut(blocks, spans):
     """Yield each span (a, b, ...) of `spans`, in order of a, with the
     values [a, b) of a stream that the iterator `blocks` yields in
     consecutive float64 pieces of any size.  A span inside one piece
-    gets a view of it; a span that straddles pieces gets a copy.  Before
-    it reads the next piece, the cut keeps of the held pieces only what
-    the current span still needs (a copy no longer than the span), so a
-    source can free each piece once every span has passed it, provided
-    the caller drops its view too.  A source that yields fewer or more
-    values than the last span's end is an error."""
+    gets a view of it; a span that straddles pieces gets a copy.  A
+    source may overwrite one buffer for every piece: before the cut reads
+    the next piece, it copies what the current span still needs of the
+    current one, and then holds a copied tail plus the current piece.
+    A source that yields fewer or more values than the last span's end
+    is an error."""
     held, base, end = [], 0, 0  # the held pieces cover values [base, end)
     for span in spans:
         a, b = span[0], span[1]
@@ -141,9 +139,10 @@ def _cut(blocks, spans):
                 base += held.pop(0).size
             if end >= b:
                 break
-            if held and base < a:
-                held[0] = held[0][a - base:].copy()
-                base = a
+            if held:  # the next piece may overwrite the last, not yet copied
+                if base < a:
+                    held[0], base = held[0][a - base:], a
+                held[-1] = held[-1].copy()
             held.append(next(blocks, None))
             if held[-1] is None:
                 raise ValueError(f"the source ended after {end} values")
@@ -187,7 +186,7 @@ def _first_pass(blocks, n: int):
             np.multiply(j[:m - 1], AUDIT_BINS, out=codes[:m - 1])
             codes[:m - 1] += j[1:m]
             pairs += np.bincount(codes[:m - 1], minlength=AUDIT_BINS * AUDIT_BINS)
-        del x  # the source may free its piece before it makes the next
+        del x  # a copied span is freed before the next is cut
     if not in_range:
         return None
     return hist, pairs, _tree_sum(sums, n) / n
@@ -315,7 +314,7 @@ def _second_pass(blocks, n: int, hist: np.ndarray, mean: float):
         kept[filled:filled + near.size] = near
         filled += near.size
         centered = np.subtract(x, mean, out=window[:x.size])
-        del x, block  # the source may free its piece before it makes the next
+        del x, block  # a copied span is freed before the next is cut
         while i < len(leaves) and leaves[i][0] < start + _BLOCK:
             a, b, lag = leaves[i]
             i += 1

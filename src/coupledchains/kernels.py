@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .words import Word, as_word, int_to_word, word_to_int
+from .words import as_word, word_to_int
 
 MAX_MEMORY_DEPTH = 16
 MAX_WORD_LENGTH = 16
@@ -185,25 +185,12 @@ def LongMemoryKernel(c: float, weights: tuple[float, ...]) -> Kernel:
                   tuple(nums), d)
 
 
-def min_prob(kernel: Kernel) -> float:
-    """Infimum of all conditional symbol probabilities."""
-    table = kernel.prob0_table
-    return float(min(table.min(), (1.0 - table).min()))
-
-
 def builtin_kernels() -> dict[str, Kernel]:
     return {
         "iid-half": IIDKernel(0.5),
         "markov1-demo": MarkovKernel.from_table(1, {(0,): 0.7, (1,): 0.4}),
         "long-memory-demo": LongMemoryKernel(0.3, (0.2, 0.1)),
     }
-
-
-def conditional_prob(kernel: Kernel, context: Iterable[int]) -> float:
-    """P(0 | context).  Shorter contexts are zero-padded on the left, so
-    every context (including the empty one) is admissible."""
-    ctx = word_to_int(context)
-    return float(kernel.prob0_table[ctx & ((1 << kernel.memory) - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +215,6 @@ class GammaProfile:
     def gamma(self, p: int) -> float:
         """gamma_p, zero beyond the tabulated range (finite-memory kernels)."""
         return self.values[p] if p < len(self.values) else 0.0
-
-
-def prob0_fractions(kernel: Kernel) -> list[Fraction]:
-    """The conditional-probability table as exact rationals."""
-    return [Fraction(n, kernel.denominator) for n in kernel.numerators]
 
 
 @_once_per_kernel
@@ -325,9 +307,3 @@ def stationary_ctx_vector(kernel: Kernel, length: int) -> np.ndarray:
         pi = np.bincount(idx & ((1 << length) - 1), weights=pi, minlength=1 << length)
     pi.flags.writeable = False
     return pi
-
-
-def stationary_word_law(kernel: Kernel, length: int) -> dict[Word, float]:
-    """Stationary law of `length` consecutive symbols, keyed by Word."""
-    pi = stationary_ctx_vector(kernel, length)
-    return {int_to_word(v, length): float(pi[v]) for v in range(1 << length)}

@@ -29,11 +29,12 @@ time, so each step works on contiguous, cache-resident rows; it is
 byte-identical to stepping all trials at once, one column per step, and
 re-encodes each block in place, copying it out only into a buffer it is given.
 The Monte Carlo experiments over trials (the replay here, the
-generator-gap check of :mod:`.extension`) read their trials from
-:func:`_trial_blocks`, one block at a time: each block's start contexts
-and uniforms are drawn, walked and reduced to counts or codes before the
-next is drawn, so they never hold a whole (trials, steps) array of
-uniforms, nor a full-length array of end contexts.
+generator-gap check and the stitch of :mod:`.extension`) read their
+trials from :func:`_trial_blocks`, one block at a time, into one buffer
+of uniforms that the next block overwrites: each block's start contexts
+and uniforms are drawn, walked and reduced to counts, codes or flip bits
+before the next is drawn, so they never hold a whole (trials, steps)
+array of uniforms, nor a full-length array of start or end contexts.
 """
 
 from __future__ import annotations
@@ -50,14 +51,16 @@ from .kernels import (
     gamma_profile,
     stationary_ctx_vector,
 )
-from .rng import ahead, index_sampler, sample_index, stream_rng
+from .rng import _BLOCK, ahead, index_sampler, sample_index, stream_rng
 
-# Chunk length of the speculative scan in `advance`.
+# Steps per chunk of the speculative scan in `advance`: long next to a
+# chunk's expected repair, which the reset chain bounds, so few steps run
+# serially, and short enough that 10^6 steps give about a thousand chunks
+# to step in lockstep.
 CHUNK = 1024
-# Innovations encoded per block by `simulate_path`, and values staged per
-# group of columns by the speculative scan.
-_BLOCK = 1 << 16
-# Trials per block of the across-trials walk in `coupled_walk`.
+# Trials per block of `coupled_walk` and `_trial_blocks`: a block's
+# (steps, trials) buffer is one contiguous row per step.  A multiple of 8,
+# so that each block's bits start a byte of the stitch's packed flip mask.
 TRIAL_BLOCK = 8192
 
 

@@ -12,15 +12,17 @@ one block of each at a time."""
 
 from __future__ import annotations
 
+import copy
 import zlib
 
 import numpy as np
 
+# Values handled at a time by every blocked loop of the package (draws,
+# encodings, audit passes and sums): a block of float64 values or of
+# indices (512 KiB) stays in cache.
+_BLOCK = 1 << 16
 # The guide table splits [0, 1) into 2^_GUIDE_BITS equal buckets.
 _GUIDE_BITS = 14
-# Uniforms drawn and looked up at a time: a block of floats or of bucket
-# indices (512 KiB) stays in cache.
-_DRAW_BLOCK = 1 << 16
 _SUM_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
@@ -37,12 +39,11 @@ def stream_rng(seed: int, *labels) -> np.random.Generator:
 
 def ahead(rng: np.random.Generator, n: int) -> np.random.Generator:
     """A new generator whose draws are those of `rng` after its next n
-    doubles: the bit generator's state is copied and jumped ahead by n
+    doubles: a copy of `rng` whose bit generator is jumped ahead by n
     steps, each double taking one 64-bit step.  `rng` does not move."""
-    bits = type(rng.bit_generator)()
-    bits.state = rng.bit_generator.state
-    bits.advance(n)
-    return np.random.Generator(bits)
+    jumped = copy.deepcopy(rng)
+    jumped.bit_generator.advance(n)
+    return jumped
 
 
 def _cdf(p) -> np.ndarray:
@@ -72,7 +73,7 @@ def index_sampler(p):
     tabulated once, and a uniform finds its bucket as floor(u * G),
     exact because G is a power of 2.  Only draws in the few buckets
     that hold a cdf point fall back to the binary search.  The uniforms
-    are drawn and looked up _DRAW_BLOCK at a time, in the order of
+    are drawn and looked up _BLOCK at a time, in the order of
     ``rng.random(size)``, so beyond the result only block-sized buffers
     are held."""
     cdf = _cdf(p)
@@ -85,9 +86,9 @@ def index_sampler(p):
     def draw(rng: np.random.Generator, size) -> np.ndarray:
         idx = np.empty(size, dtype=np.int64)
         flat = idx.reshape(-1)
-        u = np.empty(min(flat.size, _DRAW_BLOCK))
+        u = np.empty(min(flat.size, _BLOCK))
         j = np.empty(u.size, dtype=np.intp)
-        for b0 in range(0, flat.size, _DRAW_BLOCK):
+        for b0 in range(0, flat.size, _BLOCK):
             ub, jb = u[:flat.size - b0], j[:flat.size - b0]
             out = flat[b0:b0 + ub.size]
             rng.random(out=ub)

@@ -24,22 +24,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .innovation import _mean_stderr, _tree_leaves
+from .innovation import _mean_stderr
 from .kernels import CapExceededError, Kernel, stationary_ctx_vector
-from .rng import ahead, index_sampler, stream_rng
+from .rng import _BLOCK, ahead, index_sampler, stream_rng
 
 MAX_TABLE_LENGTH = 8
 
 DEFAULT_DEPTH = 6
-
-
-def truncated_generator(word_int: int, depth: int) -> float:
-    """R_D of the past whose present symbol is bit 0 of word_int; lags
-    0..depth contribute with weights 3^-lag."""
-    total = 0.0  # left to right, as generator_table adds its terms
-    for n in range(depth + 1):
-        total += 3.0 ** (-n) * ((word_int >> n) & 1)
-    return total
 
 
 @lru_cache(maxsize=MAX_TABLE_LENGTH)
@@ -133,11 +124,6 @@ class MetricTable:
     stored word.  It depends only on the low e bits of u and v (e_p in
     :func:`rho_step`), so `values` and `orientation` are stored at
     2^e x 2^e, and an L-bit code c reads them at ``c & mask``.
-
-    ``rho_tilde(x, y)`` exposes the distance between full pasts coded up
-    to the present: the most recent `depth` symbols of x and y are
-    irrelevant (already averaged), so it reads the codes x >> depth and
-    y >> depth.
     """
 
     depth: int
@@ -160,11 +146,6 @@ class MetricTable:
         low = np.arange(1 << self.length) & self.mask
         antitone = self.orientation[np.ix_(low, low)].ravel() == 1
         return antitone if antitone.any() else None
-
-    def rho_tilde(self, x_int: int, y_int: int) -> float:
-        """Distance for pasts coded with the present at bit 0."""
-        m = self.mask
-        return float(self.values[(x_int >> self.depth) & m, (y_int >> self.depth) & m])
 
 
 def _base_table(depth: int, length: int) -> MetricTable:
@@ -281,7 +262,7 @@ class CouplingEngine:
         return float(np.sum(q[:, None] * q[None, :] * t.values))
 
     def anchor_integrals(self, p: int) -> np.ndarray:
-        """integral_v -> sum_u pi(u) * rho_tilde_p(u, v), all L-bit anchors v."""
+        """integral_v -> sum_u pi(u) * T_p(u, v), all L-bit anchors v."""
         t = self.table(p)
         integrals = np.sum(self._pi_at(t)[:, None] * t.values, axis=0)
         return integrals[np.arange(self.pi.size) & t.mask]
@@ -344,11 +325,11 @@ def alpha_sequence_mc(
     L = engine.length
     draw, rng_y = index_sampler(engine.pi), ahead(rng, trials)
     pairs = np.empty(trials, dtype=np.min_scalar_type((1 << 2 * L) - 1))
-    for a, b in _tree_leaves(trials):
-        x = draw(rng, b - a)
+    for a in range(0, trials, _BLOCK):
+        x = draw(rng, min(_BLOCK, trials - a))
         x <<= L
-        x |= draw(rng_y, b - a)
-        pairs[a:b] = x
+        x |= draw(rng_y, x.size)
+        pairs[a:a + x.size] = x
     contexts = np.arange(1 << L)
     vals, errs = [], []
     for t in engine.tables:

@@ -222,6 +222,31 @@ def test_audit_core_matches_on_any_block_cut(cut):
         assert repr(report) == repr(innovation_audit(w))
 
 
+def reused_pieces(w, cut):
+    """A source of the stream w in consecutive pieces of `cut` values,
+    each written into one buffer that the next piece overwrites; the
+    buffer reads NaN once the source has ended."""
+    def source():
+        buf = np.empty(min(cut, w.size))
+        for b0 in range(0, w.size, cut):
+            piece = buf[:min(cut, w.size - b0)]
+            piece[...] = w[b0:b0 + cut]
+            yield piece
+        buf[...] = np.nan
+    return source
+
+
+@pytest.mark.parametrize("cut", [1, 2**16 - 1, 2**16 + 1, 65521])
+def test_audit_core_matches_on_a_reused_buffer(cut):
+    # As the stitch's sources do, every piece overwrites the one before:
+    # the cut copies what a span still needs before it reads on.
+    for w in audit_streams():
+        if cut == 1 and w.size > 10**4:
+            continue
+        report = innovation._audit(reused_pieces(w, cut), w.size)
+        assert repr(report) == repr(innovation_audit(w))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, 1.0])
 def test_audit_core_fails_on_a_late_value_out_of_range(value):
     # A bad value in the last piece: the failing report, no bincount of

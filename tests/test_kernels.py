@@ -13,15 +13,11 @@ from coupledchains.kernels import (
     MAX_MEMORY_DEPTH,
     MarkovKernel,
     builtin_kernels,
-    conditional_prob,
     gamma_profile,
     lower_envelope,
-    min_prob,
-    prob0_fractions,
     stationary_ctx_vector,
-    stationary_word_law,
 )
-from coupledchains.words import int_to_word
+from coupledchains.words import int_to_word, word_to_int
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
 LONGMEM = builtin_kernels()["long-memory-demo"]
@@ -32,12 +28,26 @@ IID = builtin_kernels()["iid-half"]
 # Conditional probabilities
 
 
+def conditional_prob(kernel, context, length=None):
+    """P(0 | context) read from the kernel's table over `length`-bit
+    context codes (the context's own length by default); a shorter
+    context is zero-padded on the left."""
+    length = len(context) if length is None else length
+    return float(kernel.prob0_over(length)[word_to_int(context)])
+
+
+def prob0_fractions(kernel):
+    """The kernel's exact conditional-probability table as rationals."""
+    return [Fraction(n, kernel.denominator) for n in kernel.numerators]
+
+
 def test_markov_table_lookup():
     assert conditional_prob(MARKOV1, (0,)) == 0.7
     assert conditional_prob(MARKOV1, (1,)) == 0.4
     # Longer contexts: only the most recent symbol matters.
     assert conditional_prob(MARKOV1, (1, 1, 0)) == 0.7
     # Short/empty contexts are zero-padded.
+    assert conditional_prob(MARKOV1, (), 3) == 0.7
     assert conditional_prob(MARKOV1, ()) == 0.7
 
 
@@ -67,11 +77,6 @@ def test_long_memory_table_exact():
 def test_iid_ignores_context():
     assert conditional_prob(IID, ()) == 0.5
     assert conditional_prob(IID, (1, 0, 1)) == 0.5
-
-
-def test_min_prob():
-    assert min_prob(MARKOV1) == pytest.approx(0.3)
-    assert min_prob(IID) == 0.5
 
 
 def test_validation():
@@ -253,10 +258,11 @@ def test_stationary_markov1():
 
 
 def test_stationary_word_law_marginalizes():
-    law = stationary_word_law(MARKOV1, 2)
-    assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+    law = stationary_ctx_vector(MARKOV1, 2)
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
     pi1 = stationary_ctx_vector(MARKOV1, 1)
-    assert law[(0, 0)] + law[(1, 0)] == pytest.approx(pi1[0], abs=1e-12)
+    # The words (0, 0) and (1, 0) end in symbol 0.
+    assert law[0b00] + law[0b10] == pytest.approx(pi1[0], abs=1e-12)
 
 
 def test_stationary_iid():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupledchains.rng import (
-    _DRAW_BLOCK,
+    _BLOCK,
     _GUIDE_BITS,
     ahead,
     index_sampler,
@@ -62,9 +62,9 @@ laws = st.one_of(
 @given(
     p=laws,
     # Sizes on either side of the draw blocks, one of them a tuple.
-    size=st.sampled_from([None, 0, 1, 100_000, _DRAW_BLOCK - 1,
-                          _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 3,
-                          (2, _DRAW_BLOCK + 3)]),
+    size=st.sampled_from([None, 0, 1, 100_000, _BLOCK - 1,
+                          _BLOCK + 1, 2 * _BLOCK + 3,
+                          (2, _BLOCK + 3)]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sample_index_matches_choice(p, size, seed):
@@ -120,8 +120,8 @@ def test_ahead_skips_the_next_draws(n, seed):
 
 @settings(max_examples=80, deadline=None)
 @given(p=laws,
-       blocks=st.lists(st.sampled_from([0, 1, 7, _DRAW_BLOCK - 1, _DRAW_BLOCK,
-                                        _DRAW_BLOCK + 1]), min_size=1,
+       blocks=st.lists(st.sampled_from([0, 1, 7, _BLOCK - 1, _BLOCK,
+                                        _BLOCK + 1]), min_size=1,
                        max_size=4),
        seed=st.integers(0, 2**32 - 1))
 def test_index_sampler_blocks_match_one_draw(p, blocks, seed):

@@ -25,7 +25,6 @@ from coupledchains.vershik import (
     metric_tables,
     optimal_coupling,
     rho_step,
-    truncated_generator,
 )
 from coupledchains.rng import stream_rng
 from coupledchains.words import word_to_int
@@ -38,11 +37,21 @@ IID = IIDKernel(0.5)
 # Truncated generator
 
 
+def truncated_generator(word_int, depth):
+    """R_D of the past whose present symbol is bit 0 of word_int, added
+    up lag by lag, left to right, in plain Python."""
+    total = 0.0
+    for n in range(depth + 1):
+        total += 3.0 ** (-n) * ((word_int >> n) & 1)
+    return total
+
+
 def test_generator_values():
     # R_D = sum over lags 0..D of 3^-lag * symbol.
-    assert truncated_generator(0b1, 2) == 1.0
-    assert truncated_generator(0b10, 2) == pytest.approx(1 / 3)
-    assert truncated_generator(0b111, 2) == pytest.approx(1 + 1 / 3 + 1 / 9)
+    gen = generator_table(2)
+    assert gen[0b1] == 1.0
+    assert gen[0b10] == pytest.approx(1 / 3)
+    assert gen[0b111] == pytest.approx(1 + 1 / 3 + 1 / 9)
 
 
 def test_generator_separation():
@@ -62,17 +71,11 @@ def test_generator_table_matches_explicit_loop():
     # Oracle: R_D added up lag by lag, left to right, in plain Python;
     # the table must hold these bytes under every Python version.
     for depth in range(1, 8):
-        loop = []
-        for word in range(1 << (depth + 1)):
-            total = 0.0
-            for n in range(depth + 1):
-                total += 3.0 ** (-n) * ((word >> n) & 1)
-            loop.append(total)
+        loop = [truncated_generator(w, depth) for w in range(1 << (depth + 1))]
         table = generator_table(depth)
         assert table.tobytes() == np.array(loop).tobytes()
         assert not table.flags.writeable
         assert generator_table(depth) is table  # built once per depth
-        assert [truncated_generator(w, depth) for w in range(table.size)] == loop
 
 
 def test_truncation_error_bound():
@@ -212,12 +215,18 @@ def test_metric_matches_recursive_oracle_markov():
 def test_depth_one_forgets_most_recent_symbol():
     # Once one step has been averaged out, the distance between pasts
     # differing only beyond that step is the remaining generator gap.
-    tables = metric_tables(IID, 1, 2)
+    # The table of depth p reads full pasts coded up to the present at
+    # their codes shifted right by p.
+    table = metric_tables(IID, 1, 2)[1]
+
+    def rho_tilde(x, y):
+        return table.values[(x >> 1) & table.mask, (y >> 1) & table.mask]
+
     x = word_to_int((0, 0, 0))
     y = word_to_int((0, 1, 1))
-    assert tables[1].rho_tilde(x, y) == pytest.approx(1 / 3, abs=1e-12)
+    assert rho_tilde(x, y) == pytest.approx(1 / 3, abs=1e-12)
     # Pasts differing only in the most recent symbol have distance 0.
-    assert tables[1].rho_tilde(0b000, 0b001) == 0.0
+    assert rho_tilde(0b000, 0b001) == 0.0
 
 
 def test_metric_axioms():
