@@ -15,16 +15,13 @@ recovered within any tolerance schedule.
 One walk, :func:`coupled_run`, serves both directions: fed W it
 re-encodes to U, fed U it rebuilds the true chain.  It returns the end
 contexts, writes the other uniforms only into a buffer it is given (the
-forward stitch passes the same columns as input and buffer, re-encoding
-W into U in place), and steps through :func:`.reconstruction.coupled_walk`.
-No caller holds a whole (trials, T) array of uniforms.  The
-generator-gap check and the stitch read their trials one block at a
-time from :func:`.reconstruction._trial_blocks`, whose buffer each block
-overwrites.  The generator-gap check keeps each trial's end pair of
-contexts as one narrow code.  The stitch re-encodes, replays and audits
-each block; of the stitched sequence it keeps only a 1-bit mask of the
-entries re-encoded as 1 - W, from which the audit's second pass draws
-the sequence again.
+forward stitch re-encodes W into U in place), and steps through
+:func:`.reconstruction.coupled_walk`.  No caller holds a whole (trials,
+T) array of uniforms: the generator-gap check and the stitch read their
+trials one block at a time from :func:`.reconstruction._trial_blocks`.
+The generator-gap check counts the trials by their end pair of contexts;
+the stitch keeps only a 1-bit mask of the entries re-encoded as 1 - W,
+from which the audit's second pass draws the sequence again.
 
 Time convention: a run over [N; 0] takes |N|+1 steps; the step landing
 at time t uses the orientation table at depth -t + 1 (depth |N|+1 first,
@@ -38,12 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .innovation import AuditReport, _audit, _mean_stderr
+from .innovation import AuditReport, _audit
 from .kernels import CapExceededError, Kernel
 from .reconstruction import TRIAL_BLOCK, _trial_blocks, coupled_walk
-from .rng import _BLOCK, ahead, stream_rng
-from .vershik import DEFAULT_DEPTH, CouplingEngine, coupling_table
-from .words import Word, as_word, int_to_word, word_to_int
+from .rng import ahead, stream_rng
+from .vershik import DEFAULT_DEPTH, CouplingEngine, coupling_table, pair_mean_stderr
+from .words import Word, as_word, int_to_word, word_str, word_to_int
 
 
 _MAX_BLOCK_DEPTH = 200
@@ -51,6 +48,16 @@ _MAX_BLOCK_DEPTH = 200
 
 class AnchorSelectionError(RuntimeError):
     """No candidate anchor meets the requested integral bound."""
+
+
+def _anchor_code(engine: CouplingEngine, anchor) -> int:
+    """The L-bit context code of an anchor word of at most L symbols,
+    zero-padded on the left; a longer word is a ValueError."""
+    word = as_word(anchor)
+    if len(word) > engine.length:
+        raise ValueError(f"anchor {word_str(word)!r} is longer than the "
+                         f"table length {engine.length}")
+    return word_to_int(word)
 
 
 def coupled_run(
@@ -186,12 +193,11 @@ def joint_step_law(
     """
     if window > 6:
         raise CapExceededError("exact window enumeration capped at 6")
-    L = engine.length
-    anchor_int = word_to_int(as_word(anchor)) & ((1 << L) - 1)
+    anchor_int = _anchor_code(engine, anchor)
     interval, product, chain = _window_laws(engine, window, anchor_int)
     tv = 0.5 * float(np.abs(interval - product).sum())
     hat_gap = 0.5 * float(np.abs(interval.sum(axis=0) - chain).sum())
-    return JointLawReport(window, tv, hat_gap, int_to_word(anchor_int, L))
+    return JointLawReport(window, tv, hat_gap, int_to_word(anchor_int, engine.length))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +218,7 @@ class GeneratorGapReport:
 def expected_generator_gap(engine: CouplingEngine, n_start: int, anchor) -> float:
     """Exact E|R_D - R_D(hat)| for a coupled run over [n_start; 0]:
     the metric-table integral against the stationary context law."""
-    anchor_int = word_to_int(as_word(anchor))
-    return float(engine.anchor_integrals(1 - n_start)[anchor_int])
+    return float(engine.anchor_integrals(1 - n_start)[_anchor_code(engine, anchor)])
 
 
 def generator_error_check(
@@ -226,27 +231,21 @@ def generator_error_check(
     """Monte Carlo the coupled-run generator gap and compare with the
     exact integral; tolerance 3*stderr + one truncation allowance.
 
-    The trials run one block at a time (:func:`_trial_blocks`); each
-    keeps only its end pair code (ctx_true << L) | ctx_hat, at the
-    narrowest unsigned dtype (2 bytes at L <= 8).  The mean and standard
-    error of |R_D - R_D(hat)| are read off the codes in two passes
-    (:func:`.innovation._mean_stderr`), bit for bit those of the whole
-    array of gaps."""
+    The trials run one block at a time (:func:`_trial_blocks`) and are
+    counted by their end pair code (ctx_true << L) | ctx_hat."""
     L = engine.length
-    anchor_int = word_to_int(as_word(anchor)) & ((1 << L) - 1)
+    anchor_int = _anchor_code(engine, anchor)
     rng = stream_rng(seed, "generator-gap", engine.kernel.label, f"N{n_start}")
-    pairs = np.empty(trials, dtype=np.min_scalar_type((1 << 2 * L) - 1))
-    b0 = 0
+    counts = np.zeros(1 << 2 * L, dtype=np.int64)
     for ctx_true, w in _trial_blocks(rng, engine.pi, trials, 1 - n_start):
         ctx_hat = np.full(ctx_true.size, anchor_int, dtype=np.int64)
         coupled_run(engine, w, ctx_true, ctx_hat)
         ctx_true <<= L
         ctx_true |= ctx_hat
-        pairs[b0:b0 + ctx_true.size] = ctx_true
-        b0 += ctx_true.size
+        counts += np.bincount(ctx_true, minlength=counts.size)
     # |R_D(x) - R_D(y)| at every pair code (x << L) | y.
     gaps = np.abs(np.subtract.outer(engine.generator, engine.generator)).ravel()
-    mc, stderr = _mean_stderr(gaps, pairs)
+    mc, stderr = pair_mean_stderr(gaps, counts)
     exact = expected_generator_gap(engine, n_start, anchor)
     tol = 3.0 * stderr + 3.0 ** (-engine.depth)
     verdict = "match" if abs(mc - exact) <= tol else "mismatch"
@@ -393,14 +392,12 @@ def stitch_blocks(
     :func:`_trial_blocks`; :func:`_stitch_trials` re-encodes each block's
     w into u in that source's buffer, replays it and counts each row's
     exceedances.  Beyond a 1-bit mask of the entries where u = 1 - w,
-    allocated for all trials before the first block, the stitch holds
-    O(TRIAL_BLOCK x T) memory.  The audit reads u twice: its first pass
-    as each block is stitched, its second from w drawn again, _BLOCK
-    values at a time into one buffer, from :func:`.rng.ahead` of the
-    stream past the starts, with the mask applied and without the coupled
-    runs.  Rows and audit are bit for bit those of stitching all trials
-    at once: the blocks of trials are consecutive rows of the one draw of
-    w, and the exceedances add as integers.
+    the stitch holds O(TRIAL_BLOCK x T) memory.  The audit reads u
+    twice: its first pass as each block is stitched, its second from w
+    drawn again (:func:`.rng.ahead` of the stream past the starts) with
+    the mask applied.  Rows and audit are those of stitching all trials
+    at once: the blocks of trials are consecutive rows of the one draw
+    of w, and the exceedances add as integers.
     """
     engine = CouplingEngine.build(kernel, 1, depth)
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
@@ -454,9 +451,12 @@ def stitch_blocks(
             yield u.ravel()  # w re-encoded into u in place
 
     def redrawn():
-        x = np.empty(min(n, _BLOCK))
-        for a in range(0, n, _BLOCK):
-            piece = x[:min(_BLOCK, n - a)]
+        # Pieces of a trial block's size: the audit's windows copy only
+        # where they straddle two pieces.
+        size = TRIAL_BLOCK * width
+        x = np.empty(min(n, size))
+        for a in range(0, n, size):
+            piece = x[:min(size, n - a)]
             w_again.random(out=piece)
             bits = flips[a // 8:(a + piece.size + 7) // 8]
             if bits.any():

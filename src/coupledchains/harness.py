@@ -295,11 +295,6 @@ def _run_extend(kernel, config):
     n = p["n"]
     engine = CouplingEngine.build(kernel, -n + 1, p["depth"])
     anchor = parse_word(p["anchor"] or "")  # zero-padded to length L
-    if len(anchor) > engine.length:
-        raise ConfigError(
-            f"extend anchor {p['anchor']!r} is longer than the table "
-            f"length {engine.length}"
-        )
     r = generator_error_check(engine, n, anchor, p["trials"], config.seed)
     header = ("N", "anchor", "mc_estimate", "stderr", "exact_value",
               "tolerance", "verdict")

@@ -20,17 +20,12 @@ chi-square counts consecutive pairs on an AUDIT_BINS x AUDIT_BINS
 (16 x 16) grid, hence 255 degrees of freedom.  Both tail functions
 therefore have closed forms and need no statistics library.
 
-The audit reads its stream twice from a source of blocks of any size
-(views of an array, or the stitch's blocks of trials and then its
-redrawn pieces, each source overwriting one buffer).  The first pass
-counts the pair grid and a histogram of 2^16 buckets and sums the mean;
-the histogram bounds the KS distance within each bucket, and the second
-pass gathers and sorts only the values of the few buckets that can hold
-the maximum and forms the correlation sums.  Every sum follows np.sum's
-own pairwise tree over cache-sized leaves, so the report is bit for bit
-that of sorting and summing the whole stream, without a full-length
-copy.  The Monte Carlo means and standard errors over trials follow the
-same tree (:func:`_mean_stderr`).
+The audit reads its stream twice from a source of blocks of any size.
+The first pass counts the pair grid and a histogram of 2^16 buckets and
+sums the mean; the second sorts only the values of the few buckets that
+can hold the KS maximum and forms the correlation sums.  Every sum adds
+the np.sum of each _BLOCK values at a fixed place in the stream by
+math.fsum, so the report does not depend on how the source cuts it.
 """
 
 from __future__ import annotations
@@ -122,18 +117,15 @@ def _pair_chi2_sf(x: float) -> float:
 
 
 def _cut(blocks, spans):
-    """Yield each span (a, b, ...) of `spans`, in order of a, with the
-    values [a, b) of a stream that the iterator `blocks` yields in
-    consecutive float64 pieces of any size.  A span inside one piece
-    gets a view of it; a span that straddles pieces gets a copy.  A
-    source may overwrite one buffer for every piece: before the cut reads
-    the next piece, it copies what the current span still needs of the
-    current one, and then holds a copied tail plus the current piece.
-    A source that yields fewer or more values than the last span's end
-    is an error."""
+    """Yield, for each span (a, b) of `spans`, in order of a, the values
+    [a, b) of a stream that the iterator `blocks` yields in consecutive
+    float64 pieces of any size: a view of a piece, or a copy for a span
+    that straddles pieces.  A source may overwrite one buffer for every
+    piece: before the cut reads the next piece, it copies what the
+    current span still needs of the current one.  A source that yields
+    fewer or more values than the last span's end is an error."""
     held, base, end = [], 0, 0  # the held pieces cover values [base, end)
-    for span in spans:
-        a, b = span[0], span[1]
+    for a, b in spans:
         while True:
             while held and base + held[0].size <= a:
                 base += held.pop(0).size
@@ -148,9 +140,9 @@ def _cut(blocks, spans):
                 raise ValueError(f"the source ended after {end} values")
             end += held[-1].size
         if base + held[0].size >= b:
-            yield span, held[0][a - base:b - base]
+            yield held[0][a - base:b - base]
         else:  # every piece but the first and the last lies inside [a, b)
-            yield span, np.concatenate(
+            yield np.concatenate(
                 [held[0][a - base:], *held[1:-1], held[-1][:held[-1].size - (end - b)]])
     if end > b or any(piece.size for piece in blocks):
         raise ValueError(f"the source holds more than {b} values")
@@ -161,25 +153,22 @@ def _first_pass(blocks, n: int):
     histogram of the KS buckets floor(w * _BUCKETS), the counts of the
     pair codes bin[t] * AUDIT_BINS + bin[t + 1] of the chi-square bins
     bin = floor(w * AUDIT_BINS), and the mean; or None if a value lies
-    outside (0, 1), NaN and inf included.  The stream is read along the
-    leaves of the mean's pairwise tree (:func:`_tree_leaves`), each with
-    one value past its end for its last pair: the leaf sums give
-    w.mean() bit for bit, and integer counts add exactly, so both counts
-    equal one whole-array np.bincount.  Each piece is range-checked
-    before it is counted; after a value out of range the rest of the
-    source is read but not counted."""
+    outside (0, 1), NaN and inf included.  The stream is read one block
+    [k, k + 1) * _BLOCK at a time, with one value past its end for its
+    last pair.  Each block is range-checked before it is counted; after
+    a value out of range the rest of the source is read but not counted."""
     hist = np.zeros(_BUCKETS, dtype=np.intp)
     pairs = np.zeros(AUDIT_BINS * AUDIT_BINS, dtype=np.intp)
     j = np.empty(_BLOCK + 1, dtype=np.intp)  # buckets, then bins
     codes = np.empty(_BLOCK, dtype=np.intp)
     sums = []
     in_range = True
-    spans = [(a, min(b + 1, n), b - a) for a, b in _tree_leaves(n)]
-    for (_, _, size), x in _cut(blocks, spans):
+    spans = [(a, min(a + _BLOCK + 1, n)) for a in range(0, n, _BLOCK)]
+    for x in _cut(blocks, spans):
         in_range = in_range and bool(x.min() > 0.0 and x.max() < 1.0)
         if in_range:
+            m, size = x.size, min(x.size, _BLOCK)
             sums.append(np.sum(x[:size]))
-            m = x.size
             np.multiply(x, _BUCKETS, out=j[:m], casting="unsafe")
             hist += np.bincount(j[:size], minlength=_BUCKETS)
             np.right_shift(j[:m], _BIN_SHIFT, out=j[:m])
@@ -189,7 +178,7 @@ def _first_pass(blocks, n: int):
         del x  # a copied span is freed before the next is cut
     if not in_range:
         return None
-    return hist, pairs, _tree_sum(sums, n) / n
+    return hist, pairs, math.fsum(sums) / n
 
 
 def _ks_keep(hist: np.ndarray, n: int) -> np.ndarray:
@@ -222,76 +211,14 @@ def _ks_stat(s: np.ndarray, hist: np.ndarray, keep: np.ndarray, n: int) -> float
     return ks
 
 
-def _left(m: int) -> int:
-    """Length of the left part when np.sum's pairwise summation splits
-    m > 128 contiguous float64 values: half, rounded down to a multiple
-    of 8."""
-    half = m // 2
-    return half - half % 8
-
-
-def _tree_leaves(m: int, leaf: int = _BLOCK) -> list[tuple[int, int]]:
-    """The pieces [a, b) of np.sum's pairwise tree over m values that
-    hold at most `leaf` (>= 128) values, left to right."""
-    if m <= leaf:
-        return [(0, m)]
-    half = _left(m)
-    right = _tree_leaves(m - half, leaf)
-    return _tree_leaves(half, leaf) + [(a + half, b + half) for a, b in right]
-
-
-def _tree_sum(leaf_sums, m: int, leaf: int = _BLOCK) -> float:
-    """np.sum of m values, bit for bit, from the np.sum of each piece of
-    _tree_leaves(m, leaf), given in that order: np.sum over a contiguous
-    float64 array halves each piece of more than 128 values at _left and
-    adds the two halves' sums."""
-    sums = iter(leaf_sums)
-
-    def piece(m: int) -> float:
-        if m <= leaf:
-            return float(next(sums))
-        half = _left(m)
-        return piece(half) + piece(m - half)
-
-    return piece(m)
-
-
-def _mean_stderr(values: np.ndarray, codes: np.ndarray) -> tuple[float, float]:
-    """The mean and the standard error of the n >= 2 values x =
-    values[codes]: float(x.mean()) and float(x.std(ddof=1) / sqrt(n)),
-    bit for bit, without the full-length x.  Two passes gather x one
-    leaf of np.sum's pairwise tree at a time, as numpy's own variance
-    does: the leaf sums give the mean, then the leaf sums of the squared
-    deviations from it give the variance, divided by n - 1.  The codes
-    must lie in [0, len(values))."""
-    n = codes.size
-    buf = np.empty(min(n, _BLOCK))
-    leaves = _tree_leaves(n)
-
-    def gathered():
-        for a, b in leaves:
-            yield values.take(codes[a:b], out=buf[:b - a], mode="wrap")
-
-    mean = _tree_sum([np.sum(x) for x in gathered()], n) / n
-    squares = []
-    for x in gathered():
-        np.subtract(x, mean, out=x)
-        np.multiply(x, x, out=x)
-        squares.append(np.sum(x))
-    var = _tree_sum(squares, n) / (n - 1)
-    return mean, math.sqrt(var) / math.sqrt(n)
-
-
 def _second_pass(blocks, n: int, hist: np.ndarray, mean: float):
     """Pass 2 of the audit over the n values that `blocks` yields: the KS
-    distance, and the six sums np.sum of (w[t] - mean) * (w[t + lag] -
-    mean) over t < n - lag for lag = 0..AUDIT_LAGS, bit for bit, without
-    a full-length sort or centered array.  The stream is read in windows
-    [k * _BLOCK, (k + 2) * _BLOCK + AUDIT_LAGS).  The first _BLOCK values
-    of each are scanned for the values of the KS buckets that can hold
-    the maximum; the leaves of the six sums that start in
-    [k, k + 1) * _BLOCK lie in the window, which is centered once for
-    them all."""
+    distance, and the six sums of (w[t] - mean) * (w[t + lag] - mean)
+    over t < n - lag for lag = 0..AUDIT_LAGS, without a full-length sort
+    or centered array.  The stream is read in windows [k * _BLOCK,
+    (k + 1) * _BLOCK + AUDIT_LAGS): the first _BLOCK values are scanned
+    for the kept KS buckets, and each sum takes its terms for t in
+    [k, k + 1) * _BLOCK from the window, centered once."""
     keep = _ks_keep(hist, n)
     # The kept buckets usually form one short run: a range test on each
     # block leaves few values to look up bucket by bucket.
@@ -299,15 +226,11 @@ def _second_pass(blocks, n: int, hist: np.ndarray, mean: float):
     low, high = first / _BUCKETS, (last + 1) / _BUCKETS
     kept = np.empty(int(hist[keep].sum()))
     filled = 0
-    span = 2 * _BLOCK + AUDIT_LAGS
-    window = np.empty(span)
+    window = np.empty(min(n, _BLOCK + AUDIT_LAGS))
     prod = np.empty(_BLOCK)
     sums = [[] for _ in range(AUDIT_LAGS + 1)]
-    leaves = sorted((a, b, lag) for lag in range(AUDIT_LAGS + 1)
-                    for a, b in _tree_leaves(n - lag))
-    i = 0
-    windows = [(start, min(start + span, n)) for start in range(0, n, _BLOCK)]
-    for (start, _), x in _cut(blocks, windows):
+    windows = [(a, min(a + _BLOCK + AUDIT_LAGS, n)) for a in range(0, n, _BLOCK)]
+    for x in _cut(blocks, windows):
         block = x[:_BLOCK]
         near = block[(block >= low) & (block < high)]
         near = near[keep[(near * _BUCKETS).astype(np.intp)]]
@@ -315,14 +238,13 @@ def _second_pass(blocks, n: int, hist: np.ndarray, mean: float):
         filled += near.size
         centered = np.subtract(x, mean, out=window[:x.size])
         del x, block  # a copied span is freed before the next is cut
-        while i < len(leaves) and leaves[i][0] < start + _BLOCK:
-            a, b, lag = leaves[i]
-            i += 1
-            y = centered[a - start:b + lag - start]
-            sums[lag].append(np.sum(np.multiply(y[:b - a], y[lag:], out=prod[:b - a])))
+        for lag, lag_sums in enumerate(sums):
+            m = max(min(_BLOCK, centered.size - lag), 0)
+            lag_sums.append(np.sum(np.multiply(centered[:m], centered[lag:lag + m],
+                                               out=prod[:m])))
     kept.sort()
     ks = _ks_stat(kept, hist, keep, n)
-    return ks, [_tree_sum(s, n - lag) for lag, s in enumerate(sums)]
+    return ks, [math.fsum(s) for s in sums]
 
 
 def _audit(source, n: int) -> AuditReport:
@@ -368,23 +290,18 @@ def innovation_audit(w: np.ndarray) -> AuditReport:
     constant stream with an exact mean) reads max_lag_corr inf.
 
     The audit core (:func:`_audit`) reads the stream in two passes over
-    a source of blocks, here views of w, and allocates no full-length
-    array; the report is bit for bit that of sorting w and summing
-    whole-length arrays.  KS distance: with K = _BUCKETS and C_j the
-    number of values in buckets [0, (j+1)/K), an order statistic s_(i)
-    in bucket j has i/n - s_(i) in [C_j/n - (j+1)/K, C_j/n - j/K] and
-    s_(i) - (i-1)/n in [j/K - C_{j-1}/n, (j+1)/K - C_{j-1}/n].  So a
-    bucket whose upper bound lies below the largest lower bound of a
-    non-empty bucket cannot hold the maximum: pass 1 counts the
-    histogram, and pass 2 gathers and sorts only the values of the
-    other buckets, each of which gets its exact global rank C_{j-1} + 1
-    + its place in its bucket.  On uniform streams of 6.8e6 values one
-    to a few 1e4 survive, and about 3e6 of 6.8e7; a stream packed into a
-    few buckets keeps them all, and the sort is then as large as the
-    stream.  Correlations:
-    the mean and each of the six sums follow np.sum's pairwise tree down
-    to leaves of at most _BLOCK values, formed in cache-sized buffers
-    (see :func:`_first_pass` and :func:`_second_pass`).
+    a source of blocks, here w itself, and allocates no full-length
+    array.  KS distance: with K = _BUCKETS and C_j the number of values
+    in buckets [0, (j+1)/K), an order statistic s_(i) in bucket j has
+    i/n - s_(i) in [C_j/n - (j+1)/K, C_j/n - j/K] and s_(i) - (i-1)/n in
+    [j/K - C_{j-1}/n, (j+1)/K - C_{j-1}/n].  So a bucket whose upper
+    bound lies below the largest lower bound of a non-empty bucket cannot
+    hold the maximum: pass 1 counts the histogram, and pass 2 gathers and
+    sorts only the values of the other buckets, each of which gets its
+    exact global rank C_{j-1} + 1 + its place in its bucket.  On uniform
+    streams of 6.8e6 values one to a few 1e4 survive, and about 3e6 of
+    6.8e7; a stream packed into a few buckets keeps them all, and the
+    sort is then as large as the stream.
     """
     w = np.asarray(w, dtype=float)
     return _audit(lambda: (w,), w.size)

@@ -389,8 +389,9 @@ def house_of_cards_dist(gammas, n: int) -> ResetChainDist:
     reset = survive * g
     r = np.empty(n + 1)
     r[0] = 1.0
-    for k in range(1, n + 1):
-        r[k] = np.dot(r[k - 1 :: -1], reset[:k])
+    prod = np.empty(n)
+    for k in range(1, n + 1):  # np.sum, not BLAS: no thread-dependent bits
+        r[k] = np.multiply(r[k - 1 :: -1], reset[:k], out=prod[:k]).sum()
     return ResetChainDist(n, r[::-1] * survive)
 
 

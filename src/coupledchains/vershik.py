@@ -19,12 +19,12 @@ against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .innovation import _mean_stderr
 from .kernels import CapExceededError, Kernel, stationary_ctx_vector
 from .rng import _BLOCK, ahead, index_sampler, stream_rng
 
@@ -303,6 +303,18 @@ def alpha_sequence(
     return AlphaSequence(tuple(engine.alpha(p) for p in range(p_max + 1)), "exact")
 
 
+def pair_mean_stderr(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """The mean and the standard error (ddof=1) of n >= 2 samples that
+    take the value values[c] counts[c] times, c a pair code (x << L) | y.
+    Both sums run over the 4^L codes, so they do not depend on the order
+    of the samples."""
+    n = int(counts.sum())
+    mean = float(np.sum(counts * values)) / n
+    dev = values - mean
+    var = float(np.sum(counts * (dev * dev))) / (n - 1)
+    return mean, math.sqrt(var) / math.sqrt(n)
+
+
 def alpha_sequence_mc(
     kernel: Kernel,
     p_max: int,
@@ -315,26 +327,24 @@ def alpha_sequence_mc(
 
     The x contexts are the stream's next `trials` stationary draws and
     the y contexts the `trials` after them, read side by side through
-    :func:`.rng.ahead`, one block at a time, into one array of L-bit pair
-    codes (x << L) | y at the narrowest unsigned dtype.  Each table is
-    spread over the pair codes (entry [x & mask, y & mask]) and read off
-    them in two passes (:func:`.innovation._mean_stderr`), bit for bit
-    the mean and standard error of the whole array of samples."""
+    :func:`.rng.ahead`, one block at a time, and counted by pair code
+    (x << L) | y; each table, spread over the pair codes, is averaged
+    against the counts."""
     engine = CouplingEngine.build(kernel, p_max, depth)
     rng = stream_rng(seed, "alpha-mc", kernel.label)
     L = engine.length
     draw, rng_y = index_sampler(engine.pi), ahead(rng, trials)
-    pairs = np.empty(trials, dtype=np.min_scalar_type((1 << 2 * L) - 1))
+    counts = np.zeros(1 << 2 * L, dtype=np.int64)
     for a in range(0, trials, _BLOCK):
         x = draw(rng, min(_BLOCK, trials - a))
         x <<= L
         x |= draw(rng_y, x.size)
-        pairs[a:a + x.size] = x
+        counts += np.bincount(x, minlength=counts.size)
     contexts = np.arange(1 << L)
     vals, errs = [], []
     for t in engine.tables:
         low = contexts & t.mask
-        mc, err = _mean_stderr(t.values[np.ix_(low, low)].ravel(), pairs)
+        mc, err = pair_mean_stderr(t.values[np.ix_(low, low)].ravel(), counts)
         vals.append(mc)
         errs.append(err)
     return AlphaSequence(tuple(vals), "monte-carlo", tuple(errs))

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -389,7 +390,9 @@ def test_replay_experiments_match_whole_array_reference(kernel, trials):
 @pytest.mark.parametrize("kernel", [IID, ORDER3], ids=["iid", "order3"])
 def test_generator_gap_matches_whole_array_reference(kernel, trials):
     # Oracle: every trial's start and uniforms drawn whole, the per-column
-    # coupled run, and numpy's mean and std of the whole array of gaps.
+    # coupled run, and the gaps reduced by counts: one np.bincount of the
+    # whole array of end pair codes, then the mean and the ddof=1
+    # standard error from the counts.
     engine = make_engine(kernel, p_max=2, depth=3)
     n_start, anchor = -4, (1,) * engine.length
     report = generator_error_check(engine, n_start, anchor, trials, 37)
@@ -399,9 +402,13 @@ def test_generator_gap_matches_whole_array_reference(kernel, trials):
     hat = np.full(trials, word_to_int(anchor), dtype=np.int64)
     _, end_true, end_hat = serial_coupled_run(engine, w, ctx_true, hat)
     gen = engine.generator
-    gaps = np.abs(gen[end_true] - gen[end_hat])
-    assert report.mc_estimate == float(gaps.mean())
-    assert report.stderr == float(gaps.std(ddof=1) / np.sqrt(trials))
+    gaps = np.abs(gen[:, None] - gen[None, :]).ravel()
+    counts = np.bincount((end_true << engine.length) | end_hat, minlength=gaps.size)
+    mean = float(np.sum(counts * gaps)) / trials
+    dev = gaps - mean
+    var = float(np.sum(counts * (dev * dev))) / (trials - 1)
+    assert report.mc_estimate == mean
+    assert report.stderr == math.sqrt(var) / math.sqrt(trials)
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +754,25 @@ def test_anchor_fubini():
     )
 
 
+def test_anchor_longer_than_table_is_value_error():
+    # One rule for the anchor in the three functions that take one: at
+    # most L symbols, zero-padded on the left; a longer word is refused,
+    # not cut to its low L bits.  markov1-demo at D = 3 has L = 4.
+    engine = make_engine(MARKOV1, p_max=4, depth=3)
+    assert engine.length == 4
+    for anchor in ((1, 0, 0, 0, 0), (0,) * 5):
+        with pytest.raises(ValueError, match="longer than the table length 4"):
+            expected_generator_gap(engine, -3, anchor)
+        with pytest.raises(ValueError, match="longer than the table length 4"):
+            generator_error_check(engine, -3, anchor, 100, 1)
+        with pytest.raises(ValueError, match="longer than the table length 4"):
+            joint_step_law(engine, 2, anchor)
+    # Words of at most L symbols are padded: (1, 1) is the anchor 0011.
+    assert (expected_generator_gap(engine, -3, (1, 1))
+            == expected_generator_gap(engine, -3, (0, 0, 1, 1)))
+    assert joint_step_law(engine, 2, (1, 1)).anchor == (0, 0, 1, 1)
+
+
 def test_choose_anchor_beats_average():
     engine = make_engine(MARKOV1, p_max=7)
     anchor, value = choose_anchor(engine, -6, delta=1.0)
@@ -906,16 +932,18 @@ PINNED_TRIALS = (TRIAL_BLOCK - 1, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK + 5)
 # (kernel, tolerance schedule, generator depth, whether u flips), and the
 # first 16 hex digits of the sha256 of repr(stitch_blocks(..., seed 29))
 # at each of PINNED_TRIALS, recorded with the stitch that held u for all
-# trials at once.  repr pins every row and audit field, type and bits.
+# trials at once; re-recorded when the audit's sums moved to fixed blocks,
+# which moved only max_lag_corr, in its last bits.  repr pins every row
+# and audit field, type and bits.
 PINNED_STITCHES = [
     ((MARKOV1, BENCH_DELTAS, 7, False),
-     ("10da5d50ea35f4ab", "324b0f4163f973ec", "0dc807a11a79a791")),
+     ("10da5d50ea35f4ab", "1c7b54fed984c408", "0dc807a11a79a791")),
     ((*STITCH_CASES[1], True),
-     ("802cd2d2960553aa", "4b5179bbec4e63ae", "0252a3660d654cf3")),
+     ("02d8b5374c937dd4", "a918773afe903b19", "6116ad69d8099124")),
     ((*STITCH_CASES[3], True),
-     ("91dfc4260a653897", "38b2d46a465aff02", "34d7889a01a3f9d5")),
+     ("2578076aa6d08cec", "569cf516c5fbf700", "34d7889a01a3f9d5")),
     ((*STITCH_CASES[5], True),
-     ("6d8b9dbf82d0e30b", "a06b6bcaddc7a75c", "c4dfb89a085d6525")),
+     ("a909ccfd5e48b64d", "56b1cc41f17422ff", "7284b707f9df57c6")),
 ]
 
 

@@ -122,6 +122,13 @@ def test_audit_rejects_out_of_range():
     assert not innovation_audit(np.linspace(0, 1, 1000)).passed
 
 
+def block_sum(x):
+    """The audit's sum rule: np.sum of each block of _BLOCK values at its
+    fixed place in x, the block sums added by math.fsum."""
+    block = innovation._BLOCK
+    return math.fsum(np.sum(x[a:a + block]) for a in range(0, x.size, block))
+
+
 def reference_audit(w):
     """The audit computed over whole-length arrays in one pass each."""
     w = np.asarray(w, dtype=float)
@@ -132,12 +139,12 @@ def reference_audit(w):
     grid = np.arange(1, n + 1) / n
     ks = float(np.max(np.maximum(grid - srt, srt - (grid - 1.0 / n))))
     dkw = float(np.sqrt(np.log(2.0 / AUDIT_LEVEL) / (2.0 * n)))
-    centered = w - w.mean()
-    denom = float(np.sum(centered * centered))
+    centered = w - block_sum(w) / n
+    denom = block_sum(centered * centered)
     corr_bound = innovation._CORR_QUANTILE / np.sqrt(n)
     max_corr = 0.0
     for lag in range(1, AUDIT_LAGS + 1):
-        cov = float(np.sum(centered[:-lag] * centered[lag:]))
+        cov = block_sum(centered[:-lag] * centered[lag:])
         c = cov / denom if denom > 0.0 else np.inf
         max_corr = max(max_corr, abs(c))
     bins = np.minimum((w * AUDIT_BINS).astype(np.int64), AUDIT_BINS - 1)
@@ -302,10 +309,10 @@ def test_correlation_quantile_matches_scipy():
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("blocks", [0, 1, 2])
 def test_pair_counts_match_whole_array_bincount(blocks, offset):
-    # Bucket histogram and pair counts summed over the leaves of pass 1
+    # Bucket histogram and pair counts summed over the blocks of pass 1
     # against one bincount of every bucket and every pair code, and its
-    # mean against w.mean(), for streams on either side of the block
-    # edges.
+    # mean against the block sums of w, for streams on either side of the
+    # block edges.
     pairs = max(blocks * innovation._BLOCK + offset, 1)
     rng = stream_rng(9, "pairs", str(pairs))
     w = rng.random(pairs + 1)
@@ -314,31 +321,10 @@ def test_pair_counts_match_whole_array_bincount(blocks, offset):
     whole = np.bincount(bins[:-1] * AUDIT_BINS + bins[1:],
                         minlength=AUDIT_BINS * AUDIT_BINS)
     hist, counts, mean = innovation._first_pass(iter((w,)), w.size)
-    assert mean == w.mean()
+    assert mean == block_sum(w) / w.size
     assert counts.dtype == whole.dtype
     assert np.array_equal(counts, whole)
     assert np.array_equal(hist, np.bincount(buckets, minlength=innovation._BUCKETS))
-
-
-def test_tree_sum_matches_numpy_sum():
-    # Leaf-split sums against np.sum: with leaves of 128 values (numpy's
-    # own leaf size) on the short lengths, every split of the tree is
-    # taken here rather than inside np.sum.
-    rng = stream_rng(10, "tree")
-    block = innovation._BLOCK
-    for size in [*range(1, 301), block - 1, block + 1, 10**6 + 7, 6_800_000]:
-        x = rng.standard_normal(size)
-        for leaf in (128, block) if size <= block + 1 else (block,):
-            leaves = innovation._tree_leaves(size, leaf)
-            total = innovation._tree_sum([np.sum(x[a:b]) for a, b in leaves],
-                                         size, leaf)
-            assert total == float(np.sum(x)), (
-                f"{size} values, leaves of {leaf}: np.sum no longer splits a "
-                "contiguous float64 array as the audit's leaf sums assume "
-                "(halve above 128 values, the left part rounded down to a "
-                "multiple of 8); a numpy release that changes its pairwise "
-                "split moves the last bits of the audit's correlations"
-            )
 
 
 def test_audit_memory_stays_blockwise():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -255,8 +256,22 @@ def test_alpha_exact_vs_monte_carlo():
         assert abs(a - b) <= 4 * se + 1e-12
 
 
+def reduce_by_counts(table, xs, ys):
+    """The counts rule over the whole sample: one np.bincount of every
+    pair code (x << L) | y, then the mean and the ddof=1 standard error
+    of the table's entries from the counts."""
+    L = table.length
+    values = at_length(table).ravel()
+    counts = np.bincount((xs << L) | ys, minlength=values.size)
+    n = xs.size
+    mean = float(np.sum(counts * values)) / n
+    dev = values - mean
+    var = float(np.sum(counts * (dev * dev))) / (n - 1)
+    return mean, math.sqrt(var) / math.sqrt(n)
+
+
 def test_alpha_monte_carlo_matches_table_index():
-    # Oracle: each table indexed by the sampled context pairs directly.
+    # Oracle: the sampled context pairs drawn whole, reduced by counts.
     kernel = builtin_kernels()["long-memory-demo"]
     mc = alpha_sequence_mc(kernel, 5, 30_001, 11, 4)
     tables = metric_tables(kernel, 5, 4)
@@ -265,9 +280,7 @@ def test_alpha_monte_carlo_matches_table_index():
     xs = rng.choice(pi.size, p=pi, size=30_001)
     ys = rng.choice(pi.size, p=pi, size=30_001)
     for t, value, err in zip(tables, mc.values, mc.stderr, strict=True):
-        samples = at_length(t)[xs, ys]
-        assert value == float(samples.mean())
-        assert err == float(samples.std(ddof=1) / np.sqrt(30_001))
+        assert (value, err) == reduce_by_counts(t, xs, ys)
 
 
 def test_alpha_iid_brackets():
@@ -346,9 +359,8 @@ ORDER3 = MarkovKernel.from_table(3, {
 @pytest.mark.parametrize("kernel, depth", [(IID, 3), (ORDER3, 7)],
                          ids=["iid-1-byte-codes", "order3-2-byte-codes"])
 def test_alpha_monte_carlo_matches_whole_array_reference(kernel, depth, trials):
-    # Oracle: the x and then the y contexts drawn whole by Generator.choice,
-    # every table indexed by them, and numpy's mean and std of the whole
-    # array of samples; trial counts on both sides of a leaf of the sums.
+    # Oracle: the x and then the y contexts drawn whole by Generator.choice
+    # and reduced by counts; trial counts on both sides of a draw block.
     mc = alpha_sequence_mc(kernel, 4, trials, 13, depth)
     tables = metric_tables(kernel, 4, depth)
     pi = stationary_ctx_vector(kernel, tables[0].length)
@@ -356,9 +368,26 @@ def test_alpha_monte_carlo_matches_whole_array_reference(kernel, depth, trials):
     xs = rng.choice(pi.size, p=pi, size=trials)
     ys = rng.choice(pi.size, p=pi, size=trials)
     for t, value, err in zip(tables, mc.values, mc.stderr, strict=True):
-        samples = at_length(t)[xs, ys]
-        assert value == float(samples.mean())
-        assert err == float(samples.std(ddof=1) / np.sqrt(trials))
+        assert (value, err) == reduce_by_counts(t, xs, ys)
+
+
+def test_count_summary_matches_exact_sample_mean():
+    # The counts rule against the exact rational mean and standard error
+    # of the same samples, each sample a float read from a table.
+    kernel = ORDER3
+    trials = 20_011
+    mc = alpha_sequence_mc(kernel, 4, trials, 17, 7)
+    tables = metric_tables(kernel, 4, 7)
+    pi = stationary_ctx_vector(kernel, tables[0].length)
+    rng = stream_rng(17, "alpha-mc", kernel.label)
+    xs = rng.choice(pi.size, p=pi, size=trials)
+    ys = rng.choice(pi.size, p=pi, size=trials)
+    for t, value, err in zip(tables, mc.values, mc.stderr, strict=True):
+        samples = [Fraction(v) for v in at_length(t)[xs, ys].tolist()]
+        mean = sum(samples) / trials
+        var = sum((v - mean) ** 2 for v in samples) / (trials - 1)
+        assert abs(value - mean) <= 1e-15 * mean
+        assert abs(err - math.sqrt(var / trials)) <= 1e-15 * err
 
 
 @pytest.mark.parametrize(
