@@ -20,8 +20,7 @@ forward stitch re-encodes W into U in place), and steps through
 T) array of uniforms: the generator-gap check and the stitch read their
 trials one block at a time from :func:`.reconstruction._trial_blocks`.
 The generator-gap check counts the trials by their end pair of contexts;
-the stitch keeps only a 1-bit mask of the entries re-encoded as 1 - W,
-from which the audit's second pass draws the sequence again.
+the stitch feeds each block's U to the audit as it is made.
 
 Time convention: a run over [N; 0] takes |N|+1 steps; the step landing
 at time t uses the orientation table at depth -t + 1 (depth |N|+1 first,
@@ -38,7 +37,7 @@ import numpy as np
 from .innovation import AuditReport, _audit
 from .kernels import CapExceededError, Kernel
 from .reconstruction import TRIAL_BLOCK, _trial_blocks, coupled_walk
-from .rng import ahead, stream_rng
+from .rng import _BLOCK, stream_rng
 from .vershik import DEFAULT_DEPTH, CouplingEngine, coupling_table, pair_mean_stderr
 from .words import Word, as_word, int_to_word, word_str, word_to_int
 
@@ -232,17 +231,24 @@ def generator_error_check(
     exact integral; tolerance 3*stderr + one truncation allowance.
 
     The trials run one block at a time (:func:`_trial_blocks`) and are
-    counted by their end pair code (ctx_true << L) | ctx_hat."""
+    counted by their end pair code (ctx_true << L) | ctx_hat, _BLOCK
+    codes at a time."""
     L = engine.length
     anchor_int = _anchor_code(engine, anchor)
     rng = stream_rng(seed, "generator-gap", engine.kernel.label, f"N{n_start}")
     counts = np.zeros(1 << 2 * L, dtype=np.int64)
-    for ctx_true, w in _trial_blocks(rng, engine.pi, trials, 1 - n_start):
+    # The pair codes of _BLOCK trials, a whole number of trial blocks,
+    # are counted at once.
+    codes = np.empty(min(trials, _BLOCK), dtype=np.int64)
+    blocks = _trial_blocks(rng, engine.pi, trials, 1 - n_start)
+    for b0, (ctx_true, w) in zip(range(0, trials, TRIAL_BLOCK), blocks):
         ctx_hat = np.full(ctx_true.size, anchor_int, dtype=np.int64)
         coupled_run(engine, w, ctx_true, ctx_hat)
-        ctx_true <<= L
-        ctx_true |= ctx_hat
-        counts += np.bincount(ctx_true, minlength=counts.size)
+        end = b0 % _BLOCK + ctx_true.size
+        code = np.left_shift(ctx_true, L, out=codes[end - ctx_true.size:end])
+        code |= ctx_hat
+        if end == codes.size or b0 + ctx_true.size == trials:
+            counts += np.bincount(codes[:end], minlength=counts.size)
     # |R_D(x) - R_D(y)| at every pair code (x << L) | y.
     gaps = np.abs(np.subtract.outer(engine.generator, engine.generator)).ravel()
     mc, stderr = pair_mean_stderr(gaps, counts)
@@ -372,10 +378,11 @@ def stitch_blocks(
     within the tolerance schedule.
 
     Block j covers times [M_{j+1}; M_j - 1] with M_0 = 1 and
-    M_{j+1} = M_j + N_j - 1.  Its window start N_j is chosen so the
-    depth-(|N_j|+1) coupling distance (and the chosen anchor's exact
-    integral) beat delta_0 for j = 0 and 3^(K_j - M_j + 1) * delta_j / 2
-    for j >= 1, where K_j = M_j - L pins the exact context window.
+    M_{j+1} = M_j + N_j - 1.  Its window start is N_j = -(p - 1) for
+    the smallest depth p >= L at which the coupling distance alpha_p and
+    the best anchor's exact integral both lie below a threshold: delta_0
+    for j = 0, and 3^(K_j - M_j + 1) * delta_j / 2 = 3^(1 - L) *
+    delta_j / 2 for j >= 1, where K_j = M_j - L.
     Estimates P(|S_j - R_D| > delta_j) per block and audits the pooled
     stitched innovations.
 
@@ -391,13 +398,11 @@ def stitch_blocks(
     The trials are read one block of TRIAL_BLOCK at a time from
     :func:`_trial_blocks`; :func:`_stitch_trials` re-encodes each block's
     w into u in that source's buffer, replays it and counts each row's
-    exceedances.  Beyond a 1-bit mask of the entries where u = 1 - w,
-    the stitch holds O(TRIAL_BLOCK x T) memory.  The audit reads u
-    twice: its first pass as each block is stitched, its second from w
-    drawn again (:func:`.rng.ahead` of the stream past the starts) with
-    the mask applied.  Rows and audit are those of stitching all trials
-    at once: the blocks of trials are consecutive rows of the one draw
-    of w, and the exceedances add as integers.
+    exceedances, and the audit reads the block's u before the next block
+    overwrites it.  So the stitch holds O(TRIAL_BLOCK x T) memory.  Rows
+    and audit are those of stitching all trials at once: the blocks of
+    trials are consecutive rows of the one draw of w, the exceedances add
+    as integers, and the audit does not depend on how its source is cut.
     """
     engine = CouplingEngine.build(kernel, 1, depth)
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
@@ -433,40 +438,17 @@ def stitch_blocks(
     # from the earliest (j = J) to block 0.
     t_min = m[n_blocks]
     width = 1 - t_min
-    n = trials * width
     rng = stream_rng(seed, "stitch", kernel.label, f"J{n_blocks - 1}")
-    w_again = ahead(rng, trials)  # the draw of w, past the starts
-    # Bit k is set where u[k] = 1 - w[k]; TRIAL_BLOCK is a multiple of 8,
-    # so each block's bits start a byte.
-    flips = np.zeros((n + 7) // 8, dtype=np.uint8)
     cols = [slice(m[j + 1] - t_min, m[j] - t_min) for j in range(n_blocks)]
     anchor_ints = [word_to_int(a) for a in anchors]
     far = []  # per trial block, the trials of each row whose S_j is far
 
     def stitched():
-        blocks = _trial_blocks(rng, engine.pi, trials, width)
-        for b0, (ctx, u) in zip(range(0, trials, TRIAL_BLOCK), blocks):
-            far.append(_stitch_trials(engine, u, ctx, cols, anchor_ints,
-                                      deltas, flips[b0 * width // 8:]))
+        for ctx, u in _trial_blocks(rng, engine.pi, trials, width):
+            far.append(_stitch_trials(engine, u, ctx, cols, anchor_ints, deltas))
             yield u.ravel()  # w re-encoded into u in place
 
-    def redrawn():
-        # Pieces of a trial block's size: the audit's windows copy only
-        # where they straddle two pieces.
-        size = TRIAL_BLOCK * width
-        x = np.empty(min(n, size))
-        for a in range(0, n, size):
-            piece = x[:min(size, n - a)]
-            w_again.random(out=piece)
-            bits = flips[a // 8:(a + piece.size + 7) // 8]
-            if bits.any():
-                np.subtract(1.0, piece, out=piece,
-                            where=np.unpackbits(bits, count=piece.size).view(bool))
-            yield piece
-
-    # The audit's first pass stitches the trials; its second draws u again.
-    passes = iter((stitched(), redrawn()))
-    audit = _audit(lambda: next(passes), n)
+    audit = _audit(stitched(), trials * width)
 
     rows = []
     for j, (delta, exceeded) in enumerate(zip(deltas, map(sum, zip(*far)))):
@@ -482,36 +464,23 @@ def stitch_blocks(
     return StitchReport(rows, audit, trials)
 
 
-def _stitch_trials(engine, u, ctx_true, cols, anchors, deltas, mask):
+def _stitch_trials(engine, u, ctx_true, cols, anchors, deltas):
     """Stitch one block of trials: re-encode their innovations `u` (w on
-    entry, shape (trials, width)) in place, block j over columns
+    entry, shape (trials, width)) into u in place, block j over columns
     `cols[j]` from the true contexts `ctx_true` and its hat chain at
-    `anchors[j]`, copying w only for the run over its columns, and only
-    when one of the run's depths has antitone entries: elsewhere u = w,
-    and the run writes nothing.  Writes np.packbits of the entries
-    re-encoded as 1 - w to the start of `mask` where there are any, and
-    returns per row j the trials whose S_j is more than `deltas[j]` from
-    R_D."""
-    flipped = np.zeros(u.shape, dtype=bool)
+    `anchors[j]`; a run none of whose depths has antitone entries keeps
+    u = w and writes nothing.  Returns per row j the trials whose S_j is
+    more than `deltas[j]` from R_D."""
     hat_ends = [None] * len(cols)
     for j in reversed(range(len(cols))):
         if j == 0:
             ctx_before_0 = ctx_true.copy()  # the run below moves ctx_true
         block = u[:, cols[j]]
         hat = np.full(len(ctx_true), anchors[j], dtype=np.int64)
-        depths = range(1, block.shape[1] + 1)
-        if all(engine.table(p).flip is None for p in depths):
-            ctx_true, hat_ends[j] = coupled_run(engine, block, ctx_true, hat)
-            continue
-        w = block.copy()
+        flips = any(engine.table(p).flip is not None
+                    for p in range(1, block.shape[1] + 1))
         ctx_true, hat_ends[j] = coupled_run(engine, block, ctx_true, hat,
-                                            other=block)
-        np.not_equal(block, w, out=flipped[:, cols[j]])
-        del w
-    if flipped.any():
-        bits = np.packbits(flipped)
-        mask[:bits.size] = bits
-    del flipped  # freed before the replays
+                                            other=block if flips else None)
     r_true = engine.generator_values(ctx_true)
     ends = _replay_ends(engine, u, cols, anchors, ctx_before_0, hat_ends)
     return [int(np.count_nonzero(np.abs(engine.generator_values(e) - r_true) > delta))

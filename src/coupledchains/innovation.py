@@ -20,12 +20,12 @@ chi-square counts consecutive pairs on an AUDIT_BINS x AUDIT_BINS
 (16 x 16) grid, hence 255 degrees of freedom.  Both tail functions
 therefore have closed forms and need no statistics library.
 
-The audit reads its stream twice from a source of blocks of any size.
-The first pass counts the pair grid and a histogram of 2^16 buckets and
-sums the mean; the second sorts only the values of the few buckets that
-can hold the KS maximum and forms the correlation sums.  Every sum adds
-the np.sum of each _BLOCK values at a fixed place in the stream by
-math.fsum, so the report does not depend on how the source cuts it.
+The audit reads its stream once, from an iterable of blocks of any size,
+in windows at fixed places in the stream: each counts a histogram of
+2^16 buckets, which bounds the KS distance, and the pair grid, and sums
+the lag products of the values shifted by the first block's mean.  Block
+sums are added by math.fsum, so the report does not depend on how the
+source cuts the stream.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ _CORR_QUANTILE = NormalDist().inv_cdf(1.0 - AUDIT_LEVEL / (2 * AUDIT_LAGS))
 # floor(w * AUDIT_BINS) is the bucket shifted right by _BIN_SHIFT.
 _BUCKETS = 1 << 16
 _BIN_SHIFT = _BUCKETS.bit_length() - AUDIT_BINS.bit_length()
-# Slack of the KS pruning: far above the float rounding of the bucket
-# bounds (~1e-16), far below a bucket's width 1/_BUCKETS.
-_KS_MARGIN = 1e-12
+# Row length of the lag sums: einsum sums each row in order and np.sum
+# the row sums pairwise, so rounding does not build up along a block.
+_ROW = 128
 
 
 def encode_w(x, v, f):
@@ -148,124 +148,106 @@ def _cut(blocks, spans):
         raise ValueError(f"the source holds more than {b} values")
 
 
-def _first_pass(blocks, n: int):
-    """Pass 1 of the audit over the n values that `blocks` yields: the
+def _tally(blocks, n: int):
+    """One read of the n values that the iterable `blocks` yields: the
     histogram of the KS buckets floor(w * _BUCKETS), the counts of the
     pair codes bin[t] * AUDIT_BINS + bin[t + 1] of the chi-square bins
-    bin = floor(w * AUDIT_BINS), and the mean; or None if a value lies
-    outside (0, 1), NaN and inf included.  The stream is read one block
-    [k, k + 1) * _BLOCK at a time, with one value past its end for its
-    last pair.  Each block is range-checked before it is counted; after
-    a value out of range the rest of the source is read but not counted."""
+    bin = floor(w * AUDIT_BINS), and with a = w - (the first block's
+    mean) the sum of a, its first and last AUDIT_LAGS values and, for
+    lag = 0..AUDIT_LAGS, the sum of a[t] * a[t + lag] over t < n - lag;
+    or None if a value lies outside (0, 1), NaN and inf included.  Each
+    window [k * _BLOCK, (k + 1) * _BLOCK + AUDIT_LAGS) range-checks,
+    counts and sums the terms of t in its block [k, k + 1) * _BLOCK; the
+    block sums are added by math.fsum.  After a value out of range the
+    rest of the source is read but not counted."""
     hist = np.zeros(_BUCKETS, dtype=np.intp)
     pairs = np.zeros(AUDIT_BINS * AUDIT_BINS, dtype=np.intp)
     j = np.empty(_BLOCK + 1, dtype=np.intp)  # buckets, then bins
     codes = np.empty(_BLOCK, dtype=np.intp)
-    sums = []
+    # a, zero past the window: the lag sums' rows read zeros past the end.
+    a = np.zeros(min(-(-n // _ROW) * _ROW, _BLOCK) + AUDIT_LAGS)
+    rows = np.empty(a.size // _ROW)
+    # Per block, the sum of a, then each lag's: allocated before the
+    # stream is read, so a stream too long to sum fails at once.
+    starts = range(0, n, _BLOCK)
+    sums = np.empty((AUDIT_LAGS + 2, len(starts)))
+    shift = head = tail = None
     in_range = True
-    spans = [(a, min(a + _BLOCK + 1, n)) for a in range(0, n, _BLOCK)]
-    for x in _cut(blocks, spans):
+    windows = ((b, min(b + _BLOCK + AUDIT_LAGS, n)) for b in starts)
+    for k, x in enumerate(_cut(iter(blocks), windows)):
         in_range = in_range and bool(x.min() > 0.0 and x.max() < 1.0)
         if in_range:
             m, size = x.size, min(x.size, _BLOCK)
-            sums.append(np.sum(x[:size]))
-            np.multiply(x, _BUCKETS, out=j[:m], casting="unsafe")
+            p = min(m, _BLOCK + 1)  # the block and its last pair
+            np.multiply(x[:p], _BUCKETS, out=j[:p], casting="unsafe")
             hist += np.bincount(j[:size], minlength=_BUCKETS)
-            np.right_shift(j[:m], _BIN_SHIFT, out=j[:m])
-            np.multiply(j[:m - 1], AUDIT_BINS, out=codes[:m - 1])
-            codes[:m - 1] += j[1:m]
-            pairs += np.bincount(codes[:m - 1], minlength=AUDIT_BINS * AUDIT_BINS)
+            np.right_shift(j[:p], _BIN_SHIFT, out=j[:p])
+            np.multiply(j[:p - 1], AUDIT_BINS, out=codes[:p - 1])
+            codes[:p - 1] += j[1:p]
+            pairs += np.bincount(codes[:p - 1], minlength=AUDIT_BINS * AUDIT_BINS)
+            if shift is None:
+                shift = np.sum(x[:size]) / size
+            np.subtract(x, shift, out=a[:m])
+            a[m:] = 0.0
+            sums[0, k] = np.sum(a[:size])
+            r = -(-size // _ROW)
+            for lag in range(AUDIT_LAGS + 1):
+                np.einsum("ij,ij->i", a[:r * _ROW].reshape(r, _ROW),
+                          a[lag:lag + r * _ROW].reshape(r, _ROW), out=rows[:r])
+                sums[lag + 1, k] = np.sum(rows[:r])
+            if head is None:
+                head = a[:AUDIT_LAGS].copy()
+            if starts[k] + m == n and tail is None:
+                tail = a[max(m - AUDIT_LAGS, 0):m].copy()
         del x  # a copied span is freed before the next is cut
     if not in_range:
         return None
-    return hist, pairs, math.fsum(sums) / n
+    total, *lagged = map(math.fsum, sums)
+    return hist, pairs, total, head, tail, lagged
 
 
-def _ks_keep(hist: np.ndarray, n: int) -> np.ndarray:
-    """The KS buckets that can hold the maximum (see
-    :func:`innovation_audit`), from the bucket histogram."""
-    upto = np.cumsum(hist)  # C_j: values in buckets 0..j
-    before = upto - hist  # C_{j-1}
-    lower = np.arange(_BUCKETS) / _BUCKETS
-    upper = lower + 1.0 / _BUCKETS
-    hi = np.maximum(upto / n - lower, upper - before / n)
-    lo = np.maximum(upto / n - upper, lower - before / n)
-    return hi >= np.max(lo[hist > 0]) - _KS_MARGIN
+def _ks_bound(hist: np.ndarray, n: int) -> float:
+    """max_j max(C_j/n - j/K, (j+1)/K - C_{j-1}/n) over the K = _BUCKETS
+    buckets, C_j the number of values in buckets 0..j (see
+    :func:`innovation_audit`): integer numerators over n * K, rounded
+    once.  Overwrites `hist` with C."""
+    upto = np.cumsum(hist, out=hist)
+    edges = np.arange(0, (_BUCKETS + 1) * n, n)  # j * n
+    num = upto * _BUCKETS
+    num -= edges[:-1]
+    top = int(num.max())
+    num[0] = 0
+    np.multiply(upto[:-1], _BUCKETS, out=num[1:])
+    np.subtract(edges[1:], num, out=num)
+    return max(top, int(num.max())) / (n * _BUCKETS)
 
 
-def _ks_stat(s: np.ndarray, hist: np.ndarray, keep: np.ndarray, n: int) -> float:
-    """max_i max(i/n - s_(i), s_(i) - (i/n - 1/n)) over the order
-    statistics s_(i) of the stream, from the bucket histogram and the
-    sorted values `s` of the buckets in `keep`, _BLOCK values at a time."""
-    # Rank of s[p]: the values below its bucket, plus its place among the
-    # kept values of that bucket.
-    before = np.cumsum(hist) - hist
-    kept_hist = np.where(keep, hist, 0)
-    offset = before - (np.cumsum(kept_hist) - kept_hist)
-    ks = -math.inf
-    for p0 in range(0, s.size, _BLOCK):
-        x = s[p0:p0 + _BLOCK]
-        rank = offset[(x * _BUCKETS).astype(np.intp)] + np.arange(p0 + 1, p0 + 1 + x.size)
-        grid = rank / n
-        ks = max(ks, float(np.max(grid - x)), float(np.max(x - (grid - 1.0 / n))))
-    return ks
-
-
-def _second_pass(blocks, n: int, hist: np.ndarray, mean: float):
-    """Pass 2 of the audit over the n values that `blocks` yields: the KS
-    distance, and the six sums of (w[t] - mean) * (w[t + lag] - mean)
-    over t < n - lag for lag = 0..AUDIT_LAGS, without a full-length sort
-    or centered array.  The stream is read in windows [k * _BLOCK,
-    (k + 1) * _BLOCK + AUDIT_LAGS): the first _BLOCK values are scanned
-    for the kept KS buckets, and each sum takes its terms for t in
-    [k, k + 1) * _BLOCK from the window, centered once."""
-    keep = _ks_keep(hist, n)
-    # The kept buckets usually form one short run: a range test on each
-    # block leaves few values to look up bucket by bucket.
-    first, last = np.flatnonzero(keep)[[0, -1]]
-    low, high = first / _BUCKETS, (last + 1) / _BUCKETS
-    kept = np.empty(int(hist[keep].sum()))
-    filled = 0
-    window = np.empty(min(n, _BLOCK + AUDIT_LAGS))
-    prod = np.empty(_BLOCK)
-    sums = [[] for _ in range(AUDIT_LAGS + 1)]
-    windows = [(a, min(a + _BLOCK + AUDIT_LAGS, n)) for a in range(0, n, _BLOCK)]
-    for x in _cut(blocks, windows):
-        block = x[:_BLOCK]
-        near = block[(block >= low) & (block < high)]
-        near = near[keep[(near * _BUCKETS).astype(np.intp)]]
-        kept[filled:filled + near.size] = near
-        filled += near.size
-        centered = np.subtract(x, mean, out=window[:x.size])
-        del x, block  # a copied span is freed before the next is cut
-        for lag, lag_sums in enumerate(sums):
-            m = max(min(_BLOCK, centered.size - lag), 0)
-            lag_sums.append(np.sum(np.multiply(centered[:m], centered[lag:lag + m],
-                                               out=prod[:m])))
-    kept.sort()
-    ks = _ks_stat(kept, hist, keep, n)
-    return ks, [math.fsum(s) for s in sums]
-
-
-def _audit(source, n: int) -> AuditReport:
-    """The audit of a stream of n values: ``source()`` returns an
-    iterable over its consecutive float64 blocks, of any sizes, and is
-    called once per pass, twice at most (see :func:`innovation_audit`).
-    Pass 1 reads the whole source even when a value out of range fails
-    the audit, and pass 2 is then skipped."""
+def _audit(blocks, n: int) -> AuditReport:
+    """The audit of a stream of n values that the iterable `blocks`
+    yields in consecutive float64 pieces of any size, read once (see
+    :func:`innovation_audit`); the whole source is read even when a value
+    out of range fails the audit."""
     if n < 100:
         raise ValueError("audit needs at least 100 samples")
-    counts = _first_pass(iter(source()), n)
+    counts = _tally(blocks, n)
     if counts is None:
         return AuditReport(n, np.inf, 0.0, np.inf, 0.0, 0.0, False, False)
-    hist, pairs, mean = counts
-    ks, (denom, *lagged) = _second_pass(iter(source()), n, hist, mean)
+    hist, pairs, total, head, tail, lagged = counts
+    ks = _ks_bound(hist, n)
     dkw = float(np.sqrt(np.log(2.0 / AUDIT_LEVEL) / (2.0 * n)))
     uniform_ok = ks <= dkw
 
+    # Centered at the mean c + d: the sum over t < n - lag of
+    # (a[t] - d) * (a[t + lag] - d) moves by -d times the sum of a without
+    # its last `lag` values, and again without its first, plus (n - lag) d^2.
+    d = total / n
+    denom, *lagged = (
+        math.fsum([s, -2.0 * d * total, d * math.fsum(head[:lag]),
+                   d * math.fsum(tail[AUDIT_LAGS - lag:]), (n - lag) * d * d])
+        for lag, s in enumerate(lagged))
     corr_bound = _CORR_QUANTILE / np.sqrt(n)
     if denom > 0.0:
-        max_corr = max(abs(total / denom) for total in lagged)
+        max_corr = max(abs(s / denom) for s in lagged)
     else:  # a stream without spread has no correlation; it fails
         max_corr = np.inf
 
@@ -286,22 +268,21 @@ def innovation_audit(w: np.ndarray) -> AuditReport:
     sqrt(log(2/AUDIT_LEVEL) / (2n)) of the identity.  Independence:
     lagged correlations within a Gaussian envelope, plus a chi-squared
     test on the (w_t, w_{t+1}) bin grid.  Any value outside (0, 1), NaN
-    included, fails both; a stream whose values all center to zero (a
-    constant stream with an exact mean) reads max_lag_corr inf.
+    included, fails both; a constant stream, whose centered values all
+    vanish, reads max_lag_corr inf.
 
-    The audit core (:func:`_audit`) reads the stream in two passes over
-    a source of blocks, here w itself, and allocates no full-length
-    array.  KS distance: with K = _BUCKETS and C_j the number of values
-    in buckets [0, (j+1)/K), an order statistic s_(i) in bucket j has
-    i/n - s_(i) in [C_j/n - (j+1)/K, C_j/n - j/K] and s_(i) - (i-1)/n in
-    [j/K - C_{j-1}/n, (j+1)/K - C_{j-1}/n].  So a bucket whose upper
-    bound lies below the largest lower bound of a non-empty bucket cannot
-    hold the maximum: pass 1 counts the histogram, and pass 2 gathers and
-    sorts only the values of the other buckets, each of which gets its
-    exact global rank C_{j-1} + 1 + its place in its bucket.  On uniform
-    streams of 6.8e6 values one to a few 1e4 survive, and about 3e6 of
-    6.8e7; a stream packed into a few buckets keeps them all, and the
-    sort is then as large as the stream.
+    The audit core (:func:`_audit`) reads the stream once from a source
+    of blocks, here w itself, and allocates no full-length array.
+    KS distance: with K = _BUCKETS and C_j the number of values in
+    buckets [0, (j+1)/K), an order statistic s_(i) in bucket j has
+    i/n - s_(i) <= C_j/n - j/K and s_(i) - (i-1)/n <= (j+1)/K - C_{j-1}/n.
+    The report's ks_stat is the largest of these bounds over all buckets:
+    at least the exact distance D and at most D + 1/K (up to its one
+    rounding), so the uniformity check can only be stricter.
+    Correlations: the sums of the lag products of a = w - c, c the mean
+    of the first block, are centered at the mean afterwards, exactly in
+    the algebra, from the sum of a and its first and last AUDIT_LAGS
+    values.
     """
     w = np.asarray(w, dtype=float)
-    return _audit(lambda: (w,), w.size)
+    return _audit((w,), w.size)

@@ -59,8 +59,8 @@ from .rng import _BLOCK, ahead, index_sampler, sample_index, stream_rng
 # to step in lockstep.
 CHUNK = 1024
 # Trials per block of `coupled_walk` and `_trial_blocks`: a block's
-# (steps, trials) buffer is one contiguous row per step.  A multiple of 8,
-# so that each block's bits start a byte of the stitch's packed flip mask.
+# (steps, trials) buffer is one contiguous row per step.  A divisor of
+# rng._BLOCK, so whole trial blocks fill the generator gap's pair codes.
 TRIAL_BLOCK = 8192
 
 

@@ -20,6 +20,7 @@ from coupledchains.extension import (
     stitch_blocks,
 )
 from coupledchains import extension
+from coupledchains.innovation import innovation_audit
 from coupledchains.kernels import (
     CapExceededError,
     IIDKernel,
@@ -821,7 +822,9 @@ def test_stitch_validates_schedule():
 # depth 2, the second-last step of every block.  Rows (N_j, anchor,
 # exceedances out of the trials) and the audit statistics were recorded
 # with the nested per-row replay, which reran blocks j-1 .. 0 for every
-# row j.
+# row j; the audit's ks_stat and max_lag_corr were re-recorded when the
+# audit became one pass (the KS bucket bound; sums of lag products
+# centered afterwards).
 ANTITONE_STITCH_ROWS = [
     (-3, (0, 0, 1, 1), 0),
     (-17, (0, 0, 1, 1), 2258),
@@ -829,7 +832,7 @@ ANTITONE_STITCH_ROWS = [
     (-22, (0, 0, 1, 1), 0),
 ]
 ANTITONE_STITCH_AUDIT = (
-    541002, 0.0007843151010132887, 0.0036721731648816807, 0.7568158173944256
+    541002, 0.0007976238780656079, 0.00367217316488168, 0.7568158173944256
 )
 
 
@@ -843,6 +846,25 @@ def test_stitch_flip_path_pinned():
     audit = report.audit
     assert (audit.n, audit.ks_stat, audit.max_lag_corr,
             audit.chi2_pvalue) == ANTITONE_STITCH_AUDIT
+
+
+def test_stitch_audit_is_the_audit_of_the_whole_u(monkeypatch):
+    # The flip-path stitch audits u as it makes it; the u of every block
+    # of trials, collected and laid end to end, gives the same report.
+    made = []
+
+    def kept(engine, u, *args):
+        far = stitch_trials(engine, u, *args)
+        made.append(u.copy())
+        return far
+
+    stitch_trials = extension._stitch_trials
+    monkeypatch.setattr(extension, "_stitch_trials", kept)
+    report = stitch_blocks(ANTITONE, (0.3, 0.2, 0.1, 0.05), TRIAL_BLOCK + 5,
+                           83, 3)
+    u = np.concatenate([block.ravel() for block in made])
+    assert [block.shape[0] for block in made] == [TRIAL_BLOCK, 5]
+    assert repr(report.audit) == repr(innovation_audit(u))
 
 
 # The stitch replay.  Oracle: every row replayed on its own, row j >= 1
@@ -933,17 +955,19 @@ PINNED_TRIALS = (TRIAL_BLOCK - 1, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK + 5)
 # first 16 hex digits of the sha256 of repr(stitch_blocks(..., seed 29))
 # at each of PINNED_TRIALS, recorded with the stitch that held u for all
 # trials at once; re-recorded when the audit's sums moved to fixed blocks,
-# which moved only max_lag_corr, in its last bits.  repr pins every row
-# and audit field, type and bits.
+# which moved only max_lag_corr, in its last bits, and again when the
+# audit became one pass, which moved only ks_stat (now the KS bucket
+# bound) and max_lag_corr.  repr pins every row and audit field, type
+# and bits.
 PINNED_STITCHES = [
     ((MARKOV1, BENCH_DELTAS, 7, False),
-     ("10da5d50ea35f4ab", "1c7b54fed984c408", "0dc807a11a79a791")),
+     ("deeaf38c48dff9af", "2fc6c7fa11a2af11", "552d87e25c3ed52c")),
     ((*STITCH_CASES[1], True),
-     ("02d8b5374c937dd4", "a918773afe903b19", "6116ad69d8099124")),
+     ("eeddb11eac2a84a1", "79050c6b9ea422ad", "2d111d3d774e68cd")),
     ((*STITCH_CASES[3], True),
-     ("2578076aa6d08cec", "569cf516c5fbf700", "34d7889a01a3f9d5")),
+     ("a86f02bf3690d394", "7d3c7977d9a5fd37", "8bf30b7c61b5448b")),
     ((*STITCH_CASES[5], True),
-     ("a909ccfd5e48b64d", "56b1cc41f17422ff", "7284b707f9df57c6")),
+     ("333a2fb994d561b4", "14cd25c4ff9f1c8e", "bf213bf27b2db61f")),
 ]
 
 
@@ -953,7 +977,7 @@ def test_stitch_blocks_of_trials_pinned(case, digests):
     for trials, digest in zip(PINNED_TRIALS, digests, strict=True):
         report = stitch_blocks(kernel, deltas, trials, 29, depth)
         assert hashlib.sha256(repr(report).encode()).hexdigest()[:16] == digest, trials
-    # The flip cases pin the audit's second pass re-applying flips: some
+    # The flip cases pin the audit of u where it differs from w: some
     # depth the schedule runs has antitone entries.  markov1-demo has none.
     engine = make_engine(kernel, 1, depth)
     runs = range(1, 2 - min(r.n_j for r in report.rows))
@@ -961,13 +985,14 @@ def test_stitch_blocks_of_trials_pinned(case, digests):
 
 
 def test_stitch_memory_stays_blockwise():
-    # Beyond a 1-bit flip mask of all trials, the stitch holds one block
-    # of trials.  Holding u for all 4 blocks of trials at once, it peaked
-    # at 24.6 MiB.
+    # The stitch holds one block of trials, and the audit its block-sized
+    # buffers: it peaks at 9.26 MiB, and the bound leaves 0.74 MiB for
+    # numpy's temporaries.  Holding u for all 4 blocks of trials at once,
+    # it peaked at 24.6 MiB.
     tracemalloc.start()
     try:
         stitch_blocks(MARKOV1, BENCH_DELTAS, 4 * TRIAL_BLOCK, 29, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 14 * 2**20, peak
+    assert peak <= 10 * 2**20, peak

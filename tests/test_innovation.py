@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,22 +131,50 @@ def block_sum(x):
     return math.fsum(np.sum(x[a:a + block]) for a in range(0, x.size, block))
 
 
+def ks_distance(w) -> Fraction:
+    """The exact KS distance max_i max(i/n - s_(i), s_(i) - (i-1)/n) over
+    the order statistics s_(i) of w, sort-based: the float terms pick the
+    few candidates within 2^-40 of the largest (each term is within a few
+    ulps of its exact value), which are then evaluated exactly."""
+    n = w.size
+    s = np.sort(w)
+    rank = np.arange(1, n + 1)
+    terms = np.maximum(rank / n - s, s - (rank - 1) / n)
+    near = np.flatnonzero(terms >= terms.max() - 2.0**-40)
+    return max(max(Fraction(int(i) + 1, n) - Fraction(s[i]),
+                   Fraction(s[i]) - Fraction(int(i), n)) for i in near)
+
+
+def ks_bucket_bound(w) -> Fraction:
+    """max_j max(C_j/n - j/K, (j+1)/K - C_{j-1}/n) over every KS bucket j,
+    K = _BUCKETS, C_j the values below (j+1)/K, from one whole-array
+    bincount: exact."""
+    K, n = innovation._BUCKETS, w.size
+    hist = np.bincount((w * K).astype(np.int64), minlength=K)
+    upto = np.cumsum(hist)
+    j = np.arange(K)
+    top = np.maximum(upto * K - j * n, (j + 1) * n - (upto - hist) * K)
+    return Fraction(int(top.max()), n * K)
+
+
 def reference_audit(w):
-    """The audit computed over whole-length arrays in one pass each."""
+    """The audit computed over whole-length arrays: the KS bucket bound,
+    and the correlations of w centered at its mean, then at the mean of
+    what is left, so that the rounding of the first mean does not shift
+    the sums."""
     w = np.asarray(w, dtype=float)
     n = w.size
     if not np.all((w > 0.0) & (w < 1.0)):
         return AuditReport(n, np.inf, 0.0, np.inf, 0.0, 0.0, False, False)
-    srt = np.sort(w)
-    grid = np.arange(1, n + 1) / n
-    ks = float(np.max(np.maximum(grid - srt, srt - (grid - 1.0 / n))))
+    ks = float(ks_bucket_bound(w))
     dkw = float(np.sqrt(np.log(2.0 / AUDIT_LEVEL) / (2.0 * n)))
     centered = w - block_sum(w) / n
-    denom = block_sum(centered * centered)
+    centered -= math.fsum(centered) / n
+    denom = math.fsum(centered * centered)
     corr_bound = innovation._CORR_QUANTILE / np.sqrt(n)
     max_corr = 0.0
     for lag in range(1, AUDIT_LAGS + 1):
-        cov = block_sum(centered[:-lag] * centered[lag:])
+        cov = math.fsum(centered[:-lag] * centered[lag:])
         c = cov / denom if denom > 0.0 else np.inf
         max_corr = max(max_corr, abs(c))
     bins = np.minimum((w * AUDIT_BINS).astype(np.int64), AUDIT_BINS - 1)
@@ -174,8 +204,7 @@ def audit_streams():
     yield rng.integers(1, innovation._BUCKETS, odd) / innovation._BUCKETS
     yield rng.integers(1, AUDIT_BINS, odd) / AUDIT_BINS
     # Three values on bucket edges, symmetric about 1/2: the largest D+
-    # and D- tie in exact arithmetic but round apart, so pruning the KS
-    # buckets without slack would drop the one that holds the maximum.
+    # and D- tie in exact arithmetic but round apart.
     edge = 1000 / innovation._BUCKETS
     yield np.repeat([edge, 0.5, 1.0 - edge], 34)
     # Every value in one KS bucket.
@@ -190,9 +219,8 @@ def audit_streams():
         w = rng.random(100)
         w[at] = value
         yield w
-    # Constant streams: every centered value is 0 where the mean is exact
-    # (the correlations are undefined and read inf), and a tiny constant
-    # where it is not.
+    # Constant streams: every centered value is 0 (the correlations are
+    # undefined and read inf), whether or not the float mean is exact.
     yield np.full(1000, 0.5)
     yield np.full(100, 0.25)
     yield np.full(1000, 0.1)
@@ -201,27 +229,66 @@ def audit_streams():
 
 def test_audit_matches_reference():
     for w in audit_streams():
-        report = innovation_audit(w)
-        # repr pins every field's type and, through float repr, its bits.
-        assert repr(report) == repr(reference_audit(w))
+        report, expected = innovation_audit(w), reference_audit(w)
+        # repr pins every field's type and, through float repr, its bits;
+        # the correlations are sums in another order, within 1e-14.  The
+        # KS bound lies within one bucket width above the exact distance.
+        assert math.isclose(report.max_lag_corr, expected.max_lag_corr,
+                            rel_tol=1e-14)
+        assert repr(report) == repr(replace(expected, max_lag_corr=report.max_lag_corr))
+        if np.isfinite(report.ks_stat):
+            bound, exact = ks_bucket_bound(w), ks_distance(w)
+            assert exact <= bound <= exact + Fraction(1, innovation._BUCKETS)
     assert not report.passed and report.ks_stat == np.inf
 
 
+@st.composite
+def ks_streams(draw):
+    """Streams of 100 values, or _BLOCK - 1 .. _BLOCK + 1: uniform, or
+    packed into a few KS buckets, anywhere in them, on their lower edges
+    or one ulp below their upper edges."""
+    K = innovation._BUCKETS
+    n = draw(st.sampled_from([100, innovation._BLOCK - 1, innovation._BLOCK,
+                              innovation._BLOCK + 1]))
+    kind = draw(st.sampled_from(["uniform", "inside", "lower", "below"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        return rng.random(n)
+    buckets = rng.integers(1, K - 1, draw(st.integers(1, 4)))
+    j = rng.choice(buckets, n)
+    if kind == "inside":
+        w = (j + rng.random(n)) / K
+    elif kind == "lower":
+        w = j / K
+    else:
+        w = np.nextafter((j + 1) / K, 0.0)
+    return w[w > 0.0]
+
+
+@given(ks_streams())
+@settings(max_examples=60, deadline=None)
+def test_ks_bound_is_within_a_bucket_of_the_exact_distance(w):
+    # The report's KS statistic is the bucket bound, rounded once, and the
+    # bound lies between the exact distance and one bucket width above it.
+    report = innovation_audit(w)
+    bound, exact = ks_bucket_bound(w), ks_distance(w)
+    assert report.ks_stat == float(bound)
+    assert exact <= bound <= exact + Fraction(1, innovation._BUCKETS)
+
+
 def pieces(w, cut, read=None):
-    """A source of the stream w in consecutive pieces of `cut` values;
+    """The stream w in consecutive pieces of `cut` values; the offsets of
     the pieces read are appended to `read`."""
-    def source():
-        for b0 in range(0, w.size, cut):
-            if read is not None:
-                read.append(b0)
-            yield w[b0:b0 + cut]
-    return source
+    for b0 in range(0, w.size, cut):
+        if read is not None:
+            read.append(b0)
+        yield w[b0:b0 + cut]
 
 
 @pytest.mark.parametrize("cut", [1, 2**16 - 1, 2**16 + 1, 65521])
 def test_audit_core_matches_on_any_block_cut(cut):
-    # Pieces cut anywhere in the leaves and windows of the two passes
-    # give the report of the whole array.
+    # Pieces cut anywhere in the windows give the report of the whole
+    # array.
     for w in audit_streams():
         if cut == 1 and w.size > 10**4:
             continue
@@ -230,23 +297,21 @@ def test_audit_core_matches_on_any_block_cut(cut):
 
 
 def reused_pieces(w, cut):
-    """A source of the stream w in consecutive pieces of `cut` values,
-    each written into one buffer that the next piece overwrites; the
-    buffer reads NaN once the source has ended."""
-    def source():
-        buf = np.empty(min(cut, w.size))
-        for b0 in range(0, w.size, cut):
-            piece = buf[:min(cut, w.size - b0)]
-            piece[...] = w[b0:b0 + cut]
-            yield piece
-        buf[...] = np.nan
-    return source
+    """The stream w in consecutive pieces of `cut` values, each written
+    into one buffer that the next piece overwrites; the buffer reads NaN
+    once the source has ended."""
+    buf = np.empty(min(cut, w.size))
+    for b0 in range(0, w.size, cut):
+        piece = buf[:min(cut, w.size - b0)]
+        piece[...] = w[b0:b0 + cut]
+        yield piece
+    buf[...] = np.nan
 
 
 @pytest.mark.parametrize("cut", [1, 2**16 - 1, 2**16 + 1, 65521])
 def test_audit_core_matches_on_a_reused_buffer(cut):
-    # As the stitch's sources do, every piece overwrites the one before:
-    # the cut copies what a span still needs before it reads on.
+    # As the stitch's source does, every piece overwrites the one before:
+    # the cut copies what a window still needs before it reads on.
     for w in audit_streams():
         if cut == 1 and w.size > 10**4:
             continue
@@ -309,10 +374,10 @@ def test_correlation_quantile_matches_scipy():
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("blocks", [0, 1, 2])
 def test_pair_counts_match_whole_array_bincount(blocks, offset):
-    # Bucket histogram and pair counts summed over the blocks of pass 1
-    # against one bincount of every bucket and every pair code, and its
-    # mean against the block sums of w, for streams on either side of the
-    # block edges.
+    # Bucket histogram and pair counts summed over the windows against one
+    # bincount of every bucket and every pair code, and the shift and the
+    # sum of the shifted values against the block sums of w, for streams
+    # on either side of the block edges.
     pairs = max(blocks * innovation._BLOCK + offset, 1)
     rng = stream_rng(9, "pairs", str(pairs))
     w = rng.random(pairs + 1)
@@ -320,17 +385,18 @@ def test_pair_counts_match_whole_array_bincount(blocks, offset):
     bins = np.minimum(np.floor(w * AUDIT_BINS).astype(np.intp), AUDIT_BINS - 1)
     whole = np.bincount(bins[:-1] * AUDIT_BINS + bins[1:],
                         minlength=AUDIT_BINS * AUDIT_BINS)
-    hist, counts, mean = innovation._first_pass(iter((w,)), w.size)
-    assert mean == block_sum(w) / w.size
+    hist, counts, total, *_ = innovation._tally((w,), w.size)
+    first = w[:innovation._BLOCK]
+    assert total == block_sum(w - np.sum(first) / first.size)
     assert counts.dtype == whole.dtype
     assert np.array_equal(counts, whole)
     assert np.array_equal(hist, np.bincount(buckets, minlength=innovation._BUCKETS))
 
 
 def test_audit_memory_stays_blockwise():
-    # Beyond its input the audit holds block-sized buffers, a bucket
-    # histogram and the few values that can set the KS maximum: no
-    # full-length sort buffer or centered copy.
+    # Beyond its input the audit holds block-sized buffers and the bucket
+    # histogram: no full-length sort buffer or centered copy.  It peaks at
+    # 2.54 MiB, and the bound leaves 0.46 MiB for numpy's temporaries.
     w = stream_rng(11, "memory").random(6_800_000)
     tracemalloc.start()
     try:
@@ -338,4 +404,4 @@ def test_audit_memory_stays_blockwise():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, peak
+    assert peak < 3 * 2**20, peak
