@@ -13,14 +13,12 @@ of U yields an iid-uniform sequence from which the generator can be
 recovered within any tolerance schedule.
 
 One walk, :func:`coupled_run`, serves both directions: fed W it
-re-encodes to U, fed U it rebuilds the true chain.  It returns the end
-contexts, writes the other uniforms only into a buffer it is given (the
-forward stitch re-encodes W into U in place), and steps through
-:func:`.reconstruction.coupled_walk`.  No caller holds a whole (trials,
-T) array of uniforms: the generator-gap check and the stitch read their
-trials one block at a time from :func:`.reconstruction._trial_blocks`.
-The generator-gap check counts the trials by their end pair of contexts;
-the stitch feeds each block's U to the audit as it is made.
+re-encodes to U, fed U it rebuilds the true chain.  It looks up each
+depth's flip table and steps through :func:`.reconstruction.coupled_walk`.
+The generator-gap check and the stitch read their trials one block at a
+time from :func:`.reconstruction._trial_blocks`: the gap check counts
+each block by its end pair of contexts, and the stitch re-encodes each
+block's W into U in place and feeds it to the audit.
 
 Time convention: a run over [N; 0] takes |N|+1 steps; the step landing
 at time t uses the orientation table at depth -t + 1 (depth |N|+1 first,
@@ -36,7 +34,7 @@ import numpy as np
 
 from .innovation import AuditReport, _audit
 from .kernels import CapExceededError, Kernel
-from .reconstruction import TRIAL_BLOCK, _trial_blocks, coupled_walk
+from .reconstruction import _trial_blocks, coupled_walk
 from .rng import _BLOCK, stream_rng
 from .vershik import DEFAULT_DEPTH, CouplingEngine, coupling_table, pair_mean_stderr
 from .words import Word, as_word, int_to_word, word_str, word_to_int
@@ -78,10 +76,9 @@ def coupled_run(
     window's end, and returns them as (ctx_true, ctx_hat); a caller
     that needs the start contexts again passes copies.  It writes the
     other uniforms into `other` (shape of `v`, any strides; it may be
-    `v`).  The steps run through :func:`coupled_walk`, one block of
-    trials at a time, each with the flip table of its depth
-    (:attr:`.vershik.MetricTable.flip`); a depth without antitone
-    entries steps as a plain replay, u = w.
+    `v`).  The steps run through :func:`coupled_walk`, each with the
+    flip table of its depth (:attr:`.vershik.MetricTable.flip`); a depth
+    without antitone entries steps as a plain replay, u = w.
     """
     if np.may_share_memory(ctx_true, ctx_hat):
         raise ValueError("ctx_true and ctx_hat must not share memory")
@@ -231,24 +228,24 @@ def generator_error_check(
     exact integral; tolerance 3*stderr + one truncation allowance.
 
     The trials run one block at a time (:func:`_trial_blocks`) and are
-    counted by their end pair code (ctx_true << L) | ctx_hat, _BLOCK
-    codes at a time."""
+    counted by their end pair code (ctx_true << L) | ctx_hat, up to
+    _BLOCK codes at a time."""
     L = engine.length
     anchor_int = _anchor_code(engine, anchor)
     rng = stream_rng(seed, "generator-gap", engine.kernel.label, f"N{n_start}")
     counts = np.zeros(1 << 2 * L, dtype=np.int64)
-    # The pair codes of _BLOCK trials, a whole number of trial blocks,
-    # are counted at once.
     codes = np.empty(min(trials, _BLOCK), dtype=np.int64)
-    blocks = _trial_blocks(rng, engine.pi, trials, 1 - n_start)
-    for b0, (ctx_true, w) in zip(range(0, trials, TRIAL_BLOCK), blocks):
+    end = 0
+    for ctx_true, w in _trial_blocks(rng, engine.pi, trials, 1 - n_start):
+        if end + ctx_true.size > codes.size:  # count before it overflows
+            counts += np.bincount(codes[:end], minlength=counts.size)
+            end = 0
         ctx_hat = np.full(ctx_true.size, anchor_int, dtype=np.int64)
         coupled_run(engine, w, ctx_true, ctx_hat)
-        end = b0 % _BLOCK + ctx_true.size
-        code = np.left_shift(ctx_true, L, out=codes[end - ctx_true.size:end])
+        code = np.left_shift(ctx_true, L, out=codes[end:end + ctx_true.size])
         code |= ctx_hat
-        if end == codes.size or b0 + ctx_true.size == trials:
-            counts += np.bincount(codes[:end], minlength=counts.size)
+        end += ctx_true.size
+    counts += np.bincount(codes[:end], minlength=counts.size)
     # |R_D(x) - R_D(y)| at every pair code (x << L) | y.
     gaps = np.abs(np.subtract.outer(engine.generator, engine.generator)).ravel()
     mc, stderr = pair_mean_stderr(gaps, counts)
@@ -433,9 +430,9 @@ def stitch_blocks(
         m.append(m[j] + n_j - 1)
 
     # Simulation phase: one pass over absolute times M_{J+1} .. 0, one
-    # block of TRIAL_BLOCK trials at a time.  Block j is a coupled run
-    # over [N_j; 0] whose hat chain starts from its anchor; blocks run
-    # from the earliest (j = J) to block 0.
+    # block of trials at a time.  Block j is a coupled run over [N_j; 0]
+    # whose hat chain starts from its anchor; blocks run from the
+    # earliest (j = J) to block 0.
     t_min = m[n_blocks]
     width = 1 - t_min
     rng = stream_rng(seed, "stitch", kernel.label, f"J{n_blocks - 1}")

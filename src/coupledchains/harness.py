@@ -4,7 +4,7 @@ CSV + manifest emission.
 One subcommand per experiment kind (gamma, audit, reconstruct, vershik,
 extend, stitch); flags --config PATH, --seed N (overrides the config),
 --out DIR.  Exit codes: 0 success, 1 verdict failure, 2 config error
-(a count too large to allocate among them), 3 internal error (with a
+(a count out of its bounds among them), 3 internal error (with a
 traceback).
 The renewal regime that gamma reports comes from the kernel: its finite
 memory m makes gamma_p = 0 for p >= m, so the regime is always
@@ -86,6 +86,11 @@ class Field:
 
 
 _DEPTH = Field(int, DEFAULT_DEPTH)
+# Upper bounds on the counts that size a loop or an array, so that a
+# config asking for endless work is rejected before any work starts:
+# trials, audit steps and depths p_max (gamma keeps one value per depth),
+# and a lower bound on window starts N.
+MAX_TRIALS, MAX_STEPS, MAX_P, MIN_N = 10**9, 10**8, 10**4, -10**4
 # Every field of every config object: the parameters of each experiment
 # kind, the fields of each kernel variant and those of each gamma tail
 # kind.  gamma's p_max defaults to a depth worked out from the kernel,
@@ -96,19 +101,20 @@ _DEPTH = Field(int, DEFAULT_DEPTH)
 # tables or the kernel are built.
 FIELDS = {
     "experiment": {
-        "gamma": {"p_max": Field(int, None, lo=0),
+        "gamma": {"p_max": Field(int, None, lo=0, hi=MAX_P),
                   "tail": Field(dict, {"kind": "unknown"})},
-        "audit": {"steps": Field(int, 100_000, lo=100)},
-        "reconstruct": {"n_list": Field(list[int], [-10], hi=0, nonempty=True),
+        "audit": {"steps": Field(int, 100_000, lo=100, hi=MAX_STEPS)},
+        "reconstruct": {"n_list": Field(list[int], [-10], lo=MIN_N, hi=0, nonempty=True),
                         "k": Field(int, 2, lo=0),
-                        "trials": Field(int, 10_000, lo=2)},
-        "vershik": {"p_max": Field(int, 8, lo=0), "depth": _DEPTH,
+                        "trials": Field(int, 10_000, lo=2, hi=MAX_TRIALS)},
+        "vershik": {"p_max": Field(int, 8, lo=0, hi=MAX_P), "depth": _DEPTH,
                     "mode": Field(str, "exact", choices=("exact", "monte-carlo")),
-                    "trials": Field(int, 100_000, lo=2)},
-        "extend": {"n": Field(int, -6, hi=0), "trials": Field(int, 100_000, lo=2),
+                    "trials": Field(int, 100_000, lo=2, hi=MAX_TRIALS)},
+        "extend": {"n": Field(int, -6, lo=MIN_N, hi=0),
+                   "trials": Field(int, 100_000, lo=2, hi=MAX_TRIALS),
                    "depth": _DEPTH, "anchor": Field(str, None, nonempty=True)},
         "stitch": {"deltas": Field(list[float], [0.2, 0.1, 0.05], nonempty=True),
-                   "trials": Field(int, 10_000, lo=2), "depth": _DEPTH},
+                   "trials": Field(int, 10_000, lo=2, hi=MAX_TRIALS), "depth": _DEPTH},
     },
     "kernel": {
         "builtin": {"name": Field(str)},
@@ -393,7 +399,7 @@ def main(argv=None) -> int:
             print(emit_pretty(header, rows), end="")
         return code
     # ConfigError and CapExceededError are ValueErrors; a MemoryError is
-    # a count too large to allocate.
+    # a count within its bound that is still too large to allocate.
     except (ValueError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,33 +8,23 @@ through the decoder starting from an all-zero prehistory; the renewal
 bound controls how far back the replay must start for the final window
 to agree with the truth.
 
-Two stepping primitives serve every chain in the package:
-:func:`advance` along one path, and :func:`coupled_step`, one step of a
-true chain and a companion chain across trials.  :func:`advance` is a
-chunked speculative scan, byte-identical to the serial loop: chunks
-stepped at once from a guessed context are repaired serially until the
-true chain meets them, and the renewal (reset) chain bounds the length
-of each repair; its lockstep pass stages a group of columns at a time
-in a transposed, block-sized buffer.  The scan records, for each step,
-the symbol (uint8) and the context before it (uint16, as the memory is
-at most 16), not the f value: f is ``prob0_table[context]``, looked up
-where it is needed.  :func:`simulate_path` encodes the innovations in
-place over the uniforms :func:`advance` has read, so a simulation holds
-its innovations, symbols and contexts (11 bytes a step) plus
-block-sized buffers.
-:func:`coupled_walk`, the one across-trials walk (the
-replay here, every coupled run of :mod:`.extension`), runs
-:func:`coupled_step` over a window one block of TRIAL_BLOCK trials at a
-time, so each step works on contiguous, cache-resident rows; it is
-byte-identical to stepping all trials at once, one column per step, and
-re-encodes each block in place, copying it out only into a buffer it is given.
-The Monte Carlo experiments over trials (the replay here, the
-generator-gap check and the stitch of :mod:`.extension`) read their
-trials from :func:`_trial_blocks`, one block at a time, into one buffer
-of uniforms that the next block overwrites: each block's start contexts
-and uniforms are drawn, walked and reduced to counts, codes or flip bits
-before the next is drawn, so they never hold a whole (trials, steps)
-array of uniforms, nor a full-length array of start or end contexts.
+Two stepping primitives serve every chain in the package, and both
+step through one threshold helper.  :func:`advance` runs one path: a
+chunked speculative scan, byte-identical to the serial loop, whose
+chunks are stepped at once from a guessed context and repaired serially
+until the true chain meets them; the renewal (reset) chain bounds the
+length of each repair.  The scan records each step's symbol (uint8) and
+the context before it (uint16, as the memory is at most 16), not the f
+value, which is ``prob0_table[context]``.  :func:`simulate_path` encodes
+the innovations in place over the uniforms :func:`advance` has read, so
+a simulation holds 11 bytes a step plus block-sized buffers.
+:func:`coupled_walk` steps a true chain and a companion chain on one
+uniform per trial across trials; the replay here and every coupled run
+of :mod:`.extension` go through it.  The Monte Carlo experiments (the
+replay, the generator-gap check and the stitch) read their trials from
+:func:`_trial_blocks`, one block at a time, and walk and reduce each
+block before the next is drawn, so they never hold a whole (trials,
+steps) array of uniforms.
 """
 
 from __future__ import annotations
@@ -58,9 +48,8 @@ from .rng import _BLOCK, ahead, index_sampler, sample_index, stream_rng
 # serially, and short enough that 10^6 steps give about a thousand chunks
 # to step in lockstep.
 CHUNK = 1024
-# Trials per block of `coupled_walk` and `_trial_blocks`: a block's
-# (steps, trials) buffer is one contiguous row per step.  A divisor of
-# rng._BLOCK, so whole trial blocks fill the generator gap's pair codes.
+# Trials per block of `_trial_blocks`: small enough that a row of the
+# (steps, trials) buffer `coupled_walk` steps stays in cache.
 TRIAL_BLOCK = 8192
 
 
@@ -216,61 +205,29 @@ def _repair(probs: list, mask: int, ctx: int, uv, xv, cv, start: int):
     return CHUNK, ctx
 
 
-def coupled_step(table: np.ndarray, ctx_true: np.ndarray, ctx_hat: np.ndarray,
-                 v: np.ndarray, flip=None, v_is_u: bool = False,
-                 scratch=None) -> None:
-    """One step of a true chain and a companion (hat) chain sharing one
-    uniform per trial, vectorized over trials; both contexts and `v` are
+def coupled_walk(table: np.ndarray, v, ctx_true: np.ndarray,
+                 ctx_hat: np.ndarray, flips=None, v_is_u: bool = False,
+                 other=None) -> None:
+    """Step a true chain and a companion (hat) chain, sharing one uniform
+    per trial, over every column of `v` (shape (trials, steps), any
+    strides), vectorized over trials; the int64 context arrays are
     updated in place.
 
     ``table[c]`` is P(0 | c) for every context code c the chains carry
     (see :meth:`Kernel.prob0_over`); contexts lie in [0, len(table)) and
     stay there.  The true chain thresholds w and the hat chain u, each
-    against its own context.  ``flip`` is a bool table over the pair code
-    (ctx_true << L) | ctx_hat before the step, L the bit width of `table`:
-    where it is set, u = 1 - w (antitone orientation), elsewhere u = w.
-    `v` holds w, or u when `v_is_u`, and on return the other uniform (the
-    flip is its own inverse); without `flip`, u = w (plain replay on
-    shared innovations).  ``scratch`` holds a float, two bool and an
-    int64 buffer of the trials' size, reused between steps by
-    :func:`coupled_walk`; a lone step allocates its own.
-    """
-    if scratch is None:
-        scratch = _step_scratch(v.size)
-    f, flipped, x, pair = scratch
-    first, second = (ctx_hat, ctx_true) if v_is_u else (ctx_true, ctx_hat)
-    if flip is not None:
-        np.left_shift(ctx_true, table.size.bit_length() - 1, out=pair)
-        pair |= ctx_hat
-        flip.take(pair, out=flipped, mode="wrap")  # pair < len(flip)
-    _threshold(table, first, v, f, x)
-    if flip is not None:
-        v[...] = np.where(flipped, 1.0 - v, v)  # a select, without branches
-    _threshold(table, second, v, f, x)
+    against its own context.  ``flips[t]`` is a bool table over the pair
+    code (ctx_true << L) | ctx_hat before step t, L the bit width of
+    `table`: where it is set, u = 1 - w (antitone orientation), elsewhere
+    u = w.  A step whose table is None, or every step when `flips` is
+    None (a plain replay on shared innovations), keeps u = w.  `v` holds
+    w, or u when `v_is_u`; the flip is its own inverse.
 
-
-def _step_scratch(size: int) -> tuple:
-    """The buffers one :func:`coupled_step` over `size` trials works in."""
-    return (np.empty(size), np.empty(size, dtype=bool),
-            np.empty(size, dtype=bool), np.empty(size, dtype=np.int64))
-
-
-def coupled_walk(table: np.ndarray, v, ctx_true: np.ndarray,
-                 ctx_hat: np.ndarray, flips=None, v_is_u: bool = False,
-                 other=None) -> None:
-    """Run :func:`coupled_step` over every column of `v` (shape (trials,
-    steps), any strides), one block of TRIAL_BLOCK trials at a time.
-
-    ``flips[t]`` is the flip table of step t (None where the step keeps
-    u = w), or `flips` is None for a plain replay.  The int64 context
-    arrays are updated in place.  `v` is read once, by row blocks
-    ``v[b0:b0 + n]`` in trial order.  Each block's uniforms are copied
-    once into a (steps, block) buffer, which the steps re-encode in
-    place, one contiguous, cache-resident row each; the block is then
-    copied out into `other` (shape of `v`, any strides; it may be `v`
-    itself) when it is given.  Beyond the contexts, the memory is
-    O(TRIAL_BLOCK x steps).  Every value is the same elementwise
-    operation as stepping all trials at once, so the result is
+    `v` is copied once into a (steps, trials) buffer, which the steps
+    re-encode in place, one contiguous row each; the buffer is copied
+    out into `other` (shape of `v`, any strides; it may be `v` itself)
+    when it is given.  The callers pass one block of trials from
+    :func:`_trial_blocks`, so a row stays cache-resident.  The result is
     byte-identical to the per-column loop.  The entry contexts must lie
     in [0, len(table)), checked once here (ValueError), since the steps
     look the tables up without a range check."""
@@ -278,19 +235,22 @@ def coupled_walk(table: np.ndarray, v, ctx_true: np.ndarray,
         if ctx.size and not (ctx.min() >= 0 and ctx.max() < table.size):
             raise ValueError("contexts must lie in [0, len(table))")
     trials, steps = v.shape
-    step_flips = [None] * steps if flips is None else flips
-    size = min(trials, TRIAL_BLOCK)
-    vb = np.empty((steps, size))
-    scratch = _step_scratch(size)
-    for b0 in range(0, trials, TRIAL_BLOCK):
-        n = min(TRIAL_BLOCK, trials - b0)
-        vb[:, :n] = v[b0:b0 + n].T
-        buf = tuple(a[:n] for a in scratch)
-        ct, ch = ctx_true[b0:b0 + n], ctx_hat[b0:b0 + n]
-        for t, flip in enumerate(step_flips):
-            coupled_step(table, ct, ch, vb[t, :n], flip, v_is_u, buf)
-        if other is not None:
-            other[b0:b0 + n] = vb[:, :n].T
+    first, second = (ctx_hat, ctx_true) if v_is_u else (ctx_true, ctx_hat)
+    shift = table.size.bit_length() - 1
+    vb = v.T.copy()
+    f, x = np.empty(trials), np.empty(trials, dtype=bool)
+    flipped, pair = np.empty(trials, dtype=bool), np.empty(trials, dtype=np.int64)
+    for s, flip in zip(vb, [None] * steps if flips is None else flips):
+        if flip is not None:
+            np.left_shift(ctx_true, shift, out=pair)
+            pair |= ctx_hat
+            flip.take(pair, out=flipped, mode="wrap")  # pair < len(flip)
+        _threshold(table, first, s, f, x)
+        if flip is not None:
+            s[...] = np.where(flipped, 1.0 - s, s)  # a select, without branches
+        _threshold(table, second, s, f, x)
+    if other is not None:
+        other[...] = vb.T
 
 
 def _trial_blocks(rng: np.random.Generator, law, trials: int, steps: int):

@@ -31,7 +31,6 @@ from coupledchains.kernels import (
 from coupledchains import reconstruction
 from coupledchains.reconstruction import (
     TRIAL_BLOCK,
-    coupled_step,
     coupled_walk,
     disagreement_experiment,
     domination_experiment,
@@ -75,12 +74,12 @@ def symbols(ctx, steps):
 # Single steps and the engine's tables
 
 
-# The u step is `coupled_step`: it maps w to u through the orientation and
-# thresholds u against the hat context's table.  P(0 | context ending in 0)
-# = 0.7 under markov1-demo.  The orientation is a table over context pairs,
-# so the three trials below step from their own pairs (0, 0), (2, 0) and
-# (2, 2): on 2-bit contexts, 0 and 2 both end in 0, and only the pair
-# (0, 0) is antitone (lam = +1, the others lam = -1).
+# The u step is one column of `coupled_walk`: it maps w to u through the
+# orientation and thresholds u against the hat context's table.
+# P(0 | context ending in 0) = 0.7 under markov1-demo.  The orientation is
+# a table over context pairs, so the three trials below step from their own
+# pairs (0, 0), (2, 0) and (2, 2): on 2-bit contexts, 0 and 2 both end in
+# 0, and only the pair (0, 0) is antitone (lam = +1, the others lam = -1).
 
 
 def u_step(v, v_is_u=False):
@@ -88,9 +87,9 @@ def u_step(v, v_is_u=False):
     true, hat = np.array([0, 2, 2]), np.array([0, 0, 2])
     flip = np.zeros(table.size**2, dtype=bool)
     flip[0] = True
-    # The step re-encodes its uniforms in place, so it gets a copy.
+    # The walk writes the other uniforms back into its column, a copy.
     other = np.array(v, dtype=float)
-    coupled_step(table, true, hat, other, flip, v_is_u)
+    coupled_walk(table, other[:, None], true, hat, [flip], v_is_u, other[:, None])
     return other, true, hat
 
 

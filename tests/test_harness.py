@@ -441,12 +441,66 @@ def test_cli_stitch_depth_cap_exits_2(tmp_path, capsys):
     ("stitch", {"deltas": [0.2, 0.1], "trials": 10**15}),
 ])
 def test_cli_count_too_large_to_allocate_exits_2(tmp_path, capsys, kind, counts):
-    # An array of 10^15 entries fails at its allocation, before any work.
+    # A count of 10^15 is above its bound, so the config is rejected at
+    # load, before any work.
     cfg = {"kind": kind, "kernel": {"variant": "builtin", "name": "markov1-demo"},
            "seed": 1, **counts}
     path = write_config(tmp_path, "big.json", cfg)
     out = tmp_path / "out"
     assert main([kind, "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    bound = harness.MAX_STEPS if kind == "audit" else harness.MAX_TRIALS
+    assert f"must be <= {bound}, got {10**15}" in capsys.readouterr().err
+
+
+# Every count that sizes a loop or an array, with its bound: an upper
+# bound on counts, a lower one on window starts.
+COUNT_BOUNDS = [
+    ("gamma", "p_max", {}, harness.MAX_P),
+    ("audit", "steps", {}, harness.MAX_STEPS),
+    ("reconstruct", "trials", {}, harness.MAX_TRIALS),
+    ("reconstruct", "n_list", {}, harness.MIN_N),
+    ("vershik", "p_max", {}, harness.MAX_P),
+    ("vershik", "trials", {"mode": "monte-carlo"}, harness.MAX_TRIALS),
+    ("extend", "n", {}, harness.MIN_N),
+    ("extend", "trials", {}, harness.MAX_TRIALS),
+    ("stitch", "trials", {}, harness.MAX_TRIALS),
+]
+
+
+@pytest.mark.parametrize("kind, key, extra, bound", COUNT_BOUNDS)
+def test_cli_count_past_its_bound_exits_2(tmp_path, capsys, kind, key, extra,
+                                          bound):
+    # reconstruct, extend and monte-carlo vershik stream their trials, so
+    # no allocation would stop an endless run: the config is rejected
+    # when it loads, before any work starts.
+    past, rule = (bound + 1, "<=") if bound > 0 else (bound - 1, ">=")
+
+    def config(value):
+        value = [-5, value] if key == "n_list" else value
+        cfg = {"kind": kind, "seed": 1, **extra, key: value,
+               "kernel": {"variant": "builtin", "name": "markov1-demo"}}
+        return write_config(tmp_path, f"{value}.json", cfg)
+
+    with pytest.raises(ConfigError, match=f"'{key}' must be {rule} {bound}"):
+        load_config(config(past), kind)
+    out = tmp_path / "out"
+    assert main([kind, "--config", config(past), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"'{key}' must be {rule} {bound}, got" in capsys.readouterr().err
+    load_config(config(bound), kind)  # the bound itself loads
+
+
+def test_cli_memory_error_exits_2(tmp_path, monkeypatch, capsys):
+    # A count within its bound may still be too large to allocate: a
+    # MemoryError is a configuration error, and nothing is written.
+    def too_large(kernel, config):
+        raise MemoryError("Unable to allocate 7.28 PiB for an array")
+
+    monkeypatch.setitem(harness._RUNNERS, "gamma", too_large)
+    path = write_config(tmp_path, "g.json", GAMMA_CFG)
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("config error: Unable to allocate")
 
