@@ -13,13 +13,16 @@ set from RUSAGE_CHILDREN.  A child started by fork or vfork carries its
 parent's high-water RSS into its own at exec; the launcher holds only an
 interpreter, so that floor is its own few MB, not this script's.
 
-The file has a fixed schema: the python and numpy versions, then one
-row per config with its kind, its sizes (the kernel's memory and every
-numeric parameter), the exit code, the wall seconds and the peak RSS in
-MB.  One run per config, with the config's own seed; no gate and no
-bound.  The runs write their outputs to a temporary directory, removed
-afterwards.  The exit status is 1 if any run exits nonzero (the file is
-written first), else 0.
+The file has a fixed schema: the python and numpy versions; the thread
+variables the runs saw (``thread_env``: OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS, null where unset;
+with the first three unset the package loads numpy with one OpenBLAS
+thread); then one row per config with its kind, its sizes (the kernel's
+memory and every numeric parameter), the exit code, the wall seconds and
+the peak RSS in MB.  One run per config, with the config's own seed;
+no gate and no bound.  The runs write their outputs to a temporary
+directory, removed afterwards.  The exit status is 1 if any run exits
+nonzero (the file is written first), else 0.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 CONFIGS = ROOT / "scripts" / "configs" / "scaled"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+               "MKL_NUM_THREADS")
 
 # Runs argv[1:] with its stdout sent to stderr, then prints one JSON line:
 # the exit code, the wall seconds and the child's peak RSS (ru_maxrss is
@@ -83,6 +88,7 @@ def main() -> int:
                   f"{row['wall_s']:8.3f} s  {row['peak_rss_mb']:8.1f} MB", flush=True)
             rows.append(row)
     record = {"python": platform.python_version(), "numpy": numpy.__version__,
+              "thread_env": {var: env.get(var) for var in THREAD_VARS},
               "runs": rows}
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     failed = [row["config"] for row in rows if row["exit_code"] != 0]

@@ -10,7 +10,25 @@ Submodules:
   extension      orientation-driven innovations and block stitching
   reports        CSV / pretty emission
   harness        CLI and experiment configs
+
+Loaded before numpy, it loads numpy with one OpenBLAS thread unless the
+caller set a thread variable (see the README, under CLI).
 """
+
+import os
+import sys
+
+# The variables OpenBLAS reads for its thread count, in its order.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# No code in this package calls BLAS or LAPACK (tests/test_blas_threads.py), so
+# the thread pool OpenBLAS starts as numpy loads only burns CPU at start-up.
+if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401  (OpenBLAS reads the variable as it loads)
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 __version__ = "0.1.0"
 

@@ -237,12 +237,16 @@ ACCEPTANCE_CONFIGS = {
 def test_criterion_11_determinism(tmp_path):
     with _Timer() as t:
         outputs = {}
-        for threads in ("1", "4"):
+        # None: every variable removed, the package's own default (one
+        # OpenBLAS thread, coupledchains/__init__.py).
+        for threads in ("1", "4", None):
             # The standard variables, read when numpy loads its libraries.
             env = dict(os.environ)
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS"):
-                env[var] = threads
+                        "GOTO_NUM_THREADS", "MKL_NUM_THREADS"):
+                env.pop(var, None)
+                if threads is not None:
+                    env[var] = threads
             for kind, params in ACCEPTANCE_CONFIGS.items():
                 cfg = {
                     "kind": kind,
@@ -261,7 +265,7 @@ def test_criterion_11_determinism(tmp_path):
                 assert proc.returncode == 0, (kind, proc.stderr)
                 outputs[(threads, kind)] = (out / f"{kind}.csv").read_bytes()
         ok = all(
-            outputs[("1", kind)] == outputs[("4", kind)]
+            outputs[("1", kind)] == outputs[("4", kind)] == outputs[(None, kind)]
             for kind in ACCEPTANCE_CONFIGS
         )
     _report(11, "byte-identical CSVs across thread counts", ok,
