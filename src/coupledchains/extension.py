@@ -33,10 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .innovation import AuditReport, _audit
-from .kernels import CapExceededError, Kernel
+from .kernels import CapExceededError, Kernel, lift, marginal, push
 from .reconstruction import _trial_blocks, coupled_walk
-from .rng import _BLOCK, stream_rng
-from .vershik import DEFAULT_DEPTH, CouplingEngine, coupling_table, pair_mean_stderr
+from .rng import MC_SIGMAS, frequency, stream_rng
+from .vershik import (DEFAULT_DEPTH, CouplingEngine, coupling_table, pair_counts,
+                      pair_mean_stderr)
 from .words import Word, as_word, int_to_word, word_str, word_to_int
 
 
@@ -111,30 +112,11 @@ def _interval_joint(f_true, f_hat, lam) -> np.ndarray:
     f_hat, lam); entry [a, b] of the result, of shape (2, 2, ...), is
     P(X = a, X-hat = b) for each triple."""
     f, g = f_true, f_hat
-    mono = np.array(
-        [
-            [np.minimum(f, g), np.maximum(f - g, 0.0)],
-            [np.maximum(g - f, 0.0), 1.0 - np.maximum(f, g)],
-        ]
-    )
-    anti = np.array(
-        [
-            [np.maximum(g - (1.0 - f), 0.0), np.minimum(f, 1.0 - g)],
-            [np.minimum(1.0 - f, g), np.maximum((1.0 - g) - f, 0.0)],
-        ]
-    )
+    mono = np.array([[np.minimum(f, g), np.maximum(f - g, 0.0)],
+                     [np.maximum(g - f, 0.0), 1.0 - np.maximum(f, g)]])
+    anti = np.array([[np.maximum(g - (1.0 - f), 0.0), np.minimum(f, 1.0 - g)],
+                     [np.minimum(1.0 - f, g), np.maximum((1.0 - g) - f, 0.0)]])
     return np.where(lam == -1, mono, anti)
-
-
-def _push(law: np.ndarray, joint: np.ndarray) -> np.ndarray:
-    """One step of a law over context pairs: the mass at (c, d) moves to
-    ((c << 1 | a) & mask, (d << 1 | b) & mask) with weight
-    joint[a, b][c, d].  The shift drops each context's top bit, so the
-    new law sums over the two dropped bits."""
-    size = law.shape[0]
-    half = size // 2
-    moved = (joint * law).reshape(2, 2, 2, half, 2, half).sum(axis=(2, 4))
-    return moved.transpose(2, 0, 3, 1).reshape(size, size)
 
 
 def _window_laws(engine: CouplingEngine, window: int, anchor_int: int):
@@ -147,32 +129,20 @@ def _window_laws(engine: CouplingEngine, window: int, anchor_int: int):
     Contexts carry max(L, window) bits, so each window is the low
     `window` bits of its context at the end.
     """
-    L = engine.length
-    bits = max(L, window)
+    bits = max(engine.length, window)
     size = 1 << bits
-    codes = np.arange(size)
     f = engine.kernel.prob0_over(bits)
     f_true, f_hat = f[:, None], f[None, :]
-    interval = np.zeros((size, size))
-    interval[: 1 << L, anchor_int] = engine.pi
+    interval, chain = np.zeros((size, size)), np.zeros(size)
+    interval[: engine.pi.size, anchor_int] = engine.pi
+    chain[anchor_int] = 1.0
     product = interval
     for t in range(window):
-        table = engine.table(window - t)
-        low = codes & table.mask
-        lam = table.orientation[np.ix_(low, low)]
-        interval = _push(interval, _interval_joint(f_true, f_hat, lam))
-        product = _push(product, coupling_table(f_true, f_hat, lam))
-    chain = np.zeros(size)
-    chain[anchor_int] = 1.0
-    for _ in range(window):
-        moved = np.array([chain * f, chain * (1.0 - f)])
-        chain = moved.reshape(2, 2, size // 2).sum(axis=1).T.ravel()
-    paths, rest = 1 << window, size >> window
-    return (
-        interval.reshape(rest, paths, rest, paths).sum(axis=(0, 2)),
-        product.reshape(rest, paths, rest, paths).sum(axis=(0, 2)),
-        chain.reshape(rest, paths).sum(axis=0),
-    )
+        lam = lift(engine.table(window - t).orientation, bits)
+        interval = push(interval, _interval_joint(f_true, f_hat, lam))
+        product = push(product, coupling_table(f_true, f_hat, lam))
+        chain = push(chain, np.array([f, 1.0 - f]))
+    return tuple(marginal(law, window) for law in (interval, product, chain))
 
 
 def joint_step_law(
@@ -225,32 +195,24 @@ def generator_error_check(
     seed: int,
 ) -> GeneratorGapReport:
     """Monte Carlo the coupled-run generator gap and compare with the
-    exact integral; tolerance 3*stderr + one truncation allowance.
+    exact integral; tolerance MC_SIGMAS * stderr + one truncation
+    allowance.
 
     The trials run one block at a time (:func:`_trial_blocks`) and are
-    counted by their end pair code (ctx_true << L) | ctx_hat, up to
-    _BLOCK codes at a time."""
-    L = engine.length
+    counted by their end pair code (:func:`.vershik.pair_counts`); the
+    depth-0 metric table is |R_D(x) - R_D(y)| at every pair code."""
     anchor_int = _anchor_code(engine, anchor)
     rng = stream_rng(seed, "generator-gap", engine.kernel.label, f"N{n_start}")
-    counts = np.zeros(1 << 2 * L, dtype=np.int64)
-    codes = np.empty(min(trials, _BLOCK), dtype=np.int64)
-    end = 0
-    for ctx_true, w in _trial_blocks(rng, engine.pi, trials, 1 - n_start):
-        if end + ctx_true.size > codes.size:  # count before it overflows
-            counts += np.bincount(codes[:end], minlength=counts.size)
-            end = 0
-        ctx_hat = np.full(ctx_true.size, anchor_int, dtype=np.int64)
-        coupled_run(engine, w, ctx_true, ctx_hat)
-        code = np.left_shift(ctx_true, L, out=codes[end:end + ctx_true.size])
-        code |= ctx_hat
-        end += ctx_true.size
-    counts += np.bincount(codes[:end], minlength=counts.size)
-    # |R_D(x) - R_D(y)| at every pair code (x << L) | y.
-    gaps = np.abs(np.subtract.outer(engine.generator, engine.generator)).ravel()
-    mc, stderr = pair_mean_stderr(gaps, counts)
+
+    def ends():
+        for ctx_true, w in _trial_blocks(rng, engine.pi, trials, 1 - n_start):
+            ctx_hat = np.full(ctx_true.size, anchor_int, dtype=np.int64)
+            yield coupled_run(engine, w, ctx_true, ctx_hat)
+
+    counts = pair_counts(ends(), engine.length)
+    mc, stderr = pair_mean_stderr(engine.table(0).values.ravel(), counts)
     exact = expected_generator_gap(engine, n_start, anchor)
-    tol = 3.0 * stderr + 3.0 ** (-engine.depth)
+    tol = MC_SIGMAS * stderr + 3.0 ** (-engine.depth)
     verdict = "match" if abs(mc - exact) <= tol else "mismatch"
     return GeneratorGapReport(
         n_start, int_to_word(anchor_int, engine.length), mc, stderr, exact, tol, verdict
@@ -417,10 +379,7 @@ def stitch_blocks(
     n_starts, k_cuts, alphas, anchors = [], [], [], []
     for j, delta in enumerate(deltas):
         k_j = m[j] - L
-        if j == 0:
-            threshold = delta
-        else:
-            threshold = 3.0 ** (k_j - m[j] + 1) * delta / 2.0
+        threshold = delta if j == 0 else 3.0 ** (k_j - m[j] + 1) * delta / 2.0
         p, a, anchor = _plan_block(engine, threshold, p_min=L)
         n_j = -(p - 1)
         n_starts.append(n_j)
@@ -449,9 +408,8 @@ def stitch_blocks(
 
     rows = []
     for j, (delta, exceeded) in enumerate(zip(deltas, map(sum, zip(*far)))):
-        freq = exceeded / trials
-        stderr = float(np.sqrt(freq * (1.0 - freq) / trials))
-        verdict = "ok" if freq <= delta + 3.0 * stderr else "exceeded"
+        freq, stderr = frequency(exceeded, trials)
+        verdict = "ok" if freq <= delta + MC_SIGMAS * stderr else "exceeded"
         rows.append(
             StitchRow(
                 j, n_starts[j], m[j], k_cuts[j], delta, alphas[j],

@@ -9,6 +9,8 @@ long-memory kernel is such an order-m chain like any other.  All "exact"
 quantities are computed by exhaustive enumeration over those contexts.
 Finite memory also fixes the renewal regime: gamma_p = 0 for p >= m, so
 every kernel's memory decay is summable.
+:func:`lift`, :func:`push` and :func:`marginal` hold the package's
+context-code arithmetic (most recent symbol at bit 0).
 :func:`stationary_ctx_vector` and :func:`gamma_profile` solve once per
 Kernel object and argument, into the object's own ``_memo`` dict; the
 stationary law is returned read-only.
@@ -66,7 +68,7 @@ class Kernel:
     def prob0_over(self, length: int) -> np.ndarray:
         """P(0 | context) for every `length`-bit context code; bits
         beyond the memory do not matter."""
-        return self.prob0_table[np.arange(1 << length) & ((1 << self.memory) - 1)]
+        return lift(self.prob0_table, length)
 
     @cached_property
     def _memo(self) -> dict:
@@ -259,18 +261,42 @@ def lower_envelope(kernel: Kernel, i: int, z: Iterable[int]) -> float:
     if i not in (0, 1):
         raise ValueError("symbol must be 0 or 1")
     z = as_word(z)
-    p = len(z)
-    m = kernel.memory
     table = kernel.prob0_table if i == 0 else 1.0 - kernel.prob0_table
-    if p >= m:
-        return float(table[word_to_int(z) & ((1 << m) - 1)])
-    zint = word_to_int(z)
-    free = np.arange(1 << (m - p))
-    return float(table[(free << p) | zint].min())
+    # The pasts extending z have the codes z + k 2^p cut to m bits, p = |z|.
+    step = 1 << min(len(z), kernel.memory)
+    return float(table[word_to_int(z) & (table.size - 1)::step].min())
 
 
 # ---------------------------------------------------------------------------
-# Stationary word laws
+# Context-code arithmetic and stationary word laws
+
+
+def lift(table: np.ndarray, bits: int) -> np.ndarray:
+    """A table stored on the low bits of each axis, read at `bits` bits:
+    entry [c, d, ..] is table[c & mask, d & mask, ..], mask = len(table) - 1."""
+    low = np.arange(1 << bits) & (table.shape[0] - 1)
+    return table[np.ix_(*[low] * table.ndim)]
+
+
+def push(law: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """One step of a law over the L-bit contexts of k chains (k axes):
+    the mass at (c_1, .., c_k) moves to ((c_i << 1 | a_i) & (2^L - 1))_i
+    with weight step[a_1, .., a_k][c_1, .., c_k], summed over the k top
+    bits the shift drops."""
+    k, half = law.ndim, law.shape[0] // 2
+    moved = (step * law).reshape((2,) * k + (2, half) * k)
+    moved = moved.sum(axis=tuple(range(k, 3 * k, 2)))  # the top bits
+    order = [axis for i in range(k) for axis in (k + i, i)]  # (c_i low, a_i)
+    return moved.transpose(order).reshape(law.shape)
+
+
+def marginal(law: np.ndarray, bits: int) -> np.ndarray:
+    """A law over the contexts of k chains (k axes) summed onto the low
+    `bits` bits of each context; for bits >= 1 the high parts are added
+    in index order, as ``np.bincount`` adds them."""
+    rest = law.shape[0] >> bits
+    return law.reshape((rest, 1 << bits) * law.ndim).sum(
+        axis=tuple(range(0, 2 * law.ndim, 2)))
 
 
 @_once_per_kernel
@@ -280,22 +306,15 @@ def stationary_ctx_vector(kernel: Kernel, length: int) -> np.ndarray:
     entry moves by _STATIONARY_TOL in a sweep; read-only."""
     if length > MAX_WORD_LENGTH:
         raise CapExceededError(f"word length {length} exceeds cap {MAX_WORD_LENGTH}")
-    m = kernel.memory
-    s = max(m, length, 1)
+    s = max(kernel.memory, length, 1)
     size = 1 << s
-    mask = size - 1
-    idx = np.arange(size)
     p0 = kernel.prob0_over(s)
-    next0 = ((idx << 1) & mask)
-    next1 = next0 | 1
+    step = np.array([p0, 1.0 - p0])
     pi = np.full(size, 1.0 / size)
     for _ in range(_STATIONARY_MAX_ITER):
-        new = np.bincount(next0, weights=pi * p0, minlength=size)
-        new += np.bincount(next1, weights=pi * (1.0 - p0), minlength=size)
-        if np.abs(new - pi).max() < _STATIONARY_TOL:
-            pi = new
+        pi, old = push(pi, step), pi
+        if np.abs(pi - old).max() < _STATIONARY_TOL:
             break
-        pi = new
     else:
         raise CapExceededError(
             f"stationary law of {kernel.label} not converged within "
@@ -304,6 +323,6 @@ def stationary_ctx_vector(kernel: Kernel, length: int) -> np.ndarray:
     if abs(pi.sum() - 1.0) > 1e-12:
         raise RuntimeError("stationary law does not sum to 1")
     if s != length:  # marginalize onto the most recent `length` symbols
-        pi = np.bincount(idx & ((1 << length) - 1), weights=pi, minlength=1 << length)
+        pi = marginal(pi, length)
     pi.flags.writeable = False
     return pi

@@ -41,7 +41,8 @@ from .kernels import (
     gamma_profile,
     stationary_ctx_vector,
 )
-from .rng import _BLOCK, ahead, index_sampler, sample_index, stream_rng
+from .rng import (MC_SIGMAS, _BLOCK, ahead, frequency, index_sampler, sample_index,
+                  stream_rng)
 
 # Steps per chunk of the speculative scan in `advance`: long next to a
 # chunk's expected repair, which the reset chain bounds, so few steps run
@@ -410,7 +411,7 @@ def disagreement_experiment(
     seed: int,
 ) -> DisagreementRow:
     """Estimate P(replay disagrees with the truth on [-k_lags; 0]) and
-    compare with the renewal bound, allowing 3 standard errors."""
+    compare with the renewal bound, allowing MC_SIGMAS standard errors."""
     if k_lags + 1 > MAX_WORD_LENGTH:
         raise CapExceededError(f"window {k_lags + 1} exceeds cap {MAX_WORD_LENGTH}")
     if k_lags >= -n_start + 1:
@@ -423,10 +424,9 @@ def disagreement_experiment(
     for diff in _replay_xors(kernel, n_start, trials, seed, keep):
         diff &= window
         mismatches += np.count_nonzero(diff)
-    freq = mismatches / trials
-    stderr = float(np.sqrt(freq * (1.0 - freq) / trials))
+    freq, stderr = frequency(mismatches, trials)
     bound = reconstruction_bound(kernel, n_start, k_lags)
-    ok = freq <= bound + 3.0 * stderr
+    ok = freq <= bound + MC_SIGMAS * stderr
     return DisagreementRow(
         n_start, k_lags, trials, freq, stderr, bound,
         "within-bound" if ok else "violates-bound",
@@ -450,7 +450,7 @@ def domination_experiment(
     trials: int,
     seed: int,
 ) -> list[DominationRow]:
-    """Check P(agreement length > M) >= P(Z_{|n_start|} > M) - 3*stderr
+    """Check P(agreement length > M) >= P(Z_{|n_start|} > M) - MC_SIGMAS * stderr
     for every M up to |n_start|: the reset chain is stochastically
     dominated by the true agreement length.
 
@@ -458,8 +458,7 @@ def domination_experiment(
     integers, so count / trials is the mean of the whole bool array bit
     for bit."""
     n = -n_start
-    keep = min(n + 1, MAX_WORD_LENGTH)
-    keep = max(keep, kernel.memory)
+    keep = max(min(n + 1, MAX_WORD_LENGTH), kernel.memory)
     max_m = min(n, keep - 1)
     gammas = gamma_profile(kernel, max(kernel.memory, 1)).values
     dist = house_of_cards_dist(gammas, n)
@@ -473,10 +472,9 @@ def domination_experiment(
             agree[m] += diff.size - np.count_nonzero(bits)
     rows = []
     for m in range(max_m + 1):
-        mc = agree[m] / trials
-        stderr = float(np.sqrt(mc * (1.0 - mc) / trials))
+        mc, stderr = frequency(agree[m], trials)
         exact = 1.0 - dist.cdf(m)
-        ok = mc >= exact - 3.0 * stderr
+        ok = mc >= exact - MC_SIGMAS * stderr
         rows.append(
             DominationRow(
                 n_start, m, trials, mc, stderr, exact,

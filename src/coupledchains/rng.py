@@ -8,7 +8,8 @@ stream use of ``Generator.choice``, by guide-table lookup (Chen & Asau
 draw; :func:`index_sampler` builds the table once for many draws.
 :func:`ahead` splits a stream: a copy advanced past the next n draws,
 so two consecutive stretches of one stream can be read side by side,
-one block of each at a time."""
+one block of each at a time.  :func:`frequency` and MC_SIGMAS set how
+far every Monte Carlo verdict lets an estimate stray."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ _BLOCK = 1 << 16
 # The guide table splits [0, 1) into 2^_GUIDE_BITS equal buckets.
 _GUIDE_BITS = 14
 _SUM_TOL = float(np.sqrt(np.finfo(float).eps))
+MC_SIGMAS = 3.0  # standard errors a Monte Carlo estimate may stray
 
 
 def stream_rng(seed: int, *labels) -> np.random.Generator:
@@ -44,6 +46,13 @@ def ahead(rng: np.random.Generator, n: int) -> np.random.Generator:
     jumped = copy.deepcopy(rng)
     jumped.bit_generator.advance(n)
     return jumped
+
+
+def frequency(count: int, trials: int) -> tuple[float, float]:
+    """The frequency count / trials and its binomial standard error
+    sqrt(f (1 - f) / trials)."""
+    freq = count / trials
+    return freq, float(np.sqrt(freq * (1.0 - freq) / trials))
 
 
 def _cdf(p) -> np.ndarray:

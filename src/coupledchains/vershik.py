@@ -25,12 +25,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .kernels import CapExceededError, Kernel, stationary_ctx_vector
+from .kernels import CapExceededError, Kernel, lift, marginal, stationary_ctx_vector
 from .rng import _BLOCK, ahead, index_sampler, stream_rng
 
 MAX_TABLE_LENGTH = 8
 
 DEFAULT_DEPTH = 6
+_TIE = 4 * np.finfo(float).eps  # lambda_sign's tie width, per unit of cost
 
 
 @lru_cache(maxsize=MAX_TABLE_LENGTH)
@@ -69,12 +70,14 @@ class Coupling2x2:
 
 def lambda_sign(costs: np.ndarray):
     """Orientation of the optimal coupling for a 2x2 transport cost:
-    -1 when c00 + c11 <= c01 + c10 (ties favor the monotone table).
+    -1 when s = c00 + c11 - c01 - c10 <= 4 eps sum |c|, so ties up to
+    the rounding of the costs favor the monotone table, else +1.
 
     Broadcasts over costs of shape (2, 2, ...), returning int8 -1/+1 of
     the trailing shape (an int8 scalar for one 2x2 table)."""
     s = costs[0, 0] + costs[1, 1] - costs[0, 1] - costs[1, 0]
-    return np.where(s <= 0, -1, 1).astype(np.int8)[()]
+    scale = np.abs(costs).sum(axis=(0, 1))
+    return np.where(s <= _TIE * scale, -1, 1).astype(np.int8)[()]
 
 
 def coupling_table(f, g, orientation) -> np.ndarray:
@@ -143,8 +146,7 @@ class MetricTable:
         has no antitone entry, so a coupled step into it keeps u = w."""
         if self.orientation is None:
             return None
-        low = np.arange(1 << self.length) & self.mask
-        antitone = self.orientation[np.ix_(low, low)].ravel() == 1
+        antitone = lift(self.orientation, self.length).ravel() == 1
         return antitone if antitone.any() else None
 
 
@@ -155,8 +157,7 @@ def _base_table(depth: int, length: int) -> MetricTable:
     falls outside the stored word."""
     if length < depth + 1:
         raise ValueError("table length must cover the generator depth + 1")
-    gen = generator_table(depth)
-    r = gen[np.arange(1 << length) & ((1 << (depth + 1)) - 1)]
+    r = lift(generator_table(depth), length)
     values = np.abs(r[:, None] - r[None, :])
     values.flags.writeable = False
     return MetricTable(0, length, values, None)
@@ -251,21 +252,19 @@ class CouplingEngine:
             self.tables.append(rho_step(self.kernel, self.tables[-1]))
         return self.tables[p]
 
-    def _pi_at(self, table: MetricTable) -> np.ndarray:
-        """The stationary law marginalized onto the low bits `table` reads."""
-        low = np.arange(self.pi.size) & table.mask
-        return np.bincount(low, weights=self.pi)
+    def _table_and_pi(self, p: int):
+        """T_p and the stationary law on the low bits it reads."""
+        t = self.table(p)
+        return t, marginal(self.pi, t.mask.bit_length())
 
     def alpha(self, p: int) -> float:
-        t = self.table(p)
-        q = self._pi_at(t)
+        t, q = self._table_and_pi(p)
         return float(np.sum(q[:, None] * q[None, :] * t.values))
 
     def anchor_integrals(self, p: int) -> np.ndarray:
         """integral_v -> sum_u pi(u) * T_p(u, v), all L-bit anchors v."""
-        t = self.table(p)
-        integrals = np.sum(self._pi_at(t)[:, None] * t.values, axis=0)
-        return integrals[np.arange(self.pi.size) & t.mask]
+        t, q = self._table_and_pi(p)
+        return lift(np.sum(q[:, None] * t.values, axis=0), self.length)
 
     def generator_values(self, ctx) -> np.ndarray:
         """Truncated generator of L-bit contexts."""
@@ -274,8 +273,7 @@ class CouplingEngine:
     @cached_property
     def generator(self) -> np.ndarray:
         """R_D for every L-bit context, read from its low depth+1 bits."""
-        mask = (1 << (self.depth + 1)) - 1
-        return generator_table(self.depth)[np.arange(1 << self.length) & mask]
+        return lift(generator_table(self.depth), self.length)
 
     @cached_property
     def prob0(self) -> np.ndarray:
@@ -303,6 +301,23 @@ def alpha_sequence(
     return AlphaSequence(tuple(engine.alpha(p) for p in range(p_max + 1)), "exact")
 
 
+def pair_counts(pairs, L: int) -> np.ndarray:
+    """How often each pair code (x << L) | y occurs, over an iterable of
+    (x, y) blocks of L-bit context arrays, each of at most _BLOCK
+    contexts; the codes are bincounted _BLOCK at a time."""
+    counts = np.zeros(1 << 2 * L, dtype=np.int64)
+    codes, end = np.empty(_BLOCK, dtype=np.int64), 0
+    for x, y in pairs:
+        if end + x.size > codes.size:  # count before it overflows
+            counts += np.bincount(codes[:end], minlength=counts.size)
+            end = 0
+        code = np.left_shift(x, L, out=codes[end:end + x.size])
+        code |= y
+        end += x.size
+    counts += np.bincount(codes[:end], minlength=counts.size)
+    return counts
+
+
 def pair_mean_stderr(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
     """The mean and the standard error (ddof=1) of n >= 2 samples that
     take the value values[c] counts[c] times, c a pair code (x << L) | y.
@@ -328,23 +343,21 @@ def alpha_sequence_mc(
     The x contexts are the stream's next `trials` stationary draws and
     the y contexts the `trials` after them, read side by side through
     :func:`.rng.ahead`, one block at a time, and counted by pair code
-    (x << L) | y; each table, spread over the pair codes, is averaged
-    against the counts."""
+    (:func:`pair_counts`); each table, spread over the pair codes, is
+    averaged against the counts."""
     engine = CouplingEngine.build(kernel, p_max, depth)
     rng = stream_rng(seed, "alpha-mc", kernel.label)
-    L = engine.length
     draw, rng_y = index_sampler(engine.pi), ahead(rng, trials)
-    counts = np.zeros(1 << 2 * L, dtype=np.int64)
-    for a in range(0, trials, _BLOCK):
-        x = draw(rng, min(_BLOCK, trials - a))
-        x <<= L
-        x |= draw(rng_y, x.size)
-        counts += np.bincount(x, minlength=counts.size)
-    contexts = np.arange(1 << L)
+
+    def pairs():
+        for a in range(0, trials, _BLOCK):
+            x = draw(rng, min(_BLOCK, trials - a))
+            yield x, draw(rng_y, x.size)
+
+    counts = pair_counts(pairs(), engine.length)
     vals, errs = [], []
     for t in engine.tables:
-        low = contexts & t.mask
-        mc, err = pair_mean_stderr(t.values[np.ix_(low, low)].ravel(), counts)
+        mc, err = pair_mean_stderr(lift(t.values, engine.length).ravel(), counts)
         vals.append(mc)
         errs.append(err)
     return AlphaSequence(tuple(vals), "monte-carlo", tuple(errs))

@@ -1,8 +1,13 @@
 """Refactor oracle: every demo config under scripts/configs/ must
 reproduce, byte for byte, the CSV and manifest recorded in
-tests/golden/<kind>/.  A change that alters a demo output on purpose
-regenerates the golden files and says which outputs changed and why."""
+tests/golden/<kind>/, and every config.json under tests/golden/antitone/
+the outputs beside it.  The antitone configs run an order-3 kernel whose
+metric tables have antitone entries, so they cover the flip tables and
+a flipped coupled walk, which no demo kernel reaches.  A change that
+alters a golden output on purpose regenerates the golden files and says
+which outputs changed and why."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +19,7 @@ from coupledchains.harness import KINDS, main
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "scripts" / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+ANTITONE = sorted(p.parent for p in (GOLDEN / "antitone").glob("*/config.json"))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -23,6 +29,28 @@ def test_demo_outputs_match_golden(kind, tmp_path):
                  "--out", str(out)]) == 0
     for name in (f"{kind}.csv", "manifest.json"):
         assert (out / name).read_bytes() == (GOLDEN / kind / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("case", ANTITONE, ids=lambda p: p.name)
+def test_antitone_outputs_match_golden(case, tmp_path):
+    kind = json.loads((case / "config.json").read_text())["kind"]
+    assert main([kind, "--config", str(case / "config.json"),
+                 "--out", str(tmp_path)]) == 0
+    for name in (f"{kind}.csv", "manifest.json"):
+        assert (tmp_path / name).read_bytes() == (case / name).read_bytes(), name
+
+
+def test_antitone_goldens_flip():
+    # The antitone goldens are only worth their bytes if the kernel they
+    # run has antitone tables at the depths the runs read.
+    from coupledchains.harness import build_kernel
+    from coupledchains.vershik import CouplingEngine
+
+    config = json.loads((GOLDEN / "antitone" / "extend" / "config.json").read_text())
+    engine = CouplingEngine.build(build_kernel(config["kernel"]), 8, config["depth"])
+    flipped = [p for p in range(9) if engine.table(p).flip is not None]
+    assert flipped == [2, 3, 5]
+    assert len(ANTITONE) == 3
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -14,7 +14,10 @@ from coupledchains.kernels import (
     MarkovKernel,
     builtin_kernels,
     gamma_profile,
+    lift,
     lower_envelope,
+    marginal,
+    push,
     stationary_ctx_vector,
 )
 from coupledchains.words import int_to_word, word_to_int
@@ -217,6 +220,16 @@ def test_lower_envelope_brute_force():
             assert lower_envelope(LONGMEM, sym, z) == min(probs)
 
 
+def test_lower_envelope_past_the_memory():
+    # A word at least as long as the memory fixes the context: its last
+    # m symbols.
+    table = LONGMEM.prob0_table
+    for z in [(1, 0, 1), (0, 1, 1, 0), (1,) * 70]:
+        code = word_to_int(z[-2:])
+        assert lower_envelope(LONGMEM, 0, z) == table[code]
+        assert lower_envelope(LONGMEM, 1, z) == 1.0 - table[code]
+
+
 def test_envelope_inequality_all_builtins():
     # a_p(0|z) + a_p(1|z) >= 1 - gamma_p for every context length <= 8.
     for kernel in builtin_kernels().values():
@@ -226,6 +239,50 @@ def test_envelope_inequality_all_builtins():
                 z = int_to_word(code, p)
                 total = lower_envelope(kernel, 0, z) + lower_envelope(kernel, 1, z)
                 assert total >= 1.0 - prof.gamma(p) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Context-code arithmetic.  Oracle: loops over every context code.
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_push_moves_each_mass_to_its_successors(k):
+    bits = 3
+    size = 1 << bits
+    rng = np.random.default_rng(k)
+    law = rng.random((size,) * k)
+    step = rng.random((2,) * k + (size,) * k)
+    expected = np.zeros_like(law)
+    for c in np.ndindex(law.shape):
+        for a in np.ndindex((2,) * k):
+            succ = tuple(((ci << 1) | ai) & (size - 1) for ci, ai in zip(c, a))
+            expected[succ] += step[a + c] * law[c]
+    assert np.allclose(push(law, step), expected, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lift_and_marginal_read_the_low_bits(k):
+    rng = np.random.default_rng(k)
+    table = rng.random((4,) * k)
+    lifted = lift(table, 4)
+    assert lifted.shape == (16,) * k
+    for c in np.ndindex(lifted.shape):
+        assert lifted[c] == table[tuple(ci & 3 for ci in c)]
+    law = rng.random((16,) * k)
+    low = marginal(law, 2)
+    expected = np.zeros((4,) * k)
+    for c in np.ndindex(law.shape):
+        expected[tuple(ci & 3 for ci in c)] += law[c]
+    assert low.shape == (4,) * k and np.allclose(low, expected, rtol=1e-15, atol=0)
+
+
+def test_marginal_adds_as_bincount():
+    # Byte for byte the bincount onto the low bits, for every width >= 1.
+    law = np.random.default_rng(3).random(1 << 10)
+    for bits in range(1, 11):
+        low = np.arange(law.size) & ((1 << bits) - 1)
+        expected = np.bincount(low, weights=law, minlength=1 << bits)
+        assert marginal(law, bits).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

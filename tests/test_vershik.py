@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coupledchains.extension import _interval_joint
 from coupledchains.kernels import (
     IIDKernel,
     MarkovKernel,
     builtin_kernels,
+    push,
     stationary_ctx_vector,
 )
 from coupledchains.vershik import (
@@ -25,9 +27,10 @@ from coupledchains.vershik import (
     lambda_sign,
     metric_tables,
     optimal_coupling,
+    pair_counts,
     rho_step,
 )
-from coupledchains.rng import stream_rng
+from coupledchains.rng import _BLOCK, stream_rng
 from coupledchains.words import word_to_int
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
@@ -140,6 +143,28 @@ def test_lambda_sign_cases():
     ties = costs[0, 0] + costs[1, 1] == costs[0, 1] + costs[1, 0]
     assert ties.any() and np.all(signs[ties] == -1)
     assert set(np.unique(signs)) == {-1, 1}
+
+
+def test_lambda_sign_ties_within_rounding_are_monotone():
+    # c00 + c11 - c01 - c10 is 0 in exact arithmetic and 2^-54 in floats.
+    costs = np.array([[0.1 + 0.2, 0.3], [0.3, 0.3]])
+    assert costs[0, 0] + costs[1, 1] - costs[0, 1] - costs[1, 0] > 0
+    assert lambda_sign(costs) == -1
+    # A difference above the rounding of the costs still picks antitone.
+    costs[0, 0] += 1e-14
+    assert lambda_sign(costs) == 1
+
+
+def test_monotone_kernel_has_no_antitone_depth():
+    # P(0 | past) is non-increasing in every past symbol, so the monotone
+    # (same-uniform) coupling is optimal at every depth.  With ties left
+    # to rounding noise, depths 4 and 5 came out antitone at generator
+    # depth 2.
+    kernel = MarkovKernel(5, (0.93,) * 16 + (0.9,) + (0.88,) * 15)
+    engine = CouplingEngine.build(kernel, 30, 2)
+    for p in range(1, 31):
+        assert engine.table(p).flip is None, p
+        assert np.all(engine.table(p).orientation == -1), p
 
 
 def test_equal_marginals_monotone_is_diagonal():
@@ -316,7 +341,9 @@ def reference_rho_step(kernel, table: MetricTable) -> MetricTable:
     fu = f[:, None]
     gv = f[None, :]
     orient_stat = c00 + c11 - c01 - c10
-    orientation = np.where(orient_stat <= 0, -1, 1).astype(np.int8)
+    # Differences within the rounding of the costs are ties (monotone).
+    tie = 4 * np.finfo(float).eps * (c00 + c11 + c01 + c10)
+    orientation = np.where(orient_stat <= tie, -1, 1).astype(np.int8)
     d00 = np.minimum(fu, gv)
     mono = (
         d00 * c00
@@ -369,6 +396,18 @@ def test_alpha_monte_carlo_matches_whole_array_reference(kernel, depth, trials):
     ys = rng.choice(pi.size, p=pi, size=trials)
     for t, value, err in zip(tables, mc.values, mc.stderr, strict=True):
         assert (value, err) == reduce_by_counts(t, xs, ys)
+
+
+def test_pair_counts_match_one_bincount():
+    # Blocks of uneven sizes, past _BLOCK codes in total: the counts are
+    # those of one bincount over every pair code.
+    rng = np.random.default_rng(11)
+    L = 3
+    sizes = [1, 8192, _BLOCK, 5, _BLOCK - 6, 30_000, 0]
+    blocks = [(rng.integers(0, 1 << L, n), rng.integers(0, 1 << L, n)) for n in sizes]
+    counts = pair_counts(iter(blocks), L)
+    codes = np.concatenate([(x << L) | y for x, y in blocks])
+    assert counts.tolist() == np.bincount(codes, minlength=1 << 2 * L).tolist()
 
 
 def test_count_summary_matches_exact_sample_mean():
@@ -505,3 +544,90 @@ def test_alpha_sequence_memory_stays_at_stored_bits():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Same-uniform alpha.  Oracle: pi x pi pushed p steps by the joint law of
+# two chains thresholding one uniform (_interval_joint at lam = -1) and
+# integrated against T_0.  The metric recursion takes the cheaper of the
+# two extreme couplings at every step, so alpha_p is at most this value;
+# on a monotone kernel (P(0 | past) non-increasing in every past symbol)
+# it takes the same-uniform one at every step, so the two are equal up
+# to rounding.
+
+ULPS = 16 * np.finfo(float).eps
+
+
+def same_u_alpha(engine, p_max):
+    f = engine.prob0
+    step = _interval_joint(f[:, None], f[None, :], -1)
+    law = engine.pi[:, None] * engine.pi[None, :]
+    values = []
+    for _ in range(p_max + 1):
+        values.append(float(np.sum(law * engine.table(0).values)))
+        law = push(law, step)
+    return values
+
+
+def monotone_kernel(order, seed):
+    """Each entry of the table is the least entry of a random table over
+    the contexts whose set bits it contains, so P(0 | past) does not
+    grow when a past symbol turns from 0 to 1."""
+    probs = np.round(np.random.default_rng(seed).uniform(0.01, 0.99, 1 << order), 4)
+    for bit in range(order):
+        for c in range(1 << order):
+            if c >> bit & 1:
+                probs[c] = min(probs[c], probs[c ^ (1 << bit)])
+    return MarkovKernel(order, tuple(probs.tolist()))
+
+
+def assert_same_u_alpha(kernel, depth, p_max):
+    engine = CouplingEngine.build(kernel, p_max, depth)
+    assert all(engine.table(p).flip is None for p in range(p_max + 1))
+    for p, same in enumerate(same_u_alpha(engine, p_max)):
+        assert abs(engine.alpha(p) - same) <= ULPS * same, p
+
+
+@pytest.mark.parametrize("name, depth", [("markov1-demo", 3), ("order-3", 5),
+                                         ("long-memory-demo", 7)])
+def test_alpha_is_same_u_alpha_on_demo_kernels(name, depth):
+    kernel = ORDER3 if name == "order-3" else builtin_kernels()[name]
+    assert_same_u_alpha(kernel, depth, 24)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.integers(1, 5),
+    depth=st.integers(2, 6),
+    p_max=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_alpha_is_same_u_alpha_on_monotone_kernels(order, depth, p_max, seed):
+    assert_same_u_alpha(monotone_kernel(order, seed), depth, p_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.integers(1, 5),
+    depth=st.integers(2, 6),
+    p_max=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_alpha_at_most_same_u_alpha(order, depth, p_max, seed):
+    probs = np.round(np.random.default_rng(seed).uniform(0.01, 0.99, 1 << order), 4)
+    engine = CouplingEngine.build(MarkovKernel(order, tuple(probs.tolist())),
+                                  p_max, depth)
+    for p, same in enumerate(same_u_alpha(engine, p_max)):
+        assert engine.alpha(p) <= same * (1 + ULPS), p
+
+
+def test_same_u_alpha_above_alpha_on_antitone_kernel():
+    # The oracle can tell the couplings apart: on a kernel with antitone
+    # tables the optimal coupling beats the same-uniform one by 4-8%.
+    kernel = MarkovKernel.from_table(3, {
+        "000": 0.8, "001": 0.2, "010": 0.65, "011": 0.35,
+        "100": 0.3, "101": 0.7, "110": 0.25, "111": 0.6,
+    })
+    engine = CouplingEngine.build(kernel, 8, 5)
+    same = same_u_alpha(engine, 8)
+    assert all(same[p] > 1.04 * engine.alpha(p) for p in range(2, 9))
