@@ -54,7 +54,6 @@ from .vershik import (
     CouplingEngine,
     alpha_sequence,
     metric_tables,
-    optimal_coupling,
 )
 from .extension import (
     choose_anchor,
@@ -83,7 +82,6 @@ __all__ = [
     "joint_step_law",
     "lower_envelope",
     "metric_tables",
-    "optimal_coupling",
     "simulate_path",
     "stitch_blocks",
     "window_reconstruct",

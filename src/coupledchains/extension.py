@@ -376,14 +376,12 @@ def stitch_blocks(
 
     # Deterministic planning phase.
     m = [1]
-    n_starts, k_cuts, alphas, anchors = [], [], [], []
+    n_starts, alphas, anchors = [], [], []
     for j, delta in enumerate(deltas):
-        k_j = m[j] - L
-        threshold = delta if j == 0 else 3.0 ** (k_j - m[j] + 1) * delta / 2.0
+        threshold = delta if j == 0 else 3.0 ** (1 - L) * delta / 2.0
         p, a, anchor = _plan_block(engine, threshold, p_min=L)
         n_j = -(p - 1)
         n_starts.append(n_j)
-        k_cuts.append(k_j)
         alphas.append(a)
         anchors.append(anchor)
         m.append(m[j] + n_j - 1)
@@ -412,7 +410,7 @@ def stitch_blocks(
         verdict = "ok" if freq <= delta + MC_SIGMAS * stderr else "exceeded"
         rows.append(
             StitchRow(
-                j, n_starts[j], m[j], k_cuts[j], delta, alphas[j],
+                j, n_starts[j], m[j], m[j] - L, delta, alphas[j],
                 anchors[j], freq, stderr, verdict,
             )
         )
@@ -436,7 +434,7 @@ def _stitch_trials(engine, u, ctx_true, cols, anchors, deltas):
                     for p in range(1, block.shape[1] + 1))
         ctx_true, hat_ends[j] = coupled_run(engine, block, ctx_true, hat,
                                             other=block if flips else None)
-    r_true = engine.generator_values(ctx_true)
+    r_true = engine.generator.take(ctx_true)
     ends = _replay_ends(engine, u, cols, anchors, ctx_before_0, hat_ends)
-    return [int(np.count_nonzero(np.abs(engine.generator_values(e) - r_true) > delta))
+    return [int(np.count_nonzero(np.abs(engine.generator.take(e) - r_true) > delta))
             for e, delta in zip(ends, deltas)]

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -228,7 +228,9 @@ def build_kernel(spec: dict) -> Kernel:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners: each returns (header, rows, verdicts)
+# Experiment runners: each returns (header, rows, verdicts).  The fields
+# of the row types of reconstruction and extension are in CSV column
+# order, so such a row is written as its astuple.
 
 
 def _run_gamma(kernel, config):
@@ -272,8 +274,7 @@ def _run_reconstruct(kernel, config):
     rows, verdicts = [], []
     for n in p["n_list"]:
         r = disagreement_experiment(kernel, n, p["k"], p["trials"], config.seed)
-        rows.append((r.n_start, r.k_lags, r.trials, r.freq, r.stderr,
-                     r.dp_bound, r.verdict))
+        rows.append(astuple(r))
         verdicts.append((f"N={n}", r.verdict, r.verdict == "within-bound"))
     return header, rows, verdicts
 
@@ -290,7 +291,7 @@ def _run_vershik(kernel, config):
     for i, a in enumerate(seq.values):
         stderr = seq.stderr[i] if seq.stderr else ""
         bound = alpha_sup_bound(p["depth"], i) if kernel.memory == 0 else ""
-        rows.append((i, a, seq.mode, stderr, bound))
+        rows.append((i, a, p["mode"], stderr, bound))
     decayed = seq.values[-1] <= seq.values[0] or len(seq.values) == 1
     verdicts = [("alpha_decay", "ok" if decayed else "flat", decayed)]
     return header, rows, verdicts
@@ -304,8 +305,7 @@ def _run_extend(kernel, config):
     r = generator_error_check(engine, n, anchor, p["trials"], config.seed)
     header = ("N", "anchor", "mc_estimate", "stderr", "exact_value",
               "tolerance", "verdict")
-    rows = [(r.n_start, r.anchor, r.mc_estimate, r.stderr, r.exact_value,
-             r.tolerance, r.verdict)]
+    rows = [astuple(r)]
     verdicts = [("generator_gap", r.verdict, r.verdict == "match")]
     return header, rows, verdicts
 
@@ -316,11 +316,7 @@ def _run_stitch(kernel, config):
     report = stitch_blocks(kernel, deltas, p["trials"], config.seed, p["depth"])
     header = ("j", "N_j", "M_j", "K_j", "delta_j", "alpha_used", "anchor",
               "exceed_freq", "stderr", "verdict")
-    rows = [
-        (r.j, r.n_j, r.m_j, r.k_j, r.delta_j, r.alpha_used, r.anchor,
-         r.exceed_freq, r.stderr, r.verdict)
-        for r in report.rows
-    ]
+    rows = [astuple(r) for r in report.rows]
     verdicts = [(f"block_{r.j}", r.verdict, r.verdict == "ok") for r in report.rows]
     verdicts.append(
         ("stitched_u_audit", "ok" if report.audit.passed else "fail",
@@ -345,16 +341,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, tuple, list]:
     kernel = build_kernel(config.kernel)
     header, rows, verdicts = _RUNNERS[config.kind](kernel, config)
     out_dir = Path(config.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"cannot write into 'out' {config.out!r}: {exc}") from exc
     csv_path = out_dir / f"{config.kind}.csv"
-    manifest_path = out_dir / "manifest.json"
-    for path in (csv_path, manifest_path):  # both outputs or neither
-        if path.exists() and not path.is_file():
-            raise ConfigError(f"cannot write {path}: it exists and is not a file")
-    csv_path.write_bytes(emit_csv(header, rows).encode())
     manifest = {
         "kind": config.kind,
         "kernel": config.kernel,
@@ -367,9 +354,22 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, tuple, list]:
             for name, result, ok in verdicts
         ],
     }
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    outputs = {csv_path: emit_csv(header, rows),
+               out_dir / "manifest.json":
+               json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
+    written = []
+    try:
+        for path in outputs:  # both outputs or neither
+            if path.exists() and not path.is_file():
+                raise ConfigError(f"cannot write {path}: it exists and is not a file")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path, text in outputs.items():
+            written.append(path)
+            path.write_bytes(text.encode())
+    except OSError as exc:  # a full disk, say: remove what was written
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write into 'out' {config.out!r}: {exc}") from exc
     failed = [name for name, _, ok in verdicts if not ok]
     if failed:
         print(f"verdict failure: {', '.join(failed)}", file=sys.stderr)

@@ -3,10 +3,10 @@ the renewal (reset-chain) bound on reconstruction error.
 
 A stationary path is carried as a numpy int array together with the
 innovation stream that generated it; it starts from a context drawn from
-the exact stationary law.  Reconstruction replays the innovations
-through the decoder starting from an all-zero prehistory; the renewal
-bound controls how far back the replay must start for the final window
-to agree with the truth.
+the stationary law, power-iterated until no entry moves by 1e-13.
+Reconstruction replays the innovations through the decoder starting
+from an all-zero prehistory; the renewal bound controls how far back
+the replay must start for the final window to agree with the truth.
 
 Two stepping primitives serve every chain in the package, and both
 step through one threshold helper.  :func:`advance` runs one path: a
@@ -79,8 +79,9 @@ class PathSample:
 
 
 def _stationary_start(kernel: Kernel, rng: np.random.Generator) -> int:
-    """The context of the last m symbols drawn from the exact stationary
-    law; memoryless kernels draw nothing."""
+    """The context of the last m symbols drawn from the stationary law,
+    power-iterated to 1e-13 (:func:`.kernels.stationary_ctx_vector`);
+    memoryless kernels draw nothing."""
     m = kernel.memory
     if m == 0:
         return 0
@@ -124,7 +125,8 @@ def _scan(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
     the expected repair per chunk is at most sum_{n < CHUNK} P(Z_n < m)
     for the reset chain Z, however large 2^m is.  Every symbol comes from
     the same float comparison u > table[ctx] as in the serial loop.  The
-    tail after the last whole chunk runs serially."""
+    tail after the last whole chunk runs serially, through the loop that
+    repairs the chunks (:func:`_serial`)."""
     probs = table.tolist()
     mask = len(probs) - 1
     ctx = int(ctx) & mask
@@ -139,15 +141,12 @@ def _scan(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
             a[:head].reshape(n_chunks, CHUNK) for a in (u, x, c)))
         ctx = exits[0]
         for i in range(1, n_chunks):
-            steps, ctx = _repair(probs, mask, ctx, uv, xv, cv, i * CHUNK)
+            steps, ctx = _serial(probs, mask, ctx, uv, xv, cv, i * CHUNK,
+                                 (i + 1) * CHUNK, meet=True)
             repaired += steps
             if ctx is None:
                 ctx = exits[i]
-    for k in range(head, u.size):
-        cv[k] = ctx
-        xt = uv[k] > probs[ctx]
-        xv[k] = xt
-        ctx = ((ctx << 1) | xt) & mask
+    _serial(probs, mask, ctx, uv, xv, cv, head, u.size)
     return repaired
 
 
@@ -191,19 +190,22 @@ def _threshold(table: np.ndarray, ctx: np.ndarray, s: np.ndarray,
     ctx &= table.size - 1
 
 
-def _repair(probs: list, mask: int, ctx: int, uv, xv, cv, start: int):
-    """Re-run the chunk at `start`, speculated from context 0, serially
-    from its true entry context `ctx`, until it equals the speculative
-    context recorded at that step.  Returns the steps re-run and the true
-    exit context, or None for the exit if the contexts met."""
-    for k in range(start, start + CHUNK):
-        if ctx == cv[k]:
+def _serial(probs: list, mask: int, ctx: int, uv, xv, cv, start: int,
+            stop: int, meet: bool = False):
+    """Step the chain serially over steps [start, stop) from context
+    `ctx`, writing each step's context and symbol.  With `meet` (a chunk
+    speculated from context 0, re-run from its true entry context) it
+    stops where `ctx` equals the speculative context recorded at that
+    step.  Returns the steps run and the exit context, or None for the
+    exit if the contexts met."""
+    for k in range(start, stop):
+        if meet and ctx == cv[k]:
             return k - start, None
         cv[k] = ctx
         xt = uv[k] > probs[ctx]
         xv[k] = xt
         ctx = ((ctx << 1) | xt) & mask
-    return CHUNK, ctx
+    return stop - start, ctx
 
 
 def coupled_walk(table: np.ndarray, v, ctx_true: np.ndarray,

@@ -29,13 +29,10 @@ MC_SIGMAS = 3.0  # standard errors a Monte Carlo estimate may stray
 
 
 def stream_rng(seed: int, *labels) -> np.random.Generator:
-    """Generator for (seed, labels): independent streams per label."""
+    """Generator for (seed, labels): independent streams per label.  A
+    label is read as its string, so 7 and "7" name one stream."""
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
-    for label in labels:
-        if isinstance(label, int):
-            entropy.append(label & 0xFFFFFFFF)
-        else:
-            entropy.append(zlib.crc32(str(label).encode()))
+    entropy += [zlib.crc32(str(label).encode()) for label in labels]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

@@ -55,23 +55,13 @@ def generator_table(depth: int) -> np.ndarray:
 # Optimal two-by-two couplings
 
 
-@dataclass(frozen=True)
-class Coupling2x2:
-    """Joint law on {0,1}^2 with marginals (f, 1-f) and (g, 1-g)."""
-
-    f: float
-    g: float
-    table: np.ndarray  # shape (2, 2); table[i, j] = Lambda(i, j)
-    orientation: int  # -1 monotone (mass on diagonal), +1 antitone
-
-    def cost(self, costs: np.ndarray) -> float:
-        return float(np.sum(self.table * costs))
-
-
 def lambda_sign(costs: np.ndarray):
     """Orientation of the optimal coupling for a 2x2 transport cost:
     -1 when s = c00 + c11 - c01 - c10 <= 4 eps sum |c|, so ties up to
-    the rounding of the costs favor the monotone table, else +1.
+    the rounding of the costs favor the monotone table, else +1.  The
+    transport polytope of two Bernoulli laws is a segment, and a linear
+    cost is minimized at an endpoint: the monotone table of
+    :func:`coupling_table` for -1, the antitone table for +1.
 
     Broadcasts over costs of shape (2, 2, ...), returning int8 -1/+1 of
     the trailing shape (an int8 scalar for one 2x2 table)."""
@@ -97,18 +87,6 @@ def coupling_table(f, g, orientation) -> np.ndarray:
     )
     table = np.where(orientation == -1, mono, anti)
     return np.maximum(table, 0.0)  # clip float dust at the boundary
-
-
-def optimal_coupling(f: float, g: float, costs: np.ndarray) -> Coupling2x2:
-    """Minimum-cost coupling of Bernoulli(1-f) and Bernoulli(1-g)
-    (f, g are the probabilities of symbol 0).
-
-    The transport polytope is a segment; a linear cost is minimized at
-    an endpoint, which is the monotone table for orientation -1 and the
-    antitone table for orientation +1.
-    """
-    orient = int(lambda_sign(costs))
-    return Coupling2x2(f, g, coupling_table(f, g, orient), orient)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +203,10 @@ def metric_tables(
 
 @dataclass(frozen=True)
 class CouplingEngine:
-    """The metric tables of one kernel, deepened on demand, and the exact
-    stationary law on length-L contexts: everything alpha, the anchor
-    integrals and the coupled runs read."""
+    """The metric tables of one kernel, deepened on demand, and the
+    stationary law on length-L contexts, power-iterated until no entry
+    moves by 1e-13 (:func:`.kernels.stationary_ctx_vector`, not exact):
+    everything alpha, the anchor integrals and the coupled runs read."""
 
     kernel: Kernel
     depth: int  # generator depth D
@@ -266,10 +245,6 @@ class CouplingEngine:
         t, q = self._table_and_pi(p)
         return lift(np.sum(q[:, None] * t.values, axis=0), self.length)
 
-    def generator_values(self, ctx) -> np.ndarray:
-        """Truncated generator of L-bit contexts."""
-        return self.generator.take(ctx)
-
     @cached_property
     def generator(self) -> np.ndarray:
         """R_D for every L-bit context, read from its low depth+1 bits."""
@@ -288,7 +263,6 @@ class CouplingEngine:
 @dataclass(frozen=True)
 class AlphaSequence:
     values: tuple[float, ...]  # alpha_0 .. alpha_{p_max}
-    mode: str  # "exact" | "monte-carlo"
     stderr: tuple[float, ...] | None = None
 
 
@@ -296,9 +270,11 @@ def alpha_sequence(
     kernel: Kernel, p_max: int, depth: int = DEFAULT_DEPTH
 ) -> AlphaSequence:
     """alpha_p = E rho_p(X, Y) over independent stationary pasts X, Y,
-    computed exactly from the metric tables and the stationary word law."""
+    summed over the metric tables against the stationary word law, so
+    exact up to that law's power-iteration error (see
+    :class:`CouplingEngine`)."""
     engine = CouplingEngine.build(kernel, p_max, depth)
-    return AlphaSequence(tuple(engine.alpha(p) for p in range(p_max + 1)), "exact")
+    return AlphaSequence(tuple(engine.alpha(p) for p in range(p_max + 1)))
 
 
 def pair_counts(pairs, L: int) -> np.ndarray:
@@ -360,7 +336,7 @@ def alpha_sequence_mc(
         mc, err = pair_mean_stderr(lift(t.values, engine.length).ravel(), counts)
         vals.append(mc)
         errs.append(err)
-    return AlphaSequence(tuple(vals), "monte-carlo", tuple(errs))
+    return AlphaSequence(tuple(vals), tuple(errs))
 
 
 def alpha_sup_bound(depth: int, p: int) -> float:

@@ -700,7 +700,7 @@ def _gap_oracle(engine, n_start, anchor_int):
                     if q > 0.0:
                         new[((cx << 1) | a) & mask, ((ch << 1) | b) & mask] += p * q
         joint = new
-    gen = engine.generator_values(np.arange(1 << L))
+    gen = engine.generator.take(np.arange(1 << L))
     return float(np.sum(joint * np.abs(gen[:, None] - gen[None, :])))
 
 

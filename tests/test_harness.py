@@ -546,10 +546,30 @@ def test_cli_output_that_is_no_file_writes_nothing(tmp_path, capsys):
         assert not any((out / name).iterdir())
 
 
+@pytest.mark.parametrize("failing", ["gamma.csv", "manifest.json"])
+def test_cli_failed_output_write_exits_2(tmp_path, monkeypatch, capsys, failing):
+    # An I/O error while writing an output (a full disk) is exit 2, and
+    # an output written before it is removed: the directory stays empty.
+    def write(original):
+        def patched(self, data, *args, **kwargs):
+            if self.name == failing:
+                raise OSError(28, "No space left on device")
+            return original(self, data, *args, **kwargs)
+        return patched
+
+    for name in ("write_bytes", "write_text"):
+        monkeypatch.setattr(Path, name, write(getattr(Path, name)))
+    path = write_config(tmp_path, "g.json", GAMMA_CFG)
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", path, "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_alpha_decay_verdict_can_fail(tmp_path, monkeypatch):
     monkeypatch.setattr(
         harness, "alpha_sequence",
-        lambda kernel, p_max, depth: AlphaSequence((0.1, 0.2, 0.3), "exact"),
+        lambda kernel, p_max, depth: AlphaSequence((0.1, 0.2, 0.3)),
     )
     cfg = {
         "kind": "vershik",

@@ -105,6 +105,13 @@ def test_sample_index_rejects_what_choice_rejects(p):
         sample_index(np.random.default_rng(0), p, 3)
 
 
+def test_stream_labels_read_as_strings():
+    # One label rule: an int label names the stream of its decimal string.
+    for label in (0, 7, 2**40):
+        assert np.array_equal(stream_rng(3, "a", label).random(8),
+                              stream_rng(3, "a", str(label)).random(8))
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.one_of(st.integers(0, 3), st.integers(0, 10**6)),
        seed=st.integers(0, 2**32 - 1))

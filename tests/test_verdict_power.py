@@ -90,7 +90,7 @@ def stitched_u_squared():
 def alpha_rising():
     """The patch of test_alpha_decay_verdict_can_fail: alpha grows with p."""
     return harness, "alpha_sequence", (
-        lambda kernel, p_max, depth: AlphaSequence((0.1, 0.2, 0.3), "exact"))
+        lambda kernel, p_max, depth: AlphaSequence((0.1, 0.2, 0.3)))
 
 
 MUTANTS = {
