@@ -20,8 +20,10 @@ with the first three unset the package loads numpy with one OpenBLAS
 thread); then one row per config with its kind, its sizes (the kernel's
 memory and every numeric parameter), the exit code, the wall seconds and
 the peak RSS in MB.  One run per config, with the config's own seed;
-no gate and no bound.  The runs write their outputs to a temporary
-directory, removed afterwards.  The exit status is 1 if any run exits
+no gate and no bound.  Each printed row ends with the wall time and peak
+RSS of the same config's row in the file it replaces, if that has one.
+The runs write their outputs to a temporary directory, removed
+afterwards.  The exit status is 1 if any run exits
 nonzero (the file is written first), else 0.
 """
 
@@ -73,6 +75,11 @@ def main() -> int:
     from coupledchains.harness import build_kernel
 
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    out_path = Path(args.out)
+    committed = {}
+    if out_path.exists():  # read before the new rows overwrite it
+        committed = {row["config"]: row
+                     for row in json.loads(out_path.read_text())["runs"]}
     rows = []
     with tempfile.TemporaryDirectory() as out:
         for config in sorted(CONFIGS.glob("*.json")):
@@ -84,13 +91,16 @@ def main() -> int:
                     "--config", str(config), "--out", os.path.join(out, config.stem)]
             row = {"config": config.name, "kind": spec["kind"], "sizes": sizes,
                    **launch(argv, env)}
+            before = committed.get(config.name)
+            was = (f"  (was {before['wall_s']:8.3f} s  {before['peak_rss_mb']:8.1f} MB)"
+                   if before else "")
             print(f"{row['config']:28s} exit {row['exit_code']}  "
-                  f"{row['wall_s']:8.3f} s  {row['peak_rss_mb']:8.1f} MB", flush=True)
+                  f"{row['wall_s']:8.3f} s  {row['peak_rss_mb']:8.1f} MB{was}", flush=True)
             rows.append(row)
     record = {"python": platform.python_version(), "numpy": numpy.__version__,
               "thread_env": {var: env.get(var) for var in THREAD_VARS},
               "runs": rows}
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    out_path.write_text(json.dumps(record, indent=2) + "\n")
     failed = [row["config"] for row in rows if row["exit_code"] != 0]
     if failed:
         print(f"scaled configs failed: {', '.join(failed)}", file=sys.stderr)

@@ -354,14 +354,16 @@ def stitch_blocks(
     and past block j-2 it replays only its trials that have not met row
     j-1 at a block boundary.
 
-    The trials are read one block of TRIAL_BLOCK at a time from
-    :func:`_trial_blocks`; :func:`_stitch_trials` re-encodes each block's
-    w into u in that source's buffer, replays it and counts each row's
-    exceedances, and the audit reads the block's u before the next block
-    overwrites it.  So the stitch holds O(TRIAL_BLOCK x T) memory.  Rows
-    and audit are those of stitching all trials at once: the blocks of
-    trials are consecutive rows of the one draw of w, the exceedances add
-    as integers, and the audit does not depend on how its source is cut.
+    The trials are read one block at a time from :func:`_trial_blocks`;
+    :func:`_stitch_trials` re-encodes each block's w into u in that
+    source's buffer, replays it and counts each row's exceedances, and
+    the audit copies the block's u into its window buffer before the next
+    block overwrites it.  So the stitch holds one block of at most
+    max(4 _BLOCK, TRIAL_BLOCK x T / 4) uniforms, T the width, and a few
+    arrays of one block's trials.  Rows and audit are those of stitching
+    all trials at once: the blocks of trials are consecutive rows of the
+    one draw of w, the exceedances add as integers, and the audit does
+    not depend on how its source is cut.
     """
     engine = CouplingEngine.build(kernel, 1, depth)
     if any(b >= a for a, b in zip(deltas, deltas[1:])):

@@ -21,11 +21,11 @@ chi-square counts consecutive pairs on an AUDIT_BINS x AUDIT_BINS
 therefore have closed forms and need no statistics library.
 
 The audit reads its stream once, from an iterable of blocks of any size,
-in windows at fixed places in the stream: each counts a histogram of
-2^16 buckets, which bounds the KS distance, and the pair grid, and sums
-the lag products of the values shifted by the first block's mean.  Block
-sums are added by math.fsum, so the report does not depend on how the
-source cuts the stream.
+in windows at fixed places in the stream, each copied into one buffer:
+each counts a histogram of 2^16 buckets, which bounds the KS distance,
+and the pair grid, and sums the lag products of the values shifted by
+the first block's mean.  Block sums are added by math.fsum, so neither
+the report nor the memory held depends on how the source cuts the stream.
 """
 
 from __future__ import annotations
@@ -116,38 +116,6 @@ def _pair_chi2_sf(x: float) -> float:
     return total
 
 
-def _cut(blocks, spans):
-    """Yield, for each span (a, b) of `spans`, in order of a, the values
-    [a, b) of a stream that the iterator `blocks` yields in consecutive
-    float64 pieces of any size: a view of a piece, or a copy for a span
-    that straddles pieces.  A source may overwrite one buffer for every
-    piece: before the cut reads the next piece, it copies what the
-    current span still needs of the current one.  A source that yields
-    fewer or more values than the last span's end is an error."""
-    held, base, end = [], 0, 0  # the held pieces cover values [base, end)
-    for a, b in spans:
-        while True:
-            while held and base + held[0].size <= a:
-                base += held.pop(0).size
-            if end >= b:
-                break
-            if held:  # the next piece may overwrite the last, not yet copied
-                if base < a:
-                    held[0], base = held[0][a - base:], a
-                held[-1] = held[-1].copy()
-            held.append(next(blocks, None))
-            if held[-1] is None:
-                raise ValueError(f"the source ended after {end} values")
-            end += held[-1].size
-        if base + held[0].size >= b:
-            yield held[0][a - base:b - base]
-        else:  # every piece but the first and the last lies inside [a, b)
-            yield np.concatenate(
-                [held[0][a - base:], *held[1:-1], held[-1][:held[-1].size - (end - b)]])
-    if end > b or any(piece.size for piece in blocks):
-        raise ValueError(f"the source holds more than {b} values")
-
-
 def _tally(blocks, n: int):
     """One read of the n values that the iterable `blocks` yields: the
     histogram of the KS buckets floor(w * _BUCKETS), the counts of the
@@ -156,15 +124,20 @@ def _tally(blocks, n: int):
     mean) the sum of a, its first and last AUDIT_LAGS values and, for
     lag = 0..AUDIT_LAGS, the sum of a[t] * a[t + lag] over t < n - lag;
     or None if a value lies outside (0, 1), NaN and inf included.  Each
-    window [k * _BLOCK, (k + 1) * _BLOCK + AUDIT_LAGS) range-checks,
-    counts and sums the terms of t in its block [k, k + 1) * _BLOCK; the
-    block sums are added by math.fsum.  After a value out of range the
-    rest of the source is read but not counted."""
+    window [k * _BLOCK, (k + 1) * _BLOCK + AUDIT_LAGS) is copied, piece
+    by piece, into one buffer, where it is range-checked, counted and
+    shifted in place, and sums the terms of t in its block
+    [k, k + 1) * _BLOCK; the block sums are added by math.fsum.  A piece
+    is read only until the next is asked for, so a source may overwrite
+    one buffer for every piece; a source that yields fewer or more than
+    n values is a ValueError.  After a value out of range the rest of
+    the source is read but not counted."""
     hist = np.zeros(_BUCKETS, dtype=np.intp)
     pairs = np.zeros(AUDIT_BINS * AUDIT_BINS, dtype=np.intp)
     j = np.empty(_BLOCK + 1, dtype=np.intp)  # buckets, then bins
     codes = np.empty(_BLOCK, dtype=np.intp)
-    # a, zero past the window: the lag sums' rows read zeros past the end.
+    # The window, shifted into a in place, and zeros past it: the lag
+    # sums' rows read zeros past the end.
     a = np.zeros(min(-(-n // _ROW) * _ROW, _BLOCK) + AUDIT_LAGS)
     rows = np.empty(a.size // _ROW)
     # Per block, the sum of a, then each lag's: allocated before the
@@ -173,33 +146,50 @@ def _tally(blocks, n: int):
     sums = np.empty((AUDIT_LAGS + 2, len(starts)))
     shift = head = tail = None
     in_range = True
-    windows = ((b, min(b + _BLOCK + AUDIT_LAGS, n)) for b in starts)
-    for k, x in enumerate(_cut(iter(blocks), windows)):
+    pieces = iter(blocks)
+    piece, at, kept = np.empty(0), 0, 0  # piece[at:] is unread, a[:kept] filled
+    shared = np.empty(AUDIT_LAGS)  # what the next window shares with this one
+    for k, b0 in enumerate(starts):
+        m = min(_BLOCK + AUDIT_LAGS, n - b0)
+        a[:kept] = shared[:kept]
+        while kept < m:
+            if at == piece.size:
+                piece, at = next(pieces, None), 0
+                if piece is None:
+                    raise ValueError(f"the source ended after {b0 + kept} values")
+            take = min(m - kept, piece.size - at)
+            a[kept:kept + take] = piece[at:at + take]
+            kept, at = kept + take, at + take
+        kept = max(m - _BLOCK, 0)
+        shared[:kept] = a[_BLOCK:m]
+        x = a[:m]
         in_range = in_range and bool(x.min() > 0.0 and x.max() < 1.0)
-        if in_range:
-            m, size = x.size, min(x.size, _BLOCK)
-            p = min(m, _BLOCK + 1)  # the block and its last pair
-            np.multiply(x[:p], _BUCKETS, out=j[:p], casting="unsafe")
-            hist += np.bincount(j[:size], minlength=_BUCKETS)
-            np.right_shift(j[:p], _BIN_SHIFT, out=j[:p])
-            np.multiply(j[:p - 1], AUDIT_BINS, out=codes[:p - 1])
-            codes[:p - 1] += j[1:p]
-            pairs += np.bincount(codes[:p - 1], minlength=AUDIT_BINS * AUDIT_BINS)
-            if shift is None:
-                shift = np.sum(x[:size]) / size
-            np.subtract(x, shift, out=a[:m])
-            a[m:] = 0.0
-            sums[0, k] = np.sum(a[:size])
-            r = -(-size // _ROW)
-            for lag in range(AUDIT_LAGS + 1):
-                np.einsum("ij,ij->i", a[:r * _ROW].reshape(r, _ROW),
-                          a[lag:lag + r * _ROW].reshape(r, _ROW), out=rows[:r])
-                sums[lag + 1, k] = np.sum(rows[:r])
-            if head is None:
-                head = a[:AUDIT_LAGS].copy()
-            if starts[k] + m == n and tail is None:
-                tail = a[max(m - AUDIT_LAGS, 0):m].copy()
-        del x  # a copied span is freed before the next is cut
+        if not in_range:
+            continue
+        size = min(m, _BLOCK)
+        p = min(m, _BLOCK + 1)  # the block and its last pair
+        np.multiply(x[:p], _BUCKETS, out=j[:p], casting="unsafe")
+        hist += np.bincount(j[:size], minlength=_BUCKETS)
+        np.right_shift(j[:p], _BIN_SHIFT, out=j[:p])
+        np.multiply(j[:p - 1], AUDIT_BINS, out=codes[:p - 1])
+        codes[:p - 1] += j[1:p]
+        pairs += np.bincount(codes[:p - 1], minlength=AUDIT_BINS * AUDIT_BINS)
+        if shift is None:
+            shift = np.sum(x[:size]) / size
+        x -= shift
+        a[m:] = 0.0
+        sums[0, k] = np.sum(a[:size])
+        r = -(-size // _ROW)
+        for lag in range(AUDIT_LAGS + 1):
+            np.einsum("ij,ij->i", a[:r * _ROW].reshape(r, _ROW),
+                      a[lag:lag + r * _ROW].reshape(r, _ROW), out=rows[:r])
+            sums[lag + 1, k] = np.sum(rows[:r])
+        if head is None:
+            head = a[:AUDIT_LAGS].copy()
+        if b0 + m == n and tail is None:
+            tail = a[max(m - AUDIT_LAGS, 0):m].copy()
+    if at < piece.size or any(rest.size for rest in pieces):
+        raise ValueError(f"the source holds more than {n} values")
     if not in_range:
         return None
     total, *lagged = map(math.fsum, sums)
@@ -285,4 +275,6 @@ def innovation_audit(w: np.ndarray) -> AuditReport:
     values.
     """
     w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise ValueError(f"the innovation stream must be 1-D, not of shape {w.shape}")
     return _audit((w,), w.size)

@@ -49,8 +49,9 @@ from .rng import (MC_SIGMAS, _BLOCK, ahead, frequency, index_sampler, sample_ind
 # serially, and short enough that 10^6 steps give about a thousand chunks
 # to step in lockstep.
 CHUNK = 1024
-# Trials per block of `_trial_blocks`: small enough that a row of the
-# (steps, trials) buffer `coupled_walk` steps stays in cache.
+# Most trials per block of `_trial_blocks`: small enough that the
+# trial-length buffers `coupled_walk` steps a column in stay in cache.
+# Walks of more than 32 steps take fewer (`_trial_blocks`).
 TRIAL_BLOCK = 8192
 
 
@@ -226,52 +227,58 @@ def coupled_walk(table: np.ndarray, v, ctx_true: np.ndarray,
     None (a plain replay on shared innovations), keeps u = w.  `v` holds
     w, or u when `v_is_u`; the flip is its own inverse.
 
-    `v` is copied once into a (steps, trials) buffer, which the steps
-    re-encode in place, one contiguous row each; the buffer is copied
-    out into `other` (shape of `v`, any strides; it may be `v` itself)
-    when it is given.  The callers pass one block of trials from
-    :func:`_trial_blocks`, so a row stays cache-resident.  The result is
-    byte-identical to the per-column loop.  The entry contexts must lie
-    in [0, len(table)), checked once here (ValueError), since the steps
-    look the tables up without a range check."""
+    Each column of `v` is copied into one buffer of trial length, stepped
+    there (re-encoded in place) and, when `other` is given (shape of `v`,
+    any strides; it may be `v` itself), written back into its column of
+    `other`.  So the walk holds a few trial-length buffers beyond its
+    input, whatever the number of steps.  The callers pass one block of
+    trials from :func:`_trial_blocks`, so the buffers stay in cache.  The
+    result is byte-identical to the per-column loop.  The entry contexts
+    must lie in [0, len(table)), checked once here (ValueError), since
+    the steps look the tables up without a range check."""
     for ctx in (ctx_true, ctx_hat):
         if ctx.size and not (ctx.min() >= 0 and ctx.max() < table.size):
             raise ValueError("contexts must lie in [0, len(table))")
     trials, steps = v.shape
     first, second = (ctx_hat, ctx_true) if v_is_u else (ctx_true, ctx_hat)
     shift = table.size.bit_length() - 1
-    vb = v.T.copy()
-    f, x = np.empty(trials), np.empty(trials, dtype=bool)
+    s, f = np.empty(trials), np.empty(trials)
+    x = np.empty(trials, dtype=bool)
     flipped, pair = np.empty(trials, dtype=bool), np.empty(trials, dtype=np.int64)
-    for s, flip in zip(vb, [None] * steps if flips is None else flips):
+    for t, flip in zip(range(steps), [None] * steps if flips is None else flips):
+        np.copyto(s, v[:, t])
         if flip is not None:
             np.left_shift(ctx_true, shift, out=pair)
             pair |= ctx_hat
             flip.take(pair, out=flipped, mode="wrap")  # pair < len(flip)
         _threshold(table, first, s, f, x)
         if flip is not None:
-            s[...] = np.where(flipped, 1.0 - s, s)  # a select, without branches
+            np.subtract(1.0, s, out=s, where=flipped)
         _threshold(table, second, s, f, x)
-    if other is not None:
-        other[...] = vb.T
+        if other is not None:
+            other[:, t] = s
 
 
 def _trial_blocks(rng: np.random.Generator, law, trials: int, steps: int):
-    """Yield, for one block of TRIAL_BLOCK trials at a time, the block's
-    start contexts, drawn from `law` (all 0 when `law` is None), and its
+    """Yield, for one block of trials at a time, the block's start
+    contexts, drawn from `law` (all 0 when `law` is None), and its
     (n, steps) uniforms: the values of drawing every start,
     ``sample_index(rng, law, trials)``, and then the whole
-    ``rng.random((trials, steps))``.  The starts are drawn from `rng`
-    with a guide table built once, the uniforms from :func:`.rng.ahead`
-    of it past the starts, into one buffer that the next block
-    overwrites: read each block before asking for the next."""
+    ``rng.random((trials, steps))``.  A block holds TRIAL_BLOCK trials
+    up to 32 steps and 4 _BLOCK // steps beyond, but no fewer than
+    TRIAL_BLOCK // 4: 3855 trials (2.0 MiB) at 68 steps, 2048 (9.4 MiB)
+    at 601.  The starts are drawn from `rng` with a guide table built
+    once, the uniforms from :func:`.rng.ahead` of it past the starts,
+    into one buffer that the next block overwrites: read each block
+    before asking for the next."""
     if law is None:
         draw, uniforms = None, rng
     else:
         draw, uniforms = index_sampler(law), ahead(rng, trials)
-    buf = np.empty((min(trials, TRIAL_BLOCK), steps))
-    for b0 in range(0, trials, TRIAL_BLOCK):
-        n = min(TRIAL_BLOCK, trials - b0)
+    block = min(TRIAL_BLOCK, max(TRIAL_BLOCK // 4, 4 * _BLOCK // max(steps, 1)))
+    buf = np.empty((min(trials, block), steps))
+    for b0 in range(0, trials, block):
+        n = min(block, trials - b0)
         starts = np.zeros(n, dtype=np.int64) if draw is None else draw(rng, n)
         uniforms.random(out=buf[:n])
         yield starts, buf[:n]

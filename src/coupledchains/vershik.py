@@ -26,6 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .kernels import CapExceededError, Kernel, lift, marginal, stationary_ctx_vector
+from .reconstruction import TRIAL_BLOCK
 from .rng import _BLOCK, ahead, index_sampler, stream_rng
 
 MAX_TABLE_LENGTH = 8
@@ -318,16 +319,16 @@ def alpha_sequence_mc(
 
     The x contexts are the stream's next `trials` stationary draws and
     the y contexts the `trials` after them, read side by side through
-    :func:`.rng.ahead`, one block at a time, and counted by pair code
-    (:func:`pair_counts`); each table, spread over the pair codes, is
-    averaged against the counts."""
+    :func:`.rng.ahead`, one block of TRIAL_BLOCK at a time, and counted
+    by pair code (:func:`pair_counts`); each table, spread over the pair
+    codes, is averaged against the counts."""
     engine = CouplingEngine.build(kernel, p_max, depth)
     rng = stream_rng(seed, "alpha-mc", kernel.label)
     draw, rng_y = index_sampler(engine.pi), ahead(rng, trials)
 
     def pairs():
-        for a in range(0, trials, _BLOCK):
-            x = draw(rng, min(_BLOCK, trials - a))
+        for a in range(0, trials, TRIAL_BLOCK):
+            x = draw(rng, min(TRIAL_BLOCK, trials - a))
             yield x, draw(rng_y, x.size)
 
     counts = pair_counts(pairs(), engine.length)

@@ -178,7 +178,10 @@ WALK_ENGINES = [
     make_engine(builtin_kernels()["long-memory-demo"], p_max=1, depth=3),
     make_engine(ORDER3, p_max=1, depth=1),
 ]
-WALK_TRIALS = [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK + 5]
+# Trial counts about the block sizes of _trial_blocks: TRIAL_BLOCK up to
+# 32 steps, 3855 at the benchmark stitch's 68, and at least TRIAL_BLOCK // 4.
+WALK_TRIALS = [1, TRIAL_BLOCK // 4 - 1, TRIAL_BLOCK // 4 + 1, 3856, TRIAL_BLOCK - 1,
+               TRIAL_BLOCK, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK + 5]
 
 
 def assert_walk_matches_serial(engine, v, ctx_true, ctx_hat):
@@ -202,7 +205,19 @@ def assert_walk_matches_serial(engine, v, ctx_true, ctx_hat):
         got_aliased = (aliased,
                        *coupled_run(engine, aliased, ctx_true.copy(),
                                     ctx_hat.copy(), v_is_u, aliased))
-        for a, b in zip(got + got_ends + got_aliased, ref + ref[1:] + ref):
+        # A contiguous copy of v re-encoded in place: other is v.
+        in_place = np.array(v)
+        got_in_place = (in_place,
+                        *coupled_run(engine, in_place, ctx_true.copy(),
+                                     ctx_hat.copy(), v_is_u, in_place))
+        # v laid out by columns, so no row of it is contiguous.
+        by_columns = np.asfortranarray(v)
+        other = np.empty(v.shape)
+        got_by_columns = (other,
+                          *coupled_run(engine, by_columns, ctx_true.copy(),
+                                       ctx_hat.copy(), v_is_u, other))
+        for a, b in zip(got + got_ends + got_aliased + got_in_place + got_by_columns,
+                        ref + ref[1:] + ref + ref + ref):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
 
@@ -260,16 +275,22 @@ def test_one_antitone_entry_flips():
     assert_walk_matches_serial(engine, w, ctx_true, ctx_hat)
 
 
-@pytest.mark.parametrize("trials", [1, TRIAL_BLOCK - 1, TRIAL_BLOCK,
-                                    2 * TRIAL_BLOCK + 5])
+# (steps, trials): blocks of TRIAL_BLOCK trials at 9 steps, of 3855 at
+# the benchmark stitch's 68 and of TRIAL_BLOCK // 4 at a 601-step replay.
+STREAMED_WALKS = [pytest.param(9, n, id=str(n))
+                  for n in (1, TRIAL_BLOCK - 1, TRIAL_BLOCK, 2 * TRIAL_BLOCK + 5)] + [
+    pytest.param(steps, n, id=f"{steps}-{n}") for steps, n in (
+        (68, 3855), (68, 3856), (601, TRIAL_BLOCK // 4 + 1), (601, TRIAL_BLOCK // 2 + 5))]
+
+
+@pytest.mark.parametrize("steps, trials", STREAMED_WALKS)
 @pytest.mark.parametrize("walk", ["replay", "flips", "v_is_u"])
-def test_streamed_walk_matches_array_walk(walk, trials):
+def test_streamed_walk_matches_array_walk(walk, steps, trials):
     # The trials of _trial_blocks, each block's starts and uniforms walked
     # on their own, against the whole arrays drawn at once and walked in
     # one call: the same end contexts and re-encoded uniforms, bit for
     # bit.  markov1-demo steps as a plain replay from no start law (all
     # 0); ANTITONE flips, fed w or, with v_is_u, u, from stationary starts.
-    steps = 9
     engine = WALK_ENGINES[1]
     law = None if walk == "replay" else engine.pi
     hats = np.random.default_rng(trials).integers(0, 8, trials)
@@ -293,7 +314,8 @@ def test_streamed_walk_matches_array_walk(walk, trials):
     for ctx, w in reconstruction._trial_blocks(
             stream_rng(53, "streamed", str(trials)), law, trials, steps):
         n = ctx.size
-        assert n == min(TRIAL_BLOCK, trials - b0)
+        block = min(TRIAL_BLOCK, max(TRIAL_BLOCK // 4, 4 * 2**16 // steps))
+        assert n == min(block, trials - b0)
         blocks.append(run(ctx, w, hats[b0:b0 + n].copy()))
         b0 += n
     assert b0 == trials
@@ -301,7 +323,9 @@ def test_streamed_walk_matches_array_walk(walk, trials):
     for a, b in zip(got, ref, strict=True):
         assert a.shape == b.shape and a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
-    if walk != "replay" and trials > 1:
+    # ANTITONE flips at depth 2 only; over the longer walks the chains
+    # have met by then, and met chains do not flip.
+    if walk != "replay" and trials > 1 and steps == 9:
         assert (got[0] != v).any()  # some steps flip
 
 
@@ -343,6 +367,21 @@ def test_coupled_experiments_draw_uniforms_blockwise(experiment, bound_mib):
     finally:
         tracemalloc.stop()
     assert peak < bound_mib * 2**20, peak
+
+
+def test_long_replay_memory_stays_blockwise():
+    # A 601-step replay takes blocks of TRIAL_BLOCK // 4 trials (9.4 MiB
+    # of uniforms) and walks them column by column: it peaks at 9.64 MiB.
+    # With blocks of TRIAL_BLOCK trials walked through a transposed copy,
+    # it peaked at 75.6 MiB.
+    disagreement_experiment(ORDER3, -8, 2, 10, 1)  # warm the kernel's caches
+    tracemalloc.start()
+    try:
+        disagreement_experiment(ORDER3, -600, 2, 20_000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, peak
 
 
 def serial_replay_xors(kernel, n_start, trials, seed, keep_bits):
@@ -862,7 +901,12 @@ def test_stitch_audit_is_the_audit_of_the_whole_u(monkeypatch):
     report = stitch_blocks(ANTITONE, (0.3, 0.2, 0.1, 0.05), TRIAL_BLOCK + 5,
                            83, 3)
     u = np.concatenate([block.ravel() for block in made])
-    assert [block.shape[0] for block in made] == [TRIAL_BLOCK, 5]
+    # A walk of more than 32 steps takes fewer than TRIAL_BLOCK trials a
+    # block: about 4 * 2^16 uniforms, and at least TRIAL_BLOCK // 4 trials.
+    width = 2 - report.rows[-1].m_j - report.rows[-1].n_j
+    block = min(TRIAL_BLOCK, max(TRIAL_BLOCK // 4, 4 * 2**16 // width))
+    sizes = [block] * (report.trials // block) + [report.trials % block]
+    assert [b.shape for b in made] == [(n, width) for n in sizes if n]
     assert repr(report.audit) == repr(innovation_audit(u))
 
 
@@ -984,14 +1028,17 @@ def test_stitch_blocks_of_trials_pinned(case, digests):
 
 
 def test_stitch_memory_stays_blockwise():
-    # The stitch holds one block of trials, and the audit its block-sized
-    # buffers: it peaks at 9.26 MiB, and the bound leaves 0.74 MiB for
-    # numpy's temporaries.  Holding u for all 4 blocks of trials at once,
-    # it peaked at 24.6 MiB.
+    # The stitch holds one block of trials (3855 at its 68 steps, 2.0
+    # MiB of uniforms), the walk a few trial-length buffers and the audit
+    # one window: it peaks at 5.38 MiB, and the bound leaves 1.6 MiB for
+    # numpy's temporaries.  With blocks of TRIAL_BLOCK trials, each walked
+    # through a transposed copy, and the audit holding copies of pieces,
+    # it peaked at 9.25 MiB; holding u for all 4 blocks of trials at once,
+    # at 24.6 MiB.
     tracemalloc.start()
     try:
         stitch_blocks(MARKOV1, BENCH_DELTAS, 4 * TRIAL_BLOCK, 29, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 2**20, peak
+    assert peak <= 7 * 2**20, peak

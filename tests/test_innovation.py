@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -285,7 +286,11 @@ def pieces(w, cut, read=None):
         yield w[b0:b0 + cut]
 
 
-@pytest.mark.parametrize("cut", [1, 2**16 - 1, 2**16 + 1, 65521])
+# Pieces shorter than the AUDIT_LAGS values two windows share, pieces
+# on either side of a block, pieces whose edges fall inside the shared
+# values (2^16 + 2) and pieces of one whole window (2^16 + AUDIT_LAGS).
+@pytest.mark.parametrize("cut", [1, 3, 5, 2**16 - 1, 2**16 + 1, 65521, 2**16 + 2,
+                                 2**16 + innovation.AUDIT_LAGS])
 def test_audit_core_matches_on_any_block_cut(cut):
     # Pieces cut anywhere in the windows give the report of the whole
     # array.
@@ -308,7 +313,7 @@ def reused_pieces(w, cut):
     buf[...] = np.nan
 
 
-@pytest.mark.parametrize("cut", [1, 2**16 - 1, 2**16 + 1, 65521])
+@pytest.mark.parametrize("cut", [1, 3, 2**16 - 1, 2**16 + 1, 65521, 2**16 + 2])
 def test_audit_core_matches_on_a_reused_buffer(cut):
     # As the stitch's source does, every piece overwrites the one before:
     # the cut copies what a window still needs before it reads on.
@@ -335,10 +340,20 @@ def test_audit_core_fails_on_a_late_value_out_of_range(value):
 
 
 def test_audit_core_checks_the_source_length():
-    w = stream_rng(13, "length").random(1000)
-    for n in (999, 1001):
-        with pytest.raises(ValueError, match="source"):
-            innovation._audit(pieces(w, 300), n)
+    # A source one value short or one value long, in pieces of any size,
+    # also where the stream ends inside the values two windows share.
+    for size, cuts in ((1000, (1, 3, 300)), (2**16 + 3, (3, 300, 2**16 + 2))):
+        w = stream_rng(13, "length").random(size)
+        for cut in cuts:
+            for n in (size - 1, size + 1):
+                with pytest.raises(ValueError, match="source"):
+                    innovation._audit(pieces(w, cut), n)
+
+
+@pytest.mark.parametrize("shape", [(2000, 100), (1, 200), ()])
+def test_audit_rejects_a_stream_that_is_not_1d(shape):
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        innovation_audit(np.full(shape, 0.5))
 
 
 @pytest.mark.parametrize("value", [0.5, 0.25])
