@@ -14,6 +14,8 @@ checkout's src/.  The configs are:
 - the ten benchmark invocations of perfbench/workloads.py, generated at
   workload seeds 1 and 7 (only perfbench/ is read for them)
 - the eight scaled configs under scripts/configs/scaled/
+- the three antitone golden configs under tests/golden/antitone/, the
+  only runs whose coupled walks flip
 
 Each runs once per tree as ``python -m coupledchains.harness <kind>``,
 one run at a time, with that tree on PYTHONPATH and its outputs in a
@@ -34,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "scripts" / "configs"
+ANTITONE = ROOT / "tests" / "golden" / "antitone"
 BENCH_SEEDS = (1, 7)
 
 
@@ -43,9 +46,10 @@ def configs() -> list[tuple[str, str, dict]]:
     from perfbench.workloads import WORKLOADS
 
     runs = []
-    for path in sorted(CONFIGS.glob("*.json")) + sorted(CONFIGS.glob("scaled/*.json")):
+    for path in (sorted(CONFIGS.glob("*.json")) + sorted(CONFIGS.glob("scaled/*.json"))
+                 + sorted(ANTITONE.glob("*/config.json"))):
         config = json.loads(path.read_text())
-        runs.append((str(path.relative_to(CONFIGS)), config["kind"], config))
+        runs.append((str(path.relative_to(ROOT)), config["kind"], config))
     for workload, invocations in WORKLOADS.items():
         for seed in BENCH_SEEDS:
             for inv in invocations(seed):

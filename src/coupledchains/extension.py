@@ -42,6 +42,13 @@ from .words import Word, as_word, int_to_word, word_str, word_to_int
 
 
 _MAX_BLOCK_DEPTH = 200
+# Most tolerances in a stitch schedule.  Each adds a block of at most
+# _MAX_BLOCK_DEPTH steps and a replay lane, so a stitch is at most 3200
+# steps wide: a block of 2048 trials (`_trial_blocks`) holds at most
+# 50 MiB of uniforms, and each trial is stepped over the width at most
+# 16 times (the forward run and at most 15 lanes of `_replay_ends`).
+# Halving from 0.5 down to the finest final tolerance, 3^-7, takes 11.
+MAX_TOLERANCES = 16
 
 
 class AnchorSelectionError(RuntimeError):
@@ -343,7 +350,8 @@ def stitch_blocks(
     for j = 0, and 3^(K_j - M_j + 1) * delta_j / 2 = 3^(1 - L) *
     delta_j / 2 for j >= 1, where K_j = M_j - L.
     Estimates P(|S_j - R_D| > delta_j) per block and audits the pooled
-    stitched innovations.
+    stitched innovations.  The schedule is strictly decreasing and holds
+    at most MAX_TOLERANCES tolerances, the last at least 3^-D.
 
     S_j is read off an inverse coupled run over the stitched u: row 0
     replays block 0 from the true context before it (an exact round
@@ -365,6 +373,9 @@ def stitch_blocks(
     one draw of w, the exceedances add as integers, and the audit does
     not depend on how its source is cut.
     """
+    if len(deltas) > MAX_TOLERANCES:
+        raise ValueError(f"tolerance schedule holds {len(deltas)} tolerances, "
+                         f"more than MAX_TOLERANCES = {MAX_TOLERANCES}")
     engine = CouplingEngine.build(kernel, 1, depth)
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("tolerance schedule must be strictly decreasing")

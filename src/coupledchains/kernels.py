@@ -293,7 +293,9 @@ def push(law: np.ndarray, step: np.ndarray) -> np.ndarray:
 def marginal(law: np.ndarray, bits: int) -> np.ndarray:
     """A law over the contexts of k chains (k axes) summed onto the low
     `bits` bits of each context; for bits >= 1 the high parts are added
-    in index order, as ``np.bincount`` adds them."""
+    in index order, as ``np.bincount`` adds them.  At bits = 0 (the
+    one-entry stationary law of a memoryless kernel) numpy sums the
+    whole law pairwise."""
     rest = law.shape[0] >> bits
     return law.reshape((rest, 1 << bits) * law.ndim).sum(
         axis=tuple(range(0, 2 * law.ndim, 2)))

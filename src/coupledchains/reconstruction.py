@@ -81,12 +81,9 @@ class PathSample:
 
 def _stationary_start(kernel: Kernel, rng: np.random.Generator) -> int:
     """The context of the last m symbols drawn from the stationary law,
-    power-iterated to 1e-13 (:func:`.kernels.stationary_ctx_vector`);
-    memoryless kernels draw nothing."""
-    m = kernel.memory
-    if m == 0:
-        return 0
-    return sample_index(rng, stationary_ctx_vector(kernel, m))
+    power-iterated to 1e-13 (:func:`.kernels.stationary_ctx_vector`), by
+    one double; a memoryless kernel's law has one entry, context 0."""
+    return sample_index(rng, stationary_ctx_vector(kernel, kernel.memory))
 
 
 def advance(kernel: Kernel, ctx: int, u) -> tuple[np.ndarray, np.ndarray]:
@@ -261,27 +258,25 @@ def coupled_walk(table: np.ndarray, v, ctx_true: np.ndarray,
 
 def _trial_blocks(rng: np.random.Generator, law, trials: int, steps: int):
     """Yield, for one block of trials at a time, the block's start
-    contexts, drawn from `law` (all 0 when `law` is None), and its
-    (n, steps) uniforms: the values of drawing every start,
-    ``sample_index(rng, law, trials)``, and then the whole
-    ``rng.random((trials, steps))``.  A block holds TRIAL_BLOCK trials
-    up to 32 steps and 4 _BLOCK // steps beyond, but no fewer than
-    TRIAL_BLOCK // 4: 3855 trials (2.0 MiB) at 68 steps, 2048 (9.4 MiB)
-    at 601.  The starts are drawn from `rng` with a guide table built
-    once, the uniforms from :func:`.rng.ahead` of it past the starts,
+    contexts, drawn from `law`, and its (n, steps) uniforms: the values
+    of drawing every start, ``sample_index(rng, law, trials)``, and then
+    the whole ``rng.random((trials, steps))``.  A block holds
+    TRIAL_BLOCK trials up to 32 steps and 4 _BLOCK // steps beyond, but
+    no fewer than TRIAL_BLOCK // 4: 3855 trials (2.0 MiB) at 68 steps,
+    2048 (9.4 MiB) at 601.  The starts are the quantiles
+    (:func:`.rng.index_sampler`) of the block's next doubles of `rng`,
+    the uniforms come from :func:`.rng.ahead` of it past all the starts,
     into one buffer that the next block overwrites: read each block
-    before asking for the next."""
-    if law is None:
-        draw, uniforms = None, rng
-    else:
-        draw, uniforms = index_sampler(law), ahead(rng, trials)
+    before asking for the next.  A memoryless kernel's one-entry law
+    gives starts all 0, and its uniforms still follow the `trials`
+    doubles of the starts."""
+    quantile, uniforms = index_sampler(law), ahead(rng, trials)
     block = min(TRIAL_BLOCK, max(TRIAL_BLOCK // 4, 4 * _BLOCK // max(steps, 1)))
     buf = np.empty((min(trials, block), steps))
     for b0 in range(0, trials, block):
         n = min(block, trials - b0)
-        starts = np.zeros(n, dtype=np.int64) if draw is None else draw(rng, n)
         uniforms.random(out=buf[:n])
-        yield starts, buf[:n]
+        yield quantile(rng.random(n)), buf[:n]
 
 
 def simulate_path(kernel: Kernel, steps: int, seed: int) -> PathSample:
@@ -371,7 +366,7 @@ def reconstruction_bound(kernel: Kernel, n_start: int, k_lags: int) -> float:
     chain runs |n_start| steps (state 0 after the first replay symbol)
     and the bound is P(Z_{|n_start|} <= k_lags)."""
     n = -n_start
-    gammas = gamma_profile(kernel, max(kernel.memory, 1)).values
+    gammas = gamma_profile(kernel, kernel.memory).values
     return house_of_cards_dist(gammas, n).cdf(k_lags)
 
 
@@ -402,8 +397,7 @@ def _replay_xors(kernel: Kernel, n_start: int, trials: int, seed: int,
     two-uniform encoder).  Each yielded array is the block's own and
     may be changed in place."""
     rng = stream_rng(seed, "replay", kernel.label, f"N{n_start}")
-    m = kernel.memory
-    law = stationary_ctx_vector(kernel, m) if m else None
+    law = stationary_ctx_vector(kernel, kernel.memory)
     table = kernel.prob0_over(keep_bits)
     for ctx_true, w in _trial_blocks(rng, law, trials, -n_start + 1):
         ctx_hat = np.zeros_like(ctx_true)
@@ -469,7 +463,7 @@ def domination_experiment(
     n = -n_start
     keep = max(min(n + 1, MAX_WORD_LENGTH), kernel.memory)
     max_m = min(n, keep - 1)
-    gammas = gamma_profile(kernel, max(kernel.memory, 1)).values
+    gammas = gamma_profile(kernel, kernel.memory).values
     dist = house_of_cards_dist(gammas, n)
     # Agreement length = common low-bit run of the two final contexts:
     # it exceeds m where the low m + 1 bits of their XOR are all 0.

@@ -2,14 +2,16 @@
 master seed plus a fixed stream label, so results never depend on call
 order or parallel schedule.
 
-:func:`sample_index` draws from a finite law with the values and the
-stream use of ``Generator.choice``, by guide-table lookup (Chen & Asau
-1974; Devroye 1986, section III.2) instead of one binary search per
-draw; :func:`index_sampler` builds the table once for many draws.
-:func:`ahead` splits a stream: a copy advanced past the next n draws,
-so two consecutive stretches of one stream can be read side by side,
-one block of each at a time.  :func:`frequency` and MC_SIGMAS set how
-far every Monte Carlo verdict lets an estimate stray."""
+:func:`index_sampler` maps uniforms to the indices of a finite law by
+guide-table lookup (Chen & Asau 1974; Devroye 1986, section III.2)
+instead of one binary search per uniform: a quantile map, built once per
+law, that draws nothing itself.  :func:`sample_index` is that map over
+``rng.random(size)``, with the values and the stream use of
+``Generator.choice``.  :func:`ahead` splits a stream: a copy advanced
+past the next n draws, so two consecutive stretches of one stream can
+be read side by side, one block of each at a time.  :func:`frequency`
+and MC_SIGMAS set how far every Monte Carlo verdict lets an estimate
+stray."""
 
 from __future__ import annotations
 
@@ -68,20 +70,19 @@ def _cdf(p) -> np.ndarray:
 
 def index_sampler(p):
     """The law `p` checked and its guide table built once: returns
-    ``draw(rng, size)``, which is :func:`sample_index` (rng, p, size)
-    for a size that is not None.  Draws of consecutive blocks of n_1,
-    n_2, ... indices give the values, and leave the stream in the state,
-    of one draw of n_1 + n_2 + ... indices.
+    ``quantile(u)``, which maps an array of uniforms u in [0, 1) to the
+    int64 indices #{cdf <= u}, of u's shape.  These are the values
+    ``Generator.choice`` returns for the same uniforms, so
+    ``quantile(rng.random(size))`` is :func:`sample_index` (rng, p,
+    size), and the quantiles of consecutive blocks of one stream are
+    those of one draw over their total.
 
-    ``choice`` returns #{cdf <= u} for each uniform u, by binary search.
-    Here [0, 1) is cut into G = 2^_GUIDE_BITS equal buckets; a bucket
-    with no cdf point strictly inside has one answer for all its u,
-    tabulated once, and a uniform finds its bucket as floor(u * G),
-    exact because G is a power of 2.  Only draws in the few buckets
-    that hold a cdf point fall back to the binary search.  The uniforms
-    are drawn and looked up _BLOCK at a time, in the order of
-    ``rng.random(size)``, so beyond the result only block-sized buffers
-    are held."""
+    ``choice`` finds #{cdf <= u} by binary search.  Here [0, 1) is cut
+    into G = 2^_GUIDE_BITS equal buckets; a bucket with no cdf point
+    strictly inside has one answer for all its u, tabulated once, and a
+    uniform finds its bucket as floor(u * G), exact because G is a power
+    of 2.  Only uniforms in the few buckets that hold a cdf point fall
+    back to the binary search."""
     cdf = _cdf(p)
     buckets = 1 << _GUIDE_BITS
     edges = np.arange(buckets + 1) / buckets
@@ -89,22 +90,13 @@ def index_sampler(p):
     before = cdf.searchsorted(edges[1:], side="left")  # #{cdf < (b+1)/G}
     guide = np.where(below == before, below, -1).astype(np.int64)
 
-    def draw(rng: np.random.Generator, size) -> np.ndarray:
-        idx = np.empty(size, dtype=np.int64)
-        flat = idx.reshape(-1)
-        u = np.empty(min(flat.size, _BLOCK))
-        j = np.empty(u.size, dtype=np.intp)
-        for b0 in range(0, flat.size, _BLOCK):
-            ub, jb = u[:flat.size - b0], j[:flat.size - b0]
-            out = flat[b0:b0 + ub.size]
-            rng.random(out=ub)
-            np.multiply(ub, buckets, out=jb, casting="unsafe")
-            guide.take(jb, out=out, mode="wrap")  # 0 <= jb < G
-            miss = out < 0
-            out[miss] = cdf.searchsorted(ub[miss], side="right")
+    def quantile(u: np.ndarray) -> np.ndarray:
+        idx = guide.take((u * buckets).astype(np.intp), mode="wrap")  # in [0, G)
+        miss = idx < 0
+        idx[miss] = cdf.searchsorted(u[miss], side="right")
         return idx
 
-    return draw
+    return quantile
 
 
 def sample_index(rng: np.random.Generator, p, size=None):
@@ -114,4 +106,4 @@ def sample_index(rng: np.random.Generator, p, size=None):
     See :func:`index_sampler`; one draw needs no guide table."""
     if size is None:
         return int(_cdf(p).searchsorted(rng.random(), side="right"))
-    return index_sampler(p)(rng, size)
+    return index_sampler(p)(rng.random(size))

@@ -26,8 +26,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .kernels import CapExceededError, Kernel, lift, marginal, stationary_ctx_vector
-from .reconstruction import TRIAL_BLOCK
-from .rng import _BLOCK, ahead, index_sampler, stream_rng
+from .reconstruction import _trial_blocks
+from .rng import _BLOCK, index_sampler, stream_rng
 
 MAX_TABLE_LENGTH = 8
 
@@ -317,21 +317,18 @@ def alpha_sequence_mc(
     """Monte Carlo estimate of the same sequence: sample independent
     stationary context pairs and average the table entries.
 
-    The x contexts are the stream's next `trials` stationary draws and
-    the y contexts the `trials` after them, read side by side through
-    :func:`.rng.ahead`, one block of TRIAL_BLOCK at a time, and counted
-    by pair code (:func:`pair_counts`); each table, spread over the pair
-    codes, is averaged against the counts."""
+    The pairs are the trials of a one-step
+    :func:`.reconstruction._trial_blocks`: x is a block's stationary
+    starts, the stream's next `trials` draws, and y the quantiles
+    (:func:`.rng.index_sampler`) of its one column of uniforms, the
+    `trials` doubles after them.  They are counted by pair code
+    (:func:`pair_counts`); each table, spread over the pair codes, is
+    averaged against the counts."""
     engine = CouplingEngine.build(kernel, p_max, depth)
     rng = stream_rng(seed, "alpha-mc", kernel.label)
-    draw, rng_y = index_sampler(engine.pi), ahead(rng, trials)
-
-    def pairs():
-        for a in range(0, trials, TRIAL_BLOCK):
-            x = draw(rng, min(TRIAL_BLOCK, trials - a))
-            yield x, draw(rng_y, x.size)
-
-    counts = pair_counts(pairs(), engine.length)
+    quantile = index_sampler(engine.pi)
+    blocks = _trial_blocks(rng, engine.pi, trials, 1)
+    counts = pair_counts(((x, quantile(u[:, 0])) for x, u in blocks), engine.length)
     vals, errs = [], []
     for t in engine.tables:
         mc, err = pair_mean_stderr(lift(t.values, engine.length).ravel(), counts)

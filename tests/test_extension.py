@@ -37,7 +37,7 @@ from coupledchains.reconstruction import (
     simulate_path,
     window_reconstruct,
 )
-from coupledchains.rng import stream_rng
+from coupledchains.rng import ahead, stream_rng
 from coupledchains.vershik import (
     MetricTable,
     alpha_sequence_mc,
@@ -157,11 +157,8 @@ def serial_replay_words(kernel, n_start, trials, seed, keep_bits):
     """The unblocked zero-prehistory replay, same random streams."""
     steps = -n_start + 1
     rng = stream_rng(seed, "replay", kernel.label, f"N{n_start}")
-    if kernel.memory:
-        pi = stationary_ctx_vector(kernel, kernel.memory)
-        ctx_true = rng.choice(pi.size, p=pi, size=trials)
-    else:
-        ctx_true = np.zeros(trials, dtype=np.int64)
+    pi = stationary_ctx_vector(kernel, kernel.memory)
+    ctx_true = rng.choice(pi.size, p=pi, size=trials)
     ctx_hat = np.zeros(trials, dtype=np.int64)
     w = rng.random((trials, steps))
     table = kernel.prob0_over(keep_bits)
@@ -289,10 +286,11 @@ def test_streamed_walk_matches_array_walk(walk, steps, trials):
     # The trials of _trial_blocks, each block's starts and uniforms walked
     # on their own, against the whole arrays drawn at once and walked in
     # one call: the same end contexts and re-encoded uniforms, bit for
-    # bit.  markov1-demo steps as a plain replay from no start law (all
-    # 0); ANTITONE flips, fed w or, with v_is_u, u, from stationary starts.
+    # bit.  markov1-demo steps as a plain replay from the one-entry law
+    # (all 0); ANTITONE flips, fed w or, with v_is_u, u, from stationary
+    # starts.
     engine = WALK_ENGINES[1]
-    law = None if walk == "replay" else engine.pi
+    law = np.ones(1) if walk == "replay" else engine.pi
     hats = np.random.default_rng(trials).integers(0, 8, trials)
 
     def run(ctx_true, v, ctx_hat):
@@ -304,10 +302,7 @@ def test_streamed_walk_matches_array_walk(walk, steps, trials):
                                     walk == "v_is_u", other))
 
     ref_rng = stream_rng(53, "streamed", str(trials))
-    if law is None:
-        starts = np.zeros(trials, dtype=np.int64)
-    else:
-        starts = ref_rng.choice(law.size, p=law, size=trials)
+    starts = ref_rng.choice(law.size, p=law, size=trials)
     v = ref_rng.random((trials, steps))
     ref = run(starts, v, hats.copy())
     blocks, b0 = [], 0
@@ -400,6 +395,30 @@ def test_replay_experiments_match_unblocked_replay(kernel, monkeypatch):
     serial = (disagreement_experiment(kernel, -8, 2, trials, 43),
               domination_experiment(kernel, -8, trials, 44))
     assert blocked == serial
+
+
+@pytest.mark.parametrize("trials", [1, TRIAL_BLOCK + 5])
+def test_memoryless_trial_blocks_start_at_0(trials):
+    # A memoryless kernel's stationary law has one entry: every start is
+    # context 0, read off the stream's next `trials` doubles, and the
+    # uniforms are those after them, as ahead(rng, trials) draws them.
+    law = stationary_ctx_vector(IID, IID.memory)
+    assert law.shape == (1,)
+    rng = stream_rng(59, "memoryless")
+    skipped = ahead(stream_rng(59, "memoryless"), trials)
+    blocks = [(ctx.copy(), w.copy())
+              for ctx, w in reconstruction._trial_blocks(rng, law, trials, 6)]
+    starts, uniforms = (np.concatenate(parts) for parts in zip(*blocks))
+    assert starts.dtype == np.int64 and starts.shape == (trials,)
+    assert not starts.any()
+    assert uniforms.tobytes() == skipped.random((trials, 6)).tobytes()
+    assert rng.bit_generator.state == ahead(stream_rng(59, "memoryless"),
+                                            trials).bit_generator.state
+    # Every context of an iid kernel has one threshold, so the true chain
+    # and the zero-prehistory replay never disagree.
+    row = disagreement_experiment(IID, -5, 2, trials, 61)
+    assert row.freq == 0.0 and row.verdict == "within-bound"
+    assert all(r.mc_tail == 1.0 for r in domination_experiment(IID, -5, trials, 62))
 
 
 # 65536 values make one leaf of the pairwise sums; 300007 make six.

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from coupledchains import harness, kernels
+from coupledchains.extension import MAX_TOLERANCES
 from coupledchains.harness import (
     ConfigError,
     ExperimentConfig,
@@ -489,6 +490,28 @@ def test_cli_count_past_its_bound_exits_2(tmp_path, capsys, kind, key, extra,
     assert not out.exists()
     assert f"'{key}' must be {rule} {bound}, got" in capsys.readouterr().err
     load_config(config(bound), kind)  # the bound itself loads
+
+
+def test_cli_stitch_schedule_past_its_bound_exits_2(tmp_path, capsys):
+    # Each tolerance adds a block of the stitch and a replay lane, so the
+    # schedule's length sizes work as a count does: one past the bound
+    # exits 2 and writes nothing, and a schedule at the bound runs.
+    def run(n):
+        cfg = {"kind": "stitch", "seed": 1, "trials": 50, "depth": 6,
+               "deltas": [0.4 - 0.02 * j for j in range(n)],
+               "kernel": {"variant": "builtin", "name": "markov1-demo"}}
+        out = tmp_path / f"out{n}"
+        code = main(["stitch", "--config", write_config(tmp_path, f"{n}.json", cfg),
+                     "--out", str(out)])
+        return code, out
+
+    code, out = run(MAX_TOLERANCES + 1)
+    assert code == 2 and not out.exists()
+    assert (f"holds {MAX_TOLERANCES + 1} tolerances, more than MAX_TOLERANCES"
+            in capsys.readouterr().err)
+    code, out = run(MAX_TOLERANCES)
+    assert code in (0, 1)
+    assert len((out / "stitch.csv").read_text().splitlines()) == MAX_TOLERANCES + 1
 
 
 def test_cli_memory_error_exits_2(tmp_path, monkeypatch, capsys):

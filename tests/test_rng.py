@@ -132,11 +132,12 @@ def test_ahead_skips_the_next_draws(n, seed):
                        max_size=4),
        seed=st.integers(0, 2**32 - 1))
 def test_index_sampler_blocks_match_one_draw(p, blocks, seed):
-    # Consecutive blocks from one sampler: the values of one sample_index
-    # call over their total, and the same end state of the stream.
+    # One quantile map over consecutive blocks of uniforms: the values of
+    # one sample_index call over their total, and the same end state of
+    # the stream.
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     ref = sample_index(ref_rng, p, sum(blocks))
-    draw = index_sampler(p)
-    got = np.concatenate([draw(rng, n) for n in blocks])
+    quantile = index_sampler(p)
+    got = np.concatenate([quantile(rng.random(n)) for n in blocks])
     assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
