@@ -24,7 +24,7 @@ from typing import get_args, get_origin
 
 from . import __version__
 from .extension import generator_error_check, stitch_blocks
-from .innovation import AUDIT_LEVEL, innovation_audit
+from .innovation import AUDIT_LEVEL, _audit
 from .kernels import (
     IIDKernel,
     Kernel,
@@ -253,8 +253,10 @@ def _run_gamma(kernel, config):
 
 
 def _run_audit(kernel, config):
+    # The audit reads the innovations once, as the path is simulated
+    # block by block, so the run never holds the whole path.
     sample = simulate_path(kernel, config.settings["steps"], config.seed)
-    report = innovation_audit(sample.w)
+    report = _audit((w for w, _, _ in sample.blocks()), sample.steps)
     header = ("statistic", "value", "threshold", "verdict")
     rows = [
         ("cdf_sup_distance", report.ks_stat, report.dkw_bound,

@@ -1,9 +1,10 @@
 """Path simulation, finite-window reconstruction from innovations, and
 the renewal (reset-chain) bound on reconstruction error.
 
-A stationary path is carried as a numpy int array together with the
-innovation stream that generated it; it starts from a context drawn from
-the stationary law, power-iterated until no entry moves by 1e-13.
+A stationary path is carried as a :class:`PathSample`: the start
+context, drawn from the stationary law (power-iterated until no entry
+moves by 1e-13), and what determines the rest, which is simulated with
+its innovation stream as it is read.
 Reconstruction replays the innovations through the decoder starting
 from an all-zero prehistory; the renewal bound controls how far back
 the replay must start for the final window to agree with the truth.
@@ -15,9 +16,12 @@ chunks are stepped at once from a guessed context and repaired serially
 until the true chain meets them; the renewal (reset) chain bounds the
 length of each repair.  The scan records each step's symbol (uint8) and
 the context before it (uint16, as the memory is at most 16), not the f
-value, which is ``prob0_table[context]``.  :func:`simulate_path` encodes
-the innovations in place over the uniforms :func:`advance` has read, so
-a simulation holds 11 bytes a step plus block-sized buffers.
+value, which is ``prob0_table[context]``.  A path is read one block of
+PATH_BLOCK steps at a time (:meth:`PathSample.blocks`): each block is
+scanned from the context the block before left and its innovations are
+encoded in place over the uniforms the scan has read, so a reader of
+the blocks, such as the audit, holds 11 bytes a step of one block; read
+whole, the path takes 11 bytes a step plus block-sized buffers.
 :func:`coupled_walk` steps a true chain and a companion chain on one
 uniform per trial across trials; the replay here and every coupled run
 of :mod:`.extension` go through it.  The Monte Carlo experiments (the
@@ -30,6 +34,7 @@ steps) array of uniforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,11 +49,21 @@ from .kernels import (
 from .rng import (MC_SIGMAS, _BLOCK, ahead, frequency, index_sampler, sample_index,
                   stream_rng)
 
-# Steps per chunk of the speculative scan in `advance`: long next to a
-# chunk's expected repair, which the reset chain bounds, so few steps run
-# serially, and short enough that 10^6 steps give about a thousand chunks
-# to step in lockstep.
-CHUNK = 1024
+# Steps per chunk of the speculative scan in `advance`, and the steps a
+# chunk's speculation starts before it.  The lockstep pass costs one
+# Python step per column, CHUNK + WARM columns per scan, and each step
+# repaired serially costs one more; the warm-up leaves few to repair: at
+# depth 12, 10^6 steps in PATH_BLOCK blocks repair about 400 steps,
+# against 29,000 without it.  Shorter chunks repair more at depth 16;
+# longer ones step more columns per path block.
+CHUNK = 512
+WARM = 32
+# Steps per block of a simulated path (`PathSample.blocks`): each block
+# is scanned on its own, from the context the one before left, so a
+# reader of the blocks holds 11 bytes a step of one block (2.75 MiB).
+# Half as long, a depth-12 scan of 10^6 steps ran 40% slower; twice as
+# long, no faster.
+PATH_BLOCK = 1 << 18
 # Most trials per block of `_trial_blocks`: small enough that the
 # trial-length buffers `coupled_walk` steps a column in stay in cache.
 # Walks of more than 32 steps take fewer (`_trial_blocks`).
@@ -57,16 +72,53 @@ TRIAL_BLOCK = 8192
 
 @dataclass(frozen=True)
 class PathSample:
-    """A simulated path with its innovations; index 0 is the earliest step.
+    """A stationary path of `steps` steps simulated from `seed`, with its
+    innovations; index 0 is the earliest step.  See :func:`simulate_path`.
 
-    The path is held as its symbols (uint8) and the context before each
-    step (uint16); :attr:`x` and :attr:`f` expand them when read."""
+    The sample holds no arrays, only what determines them.
+    :meth:`blocks` runs the simulation one block of PATH_BLOCK steps at a
+    time, so a reader of the blocks holds block-sized buffers only.
+    Reading :attr:`w`, :attr:`symbols` or :attr:`contexts` runs the same
+    blocks once over slices of the whole arrays, kept for later reads:
+    11 bytes a step.  :attr:`x` and :attr:`f` expand the symbols and
+    contexts when read."""
 
-    w: np.ndarray  # innovations, shape (steps,)
-    symbols: np.ndarray  # uint8 symbols, shape (steps,)
-    contexts: np.ndarray  # uint16 context code before each step
-    table: np.ndarray  # the kernel's prob0_table
+    kernel: Kernel
+    steps: int
+    seed: int
     init_ctx: int  # integer-coded context preceding x[0]
+
+    def blocks(self):
+        """Yield (w, symbols, contexts) for consecutive blocks of
+        PATH_BLOCK steps (the last one shorter): the innovations
+        (float64), the symbols (uint8) and the context before each step
+        (uint16).  They are views of three buffers that the next block
+        overwrites: read each block before asking for the next."""
+        n = min(PATH_BLOCK, self.steps)
+        return self._run(np.empty(n), np.empty(n, dtype=np.uint8),
+                         np.empty(n, dtype=np.uint16))
+
+    @cached_property
+    def _whole(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        w, x, c = (np.empty(self.steps, dtype=t) for t in (float, np.uint8, np.uint16))
+        for _ in self._run(w, x, c):
+            pass
+        return w, x, c
+
+    @property
+    def w(self) -> np.ndarray:
+        """The innovations, shape (steps,)."""
+        return self._whole[0]
+
+    @property
+    def symbols(self) -> np.ndarray:
+        """The symbols as uint8."""
+        return self._whole[1]
+
+    @property
+    def contexts(self) -> np.ndarray:
+        """The uint16 context code before each step."""
+        return self._whole[2]
 
     @property
     def x(self) -> np.ndarray:
@@ -76,7 +128,34 @@ class PathSample:
     @property
     def f(self) -> np.ndarray:
         """The conditional P(X=0) used at each step."""
-        return self.table.take(self.contexts)
+        return self.kernel.prob0_table.take(self.contexts)
+
+    def _run(self, w: np.ndarray, x: np.ndarray, c: np.ndarray):
+        """Simulate the path block by block into `w`, `x` and `c`, either
+        arrays of `steps` values, filled in order, or buffers of one
+        block that every block overwrites; yield each block's views.
+
+        The stream after the start holds the `steps` threshold uniforms
+        u, then the `steps` auxiliary uniforms v.  A block draws its u
+        into its slice of `w`, runs the chain over it from the context
+        the block before left (:func:`_scan`), and encodes it in place,
+        _BLOCK steps at a time, with v drawn from :func:`.rng.ahead` of
+        the stream past every u: the doubles of drawing u and v whole."""
+        rng, _ = _path_rng(self.kernel, self.seed)
+        aux = ahead(rng, self.steps)
+        table = self.kernel.prob0_table
+        ctx = self.init_ctx
+        for b0 in range(0, self.steps, PATH_BLOCK):
+            n = min(PATH_BLOCK, self.steps - b0)
+            at = slice(b0, b0 + n) if w.size == self.steps else slice(0, n)
+            wb, xb, cb = w[at], x[at], c[at]
+            rng.random(out=wb)  # u until encoded
+            _scan(table, ctx, wb, xb, cb)
+            ctx = ((int(cb[-1]) << 1) | int(xb[-1])) & (table.size - 1)
+            for e0 in range(0, n, _BLOCK):
+                e = slice(e0, min(e0 + _BLOCK, n))
+                wb[e] = encode_w(xb[e], aux.random(e.stop - e0), table.take(cb[e]))
+            yield wb, xb, cb
 
 
 def _stationary_start(kernel: Kernel, rng: np.random.Generator) -> int:
@@ -115,16 +194,18 @@ def _scan(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
 
     A stream of at least 2 CHUNK steps is cut into CHUNK-step chunks, and
     one vectorized pass steps every chunk at once: chunk 0 from `ctx`,
-    every other chunk from the guessed context 0.  Then each chunk is
-    re-run serially from the true exit of the chunk before, until the
-    true context equals the recorded speculative one; from there on the
-    speculative symbols, contexts and exit are already right.  Two
-    chains on the same uniforms agree once their last m symbols do, so
-    the expected repair per chunk is at most sum_{n < CHUNK} P(Z_n < m)
-    for the reset chain Z, however large 2^m is.  Every symbol comes from
-    the same float comparison u > table[ctx] as in the serial loop.  The
-    tail after the last whole chunk runs serially, through the loop that
-    repairs the chunks (:func:`_serial`)."""
+    every other chunk from the guessed context 0, WARM steps before its
+    start, over the last WARM uniforms of the chunk before.  Then each
+    chunk is re-run serially from the true exit of the chunk before,
+    until the true context equals the recorded speculative one; from
+    there on the speculative symbols, contexts and exit are already
+    right.  Two chains on the same uniforms agree once their last m
+    symbols do, so the expected repair per chunk is at most
+    sum_{n < CHUNK} P(Z_{WARM + n} < m) for the reset chain Z, however
+    large 2^m is; the warm-up leaves most repairs at one comparison.
+    Every symbol comes from the same float comparison u > table[ctx] as
+    in the serial loop.  The tail after the last whole chunk runs
+    serially, through the loop that repairs the chunks (:func:`_serial`)."""
     probs = table.tolist()
     mask = len(probs) - 1
     ctx = int(ctx) & mask
@@ -151,19 +232,22 @@ def _scan(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
 def _speculate(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
                c: np.ndarray) -> list[int]:
     """Step every row of the (chunks, CHUNK) views at once, one column
-    per step: row 0 from `ctx`, every other row from context 0.  Writes
+    per step: row 0 from `ctx`, every other row from context 0 at the
+    last WARM uniforms of the row before, which are not recorded.  Writes
     the symbols and the contexts before each step into `x` and `c`;
     returns each row's exit context.  The columns go a group at a time
     through transposed buffers of about _BLOCK values: the steps read
     and write contiguous rows, and each group is copied in and out once."""
     rows = u.shape[0]
     ctx_now = np.zeros(rows, dtype=np.int64)
-    ctx_now[0] = ctx
     group = min(max(_BLOCK // rows, 1), CHUNK)
     ub = np.empty((group, rows))
     cb = np.empty((group, rows), dtype=c.dtype)
     xb = np.empty((group, rows), dtype=bool)
     f = np.empty(rows)
+    for j in range(CHUNK - WARM, CHUNK):
+        _threshold(table, ctx_now[1:], u[:-1, j], f[1:], xb[0, 1:])
+    ctx_now[0] = ctx
     for j0 in range(0, CHUNK, group):
         n = min(group, CHUNK - j0)
         ub[:n] = u[:, j0:j0 + n].T
@@ -279,6 +363,13 @@ def _trial_blocks(rng: np.random.Generator, law, trials: int, steps: int):
         yield quantile(rng.random(n)), buf[:n]
 
 
+def _path_rng(kernel: Kernel, seed: int) -> tuple[np.random.Generator, int]:
+    """The generator of the path simulated from `seed`, past its start
+    context, and that context (:func:`_stationary_start`)."""
+    rng = stream_rng(seed, "simulate", kernel.label)
+    return rng, _stationary_start(kernel, rng)
+
+
 def simulate_path(kernel: Kernel, steps: int, seed: int) -> PathSample:
     """Simulate a stationary path together with its innovation stream.
 
@@ -287,23 +378,10 @@ def simulate_path(kernel: Kernel, steps: int, seed: int) -> PathSample:
     innovation.  The innovations are therefore a genuine function of
     (path, auxiliary randomness), not uniforms drawn directly.
 
-    The stream holds the `steps` threshold uniforms u, then the `steps`
-    auxiliary uniforms v.  Once :func:`advance` has read u, the
-    innovations are encoded into u's own buffer one block of _BLOCK
-    steps at a time, each block's v drawn and f looked up from its
-    contexts as it is encoded: the same doubles as drawing v whole.  So
-    beyond its outputs, w (8 bytes a step), the symbols (1) and the
-    contexts (2), the simulation holds block-sized buffers only.
-    """
-    rng = stream_rng(seed, "simulate", kernel.label)
-    init_ctx = int(_stationary_start(kernel, rng))
-    w = rng.random(steps)  # u until encoded
-    x, ctx = advance(kernel, init_ctx, w)
-    table = kernel.prob0_table
-    for b0 in range(0, steps, _BLOCK):
-        b = slice(b0, min(b0 + _BLOCK, steps))
-        w[b] = encode_w(x[b], rng.random(b.stop - b0), table.take(ctx[b]))
-    return PathSample(w, x, ctx, table, init_ctx)
+    Only the start context is drawn here.  The path itself is run when
+    the sample is read, one block at a time (:meth:`PathSample.blocks`)
+    or whole (:attr:`PathSample.w`); both give the same values."""
+    return PathSample(kernel, steps, seed, _path_rng(kernel, seed)[1])
 
 
 def window_reconstruct(kernel: Kernel, w: np.ndarray, start_ctx: int = 0) -> np.ndarray:

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coupledchains import harness, kernels
@@ -17,7 +18,9 @@ from coupledchains.harness import (
     main,
     run_experiment,
 )
+from coupledchains.innovation import _audit, innovation_audit
 from coupledchains.kernels import CapExceededError
+from coupledchains.reconstruction import PATH_BLOCK, simulate_path, window_reconstruct
 from coupledchains.reports import emit_csv, emit_pretty
 from coupledchains.vershik import AlphaSequence
 
@@ -140,21 +143,50 @@ LONG_MEMORY_12 = {
 
 
 def test_audit_runner_memory_holds_its_path(tmp_path):
-    # The path takes 11 bytes a step: w (8), the symbols (1) and the
-    # contexts before each step (2).  Beyond it, the simulation and the
-    # audit hold block-sized buffers, the audit's histograms and the
-    # few values that can set its KS maximum; a fresh kernel object
-    # solves its stationary law inside the trace too.
-    steps = 10**6
+    # The audit reads the innovations as the path is simulated, one block
+    # at a time, so the run holds block-sized buffers, the audit's
+    # histograms and the kernel's tables, whatever the number of steps; a
+    # fresh kernel object solves its stationary law inside the trace too.
+    # A short run first imports what the package loads on first use
+    # (numpy.random), which is no part of the run's own memory.
+    short = ExperimentConfig("audit", LONG_MEMORY_12, 7, str(tmp_path), {"steps": 1000})
+    assert run_experiment(short)[0] == 0
+    for steps in (10**6, 4 * 10**6):
+        cfg = ExperimentConfig("audit", LONG_MEMORY_12, 7, str(tmp_path),
+                               {"steps": steps})
+        tracemalloc.start()
+        try:
+            assert run_experiment(cfg)[0] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, (steps, peak)
+
+
+def test_audit_runner_sample_reads_whole_as_audited(tmp_path, monkeypatch):
+    # A traced benchmark run wraps harness.simulate_path and checks the
+    # sample it returns, read whole, once the run is over: the runner
+    # calls it once, and that sample audits as the runner's streamed
+    # report and replays from its start context to its own symbols.
+    samples, reports = [], []
+
+    def simulate(*args):
+        samples.append(simulate_path(*args))
+        return samples[-1]
+
+    def audit(*args):
+        reports.append(_audit(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "simulate_path", simulate)
+    monkeypatch.setattr(harness, "_audit", audit)
     cfg = ExperimentConfig("audit", LONG_MEMORY_12, 7, str(tmp_path),
-                           {"steps": steps})
-    tracemalloc.start()
-    try:
-        assert run_experiment(cfg)[0] == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 11 * steps + 8 * 2**20, peak
+                           {"steps": 3 * PATH_BLOCK + 5})
+    assert run_experiment(cfg)[0] == 0
+    (sample,), (report,) = samples, reports
+    assert repr(innovation_audit(sample.w)) == repr(report)
+    replay = window_reconstruct(sample.kernel, sample.w, sample.init_ctx)
+    assert np.array_equal(replay, sample.x)
 
 
 def test_gamma_run_writes_outputs(tmp_path):

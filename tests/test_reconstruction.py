@@ -19,6 +19,8 @@ from coupledchains.kernels import (
 from coupledchains.reconstruction import (
     _BLOCK,
     CHUNK,
+    PATH_BLOCK,
+    WARM,
     _scan,
     _stationary_start,
     advance,
@@ -103,11 +105,11 @@ def test_advance_matches_serial_loop(kernel, ctx, steps, seed):
     assert_matches_serial(kernel, ctx, u)
 
 
-# Beyond 64 chunks the lockstep pass stages fewer than CHUNK columns at
-# a time, so several groups run; at 200 chunks they are 327 columns
-# wide and the last one is partial.
+# Beyond _BLOCK // CHUNK chunks (128) the lockstep pass stages fewer
+# than CHUNK columns at a time, so several groups run; at 200 chunks
+# they are 327 columns wide and the last one is partial.
 @given(kernels(), st.integers(0, 2**70),
-       st.integers(65, 300).map(lambda k: k * CHUNK + k % CHUNK),
+       st.integers(_BLOCK // CHUNK + 1, 300).map(lambda k: k * CHUNK + k % CHUNK),
        st.integers(0, 2**32 - 1))
 @example(LONG_MEMORY_12, 5, 200 * CHUNK + 17, 0)
 @settings(max_examples=15, deadline=None)
@@ -151,13 +153,15 @@ def test_advance_persistent_kernel(ctx):
 
 def test_repair_within_renewal_bound():
     # A repair runs until the true and speculated chains share their
-    # last m symbols, which fails after n steps with probability at most
-    # P(Z_n < m) for the reset chain Z.  So the mean repair per chunk is
-    # at most sum_{n < CHUNK} P(Z_n < m): about 201 at depth 12.
+    # last m symbols, which fails n steps into a chunk, WARM + n steps
+    # after the speculation started, with probability at most
+    # P(Z_{WARM + n} < m) for the reset chain Z.  So the mean repair per
+    # chunk is at most sum_{n < CHUNK} P(Z_{WARM + n} < m): about 159 at
+    # depth 12.
     kernel = LONG_MEMORY_12
     m = kernel.memory
     gammas = gamma_profile(kernel, m).values
-    bound = sum(house_of_cards_dist(gammas, n).cdf(m - 1) for n in range(CHUNK))
+    bound = sum(house_of_cards_dist(gammas, WARM + n).cdf(m - 1) for n in range(CHUNK))
     chunks = 256
     u = np.random.default_rng(32).random(chunks * CHUNK)
     x, c = np.empty(u.size, dtype=np.uint8), np.empty(u.size, dtype=np.uint16)
@@ -184,15 +188,27 @@ def whole_stream_path(kernel, steps, seed):
     return x.astype(np.int64), encode_w(x, v, f), f, init_ctx
 
 
+# Serial and speculated scans, several chunks, the encoding's _BLOCK
+# edges, PATH_BLOCK's edges, and a last block of 2 CHUNK - 1 steps, short
+# enough to run serially.
 @pytest.mark.parametrize("steps", [100, 2 * CHUNK - 1, 2 * CHUNK + 1,
-                                   2**16 - 1, 2**16 + 1, 3 * 2**16 + 5])
+                                   4 * CHUNK - 1, 4 * CHUNK + 1,
+                                   2**16 - 1, 2**16 + 1, 3 * 2**16 + 5,
+                                   PATH_BLOCK - 1, PATH_BLOCK + 1,
+                                   2 * PATH_BLOCK + 2 * CHUNK - 1])
 @pytest.mark.parametrize("kernel", [LONG_MEMORY_12, PERSISTENT, IIDKernel(0.3)],
                          ids=["long-memory-12", "persistent", "iid"])
 def test_simulate_path_matches_whole_stream_draws(kernel, steps):
-    # The innovations are encoded into u's buffer one block at a time,
-    # each block's v drawn as it is encoded: the same path, f values and
-    # innovations, byte for byte.
+    # Each block is scanned from the context the block before left and
+    # encoded in place, its v drawn as it is encoded: the same path, f
+    # values and innovations as the whole draw, byte for byte, and the
+    # blocks put together are the arrays read whole.
     sample = simulate_path(kernel, steps, 19)
+    blocks = [tuple(a.copy() for a in block) for block in sample.blocks()]
+    assert [b[0].size for b in blocks[:-1]] == [PATH_BLOCK] * (len(blocks) - 1)
+    for got, whole in zip(zip(*blocks), (sample.w, sample.symbols, sample.contexts)):
+        joined = np.concatenate(got)
+        assert joined.dtype == whole.dtype and joined.tobytes() == whole.tobytes()
     x, w, f, init_ctx = whole_stream_path(kernel, steps, 19)
     assert sample.init_ctx == init_ctx
     for got, ref in ((sample.x, x), (sample.w, w), (sample.f, f)):
@@ -200,15 +216,16 @@ def test_simulate_path_matches_whole_stream_draws(kernel, steps):
 
 
 def test_simulate_path_memory_holds_its_outputs():
-    # w takes 8 bytes a step, the symbols 1 and the contexts 2; everything
-    # else is block-sized: the innovations overwrite u as v is drawn and f
-    # looked up block by block, and the speculative pass stages one group
-    # of columns of its (chunks, CHUNK) view in buffers of about _BLOCK
-    # values.
+    # Read whole, w takes 8 bytes a step, the symbols 1 and the contexts
+    # 2; everything else is block-sized: each block is simulated over its
+    # slices of the three arrays, the innovations overwrite u as v is
+    # drawn and f looked up _BLOCK steps at a time, and the speculative
+    # pass stages one group of columns of its (chunks, CHUNK) view in
+    # buffers of about _BLOCK values.
     steps = 10**6
     tracemalloc.start()
     try:
-        simulate_path(LONG_MEMORY_12, steps, 7)
+        simulate_path(LONG_MEMORY_12, steps, 7).w
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
