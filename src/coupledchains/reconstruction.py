@@ -10,18 +10,20 @@ from an all-zero prehistory; the renewal bound controls how far back
 the replay must start for the final window to agree with the truth.
 
 Two stepping primitives serve every chain in the package, and both
-step through one threshold helper.  :func:`advance` runs one path: a
-chunked speculative scan, byte-identical to the serial loop, whose
-chunks are stepped at once from a guessed context and repaired serially
-until the true chain meets them; the renewal (reset) chain bounds the
-length of each repair.  The scan records each step's symbol (uint8) and
-the context before it (uint16, as the memory is at most 16), not the f
-value, which is ``prob0_table[context]``.  A path is read one block of
-PATH_BLOCK steps at a time (:meth:`PathSample.blocks`): each block is
-scanned from the context the block before left and its innovations are
-encoded in place over the uniforms the scan has read, so a reader of
-the blocks, such as the audit, holds 11 bytes a step of one block; read
-whole, the path takes 11 bytes a step plus block-sized buffers.
+step through one threshold helper.  :func:`advance` runs one path in
+blocks of PATH_BLOCK steps, each by a chunked speculative scan,
+byte-identical to the serial loop: a block's chunks are stepped at once
+from a guessed context, the seams where a guess went wrong are found by
+one comparison, and those chunks are re-run, at once when there are
+many, then serially until the true chain meets them; the renewal
+(reset) chain bounds the length of each repair.  The scan records each step's symbol (uint8) and the context
+before it (uint16, as the memory is at most 16), not the f value, which
+is ``prob0_table[context]``.  A path is read one block at a time
+(:meth:`PathSample.blocks`): each block is scanned from the context the
+block before left and its innovations are encoded in place over the
+uniforms the scan has read, so a reader of the blocks, such as the
+audit, holds 11 bytes a step of one block; read whole, the path takes
+11 bytes a step plus block-sized buffers.
 :func:`coupled_walk` steps a true chain and a companion chain on one
 uniform per trial across trials; the replay here and every coupled run
 of :mod:`.extension` go through it.  The Monte Carlo experiments (the
@@ -49,21 +51,26 @@ from .kernels import (
 from .rng import (MC_SIGMAS, _BLOCK, ahead, frequency, index_sampler, sample_index,
                   stream_rng)
 
-# Steps per chunk of the speculative scan in `advance`, and the steps a
+# Steps per chunk of the speculative scan in `_scan`, and the steps a
 # chunk's speculation starts before it.  The lockstep pass costs one
-# Python step per column, CHUNK + WARM columns per scan, and each step
-# repaired serially costs one more; the warm-up leaves few to repair: at
-# depth 12, 10^6 steps in PATH_BLOCK blocks repair about 400 steps,
-# against 29,000 without it.  Shorter chunks repair more at depth 16;
-# longer ones step more columns per path block.
-CHUNK = 512
+# numpy step per column, CHUNK + WARM columns per block, and each step
+# repaired serially costs one Python step; the warm-up leaves few to
+# repair.  On 10^6 steps at depth 12, 2,578 steps were repaired serially
+# (237 at CHUNK 512); at depth 16, 45,400, and 210,264 without the
+# lockstep re-run of stale chunks (34,263 at CHUNK 512), in about the
+# time CHUNK 512 took.
+CHUNK = 64
 WARM = 32
-# Steps per block of a simulated path (`PathSample.blocks`): each block
-# is scanned on its own, from the context the one before left, so a
-# reader of the blocks holds 11 bytes a step of one block (2.75 MiB).
-# Half as long, a depth-12 scan of 10^6 steps ran 40% slower; twice as
-# long, no faster.
-PATH_BLOCK = 1 << 18
+# Steps per block of a simulated path (`PathSample.blocks`) and of
+# `advance`: each block is scanned on its own, from the context the one
+# before left, so a reader of the blocks holds 11 bytes a step of one
+# block (704 KiB), and a block is one (_BLOCK // CHUNK, CHUNK) lockstep
+# group.  A block is encoded ENCODE_PIECE steps at a time, so the
+# encoder's temporaries hold a quarter block.  The audit CLI at 10^6
+# steps traced 3.6 MiB of numpy memory (7.4 MiB with 2^18-step blocks
+# encoded 2^16 steps at a time), at the same speed.
+PATH_BLOCK = _BLOCK
+ENCODE_PIECE = _BLOCK // 4
 # Most trials per block of `_trial_blocks`: small enough that the
 # trial-length buffers `coupled_walk` steps a column in stay in cache.
 # Walks of more than 32 steps take fewer (`_trial_blocks`).
@@ -139,21 +146,21 @@ class PathSample:
         u, then the `steps` auxiliary uniforms v.  A block draws its u
         into its slice of `w`, runs the chain over it from the context
         the block before left (:func:`_scan`), and encodes it in place,
-        _BLOCK steps at a time, with v drawn from :func:`.rng.ahead` of
-        the stream past every u: the doubles of drawing u and v whole."""
+        ENCODE_PIECE steps at a time, with v drawn from :func:`.rng.ahead`
+        of the stream past every u: the doubles of drawing u and v whole."""
         rng, _ = _path_rng(self.kernel, self.seed)
         aux = ahead(rng, self.steps)
         table = self.kernel.prob0_table
+        probs = table.tolist()
         ctx = self.init_ctx
         for b0 in range(0, self.steps, PATH_BLOCK):
             n = min(PATH_BLOCK, self.steps - b0)
             at = slice(b0, b0 + n) if w.size == self.steps else slice(0, n)
             wb, xb, cb = w[at], x[at], c[at]
             rng.random(out=wb)  # u until encoded
-            _scan(table, ctx, wb, xb, cb)
-            ctx = ((int(cb[-1]) << 1) | int(xb[-1])) & (table.size - 1)
-            for e0 in range(0, n, _BLOCK):
-                e = slice(e0, min(e0 + _BLOCK, n))
+            ctx, _ = _scan(table, probs, ctx, wb, xb, cb)
+            for e0 in range(0, n, ENCODE_PIECE):
+                e = slice(e0, min(e0 + ENCODE_PIECE, n))
                 wb[e] = encode_w(xb[e], aux.random(e.stop - e0), table.take(cb[e]))
             yield wb, xb, cb
 
@@ -171,10 +178,11 @@ def advance(kernel: Kernel, ctx: int, u) -> tuple[np.ndarray, np.ndarray]:
     past.  Returns the symbols (uint8) and the contexts c_t before each
     step (uint16).
 
-    Computed by a chunked speculative scan (:func:`_scan`), byte-identical
-    to stepping the chain serially; the steps it re-runs serially are
-    bounded by the reset chain.  A kernel of memory above 16, whose
-    contexts a uint16 cannot hold, raises CapExceededError."""
+    Computed by a chunked speculative scan (:func:`_scan`), one block of
+    PATH_BLOCK steps at a time from the context the block before left,
+    byte-identical to stepping the chain serially; the steps it re-runs
+    serially are bounded by the reset chain.  A kernel of memory above
+    16, whose contexts a uint16 cannot hold, raises CapExceededError."""
     table = kernel.prob0_table
     if table.size > 1 << 16:
         raise CapExceededError(
@@ -182,31 +190,43 @@ def advance(kernel: Kernel, ctx: int, u) -> tuple[np.ndarray, np.ndarray]:
     u = np.ascontiguousarray(u, dtype=float)
     x = np.empty(u.size, dtype=np.uint8)
     c = np.empty(u.size, dtype=np.uint16)
-    _scan(table, ctx, u, x, c)
+    probs = table.tolist()
+    for b0 in range(0, u.size, PATH_BLOCK):
+        b = slice(b0, b0 + PATH_BLOCK)
+        ctx, _ = _scan(table, probs, ctx, u[b], x[b], c[b])
     return x, c
 
 
-def _scan(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
-          c: np.ndarray) -> int:
+def _scan(table: np.ndarray, probs: list, ctx: int, u: np.ndarray,
+          x: np.ndarray, c: np.ndarray) -> tuple[int, int]:
     """Fill `x` with the chain run over `u` from context `ctx`, and `c`
-    with the context before each step; return the number of steps re-run
-    serially to repair speculation.
+    with the context before each step; `probs` is ``table.tolist()``.
+    Returns the exit context and the number of steps re-run serially to
+    repair speculation.  The callers pass blocks of at most PATH_BLOCK
+    steps, so the lockstep passes stage at most _BLOCK values.
 
     A stream of at least 2 CHUNK steps is cut into CHUNK-step chunks, and
-    one vectorized pass steps every chunk at once: chunk 0 from `ctx`,
-    every other chunk from the guessed context 0, WARM steps before its
-    start, over the last WARM uniforms of the chunk before.  Then each
-    chunk is re-run serially from the true exit of the chunk before,
-    until the true context equals the recorded speculative one; from
-    there on the speculative symbols, contexts and exit are already
-    right.  Two chains on the same uniforms agree once their last m
+    one vectorized pass steps every chunk at once (:func:`_speculate`):
+    chunk 0 from `ctx`, every other chunk from the guessed context 0,
+    WARM steps before its start, over the last WARM uniforms of the chunk
+    before.  Each chunk then holds the chain run over its uniforms from
+    its recorded entry context, and its recorded exit.  A chunk is right
+    once the chunk before is and its entry equals that chunk's exit; one
+    comparison over all seams finds the chunks where they differ.  When
+    more than CHUNK are stale, they are first re-run at once from the
+    exits before them, which leaves stale only those after a chunk whose
+    re-run changed its exit.  Each chunk still stale is re-run serially
+    from the true exit of the chunk before, until the true context equals
+    the recorded one; from there on the recorded symbols, contexts and
+    exit are already right.  A repair that runs to the end of its chunk
+    without meeting hands its own exit on, and the next chunk is re-run
+    from it.  Two chains on the same uniforms agree once their last m
     symbols do, so the expected repair per chunk is at most
     sum_{n < CHUNK} P(Z_{WARM + n} < m) for the reset chain Z, however
-    large 2^m is; the warm-up leaves most repairs at one comparison.
+    large 2^m is; the warm-up leaves most seams right as they stand.
     Every symbol comes from the same float comparison u > table[ctx] as
     in the serial loop.  The tail after the last whole chunk runs
     serially, through the loop that repairs the chunks (:func:`_serial`)."""
-    probs = table.tolist()
     mask = len(probs) - 1
     ctx = int(ctx) & mask
     n_chunks = u.size // CHUNK if u.size >= 2 * CHUNK else 0
@@ -216,47 +236,70 @@ def _scan(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
     uv, xv, cv = memoryview(u), memoryview(x), memoryview(c)
     repaired = 0
     if n_chunks:
-        exits = _speculate(table, ctx, *(
-            a[:head].reshape(n_chunks, CHUNK) for a in (u, x, c)))
-        ctx = exits[0]
-        for i in range(1, n_chunks):
-            steps, ctx = _serial(probs, mask, ctx, uv, xv, cv, i * CHUNK,
-                                 (i + 1) * CHUNK, meet=True)
-            repaired += steps
-            if ctx is None:
-                ctx = exits[i]
-    _serial(probs, mask, ctx, uv, xv, cv, head, u.size)
-    return repaired
+        u2, x2, c2 = (a[:head].reshape(n_chunks, CHUNK) for a in (u, x, c))
+        exits = _speculate(table, ctx, u2, x2, c2)
+        stale = np.flatnonzero(exits[:-1] != c2[1:, 0]) + 1
+        # A lockstep pass costs CHUNK numpy steps whatever its rows, a
+        # serial step one Python step: at depth 16 about 300 chunks of a
+        # block are stale and the pass halves the scan; at depth 12 about
+        # 25 are, whose serial repairs cost less than the pass.
+        if stale.size > CHUNK:
+            entries = exits[stale - 1]
+            xb, cb = _lockstep(table, entries, u2.T[:, stale])
+            x2[stale], c2[stale], exits[stale] = xb.T, cb.T, entries
+            stale = np.flatnonzero(exits[:-1] != c2[1:, 0]) + 1
+        ctx = int(exits[-1])
+        done = 0  # chunks before `done` are right
+        for i in stale.tolist():
+            if i < done:
+                continue
+            entry = int(exits[i - 1])
+            while entry is not None and i < n_chunks:
+                steps, entry = _serial(probs, mask, entry, uv, xv, cv, i * CHUNK,
+                                       (i + 1) * CHUNK, meet=True)
+                repaired += steps
+                i += 1
+            done = i
+            if entry is not None:  # the last chunk's repair did not meet
+                ctx = entry
+    _, ctx = _serial(probs, mask, ctx, uv, xv, cv, head, u.size)
+    return ctx, repaired
 
 
 def _speculate(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
-               c: np.ndarray) -> list[int]:
-    """Step every row of the (chunks, CHUNK) views at once, one column
-    per step: row 0 from `ctx`, every other row from context 0 at the
-    last WARM uniforms of the row before, which are not recorded.  Writes
-    the symbols and the contexts before each step into `x` and `c`;
-    returns each row's exit context.  The columns go a group at a time
-    through transposed buffers of about _BLOCK values: the steps read
-    and write contiguous rows, and each group is copied in and out once."""
+               c: np.ndarray) -> np.ndarray:
+    """Step every row of the (chunks, CHUNK) views at once
+    (:func:`_lockstep`): row 0 from `ctx`, every other row from context 0
+    at the last WARM uniforms of the row before, which are not recorded.
+    Writes the symbols and the contexts before each step into `x` and
+    `c`; returns each row's exit context (int64).  The uniforms are
+    copied once into a transposed buffer, so each step reads a
+    contiguous row; a block of _BLOCK steps fills it."""
     rows = u.shape[0]
     ctx_now = np.zeros(rows, dtype=np.int64)
-    group = min(max(_BLOCK // rows, 1), CHUNK)
-    ub = np.empty((group, rows))
-    cb = np.empty((group, rows), dtype=c.dtype)
-    xb = np.empty((group, rows), dtype=bool)
-    f = np.empty(rows)
+    ub = u.T.copy()
+    f, xw = np.empty(rows), np.empty(rows, dtype=bool)
     for j in range(CHUNK - WARM, CHUNK):
-        _threshold(table, ctx_now[1:], u[:-1, j], f[1:], xb[0, 1:])
+        _threshold(table, ctx_now[1:], ub[j, :-1], f[1:], xw[1:])
     ctx_now[0] = ctx
-    for j0 in range(0, CHUNK, group):
-        n = min(group, CHUNK - j0)
-        ub[:n] = u[:, j0:j0 + n].T
-        for k in range(n):
-            cb[k] = ctx_now
-            _threshold(table, ctx_now, ub[k], f, xb[k])
-        c[:, j0:j0 + n] = cb[:n].T
-        x[:, j0:j0 + n] = xb[:n].T
-    return ctx_now.tolist()
+    xb, cb = _lockstep(table, ctx_now, ub)
+    x[:], c[:] = xb.T, cb.T
+    return ctx_now
+
+
+def _lockstep(table: np.ndarray, ctx: np.ndarray,
+              ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step the chains in `ctx` (int64, one per column of `ub`, left at
+    their exits) over the rows of the (CHUNK, chains) uniforms `ub`, one
+    row per step.  Returns the symbols (bool) and the contexts before
+    each step (uint16), shaped as `ub`."""
+    cb = np.empty(ub.shape, dtype=np.uint16)
+    xb = np.empty(ub.shape, dtype=bool)
+    f = np.empty(ub.shape[1])
+    for k in range(ub.shape[0]):
+        cb[k] = ctx
+        _threshold(table, ctx, ub[k], f, xb[k])
+    return xb, cb
 
 
 def _threshold(table: np.ndarray, ctx: np.ndarray, s: np.ndarray,

@@ -19,6 +19,7 @@ from coupledchains.kernels import (
 from coupledchains.reconstruction import (
     _BLOCK,
     CHUNK,
+    ENCODE_PIECE,
     PATH_BLOCK,
     WARM,
     _scan,
@@ -38,6 +39,12 @@ IID = builtin_kernels()["iid-half"]
 # The depth-12 kernel of the benchmark's long-memory audit.
 LONG_MEMORY_12 = LongMemoryKernel(
     0.3, (0.1, 0.08, 0.06, 0.05, 0.04, 0.03, 0.02, 0.02, 0.01, 0.01, 0.01, 0.01)
+)
+# The depth-16 kernel of the scaled audit: its slow-mixing contexts
+# leave hundreds of a block's chunks stale after the speculation.
+LONG_MEMORY_16 = LongMemoryKernel(
+    0.05, (0.3, 0.15, 0.1, 0.08, 0.06, 0.05, 0.04, 0.03,
+           0.02, 0.02, 0.02, 0.01, 0.01, 0.01, 0.005, 0.005)
 )
 PERSISTENT = MarkovKernel(1, (0.999, 0.001))
 
@@ -105,24 +112,41 @@ def test_advance_matches_serial_loop(kernel, ctx, steps, seed):
     assert_matches_serial(kernel, ctx, u)
 
 
-# Beyond _BLOCK // CHUNK chunks (128) the lockstep pass stages fewer
-# than CHUNK columns at a time, so several groups run; at 200 chunks
-# they are 327 columns wide and the last one is partial.
-@given(kernels(), st.integers(0, 2**70),
-       st.integers(_BLOCK // CHUNK + 1, 300).map(lambda k: k * CHUNK + k % CHUNK),
+def scan(kernel, ctx, u):
+    """_scan over one block `u`: (exit context, steps repaired)."""
+    x, c = np.empty(u.size, dtype=np.uint8), np.empty(u.size, dtype=np.uint16)
+    table = kernel.prob0_table
+    return _scan(table, table.tolist(), ctx, u, x, c)
+
+
+# The seams between chunks are checked at once, and a chunk is re-run
+# when its recorded entry differs from the recorded exit of the chunk
+# before, or when the repair of that chunk ran to its end without
+# meeting and hands on its own exit.  Under PERSISTENT two pasts rarely
+# meet, so repairs carry their exits across many seams; under
+# LONG_MEMORY_16 more than CHUNK chunks of a block are stale, so they
+# are first re-run at once.  The lengths cover the shortest speculated
+# stream, a block's edges, and a last block of 2 CHUNK - 1 steps, short
+# enough to run serially.
+@given(st.one_of(kernels(), st.sampled_from([PERSISTENT, LONG_MEMORY_16])),
+       st.integers(0, 2**70),
+       st.sampled_from([2 * CHUNK - 1, 2 * CHUNK + 1, _BLOCK - 1, _BLOCK + 1,
+                        2 * _BLOCK + 2 * CHUNK - 1]),
        st.integers(0, 2**32 - 1))
-@example(LONG_MEMORY_12, 5, 200 * CHUNK + 17, 0)
-@settings(max_examples=15, deadline=None)
-def test_advance_matches_serial_loop_over_many_groups(kernel, ctx, steps, seed):
-    assert _BLOCK // (steps // CHUNK) < CHUNK
+@example(PERSISTENT, 1, _BLOCK + 1, 0)
+@example(PERSISTENT, 0, 2 * _BLOCK + 2 * CHUNK - 1, 1)
+@example(LONG_MEMORY_16, 3, 2 * _BLOCK + 2 * CHUNK - 1, 2)
+@example(LONG_MEMORY_12, 5, 2 * _BLOCK + 2 * CHUNK - 1, 0)
+@settings(max_examples=20, deadline=None)
+def test_scan_seams_match_serial_loop(kernel, ctx, steps, seed):
     u = np.random.default_rng(seed).random(steps)
     assert_matches_serial(kernel, ctx, u)
 
 
 def test_advance_memory_holds_its_outputs():
     # Beyond the symbols (1 byte a step) and the contexts (2 bytes), the
-    # lockstep pass stages one group of columns in buffers of about
-    # _BLOCK values each.
+    # lockstep pass stages one block of _BLOCK steps in transposed
+    # buffers of _BLOCK values each.
     steps = 4 * 10**6
     u = np.random.default_rng(33).random(steps)
     tracemalloc.start()
@@ -147,8 +171,7 @@ def test_advance_persistent_kernel(ctx):
     # the end of their chunk and hand on their own exit.
     u = np.random.default_rng(31).random(100 * CHUNK + 3)
     assert_matches_serial(PERSISTENT, ctx, u)
-    x, c = np.empty(u.size, dtype=np.uint8), np.empty(u.size, dtype=np.uint16)
-    assert _scan(PERSISTENT.prob0_table, ctx, u, x, c) / 99 > CHUNK / 10
+    assert scan(PERSISTENT, ctx, u)[1] / 99 > CHUNK / 10
 
 
 def test_repair_within_renewal_bound():
@@ -156,16 +179,15 @@ def test_repair_within_renewal_bound():
     # last m symbols, which fails n steps into a chunk, WARM + n steps
     # after the speculation started, with probability at most
     # P(Z_{WARM + n} < m) for the reset chain Z.  So the mean repair per
-    # chunk is at most sum_{n < CHUNK} P(Z_{WARM + n} < m): about 159 at
+    # chunk is at most sum_{n < CHUNK} P(Z_{WARM + n} < m): about 49 at
     # depth 12.
     kernel = LONG_MEMORY_12
     m = kernel.memory
     gammas = gamma_profile(kernel, m).values
     bound = sum(house_of_cards_dist(gammas, WARM + n).cdf(m - 1) for n in range(CHUNK))
-    chunks = 256
+    chunks = _BLOCK // CHUNK
     u = np.random.default_rng(32).random(chunks * CHUNK)
-    x, c = np.empty(u.size, dtype=np.uint8), np.empty(u.size, dtype=np.uint16)
-    mean_repair = _scan(kernel.prob0_table, 0, u, x, c) / (chunks - 1)
+    mean_repair = scan(kernel, 0, u)[1] / (chunks - 1)
     assert 0 < mean_repair <= bound
     assert_matches_serial(kernel, 0, u)
 
@@ -188,14 +210,14 @@ def whole_stream_path(kernel, steps, seed):
     return x.astype(np.int64), encode_w(x, v, f), f, init_ctx
 
 
-# Serial and speculated scans, several chunks, the encoding's _BLOCK
-# edges, PATH_BLOCK's edges, and a last block of 2 CHUNK - 1 steps, short
-# enough to run serially.
-@pytest.mark.parametrize("steps", [100, 2 * CHUNK - 1, 2 * CHUNK + 1,
-                                   4 * CHUNK - 1, 4 * CHUNK + 1,
-                                   2**16 - 1, 2**16 + 1, 3 * 2**16 + 5,
+# Serial and speculated scans, several chunks, the edges of the encoded
+# pieces and of the blocks, a last block of 2 CHUNK - 1 steps, short
+# enough to run serially, and paths of several blocks.
+@pytest.mark.parametrize("steps", [100, 2 * CHUNK - 1, 2 * CHUNK + 1, 1023, 1025,
+                                   2047, 2049, ENCODE_PIECE - 1, ENCODE_PIECE + 1,
                                    PATH_BLOCK - 1, PATH_BLOCK + 1,
-                                   2 * PATH_BLOCK + 2 * CHUNK - 1])
+                                   2 * PATH_BLOCK + 2 * CHUNK - 1, 3 * PATH_BLOCK + 5,
+                                   2**18 - 1, 2**18 + 1, 2 * 2**18 + 1023])
 @pytest.mark.parametrize("kernel", [LONG_MEMORY_12, PERSISTENT, IIDKernel(0.3)],
                          ids=["long-memory-12", "persistent", "iid"])
 def test_simulate_path_matches_whole_stream_draws(kernel, steps):
@@ -219,9 +241,9 @@ def test_simulate_path_memory_holds_its_outputs():
     # Read whole, w takes 8 bytes a step, the symbols 1 and the contexts
     # 2; everything else is block-sized: each block is simulated over its
     # slices of the three arrays, the innovations overwrite u as v is
-    # drawn and f looked up _BLOCK steps at a time, and the speculative
-    # pass stages one group of columns of its (chunks, CHUNK) view in
-    # buffers of about _BLOCK values.
+    # drawn and f looked up ENCODE_PIECE steps at a time, and the
+    # speculative pass stages its (chunks, CHUNK) view in buffers of
+    # _BLOCK values.
     steps = 10**6
     tracemalloc.start()
     try:
