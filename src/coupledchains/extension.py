@@ -275,15 +275,12 @@ class StitchReport:
 
 
 def _plan_block(engine: CouplingEngine, threshold: float, p_min: int):
-    """Smallest window depth p >= p_min with alpha_p below the threshold
-    and a feasible anchor; returns (p, alpha_p, anchor)."""
+    """Smallest window depth p >= p_min with alpha_p and the least anchor
+    integral below the threshold; returns (p, alpha_p, anchor)."""
     for p in range(p_min, _MAX_BLOCK_DEPTH + 1):
         a = engine.alpha(p)
-        if a < threshold:
-            try:
-                return p, a, choose_anchor(engine, -(p - 1), threshold)[0]
-            except AnchorSelectionError:
-                pass
+        if a < threshold and engine.anchor_integrals(p).min() < threshold:
+            return p, a, choose_anchor(engine, -(p - 1), threshold)[0]
     raise CapExceededError(
         f"coupling-distance threshold {threshold:.3g} not reached within "
         f"_MAX_BLOCK_DEPTH = {_MAX_BLOCK_DEPTH} metric-table depths"

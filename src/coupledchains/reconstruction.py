@@ -16,21 +16,26 @@ byte-identical to the serial loop: a block's chunks are stepped at once
 from a guessed context, the seams where a guess went wrong are found by
 one comparison, and those chunks are re-run, at once when there are
 many, then serially until the true chain meets them; the renewal
-(reset) chain bounds the length of each repair.  The scan records each step's symbol (uint8) and the context
-before it (uint16, as the memory is at most 16), not the f value, which
-is ``prob0_table[context]``.  A path is read one block at a time
-(:meth:`PathSample.blocks`): each block is scanned from the context the
-block before left and its innovations are encoded in place over the
-uniforms the scan has read, so a reader of the blocks, such as the
-audit, holds 11 bytes a step of one block; read whole, the path takes
-11 bytes a step plus block-sized buffers.
+(reset) chain bounds the length of each repair.  Each of these passes
+at once is one :func:`_lockstep` loop.  The scan records each step's
+symbol (uint8) and the context before it (uint16, as the memory is at
+most 16), not the f value, which is ``prob0_table[context]``.
+:meth:`PathSample.blocks` is the one loop that simulates a path: each
+block is scanned from the context the block before left and its
+innovations are encoded in place over the uniforms the scan has read,
+in buffers reused from block to block, so a reader of the blocks, such
+as the audit, holds 11 bytes a step of one block; the whole arrays are
+copied from the blocks, 11 bytes a step plus the block buffers.
 :func:`coupled_walk` steps a true chain and a companion chain on one
 uniform per trial across trials; the replay here and every coupled run
 of :mod:`.extension` go through it.  The Monte Carlo experiments (the
 replay, the generator-gap check and the stitch) read their trials from
 :func:`_trial_blocks`, one block at a time, and walk and reduce each
 block before the next is drawn, so they never hold a whole (trials,
-steps) array of uniforms.
+steps) array of uniforms.  The replay is reduced by one tally
+(:func:`_agreements`): the trials whose true and replayed end contexts
+agree on [-k; 0], for each lag k asked for.  The disagreement
+experiment reads one lag of it and the domination experiment every lag.
 """
 
 from __future__ import annotations
@@ -52,13 +57,12 @@ from .rng import (MC_SIGMAS, _BLOCK, ahead, frequency, index_sampler, sample_ind
                   stream_rng)
 
 # Steps per chunk of the speculative scan in `_scan`, and the steps a
-# chunk's speculation starts before it.  The lockstep pass costs one
-# numpy step per column, CHUNK + WARM columns per block, and each step
-# repaired serially costs one Python step; the warm-up leaves few to
-# repair.  On 10^6 steps at depth 12, 2,578 steps were repaired serially
-# (237 at CHUNK 512); at depth 16, 45,400, and 210,264 without the
-# lockstep re-run of stale chunks (34,263 at CHUNK 512), in about the
-# time CHUNK 512 took.
+# chunk's speculation starts before it.  The lockstep passes cost one
+# numpy step per row, CHUNK + WARM rows a block, and each step repaired
+# serially one Python step.  A longer warm-up leaves fewer steps to
+# repair but adds rows: 32 is the fastest at depth 12, and a warm-up
+# longer than a chunk, gathered from the rows further back, is slower at
+# depths 12 and 16 alike.
 CHUNK = 64
 WARM = 32
 # Steps per block of a simulated path (`PathSample.blocks`) and of
@@ -86,9 +90,9 @@ class PathSample:
     :meth:`blocks` runs the simulation one block of PATH_BLOCK steps at a
     time, so a reader of the blocks holds block-sized buffers only.
     Reading :attr:`w`, :attr:`symbols` or :attr:`contexts` runs the same
-    blocks once over slices of the whole arrays, kept for later reads:
-    11 bytes a step.  :attr:`x` and :attr:`f` expand the symbols and
-    contexts when read."""
+    blocks once and copies them into the whole arrays, kept for later
+    reads: 11 bytes a step.  :attr:`x` and :attr:`f` expand the symbols
+    and contexts when read."""
 
     kernel: Kernel
     steps: int
@@ -100,17 +104,38 @@ class PathSample:
         PATH_BLOCK steps (the last one shorter): the innovations
         (float64), the symbols (uint8) and the context before each step
         (uint16).  They are views of three buffers that the next block
-        overwrites: read each block before asking for the next."""
-        n = min(PATH_BLOCK, self.steps)
-        return self._run(np.empty(n), np.empty(n, dtype=np.uint8),
-                         np.empty(n, dtype=np.uint16))
+        overwrites: read each block before asking for the next.
+
+        The stream after the start holds the `steps` threshold uniforms
+        u, then the `steps` auxiliary uniforms v.  A block draws its u
+        into the `w` buffer, runs the chain over it from the context the
+        block before left (:func:`_scan`), and encodes it in place,
+        ENCODE_PIECE steps at a time, with v drawn from :func:`.rng.ahead`
+        of the stream past every u: the doubles of drawing u and v whole."""
+        rng, _ = _path_rng(self.kernel, self.seed)
+        aux = ahead(rng, self.steps)
+        table = self.kernel.prob0_table
+        probs = table.tolist()
+        size = min(PATH_BLOCK, self.steps)
+        w, x, c = (np.empty(size, dtype=t) for t in (float, np.uint8, np.uint16))
+        ctx = self.init_ctx
+        for b0 in range(0, self.steps, PATH_BLOCK):
+            n = min(PATH_BLOCK, self.steps - b0)
+            wb, xb, cb = w[:n], x[:n], c[:n]
+            rng.random(out=wb)  # u until encoded
+            ctx, _ = _scan(table, probs, ctx, wb, xb, cb)
+            for e0 in range(0, n, ENCODE_PIECE):
+                e = slice(e0, min(e0 + ENCODE_PIECE, n))
+                wb[e] = encode_w(xb[e], aux.random(e.stop - e0), table.take(cb[e]))
+            yield wb, xb, cb
 
     @cached_property
     def _whole(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        w, x, c = (np.empty(self.steps, dtype=t) for t in (float, np.uint8, np.uint16))
-        for _ in self._run(w, x, c):
-            pass
-        return w, x, c
+        whole = tuple(np.empty(self.steps, dtype=t) for t in (float, np.uint8, np.uint16))
+        for b0, block in zip(range(0, self.steps, PATH_BLOCK), self.blocks()):
+            for a, b in zip(whole, block):
+                a[b0:b0 + b.size] = b
+        return whole
 
     @property
     def w(self) -> np.ndarray:
@@ -137,33 +162,6 @@ class PathSample:
         """The conditional P(X=0) used at each step."""
         return self.kernel.prob0_table.take(self.contexts)
 
-    def _run(self, w: np.ndarray, x: np.ndarray, c: np.ndarray):
-        """Simulate the path block by block into `w`, `x` and `c`, either
-        arrays of `steps` values, filled in order, or buffers of one
-        block that every block overwrites; yield each block's views.
-
-        The stream after the start holds the `steps` threshold uniforms
-        u, then the `steps` auxiliary uniforms v.  A block draws its u
-        into its slice of `w`, runs the chain over it from the context
-        the block before left (:func:`_scan`), and encodes it in place,
-        ENCODE_PIECE steps at a time, with v drawn from :func:`.rng.ahead`
-        of the stream past every u: the doubles of drawing u and v whole."""
-        rng, _ = _path_rng(self.kernel, self.seed)
-        aux = ahead(rng, self.steps)
-        table = self.kernel.prob0_table
-        probs = table.tolist()
-        ctx = self.init_ctx
-        for b0 in range(0, self.steps, PATH_BLOCK):
-            n = min(PATH_BLOCK, self.steps - b0)
-            at = slice(b0, b0 + n) if w.size == self.steps else slice(0, n)
-            wb, xb, cb = w[at], x[at], c[at]
-            rng.random(out=wb)  # u until encoded
-            ctx, _ = _scan(table, probs, ctx, wb, xb, cb)
-            for e0 in range(0, n, ENCODE_PIECE):
-                e = slice(e0, min(e0 + ENCODE_PIECE, n))
-                wb[e] = encode_w(xb[e], aux.random(e.stop - e0), table.take(cb[e]))
-            yield wb, xb, cb
-
 
 def _stationary_start(kernel: Kernel, rng: np.random.Generator) -> int:
     """The context of the last m symbols drawn from the stationary law,
@@ -182,12 +180,15 @@ def advance(kernel: Kernel, ctx: int, u) -> tuple[np.ndarray, np.ndarray]:
     PATH_BLOCK steps at a time from the context the block before left,
     byte-identical to stepping the chain serially; the steps it re-runs
     serially are bounded by the reset chain.  A kernel of memory above
-    16, whose contexts a uint16 cannot hold, raises CapExceededError."""
+    16, whose contexts a uint16 cannot hold, raises CapExceededError, and
+    a `u` that is not 1-D raises ValueError."""
     table = kernel.prob0_table
     if table.size > 1 << 16:
         raise CapExceededError(
             f"memory {kernel.memory} exceeds the 16 bits of a recorded context")
     u = np.ascontiguousarray(u, dtype=float)
+    if u.ndim != 1:
+        raise ValueError(f"the stream must be 1-D, not of shape {u.shape}")
     x = np.empty(u.size, dtype=np.uint8)
     c = np.empty(u.size, dtype=np.uint16)
     probs = table.tolist()
@@ -270,17 +271,15 @@ def _speculate(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
                c: np.ndarray) -> np.ndarray:
     """Step every row of the (chunks, CHUNK) views at once
     (:func:`_lockstep`): row 0 from `ctx`, every other row from context 0
-    at the last WARM uniforms of the row before, which are not recorded.
+    at the last WARM uniforms of the row before, through a first
+    :func:`_lockstep` whose record is discarded.
     Writes the symbols and the contexts before each step into `x` and
     `c`; returns each row's exit context (int64).  The uniforms are
     copied once into a transposed buffer, so each step reads a
     contiguous row; a block of _BLOCK steps fills it."""
-    rows = u.shape[0]
-    ctx_now = np.zeros(rows, dtype=np.int64)
+    ctx_now = np.zeros(u.shape[0], dtype=np.int64)
     ub = u.T.copy()
-    f, xw = np.empty(rows), np.empty(rows, dtype=bool)
-    for j in range(CHUNK - WARM, CHUNK):
-        _threshold(table, ctx_now[1:], ub[j, :-1], f[1:], xw[1:])
+    _lockstep(table, ctx_now[1:], ub[CHUNK - WARM:, :-1])  # the warm-up
     ctx_now[0] = ctx
     xb, cb = _lockstep(table, ctx_now, ub)
     x[:], c[:] = xb.T, cb.T
@@ -430,7 +429,7 @@ def simulate_path(kernel: Kernel, steps: int, seed: int) -> PathSample:
 def window_reconstruct(kernel: Kernel, w: np.ndarray, start_ctx: int = 0) -> np.ndarray:
     """Replay innovations through the decoder from the given context
     (default: all-zero prehistory), returning the reconstructed symbols
-    (uint8)."""
+    (uint8).  A `w` that is not 1-D raises ValueError."""
     return advance(kernel, start_ctx, w)[0]
 
 
@@ -506,25 +505,32 @@ class DisagreementRow:
     verdict: str  # "within-bound" | "violates-bound"
 
 
-def _replay_xors(kernel: Kernel, n_start: int, trials: int, seed: int,
-                 keep_bits: int):
+def _agreements(kernel: Kernel, n_start: int, trials: int, seed: int,
+                lags) -> list[int]:
     """Run the true chain and the zero-prehistory replay on shared
     innovations over [n_start; 0], one block of trials at a time from
-    :func:`_trial_blocks`, and yield per block the XOR of their final
-    contexts cut to `keep_bits` bits (true ^ replay; bit k set where
-    the two disagree k steps before the end).
+    :func:`_trial_blocks`, and count for each k in `lags` the trials
+    whose final contexts agree on [-k; 0].  The chains carry
+    max(max(lags) + 1, m) bits.
 
     The innovations are drawn uniform directly (same joint law as the
-    two-uniform encoder).  Each yielded array is the block's own and
-    may be changed in place."""
+    two-uniform encoder).  The counts add up over the blocks as
+    integers, so count / trials is the mean of the whole bool array bit
+    for bit."""
     rng = stream_rng(seed, "replay", kernel.label, f"N{n_start}")
     law = stationary_ctx_vector(kernel, kernel.memory)
-    table = kernel.prob0_over(keep_bits)
+    table = kernel.prob0_over(max(max(lags) + 1, kernel.memory))
+    agree = [0] * len(lags)
     for ctx_true, w in _trial_blocks(rng, law, trials, -n_start + 1):
         ctx_hat = np.zeros_like(ctx_true)
         coupled_walk(table, w, ctx_true, ctx_hat)
+        # Bit k of the XOR is set where the two disagree k steps before
+        # the end: they agree on [-k; 0] where its low k + 1 bits are 0.
         ctx_true ^= ctx_hat
-        yield ctx_true
+        for i, k in enumerate(lags):
+            np.bitwise_and(ctx_true, (1 << (k + 1)) - 1, out=ctx_hat)
+            agree[i] += ctx_hat.size - np.count_nonzero(ctx_hat)
+    return agree
 
 
 def disagreement_experiment(
@@ -540,14 +546,7 @@ def disagreement_experiment(
         raise CapExceededError(f"window {k_lags + 1} exceeds cap {MAX_WORD_LENGTH}")
     if k_lags >= -n_start + 1:
         raise ValueError("compared window cannot exceed the replayed range")
-    keep = max(k_lags + 1, kernel.memory)
-    # The two windows differ where the low k_lags + 1 bits of the end
-    # contexts do.
-    window = (1 << (k_lags + 1)) - 1
-    mismatches = 0
-    for diff in _replay_xors(kernel, n_start, trials, seed, keep):
-        diff &= window
-        mismatches += np.count_nonzero(diff)
+    mismatches = trials - _agreements(kernel, n_start, trials, seed, [k_lags])[0]
     freq, stderr = frequency(mismatches, trials)
     bound = reconstruction_bound(kernel, n_start, k_lags)
     ok = freq <= bound + MC_SIGMAS * stderr
@@ -575,25 +574,14 @@ def domination_experiment(
     seed: int,
 ) -> list[DominationRow]:
     """Check P(agreement length > M) >= P(Z_{|n_start|} > M) - MC_SIGMAS * stderr
-    for every M up to |n_start|: the reset chain is stochastically
-    dominated by the true agreement length.
-
-    The counts of agreeing trials add up over the blocks of trials as
-    integers, so count / trials is the mean of the whole bool array bit
-    for bit."""
+    for every M up to min(|n_start|, MAX_WORD_LENGTH - 1): the reset
+    chain is stochastically dominated by the true agreement length,
+    which exceeds M where the two final contexts agree on [-M; 0]."""
     n = -n_start
-    keep = max(min(n + 1, MAX_WORD_LENGTH), kernel.memory)
-    max_m = min(n, keep - 1)
+    max_m = min(n, MAX_WORD_LENGTH - 1)
     gammas = gamma_profile(kernel, kernel.memory).values
     dist = house_of_cards_dist(gammas, n)
-    # Agreement length = common low-bit run of the two final contexts:
-    # it exceeds m where the low m + 1 bits of their XOR are all 0.
-    agree = [0] * (max_m + 1)
-    for diff in _replay_xors(kernel, n_start, trials, seed, keep):
-        bits = np.empty_like(diff)
-        for m in range(max_m + 1):
-            np.bitwise_and(diff, (1 << (m + 1)) - 1, out=bits)
-            agree[m] += diff.size - np.count_nonzero(bits)
+    agree = _agreements(kernel, n_start, trials, seed, range(max_m + 1))
     rows = []
     for m in range(max_m + 1):
         mc, stderr = frequency(agree[m], trials)

@@ -379,24 +379,6 @@ def test_long_replay_memory_stays_blockwise():
     assert peak <= 12 * 2**20, peak
 
 
-def serial_replay_xors(kernel, n_start, trials, seed, keep_bits):
-    """The unblocked replay's end-context XOR, as one block."""
-    end_true, end_hat = serial_replay_words(kernel, n_start, trials, seed,
-                                            keep_bits)
-    yield end_true ^ end_hat
-
-
-@pytest.mark.parametrize("kernel", [MARKOV1, ANTITONE])
-def test_replay_experiments_match_unblocked_replay(kernel, monkeypatch):
-    trials = 3 * TRIAL_BLOCK + 5
-    blocked = (disagreement_experiment(kernel, -8, 2, trials, 43),
-               domination_experiment(kernel, -8, trials, 44))
-    monkeypatch.setattr(reconstruction, "_replay_xors", serial_replay_xors)
-    serial = (disagreement_experiment(kernel, -8, 2, trials, 43),
-              domination_experiment(kernel, -8, trials, 44))
-    assert blocked == serial
-
-
 @pytest.mark.parametrize("trials", [1, TRIAL_BLOCK + 5])
 def test_memoryless_trial_blocks_start_at_0(trials):
     # A memoryless kernel's stationary law has one entry: every start is
@@ -423,10 +405,18 @@ def test_memoryless_trial_blocks_start_at_0(trials):
 
 # 65536 values make one leaf of the pairwise sums; 300007 make six.
 ESTIMATOR_TRIALS = [2, TRIAL_BLOCK - 1, TRIAL_BLOCK + 1, 65535, 65537, 300_007]
+# Every estimator size on an iid kernel and the order-3 kernel, and
+# three blocks of trials and a few on a Markov kernel and an antitone one.
+REPLAY_CASES = [
+    *(pytest.param(kernel, trials, id=f"{name}-{trials}")
+      for name, kernel in [("iid", IID), ("order3", ORDER3)]
+      for trials in ESTIMATOR_TRIALS),
+    *(pytest.param(kernel, 3 * TRIAL_BLOCK + 5, id=f"{name}-{3 * TRIAL_BLOCK + 5}")
+      for name, kernel in [("markov1", MARKOV1), ("antitone", ANTITONE)]),
+]
 
 
-@pytest.mark.parametrize("trials", ESTIMATOR_TRIALS)
-@pytest.mark.parametrize("kernel", [IID, ORDER3], ids=["iid", "order3"])
+@pytest.mark.parametrize("kernel, trials", REPLAY_CASES)
 def test_replay_experiments_match_whole_array_reference(kernel, trials):
     # Oracle: the whole-array replay, its rows formed from bool arrays
     # with np.mean, as the unblocked experiments did.

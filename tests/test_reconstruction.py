@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,16 @@ def test_advance_rejects_contexts_wider_than_16_bits():
     kernel = Kernel(17, "raw-17", (1,) * (1 << 17), 2)
     with pytest.raises(CapExceededError):
         advance(kernel, 0, np.full(10, 0.5))
+
+
+@pytest.mark.parametrize("shape", [(3, 200), (2, 1, 4)])
+def test_advance_rejects_streams_that_are_not_1d(shape):
+    # A (3, 200) stream used to fail inside the scan, in a reshape to
+    # chunks that named neither the stream nor its shape.
+    u = np.full(shape, 0.5)
+    for run in (advance, lambda kernel, ctx, w: window_reconstruct(kernel, w, ctx)):
+        with pytest.raises(ValueError, match=re.escape(f"1-D, not of shape {shape}")):
+            run(MARKOV1, 0, u)
 
 
 @pytest.mark.parametrize("ctx", [0, 1])
