@@ -18,7 +18,11 @@ depth's flip table and steps through :func:`.reconstruction.coupled_walk`.
 The generator-gap check and the stitch read their trials one block at a
 time from :func:`.reconstruction._trial_blocks`: the gap check counts
 each block by its end pair of contexts, and the stitch re-encodes each
-block's W into U in place and feeds it to the audit.
+block's W into U in place and feeds it to the audit.  The stitch makes
+one pass over its blocks, in time order: each block is re-encoded and
+then every row that has started is carried through it by an inverse
+run, and row 0, whose inverse run would retrace the forward one exactly,
+is read off the forward run's true end.
 
 Time convention: a run over [N; 0] takes |N|+1 steps; the step landing
 at time t uses the orientation table at depth -t + 1 (depth |N|+1 first,
@@ -46,7 +50,7 @@ _MAX_BLOCK_DEPTH = 200
 # _MAX_BLOCK_DEPTH steps and a replay lane, so a stitch is at most 3200
 # steps wide: a block of 2048 trials (`_trial_blocks`) holds at most
 # 50 MiB of uniforms, and each trial is stepped over the width at most
-# 16 times (the forward run and at most 15 lanes of `_replay_ends`).
+# 16 times (the forward run and at most 15 lanes of `_stitch_trials`).
 # Halving from 0.5 down to the finest final tolerance, 3^-7, takes 11.
 MAX_TOLERANCES = 16
 
@@ -287,48 +291,6 @@ def _plan_block(engine: CouplingEngine, threshold: float, p_min: int):
     )
 
 
-def _replay_ends(engine, u, cols, anchors, ctx_before_0, hat_ends):
-    """End contexts of the inverse runs of every stitch row over the
-    stitched u: row 0 replays block 0 (columns `cols[0]`) from
-    `ctx_before_0`, and row j >= 1 replays blocks j-1 .. 0 from the
-    anchor word of block j-1, each block i with its hat chain at
-    `anchors[i]`.
-
-    Row j is carried as lane j, one context array, through the blocks
-    in time order; two shortcuts make this exact work once per lane.
-    Every metric table has value 0 and orientation -1 on its diagonal,
-    so a lane that starts a block with true = hat never flips and
-    retraces the block's forward hat chain: lane j leaves block j-1 at
-    `hat_ends[j-1]` without a run.  And a run is a function of its entry
-    context per trial, so a trial that enters a block in the same
-    context as lane j-1 ends in lane j-1's context; only the other trials
-    of lane j are replayed.  Lane j therefore replays block j-2 in full,
-    and few trials afterwards.  While more than half of a lane's trials
-    are live it runs them all, since gathering the live rows of u costs
-    more than stepping the merged ones; their ends are overwritten.
-    """
-    def run(i, ctx, rows):
-        hat = np.full(len(ctx), anchors[i], dtype=np.int64)
-        return coupled_run(engine, u[rows, cols[i]], ctx, hat, v_is_u=True)[0]
-
-    lanes = []  # lanes 1, 2, ... at the current block boundary
-    for i in reversed(range(len(cols) - 1)):
-        # Lane i+1 enters block i at anchors[i]; the older lanes enter it
-        # at their contexts, merged where they meet the next newer lane.
-        entries = [anchors[i]] + lanes
-        merged = [ctx == entry for ctx, entry in zip(lanes, entries)]
-        newer_end = hat_ends[i]
-        for ctx, same in zip(lanes, merged):
-            live = np.flatnonzero(~same)
-            rows = slice(None) if 2 * live.size > len(ctx) else live
-            if live.size:
-                ctx[rows] = run(i, ctx[rows], rows)
-            np.copyto(ctx, newer_end, where=same)
-            newer_end = ctx
-        lanes.insert(0, hat_ends[i])
-    return [run(0, ctx_before_0, slice(None))] + lanes
-
-
 def stitch_blocks(
     kernel: Kernel,
     deltas: tuple[float, ...],
@@ -350,20 +312,22 @@ def stitch_blocks(
     stitched innovations.  The schedule is strictly decreasing and holds
     at most MAX_TOLERANCES tolerances, the last at least 3^-D.
 
-    S_j is read off an inverse coupled run over the stitched u: row 0
-    replays block 0 from the true context before it (an exact round
-    trip), and row j >= 1 replays blocks j-1 .. 0 from block j-1's
-    anchor word, each block's hat chain regenerated from its own anchor.
-    :func:`_replay_ends` computes these ends byte-identically with less
-    work: row j takes block j-1 from the forward hat chain without a run,
-    and past block j-2 it replays only its trials that have not met row
-    j-1 at a block boundary.
+    S_j is read off an inverse coupled run over the stitched u: row j >= 1
+    replays blocks j-1 .. 0 from block j-1's anchor word, each block's
+    hat chain regenerated from its own anchor, and row 0 is the true end
+    of the forward run, which the inverse run of block 0 from the true
+    context before it would retrace exactly.  :func:`_stitch_trials`
+    makes one pass over the blocks in time order: it re-encodes block j
+    and then carries rows j+2 .. J through it, replaying only their
+    trials that have not met the next newer row at a block boundary; row
+    j+1 leaves block j at its forward hat end without a run.
 
     The trials are read one block at a time from :func:`_trial_blocks`;
     :func:`_stitch_trials` re-encodes each block's w into u in that
-    source's buffer, replays it and counts each row's exceedances, and
-    the audit copies the block's u into its window buffer before the next
-    block overwrites it.  So the stitch holds one block of at most
+    source's buffer and returns each row's end contexts, whose
+    exceedances are counted here, and the audit copies the block's u into
+    its window buffer before the next block overwrites it.  So the stitch
+    holds one block of at most
     max(4 _BLOCK, TRIAL_BLOCK x T / 4) uniforms, T the width, and a few
     arrays of one block's trials.  Rows and audit are those of stitching
     all trials at once: the blocks of trials are consecutive rows of the
@@ -405,18 +369,23 @@ def stitch_blocks(
     rng = stream_rng(seed, "stitch", kernel.label, f"J{n_blocks - 1}")
     cols = [slice(m[j + 1] - t_min, m[j] - t_min) for j in range(n_blocks)]
     anchor_ints = [word_to_int(a) for a in anchors]
-    far = []  # per trial block, the trials of each row whose S_j is far
+    exceeded = [0] * n_blocks  # per row, the trials whose S_j is far
 
     def stitched():
         for ctx, u in _trial_blocks(rng, engine.pi, trials, width):
-            far.append(_stitch_trials(engine, u, ctx, cols, anchor_ints, deltas))
+            # R_D at each row's end; row 0 ends at the true context.
+            s = [engine.generator.take(e)
+                 for e in _stitch_trials(engine, u, ctx, cols, anchor_ints)]
+            for j, (s_j, delta) in enumerate(zip(s, deltas)):
+                far = np.abs(s_j - s[0]) > delta
+                exceeded[j] += int(np.count_nonzero(far))
             yield u.ravel()  # w re-encoded into u in place
 
     audit = _audit(stitched(), trials * width)
 
     rows = []
-    for j, (delta, exceeded) in enumerate(zip(deltas, map(sum, zip(*far)))):
-        freq, stderr = frequency(exceeded, trials)
+    for j, (delta, count) in enumerate(zip(deltas, exceeded)):
+        freq, stderr = frequency(count, trials)
         verdict = "ok" if freq <= delta + MC_SIGMAS * stderr else "exceeded"
         rows.append(
             StitchRow(
@@ -427,24 +396,54 @@ def stitch_blocks(
     return StitchReport(rows, audit, trials)
 
 
-def _stitch_trials(engine, u, ctx_true, cols, anchors, deltas):
-    """Stitch one block of trials: re-encode their innovations `u` (w on
-    entry, shape (trials, width)) into u in place, block j over columns
-    `cols[j]` from the true contexts `ctx_true` and its hat chain at
-    `anchors[j]`; a run none of whose depths has antitone entries keeps
-    u = w and writes nothing.  Returns per row j the trials whose S_j is
-    more than `deltas[j]` from R_D."""
-    hat_ends = [None] * len(cols)
+def _stitch_trials(engine, u, ctx_true, cols, anchors):
+    """Stitch one block of trials in one pass over its blocks, in time
+    order: re-encode block j of their innovations `u` (w on entry, shape
+    (trials, width)) into u in place, over columns `cols[j]` from the
+    true contexts and its hat chain at `anchors[j]`, then carry the rows
+    that have started through it.  A run none of whose depths has
+    antitone entries keeps u = w and writes nothing.  Returns the end
+    contexts of rows 0 .. J.
+
+    Row 0 is the forward true end, `ctx_true` moved in place: the
+    inverse run from the same entry context would retrace it, since the
+    stream's doubles are multiples of 2^-53, so u = 1 - w is exact and
+    1 - u gives w back.  Row j >= 1 is carried as a lane, one context
+    array, and two shortcuts make this exact work once per lane.  Every
+    metric table has value 0 and orientation -1 on its diagonal, so a
+    lane that starts a block with true = hat never flips and retraces the
+    block's forward hat chain: row j, which starts at block j-1's anchor,
+    leaves that block at its forward hat end without a run.  And a run is
+    a function of its entry context per trial, so a trial that enters a
+    block in the same context as row j-1 ends in row j-1's context; only
+    the other trials of row j are replayed.  Row j therefore replays
+    block j-2 in full, and few trials afterwards.  While more than half
+    of a lane's trials are live it runs them all, since gathering the
+    live rows of u costs more than stepping the merged ones; their ends
+    are overwritten."""
+    lanes = []  # rows j+2, j+3, ... as they enter block j
     for j in reversed(range(len(cols))):
-        if j == 0:
-            ctx_before_0 = ctx_true.copy()  # the run below moves ctx_true
         block = u[:, cols[j]]
         hat = np.full(len(ctx_true), anchors[j], dtype=np.int64)
         flips = any(engine.table(p).flip is not None
                     for p in range(1, block.shape[1] + 1))
-        ctx_true, hat_ends[j] = coupled_run(engine, block, ctx_true, hat,
-                                            other=block if flips else None)
-    r_true = engine.generator.take(ctx_true)
-    ends = _replay_ends(engine, u, cols, anchors, ctx_before_0, hat_ends)
-    return [int(np.count_nonzero(np.abs(engine.generator.take(e) - r_true) > delta))
-            for e, delta in zip(ends, deltas)]
+        ctx_true, hat = coupled_run(engine, block, ctx_true, hat,
+                                    other=block if flips else None)
+        # Row j+1 enters block j at anchors[j]; the older rows enter it
+        # at their contexts, merged where they meet the next newer row.
+        entries = [anchors[j]] + lanes
+        merged = [ctx == entry for ctx, entry in zip(lanes, entries)]
+        newer_end = hat
+        for ctx, same in zip(lanes, merged):
+            live = np.flatnonzero(~same)
+            rows = slice(None) if 2 * live.size > len(ctx) else live
+            if live.size:
+                sub = ctx[rows]
+                hat_j = np.full_like(sub, anchors[j])
+                ctx[rows] = coupled_run(engine, u[rows, cols[j]], sub, hat_j,
+                                        v_is_u=True)[0]
+            np.copyto(ctx, newer_end, where=same)
+            newer_end = ctx
+        if j < len(cols) - 1:  # no row starts at the earliest block
+            lanes.insert(0, hat)
+    return [ctx_true] + lanes

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .words import as_word, word_to_int
+from .words import as_word, parse_word, word_to_int
 
 MAX_MEMORY_DEPTH = 16
 MAX_WORD_LENGTH = 16
@@ -140,9 +140,7 @@ def _markov_from_table(order: int, table: Mapping) -> Kernel:
     _check_markov_order(order)  # before sizing the table by it
     probs = [None] * (1 << order)
     for key, p in table.items():
-        word = as_word(key) if not isinstance(key, str) else as_word(
-            int(c) for c in key
-        )
+        word = parse_word(key) if isinstance(key, str) else as_word(key)
         if len(word) != order:
             raise ValueError(f"context {word!r} does not have length {order}")
         probs[word_to_int(word)] = float(p)

@@ -206,23 +206,26 @@ def _scan(table: np.ndarray, probs: list, ctx: int, u: np.ndarray,
     repair speculation.  The callers pass blocks of at most PATH_BLOCK
     steps, so the lockstep passes stage at most _BLOCK values.
 
-    A stream of at least 2 CHUNK steps is cut into CHUNK-step chunks, and
-    one vectorized pass steps every chunk at once (:func:`_speculate`):
-    chunk 0 from `ctx`, every other chunk from the guessed context 0,
-    WARM steps before its start, over the last WARM uniforms of the chunk
-    before.  Each chunk then holds the chain run over its uniforms from
-    its recorded entry context, and its recorded exit.  A chunk is right
-    once the chunk before is and its entry equals that chunk's exit; one
+    A stream of at least 2 CHUNK steps is cut into CHUNK-step chunks,
+    whose uniforms are copied once into a transposed buffer, so that each
+    step of a vectorized pass (:func:`_lockstep`) reads a contiguous row.
+    A warm-up pass, whose record is discarded, steps context 0 over the
+    last WARM uniforms of every chunk but the last; one pass then steps
+    every chunk at once from its guessed entry: chunk 0 from `ctx`, every
+    other chunk from the warm-up's exit over the chunk before.  Each
+    chunk then holds the chain run over its uniforms from its recorded
+    entry context, and its recorded exit.  A chunk is right once the
+    chunk before is and its entry equals that chunk's exit; one
     comparison over all seams finds the chunks where they differ.  When
-    more than CHUNK are stale, they are first re-run at once from the
-    exits before them, which leaves stale only those after a chunk whose
-    re-run changed its exit.  Each chunk still stale is re-run serially
-    from the true exit of the chunk before, until the true context equals
-    the recorded one; from there on the recorded symbols, contexts and
-    exit are already right.  A repair that runs to the end of its chunk
-    without meeting hands its own exit on, and the next chunk is re-run
-    from it.  Two chains on the same uniforms agree once their last m
-    symbols do, so the expected repair per chunk is at most
+    more than CHUNK are stale, the same pass re-runs them at once from
+    the exits before them, which leaves stale only those after a chunk
+    whose re-run changed its exit.  Each chunk still stale is re-run
+    serially from the true exit of the chunk before, until the true
+    context equals the recorded one; from there on the recorded symbols,
+    contexts and exit are already right.  A repair that runs to the end
+    of its chunk without meeting hands its own exit on, and the next
+    chunk is re-run from it.  Two chains on the same uniforms agree once
+    their last m symbols do, so the expected repair per chunk is at most
     sum_{n < CHUNK} P(Z_{WARM + n} < m) for the reset chain Z, however
     large 2^m is; the warm-up leaves most seams right as they stand.
     Every symbol comes from the same float comparison u > table[ctx] as
@@ -238,17 +241,22 @@ def _scan(table: np.ndarray, probs: list, ctx: int, u: np.ndarray,
     repaired = 0
     if n_chunks:
         u2, x2, c2 = (a[:head].reshape(n_chunks, CHUNK) for a in (u, x, c))
-        exits = _speculate(table, ctx, u2, x2, c2)
-        stale = np.flatnonzero(exits[:-1] != c2[1:, 0]) + 1
+        ub = u2.T.copy()  # each lockstep step reads one contiguous row
+        exits = np.zeros(n_chunks, dtype=np.int64)
+        _lockstep(table, exits[1:], ub[CHUNK - WARM:, :-1])  # the warm-up
+        exits[0] = ctx
         # A lockstep pass costs CHUNK numpy steps whatever its rows, a
         # serial step one Python step: at depth 16 about 300 chunks of a
-        # block are stale and the pass halves the scan; at depth 12 about
-        # 25 are, whose serial repairs cost less than the pass.
-        if stale.size > CHUNK:
-            entries = exits[stale - 1]
-            xb, cb = _lockstep(table, entries, u2.T[:, stale])
-            x2[stale], c2[stale], exits[stale] = xb.T, cb.T, entries
+        # block are stale and the re-run halves the scan; at depth 12
+        # about 25 are, whose serial repairs cost less than the re-run.
+        rows, entries = slice(None), exits
+        for _ in range(2):
+            xb, cb = _lockstep(table, entries, ub[:, rows])
+            x2[rows], c2[rows], exits[rows] = xb.T, cb.T, entries
             stale = np.flatnonzero(exits[:-1] != c2[1:, 0]) + 1
+            if stale.size <= CHUNK:
+                break
+            rows, entries = stale, exits[stale - 1]
         ctx = int(exits[-1])
         done = 0  # chunks before `done` are right
         for i in stale.tolist():
@@ -265,25 +273,6 @@ def _scan(table: np.ndarray, probs: list, ctx: int, u: np.ndarray,
                 ctx = entry
     _, ctx = _serial(probs, mask, ctx, uv, xv, cv, head, u.size)
     return ctx, repaired
-
-
-def _speculate(table: np.ndarray, ctx: int, u: np.ndarray, x: np.ndarray,
-               c: np.ndarray) -> np.ndarray:
-    """Step every row of the (chunks, CHUNK) views at once
-    (:func:`_lockstep`): row 0 from `ctx`, every other row from context 0
-    at the last WARM uniforms of the row before, through a first
-    :func:`_lockstep` whose record is discarded.
-    Writes the symbols and the contexts before each step into `x` and
-    `c`; returns each row's exit context (int64).  The uniforms are
-    copied once into a transposed buffer, so each step reads a
-    contiguous row; a block of _BLOCK steps fills it."""
-    ctx_now = np.zeros(u.shape[0], dtype=np.int64)
-    ub = u.T.copy()
-    _lockstep(table, ctx_now[1:], ub[CHUNK - WARM:, :-1])  # the warm-up
-    ctx_now[0] = ctx
-    xb, cb = _lockstep(table, ctx_now, ub)
-    x[:], c[:] = xb.T, cb.T
-    return ctx_now
 
 
 def _lockstep(table: np.ndarray, ctx: np.ndarray,
@@ -385,8 +374,8 @@ def coupled_walk(table: np.ndarray, v, ctx_true: np.ndarray,
 def _trial_blocks(rng: np.random.Generator, law, trials: int, steps: int):
     """Yield, for one block of trials at a time, the block's start
     contexts, drawn from `law`, and its (n, steps) uniforms: the values
-    of drawing every start, ``sample_index(rng, law, trials)``, and then
-    the whole ``rng.random((trials, steps))``.  A block holds
+    of drawing every start, ``rng.choice(len(law), p=law, size=trials)``,
+    and then the whole ``rng.random((trials, steps))``.  A block holds
     TRIAL_BLOCK trials up to 32 steps and 4 _BLOCK // steps beyond, but
     no fewer than TRIAL_BLOCK // 4: 3855 trials (2.0 MiB) at 68 steps,
     2048 (9.4 MiB) at 601.  The starts are the quantiles

@@ -5,13 +5,13 @@ order or parallel schedule.
 :func:`index_sampler` maps uniforms to the indices of a finite law by
 guide-table lookup (Chen & Asau 1974; Devroye 1986, section III.2)
 instead of one binary search per uniform: a quantile map, built once per
-law, that draws nothing itself.  :func:`sample_index` is that map over
-``rng.random(size)``, with the values and the stream use of
-``Generator.choice``.  :func:`ahead` splits a stream: a copy advanced
-past the next n draws, so two consecutive stretches of one stream can
-be read side by side, one block of each at a time.  :func:`frequency`
-and MC_SIGMAS set how far every Monte Carlo verdict lets an estimate
-stray."""
+law, that draws nothing itself; ``index_sampler(p)(rng.random(size))``
+has the values and the stream use of ``Generator.choice``, and
+:func:`sample_index` draws one index so, by one binary search.
+:func:`ahead` splits a stream: a copy advanced past the next n draws,
+so two consecutive stretches of one stream can be read side by side,
+one block of each at a time.  :func:`frequency` and MC_SIGMAS set how
+far every Monte Carlo verdict lets an estimate stray."""
 
 from __future__ import annotations
 
@@ -73,9 +73,9 @@ def index_sampler(p):
     ``quantile(u)``, which maps an array of uniforms u in [0, 1) to the
     int64 indices #{cdf <= u}, of u's shape.  These are the values
     ``Generator.choice`` returns for the same uniforms, so
-    ``quantile(rng.random(size))`` is :func:`sample_index` (rng, p,
-    size), and the quantiles of consecutive blocks of one stream are
-    those of one draw over their total.
+    ``quantile(rng.random(size))`` is ``rng.choice(len(p), p=p,
+    size=size)``, and the quantiles of consecutive blocks of one stream
+    are those of one draw over their total.
 
     ``choice`` finds #{cdf <= u} by binary search.  Here [0, 1) is cut
     into G = 2^_GUIDE_BITS equal buckets; a bucket with no cdf point
@@ -99,11 +99,10 @@ def index_sampler(p):
     return quantile
 
 
-def sample_index(rng: np.random.Generator, p, size=None):
-    """Indices drawn from the law `p`: the same int64 values (a Python
-    int when `size` is None) as ``rng.choice(p.size, p=p, size=size)``,
-    from the same uniforms, so the stream is left in the same state.
-    See :func:`index_sampler`; one draw needs no guide table."""
-    if size is None:
-        return int(_cdf(p).searchsorted(rng.random(), side="right"))
-    return index_sampler(p)(rng.random(size))
+def sample_index(rng: np.random.Generator, p) -> int:
+    """One index drawn from the law `p`: the value of
+    ``rng.choice(p.size, p=p)``, from the same uniform, so the stream is
+    left in the same state.  One binary search over the cdf; the guide
+    table of :func:`index_sampler`, built for many draws, would cost far
+    more than the one draw."""
+    return int(_cdf(p).searchsorted(rng.random(), side="right"))

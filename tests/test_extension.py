@@ -479,7 +479,21 @@ def test_round_trip_reconstruction():
     # The inverse run reproduces the true and hat symbols bit for bit.
     assert np.array_equal(symbols(x_end, steps), symbols(end_true, steps))
     assert np.array_equal(symbols(xhat_end, steps), symbols(end_hat, steps))
-    assert np.allclose(w_back, w, rtol=0.0, atol=2.0**-52)
+    assert np.array_equal(w_back, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ks=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=50),
+       seed=st.integers(0, 2**32 - 1))
+def test_flip_is_an_exact_involution(ks, seed):
+    # The stream's doubles are multiples k 2^-53 of [0, 1), on which
+    # u = 1 - w is exact and 1 - u gives w back: an inverse run retraces
+    # the forward run bit for bit, as the stitch's row 0 assumes.
+    k = stream_rng(seed, "flip").random(64) * 2.0**53
+    assert np.array_equal(k, np.floor(k))
+    w = np.array(ks, dtype=float) * 2.0**-53
+    u = np.subtract(1.0, w)
+    assert np.array_equal(np.subtract(1.0, u), w)
 
 
 # Every orientation of the markov1 demo is monotone (u = w).  The
@@ -504,7 +518,7 @@ def test_inverse_run_longer_than_table_width(kernel, steps, flips):
     assert np.any(u != w) == flips
     x_end, xhat_end = coupled_run(engine, u, ctx_true, ctx_hat, v_is_u=True,
                                   other=w_back)
-    assert np.allclose(w_back, w, rtol=0.0, atol=2.0**-52)
+    assert np.array_equal(w_back, w)
     assert np.array_equal(x_end, end_true)
     assert np.array_equal(xhat_end, end_hat)
 
@@ -920,18 +934,19 @@ def test_stitch_audit_is_the_audit_of_the_whole_u(monkeypatch):
 
 
 # The stitch replay.  Oracle: every row replayed on its own, row j >= 1
-# over blocks j-1 .. 0 from block j-1's anchor word, row 0 over block 0
-# from the true context before it.
+# over blocks j-1 .. 0 from block j-1's anchor word, row 0 over every
+# block from the context the forward run entered with.
 
 
-def nested_replay_ends(engine, u, cols, anchors, ctx_before_0, hat_ends):
+def nested_replay_ends(engine, u, cols, anchors, ctx_start):
     ends = []
     for j in range(len(cols)):
         if j == 0:
-            ctx = ctx_before_0.copy()
+            ctx, blocks = ctx_start.copy(), range(len(cols))
         else:
             ctx = np.full(u.shape[0], anchors[j - 1], dtype=np.int64)
-        for i in reversed(range(max(j, 1))):
+            blocks = range(j)
+        for i in reversed(blocks):
             hat = np.full(u.shape[0], anchors[i], dtype=np.int64)
             ctx, _ = coupled_run(engine, u[:, cols[i]], ctx, hat, v_is_u=True)
         ends.append(ctx)
@@ -970,27 +985,29 @@ def inverse_runs(monkeypatch):
 def test_stitch_replay_matches_nested_replay(kernel, deltas, depth,
                                              monkeypatch, inverse_runs):
     trials = 2 * TRIAL_BLOCK + 5
-    lanes = extension._replay_ends
+    stitch_trials = extension._stitch_trials
 
-    def checked(*args):
-        expected = nested_replay_ends(*args)
-        ends = lanes(*args)
+    def checked(engine, u, ctx, cols, anchors):
+        start = ctx.copy()  # the forward run moves ctx
+        ends = stitch_trials(engine, u, ctx, cols, anchors)
+        # Row 0 is the forward true end, which the inverse runs of every
+        # block from the same start retrace exactly (1 - (1 - w) == w).
+        expected = nested_replay_ends(engine, u, cols, anchors, start)
         for got, ref in zip(ends, expected, strict=True):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
         return ends
 
-    monkeypatch.setattr(extension, "_replay_ends", checked)
-    report = stitch_blocks(kernel, deltas, trials, 89, depth)
+    monkeypatch.setattr(extension, "_stitch_trials", checked)
+    stitch_blocks(kernel, deltas, trials, 89, depth)
     # Some trials of the oldest lane merged, and some were replayed
     # further, each in a partial block of TRIAL_BLOCK trials.
     assert any(0 < n < TRIAL_BLOCK for n, _ in inverse_runs)
-    monkeypatch.setattr(extension, "_replay_ends", nested_replay_ends)
-    assert report == stitch_blocks(kernel, deltas, trials, 89, depth)
 
 
 def test_stitch_replays_each_block_once_per_lane(inverse_runs):
     # The schedule of the benchmark's stitch.  The nested replay ran
-    # block 0 for row 0 and blocks j-1 .. 0 for every row j >= 1.
+    # block 0 for row 0 and blocks j-1 .. 0 for every row j >= 1; the
+    # one-pass stitch runs none for row 0.
     trials = 3 * TRIAL_BLOCK + 5
     report = stitch_blocks(MARKOV1, (0.2, 0.1, 0.05, 0.02, 0.01, 0.005),
                            trials, 29, 7)

@@ -58,6 +58,14 @@ laws = st.one_of(
 )
 
 
+def _drawn(rng, p, size):
+    """Indices drawn from `p` as the package draws them: one by
+    sample_index, many by the quantile map over size uniforms."""
+    if size is None:
+        return sample_index(rng, p)
+    return index_sampler(p)(rng.random(size))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     p=laws,
@@ -72,7 +80,7 @@ def test_sample_index_matches_choice(p, size, seed):
     # the stream left in the same state.
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     ref = ref_rng.choice(p.size, p=p, size=size)
-    got = sample_index(rng, p, size)
+    got = _drawn(rng, p, size)
     assert type(got) is type(ref)
     if size is not None:
         assert got.dtype == ref.dtype == np.int64
@@ -84,7 +92,7 @@ def test_sample_index_matches_choice(p, size, seed):
 def test_sample_index_multidimensional_size():
     p = _normalized([1, 0, 2, 5])
     ref = np.random.default_rng(3).choice(4, p=p, size=(50, 7))
-    got = sample_index(np.random.default_rng(3), p, (50, 7))
+    got = _drawn(np.random.default_rng(3), p, (50, 7))
     assert got.shape == (50, 7) and np.array_equal(got, ref)
 
 
@@ -101,8 +109,9 @@ def test_sample_index_multidimensional_size():
 def test_sample_index_rejects_what_choice_rejects(p):
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(max(p.size, 1), p=p, size=3)
-    with pytest.raises(ValueError):
-        sample_index(np.random.default_rng(0), p, 3)
+    for size in (None, 3):
+        with pytest.raises(ValueError):
+            _drawn(np.random.default_rng(0), p, size)
 
 
 def test_stream_labels_read_as_strings():
@@ -133,10 +142,10 @@ def test_ahead_skips_the_next_draws(n, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_index_sampler_blocks_match_one_draw(p, blocks, seed):
     # One quantile map over consecutive blocks of uniforms: the values of
-    # one sample_index call over their total, and the same end state of
-    # the stream.
+    # one Generator.choice call over their total, and the same end state
+    # of the stream.
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref = sample_index(ref_rng, p, sum(blocks))
+    ref = ref_rng.choice(p.size, p=p, size=sum(blocks))
     quantile = index_sampler(p)
     got = np.concatenate([quantile(rng.random(n)) for n in blocks])
     assert got.dtype == ref.dtype and np.array_equal(got, ref)

@@ -62,17 +62,19 @@ def hat_on_one_minus_w(module):
     return module, "coupled_walk", walk
 
 
-def inverse_ends_shifted():
-    """The stitch's inverse runs of rows j >= 1, their end contexts shifted
-    by one bit."""
-    real = extension._replay_ends
+def stitch_ends_shifted():
+    """The ends from which the stitch reads rows j >= 1, shifted by one
+    bit: the hat end of each forward run and the true end of each inverse
+    run (`v_is_u`) that `coupled_run` returns."""
+    real = extension.coupled_run
 
-    def replay_ends(engine, *args):
-        ends = real(engine, *args)
-        mask = (1 << engine.length) - 1
-        return ends[:1] + [(e << 1) & mask for e in ends[1:]]
+    def coupled_run(engine, v, ctx_true, ctx_hat, v_is_u=False, other=None):
+        ends = list(real(engine, v, ctx_true, ctx_hat, v_is_u, other))
+        shifted = 0 if v_is_u else 1
+        ends[shifted] = (ends[shifted] << 1) & ((1 << engine.length) - 1)
+        return tuple(ends)
 
-    return extension, "_replay_ends", replay_ends
+    return extension, "coupled_run", coupled_run
 
 
 def stitched_u_squared():
@@ -102,7 +104,7 @@ MUTANTS = {
     # A gross fault: the hat chain started at the true context still
     # passes (ROADMAP item 11).
     ("extend", "generator_gap"): lambda: hat_on_one_minus_w(extension),
-    ("stitch", "block_j"): inverse_ends_shifted,
+    ("stitch", "block_j"): stitch_ends_shifted,
     ("stitch", "stitched_u_audit"): stitched_u_squared,
 }
 
