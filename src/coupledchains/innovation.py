@@ -21,11 +21,14 @@ chi-square counts consecutive pairs on an AUDIT_BINS x AUDIT_BINS
 therefore have closed forms and need no statistics library.
 
 The audit reads its stream once, from an iterable of blocks of any size,
-in windows at fixed places in the stream, each copied into one buffer:
-each counts a histogram of 2^16 buckets, which bounds the KS distance,
-and the pair grid, and sums the lag products of the values shifted by
-the first block's mean.  Block sums are added by math.fsum, so neither
-the report nor the memory held depends on how the source cuts the stream.
+in windows at fixed places in the stream, each copied into one buffer.
+Each window is counted a quarter window at a time: the values' buckets
+of a 2^16-bucket histogram, which bounds the KS distance, and the codes
+of the pair grid are scatter-added (np.add.at) into the counts, so no
+count allocates a histogram-sized result.  Each window also sums the lag
+products of the values shifted by the first block's mean.  Block sums
+are added by math.fsum, so neither the report nor the memory held
+depends on how the source cuts the stream.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ _CORR_QUANTILE = NormalDist().inv_cdf(1.0 - AUDIT_LEVEL / (2 * AUDIT_LAGS))
 # floor(w * AUDIT_BINS) is the bucket shifted right by _BIN_SHIFT.
 _BUCKETS = 1 << 16
 _BIN_SHIFT = _BUCKETS.bit_length() - AUDIT_BINS.bit_length()
+# The values of a window are counted a quarter window at a time.
+_QUARTER = _BLOCK // 4
 # Row length of the lag sums: einsum sums each row in order and np.sum
 # the row sums pairwise, so rounding does not build up along a block.
 _ROW = 128
@@ -127,15 +132,19 @@ def _tally(blocks, n: int):
     window [k * _BLOCK, (k + 1) * _BLOCK + AUDIT_LAGS) is copied, piece
     by piece, into one buffer, where it is range-checked, counted and
     shifted in place, and sums the terms of t in its block
-    [k, k + 1) * _BLOCK; the block sums are added by math.fsum.  A piece
-    is read only until the next is asked for, so a source may overwrite
-    one buffer for every piece; a source that yields fewer or more than
-    n values is a ValueError.  After a value out of range the rest of
-    the source is read but not counted."""
+    [k, k + 1) * _BLOCK; the block sums are added by math.fsum.  The
+    block is counted in quarters of _QUARTER values, through buffers of
+    one quarter: each quarter's buckets and pair codes are added into
+    the counts by np.add.at, and its last pair reads the first value of
+    the next quarter, whose bucket is counted with that quarter.  A
+    piece of the source is read only until the next is asked for, so a
+    source may overwrite one buffer for every piece; a source that
+    yields fewer or more than n values is a ValueError.  After a value
+    out of range the rest of the source is read but not counted."""
     hist = np.zeros(_BUCKETS, dtype=np.intp)
     pairs = np.zeros(AUDIT_BINS * AUDIT_BINS, dtype=np.intp)
-    j = np.empty(_BLOCK + 1, dtype=np.intp)  # buckets, then bins
-    codes = np.empty(_BLOCK, dtype=np.intp)
+    j = np.empty(_QUARTER + 1, dtype=np.intp)  # buckets, then bins
+    codes = np.empty(_QUARTER, dtype=np.intp)
     # The window, shifted into a in place, and zeros past it: the lag
     # sums' rows read zeros past the end.
     a = np.zeros(min(-(-n // _ROW) * _ROW, _BLOCK) + AUDIT_LAGS)
@@ -168,12 +177,17 @@ def _tally(blocks, n: int):
             continue
         size = min(m, _BLOCK)
         p = min(m, _BLOCK + 1)  # the block and its last pair
-        np.multiply(x[:p], _BUCKETS, out=j[:p], casting="unsafe")
-        hist += np.bincount(j[:size], minlength=_BUCKETS)
-        np.right_shift(j[:p], _BIN_SHIFT, out=j[:p])
-        np.multiply(j[:p - 1], AUDIT_BINS, out=codes[:p - 1])
-        codes[:p - 1] += j[1:p]
-        pairs += np.bincount(codes[:p - 1], minlength=AUDIT_BINS * AUDIT_BINS)
+        for q in range(0, size, _QUARTER):
+            # The quarter's c values and the first of the next, which its
+            # last pair reads; that value's bucket is counted there.
+            c = min(_QUARTER, size - q)
+            e = min(c + 1, p - q)
+            np.multiply(x[q:q + e], _BUCKETS, out=j[:e], casting="unsafe")
+            np.add.at(hist, j[:c], 1)
+            np.right_shift(j[:e], _BIN_SHIFT, out=j[:e])
+            np.multiply(j[:e - 1], AUDIT_BINS, out=codes[:e - 1])
+            codes[:e - 1] += j[1:e]
+            np.add.at(pairs, codes[:e - 1], 1)
         if shift is None:
             shift = np.sum(x[:size]) / size
         x -= shift

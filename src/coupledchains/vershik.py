@@ -27,7 +27,7 @@ import numpy as np
 
 from .kernels import CapExceededError, Kernel, lift, marginal, stationary_ctx_vector
 from .reconstruction import _trial_blocks
-from .rng import _BLOCK, index_sampler, stream_rng
+from .rng import index_sampler, stream_rng
 
 MAX_TABLE_LENGTH = 8
 
@@ -280,18 +280,13 @@ def alpha_sequence(
 
 def pair_counts(pairs, L: int) -> np.ndarray:
     """How often each pair code (x << L) | y occurs, over an iterable of
-    (x, y) blocks of L-bit context arrays, each of at most _BLOCK
-    contexts; the codes are bincounted _BLOCK at a time."""
+    (x, y) blocks of L-bit context arrays; each block's codes are
+    scatter-added into the 4^L counts (np.add.at)."""
     counts = np.zeros(1 << 2 * L, dtype=np.int64)
-    codes, end = np.empty(_BLOCK, dtype=np.int64), 0
     for x, y in pairs:
-        if end + x.size > codes.size:  # count before it overflows
-            counts += np.bincount(codes[:end], minlength=counts.size)
-            end = 0
-        code = np.left_shift(x, L, out=codes[end:end + x.size])
+        code = np.left_shift(x, L)
         code |= y
-        end += x.size
-    counts += np.bincount(codes[:end], minlength=counts.size)
+        np.add.at(counts, code, 1)
     return counts
 
 

@@ -148,7 +148,9 @@ def test_audit_runner_memory_holds_its_path(tmp_path):
     # histograms and the kernel's tables, whatever the number of steps; a
     # fresh kernel object solves its stationary law inside the trace too.
     # A short run first imports what the package loads on first use
-    # (numpy.random), which is no part of the run's own memory.
+    # (numpy.random), which is no part of the run's own memory.  It peaks
+    # at 2.88 MiB at 10^6 steps and at 4 * 10^6; with the audit counting
+    # whole windows by bincount, at 3.63 MiB.
     short = ExperimentConfig("audit", LONG_MEMORY_12, 7, str(tmp_path), {"steps": 1000})
     assert run_experiment(short)[0] == 0
     for steps in (10**6, 4 * 10**6):
@@ -160,7 +162,7 @@ def test_audit_runner_memory_holds_its_path(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 2**20, (steps, peak)
+        assert peak <= 4 * 2**20, (steps, peak)
 
 
 def test_audit_runner_sample_reads_whole_as_audited(tmp_path, monkeypatch):
