@@ -1,18 +1,11 @@
 """coupledchains: couplings, innovation encodings, and filtration
 diagnostics for stationary binary processes.
 
-Submodules:
-  kernels        conditional laws, decay coefficients, stationary laws
-  innovation     symbol/uniform codec and iid-uniform audits
-  reconstruction path replay from innovations and renewal bounds
-  vershik        optimal couplings, metric recursion, coupling engine,
-                 alpha sequence
-  extension      orientation-driven innovations and block stitching
-  reports        CSV / pretty emission
-  harness        CLI and experiment configs
-
-Loaded before numpy, it loads numpy with one OpenBLAS thread unless the
-caller set a thread variable (see the README, under CLI).
+The modules are the API: import each by name, as
+``coupledchains.harness`` (the README lists them, under Modules).  The
+package itself only loads numpy, with one OpenBLAS thread when it is the
+first to load it and the caller set no thread variable (see the README,
+under CLI).
 """
 
 import os
@@ -29,61 +22,6 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS)
         import numpy  # noqa: F401  (OpenBLAS reads the variable as it loads)
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
+import numpy  # noqa: E402,F401  (in every case: a caller's thread variable wins)
 
 __version__ = "0.1.0"
-
-from .kernels import (
-    CapExceededError,
-    IIDKernel,
-    Kernel,
-    LongMemoryKernel,
-    MarkovKernel,
-    builtin_kernels,
-    gamma_profile,
-    lower_envelope,
-)
-from .innovation import decode_xv, encode_w, innovation_audit
-from .reconstruction import (
-    disagreement_experiment,
-    domination_experiment,
-    house_of_cards_dist,
-    simulate_path,
-    window_reconstruct,
-)
-from .vershik import (
-    CouplingEngine,
-    alpha_sequence,
-    metric_tables,
-)
-from .extension import (
-    choose_anchor,
-    generator_error_check,
-    joint_step_law,
-    stitch_blocks,
-)
-
-__all__ = [
-    "CapExceededError",
-    "CouplingEngine",
-    "IIDKernel",
-    "Kernel",
-    "LongMemoryKernel",
-    "MarkovKernel",
-    "builtin_kernels",
-    "choose_anchor",
-    "decode_xv",
-    "disagreement_experiment",
-    "domination_experiment",
-    "encode_w",
-    "gamma_profile",
-    "generator_error_check",
-    "house_of_cards_dist",
-    "innovation_audit",
-    "joint_step_law",
-    "lower_envelope",
-    "metric_tables",
-    "simulate_path",
-    "stitch_blocks",
-    "window_reconstruct",
-    "__version__",
-]

@@ -16,9 +16,9 @@ One walk, :func:`coupled_run`, serves both directions: fed W it
 re-encodes to U, fed U it rebuilds the true chain.  It looks up each
 depth's flip table and steps through :func:`.reconstruction.coupled_walk`.
 The generator-gap check and the stitch read their trials one block at a
-time from :func:`.reconstruction._trial_blocks`: the gap check counts
-each block by its end pair of contexts, and the stitch re-encodes each
-block's W into U in place and feeds it to the audit.  The stitch makes
+time from :func:`.rng._trial_blocks`: the gap check counts each block by
+its end pair of contexts, and the stitch re-encodes each block's W into
+U in place and feeds it to the audit.  The stitch makes
 one pass over its blocks, in time order: each block is re-encoded and
 then every row that has started is carried through it by an inverse
 run, and row 0, whose inverse run would retrace the forward one exactly,
@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .innovation import AuditReport, _audit
+from .innovation import AUDIT_MIN_SAMPLES, AuditReport, _audit
 from .kernels import CapExceededError, Kernel, lift, marginal, push
-from .reconstruction import _trial_blocks, coupled_walk
-from .rng import MC_SIGMAS, frequency, stream_rng
+from .reconstruction import coupled_walk
+from .rng import MC_SIGMAS, _trial_blocks, frequency, stream_rng
 from .vershik import (DEFAULT_DEPTH, CouplingEngine, coupling_table, pair_counts,
                       pair_mean_stderr)
 from .words import Word, as_word, int_to_word, word_str, word_to_int
@@ -310,7 +310,9 @@ def stitch_blocks(
     delta_j / 2 for j >= 1, where K_j = M_j - L.
     Estimates P(|S_j - R_D| > delta_j) per block and audits the pooled
     stitched innovations.  The schedule is strictly decreasing and holds
-    at most MAX_TOLERANCES tolerances, the last at least 3^-D.
+    at most MAX_TOLERANCES tolerances, the last at least 3^-D, and the
+    trials x width innovations stitched are at least the audit's
+    AUDIT_MIN_SAMPLES; each is checked before any trial is run.
 
     S_j is read off an inverse coupled run over the stitched u: row j >= 1
     replays blocks j-1 .. 0 from block j-1's anchor word, each block's
@@ -366,6 +368,10 @@ def stitch_blocks(
     # earliest (j = J) to block 0.
     t_min = m[n_blocks]
     width = 1 - t_min
+    if trials * width < AUDIT_MIN_SAMPLES:
+        raise ValueError(
+            f"the stitch audits trials x width = {trials} x {width} innovations, "
+            f"fewer than the audit's {AUDIT_MIN_SAMPLES}: raise trials")
     rng = stream_rng(seed, "stitch", kernel.label, f"J{n_blocks - 1}")
     cols = [slice(m[j + 1] - t_min, m[j] - t_min) for j in range(n_blocks)]
     anchor_ints = [word_to_int(a) for a in anchors]

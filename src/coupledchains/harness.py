@@ -1,6 +1,10 @@
 """Command-line harness: JSON experiment configs, deterministic seeding,
 CSV + manifest emission.
 
+CSV is the stable format: LF line endings, '.' decimal separator, reals
+at 17 significant digits (round-trip exact for doubles).  The pretty
+table (--pretty) is for terminals and carries no stability promise.
+
 One subcommand per experiment kind (gamma, audit, reconstruct, vershik,
 extend, stitch); flags --config PATH, --seed N (overrides the config),
 --out DIR.  Exit codes: 0 success, 1 verdict failure, 2 config error
@@ -20,11 +24,11 @@ import sys
 import traceback
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
-from typing import get_args, get_origin
+from typing import Iterable, Sequence, get_args, get_origin
 
 from . import __version__
 from .extension import generator_error_check, stitch_blocks
-from .innovation import AUDIT_LEVEL, _audit
+from .innovation import AUDIT_LEVEL, AUDIT_MIN_SAMPLES, _audit
 from .kernels import (
     IIDKernel,
     Kernel,
@@ -34,7 +38,6 @@ from .kernels import (
     gamma_profile,
 )
 from .reconstruction import disagreement_experiment, simulate_path
-from .reports import emit_csv, emit_pretty
 from .vershik import (
     DEFAULT_DEPTH,
     CouplingEngine,
@@ -42,7 +45,7 @@ from .vershik import (
     alpha_sequence_mc,
     alpha_sup_bound,
 )
-from .words import parse_word
+from .words import parse_word, word_str
 
 _REQUIRED = object()
 # The JSON name of each field type.
@@ -103,7 +106,7 @@ FIELDS = {
     "experiment": {
         "gamma": {"p_max": Field(int, None, lo=0, hi=MAX_P),
                   "tail": Field(dict, {"kind": "unknown"})},
-        "audit": {"steps": Field(int, 100_000, lo=100, hi=MAX_STEPS)},
+        "audit": {"steps": Field(int, 100_000, lo=AUDIT_MIN_SAMPLES, hi=MAX_STEPS)},
         "reconstruct": {"n_list": Field(list[int], [-10], lo=MIN_N, hi=0, nonempty=True),
                         "k": Field(int, 2, lo=0),
                         "trials": Field(int, 10_000, lo=2, hi=MAX_TRIALS)},
@@ -335,6 +338,31 @@ _RUNNERS = {
     "extend": _run_extend,
     "stitch": _run_stitch,
 }
+
+
+def format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, tuple):  # word
+        return word_str(value)
+    return str(value)
+
+
+def emit_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    return "".join(",".join(map(format_value, row)) + "\n" for row in (header, *rows))
+
+
+def emit_pretty(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    table = [[format_value(v) for v in row] for row in (header, *rows)]
+    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+    out = []
+    for i, row in enumerate(table):
+        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        if i == 0:
+            out.append("  ".join("-" * w for w in widths))
+    return "\n".join(out) + "\n"
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[int, tuple, list]:

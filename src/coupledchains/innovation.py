@@ -39,11 +39,12 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .rng import _BLOCK
+from .rng import _BLOCK, _QUARTER
 
 AUDIT_LEVEL = 1e-6
 AUDIT_LAGS = 5
 AUDIT_BINS = 16
+AUDIT_MIN_SAMPLES = 100  # the fewest values an audit reads
 
 # Two-sided Gaussian envelope for each lag correlation, Bonferroni over
 # the lags.
@@ -53,8 +54,6 @@ _CORR_QUANTILE = NormalDist().inv_cdf(1.0 - AUDIT_LEVEL / (2 * AUDIT_LAGS))
 # floor(w * AUDIT_BINS) is the bucket shifted right by _BIN_SHIFT.
 _BUCKETS = 1 << 16
 _BIN_SHIFT = _BUCKETS.bit_length() - AUDIT_BINS.bit_length()
-# The values of a window are counted a quarter window at a time.
-_QUARTER = _BLOCK // 4
 # Row length of the lag sums: einsum sums each row in order and np.sum
 # the row sums pairwise, so rounding does not build up along a block.
 _ROW = 128
@@ -231,8 +230,8 @@ def _audit(blocks, n: int) -> AuditReport:
     yields in consecutive float64 pieces of any size, read once (see
     :func:`innovation_audit`); the whole source is read even when a value
     out of range fails the audit."""
-    if n < 100:
-        raise ValueError("audit needs at least 100 samples")
+    if n < AUDIT_MIN_SAMPLES:
+        raise ValueError(f"audit needs at least {AUDIT_MIN_SAMPLES} samples")
     counts = _tally(blocks, n)
     if counts is None:
         return AuditReport(n, np.inf, 0.0, np.inf, 0.0, 0.0, False, False)

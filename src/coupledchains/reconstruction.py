@@ -11,7 +11,7 @@ the replay must start for the final window to agree with the truth.
 
 Two stepping primitives serve every chain in the package, and both
 step through one threshold helper.  :func:`advance` runs one path in
-blocks of PATH_BLOCK steps, each by a chunked speculative scan,
+blocks of _BLOCK steps (:mod:`.rng`), each by a chunked speculative scan,
 byte-identical to the serial loop: a block's chunks are stepped at once
 from a guessed context, the seams where a guess went wrong are found by
 one comparison, and those chunks are re-run, at once when there are
@@ -30,7 +30,7 @@ copied from the blocks, 11 bytes a step plus the block buffers.
 uniform per trial across trials; the replay here and every coupled run
 of :mod:`.extension` go through it.  The Monte Carlo experiments (the
 replay, the generator-gap check and the stitch) read their trials from
-:func:`_trial_blocks`, one block at a time, and walk and reduce each
+:func:`.rng._trial_blocks`, one block at a time, and walk and reduce each
 block before the next is drawn, so they never hold a whole (trials,
 steps) array of uniforms.  The replay is reduced by one tally
 (:func:`_agreements`): the trials whose true and replayed end contexts
@@ -53,8 +53,8 @@ from .kernels import (
     gamma_profile,
     stationary_ctx_vector,
 )
-from .rng import (MC_SIGMAS, _BLOCK, ahead, frequency, index_sampler, sample_index,
-                  stream_rng)
+from .rng import (MC_SIGMAS, _BLOCK, _QUARTER, _trial_blocks, ahead, frequency,
+                  sample_index, stream_rng)
 
 # Steps per chunk of the speculative scan in `_scan`, and the steps a
 # chunk's speculation starts before it.  The lockstep passes cost one
@@ -65,20 +65,6 @@ from .rng import (MC_SIGMAS, _BLOCK, ahead, frequency, index_sampler, sample_ind
 # depths 12 and 16 alike.
 CHUNK = 64
 WARM = 32
-# Steps per block of a simulated path (`PathSample.blocks`) and of
-# `advance`: each block is scanned on its own, from the context the one
-# before left, so a reader of the blocks holds 11 bytes a step of one
-# block (704 KiB), and a block is one (_BLOCK // CHUNK, CHUNK) lockstep
-# group.  A block is encoded ENCODE_PIECE steps at a time, so the
-# encoder's temporaries hold a quarter block.  The audit CLI at 10^6
-# steps traced 3.6 MiB of numpy memory (7.4 MiB with 2^18-step blocks
-# encoded 2^16 steps at a time), at the same speed.
-PATH_BLOCK = _BLOCK
-ENCODE_PIECE = _BLOCK // 4
-# Most trials per block of `_trial_blocks`: small enough that the
-# trial-length buffers `coupled_walk` steps a column in stay in cache.
-# Walks of more than 32 steps take fewer (`_trial_blocks`).
-TRIAL_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -87,7 +73,7 @@ class PathSample:
     innovations; index 0 is the earliest step.  See :func:`simulate_path`.
 
     The sample holds no arrays, only what determines them.
-    :meth:`blocks` runs the simulation one block of PATH_BLOCK steps at a
+    :meth:`blocks` runs the simulation one block of _BLOCK steps at a
     time, so a reader of the blocks holds block-sized buffers only.
     Reading :attr:`w`, :attr:`symbols` or :attr:`contexts` runs the same
     blocks once and copies them into the whole arrays, kept for later
@@ -101,7 +87,7 @@ class PathSample:
 
     def blocks(self):
         """Yield (w, symbols, contexts) for consecutive blocks of
-        PATH_BLOCK steps (the last one shorter): the innovations
+        _BLOCK steps (the last one shorter): the innovations
         (float64), the symbols (uint8) and the context before each step
         (uint16).  They are views of three buffers that the next block
         overwrites: read each block before asking for the next.
@@ -110,29 +96,29 @@ class PathSample:
         u, then the `steps` auxiliary uniforms v.  A block draws its u
         into the `w` buffer, runs the chain over it from the context the
         block before left (:func:`_scan`), and encodes it in place,
-        ENCODE_PIECE steps at a time, with v drawn from :func:`.rng.ahead`
+        _QUARTER steps at a time, with v drawn from :func:`.rng.ahead`
         of the stream past every u: the doubles of drawing u and v whole."""
         rng, _ = _path_rng(self.kernel, self.seed)
         aux = ahead(rng, self.steps)
         table = self.kernel.prob0_table
         probs = table.tolist()
-        size = min(PATH_BLOCK, self.steps)
+        size = min(_BLOCK, self.steps)
         w, x, c = (np.empty(size, dtype=t) for t in (float, np.uint8, np.uint16))
         ctx = self.init_ctx
-        for b0 in range(0, self.steps, PATH_BLOCK):
-            n = min(PATH_BLOCK, self.steps - b0)
+        for b0 in range(0, self.steps, _BLOCK):
+            n = min(_BLOCK, self.steps - b0)
             wb, xb, cb = w[:n], x[:n], c[:n]
             rng.random(out=wb)  # u until encoded
             ctx, _ = _scan(table, probs, ctx, wb, xb, cb)
-            for e0 in range(0, n, ENCODE_PIECE):
-                e = slice(e0, min(e0 + ENCODE_PIECE, n))
+            for e0 in range(0, n, _QUARTER):
+                e = slice(e0, min(e0 + _QUARTER, n))
                 wb[e] = encode_w(xb[e], aux.random(e.stop - e0), table.take(cb[e]))
             yield wb, xb, cb
 
     @cached_property
     def _whole(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         whole = tuple(np.empty(self.steps, dtype=t) for t in (float, np.uint8, np.uint16))
-        for b0, block in zip(range(0, self.steps, PATH_BLOCK), self.blocks()):
+        for b0, block in zip(range(0, self.steps, _BLOCK), self.blocks()):
             for a, b in zip(whole, block):
                 a[b0:b0 + b.size] = b
         return whole
@@ -177,7 +163,7 @@ def advance(kernel: Kernel, ctx: int, u) -> tuple[np.ndarray, np.ndarray]:
     step (uint16).
 
     Computed by a chunked speculative scan (:func:`_scan`), one block of
-    PATH_BLOCK steps at a time from the context the block before left,
+    _BLOCK steps at a time from the context the block before left,
     byte-identical to stepping the chain serially; the steps it re-runs
     serially are bounded by the reset chain.  A kernel of memory above
     16, whose contexts a uint16 cannot hold, raises CapExceededError, and
@@ -192,8 +178,8 @@ def advance(kernel: Kernel, ctx: int, u) -> tuple[np.ndarray, np.ndarray]:
     x = np.empty(u.size, dtype=np.uint8)
     c = np.empty(u.size, dtype=np.uint16)
     probs = table.tolist()
-    for b0 in range(0, u.size, PATH_BLOCK):
-        b = slice(b0, b0 + PATH_BLOCK)
+    for b0 in range(0, u.size, _BLOCK):
+        b = slice(b0, b0 + _BLOCK)
         ctx, _ = _scan(table, probs, ctx, u[b], x[b], c[b])
     return x, c
 
@@ -203,7 +189,7 @@ def _scan(table: np.ndarray, probs: list, ctx: int, u: np.ndarray,
     """Fill `x` with the chain run over `u` from context `ctx`, and `c`
     with the context before each step; `probs` is ``table.tolist()``.
     Returns the exit context and the number of steps re-run serially to
-    repair speculation.  The callers pass blocks of at most PATH_BLOCK
+    repair speculation.  The callers pass blocks of at most _BLOCK
     steps, so the lockstep passes stage at most _BLOCK values.
 
     A stream of at least 2 CHUNK steps is cut into CHUNK-step chunks,
@@ -344,7 +330,7 @@ def coupled_walk(table: np.ndarray, v, ctx_true: np.ndarray,
     any strides; it may be `v` itself), written back into its column of
     `other`.  So the walk holds a few trial-length buffers beyond its
     input, whatever the number of steps.  The callers pass one block of
-    trials from :func:`_trial_blocks`, so the buffers stay in cache.  The
+    trials from :func:`.rng._trial_blocks`, so the buffers stay in cache.  The
     result is byte-identical to the per-column loop.  The entry contexts
     must lie in [0, len(table)), checked once here (ValueError), since
     the steps look the tables up without a range check."""
@@ -369,29 +355,6 @@ def coupled_walk(table: np.ndarray, v, ctx_true: np.ndarray,
         _threshold(table, second, s, f, x)
         if other is not None:
             other[:, t] = s
-
-
-def _trial_blocks(rng: np.random.Generator, law, trials: int, steps: int):
-    """Yield, for one block of trials at a time, the block's start
-    contexts, drawn from `law`, and its (n, steps) uniforms: the values
-    of drawing every start, ``rng.choice(len(law), p=law, size=trials)``,
-    and then the whole ``rng.random((trials, steps))``.  A block holds
-    TRIAL_BLOCK trials up to 32 steps and 4 _BLOCK // steps beyond, but
-    no fewer than TRIAL_BLOCK // 4: 3855 trials (2.0 MiB) at 68 steps,
-    2048 (9.4 MiB) at 601.  The starts are the quantiles
-    (:func:`.rng.index_sampler`) of the block's next doubles of `rng`,
-    the uniforms come from :func:`.rng.ahead` of it past all the starts,
-    into one buffer that the next block overwrites: read each block
-    before asking for the next.  A memoryless kernel's one-entry law
-    gives starts all 0, and its uniforms still follow the `trials`
-    doubles of the starts."""
-    quantile, uniforms = index_sampler(law), ahead(rng, trials)
-    block = min(TRIAL_BLOCK, max(TRIAL_BLOCK // 4, 4 * _BLOCK // max(steps, 1)))
-    buf = np.empty((min(trials, block), steps))
-    for b0 in range(0, trials, block):
-        n = min(block, trials - b0)
-        uniforms.random(out=buf[:n])
-        yield quantile(rng.random(n)), buf[:n]
 
 
 def _path_rng(kernel: Kernel, seed: int) -> tuple[np.random.Generator, int]:
@@ -498,7 +461,7 @@ def _agreements(kernel: Kernel, n_start: int, trials: int, seed: int,
                 lags) -> list[int]:
     """Run the true chain and the zero-prehistory replay on shared
     innovations over [n_start; 0], one block of trials at a time from
-    :func:`_trial_blocks`, and count for each k in `lags` the trials
+    :func:`.rng._trial_blocks`, and count for each k in `lags` the trials
     whose final contexts agree on [-k; 0].  The chains carry
     max(max(lags) + 1, m) bits.
 

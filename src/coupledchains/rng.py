@@ -10,8 +10,13 @@ has the values and the stream use of ``Generator.choice``, and
 :func:`sample_index` draws one index so, by one binary search.
 :func:`ahead` splits a stream: a copy advanced past the next n draws,
 so two consecutive stretches of one stream can be read side by side,
-one block of each at a time.  :func:`frequency` and MC_SIGMAS set how
-far every Monte Carlo verdict lets an estimate stray."""
+one block of each at a time.  :func:`_trial_blocks`, the one trial
+source of the Monte Carlo experiments, composes the two: each block's
+start contexts and its uniforms.  :func:`frequency` and MC_SIGMAS set
+how far every Monte Carlo verdict lets an estimate stray.
+
+Every block size of the package is named here: _BLOCK, _QUARTER and
+TRIAL_BLOCK."""
 
 from __future__ import annotations
 
@@ -21,9 +26,21 @@ import zlib
 import numpy as np
 
 # Values handled at a time by every blocked loop of the package (draws,
-# encodings, audit passes and sums): a block of float64 values or of
-# indices (512 KiB) stays in cache.
+# path scans, audit windows and sums): a block of float64 values or of
+# indices (512 KiB) stays in cache.  A simulated path is scanned and
+# read one _BLOCK of steps at a time, so a reader holds 11 bytes a step
+# of one block (704 KiB), and a block is one (_BLOCK // CHUNK, CHUNK)
+# lockstep group of `reconstruction._scan`.
 _BLOCK = 1 << 16
+# The steps a path block encodes at a time, and the values of an audit
+# window counted at a time: their temporaries hold a quarter block.  The
+# audit CLI at 10^6 steps traced 3.6 MiB of numpy memory (7.4 MiB with
+# 2^18-step blocks encoded 2^16 steps at a time), at the same speed.
+_QUARTER = _BLOCK // 4
+# Most trials per block of `_trial_blocks`: small enough that the
+# trial-length buffers `reconstruction.coupled_walk` steps a column in
+# stay in cache.  Walks of more than 32 steps take fewer.
+TRIAL_BLOCK = 8192
 # The guide table splits [0, 1) into 2^_GUIDE_BITS equal buckets.
 _GUIDE_BITS = 14
 _SUM_TOL = float(np.sqrt(np.finfo(float).eps))
@@ -106,3 +123,26 @@ def sample_index(rng: np.random.Generator, p) -> int:
     table of :func:`index_sampler`, built for many draws, would cost far
     more than the one draw."""
     return int(_cdf(p).searchsorted(rng.random(), side="right"))
+
+
+def _trial_blocks(rng: np.random.Generator, law, trials: int, steps: int):
+    """Yield, for one block of trials at a time, the block's start
+    contexts, drawn from `law`, and its (n, steps) uniforms: the values
+    of drawing every start, ``rng.choice(len(law), p=law, size=trials)``,
+    and then the whole ``rng.random((trials, steps))``.  A block holds
+    TRIAL_BLOCK trials up to 32 steps and 4 _BLOCK // steps beyond, but
+    no fewer than TRIAL_BLOCK // 4: 3855 trials (2.0 MiB) at 68 steps,
+    2048 (9.4 MiB) at 601.  The starts are the quantiles
+    (:func:`index_sampler`) of the block's next doubles of `rng`, the
+    uniforms come from :func:`ahead` of it past all the starts, into one
+    buffer that the next block overwrites: read each block before asking
+    for the next.  A memoryless kernel's one-entry law gives starts all
+    0, and its uniforms still follow the `trials` doubles of the
+    starts."""
+    quantile, uniforms = index_sampler(law), ahead(rng, trials)
+    block = min(TRIAL_BLOCK, max(TRIAL_BLOCK // 4, 4 * _BLOCK // max(steps, 1)))
+    buf = np.empty((min(trials, block), steps))
+    for b0 in range(0, trials, block):
+        n = min(block, trials - b0)
+        uniforms.random(out=buf[:n])
+        yield quantile(rng.random(n)), buf[:n]

@@ -26,8 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .kernels import CapExceededError, Kernel, lift, marginal, stationary_ctx_vector
-from .reconstruction import _trial_blocks
-from .rng import index_sampler, stream_rng
+from .rng import _trial_blocks, index_sampler, stream_rng
 
 MAX_TABLE_LENGTH = 8
 
@@ -312,11 +311,10 @@ def alpha_sequence_mc(
     """Monte Carlo estimate of the same sequence: sample independent
     stationary context pairs and average the table entries.
 
-    The pairs are the trials of a one-step
-    :func:`.reconstruction._trial_blocks`: x is a block's stationary
-    starts, the stream's next `trials` draws, and y the quantiles
-    (:func:`.rng.index_sampler`) of its one column of uniforms, the
-    `trials` doubles after them.  They are counted by pair code
+    The pairs are the trials of a one-step :func:`.rng._trial_blocks`:
+    x is a block's stationary starts, the stream's next `trials` draws,
+    and y the quantiles (:func:`.rng.index_sampler`) of its one column of
+    uniforms, the `trials` doubles after them.  They are counted by pair code
     (:func:`pair_counts`); each table, spread over the pair codes, is
     averaged against the counts."""
     engine = CouplingEngine.build(kernel, p_max, depth)

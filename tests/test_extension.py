@@ -28,16 +28,14 @@ from coupledchains.kernels import (
     builtin_kernels,
     stationary_ctx_vector,
 )
-from coupledchains import reconstruction
 from coupledchains.reconstruction import (
-    TRIAL_BLOCK,
     coupled_walk,
     disagreement_experiment,
     domination_experiment,
     simulate_path,
     window_reconstruct,
 )
-from coupledchains.rng import ahead, stream_rng
+from coupledchains.rng import TRIAL_BLOCK, _trial_blocks, ahead, stream_rng
 from coupledchains.vershik import (
     MetricTable,
     alpha_sequence_mc,
@@ -306,7 +304,7 @@ def test_streamed_walk_matches_array_walk(walk, steps, trials):
     v = ref_rng.random((trials, steps))
     ref = run(starts, v, hats.copy())
     blocks, b0 = [], 0
-    for ctx, w in reconstruction._trial_blocks(
+    for ctx, w in _trial_blocks(
             stream_rng(53, "streamed", str(trials)), law, trials, steps):
         n = ctx.size
         block = min(TRIAL_BLOCK, max(TRIAL_BLOCK // 4, 4 * 2**16 // steps))
@@ -389,7 +387,7 @@ def test_memoryless_trial_blocks_start_at_0(trials):
     rng = stream_rng(59, "memoryless")
     skipped = ahead(stream_rng(59, "memoryless"), trials)
     blocks = [(ctx.copy(), w.copy())
-              for ctx, w in reconstruction._trial_blocks(rng, law, trials, 6)]
+              for ctx, w in _trial_blocks(rng, law, trials, 6)]
     starts, uniforms = (np.concatenate(parts) for parts in zip(*blocks))
     assert starts.dtype == np.int64 and starts.shape == (trials,)
     assert not starts.any()

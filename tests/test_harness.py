@@ -14,14 +14,16 @@ from coupledchains.harness import (
     ConfigError,
     ExperimentConfig,
     build_kernel,
+    emit_csv,
+    emit_pretty,
     load_config,
     main,
     run_experiment,
 )
 from coupledchains.innovation import _audit, innovation_audit
 from coupledchains.kernels import CapExceededError
-from coupledchains.reconstruction import PATH_BLOCK, simulate_path, window_reconstruct
-from coupledchains.reports import emit_csv, emit_pretty
+from coupledchains.reconstruction import simulate_path, window_reconstruct
+from coupledchains.rng import _BLOCK
 from coupledchains.vershik import AlphaSequence
 
 
@@ -183,7 +185,7 @@ def test_audit_runner_sample_reads_whole_as_audited(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "simulate_path", simulate)
     monkeypatch.setattr(harness, "_audit", audit)
     cfg = ExperimentConfig("audit", LONG_MEMORY_12, 7, str(tmp_path),
-                           {"steps": 3 * PATH_BLOCK + 5})
+                           {"steps": 3 * _BLOCK + 5})
     assert run_experiment(cfg)[0] == 0
     (sample,), (report,) = samples, reports
     assert repr(innovation_audit(sample.w)) == repr(report)
@@ -490,6 +492,26 @@ def test_cli_stitch_depth_cap_exits_2(tmp_path, capsys):
     assert main(["stitch", "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
     assert "_MAX_BLOCK_DEPTH" in capsys.readouterr().err
+
+
+def test_cli_stitch_too_few_innovations_exits_2(tmp_path, capsys):
+    # One block of depth 1 is 2 steps wide, so 2 trials stitch 4
+    # innovations, fewer than the audit reads: a config error that names
+    # the trials and the width, before any trial is run.
+    cfg = {
+        "kind": "stitch",
+        "kernel": {"variant": "builtin", "name": "markov1-demo"},
+        "seed": 1,
+        "deltas": [0.5],
+        "trials": 2,
+        "depth": 1,
+    }
+    path = write_config(tmp_path, "s.json", cfg)
+    out = tmp_path / "out"
+    assert main(["stitch", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "trials x width = 2 x 2 innovations" in err and "raise trials" in err
 
 
 @pytest.mark.parametrize("kind, counts", [

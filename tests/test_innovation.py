@@ -22,7 +22,7 @@ from coupledchains.innovation import (
 )
 from coupledchains.kernels import builtin_kernels
 from coupledchains.reconstruction import simulate_path
-from coupledchains.rng import stream_rng
+from coupledchains.rng import _QUARTER as QUARTER, stream_rng
 
 probs = st.floats(0.01, 0.99)
 units = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -420,9 +420,6 @@ def test_pair_counts_match_whole_array_bincount(blocks, offset):
     total, *_ = assert_counts_match(w, (w,))
     first = w[:innovation._BLOCK]
     assert total == block_sum(w - np.sum(first) / first.size)
-
-
-QUARTER = innovation._QUARTER
 
 
 @pytest.mark.parametrize("size", [QUARTER - 1, QUARTER, QUARTER + 1, 2 * QUARTER + 1,

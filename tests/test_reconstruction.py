@@ -18,10 +18,7 @@ from coupledchains.kernels import (
     gamma_profile,
 )
 from coupledchains.reconstruction import (
-    _BLOCK,
     CHUNK,
-    ENCODE_PIECE,
-    PATH_BLOCK,
     WARM,
     _scan,
     _stationary_start,
@@ -33,7 +30,7 @@ from coupledchains.reconstruction import (
     simulate_path,
     window_reconstruct,
 )
-from coupledchains.rng import stream_rng
+from coupledchains.rng import _BLOCK, _QUARTER, stream_rng
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
 IID = builtin_kernels()["iid-half"]
@@ -225,9 +222,9 @@ def whole_stream_path(kernel, steps, seed):
 # pieces and of the blocks, a last block of 2 CHUNK - 1 steps, short
 # enough to run serially, and paths of several blocks.
 @pytest.mark.parametrize("steps", [100, 2 * CHUNK - 1, 2 * CHUNK + 1, 1023, 1025,
-                                   2047, 2049, ENCODE_PIECE - 1, ENCODE_PIECE + 1,
-                                   PATH_BLOCK - 1, PATH_BLOCK + 1,
-                                   2 * PATH_BLOCK + 2 * CHUNK - 1, 3 * PATH_BLOCK + 5,
+                                   2047, 2049, _QUARTER - 1, _QUARTER + 1,
+                                   _BLOCK - 1, _BLOCK + 1,
+                                   2 * _BLOCK + 2 * CHUNK - 1, 3 * _BLOCK + 5,
                                    2**18 - 1, 2**18 + 1, 2 * 2**18 + 1023])
 @pytest.mark.parametrize("kernel", [LONG_MEMORY_12, PERSISTENT, IIDKernel(0.3)],
                          ids=["long-memory-12", "persistent", "iid"])
@@ -238,7 +235,7 @@ def test_simulate_path_matches_whole_stream_draws(kernel, steps):
     # blocks put together are the arrays read whole.
     sample = simulate_path(kernel, steps, 19)
     blocks = [tuple(a.copy() for a in block) for block in sample.blocks()]
-    assert [b[0].size for b in blocks[:-1]] == [PATH_BLOCK] * (len(blocks) - 1)
+    assert [b[0].size for b in blocks[:-1]] == [_BLOCK] * (len(blocks) - 1)
     for got, whole in zip(zip(*blocks), (sample.w, sample.symbols, sample.contexts)):
         joined = np.concatenate(got)
         assert joined.dtype == whole.dtype and joined.tobytes() == whole.tobytes()
@@ -252,7 +249,7 @@ def test_simulate_path_memory_holds_its_outputs():
     # Read whole, w takes 8 bytes a step, the symbols 1 and the contexts
     # 2; everything else is block-sized: each block is simulated over its
     # slices of the three arrays, the innovations overwrite u as v is
-    # drawn and f looked up ENCODE_PIECE steps at a time, and the
+    # drawn and f looked up _QUARTER steps at a time, and the
     # speculative pass stages its (chunks, CHUNK) view in buffers of
     # _BLOCK values.
     steps = 10**6
