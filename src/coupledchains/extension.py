@@ -309,9 +309,9 @@ def stitch_blocks(
     for j = 0, and 3^(K_j - M_j + 1) * delta_j / 2 = 3^(1 - L) *
     delta_j / 2 for j >= 1, where K_j = M_j - L.
     Estimates P(|S_j - R_D| > delta_j) per block and audits the pooled
-    stitched innovations.  The schedule is strictly decreasing and holds
-    at most MAX_TOLERANCES tolerances, the last at least 3^-D, and the
-    trials x width innovations stitched are at least the audit's
+    stitched innovations.  The schedule is positive, strictly decreasing
+    and holds at most MAX_TOLERANCES tolerances, the last at least 3^-D,
+    and the trials x width innovations stitched are at least the audit's
     AUDIT_MIN_SAMPLES; each is checked before any trial is run.
 
     S_j is read off an inverse coupled run over the stitched u: row j >= 1
@@ -339,6 +339,9 @@ def stitch_blocks(
     if len(deltas) > MAX_TOLERANCES:
         raise ValueError(f"tolerance schedule holds {len(deltas)} tolerances, "
                          f"more than MAX_TOLERANCES = {MAX_TOLERANCES}")
+    for j, delta in enumerate(deltas):
+        if not delta > 0:
+            raise ValueError(f"tolerance delta_{j} = {delta!r} must be > 0")
     engine = CouplingEngine.build(kernel, 1, depth)
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("tolerance schedule must be strictly decreasing")

@@ -306,7 +306,10 @@ def _run_extend(kernel, config):
     p = config.settings
     n = p["n"]
     engine = CouplingEngine.build(kernel, -n + 1, p["depth"])
-    anchor = parse_word(p["anchor"] or "")  # zero-padded to length L
+    try:
+        anchor = parse_word(p["anchor"] or "")  # zero-padded to length L
+    except ValueError as exc:
+        raise ConfigError(f"extend experiment field 'anchor': {exc}") from exc
     r = generator_error_check(engine, n, anchor, p["trials"], config.seed)
     header = ("N", "anchor", "mc_estimate", "stderr", "exact_value",
               "tolerance", "verdict")

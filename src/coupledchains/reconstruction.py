@@ -32,10 +32,9 @@ of :mod:`.extension` go through it.  The Monte Carlo experiments (the
 replay, the generator-gap check and the stitch) read their trials from
 :func:`.rng._trial_blocks`, one block at a time, and walk and reduce each
 block before the next is drawn, so they never hold a whole (trials,
-steps) array of uniforms.  The replay is reduced by one tally
-(:func:`_agreements`): the trials whose true and replayed end contexts
-agree on [-k; 0], for each lag k asked for.  The disagreement
-experiment reads one lag of it and the domination experiment every lag.
+steps) array of uniforms.  The replay (:func:`disagreement_experiment`)
+reduces each block to one count: the trials whose true and replayed end
+contexts disagree on [-k; 0].
 """
 
 from __future__ import annotations
@@ -389,28 +388,13 @@ def window_reconstruct(kernel: Kernel, w: np.ndarray, start_ctx: int = 0) -> np.
 # Reset-chain (renewal) bound
 
 
-@dataclass(frozen=True)
-class ResetChainDist:
-    """Law of the reset chain after n steps from state 0.
+def house_of_cards_dist(gammas, n: int) -> np.ndarray:
+    """Exact law of the reset chain after n steps started at 0: entry i
+    is P(Z_n = i), i = 0..n.
 
     The chain moves i -> i+1 with probability 1 - gamma_i and resets to
     0 with probability gamma_i; its state dominates (stochastically,
     from below) the agreement length between truth and replay.
-    """
-
-    n: int
-    probs: np.ndarray  # probs[i] = P(Z_n = i), i = 0..n
-
-    def cdf(self, k: int) -> float:
-        """P(Z_n <= k)."""
-        if k < 0:
-            return 0.0
-        return float(np.sum(self.probs[: min(k, self.n) + 1]))
-
-
-def house_of_cards_dist(gammas, n: int) -> ResetChainDist:
-    """Exact law of the reset chain after n steps started at 0.
-
     ``gammas`` is indexable: gammas[i] = reset probability from state i,
     zero beyond its length.
 
@@ -429,17 +413,16 @@ def house_of_cards_dist(gammas, n: int) -> ResetChainDist:
     prod = np.empty(n)
     for k in range(1, n + 1):  # np.sum, not BLAS: no thread-dependent bits
         r[k] = np.multiply(r[k - 1 :: -1], reset[:k], out=prod[:k]).sum()
-    return ResetChainDist(n, r[::-1] * survive)
+    return r[::-1] * survive
 
 
 def reconstruction_bound(kernel: Kernel, n_start: int, k_lags: int) -> float:
     """Renewal upper bound on P(replay over [n_start; 0] from zero
     prehistory disagrees with the truth on [-k_lags; 0]): the reset
     chain runs |n_start| steps (state 0 after the first replay symbol)
-    and the bound is P(Z_{|n_start|} <= k_lags)."""
-    n = -n_start
-    gammas = gamma_profile(kernel, kernel.memory).values
-    return house_of_cards_dist(gammas, n).cdf(k_lags)
+    and the bound is P(Z_{|n_start|} <= k_lags), 0 for k_lags < 0."""
+    law = house_of_cards_dist(gamma_profile(kernel, kernel.memory).values, -n_start)
+    return float(np.sum(law[:max(k_lags + 1, 0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -457,34 +440,6 @@ class DisagreementRow:
     verdict: str  # "within-bound" | "violates-bound"
 
 
-def _agreements(kernel: Kernel, n_start: int, trials: int, seed: int,
-                lags) -> list[int]:
-    """Run the true chain and the zero-prehistory replay on shared
-    innovations over [n_start; 0], one block of trials at a time from
-    :func:`.rng._trial_blocks`, and count for each k in `lags` the trials
-    whose final contexts agree on [-k; 0].  The chains carry
-    max(max(lags) + 1, m) bits.
-
-    The innovations are drawn uniform directly (same joint law as the
-    two-uniform encoder).  The counts add up over the blocks as
-    integers, so count / trials is the mean of the whole bool array bit
-    for bit."""
-    rng = stream_rng(seed, "replay", kernel.label, f"N{n_start}")
-    law = stationary_ctx_vector(kernel, kernel.memory)
-    table = kernel.prob0_over(max(max(lags) + 1, kernel.memory))
-    agree = [0] * len(lags)
-    for ctx_true, w in _trial_blocks(rng, law, trials, -n_start + 1):
-        ctx_hat = np.zeros_like(ctx_true)
-        coupled_walk(table, w, ctx_true, ctx_hat)
-        # Bit k of the XOR is set where the two disagree k steps before
-        # the end: they agree on [-k; 0] where its low k + 1 bits are 0.
-        ctx_true ^= ctx_hat
-        for i, k in enumerate(lags):
-            np.bitwise_and(ctx_true, (1 << (k + 1)) - 1, out=ctx_hat)
-            agree[i] += ctx_hat.size - np.count_nonzero(ctx_hat)
-    return agree
-
-
 def disagreement_experiment(
     kernel: Kernel,
     n_start: int,
@@ -493,12 +448,38 @@ def disagreement_experiment(
     seed: int,
 ) -> DisagreementRow:
     """Estimate P(replay disagrees with the truth on [-k_lags; 0]) and
-    compare with the renewal bound, allowing MC_SIGMAS standard errors."""
+    compare with the renewal bound, allowing MC_SIGMAS standard errors.
+
+    The true chain and the zero-prehistory replay run on shared
+    innovations over [n_start; 0], one block of trials at a time from
+    :func:`.rng._trial_blocks`, carrying max(k_lags + 1, m) bits.  The
+    innovations are drawn uniform directly (same joint law as the
+    two-uniform encoder).  The counts add up over the blocks as
+    integers, so count / trials is the mean of the whole bool array bit
+    for bit.
+
+    The trials depend on n_start, not on k_lags, so the rows of one
+    n_start read one replay at every lag: the row at lag M is also the
+    renewal domination check at M, P(agreement on [-M; 0]) >=
+    P(Z_{|n_start|} > M) - MC_SIGMAS * stderr."""
     if k_lags + 1 > MAX_WORD_LENGTH:
         raise CapExceededError(f"window {k_lags + 1} exceeds cap {MAX_WORD_LENGTH}")
     if k_lags >= -n_start + 1:
         raise ValueError("compared window cannot exceed the replayed range")
-    mismatches = trials - _agreements(kernel, n_start, trials, seed, [k_lags])[0]
+    rng = stream_rng(seed, "replay", kernel.label, f"N{n_start}")
+    law = stationary_ctx_vector(kernel, kernel.memory)
+    table = kernel.prob0_over(max(k_lags + 1, kernel.memory))
+    window = (1 << (k_lags + 1)) - 1
+    mismatches = 0
+    for ctx_true, w in _trial_blocks(rng, law, trials, -n_start + 1):
+        ctx_hat = np.zeros_like(ctx_true)
+        coupled_walk(table, w, ctx_true, ctx_hat)
+        # Bit k of the XOR is set where the two disagree k steps before
+        # the end: they disagree on [-k_lags; 0] where its low
+        # k_lags + 1 bits are not all 0.
+        ctx_true ^= ctx_hat
+        ctx_true &= window
+        mismatches += np.count_nonzero(ctx_true)
     freq, stderr = frequency(mismatches, trials)
     bound = reconstruction_bound(kernel, n_start, k_lags)
     ok = freq <= bound + MC_SIGMAS * stderr
@@ -506,43 +487,3 @@ def disagreement_experiment(
         n_start, k_lags, trials, freq, stderr, bound,
         "within-bound" if ok else "violates-bound",
     )
-
-
-@dataclass(frozen=True)
-class DominationRow:
-    n_start: int
-    m: int
-    trials: int
-    mc_tail: float  # MC estimate of P(agreement length > m)
-    stderr: float
-    exact_tail: float  # exact P(Z_{|n_start|} > m)
-    verdict: str  # "dominates" | "violates"
-
-
-def domination_experiment(
-    kernel: Kernel,
-    n_start: int,
-    trials: int,
-    seed: int,
-) -> list[DominationRow]:
-    """Check P(agreement length > M) >= P(Z_{|n_start|} > M) - MC_SIGMAS * stderr
-    for every M up to min(|n_start|, MAX_WORD_LENGTH - 1): the reset
-    chain is stochastically dominated by the true agreement length,
-    which exceeds M where the two final contexts agree on [-M; 0]."""
-    n = -n_start
-    max_m = min(n, MAX_WORD_LENGTH - 1)
-    gammas = gamma_profile(kernel, kernel.memory).values
-    dist = house_of_cards_dist(gammas, n)
-    agree = _agreements(kernel, n_start, trials, seed, range(max_m + 1))
-    rows = []
-    for m in range(max_m + 1):
-        mc, stderr = frequency(agree[m], trials)
-        exact = 1.0 - dist.cdf(m)
-        ok = mc >= exact - MC_SIGMAS * stderr
-        rows.append(
-            DominationRow(
-                n_start, m, trials, mc, stderr, exact,
-                "dominates" if ok else "violates",
-            )
-        )
-    return rows

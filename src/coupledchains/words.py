@@ -44,4 +44,8 @@ def word_str(word: Iterable[int]) -> str:
 
 
 def parse_word(text: str) -> Word:
-    return as_word(int(c) for c in text)
+    """The word of a 0/1 string, oldest symbol first; a string with any
+    other character raises ValueError, quoting the string."""
+    if set(text) - {"0", "1"}:
+        raise ValueError(f"a word is a string of 0s and 1s, not {text!r}")
+    return tuple(int(c) for c in text)

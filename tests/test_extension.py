@@ -31,7 +31,6 @@ from coupledchains.kernels import (
 from coupledchains.reconstruction import (
     coupled_walk,
     disagreement_experiment,
-    domination_experiment,
     simulate_path,
     window_reconstruct,
 )
@@ -335,8 +334,7 @@ def test_coupled_walk_rejects_contexts_out_of_range(which, bad):
 
 
 @pytest.mark.parametrize("experiment, bound_mib",
-                         [("disagreement", 4), ("domination", 8),
-                          ("generator-gap", 8), ("alpha-mc", 8)])
+                         [("disagreement", 4), ("generator-gap", 8), ("alpha-mc", 8)])
 def test_coupled_experiments_draw_uniforms_blockwise(experiment, bound_mib):
     # 10^6 trials over 9 and 7 steps: the whole uniform array would be
     # 72 MB and 56 MB, and one int64 array of trials 8 MB.  Drawn, walked
@@ -350,8 +348,6 @@ def test_coupled_experiments_draw_uniforms_blockwise(experiment, bound_mib):
     try:
         if experiment == "disagreement":
             disagreement_experiment(ORDER3, -8, 2, trials, 67)
-        elif experiment == "domination":
-            domination_experiment(ORDER3, -8, trials, 68)
         elif experiment == "generator-gap":
             generator_error_check(engine, -6, (0,) * engine.length, trials, 71)
         else:
@@ -396,9 +392,9 @@ def test_memoryless_trial_blocks_start_at_0(trials):
                                             trials).bit_generator.state
     # Every context of an iid kernel has one threshold, so the true chain
     # and the zero-prehistory replay never disagree.
-    row = disagreement_experiment(IID, -5, 2, trials, 61)
-    assert row.freq == 0.0 and row.verdict == "within-bound"
-    assert all(r.mc_tail == 1.0 for r in domination_experiment(IID, -5, trials, 62))
+    for k in range(6):
+        row = disagreement_experiment(IID, -5, k, trials, 61)
+        assert row.freq == 0.0 and row.verdict == "within-bound"
 
 
 # 65536 values make one leaf of the pairwise sums; 300007 make six.
@@ -417,19 +413,16 @@ REPLAY_CASES = [
 @pytest.mark.parametrize("kernel, trials", REPLAY_CASES)
 def test_replay_experiments_match_whole_array_reference(kernel, trials):
     # Oracle: the whole-array replay, its rows formed from bool arrays
-    # with np.mean, as the unblocked experiments did.
-    n_start, k_lags = -5, 2
+    # with np.mean, as the unblocked experiments did, at every lag.
+    n_start = -5
     keep = max(-n_start + 1, kernel.memory)
     end_true, end_hat = serial_replay_words(kernel, n_start, trials, 29, keep)
     diff = end_true ^ end_hat
-    row = disagreement_experiment(kernel, n_start, k_lags, trials, 29)
-    assert row.freq == np.count_nonzero(diff & 7) / trials
-    rows = domination_experiment(kernel, n_start, trials, 29)
-    assert len(rows) == -n_start + 1
-    for r in rows:
-        agree = (diff & ((1 << (r.m + 1)) - 1)) == 0
-        assert r.mc_tail == float(np.mean(agree))
-        assert r.stderr == float(np.sqrt(r.mc_tail * (1.0 - r.mc_tail) / trials))
+    for k in range(-n_start + 1):
+        row = disagreement_experiment(kernel, n_start, k, trials, 29)
+        disagree = (diff & ((1 << (k + 1)) - 1)) != 0
+        assert row.freq == float(np.mean(disagree))
+        assert row.stderr == float(np.sqrt(row.freq * (1.0 - row.freq) / trials))
 
 
 @pytest.mark.parametrize("trials", ESTIMATOR_TRIALS)

@@ -476,6 +476,41 @@ def test_window_start_bound_names_parameter():
     ExperimentConfig("reconstruct", kernel, 5, params={"n_list": [0, -4]})
 
 
+@pytest.mark.parametrize("kind, params, named", [
+    ("extend", {"n": -2, "trials": 50, "depth": 2, "anchor": "0a1"},
+     "field 'anchor': a word is a string of 0s and 1s, not '0a1'"),
+    ("gamma", {"kernel": {"variant": "markov", "order": 1,
+                          "table": {"x": 0.7, "1": 0.4}}},
+     "a word is a string of 0s and 1s, not 'x'"),
+])
+def test_cli_bad_word_names_it(tmp_path, capsys, kind, params, named):
+    # A word with a symbol other than 0 or 1 is a config error that
+    # quotes the word, not Python's text for int().
+    cfg = {"kind": kind, "kernel": {"variant": "builtin", "name": "markov1-demo"},
+           "seed": 3, **params}
+    path = write_config(tmp_path, "w.json", cfg)
+    out = tmp_path / "out"
+    assert main([kind, "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert named in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize("deltas", [[0.2, -0.1], [0.0], [0.3, 0.2, 0.0]])
+def test_cli_stitch_nonpositive_tolerance_exits_2(tmp_path, capsys, deltas):
+    # A tolerance <= 0 is named as such, not blamed on the depth.
+    cfg = {"kind": "stitch", "kernel": {"variant": "builtin", "name": "markov1-demo"},
+           "seed": 1, "deltas": deltas, "trials": 50, "depth": 4}
+    path = write_config(tmp_path, "s.json", cfg)
+    out = tmp_path / "out"
+    assert main(["stitch", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    j = len(deltas) - 1
+    assert f"tolerance delta_{j} = {float(deltas[j])!r} must be > 0" in err
+    assert "depth" not in err
+
+
 def test_cli_stitch_depth_cap_exits_2(tmp_path, capsys):
     # A chain this persistent keeps alpha_p above the block thresholds
     # out to the planner's depth cap: a cap, reported as exit 2.

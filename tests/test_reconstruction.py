@@ -24,7 +24,6 @@ from coupledchains.reconstruction import (
     _stationary_start,
     advance,
     disagreement_experiment,
-    domination_experiment,
     house_of_cards_dist,
     reconstruction_bound,
     simulate_path,
@@ -192,7 +191,7 @@ def test_repair_within_renewal_bound():
     kernel = LONG_MEMORY_12
     m = kernel.memory
     gammas = gamma_profile(kernel, m).values
-    bound = sum(house_of_cards_dist(gammas, WARM + n).cdf(m - 1) for n in range(CHUNK))
+    bound = sum(np.sum(house_of_cards_dist(gammas, WARM + n)[:m]) for n in range(CHUNK))
     chunks = _BLOCK // CHUNK
     u = np.random.default_rng(32).random(chunks * CHUNK)
     mean_repair = scan(kernel, 0, u)[1] / (chunks - 1)
@@ -308,19 +307,20 @@ def test_house_of_cards_matches_matrix_power():
         (list(np.random.default_rng(8).uniform(0.0, 0.9, 61)), 60),
     ]
     for gammas, n in cases:
-        dist = house_of_cards_dist(gammas, n)
+        law = house_of_cards_dist(gammas, n)
         oracle = _reset_chain_oracle(gammas, n)
-        assert np.allclose(dist.probs, oracle, atol=1e-14)
-        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert law.dtype == float and law.shape == (n + 1,)
+        assert np.allclose(law, oracle, atol=1e-14)
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_house_of_cards_closed_forms():
     # Constant reset probability g: P(Z_n = n) = (1-g)^n and
     # P(Z_n = 0) = g.
     g, n = 0.3, 9
-    dist = house_of_cards_dist([g] * (n + 1), n)
-    assert dist.probs[n] == pytest.approx((1 - g) ** n, abs=1e-14)
-    assert dist.probs[0] == pytest.approx(g, abs=1e-14)
+    law = house_of_cards_dist([g] * (n + 1), n)
+    assert law[n] == pytest.approx((1 - g) ** n, abs=1e-14)
+    assert law[0] == pytest.approx(g, abs=1e-14)
 
 
 def test_markov1_bound_is_dyadic():
@@ -333,6 +333,16 @@ def test_bound_monotone_in_k():
     bounds = [reconstruction_bound(MARKOV1, -10, k) for k in range(5)]
     for a, b in zip(bounds, bounds[1:]):
         assert b >= a
+
+
+def test_bound_is_a_cdf():
+    # P(Z_n <= k): 0 below the support, the whole law summed from n on.
+    law = house_of_cards_dist(gamma_profile(MARKOV1, MARKOV1.memory).values, 10)
+    assert reconstruction_bound(MARKOV1, -10, -1) == 0.0
+    assert reconstruction_bound(MARKOV1, -10, -3) == 0.0
+    assert reconstruction_bound(MARKOV1, -10, 4) == float(np.sum(law[:5]))
+    assert reconstruction_bound(MARKOV1, -10, 10) == float(np.sum(law))
+    assert reconstruction_bound(MARKOV1, -10, 12) == float(np.sum(law))
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +362,23 @@ def test_disagreement_iid_never_disagrees():
 
 
 def test_domination_rows():
-    rows = domination_experiment(MARKOV1, -10, 20_000, 23)
-    assert [r.m for r in rows] == list(range(11))
+    # The replayed trials depend on N, not on K, so the disagreement rows
+    # of one N at every lag M are the domination check: the agreement
+    # length exceeds M with frequency at least P(Z_10 > M) - 3 sigma.
+    rows = [disagreement_experiment(MARKOV1, -10, m, 20_000, 23) for m in range(11)]
     for r in rows:
-        assert r.verdict == "dominates"
-        assert r.mc_tail >= r.exact_tail - 3 * r.stderr
+        assert r.verdict == "within-bound"
+        assert 1.0 - r.freq >= (1.0 - r.dp_bound) - 3 * r.stderr
+    # One replay read at every lag: agreement on [-M; 0] implies it on
+    # every shorter window.
+    agree = [1.0 - r.freq for r in rows]
+    for a, b in zip(agree, agree[1:]):
+        assert b <= a
 
 
 def test_domination_exact_tail_decreases():
-    rows = domination_experiment(MARKOV1, -10, 1_000, 24)
-    tails = [r.exact_tail for r in rows]
+    rows = [disagreement_experiment(MARKOV1, -10, m, 1_000, 24) for m in range(11)]
+    tails = [1.0 - r.dp_bound for r in rows]
     for a, b in zip(tails, tails[1:]):
         assert b <= a + 1e-15
 

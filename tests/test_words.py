@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,5 +50,8 @@ def test_as_word_validates():
 
 
 def test_parse_word_validates():
-    with pytest.raises(ValueError):
-        parse_word("01x")
+    # The message quotes the word, whatever the stray character: int()
+    # would also read a space-padded or non-ASCII digit.
+    for text in ("01x", "012", " 01", "0\uff11"):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_word(text)
