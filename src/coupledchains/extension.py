@@ -37,11 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .innovation import AUDIT_MIN_SAMPLES, AuditReport, _audit
-from .kernels import CapExceededError, Kernel, lift, marginal, push
+from .kernels import CapExceededError, Kernel
 from .reconstruction import coupled_walk
 from .rng import MC_SIGMAS, _trial_blocks, frequency, stream_rng
-from .vershik import (DEFAULT_DEPTH, CouplingEngine, coupling_table, pair_counts,
-                      pair_mean_stderr)
+from .vershik import DEFAULT_DEPTH, CouplingEngine, pair_counts, pair_mean_stderr
 from .words import Word, as_word, int_to_word, word_str, word_to_int
 
 
@@ -53,10 +52,6 @@ _MAX_BLOCK_DEPTH = 200
 # 16 times (the forward run and at most 15 lanes of `_stitch_trials`).
 # Halving from 0.5 down to the finest final tolerance, 3^-7, takes 11.
 MAX_TOLERANCES = 16
-
-
-class AnchorSelectionError(RuntimeError):
-    """No candidate anchor meets the requested integral bound."""
 
 
 def _anchor_code(engine: CouplingEngine, anchor) -> int:
@@ -101,80 +96,6 @@ def coupled_run(
     flips = [engine.table(steps - t).flip for t in range(steps)]
     coupled_walk(engine.prob0, v, ctx_true, ctx_hat, flips, v_is_u, other)
     return ctx_true, ctx_hat
-
-
-# ---------------------------------------------------------------------------
-# Exact joint window law (identity checks for the coupled construction)
-
-
-@dataclass(frozen=True)
-class JointLawReport:
-    window: int
-    tv_gap: float  # u-interval pushforward vs coupling-table product
-    hat_marginal_gap: float  # hat window law vs kernel chain from anchor
-    anchor: Word
-
-
-def _interval_joint(f_true, f_hat, lam) -> np.ndarray:
-    """Joint law of (X, X-hat) from one uniform u by interval overlap.
-
-    X-hat = 0 on u <= f_hat.  X = 0 on u <= f_true for lam = -1, and on
-    1 - u <= f_true for lam = +1.  Broadcasts over arrays of (f_true,
-    f_hat, lam); entry [a, b] of the result, of shape (2, 2, ...), is
-    P(X = a, X-hat = b) for each triple."""
-    f, g = f_true, f_hat
-    mono = np.array([[np.minimum(f, g), np.maximum(f - g, 0.0)],
-                     [np.maximum(g - f, 0.0), 1.0 - np.maximum(f, g)]])
-    anti = np.array([[np.maximum(g - (1.0 - f), 0.0), np.minimum(f, 1.0 - g)],
-                     [np.minimum(1.0 - f, g), np.maximum((1.0 - g) - f, 0.0)]])
-    return np.where(lam == -1, mono, anti)
-
-
-def _window_laws(engine: CouplingEngine, window: int, anchor_int: int):
-    """Exact laws of a coupled run over `window` steps from the
-    stationary true context and the anchor: the joint law of the (true,
-    hat) windows stepped by interval overlap, the same law stepped by
-    the coupling tables, and the law of the kernel chain's window from
-    the anchor.  Windows are integer codes, most recent symbol at bit 0.
-
-    Contexts carry max(L, window) bits, so each window is the low
-    `window` bits of its context at the end.
-    """
-    bits = max(engine.length, window)
-    size = 1 << bits
-    f = engine.kernel.prob0_over(bits)
-    f_true, f_hat = f[:, None], f[None, :]
-    interval, chain = np.zeros((size, size)), np.zeros(size)
-    interval[: engine.pi.size, anchor_int] = engine.pi
-    chain[anchor_int] = 1.0
-    product = interval
-    for t in range(window):
-        lam = lift(engine.table(window - t).orientation, bits)
-        interval = push(interval, _interval_joint(f_true, f_hat, lam))
-        product = push(product, coupling_table(f_true, f_hat, lam))
-        chain = push(chain, np.array([f, 1.0 - f]))
-    return tuple(marginal(law, window) for law in (interval, product, chain))
-
-
-def joint_step_law(
-    engine: CouplingEngine, window: int, anchor
-) -> JointLawReport:
-    """Exact joint law of (X[window], X-hat[window]), pushed forward over
-    context pairs, against the product of optimal coupling tables.
-
-    Both sides are pushed forward step by step from the stationary law
-    on true contexts and the fixed anchor context; the report carries
-    the total-variation gap (identical transition laws, so the gap is
-    float dust) and the gap between the hat marginal and the kernel
-    chain started from the anchor.
-    """
-    if window > 6:
-        raise CapExceededError("exact window enumeration capped at 6")
-    anchor_int = _anchor_code(engine, anchor)
-    interval, product, chain = _window_laws(engine, window, anchor_int)
-    tv = 0.5 * float(np.abs(interval - product).sum())
-    hat_gap = 0.5 * float(np.abs(interval.sum(axis=0) - chain).sum())
-    return JointLawReport(window, tv, hat_gap, int_to_word(anchor_int, engine.length))
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +151,15 @@ def generator_error_check(
     )
 
 
-def choose_anchor(
-    engine: CouplingEngine, n_start: int, delta: float
-) -> tuple[Word, float]:
-    """Argmin anchor for the exact generator-gap integral over [n_start; 0].
+def choose_anchor(engine: CouplingEngine, n_start: int) -> tuple[Word, float]:
+    """Argmin anchor for the exact generator-gap integral over [n_start; 0],
+    and its integral.
 
     All 2^L words are scanned (L is capped small); ties go to the
-    smallest word code.  Raises AnchorSelectionError when no anchor
-    achieves the bound."""
+    smallest word code."""
     integrals = engine.anchor_integrals(1 - n_start)
     best = int(np.argmin(integrals))
-    value = float(integrals[best])
-    if value >= delta:
-        raise AnchorSelectionError(
-            f"best anchor integral {value:.6g} >= delta {delta:.6g} at "
-            f"window start {n_start}; extend the window (larger |N|)"
-        )
-    return int_to_word(best, engine.length), value
+    return int_to_word(best, engine.length), float(integrals[best])
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +196,10 @@ def _plan_block(engine: CouplingEngine, threshold: float, p_min: int):
     integral below the threshold; returns (p, alpha_p, anchor)."""
     for p in range(p_min, _MAX_BLOCK_DEPTH + 1):
         a = engine.alpha(p)
-        if a < threshold and engine.anchor_integrals(p).min() < threshold:
-            return p, a, choose_anchor(engine, -(p - 1), threshold)[0]
+        if a < threshold:
+            anchor, integral = choose_anchor(engine, 1 - p)
+            if integral < threshold:
+                return p, a, anchor
     raise CapExceededError(
         f"coupling-distance threshold {threshold:.3g} not reached within "
         f"_MAX_BLOCK_DEPTH = {_MAX_BLOCK_DEPTH} metric-table depths"

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .words import as_word, parse_word, word_to_int
+from .words import as_word, int_to_word, parse_word, word_str, word_to_int
 
 MAX_MEMORY_DEPTH = 16
 MAX_WORD_LENGTH = 16
@@ -136,16 +136,24 @@ def _check_markov_order(order: int) -> None:
 
 def _markov_from_table(order: int, table: Mapping) -> Kernel:
     """Order-k kernel from a mapping of every length-k context (a word,
-    or a 0/1 string written oldest symbol first) to P(0 | context)."""
+    or a 0/1 string written oldest symbol first) to P(0 | context).  A
+    bad key is quoted as written; a missing context is named oldest
+    symbol first."""
     _check_markov_order(order)  # before sizing the table by it
     probs = [None] * (1 << order)
     for key, p in table.items():
-        word = parse_word(key) if isinstance(key, str) else as_word(key)
+        try:
+            word = parse_word(key) if isinstance(key, str) else as_word(key)
+        except ValueError as exc:
+            raise ValueError(f"markov table key {key!r}: {exc}") from exc
         if len(word) != order:
-            raise ValueError(f"context {word!r} does not have length {order}")
+            raise ValueError(f"markov table key {key!r} has {len(word)} "
+                             f"symbols, not the order {order}")
         probs[word_to_int(word)] = float(p)
-    if any(p is None for p in probs):
-        raise ValueError("markov table must cover every length-k context")
+    if None in probs:
+        missing = word_str(int_to_word(probs.index(None), order))
+        raise ValueError(f"markov table of order {order} misses the "
+                         f"context {missing!r}")
     return MarkovKernel(order, tuple(probs))
 
 

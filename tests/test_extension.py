@@ -8,24 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupledchains.extension import (
-    AnchorSelectionError,
     CouplingEngine,
-    _interval_joint,
-    _window_laws,
     choose_anchor,
     coupled_run,
     expected_generator_gap,
     generator_error_check,
-    joint_step_law,
     stitch_blocks,
 )
 from coupledchains import extension
 from coupledchains.innovation import innovation_audit
 from coupledchains.kernels import (
-    CapExceededError,
     IIDKernel,
     MarkovKernel,
     builtin_kernels,
+    marginal,
+    push,
     stationary_ctx_vector,
 )
 from coupledchains.reconstruction import (
@@ -41,7 +38,7 @@ from coupledchains.vershik import (
     coupling_table,
     metric_tables,
 )
-from coupledchains.words import word_to_int
+from coupledchains.words import int_to_word, word_to_int
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
 IID = IIDKernel(0.5)
@@ -571,12 +568,12 @@ def test_joint_one_step_law_matches_coupling_table():
 
 
 # ---------------------------------------------------------------------------
-# Exact window law.  Oracle: the dict-of-states DP over (true context, hat
+# Exact window law: the dict-of-states DP over (true context, hat
 # context, true path, hat path), one step law per state, with the scalar
-# step laws written out.
+# step laws written out.  Acceptance criterion 8 reads it too.
 
 
-def reference_interval_joint(f_true, f_hat, lam):
+def reference_overlap_law(f_true, f_hat, lam):
     out = np.empty((2, 2))
     if lam == -1:
         lo, hi = min(f_true, f_hat), max(f_true, f_hat)
@@ -611,7 +608,7 @@ def reference_joint_law(engine, window, anchor_int):
     table = engine.kernel.prob0_table.tolist()
     kmask = len(table) - 1
     laws = []
-    for step_law in (reference_interval_joint, reference_coupling_table):
+    for step_law in (reference_overlap_law, reference_coupling_table):
         states = {
             (c, anchor_int, 0, 0): float(engine.pi[c])
             for c in range(1 << L) if engine.pi[c] > 0.0
@@ -638,6 +635,19 @@ def reference_joint_law(engine, window, anchor_int):
     return laws
 
 
+def chain_window_law(engine, window, anchor_int):
+    """The law of the kernel chain's last `window` symbols after `window`
+    steps from the anchor context, pushed over max(L, window)-bit
+    contexts."""
+    bits = max(engine.length, window)
+    f = engine.kernel.prob0_over(bits)
+    law = np.zeros(1 << bits)
+    law[anchor_int] = 1.0
+    for _ in range(window):
+        law = push(law, np.array([f, 1.0 - f]))
+    return marginal(law, window)
+
+
 # (kernel, generator depth, window, anchor): window 6 > L = 3 for the
 # order-3 kernel, and L = 2 for the iid kernel.  Only the order-2 kernel
 # has antitone orientations (at depth 2 of L = 3), so only its window
@@ -653,41 +663,30 @@ WINDOW_CASES = [
 
 @pytest.mark.parametrize("kernel, depth, window, anchor", WINDOW_CASES)
 def test_window_laws_match_reference_dp(kernel, depth, window, anchor):
+    # The (true, hat) window law stepped by interval overlap is the one
+    # stepped by the optimal coupling tables; its true window is
+    # stationary and its hat window is the kernel chain's from the anchor.
     engine = make_engine(kernel, p_max=1, depth=depth)
     anchor_int = word_to_int(anchor)
-    interval, product, chain = _window_laws(engine, window, anchor_int)
-    ref_interval, ref_product = reference_joint_law(engine, window, anchor_int)
-    assert np.allclose(interval, ref_interval, rtol=0.0, atol=1e-15)
-    assert np.allclose(product, ref_product, rtol=0.0, atol=1e-15)
-    # The true window is stationary, which neither reported gap checks.
+    interval, product = reference_joint_law(engine, window, anchor_int)
+    assert 0.5 * np.abs(interval - product).sum() < 1e-12
     stationary = stationary_ctx_vector(kernel, window)
     assert np.allclose(interval.sum(axis=1), stationary, rtol=0.0, atol=1e-12)
     assert np.allclose(product.sum(axis=1), stationary, rtol=0.0, atol=1e-12)
-    report = joint_step_law(engine, window, anchor)
-    assert report.tv_gap < 1e-12 and report.hat_marginal_gap < 1e-12
+    chain = chain_window_law(engine, window, anchor_int)
+    assert 0.5 * np.abs(interval.sum(axis=0) - chain).sum() < 1e-12
 
 
 def test_step_laws_broadcast_like_scalar_calls():
     grid = np.array([0.01, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.99])
     f, g, lam = np.meshgrid(grid, grid, [-1, 1], indexing="ij")
-    for step_law, reference in (
-        (_interval_joint, reference_interval_joint),
-        (coupling_table, reference_coupling_table),
-    ):
-        tables = step_law(f, g, lam)
-        assert tables.shape == (2, 2) + f.shape
-        for i in np.ndindex(f.shape):
-            expected = reference(float(f[i]), float(g[i]), int(lam[i]))
-            assert np.array_equal(tables[(...,) + i], expected)
-            assert np.array_equal(step_law(float(f[i]), float(g[i]), int(lam[i])),
-                                  expected)
-
-
-def test_joint_window_law_tv():
-    engine = make_engine(MARKOV1, p_max=4)
-    report = joint_step_law(engine, 4, (0,) * engine.length)
-    assert report.tv_gap < 1e-10
-    assert report.hat_marginal_gap < 1e-10
+    tables = coupling_table(f, g, lam)
+    assert tables.shape == (2, 2) + f.shape
+    for i in np.ndindex(f.shape):
+        expected = reference_coupling_table(float(f[i]), float(g[i]), int(lam[i]))
+        assert np.array_equal(tables[(...,) + i], expected)
+        assert np.array_equal(
+            coupling_table(float(f[i]), float(g[i]), int(lam[i])), expected)
 
 
 def test_joint_window_law_iid_never_disagrees():
@@ -701,12 +700,6 @@ def test_joint_window_law_iid_never_disagrees():
     w = rng.random((trials, steps))
     end_true, end_hat = coupled_run(engine, w, ctx, anchor)
     assert np.all(((end_true ^ end_hat) & ((1 << steps) - 1)) == 0)
-
-
-def test_joint_window_cap():
-    engine = make_engine(MARKOV1, p_max=2)
-    with pytest.raises(CapExceededError):
-        joint_step_law(engine, 7, (0,) * engine.length)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +801,7 @@ def test_anchor_fubini():
 
 
 def test_anchor_longer_than_table_is_value_error():
-    # One rule for the anchor in the three functions that take one: at
+    # One rule for the anchor in the two functions that take one: at
     # most L symbols, zero-padded on the left; a longer word is refused,
     # not cut to its low L bits.  markov1-demo at D = 3 has L = 4.
     engine = make_engine(MARKOV1, p_max=4, depth=3)
@@ -818,17 +811,15 @@ def test_anchor_longer_than_table_is_value_error():
             expected_generator_gap(engine, -3, anchor)
         with pytest.raises(ValueError, match="longer than the table length 4"):
             generator_error_check(engine, -3, anchor, 100, 1)
-        with pytest.raises(ValueError, match="longer than the table length 4"):
-            joint_step_law(engine, 2, anchor)
     # Words of at most L symbols are padded: (1, 1) is the anchor 0011.
     assert (expected_generator_gap(engine, -3, (1, 1))
             == expected_generator_gap(engine, -3, (0, 0, 1, 1)))
-    assert joint_step_law(engine, 2, (1, 1)).anchor == (0, 0, 1, 1)
+    assert generator_error_check(engine, -3, (1, 1), 100, 1).anchor == (0, 0, 1, 1)
 
 
 def test_choose_anchor_beats_average():
     engine = make_engine(MARKOV1, p_max=7)
-    anchor, value = choose_anchor(engine, -6, delta=1.0)
+    anchor, value = choose_anchor(engine, -6)
     assert value <= engine.alpha(7) + 1e-15
     assert value == pytest.approx(
         expected_generator_gap(engine, -6, anchor), abs=1e-15
@@ -839,12 +830,6 @@ def test_choose_anchor_iid_indifferent():
     engine = make_engine(IID, p_max=6)
     integrals = engine.anchor_integrals(6)
     assert np.allclose(integrals, integrals[0], atol=1e-14)
-
-
-def test_choose_anchor_failure():
-    engine = make_engine(MARKOV1, p_max=3)
-    with pytest.raises(AnchorSelectionError):
-        choose_anchor(engine, -2, delta=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -1044,6 +1029,30 @@ def test_stitch_blocks_of_trials_pinned(case, digests):
     engine = make_engine(kernel, 1, depth)
     runs = range(1, 2 - min(r.n_j for r in report.rows))
     assert any(engine.table(p).flip is not None for p in runs) == flips
+
+
+@pytest.mark.parametrize("kernel, deltas, depth", [
+    (MARKOV1, BENCH_DELTAS, 7),
+    (ANTITONE, (0.3, 0.2, 0.1, 0.05), 3),
+])
+def test_stitch_plans_smallest_depth_and_argmin_anchor(kernel, deltas, depth):
+    # Block j's depth p = 1 - N_j is the smallest p >= L at which alpha_p
+    # and the least anchor integral both lie below its threshold: delta_0
+    # for j = 0, 3^(1 - L) delta_j / 2 after it.  Its anchor is the
+    # argmin of the anchor integrals at p.
+    report = stitch_blocks(kernel, deltas, 50, 1, depth)
+    engine = make_engine(kernel, 1, depth)
+    L = engine.length
+    for row in report.rows:
+        threshold = row.delta_j if row.j == 0 else 3.0 ** (1 - L) * row.delta_j / 2
+        p = 1 - row.n_j
+        below = [engine.alpha(q) < threshold
+                 and engine.anchor_integrals(q).min() < threshold
+                 for q in range(L, p + 1)]
+        assert below == [False] * (p - L) + [True], row.j
+        assert row.alpha_used == engine.alpha(p)
+        best = int(np.argmin(engine.anchor_integrals(p)))
+        assert row.anchor == int_to_word(best, L)
 
 
 def test_stitch_memory_stays_blockwise():

@@ -496,6 +496,25 @@ def test_cli_bad_word_names_it(tmp_path, capsys, kind, params, named):
     assert named in err and "invalid literal" not in err
 
 
+@pytest.mark.parametrize("order, table, message", [
+    (1, {"01": 0.7, "1": 0.4}, "markov table key '01' has 2 symbols, not the order 1"),
+    (1, {"x": 0.7, "1": 0.4},
+     "markov table key 'x': a word is a string of 0s and 1s, not 'x'"),
+    (2, {"00": 0.7, "11": 0.4, "10": 0.2},
+     "markov table of order 2 misses the context '01'"),
+])
+def test_cli_bad_markov_table_names_key(tmp_path, capsys, order, table, message):
+    # A bad key is quoted as written, with the order; a missing context
+    # is named oldest symbol first.
+    cfg = {"kind": "gamma", "seed": 3,
+           "kernel": {"variant": "markov", "order": order, "table": table}}
+    path = write_config(tmp_path, "m.json", cfg)
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"invalid kernel spec: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("deltas", [[0.2, -0.1], [0.0], [0.3, 0.2, 0.0]])
 def test_cli_stitch_nonpositive_tolerance_exits_2(tmp_path, capsys, deltas):
     # A tolerance <= 0 is named as such, not blamed on the depth.

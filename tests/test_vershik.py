@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupledchains.extension import _interval_joint
 from coupledchains.kernels import (
     IIDKernel,
     MarkovKernel,
@@ -547,19 +546,21 @@ def test_alpha_sequence_memory_stays_at_stored_bits():
 
 # ---------------------------------------------------------------------------
 # Same-uniform alpha.  Oracle: pi x pi pushed p steps by the joint law of
-# two chains thresholding one uniform (_interval_joint at lam = -1) and
-# integrated against T_0.  The metric recursion takes the cheaper of the
-# two extreme couplings at every step, so alpha_p is at most this value;
-# on a monotone kernel (P(0 | past) non-increasing in every past symbol)
-# it takes the same-uniform one at every step, so the two are equal up
-# to rounding.
+# two chains thresholding one uniform and integrated against T_0.  The
+# metric recursion takes the cheaper of the two extreme couplings at
+# every step, so alpha_p is at most this value; on a monotone kernel
+# (P(0 | past) non-increasing in every past symbol) it takes the
+# same-uniform one at every step, so the two are equal up to rounding.
 
 ULPS = 16 * np.finfo(float).eps
 
 
 def same_u_alpha(engine, p_max):
-    f = engine.prob0
-    step = _interval_joint(f[:, None], f[None, :], -1)
+    f, g = engine.prob0[:, None], engine.prob0[None, :]
+    # X = 0 on u <= f and X-hat = 0 on u <= g: entry [a, b] is the length
+    # of the u-interval on which (X, X-hat) = (a, b).
+    step = np.array([[np.minimum(f, g), np.maximum(f - g, 0.0)],
+                     [np.maximum(g - f, 0.0), 1.0 - np.maximum(f, g)]])
     law = engine.pi[:, None] * engine.pi[None, :]
     values = []
     for _ in range(p_max + 1):
