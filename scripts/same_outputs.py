@@ -14,8 +14,11 @@ checkout's src/.  The configs are:
 - the ten benchmark invocations of perfbench/workloads.py, generated at
   workload seeds 1 and 7 (only perfbench/ is read for them)
 - the eight scaled configs under scripts/configs/scaled/
-- the three antitone golden configs under tests/golden/antitone/, the
-  only runs whose coupled walks flip
+- the four antitone golden configs under tests/golden/antitone/, the
+  only runs whose coupled walks flip; extend-anchor is the only run that
+  gives extend an anchor
+
+38 runs in all.
 
 Each runs once per tree as ``python -m coupledchains.harness <kind>``,
 one run at a time, with that tree on PYTHONPATH and its outputs in a

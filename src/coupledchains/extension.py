@@ -3,7 +3,7 @@ block-stitched product-type sequence.
 
 Given the metric tables of :mod:`.vershik`, each step of the true chain
 is re-encoded relative to a companion ("hat") chain started from an
-anchor word: the innovation W is kept or flipped to U = 1 - W according
+anchor context: the innovation W is kept or flipped to U = 1 - W according
 to the orientation of the optimal coupling between the two conditional
 laws, and the hat chain thresholds U against its own conditional
 probability.  The joint one-step law of (X, X-hat) is then exactly the
@@ -26,8 +26,9 @@ is read off the forward run's true end.
 
 Time convention: a run over [N; 0] takes |N|+1 steps; the step landing
 at time t uses the orientation table at depth -t + 1 (depth |N|+1 first,
-depth 1 last).  Contexts are integer words, most recent symbol at bit 0,
-kept to the table length L.
+depth 1 last).  Contexts are integer codes, most recent symbol at bit 0,
+kept to the table length L; an anchor is given and reported as a 0/1
+string, oldest symbol first (:func:`.kernels.parse_word`).
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .innovation import AUDIT_MIN_SAMPLES, AuditReport, _audit
-from .kernels import CapExceededError, Kernel
+from .kernels import CapExceededError, Kernel, parse_word
 from .reconstruction import coupled_walk
 from .rng import MC_SIGMAS, _trial_blocks, frequency, stream_rng
 from .vershik import DEFAULT_DEPTH, CouplingEngine, pair_counts, pair_mean_stderr
-from .words import Word, as_word, int_to_word, word_str, word_to_int
 
 
 _MAX_BLOCK_DEPTH = 200
@@ -54,14 +54,13 @@ _MAX_BLOCK_DEPTH = 200
 MAX_TOLERANCES = 16
 
 
-def _anchor_code(engine: CouplingEngine, anchor) -> int:
-    """The L-bit context code of an anchor word of at most L symbols,
-    zero-padded on the left; a longer word is a ValueError."""
-    word = as_word(anchor)
-    if len(word) > engine.length:
-        raise ValueError(f"anchor {word_str(word)!r} is longer than the "
+def _anchor_code(engine: CouplingEngine, anchor: str) -> int:
+    """The L-bit context code of an anchor, a 0/1 string of at most L
+    symbols, zero-padded on the left; a longer string is a ValueError."""
+    if len(anchor) > engine.length:
+        raise ValueError(f"anchor {anchor!r} is longer than the "
                          f"table length {engine.length}")
-    return word_to_int(word)
+    return parse_word(anchor)
 
 
 def coupled_run(
@@ -77,7 +76,7 @@ def coupled_run(
     ``v`` has shape (trials, steps), any strides, and holds the
     innovations w of the true chain, or with ``v_is_u`` the re-encoded
     u, from which the run rebuilds the true chain (the flip is its own
-    inverse).  Contexts are integer words for the pasts before the
+    inverse).  Contexts are integer codes for the pasts before the
     window, int64 arrays that must not share memory.  The run updates
     them in place, cut to the table length L and then stepped to the
     window's end, and returns them as (ctx_true, ctx_hat); a caller
@@ -105,7 +104,7 @@ def coupled_run(
 @dataclass(frozen=True)
 class GeneratorGapReport:
     n_start: int
-    anchor: Word
+    anchor: str  # L symbols, oldest first
     mc_estimate: float
     stderr: float
     exact_value: float
@@ -113,7 +112,7 @@ class GeneratorGapReport:
     verdict: str  # "match" | "mismatch"
 
 
-def expected_generator_gap(engine: CouplingEngine, n_start: int, anchor) -> float:
+def expected_generator_gap(engine: CouplingEngine, n_start: int, anchor: str) -> float:
     """Exact E|R_D - R_D(hat)| for a coupled run over [n_start; 0]:
     the metric-table integral against the stationary context law."""
     return float(engine.anchor_integrals(1 - n_start)[_anchor_code(engine, anchor)])
@@ -122,18 +121,20 @@ def expected_generator_gap(engine: CouplingEngine, n_start: int, anchor) -> floa
 def generator_error_check(
     engine: CouplingEngine,
     n_start: int,
-    anchor,
+    anchor: str,
     trials: int,
     seed: int,
 ) -> GeneratorGapReport:
     """Monte Carlo the coupled-run generator gap and compare with the
     exact integral; tolerance MC_SIGMAS * stderr + one truncation
-    allowance.
+    allowance.  The anchor is checked before the metric tables are
+    deepened to the window.
 
     The trials run one block at a time (:func:`_trial_blocks`) and are
     counted by their end pair code (:func:`.vershik.pair_counts`); the
     depth-0 metric table is |R_D(x) - R_D(y)| at every pair code."""
     anchor_int = _anchor_code(engine, anchor)
+    engine.table(1 - n_start)  # every depth the run reads, before its trials
     rng = stream_rng(seed, "generator-gap", engine.kernel.label, f"N{n_start}")
 
     def ends():
@@ -147,19 +148,19 @@ def generator_error_check(
     tol = MC_SIGMAS * stderr + 3.0 ** (-engine.depth)
     verdict = "match" if abs(mc - exact) <= tol else "mismatch"
     return GeneratorGapReport(
-        n_start, int_to_word(anchor_int, engine.length), mc, stderr, exact, tol, verdict
+        n_start, anchor.zfill(engine.length), mc, stderr, exact, tol, verdict
     )
 
 
-def choose_anchor(engine: CouplingEngine, n_start: int) -> tuple[Word, float]:
+def choose_anchor(engine: CouplingEngine, n_start: int) -> tuple[str, float]:
     """Argmin anchor for the exact generator-gap integral over [n_start; 0],
-    and its integral.
+    as an L-symbol 0/1 string, and its integral.
 
-    All 2^L words are scanned (L is capped small); ties go to the
-    smallest word code."""
+    All 2^L contexts are scanned (L is capped small); ties go to the
+    smallest code."""
     integrals = engine.anchor_integrals(1 - n_start)
     best = int(np.argmin(integrals))
-    return int_to_word(best, engine.length), float(integrals[best])
+    return format(best, f"0{engine.length}b"), float(integrals[best])
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,7 @@ class StitchRow:
     k_j: int
     delta_j: float
     alpha_used: float
-    anchor: Word
+    anchor: str  # L symbols, oldest first
     exceed_freq: float
     stderr: float
     verdict: str  # "ok" | "exceeded"
@@ -192,14 +193,14 @@ class StitchReport:
 
 
 def _plan_block(engine: CouplingEngine, threshold: float, p_min: int):
-    """Smallest window depth p >= p_min with alpha_p and the least anchor
-    integral below the threshold; returns (p, alpha_p, anchor)."""
+    """Smallest window depth p >= p_min with alpha_p below the threshold;
+    returns (p, alpha_p, the argmin anchor at p).  The anchor's integral
+    is at most alpha_p, their average against the stationary law, so it
+    lies below the threshold too."""
     for p in range(p_min, _MAX_BLOCK_DEPTH + 1):
         a = engine.alpha(p)
         if a < threshold:
-            anchor, integral = choose_anchor(engine, 1 - p)
-            if integral < threshold:
-                return p, a, anchor
+            return p, a, choose_anchor(engine, 1 - p)[0]
     raise CapExceededError(
         f"coupling-distance threshold {threshold:.3g} not reached within "
         f"_MAX_BLOCK_DEPTH = {_MAX_BLOCK_DEPTH} metric-table depths"
@@ -219,10 +220,12 @@ def stitch_blocks(
 
     Block j covers times [M_{j+1}; M_j - 1] with M_0 = 1 and
     M_{j+1} = M_j + N_j - 1.  Its window start is N_j = -(p - 1) for
-    the smallest depth p >= L at which the coupling distance alpha_p and
-    the best anchor's exact integral both lie below a threshold: delta_0
-    for j = 0, and 3^(K_j - M_j + 1) * delta_j / 2 = 3^(1 - L) *
-    delta_j / 2 for j >= 1, where K_j = M_j - L.
+    the smallest depth p >= L at which the coupling distance alpha_p
+    lies below a threshold: delta_0 for j = 0, and
+    3^(K_j - M_j + 1) * delta_j / 2 = 3^(1 - L) * delta_j / 2 for
+    j >= 1, where K_j = M_j - L.  Its anchor is the argmin of the exact
+    anchor integrals at p (:func:`choose_anchor`), whose integral is at
+    most alpha_p.
     Estimates P(|S_j - R_D| > delta_j) per block and audits the pooled
     stitched innovations.  The schedule is positive, strictly decreasing
     and holds at most MAX_TOLERANCES tolerances, the last at least 3^-D,
@@ -230,7 +233,7 @@ def stitch_blocks(
     AUDIT_MIN_SAMPLES; each is checked before any trial is run.
 
     S_j is read off an inverse coupled run over the stitched u: row j >= 1
-    replays blocks j-1 .. 0 from block j-1's anchor word, each block's
+    replays blocks j-1 .. 0 from block j-1's anchor, each block's
     hat chain regenerated from its own anchor, and row 0 is the true end
     of the forward run, which the inverse run of block 0 from the true
     context before it would retrace exactly.  :func:`_stitch_trials`
@@ -292,7 +295,7 @@ def stitch_blocks(
             f"fewer than the audit's {AUDIT_MIN_SAMPLES}: raise trials")
     rng = stream_rng(seed, "stitch", kernel.label, f"J{n_blocks - 1}")
     cols = [slice(m[j + 1] - t_min, m[j] - t_min) for j in range(n_blocks)]
-    anchor_ints = [word_to_int(a) for a in anchors]
+    anchor_ints = [parse_word(a) for a in anchors]
     exceeded = [0] * n_blocks  # per row, the trials whose S_j is far
 
     def stitched():

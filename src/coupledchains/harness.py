@@ -36,8 +36,9 @@ from .kernels import (
     MarkovKernel,
     builtin_kernels,
     gamma_profile,
+    parse_word,
 )
-from .reconstruction import disagreement_experiment, simulate_path
+from .reconstruction import check_window, disagreement_experiment, simulate_path
 from .vershik import (
     DEFAULT_DEPTH,
     CouplingEngine,
@@ -45,7 +46,6 @@ from .vershik import (
     alpha_sequence_mc,
     alpha_sup_bound,
 )
-from .words import parse_word, word_str
 
 _REQUIRED = object()
 # The JSON name of each field type.
@@ -277,6 +277,8 @@ def _run_reconstruct(kernel, config):
     p = config.settings
     header = ("N", "K", "trials", "freq", "stderr", "dp_bound", "verdict")
     rows, verdicts = [], []
+    for n in p["n_list"]:  # every window, before the first row runs
+        check_window(n, p["k"])
     for n in p["n_list"]:
         r = disagreement_experiment(kernel, n, p["k"], p["trials"], config.seed)
         rows.append(astuple(r))
@@ -304,13 +306,14 @@ def _run_vershik(kernel, config):
 
 def _run_extend(kernel, config):
     p = config.settings
-    n = p["n"]
-    engine = CouplingEngine.build(kernel, -n + 1, p["depth"])
+    anchor = p["anchor"] or ""  # zero-padded to length L
     try:
-        anchor = parse_word(p["anchor"] or "")  # zero-padded to length L
+        parse_word(anchor)
     except ValueError as exc:
         raise ConfigError(f"extend experiment field 'anchor': {exc}") from exc
-    r = generator_error_check(engine, n, anchor, p["trials"], config.seed)
+    # Depth 1 fixes L; the check deepens the tables once the anchor fits.
+    engine = CouplingEngine.build(kernel, 1, p["depth"])
+    r = generator_error_check(engine, p["n"], anchor, p["trials"], config.seed)
     header = ("N", "anchor", "mc_estimate", "stderr", "exact_value",
               "tolerance", "verdict")
     rows = [astuple(r)]
@@ -348,8 +351,6 @@ def format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
-    if isinstance(value, tuple):  # word
-        return word_str(value)
     return str(value)
 
 

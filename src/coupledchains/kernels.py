@@ -1,5 +1,5 @@
-"""Process kernels: conditional laws, memory-decay coefficients, lower
-envelopes and stationary word laws.
+"""Process kernels: conditional laws, memory-decay coefficients and
+stationary word laws.
 
 Every kernel is one :class:`Kernel` of finite memory ``m``: the
 conditional probability of the next symbol depends only on the last ``m``
@@ -9,8 +9,10 @@ long-memory kernel is such an order-m chain like any other.  All "exact"
 quantities are computed by exhaustive enumeration over those contexts.
 Finite memory also fixes the renewal regime: gamma_p = 0 for p >= m, so
 every kernel's memory decay is summable.
-:func:`lift`, :func:`push` and :func:`marginal` hold the package's
-context-code arithmetic (most recent symbol at bit 0).
+:func:`parse_word`, :func:`lift`, :func:`push` and :func:`marginal` hold
+the package's context-code arithmetic (most recent symbol at bit 0): a
+context written as a 0/1 string, oldest symbol first, is its code in
+binary, so ``format(code, f"0{L}b")`` writes an L-bit code back.
 :func:`stationary_ctx_vector` and :func:`gamma_profile` solve once per
 Kernel object and argument, into the object's own ``_memo`` dict; the
 stationary law is returned read-only.
@@ -23,11 +25,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
-
-from .words import as_word, int_to_word, parse_word, word_str, word_to_int
 
 MAX_MEMORY_DEPTH = 16
 MAX_WORD_LENGTH = 16
@@ -113,7 +113,7 @@ def MarkovKernel(order: int, probs: tuple[float, ...]) -> Kernel:
     """Order-k kernel given by the full table of P(0 | last k symbols).
 
     ``probs[c]`` is P(0 | context with integer code c); use
-    ``MarkovKernel.from_table`` to build one from words.
+    ``MarkovKernel.from_table`` to build one from 0/1 strings.
     """
     _check_markov_order(order)
     if len(probs) != 1 << order:
@@ -134,24 +134,23 @@ def _check_markov_order(order: int) -> None:
         raise CapExceededError(f"markov order {order} exceeds cap {MAX_MEMORY_DEPTH}")
 
 
-def _markov_from_table(order: int, table: Mapping) -> Kernel:
-    """Order-k kernel from a mapping of every length-k context (a word,
-    or a 0/1 string written oldest symbol first) to P(0 | context).  A
-    bad key is quoted as written; a missing context is named oldest
-    symbol first."""
+def _markov_from_table(order: int, table: Mapping[str, float]) -> Kernel:
+    """Order-k kernel from a mapping of every length-k context, a 0/1
+    string written oldest symbol first, to P(0 | context).  A bad key is
+    quoted as written; a missing context is named oldest symbol first."""
     _check_markov_order(order)  # before sizing the table by it
     probs = [None] * (1 << order)
     for key, p in table.items():
         try:
-            word = parse_word(key) if isinstance(key, str) else as_word(key)
+            code = parse_word(key)
         except ValueError as exc:
             raise ValueError(f"markov table key {key!r}: {exc}") from exc
-        if len(word) != order:
-            raise ValueError(f"markov table key {key!r} has {len(word)} "
+        if len(key) != order:
+            raise ValueError(f"markov table key {key!r} has {len(key)} "
                              f"symbols, not the order {order}")
-        probs[word_to_int(word)] = float(p)
+        probs[code] = float(p)
     if None in probs:
-        missing = word_str(int_to_word(probs.index(None), order))
+        missing = format(probs.index(None), f"0{order}b")
         raise ValueError(f"markov table of order {order} misses the "
                          f"context {missing!r}")
     return MarkovKernel(order, tuple(probs))
@@ -196,7 +195,7 @@ def LongMemoryKernel(c: float, weights: tuple[float, ...]) -> Kernel:
 def builtin_kernels() -> dict[str, Kernel]:
     return {
         "iid-half": IIDKernel(0.5),
-        "markov1-demo": MarkovKernel.from_table(1, {(0,): 0.7, (1,): 0.4}),
+        "markov1-demo": MarkovKernel.from_table(1, {"0": 0.7, "1": 0.4}),
         "long-memory-demo": LongMemoryKernel(0.3, (0.2, 0.1)),
     }
 
@@ -262,19 +261,17 @@ def gamma_profile(kernel: Kernel, p_max: int) -> GammaProfile:
     return GammaProfile(tuple(values))
 
 
-def lower_envelope(kernel: Kernel, i: int, z: Iterable[int]) -> float:
-    """Infimum of P(i | x) over all pasts x extending the word z."""
-    if i not in (0, 1):
-        raise ValueError("symbol must be 0 or 1")
-    z = as_word(z)
-    table = kernel.prob0_table if i == 0 else 1.0 - kernel.prob0_table
-    # The pasts extending z have the codes z + k 2^p cut to m bits, p = |z|.
-    step = 1 << min(len(z), kernel.memory)
-    return float(table[word_to_int(z) & (table.size - 1)::step].min())
-
-
 # ---------------------------------------------------------------------------
 # Context-code arithmetic and stationary word laws
+
+
+def parse_word(text: str) -> int:
+    """The context code of a 0/1 string written oldest symbol first: its
+    last symbol is bit 0, and "" is 0.  A string with any other character
+    raises ValueError, quoting the string."""
+    if set(text) - {"0", "1"}:
+        raise ValueError(f"a word is a string of 0s and 1s, not {text!r}")
+    return int(text, 2) if text else 0
 
 
 def lift(table: np.ndarray, bits: int) -> np.ndarray:

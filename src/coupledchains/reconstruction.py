@@ -440,6 +440,16 @@ class DisagreementRow:
     verdict: str  # "within-bound" | "violates-bound"
 
 
+def check_window(n_start: int, k_lags: int) -> None:
+    """Reject a compared window [-k_lags; 0] wider than the cap or than
+    the replayed range [n_start; 0]."""
+    if k_lags + 1 > MAX_WORD_LENGTH:
+        raise CapExceededError(f"window {k_lags + 1} exceeds cap {MAX_WORD_LENGTH}")
+    if k_lags > -n_start:
+        raise ValueError(f"compared window k = {k_lags} exceeds the replayed "
+                         f"range of N = {n_start}: need k <= |N|")
+
+
 def disagreement_experiment(
     kernel: Kernel,
     n_start: int,
@@ -462,10 +472,7 @@ def disagreement_experiment(
     n_start read one replay at every lag: the row at lag M is also the
     renewal domination check at M, P(agreement on [-M; 0]) >=
     P(Z_{|n_start|} > M) - MC_SIGMAS * stderr."""
-    if k_lags + 1 > MAX_WORD_LENGTH:
-        raise CapExceededError(f"window {k_lags + 1} exceeds cap {MAX_WORD_LENGTH}")
-    if k_lags >= -n_start + 1:
-        raise ValueError("compared window cannot exceed the replayed range")
+    check_window(n_start, k_lags)
     rng = stream_rng(seed, "replay", kernel.label, f"N{n_start}")
     law = stationary_ctx_vector(kernel, kernel.memory)
     table = kernel.prob0_over(max(k_lags + 1, kernel.memory))

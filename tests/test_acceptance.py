@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,10 @@ from coupledchains.extension import (
 )
 from coupledchains.kernels import (
     IIDKernel,
+    Kernel,
     builtin_kernels,
     gamma_profile,
-    lower_envelope,
+    parse_word,
 )
 from coupledchains.reconstruction import (
     disagreement_experiment,
@@ -30,7 +32,6 @@ from coupledchains.reconstruction import (
     simulate_path,
 )
 from coupledchains.vershik import alpha_sequence, coupling_table, lambda_sign
-from coupledchains.words import int_to_word
 from test_extension import chain_window_law, reference_joint_law
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
@@ -105,14 +106,22 @@ def test_criterion_02_memory_decay_exact():
             f"markov={mk.values[:2]} longmem={lm.values[:3]} {t.elapsed:.1f}s")
 
 
+def lower_envelope(kernel: Kernel, i: int, z: str) -> float:
+    """Infimum of P(i | x) over all pasts x extending z, a 0/1 string
+    written oldest symbol first."""
+    table = kernel.prob0_table if i == 0 else 1.0 - kernel.prob0_table
+    # The pasts extending z have the codes z + k 2^p cut to m bits, p = |z|.
+    step = 1 << min(len(z), kernel.memory)
+    return float(table[parse_word(z) & (table.size - 1)::step].min())
+
+
 def test_criterion_03_envelope_inequality():
     with _Timer() as t:
         violations = 0
         for kernel in builtin_kernels().values():
             prof = gamma_profile(kernel, 8)
             for p in range(9):
-                for code in range(1 << p):
-                    z = int_to_word(code, p)
+                for z in map("".join, product("01", repeat=p)):
                     total = lower_envelope(kernel, 0, z) + lower_envelope(
                         kernel, 1, z
                     )
@@ -209,7 +218,7 @@ def test_criterion_09_generator_gap_identity():
     with _Timer() as t:
         engine = CouplingEngine.build(MARKOV1, 7, 6)
         report = generator_error_check(
-            engine, -6, (0,) * engine.length, 100_000, SEED
+            engine, -6, "0" * engine.length, 100_000, SEED
         )
         gap = abs(report.mc_estimate - report.exact_value)
         ok = gap <= 3 * report.stderr + 3.0**-6

@@ -22,6 +22,7 @@ from coupledchains.kernels import (
     MarkovKernel,
     builtin_kernels,
     marginal,
+    parse_word,
     push,
     stationary_ctx_vector,
 )
@@ -38,7 +39,6 @@ from coupledchains.vershik import (
     coupling_table,
     metric_tables,
 )
-from coupledchains.words import int_to_word, word_to_int
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
 IID = IIDKernel(0.5)
@@ -346,7 +346,7 @@ def test_coupled_experiments_draw_uniforms_blockwise(experiment, bound_mib):
         if experiment == "disagreement":
             disagreement_experiment(ORDER3, -8, 2, trials, 67)
         elif experiment == "generator-gap":
-            generator_error_check(engine, -6, (0,) * engine.length, trials, 71)
+            generator_error_check(engine, -6, "0" * engine.length, trials, 71)
         else:
             alpha_sequence_mc(ORDER3, 16, trials, 73, 7)
         peak = tracemalloc.get_traced_memory()[1]
@@ -430,12 +430,12 @@ def test_generator_gap_matches_whole_array_reference(kernel, trials):
     # whole array of end pair codes, then the mean and the ddof=1
     # standard error from the counts.
     engine = make_engine(kernel, p_max=2, depth=3)
-    n_start, anchor = -4, (1,) * engine.length
+    n_start, anchor = -4, "1" * engine.length
     report = generator_error_check(engine, n_start, anchor, trials, 37)
     rng = stream_rng(37, "generator-gap", kernel.label, f"N{n_start}")
     ctx_true = rng.choice(engine.pi.size, p=engine.pi, size=trials)
     w = rng.random((trials, 1 - n_start))
-    hat = np.full(trials, word_to_int(anchor), dtype=np.int64)
+    hat = np.full(trials, parse_word(anchor), dtype=np.int64)
     _, end_true, end_hat = serial_coupled_run(engine, w, ctx_true, hat)
     gen = engine.generator
     gaps = np.abs(gen[:, None] - gen[None, :]).ravel()
@@ -653,21 +653,24 @@ def chain_window_law(engine, window, anchor_int):
 # has antitone orientations (at depth 2 of L = 3), so only its window
 # depends on the orientation.
 WINDOW_CASES = [
-    (MARKOV1, 6, 4, (0,)),
-    (builtin_kernels()["long-memory-demo"], 3, 6, (1, 0, 1)),
-    (ORDER3, 1, 6, (0,)),
-    (IID, 1, 5, (0,)),
-    (ANTITONE, 2, 5, (0,)),
+    (MARKOV1, 6, 4, "0"),
+    (builtin_kernels()["long-memory-demo"], 3, 6, "101"),
+    (ORDER3, 1, 6, "0"),
+    (IID, 1, 5, "0"),
+    (ANTITONE, 2, 5, "0"),
 ]
 
 
-@pytest.mark.parametrize("kernel, depth, window, anchor", WINDOW_CASES)
+# Each case is named by its position, not by its anchor string.
+@pytest.mark.parametrize("kernel, depth, window, anchor", WINDOW_CASES,
+                         ids=[f"kernel{i}-{d}-{w}-anchor{i}"
+                              for i, (_, d, w, _) in enumerate(WINDOW_CASES)])
 def test_window_laws_match_reference_dp(kernel, depth, window, anchor):
     # The (true, hat) window law stepped by interval overlap is the one
     # stepped by the optimal coupling tables; its true window is
     # stationary and its hat window is the kernel chain's from the anchor.
     engine = make_engine(kernel, p_max=1, depth=depth)
-    anchor_int = word_to_int(anchor)
+    anchor_int = parse_word(anchor)
     interval, product = reference_joint_law(engine, window, anchor_int)
     assert 0.5 * np.abs(interval - product).sum() < 1e-12
     stationary = stationary_ctx_vector(kernel, window)
@@ -752,7 +755,7 @@ def _gap_oracle(engine, n_start, anchor_int):
 
 def test_expected_gap_matches_independent_dp():
     engine = make_engine(MARKOV1, p_max=7, depth=4)
-    anchor = (0,) * engine.length
+    anchor = "0" * engine.length
     for n in (-2, -4, -6):
         oracle = _gap_oracle(engine, n, 0)
         assert expected_generator_gap(engine, n, anchor) == pytest.approx(
@@ -762,7 +765,7 @@ def test_expected_gap_matches_independent_dp():
 
 def test_expected_gap_decreases_with_window():
     engine = make_engine(MARKOV1, p_max=7)
-    anchor = (0,) * engine.length
+    anchor = "0" * engine.length
     gaps = [expected_generator_gap(engine, n, anchor) for n in (-2, -4, -6)]
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -770,7 +773,7 @@ def test_expected_gap_decreases_with_window():
 def test_generator_error_check_passes():
     engine = make_engine(MARKOV1, p_max=7)
     report = generator_error_check(
-        engine, -6, (0,) * engine.length, 20_000, 61
+        engine, -6, "0" * engine.length, 20_000, 61
     )
     assert report.verdict == "match"
 
@@ -779,7 +782,7 @@ def test_generator_gap_iid_is_zero():
     # Context-free probabilities force X-hat = X from the first step on;
     # the windows coincide, so both sides vanish.
     engine = make_engine(IID, p_max=6, depth=4)
-    anchor = (1,) * engine.length
+    anchor = "1" * engine.length
     assert expected_generator_gap(engine, -5, anchor) == pytest.approx(0.0, abs=1e-15)
     report = generator_error_check(engine, -5, anchor, 2_000, 62)
     assert report.mc_estimate == 0.0
@@ -802,19 +805,19 @@ def test_anchor_fubini():
 
 def test_anchor_longer_than_table_is_value_error():
     # One rule for the anchor in the two functions that take one: at
-    # most L symbols, zero-padded on the left; a longer word is refused,
+    # most L symbols, zero-padded on the left; a longer string is refused,
     # not cut to its low L bits.  markov1-demo at D = 3 has L = 4.
     engine = make_engine(MARKOV1, p_max=4, depth=3)
     assert engine.length == 4
-    for anchor in ((1, 0, 0, 0, 0), (0,) * 5):
+    for anchor in ("10000", "00000"):
         with pytest.raises(ValueError, match="longer than the table length 4"):
             expected_generator_gap(engine, -3, anchor)
         with pytest.raises(ValueError, match="longer than the table length 4"):
             generator_error_check(engine, -3, anchor, 100, 1)
-    # Words of at most L symbols are padded: (1, 1) is the anchor 0011.
-    assert (expected_generator_gap(engine, -3, (1, 1))
-            == expected_generator_gap(engine, -3, (0, 0, 1, 1)))
-    assert generator_error_check(engine, -3, (1, 1), 100, 1).anchor == (0, 0, 1, 1)
+    # Strings of at most L symbols are padded: "11" is the anchor 0011.
+    assert (expected_generator_gap(engine, -3, "11")
+            == expected_generator_gap(engine, -3, "0011"))
+    assert generator_error_check(engine, -3, "11", 100, 1).anchor == "0011"
 
 
 def test_choose_anchor_beats_average():
@@ -863,10 +866,10 @@ def test_stitch_validates_schedule():
 # audit became one pass (the KS bucket bound; sums of lag products
 # centered afterwards).
 ANTITONE_STITCH_ROWS = [
-    (-3, (0, 0, 1, 1), 0),
-    (-17, (0, 0, 1, 1), 2258),
-    (-20, (0, 0, 1, 1), 21),
-    (-22, (0, 0, 1, 1), 0),
+    (-3, "0011", 0),
+    (-17, "0011", 2258),
+    (-20, "0011", 21),
+    (-22, "0011", 0),
 ]
 ANTITONE_STITCH_AUDIT = (
     541002, 0.0007976238780656079, 0.00367217316488168, 0.7568158173944256
@@ -910,7 +913,7 @@ def test_stitch_audit_is_the_audit_of_the_whole_u(monkeypatch):
 
 
 # The stitch replay.  Oracle: every row replayed on its own, row j >= 1
-# over blocks j-1 .. 0 from block j-1's anchor word, row 0 over every
+# over blocks j-1 .. 0 from block j-1's anchor, row 0 over every
 # block from the context the forward run entered with.
 
 
@@ -1004,17 +1007,19 @@ PINNED_TRIALS = (TRIAL_BLOCK - 1, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK + 5)
 # trials at once; re-recorded when the audit's sums moved to fixed blocks,
 # which moved only max_lag_corr, in its last bits, and again when the
 # audit became one pass, which moved only ks_stat (now the KS bucket
-# bound) and max_lag_corr.  repr pins every row and audit field, type
-# and bits.
+# bound) and max_lag_corr.  They were re-recorded once more when the
+# rows' anchors became 0/1 strings: only the repr changed, and the rows
+# with each anchor read back as a tuple of symbols gave the earlier
+# digests.  repr pins every row and audit field, type and bits.
 PINNED_STITCHES = [
     ((MARKOV1, BENCH_DELTAS, 7, False),
-     ("deeaf38c48dff9af", "2fc6c7fa11a2af11", "552d87e25c3ed52c")),
+     ("e0f9ad11331c2d67", "e53c4706206d7645", "97095c446637bee3")),
     ((*STITCH_CASES[1], True),
-     ("eeddb11eac2a84a1", "79050c6b9ea422ad", "2d111d3d774e68cd")),
+     ("5c00f2b1379c3888", "2f7495f96390b632", "e6608bfd877477a0")),
     ((*STITCH_CASES[3], True),
-     ("a86f02bf3690d394", "7d3c7977d9a5fd37", "8bf30b7c61b5448b")),
+     ("0dabaf405d589061", "374aa75a04801d7d", "a0f0f30be611bd58")),
     ((*STITCH_CASES[5], True),
-     ("333a2fb994d561b4", "14cd25c4ff9f1c8e", "bf213bf27b2db61f")),
+     ("aea91eecc3b3eb0d", "82bbd76782744ad5", "69c6dfad3aa0e104")),
 ]
 
 
@@ -1037,22 +1042,21 @@ def test_stitch_blocks_of_trials_pinned(case, digests):
 ])
 def test_stitch_plans_smallest_depth_and_argmin_anchor(kernel, deltas, depth):
     # Block j's depth p = 1 - N_j is the smallest p >= L at which alpha_p
-    # and the least anchor integral both lie below its threshold: delta_0
-    # for j = 0, 3^(1 - L) delta_j / 2 after it.  Its anchor is the
-    # argmin of the anchor integrals at p.
+    # lies below its threshold: delta_0 for j = 0, 3^(1 - L) delta_j / 2
+    # after it.  Its anchor is the argmin of the anchor integrals at p,
+    # whose integral is at most alpha_p, their stationary average.
     report = stitch_blocks(kernel, deltas, 50, 1, depth)
     engine = make_engine(kernel, 1, depth)
     L = engine.length
     for row in report.rows:
         threshold = row.delta_j if row.j == 0 else 3.0 ** (1 - L) * row.delta_j / 2
         p = 1 - row.n_j
-        below = [engine.alpha(q) < threshold
-                 and engine.anchor_integrals(q).min() < threshold
-                 for q in range(L, p + 1)]
+        below = [engine.alpha(q) < threshold for q in range(L, p + 1)]
         assert below == [False] * (p - L) + [True], row.j
         assert row.alpha_used == engine.alpha(p)
-        best = int(np.argmin(engine.anchor_integrals(p)))
-        assert row.anchor == int_to_word(best, L)
+        integrals = engine.anchor_integrals(p)
+        assert row.anchor == format(int(np.argmin(integrals)), f"0{L}b")
+        assert integrals[parse_word(row.anchor)] <= row.alpha_used * (1 + 1e-12)
 
 
 def test_stitch_memory_stays_blockwise():

@@ -3,7 +3,8 @@ reproduce, byte for byte, the CSV and manifest recorded in
 tests/golden/<kind>/, and every config.json under tests/golden/antitone/
 the outputs beside it.  The antitone configs run an order-3 kernel whose
 metric tables have antitone entries, so they cover the flip tables and
-a flipped coupled walk, which no demo kernel reaches.  A change that
+a flipped coupled walk, which no demo kernel reaches; extend-anchor is
+the only config that gives extend an `anchor`.  A change that
 alters a golden output on purpose regenerates the golden files and says
 which outputs changed and why."""
 
@@ -50,7 +51,7 @@ def test_antitone_goldens_flip():
     engine = CouplingEngine.build(build_kernel(config["kernel"]), 8, config["depth"])
     flipped = [p for p in range(9) if engine.table(p).flip is not None]
     assert flipped == [2, 3, 5]
-    assert len(ANTITONE) == 3
+    assert len(ANTITONE) == 4
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coupledchains import harness, kernels
+from coupledchains import harness, kernels, reconstruction, vershik
 from coupledchains.extension import MAX_TOLERANCES
 from coupledchains.harness import (
     ConfigError,
@@ -494,6 +494,56 @@ def test_cli_bad_word_names_it(tmp_path, capsys, kind, params, named):
     assert not out.exists()
     err = capsys.readouterr().err
     assert named in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize("anchor, named", [
+    ("0a1", "field 'anchor': a word is a string of 0s and 1s, not '0a1'"),
+    ("000000", "anchor '000000' is longer than the table length 5"),
+])
+def test_cli_bad_anchor_before_metric_tables(tmp_path, capsys, monkeypatch,
+                                             anchor, named):
+    # A malformed anchor is rejected before the metric tables are
+    # deepened to the window: at n = -50 they would take 51 rho_steps.
+    steps = []
+
+    def counted(kernel, table):
+        steps.append(table.depth)
+        return rho_step(kernel, table)
+
+    rho_step = vershik.rho_step
+    monkeypatch.setattr(vershik, "rho_step", counted)
+    cfg = {"kind": "extend", "kernel": {"variant": "builtin", "name": "markov1-demo"},
+           "seed": 3, "n": -50, "trials": 50, "depth": 4, "anchor": anchor}
+    path = write_config(tmp_path, "a.json", cfg)
+    out = tmp_path / "out"
+    assert main(["extend", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert named in capsys.readouterr().err
+    assert len(steps) <= 1
+
+
+def test_cli_reconstruct_window_checked_before_rows(tmp_path, capsys, monkeypatch):
+    # k = 2 exceeds the range of the second N only: no row runs, and the
+    # message names k and that N.
+    walks = 0
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return coupled_walk(*args)
+
+    coupled_walk = reconstruction.coupled_walk
+    monkeypatch.setattr(reconstruction, "coupled_walk", counted)
+    cfg = {"kind": "reconstruct",
+           "kernel": {"variant": "builtin", "name": "markov1-demo"},
+           "seed": 3, "n_list": [-600, -1], "k": 2, "trials": 100}
+    path = write_config(tmp_path, "r.json", cfg)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert walks == 0
+    assert ("compared window k = 2 exceeds the replayed range of N = -1"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("order, table, message", [

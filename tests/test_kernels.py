@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from coupledchains.kernels import (
     builtin_kernels,
     gamma_profile,
     lift,
-    lower_envelope,
     marginal,
+    parse_word,
     push,
     stationary_ctx_vector,
 )
-from coupledchains.words import int_to_word, word_to_int
+from test_acceptance import lower_envelope
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
 LONGMEM = builtin_kernels()["long-memory-demo"]
@@ -32,11 +33,12 @@ IID = builtin_kernels()["iid-half"]
 
 
 def conditional_prob(kernel, context, length=None):
-    """P(0 | context) read from the kernel's table over `length`-bit
-    context codes (the context's own length by default); a shorter
-    context is zero-padded on the left."""
+    """P(0 | context), the context a 0/1 string written oldest symbol
+    first, read from the kernel's table over `length`-bit context codes
+    (the context's own length by default); a shorter context is
+    zero-padded on the left."""
     length = len(context) if length is None else length
-    return float(kernel.prob0_over(length)[word_to_int(context)])
+    return float(kernel.prob0_over(length)[parse_word(context)])
 
 
 def prob0_fractions(kernel):
@@ -45,21 +47,21 @@ def prob0_fractions(kernel):
 
 
 def test_markov_table_lookup():
-    assert conditional_prob(MARKOV1, (0,)) == 0.7
-    assert conditional_prob(MARKOV1, (1,)) == 0.4
+    assert conditional_prob(MARKOV1, "0") == 0.7
+    assert conditional_prob(MARKOV1, "1") == 0.4
     # Longer contexts: only the most recent symbol matters.
-    assert conditional_prob(MARKOV1, (1, 1, 0)) == 0.7
+    assert conditional_prob(MARKOV1, "110") == 0.7
     # Short/empty contexts are zero-padded.
-    assert conditional_prob(MARKOV1, (), 3) == 0.7
-    assert conditional_prob(MARKOV1, ()) == 0.7
+    assert conditional_prob(MARKOV1, "", 3) == 0.7
+    assert conditional_prob(MARKOV1, "") == 0.7
 
 
 def test_long_memory_table():
     # P(0 | past) = 0.3 + 0.2*1(lag1 == 0) + 0.1*1(lag2 == 0)
-    assert conditional_prob(LONGMEM, (0, 0)) == pytest.approx(0.6)
-    assert conditional_prob(LONGMEM, (0, 1)) == pytest.approx(0.4)
-    assert conditional_prob(LONGMEM, (1, 0)) == pytest.approx(0.5)
-    assert conditional_prob(LONGMEM, (1, 1)) == pytest.approx(0.3)
+    assert conditional_prob(LONGMEM, "00") == pytest.approx(0.6)
+    assert conditional_prob(LONGMEM, "01") == pytest.approx(0.4)
+    assert conditional_prob(LONGMEM, "10") == pytest.approx(0.5)
+    assert conditional_prob(LONGMEM, "11") == pytest.approx(0.3)
 
 
 def test_long_memory_table_exact():
@@ -78,15 +80,15 @@ def test_long_memory_table_exact():
 
 
 def test_iid_ignores_context():
-    assert conditional_prob(IID, ()) == 0.5
-    assert conditional_prob(IID, (1, 0, 1)) == 0.5
+    assert conditional_prob(IID, "") == 0.5
+    assert conditional_prob(IID, "101") == 0.5
 
 
 def test_validation():
     with pytest.raises(ValueError):
         IIDKernel(1.0)
     with pytest.raises(ValueError):
-        MarkovKernel.from_table(1, {(0,): 0.7})  # incomplete table
+        MarkovKernel.from_table(1, {"0": 0.7})  # incomplete table
     with pytest.raises(ValueError):
         LongMemoryKernel(0.5, (0.4, 0.2))  # exceeds 1
     with pytest.raises(ValueError):
@@ -132,7 +134,7 @@ def _gamma_oracle(p0_by_ctx: dict, p: int, memory: int) -> float:
 
 
 def test_gamma_markov1_exact():
-    table = {(0,): Fraction(7, 10), (1,): Fraction(4, 10)}
+    table = {"0": Fraction(7, 10), "1": Fraction(4, 10)}
     prof = gamma_profile(MARKOV1, 3)
     assert prof.values[0] == _gamma_oracle(table, 0, 1)
     assert prof.values[0] == 0.5
@@ -142,7 +144,7 @@ def test_gamma_markov1_exact():
 def test_gamma_long_memory_exact():
     c, t1, t2 = Fraction(3, 10), Fraction(2, 10), Fraction(1, 10)
     table = {
-        (b2, b1): c + t1 * (1 - b1) + t2 * (1 - b2)
+        f"{b2}{b1}": c + t1 * (1 - b1) + t2 * (1 - b2)
         for b1 in (0, 1)
         for b2 in (0, 1)
     }
@@ -195,7 +197,7 @@ def decimal_kernels(draw):
 @settings(max_examples=60, deadline=None)
 def test_gamma_matches_pairwise_enumeration(kernel):
     m = kernel.memory
-    table = {int_to_word(c, m): q for c, q in enumerate(prob0_fractions(kernel))}
+    table = {format(c, f"0{m}b"): q for c, q in enumerate(prob0_fractions(kernel))}
     prof = gamma_profile(kernel, m + 2)
     for p in (0, m - 1, m, m + 2):
         expected = _gamma_oracle(table, p, m) if p < m else 0.0
@@ -209,11 +211,11 @@ def test_gamma_matches_pairwise_enumeration(kernel):
 def test_lower_envelope_brute_force():
     # Oracle: explicit min over all full-memory contexts extending z.
     table = LONGMEM.prob0_table
-    for z in [(), (0,), (1,), (0, 1)]:
+    for z in ["", "0", "1", "01"]:
         exts = [
             ctx
             for ctx in range(4)
-            if all(((ctx >> i) & 1) == z[len(z) - 1 - i] for i in range(len(z)))
+            if all(((ctx >> i) & 1) == int(z[len(z) - 1 - i]) for i in range(len(z)))
         ]
         for sym in (0, 1):
             probs = [table[c] if sym == 0 else 1 - table[c] for c in exts]
@@ -224,8 +226,8 @@ def test_lower_envelope_past_the_memory():
     # A word at least as long as the memory fixes the context: its last
     # m symbols.
     table = LONGMEM.prob0_table
-    for z in [(1, 0, 1), (0, 1, 1, 0), (1,) * 70]:
-        code = word_to_int(z[-2:])
+    for z in ["101", "0110", "1" * 70]:
+        code = parse_word(z[-2:])
         assert lower_envelope(LONGMEM, 0, z) == table[code]
         assert lower_envelope(LONGMEM, 1, z) == 1.0 - table[code]
 
@@ -235,8 +237,7 @@ def test_envelope_inequality_all_builtins():
     for kernel in builtin_kernels().values():
         prof = gamma_profile(kernel, 8)
         for p in range(9):
-            for code in range(1 << p):
-                z = int_to_word(code, p)
+            for z in map("".join, product("01", repeat=p)):
                 total = lower_envelope(kernel, 0, z) + lower_envelope(kernel, 1, z)
                 assert total >= 1.0 - prof.gamma(p) - 1e-12
 
@@ -294,7 +295,7 @@ def _stationary_oracle(kernel, length):
     mask = size - 1
     P = np.zeros((size, size))
     for ctx in range(size):
-        f = conditional_prob(kernel, int_to_word(ctx, length))
+        f = float(kernel.prob0_over(length)[ctx])
         P[ctx, ((ctx << 1) & mask)] += f
         P[ctx, ((ctx << 1) & mask) | 1] += 1.0 - f
     A = np.vstack([P.T - np.eye(size), np.ones(size)])
@@ -318,7 +319,7 @@ def test_stationary_word_law_marginalizes():
     law = stationary_ctx_vector(MARKOV1, 2)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
     pi1 = stationary_ctx_vector(MARKOV1, 1)
-    # The words (0, 0) and (1, 0) end in symbol 0.
+    # The words 00 and 10 end in symbol 0.
     assert law[0b00] + law[0b10] == pytest.approx(pi1[0], abs=1e-12)
 
 

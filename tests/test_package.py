@@ -52,7 +52,7 @@ def test_module_imports_on_its_own(module):
 
 
 def test_vershik_loads_neither_replay_nor_stitch():
-    assert _fresh("coupledchains.vershik")["loaded"] == ["kernels", "rng", "vershik", "words"]
+    assert _fresh("coupledchains.vershik")["loaded"] == ["kernels", "rng", "vershik"]
 
 
 def _bench_spans() -> list:

@@ -12,6 +12,7 @@ from coupledchains.kernels import (
     IIDKernel,
     MarkovKernel,
     builtin_kernels,
+    parse_word,
     push,
     stationary_ctx_vector,
 )
@@ -29,7 +30,6 @@ from coupledchains.vershik import (
     rho_step,
 )
 from coupledchains.rng import _BLOCK, stream_rng
-from coupledchains.words import word_to_int
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
 IID = IIDKernel(0.5)
@@ -246,8 +246,8 @@ def test_depth_one_forgets_most_recent_symbol():
     def rho_tilde(x, y):
         return table.values[(x >> 1) & table.mask, (y >> 1) & table.mask]
 
-    x = word_to_int((0, 0, 0))
-    y = word_to_int((0, 1, 1))
+    x = parse_word("000")
+    y = parse_word("011")
     assert rho_tilde(x, y) == pytest.approx(1 / 3, abs=1e-12)
     # Pasts differing only in the most recent symbol have distance 0.
     assert rho_tilde(0b000, 0b001) == 0.0

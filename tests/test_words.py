@@ -1,52 +1,44 @@
+"""Words at the edges: a context written as a 0/1 string, oldest symbol
+first, and its integer code, most recent symbol at bit 0
+(:func:`coupledchains.kernels.parse_word` one way, ``format(code,
+f"0{L}b")`` the other)."""
+
 import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coupledchains.words import (
-    as_word,
-    int_to_word,
-    parse_word,
-    word_str,
-    word_to_int,
-)
+from coupledchains.kernels import parse_word
 
-words = st.lists(st.integers(0, 1), min_size=0, max_size=16).map(tuple)
+strings = st.text(alphabet="01", min_size=1, max_size=16)
 
 
 def test_known_codes():
-    # Most recent symbol (last tuple entry) is bit 0.
-    assert word_to_int((0, 1, 1)) == 0b011
-    assert word_to_int((1, 1, 0)) == 0b110
-    assert word_to_int(()) == 0
-    assert int_to_word(0b110, 3) == (1, 1, 0)
+    # Most recent symbol (last character) is bit 0.
+    assert parse_word("011") == 0b011
+    assert parse_word("110") == 0b110
+    assert parse_word("") == 0
+    assert format(0b110, "03b") == "110"
 
 
-def test_word_str_oldest_first():
-    assert word_str((0, 1, 1)) == "011"
-    assert parse_word("011") == (0, 1, 1)
+def test_code_string_oldest_first():
+    assert format(0b011, "03b") == "011"
+    assert parse_word("011") == 0b011
+    # A shorter string is the code zero-padded on the left.
+    assert parse_word("11") == parse_word("0011")
 
 
-@given(words)
-def test_round_trip(w):
-    assert int_to_word(word_to_int(w), len(w)) == w
+@given(st.integers(0, 16).flatmap(
+    lambda L: st.tuples(st.just(L), st.integers(0, 2**L - 1))))
+def test_int_round_trip(case):
+    L, c = case
+    assert parse_word(format(c, f"0{L}b")) == c
 
 
-@given(st.integers(0, 2**16 - 1))
-def test_int_round_trip(v):
-    assert word_to_int(int_to_word(v, 16)) == v
-
-
-@given(words)
-def test_str_round_trip(w):
-    assert parse_word(word_str(w)) == w
-
-
-def test_as_word_validates():
-    assert as_word([0, 1]) == (0, 1)
-    with pytest.raises(ValueError):
-        as_word((0, 2))
+@given(strings)
+def test_str_round_trip(s):
+    assert format(parse_word(s), f"0{len(s)}b") == s
 
 
 def test_parse_word_validates():
