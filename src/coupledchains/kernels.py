@@ -13,9 +13,11 @@ every kernel's memory decay is summable.
 the package's context-code arithmetic (most recent symbol at bit 0): a
 context written as a 0/1 string, oldest symbol first, is its code in
 binary, so ``format(code, f"0{L}b")`` writes an L-bit code back.
-:func:`stationary_ctx_vector` and :func:`gamma_profile` solve once per
-Kernel object and argument, into the object's own ``_memo`` dict; the
-stationary law is returned read-only.
+The stationary law is solved on the 2^m contexts, exactly up to rounding
+for m <= 8 (GTH state reduction), and extended to longer words by
+products.  :func:`stationary_ctx_vector` and :func:`gamma_profile` solve
+once per Kernel object and argument, into the object's own ``_memo``
+dict; the stationary law is returned read-only.
 """
 
 from __future__ import annotations
@@ -304,30 +306,84 @@ def marginal(law: np.ndarray, bits: int) -> np.ndarray:
         axis=tuple(range(0, 2 * law.ndim, 2)))
 
 
+# The largest memory whose law is solved exactly.  GTH's cost grows as
+# 8^m: about 15 ms at m = 8, the largest memory the metric tables take (a
+# table is at most 8 bits long), 0.1 s at m = 9 and 0.9 s at m = 10 on a
+# 2-vCPU host.  Above it only the start draws of a path or a replay read
+# the law, at length m, and power iteration serves them.
+_EXACT_MEMORY = 8
+
+
 @_once_per_kernel
 def stationary_ctx_vector(kernel: Kernel, length: int) -> np.ndarray:
     """Stationary distribution over integer-coded words of the given
-    length, by power iteration on the word shift chain, stopped once no
-    entry moves by _STATIONARY_TOL in a sweep; read-only."""
+    length; read-only.
+
+    The law is solved once on the 2^m contexts: for 1 <= m <= 8 exactly
+    up to rounding, by :func:`_gth`; above, by power iteration on the
+    context shift chain, stopped once no entry moves by _STATIONARY_TOL
+    in a sweep.  A memoryless kernel's law is the one entry 1.  Longer
+    words extend it by products, pi(c << 1 | a) = pi(c) P(a | c), and
+    shorter ones are its marginal."""
     if length > MAX_WORD_LENGTH:
         raise CapExceededError(f"word length {length} exceeds cap {MAX_WORD_LENGTH}")
-    s = max(kernel.memory, length, 1)
-    size = 1 << s
-    p0 = kernel.prob0_over(s)
-    step = np.array([p0, 1.0 - p0])
-    pi = np.full(size, 1.0 / size)
-    for _ in range(_STATIONARY_MAX_ITER):
-        pi, old = push(pi, step), pi
-        if np.abs(pi - old).max() < _STATIONARY_TOL:
-            break
+    m, d = kernel.memory, kernel.denominator
+    # P(a | c) at step[a, c], each entry its exact ratio rounded once.
+    step = np.array([[n / d for n in kernel.numerators],
+                     [(d - n) / d for n in kernel.numerators]])
+    if m == 0:
+        pi = np.ones(1)
+    elif m <= _EXACT_MEMORY:
+        pi = _gth(step)
     else:
-        raise CapExceededError(
-            f"stationary law of {kernel.label} not converged within "
-            f"{_STATIONARY_MAX_ITER} power-iteration sweeps"
-        )
-    if abs(pi.sum() - 1.0) > 1e-12:
-        raise RuntimeError("stationary law does not sum to 1")
-    if s != length:  # marginalize onto the most recent `length` symbols
+        pi = _power_iteration(kernel, step)
+    for k in range(m, length):
+        pi = (np.tile(step, 1 << (k - m)) * pi).T.ravel()
+    if length < m:
         pi = marginal(pi, length)
     pi.flags.writeable = False
     return pi
+
+
+def _gth(step: np.ndarray) -> np.ndarray:
+    """Stationary law of the shift chain c -> (c << 1 | a) & (n - 1),
+    taken with probability step[a, c], on n = step.shape[1] contexts, by
+    GTH state reduction (Grassmann, Taksar & Heyman 1985).
+
+    States n - 1 .. 1 are censored out in turn; the chain left on
+    0 .. k - 1 moves i -> j with P[i, j] + P[i, k] P[k, j] / s_k, s_k
+    the sum of P[k, :k], which stands for 1 - P[k, k] with no
+    subtraction.  Back from pi(0) = 1, pi(k) is the sum of pi(i) P[i, k]
+    over i < k, divided by s_k, and the law is then normalized.  Every
+    term is a sum of products of nonnegative numbers, so each entry is
+    exact up to a few roundings; the sums are numpy's, in a fixed order."""
+    n = step.shape[1]
+    c = np.arange(n)
+    P = np.zeros((n, n))
+    P[c, (c << 1) & (n - 1)] = step[0]
+    P[c, (c << 1 | 1) & (n - 1)] = step[1]
+    s = np.empty(n)
+    for k in range(n - 1, 0, -1):
+        s[k] = P[k, :k].sum()
+        P[:k, :k] += P[:k, k, None] * (P[k, :k] / s[k])
+    pi = np.empty(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = (pi[:k] * P[:k, k]).sum() / s[k]
+    return pi / pi.sum()
+
+
+def _power_iteration(kernel: Kernel, step: np.ndarray) -> np.ndarray:
+    """The law on the 2^m contexts by pushing the uniform law through the
+    shift chain until no entry moves by _STATIONARY_TOL in a sweep; a
+    chain that needs more than _STATIONARY_MAX_ITER sweeps raises
+    CapExceededError."""
+    pi = np.full(step.shape[1], 1.0 / step.shape[1])
+    for _ in range(_STATIONARY_MAX_ITER):
+        pi, old = push(pi, step), pi
+        if np.abs(pi - old).max() < _STATIONARY_TOL:
+            return pi
+    raise CapExceededError(
+        f"stationary law of {kernel.label} not converged within "
+        f"{_STATIONARY_MAX_ITER} power-iteration sweeps"
+    )

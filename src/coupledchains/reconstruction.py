@@ -2,9 +2,10 @@
 the renewal (reset-chain) bound on reconstruction error.
 
 A stationary path is carried as a :class:`PathSample`: the start
-context, drawn from the stationary law (power-iterated until no entry
-moves by 1e-13), and what determines the rest, which is simulated with
-its innovation stream as it is read.
+context, drawn from the stationary law (exact up to rounding for memory
+m <= 8, power-iterated until no entry moves by 1e-13 above), and what
+determines the rest, which is simulated with its innovation stream as
+it is read.
 Reconstruction replays the innovations through the decoder starting
 from an all-zero prehistory; the renewal bound controls how far back
 the replay must start for the final window to agree with the truth.
@@ -149,9 +150,10 @@ class PathSample:
 
 
 def _stationary_start(kernel: Kernel, rng: np.random.Generator) -> int:
-    """The context of the last m symbols drawn from the stationary law,
-    power-iterated to 1e-13 (:func:`.kernels.stationary_ctx_vector`), by
-    one double; a memoryless kernel's law has one entry, context 0."""
+    """The context of the last m symbols drawn from the stationary law
+    (:func:`.kernels.stationary_ctx_vector`: exact up to rounding for
+    m <= 8, power-iterated to 1e-13 above), by one double; a memoryless
+    kernel's law has one entry, context 0."""
     return sample_index(rng, stationary_ctx_vector(kernel, kernel.memory))
 
 
@@ -487,6 +489,7 @@ def disagreement_experiment(
         ctx_true ^= ctx_hat
         ctx_true &= window
         mismatches += np.count_nonzero(ctx_true)
+    del ctx_true, ctx_hat, w  # the last block, freed before the bound runs
     freq, stderr = frequency(mismatches, trials)
     bound = reconstruction_bound(kernel, n_start, k_lags)
     ok = freq <= bound + MC_SIGMAS * stderr

@@ -204,9 +204,10 @@ def metric_tables(
 @dataclass(frozen=True)
 class CouplingEngine:
     """The metric tables of one kernel, deepened on demand, and the
-    stationary law on length-L contexts, power-iterated until no entry
-    moves by 1e-13 (:func:`.kernels.stationary_ctx_vector`, not exact):
-    everything alpha, the anchor integrals and the coupled runs read."""
+    stationary law on length-L contexts, exact up to rounding
+    (:func:`.kernels.stationary_ctx_vector`; the tables cap the memory
+    at 8): everything alpha, the anchor integrals and the coupled runs
+    read."""
 
     kernel: Kernel
     depth: int  # generator depth D
@@ -271,8 +272,7 @@ def alpha_sequence(
 ) -> AlphaSequence:
     """alpha_p = E rho_p(X, Y) over independent stationary pasts X, Y,
     summed over the metric tables against the stationary word law, so
-    exact up to that law's power-iteration error (see
-    :class:`CouplingEngine`)."""
+    exact up to float rounding (see :class:`CouplingEngine`)."""
     engine = CouplingEngine.build(kernel, p_max, depth)
     return AlphaSequence(tuple(engine.alpha(p) for p in range(p_max + 1)))
 

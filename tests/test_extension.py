@@ -19,6 +19,7 @@ from coupledchains import extension
 from coupledchains.innovation import innovation_audit
 from coupledchains.kernels import (
     IIDKernel,
+    LongMemoryKernel,
     MarkovKernel,
     builtin_kernels,
     marginal,
@@ -368,6 +369,23 @@ def test_long_replay_memory_stays_blockwise():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2**20, peak
+
+
+def test_replay_frees_its_last_block_before_the_bound():
+    # reconstruct-lm16's replay: two blocks of 2048 trials (9.4 MiB of
+    # uniforms each), then the renewal bound, whose gamma profile at
+    # m = 16 compares 2^16 contexts.  With the last block freed first it
+    # peaks at 11.9 MiB; with the block alive through the bound, at 14.0.
+    kernel = LongMemoryKernel(0.05, (0.3, 0.15, 0.1, 0.08, 0.06, 0.05, 0.04, 0.03,
+                                     0.02, 0.02, 0.02, 0.01, 0.01, 0.01, 0.005, 0.005))
+    stationary_ctx_vector(kernel, kernel.memory)  # the law, solved first
+    tracemalloc.start()
+    try:
+        disagreement_experiment(kernel, -600, 2, 2 * 2048, 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * 2**20, peak
 
 
 @pytest.mark.parametrize("trials", [1, TRIAL_BLOCK + 5])
@@ -1010,16 +1028,19 @@ PINNED_TRIALS = (TRIAL_BLOCK - 1, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK + 5)
 # bound) and max_lag_corr.  They were re-recorded once more when the
 # rows' anchors became 0/1 strings: only the repr changed, and the rows
 # with each anchor read back as a tuple of symbols gave the earlier
+# digests.  They were re-recorded when the stationary law became exact:
+# only alpha_used moved, in its last bits, and the new reports with each
+# row's alpha_used set back to its power-iterated value gave the earlier
 # digests.  repr pins every row and audit field, type and bits.
 PINNED_STITCHES = [
     ((MARKOV1, BENCH_DELTAS, 7, False),
-     ("e0f9ad11331c2d67", "e53c4706206d7645", "97095c446637bee3")),
+     ("3e4857752328accd", "9fc57dec4be35084", "2777ba8e32d521d4")),
     ((*STITCH_CASES[1], True),
-     ("5c00f2b1379c3888", "2f7495f96390b632", "e6608bfd877477a0")),
+     ("9831bc69da74e092", "838c76b4e5ec3b29", "7591dbb90df57633")),
     ((*STITCH_CASES[3], True),
-     ("0dabaf405d589061", "374aa75a04801d7d", "a0f0f30be611bd58")),
+     ("7d9ef3acc1aa831f", "888d5b9366b40088", "e0d84a80d14251a5")),
     ((*STITCH_CASES[5], True),
-     ("aea91eecc3b3eb0d", "82bbd76782744ad5", "69c6dfad3aa0e104")),
+     ("681efb8f6e75d7c8", "fbc10d794d4ed21c", "747938df48e978b1")),
 ]
 
 

@@ -260,19 +260,19 @@ def test_demo_and_benchmark_configs_load(tmp_path, monkeypatch):
             assert run_experiment(config)[0] == 0
 
 
-def load_bench_scaled():
+def load_script(name):
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
-        "bench_scaled", root / "scripts" / "bench_scaled.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
+        name, root / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_scaled_bench_launcher_reports_exit_and_peak():
     # scripts/bench_scaled.py reads each run's exit code and its own peak
     # RSS through a launcher: a child that holds 64 MB and exits 3.
-    bench = load_bench_scaled()
+    bench = load_script("bench_scaled")
     child = "import sys; held = b'x' * (64 << 20); sys.exit(3)"
     row = bench.launch([sys.executable, "-c", child], dict(os.environ))
     assert row["exit_code"] == 3
@@ -282,7 +282,7 @@ def test_scaled_bench_launcher_reports_exit_and_peak():
 def test_scaled_bench_compares_medians():
     # Compared with a base tree, a row reads the medians of each tree's
     # runs and their ratios, and keeps the first nonzero exit code.
-    bench = load_bench_scaled()
+    bench = load_script("bench_scaled")
     runs = [{"exit_code": 0, "wall_s": w, "peak_rss_mb": m}
             for w, m in ((3.0, 40.0), (1.0, 44.0), (2.0, 42.0))]
     ours = bench.summarize(runs)
@@ -293,6 +293,29 @@ def test_scaled_bench_compares_medians():
     row = bench.compare(ours, {"exit_code": 0, "wall_s": 4.0, "peak_rss_mb": 84.0})
     assert row["wall_ratio"] == 0.5 and row["rss_ratio"] == 0.5
     assert row["base"]["wall_s"] == 4.0 and row["wall_s"] == 2.0
+
+
+def test_same_outputs_lists_changed_cells():
+    # scripts/same_outputs.py names each changed cell of a CSV by its
+    # row's first column (and row number where that repeats) and column,
+    # each changed manifest key by its path, then sums up each file.
+    same = load_script("same_outputs")
+    old = b"N,K,freq,verdict\n-5,2,0.25,ok\n-5,3,0.5,ok\n-9,2,0,ok\n"
+    new = b"N,K,freq,verdict\n-5,2,0.25,ok\n-5,3,0.75,bad\n-9,2,0,ok\n"
+    assert same.file_changes("run", "r.csv", old, new) == [
+        "run: r.csv N=-5 (row 2) freq: 0.5 -> 0.75 (rel 0.5)",
+        "run: r.csv N=-5 (row 2) verdict: ok -> bad",
+        "run: r.csv differs, 2 cells changed, largest relative change 0.5",
+    ]
+    old = b'{"seed": 7, "verdicts": [{"check": "a", "passed": true}]}'
+    new = b'{"seed": 7, "verdicts": [{"check": "a", "passed": false}], "x": 1}'
+    assert same.file_changes("run", "manifest.json", old, new) == [
+        "run: manifest.json verdicts[0].passed: true -> false",
+        "run: manifest.json x: <none> -> 1",
+        "run: manifest.json differs, 2 keys changed",
+    ]
+    assert same.file_changes("run", "r.csv", None, new) == [
+        "run: r.csv only under the new tree"]
 
 
 def test_cli_round_trip(tmp_path):
@@ -722,11 +745,14 @@ def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_stationary_budget_is_a_cap(tmp_path, monkeypatch):
-    # A strongly persistent chain needs ~10^7 power-iteration sweeps;
-    # running out of the sweep budget is a cap, reported as exit 2.
+    # Above memory 8 the law is power-iterated; this order-9 chain reads
+    # only its last symbol and is strongly persistent, so it needs about
+    # 10^7 sweeps.  Running out of the sweep budget is a cap, reported as
+    # exit 2.
     monkeypatch.setattr(kernels, "_STATIONARY_MAX_ITER", 1000)
-    sticky = {"variant": "markov", "order": 1,
-              "table": {"0": 0.999998, "1": 0.000001}}
+    sticky = {"variant": "markov", "order": 9,
+              "table": {format(c, "09b"): 0.000001 if c & 1 else 0.999998
+                        for c in range(1 << 9)}}
     with pytest.raises(CapExceededError, match="1000 power-iteration sweeps"):
         kernels.stationary_ctx_vector(build_kernel(sticky), 1)
     path = write_config(
@@ -735,6 +761,17 @@ def test_stationary_budget_is_a_cap(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["audit", "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_persistent_chain_audits(tmp_path):
+    # The same persistent chain at order 1 is solved exactly, with no
+    # sweep budget, and its audit runs.
+    sticky = {"variant": "markov", "order": 1,
+              "table": {"0": 0.999998, "1": 0.000001}}
+    path = write_config(
+        tmp_path, "a.json", {"kind": "audit", "kernel": sticky, "seed": 1}
+    )
+    assert main(["audit", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_output_that_is_no_file_writes_nothing(tmp_path, capsys):

@@ -22,6 +22,7 @@ from coupledchains.kernels import (
     stationary_ctx_vector,
 )
 from test_acceptance import lower_envelope
+from test_exact_oracle import context_law
 
 MARKOV1 = builtin_kernels()["markov1-demo"]
 LONGMEM = builtin_kernels()["long-memory-demo"]
@@ -328,6 +329,42 @@ def test_stationary_iid():
     assert np.allclose(pi, 1 / 8, atol=1e-12)
 
 
+def test_stationary_memoryless_is_a_product():
+    # Memory 0: the law on the empty context is the one entry 1, and
+    # each longer word multiplies in one symbol's probability, oldest
+    # first.
+    kernel = IIDKernel(0.3)
+    for length in range(4):
+        expected = [1.0] * (1 << length)
+        for code in range(1 << length):
+            for bit in reversed(range(length)):
+                expected[code] *= 0.7 if code >> bit & 1 else 0.3
+        pi = stationary_ctx_vector(kernel, length)
+        assert pi.tolist() == expected
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_stationary_law_is_exact_entry_by_entry(order):
+    # GTH against the law solved in rationals: every entry within a few
+    # roundings (6.1e-16 relative at worst over random kernels of orders
+    # 1 to 7, probabilities in [0.001, 0.999]).
+    rng = np.random.default_rng(order)
+    probs = np.round(rng.uniform(0.001, 0.999, 1 << order), 3).tolist()
+    pi = stationary_ctx_vector(MarkovKernel(order, tuple(probs)), order)
+    exact = context_law([Fraction(str(p)) for p in probs])
+    for got, e in zip(pi, exact):
+        assert abs(Fraction(float(got)) - e) <= 1e-15 * e
+
+
+def test_stationary_persistent_chain_is_solved():
+    # P(0 | 0) = 0.999998 and P(0 | 1) = 0.000001: balance gives
+    # pi(0) 0.000002 = pi(1) 0.000001, so pi = (1/3, 2/3).  Power
+    # iteration would need about 10^7 sweeps.
+    pi = stationary_ctx_vector(MarkovKernel(1, (0.999998, 0.000001)), 1)
+    for got, exact in zip(pi, (1 / 3, 2 / 3)):
+        assert abs(got - exact) <= 2 * np.spacing(exact)
+
+
 def test_stationary_long_memory_exact():
     # A truncated long-memory kernel is an ordinary order-m chain.
     pi = stationary_ctx_vector(LONGMEM, 2)
@@ -346,20 +383,20 @@ def test_prob0_fractions_decimal_interpretation():
 
 
 def _count_solves(monkeypatch):
-    """Count stationary solves (each reads the table once through
-    `prob0_over`) and gamma solves (each builds one GammaProfile)."""
+    """Count stationary solves (each runs GTH once on the contexts) and
+    gamma solves (each builds one GammaProfile)."""
     calls = {"stationary": 0, "gamma": 0}
-    prob0_over, profile = kernels_module.Kernel.prob0_over, kernels_module.GammaProfile
+    gth, profile = kernels_module._gth, kernels_module.GammaProfile
 
-    def counted_prob0_over(kernel, length):
+    def counted_gth(step):
         calls["stationary"] += 1
-        return prob0_over(kernel, length)
+        return gth(step)
 
     def counted_profile(values):
         calls["gamma"] += 1
         return profile(values)
 
-    monkeypatch.setattr(kernels_module.Kernel, "prob0_over", counted_prob0_over)
+    monkeypatch.setattr(kernels_module, "_gth", counted_gth)
     monkeypatch.setattr(kernels_module, "GammaProfile", counted_profile)
     return calls
 
@@ -397,7 +434,10 @@ def test_equal_kernels_do_not_share_a_solve(monkeypatch):
 
 
 def test_failed_solve_is_not_kept(monkeypatch):
-    kernel = MarkovKernel(1, (0.9, 0.2))
+    # Above memory 8 the law is power-iterated, under a sweep budget.
+    # P(0 | past) reads only the last symbol, so the law of that symbol
+    # is the order-1 chain's (2/3, 1/3).
+    kernel = MarkovKernel(9, (0.9, 0.2) * 256)
     budget = kernels_module._STATIONARY_MAX_ITER
     monkeypatch.setattr(kernels_module, "_STATIONARY_MAX_ITER", 1)
     with pytest.raises(CapExceededError):
