@@ -41,7 +41,7 @@ from .innovation import AUDIT_MIN_SAMPLES, AuditReport, _audit
 from .kernels import CapExceededError, Kernel, parse_word
 from .reconstruction import coupled_walk
 from .rng import MC_SIGMAS, _trial_blocks, frequency, stream_rng
-from .vershik import DEFAULT_DEPTH, CouplingEngine, pair_counts, pair_mean_stderr
+from .vershik import _TIE, DEFAULT_DEPTH, CouplingEngine, pair_counts, pair_mean_stderr
 
 
 _MAX_BLOCK_DEPTH = 200
@@ -157,9 +157,13 @@ def choose_anchor(engine: CouplingEngine, n_start: int) -> tuple[str, float]:
     as an L-symbol 0/1 string, and its integral.
 
     All 2^L contexts are scanned (L is capped small); ties go to the
-    smallest code."""
+    smallest code.  A tie is an integral within the rounding width of
+    :func:`.vershik.lambda_sign`, _TIE |min|, of the minimum: anchors
+    whose exact integrals are equal (say by a kernel's symmetry) can
+    differ in their last bits, which must not choose between them."""
     integrals = engine.anchor_integrals(1 - n_start)
-    best = int(np.argmin(integrals))
+    low = integrals.min()
+    best = int(np.argmax(integrals <= low + _TIE * abs(low)))  # the first
     return format(best, f"0{engine.length}b"), float(integrals[best])
 
 

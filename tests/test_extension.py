@@ -847,6 +847,26 @@ def test_choose_anchor_beats_average():
     )
 
 
+def test_choose_anchor_breaks_ties_to_the_smallest_code():
+    # The order-3 bench kernel is complement-symmetric, P(0 | c) +
+    # P(0 | ~c) = 1, so anchors whose low e bits (those T_p reads) are
+    # complements have equal integrals, and the smaller code of such a
+    # pair is chosen: the smaller of the argmin's low bits and their
+    # complement.  np.argmin picks the larger one at some windows, by
+    # rounding (126 over 1 at N = 0).
+    engine = make_engine(ORDER3, 1, 7)
+    missed = 0
+    for n_start in range(0, -11, -1):
+        anchor, value = choose_anchor(engine, n_start)
+        integrals = engine.anchor_integrals(1 - n_start)
+        mask = engine.table(1 - n_start).mask
+        argmin = int(np.argmin(integrals))
+        assert parse_word(anchor) == min(argmin & mask, ~argmin & mask), n_start
+        assert value == integrals[parse_word(anchor)]
+        missed += parse_word(anchor) != argmin
+    assert missed
+
+
 def test_choose_anchor_iid_indifferent():
     engine = make_engine(IID, p_max=6)
     integrals = engine.anchor_integrals(6)
@@ -1075,8 +1095,8 @@ def test_stitch_plans_smallest_depth_and_argmin_anchor(kernel, deltas, depth):
         below = [engine.alpha(q) < threshold for q in range(L, p + 1)]
         assert below == [False] * (p - L) + [True], row.j
         assert row.alpha_used == engine.alpha(p)
+        assert row.anchor == choose_anchor(engine, row.n_j)[0]
         integrals = engine.anchor_integrals(p)
-        assert row.anchor == format(int(np.argmin(integrals)), f"0{L}b")
         assert integrals[parse_word(row.anchor)] <= row.alpha_used * (1 + 1e-12)
 
 
