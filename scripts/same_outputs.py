@@ -29,9 +29,10 @@ CSV, one line per cell, naming its row by the first column (and its row
 number where that column repeats), its column, old -> new and, for
 numbers, the relative change; of a manifest, one line per changed key,
 as a path into the JSON.  A summary line per file follows its cells:
-the cells or keys changed and the largest relative change.  Then one line counts
-the runs, the files and the differences (a differing file or exit code
-is one difference); the exit status is 1 on any difference, else 0.
+the cells or keys changed and the largest relative change.  Then one
+line counts the runs, the files and the differences (a differing file
+or exit code is one difference); the exit status is 1 on any
+difference, else 0.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ def _relative(old: str, new: str) -> float | None:
 def csv_changes(old: str, new: str) -> tuple[list[str], list[float | None]]:
     """Each changed cell of two CSV texts as "<row> <column>: old -> new
     (rel r)", and the relative changes.  A row is named by its first
-    column, with its row number where that column repeats; rows or
-    columns only one side has are one line each."""
+    column, with its row number where that column repeats; a changed
+    header or row count is one more line, and the rows and columns both
+    sides have are compared."""
     (old_head, *old_rows), (new_head, *new_rows) = (
         list(csv.reader(io.StringIO(text))) for text in (old, new))
     lines, rels = [], []
